@@ -7,8 +7,9 @@ namespace atcsim::exp {
 namespace {
 
 // Bump when the simulation model changes in a way that invalidates cached
-// trial results (platform physics, workload profiles, metric definitions).
-constexpr std::uint64_t kModelSchemaVersion = 1;
+// trial results (platform physics, workload profiles, metric definitions,
+// RNG stream layout).
+constexpr std::uint64_t kModelSchemaVersion = 2;
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -124,13 +125,9 @@ std::uint64_t spec_hash(const SweepSpec& spec) {
   h.mix(static_cast<std::uint64_t>(spec.measure));
   h.mix(static_cast<std::uint64_t>(spec.vms_per_node));
   h.mix(static_cast<std::uint64_t>(spec.pcpus_per_node));
-  // Sharding forces per-node RNG streams, which is a different (equally
-  // valid) draw sequence — a distinct cache universe.  Unsharded specs hash
-  // exactly as before so existing caches stay warm.
-  if (spec.shards != 1) h.mix(static_cast<std::uint64_t>(spec.shards));
-  // Same pattern for descriptor sweeps: descriptor-free specs hash exactly
-  // as before.
-  if (!spec.workload.empty()) h.mix(spec.workload);
+  // Metrics are shard-count invariant, but the events count is not.
+  h.mix(static_cast<std::uint64_t>(spec.shards));
+  h.mix(spec.workload);
   return h.value();
 }
 
@@ -148,10 +145,9 @@ std::uint64_t trial_hash(const Trial& t) {
   h.mix(static_cast<std::uint64_t>(t.rep));
   h.mix(static_cast<std::uint64_t>(t.warmup));
   h.mix(static_cast<std::uint64_t>(t.measure));
-  if (t.shards != 1) h.mix(static_cast<std::uint64_t>(t.shards));
-  // Canonical descriptor text is the workload's content hash key;
-  // descriptor-free trials hash exactly as before.
-  if (!t.descriptor.empty()) h.mix(t.descriptor);
+  h.mix(static_cast<std::uint64_t>(t.shards));
+  // Canonical descriptor text is the workload's content hash key.
+  h.mix(t.descriptor);
   return h.value();
 }
 

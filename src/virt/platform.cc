@@ -9,7 +9,7 @@ namespace atcsim::virt {
 
 namespace {
 /// Salts separating the derived per-node stream families from each other
-/// and from app-level splits of the shared stream.
+/// and from the scenario's app-level splits.
 constexpr std::uint64_t kDispatchStreamSalt = 0xD15BA7C4ULL;
 constexpr std::uint64_t kSchedStreamSalt = 0x5C4EDC4EULL;
 
@@ -22,14 +22,12 @@ sim::Rng derived_stream(std::uint64_t seed, std::uint64_t salt, int gid) {
 }  // namespace
 
 Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
-    : sim_(&simulation), config_(config), rng_(config.seed) {
+    : sim_(&simulation), config_(config) {
   assert(config_.nodes > 0 && config_.pcpus_per_node > 0);
-  if (config_.params.per_node_streams) {
-    node_streams_.reserve(static_cast<std::size_t>(config_.nodes));
-    for (int n = 0; n < config_.nodes; ++n) {
-      node_streams_.push_back(derived_stream(config_.seed, kDispatchStreamSalt,
-                                             config_.node_id_offset + n));
-    }
+  node_streams_.reserve(static_cast<std::size_t>(config_.nodes));
+  for (int n = 0; n < config_.nodes; ++n) {
+    node_streams_.push_back(derived_stream(config_.seed, kDispatchStreamSalt,
+                                           config_.node_id_offset + n));
   }
   nodes_.reserve(static_cast<std::size_t>(config_.nodes));
   for (int n = 0; n < config_.nodes; ++n) {
@@ -56,9 +54,6 @@ Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
 }
 
 sim::Rng Platform::scheduler_rng(Node& node) {
-  if (!config_.params.per_node_streams) {
-    return rng_.split(static_cast<std::uint64_t>(node.index()) + 0x5EED);
-  }
   return derived_stream(config_.seed, kSchedStreamSalt,
                         global_node_id(node));
 }

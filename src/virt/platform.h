@@ -47,7 +47,6 @@ class Platform {
   sim::Simulation& simulation() { return *sim_; }
   const ModelParams& params() const { return config_.params; }
   const PlatformConfig& config() const { return config_; }
-  sim::Rng& rng() { return rng_; }
 
   /// Global node id of a node owned by this platform (node_id_offset plus
   /// the node's local index); shard-map independent.
@@ -55,18 +54,14 @@ class Platform {
     return config_.node_id_offset + node.index();
   }
 
-  /// Stream for dispatch-time slice jitter on `node`.  With
-  /// ModelParams::per_node_streams this is a per-node stream keyed by the
-  /// global node id; otherwise it is the legacy shared platform stream.
+  /// Stream for dispatch-time slice jitter on `node`: a per-node stream
+  /// keyed by the global node id, so scheduling randomness does not depend
+  /// on how the cluster's nodes are partitioned into shards.
   sim::Rng& dispatch_rng(Node& node) {
-    return node_streams_.empty()
-               ? rng_
-               : node_streams_[static_cast<std::size_t>(node.index())];
+    return node_streams_[static_cast<std::size_t>(node.index())];
   }
 
-  /// Seed stream handed to `node`'s scheduler at attach.  The legacy branch
-  /// reproduces the historical split (and its mutation of the shared
-  /// stream) bit for bit; the per-node branch is a pure function of
+  /// Seed stream handed to `node`'s scheduler at attach: a pure function of
   /// (seed, global node id).
   sim::Rng scheduler_rng(Node& node);
 
@@ -144,8 +139,7 @@ class Platform {
  private:
   sim::Simulation* sim_;
   PlatformConfig config_;
-  sim::Rng rng_;
-  /// Per-node dispatch-jitter streams; empty unless per_node_streams.
+  /// Per-node dispatch-jitter streams, by local node index.
   std::vector<sim::Rng> node_streams_;
   std::vector<std::unique_ptr<Node>> nodes_;
   // Flat id-indexed views (non-owning; owners are the nodes).

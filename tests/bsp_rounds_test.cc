@@ -73,20 +73,30 @@ TEST(BspRoundsTest, UncontendedRoundsAreFree) {
 }
 
 TEST(BspRoundsTest, ContendedRoundsMultiplySuperstepCost) {
-  // Three 2-VCPU spinning apps share 2 PCPUs (3:1 overcommit, so sibling
-  // co-residency is rare): every additional sync round costs roughly one
-  // more scheduling rotation per superstep.
-  auto steps = [](int rounds) {
-    Rig rig(2);
+  // Three 2-VCPU spinning apps share 2 PCPUs (3:1 overcommit).  Whether an
+  // app's two ranks keep landing on the PCPUs together depends on the seed,
+  // so the one-round/four-round superstep ratio is bimodal across seeds:
+  // about 1x where the siblings stay co-resident, several times where every
+  // additional sync round costs one more scheduling rotation.  Hence the
+  // seed range: extra rounds never help, and on several seeds they
+  // multiply the superstep cost.
+  auto steps = [](int rounds, std::uint64_t seed) {
+    Rig rig(2, seed);
     auto& a = rig.app(2, cfg_with_rounds(rounds));
     rig.app(2, cfg_with_rounds(rounds));
     rig.app(2, cfg_with_rounds(rounds));
     rig.run(12_s);
     return a.supersteps_completed();
   };
-  const auto one = steps(1);
-  const auto four = steps(4);
-  EXPECT_GT(one, 2 * four);
+  int multiplied = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto one = steps(1, seed);
+    const auto four = steps(4, seed);
+    EXPECT_LE(four, one) << "seed " << seed;
+    if (one >= 3 * four) ++multiplied;
+  }
+  EXPECT_GE(multiplied, 4)
+      << "extra sync rounds should cost >= 3x on several seeds";
 }
 
 TEST(BspRoundsTest, SuperstepCountsMatchAcrossClusterVms) {
