@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", run.str().c_str());
     return 0;
   }
-  rb::append_history(append_path, run.str(), "ctrl");
+  if (!rb::append_history(append_path, run.str(), "ctrl")) return 1;
   std::printf("ctrl_report: appended run \"%s\" to %s\n", label.c_str(),
               append_path.c_str());
   return 0;

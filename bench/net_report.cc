@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", run.str().c_str());
     return 0;
   }
-  rb::append_history(append_path, run.str(), "net");
+  if (!rb::append_history(append_path, run.str(), "net")) return 1;
   std::fprintf(stderr, "net_report: wrote %s\n", append_path.c_str());
   return 0;
 }

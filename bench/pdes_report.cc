@@ -4,18 +4,12 @@
 // The workload is the paper's 512-node type-A evaluation cell (four LU.B
 // virtual clusters per node group, ATC controllers, full network) run
 // through cluster::ScenarioBuilder at shards = 1, 2, 4 and 8.  For every
-// shard count the report records both:
-//
-//  * measured — events per wall second on this host.  On a machine with
-//    fewer cores than shards the round phases serialize, so this number
-//    mostly shows that sharding costs little even when it cannot win;
-//  * projected — the same run re-timed on the critical path: the
-//    ShardGroup accounts, per round, the summed advance time of all shards
-//    (serial_s) and the slowest single shard (critical_s), so
-//    `projected_wall_s = wall_s - serial_s + critical_s` is the wall time a
-//    host with >= K free cores cannot beat and a perfectly balanced one
-//    achieves.  "speedup_projected.sK" = measured s1 wall / projected sK
-//    wall.
+// shard count the report records events per wall second measured on this
+// host (best of N), the round and horizon-extension counts, and the
+// ShardGroup's wall accounting: serial_s sums every shard's advance time
+// per round, critical_s the slowest shard's, barrier_wait_s the
+// coordinator's join wait.  "speedup_measured.sK" = s1 wall / sK wall; the
+// record carries host_cores, which bounds what a run can show.
 //
 //   pdes_report                         # print the run record to stdout
 //   pdes_report --label x --append ../BENCH_pdes.json
@@ -55,7 +49,6 @@ struct ShardRun {
   double critical_s = 0;        // sum over rounds of the slowest shard
   double serial_s = 0;          // sum over rounds of all shards' advance work
   double barrier_wait_s = 0;    // coordinator join-wait (fork-join overhead)
-  double projected_wall_s = 0;  // wall_s - serial_s + critical_s
   std::uint64_t bound_recomputes = 0;  // effect-bound VM recomputations
   std::uint64_t bound_cache_hits = 0;  // dirty-ring skips (cached bounds)
 };
@@ -99,9 +92,6 @@ ShardRun run_macro(int shards, std::size_t threads, int nodes,
       }
     }
   }
-  // Unsharded runs have no round accounting: the projection is the
-  // measurement.  (critical_s <= serial_s always, so projected <= wall.)
-  best.projected_wall_s = best.wall_s - best.serial_s + best.critical_s;
   return best;
 }
 
@@ -109,10 +99,6 @@ void emit_shard_run(std::ostringstream& os, int nodes, const ShardRun& r,
                     bool last) {
   const double per_sec =
       r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0;
-  const double projected_per_sec =
-      r.projected_wall_s > 0
-          ? static_cast<double>(r.events) / r.projected_wall_s
-          : 0;
   os << "      \"macro_lu" << nodes << "_s" << r.shards;
   if (r.threads != 0) os << "_t" << r.threads;
   os << "\": {\"per_sec\": " << rb::json_number(per_sec)
@@ -123,8 +109,6 @@ void emit_shard_run(std::ostringstream& os, int nodes, const ShardRun& r,
      << ", \"critical_s\": " << rb::json_number(r.critical_s)
      << ", \"serial_s\": " << rb::json_number(r.serial_s)
      << ", \"barrier_wait_s\": " << rb::json_number(r.barrier_wait_s)
-     << ", \"projected_wall_s\": " << rb::json_number(r.projected_wall_s)
-     << ", \"projected_per_sec\": " << rb::json_number(projected_per_sec)
      << ", \"bound_recomputes\": " << r.bound_recomputes
      << ", \"bound_cache_hits\": " << r.bound_cache_hits
      << "}" << (last ? "\n" : ",\n");
@@ -243,11 +227,7 @@ int main(int argc, char** argv) {
       << "      \"host_cores\": " << std::thread::hardware_concurrency()
       << ",\n"
       << "      \"nodes\": " << nodes << ",\n"
-      << "      \"sim_ms\": " << duration / 1'000'000 << ",\n"
-      << "      \"methodology\": \"projected_wall_s = wall_s - serial_s + "
-         "critical_s: the summed advance time of all shards is replaced by "
-         "the per-round slowest shard, the span a host with >= K cores "
-         "cannot beat; measured numbers are from this host_cores host\",\n";
+      << "      \"sim_ms\": " << duration / 1'000'000 << ",\n";
   for (const ShardRun& r : runs) emit_shard_run(run, nodes, r, false);
   for (const ShardRun& r : thread_runs) emit_shard_run(run, nodes, r, false);
   for (const ShardRun& r : large_runs) emit_shard_run(run, 4096, r, false);
@@ -258,18 +238,13 @@ int main(int argc, char** argv) {
     run << (i > 1 ? ", " : "") << "\"s" << runs[i].shards
         << "\": " << rb::json_number(base_wall / runs[i].wall_s);
   }
-  run << "},\n      \"speedup_projected\": {";
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    run << (i > 1 ? ", " : "") << "\"s" << runs[i].shards
-        << "\": " << rb::json_number(base_wall / runs[i].projected_wall_s);
-  }
   run << "}\n    }";
 
   if (append_path.empty()) {
     std::printf("%s\n", run.str().c_str());
     return 0;
   }
-  rb::append_history(append_path, run.str(), "pdes");
+  if (!rb::append_history(append_path, run.str(), "pdes")) return 1;
   std::fprintf(stderr, "pdes_report: wrote %s\n", append_path.c_str());
   return 0;
 }

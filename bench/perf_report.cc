@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  rb::append_history(append_path, run.str(), "simcore");
+  if (!rb::append_history(append_path, run.str(), "simcore")) return 1;
   std::fprintf(stderr, "perf_report: wrote %s\n", append_path.c_str());
   return 0;
 }

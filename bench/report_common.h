@@ -113,11 +113,14 @@ inline std::string iso_now() {
 }
 
 /// Appends `record` into the history array of `path` (creating the file
-/// with the given `suite` name when missing).  The file is always written
-/// by these tools, so the closing "  ]\n}" marker is structural; when it is
-/// missing the file is rewritten from scratch.
-inline void append_history(const std::string& path, const std::string& record,
-                           const char* suite) {
+/// with the given `suite` name when missing or empty).  The file is always
+/// written by these tools, so the closing "  ]\n}" marker is structural.
+/// A non-empty file without it is refused rather than rewritten: the error
+/// goes to stderr, the file stays untouched and the call returns false, so
+/// the caller can exit non-zero instead of losing committed history.
+[[nodiscard]] inline bool append_history(const std::string& path,
+                                         const std::string& record,
+                                         const char* suite) {
   std::string existing;
   {
     std::ifstream in(path);
@@ -129,15 +132,26 @@ inline void append_history(const std::string& path, const std::string& record,
   }
   const std::string tail = "\n  ]\n}\n";
   std::string out;
-  const std::size_t at = existing.rfind(tail);
-  if (!existing.empty() && at != std::string::npos) {
-    out = existing.substr(0, at) + ",\n" + record + tail;
-  } else {
+  if (existing.empty()) {
     out = std::string("{\n  \"schema\": 1,\n  \"suite\": \"") + suite +
           "\",\n  \"history\": [\n" + record + tail;
+  } else {
+    const std::size_t at = existing.rfind(tail);
+    if (at == std::string::npos) {
+      std::fprintf(stderr,
+                   "%s: no closing history lines; refusing to rewrite it\n",
+                   path.c_str());
+      return false;
+    }
+    out = existing.substr(0, at) + ",\n" + record + tail;
   }
   std::ofstream of(path, std::ios::trunc);
   of << out;
+  if (!of.flush()) {
+    std::fprintf(stderr, "%s: write failed\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace atcsim::bench

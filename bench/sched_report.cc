@@ -357,7 +357,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", run.str().c_str());
     return 0;
   }
-  rb::append_history(append_path, run.str(), "sched");
+  if (!rb::append_history(append_path, run.str(), "sched")) return 1;
   std::fprintf(stderr, "sched_report: wrote %s\n", append_path.c_str());
   return 0;
 }

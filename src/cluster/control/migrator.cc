@@ -87,14 +87,7 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
 
   if (dest_shard == ctx_.shard) {
     // Local adoption: one timer settles the directory and resumes the VM.
-    // The resumed guest may act on the network at t_r, so the output bound
-    // must see the landing.
-    engine.note_effect_at(t_r);
-    virt::MigrationBundle* raw = bundle.release();
-    sim.call_at(t_r, [this, raw] {
-      std::unique_ptr<virt::MigrationBundle> owned(raw);
-      settle_and_adopt(*owned);
-    });
+    adopt_at(t_r, std::move(bundle));
     return t_r;
   }
 
@@ -107,7 +100,7 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
     rec.vm_gid = gid;
     rec.dst_node_global = dest_node_global;
     rec.new_shard = dest_shard;
-    rec.payload = bundle.release();
+    rec.bundle = std::move(bundle);
     ctx_.fabric->post_control(ctx_.shard, dest_shard, std::move(rec));
   }
   for (int s = 0; s < ctx_.total_shards; ++s) {
@@ -126,6 +119,15 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
   return t_r;
 }
 
+void Migrator::adopt_at(sim::SimTime t_r,
+                        std::unique_ptr<virt::MigrationBundle> bundle) {
+  // The resumed guest may act on the network the instant it lands, so the
+  // shard's output bound must see the landing.
+  ctx_.platform->engine().note_effect_at(t_r);
+  ctx_.platform->simulation().call_at(
+      t_r, [this, owned = std::move(bundle)] { settle_and_adopt(*owned); });
+}
+
 void Migrator::settle_and_adopt(virt::MigrationBundle& bundle) {
   // Settle first: the resumed guest's first sends must already resolve to
   // the destination node.
@@ -141,20 +143,12 @@ void Migrator::settle_and_adopt(virt::MigrationBundle& bundle) {
 void Migrator::on_control(net::ShardFabric::RemotePacket& pkt) {
   sim::Simulation& sim = ctx_.platform->simulation();
   switch (pkt.kind) {
-    case net::ShardFabric::Kind::kVmTransfer: {
-      auto* raw = static_cast<virt::MigrationBundle*>(pkt.payload);
-      pkt.payload = nullptr;
-      assert(raw != nullptr && raw->gid == pkt.vm_gid);
+    case net::ShardFabric::Kind::kVmTransfer:
       // Until now the in-flight record itself bounded this shard's horizon;
-      // from here the resumed guest (which may act on the network the
-      // instant it lands) must do so.
-      ctx_.platform->engine().note_effect_at(pkt.due);
-      sim.call_at(pkt.due, [this, raw] {
-        std::unique_ptr<virt::MigrationBundle> owned(raw);
-        settle_and_adopt(*owned);
-      });
+      // from here the pending adoption does.
+      assert(pkt.bundle != nullptr && pkt.bundle->gid == pkt.vm_gid);
+      adopt_at(pkt.due, std::move(pkt.bundle));
       break;
-    }
     case net::ShardFabric::Kind::kLocationUpdate: {
       const std::int64_t gid = pkt.vm_gid;
       const std::int32_t shard = pkt.new_shard;

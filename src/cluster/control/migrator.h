@@ -70,6 +70,10 @@ class Migrator {
 
  private:
   void on_control(net::ShardFabric::RemotePacket& pkt);
+  /// Schedules settle_and_adopt at `t_r`; the pending event owns `bundle`,
+  /// so a run that ends inside the copy window still frees the VM.
+  void adopt_at(sim::SimTime t_r,
+                std::unique_ptr<virt::MigrationBundle> bundle);
   void settle_and_adopt(virt::MigrationBundle& bundle);
 
   Context ctx_;

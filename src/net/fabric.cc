@@ -24,7 +24,6 @@ bool after(const ShardFabric::RemotePacket& a,
 ShardFabric::ShardFabric(int shards, std::size_t mailbox_slots)
     : shards_(shards),
       nets_(static_cast<std::size_t>(shards), nullptr),
-      platforms_(static_cast<std::size_t>(shards), nullptr),
       boxes_(static_cast<std::size_t>(shards) *
              static_cast<std::size_t>(shards)),
       ready_(static_cast<std::size_t>(shards)),
@@ -39,23 +38,7 @@ void ShardFabric::bind(int shard, VirtualNetwork& net) {
   const auto s = static_cast<std::size_t>(shard);
   assert(s < nets_.size() && nets_[s] == nullptr);
   nets_[s] = &net;
-  platforms_[s] = &net.platform();
   net.bind_fabric(this, shard);
-}
-
-int ShardFabric::shard_of(const virt::Platform* platform) const {
-  for (std::size_t s = 0; s < platforms_.size(); ++s) {
-    if (platforms_[s] == platform) return static_cast<int>(s);
-  }
-  assert(false && "platform is not bound to this fabric");
-  return -1;
-}
-
-void ShardFabric::post(int src_shard, virt::Vm& dst, sim::SimTime due,
-                       std::uint64_t bytes, sim::InlineCallback done) {
-  const int dst_shard = shard_of(&dst.node().platform());
-  post_packet(src_shard, dst_shard, dst, /*dst_node_global=*/-1, due, bytes,
-              std::move(done));
 }
 
 void ShardFabric::post_packet(int src_shard, int dst_shard, virt::Vm& dst,

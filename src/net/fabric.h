@@ -18,8 +18,8 @@
 // that round's delivery runs, so the sequence of receive_remote calls a
 // destination observes is globally sorted by (due, src, seq) — a pure
 // function of the packet population, identical no matter how rounds are
-// batched (EOT extension on or off), how many worker threads run them, or
-// which barrier implementation synchronizes them (DESIGN.md §10).
+// batched (EOT extension on or off) or how many worker threads run them
+// (DESIGN.md §10).
 //
 // Concurrency: a staging box (s, d) is written only by shard s's worker
 // during a fused phase; ready queue d is read only by shard d's worker.
@@ -31,17 +31,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "simcore/inline_callback.h"
 #include "simcore/time.h"
+#include "virt/migration.h"
 
 namespace atcsim {
-namespace virt {
-class Platform;
-class Vm;
-}  // namespace virt
-
 namespace net {
 
 class VirtualNetwork;
@@ -54,7 +51,7 @@ class ShardFabric {
   /// (due, src, seq) delivery order totally orders control against data.
   enum class Kind : std::uint8_t {
     kPacket,          ///< a guest packet due at the destination NIC
-    kVmTransfer,      ///< a migrating VM (payload = virt::MigrationBundle*)
+    kVmTransfer,      ///< a migrating VM (RemotePacket::bundle)
     kLocationUpdate,  ///< "guest vm_gid lives at (a_shard, a_node) from due"
   };
 
@@ -70,17 +67,18 @@ class ShardFabric {
     std::uint64_t seq = 0;    ///< FIFO index within the (src, dst) channel
     sim::InlineCallback done;
     Kind kind = Kind::kPacket;
-    /// kPacket: destination *global* node id resolved from the location
-    /// directory at post time (-1: legacy, derive from dst->node()).
+    /// kPacket: destination *global* node id, resolved from the sender's
+    /// location directory at post time.
     /// kLocationUpdate: the guest's new global node id.
     std::int32_t dst_node_global = -1;
     /// kVmTransfer / kLocationUpdate: the migrating guest's global id.
     std::int64_t vm_gid = -1;
     /// kLocationUpdate: the guest's new shard.
     std::int32_t new_shard = -1;
-    /// kVmTransfer: heap virt::MigrationBundle*, ownership transfers to the
-    /// destination shard's control handler.
-    void* payload = nullptr;
+    /// kVmTransfer: the migrating VM.  The record owns it until the
+    /// destination shard's control handler takes it, so a run that ends
+    /// with the record in flight frees it with the fabric.
+    std::unique_ptr<virt::MigrationBundle> bundle;
   };
 
   ShardFabric(int shards, std::size_t mailbox_slots);
@@ -88,22 +86,16 @@ class ShardFabric {
   ShardFabric(const ShardFabric&) = delete;
   ShardFabric& operator=(const ShardFabric&) = delete;
 
-  /// Registers shard `shard`'s network (and its platform) with the fabric
-  /// and binds the network back to it.  Call once per shard, in shard
-  /// order, before Engine::start().
+  /// Registers shard `shard`'s network with the fabric and binds the
+  /// network back to it.  Call once per shard, in shard order, before
+  /// Engine::start().
   void bind(int shard, VirtualNetwork& net);
 
-  /// Posts a packet from `src_shard` to the shard owning `dst`'s platform,
-  /// into the (src, dst) staging box.  Caller is the source shard's worker,
-  /// inside its fused phase.  Legacy (pre-directory) routing: the
-  /// destination shard and node are derived from dst's *current* platform,
-  /// which is only safe while placement is static.
-  void post(int src_shard, virt::Vm& dst, sim::SimTime due,
-            std::uint64_t bytes, sim::InlineCallback done);
-
-  /// Directory-routed packet post: destination shard and global node were
-  /// resolved by the caller from its LocationDirectory, so this never
-  /// touches dst's (possibly mid-migration) platform pointers.
+  /// Posts a packet from `src_shard` into the (src, dst) staging box.
+  /// Caller is the source shard's worker, inside its fused phase.  The
+  /// destination shard and global node were resolved by the caller from
+  /// its LocationDirectory, so this never touches dst's (possibly
+  /// mid-migration) platform pointers.
   void post_packet(int src_shard, int dst_shard, virt::Vm& dst,
                    std::int32_t dst_node_global, sim::SimTime due,
                    std::uint64_t bytes, sim::InlineCallback done);
@@ -144,10 +136,6 @@ class ShardFabric {
   /// by the others.
   sim::SimTime ready_due(int dst_shard) const;
 
-  /// Shard owning `platform`; fabrics span at most a handful of shards, so
-  /// a linear scan beats any map.
-  int shard_of(const virt::Platform* platform) const;
-
   int shards() const { return shards_; }
   /// Totals across shards.  Call only while no round is in flight (the
   /// per-shard counters below are owned by the shard workers).
@@ -182,8 +170,7 @@ class ShardFabric {
 
   int shards_;
   std::vector<VirtualNetwork*> nets_;
-  std::vector<const virt::Platform*> platforms_;
-  std::vector<Box> boxes_;        ///< [src * shards + dst]
+  std::vector<Box> boxes_;       ///< [src * shards + dst]
   std::vector<ReadyQueue> ready_; ///< [dst]
   // Counter-per-shard, each written only by that shard's worker (posted by
   // source, delivered by destination); summed between rounds.

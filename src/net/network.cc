@@ -222,26 +222,21 @@ void VirtualNetwork::tx_effect(PacketRef r) {
     // exactly the lookahead the round synchronizer relies on.
     virt::Vm* dst = p.dst;
     const std::uint64_t bytes = p.bytes;
-    if (directory_ != nullptr && dst->global_id() >= 0) {
-      // Re-resolve at post time: the guest may have migrated while the tx
-      // job sat in the dom0 ring.
-      const virt::VmLocation& loc = directory_->at(dst->global_id());
-      if (loc.shard == shard_) {
-        // It moved *onto* this shard — the wire hop stays local after all,
-        // at the same arrival time a fabric round trip would have produced.
-        p.dst_node = loc.node_global - node_id_offset();
-        assert(pending_remote_tx_ > 0);
-        --pending_remote_tx_;
-        simulation().call_at(arrive, [this, r] { rx_arrive(r); });
-        return;
-      }
-      fabric_->post_packet(shard_, loc.shard, *dst, loc.node_global, arrive,
-                           bytes, release(r));
-    } else {
-      fabric_->post(shard_, *dst, arrive, bytes, release(r));
-    }
+    // Re-resolve at post time: the guest may have migrated while the tx
+    // job sat in the dom0 ring.  (send() marks only registered guests
+    // remote, so the directory is there.)
+    const virt::VmLocation& loc = directory_->at(dst->global_id());
     assert(pending_remote_tx_ > 0);
     --pending_remote_tx_;
+    if (loc.shard == shard_) {
+      // It moved *onto* this shard — the wire hop stays local after all,
+      // at the same arrival time a fabric round trip would have produced.
+      p.dst_node = loc.node_global - node_id_offset();
+      simulation().call_at(arrive, [this, r] { rx_arrive(r); });
+      return;
+    }
+    fabric_->post_packet(shard_, loc.shard, *dst, loc.node_global, arrive,
+                         bytes, release(r));
     return;
   }
   simulation().call_at(arrive, [this, r] { rx_arrive(r); });
@@ -262,13 +257,11 @@ void VirtualNetwork::receive_remote(ShardFabric::RemotePacket& pkt) {
     control_handler_(pkt);
     return;
   }
-  // Directory-routed packets carry the resolved global node; legacy posts
-  // (dst_node_global == -1) fall back to the VM's current placement.
-  const std::int32_t dst_node =
-      pkt.dst_node_global >= 0 ? pkt.dst_node_global - node_id_offset()
-                               : pkt.dst->node().index();
+  // Packets carry the global node the sender's directory resolved.
+  assert(pkt.dst_node_global >= 0);
   const PacketRef r =
-      acquire(pkt.bytes, pkt.dst, -1, dst_node, std::move(pkt.done));
+      acquire(pkt.bytes, pkt.dst, -1, pkt.dst_node_global - node_id_offset(),
+              std::move(pkt.done));
   simulation().call_at(pkt.due, [this, r] { rx_arrive(r); });
 }
 
@@ -418,7 +411,7 @@ void VirtualNetwork::send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
                net_event(simulation().now(), obs::ev::kGuestTx,
                          src.node().id().value, &src,
                          static_cast<std::int64_t>(bytes), dst.id().value));
-  bool remote;
+  bool remote = false;
   std::int32_t dst_node;
   if (directory_ != nullptr && dst.global_id() >= 0) {
     // Route by the registered location, not dst's current platform
@@ -428,8 +421,9 @@ void VirtualNetwork::send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
     remote = loc.shard != shard_;
     dst_node = remote ? kRemoteNode : loc.node_global - node_id_offset();
   } else {
-    remote = &dst.node().platform() != platform_;
-    dst_node = remote ? kRemoteNode : dst.node().index();
+    assert(&dst.node().platform() == platform_ &&
+           "cross-shard destinations need a location-directory entry");
+    dst_node = dst.node().index();
   }
   if (remote) ++pending_remote_tx_;
   const PacketRef r = acquire(bytes, &dst, src.node().index(), dst_node,

@@ -112,8 +112,9 @@ class VirtualNetwork {
   /// Installs the cluster location directory.  With a directory, send()
   /// routes by the destination VM's *registered* global location rather than
   /// its current platform pointers — the only safe source of truth once VMs
-  /// migrate.  Guests without a global id (dom0, externals) keep the legacy
-  /// pointer-derived route.
+  /// migrate.  Only registered guests can be reached across shards; a
+  /// guest without a global id (dom0, externals), or any guest when no
+  /// directory is installed, must live on this network's platform.
   void set_directory(virt::LocationDirectory* directory) {
     directory_ = directory;
   }

@@ -34,8 +34,8 @@
 // nanoseconds, which is what makes the `- 1` an exclusive bound.
 //
 // Determinism: for a fixed shard map the outcome is independent of the
-// worker-thread count, the barrier implementation, and the round structure
-// (EOT extension on or off) by construction.  Each shard's state is touched
+// worker-thread count and the round structure (EOT extension on or off) by
+// construction.  Each shard's state is touched
 // only by the (fixed) thread that owns it, inbound messages are delivered
 // in canonical (due, source shard, channel FIFO) order up to the round
 // horizon — a watermark, so the delivered sequence does not depend on how
@@ -128,15 +128,6 @@ class ShardExecutor {
 /// barrier per round is the only synchronization.
 class ShardGroup {
  public:
-  /// How the pool's fork-join barrier is implemented.  Protocol-invisible:
-  /// the merged trace is byte-identical under either (and at any thread
-  /// count); kSpin is the default because at PDES round rates the condvar
-  /// handshakes dominate small rounds.
-  enum class Barrier {
-    kSpin,     ///< epoch-based spin-then-park (atomic wait/notify)
-    kCondvar,  ///< mutex + condition_variable handshakes
-  };
-
   struct Options {
     /// Cross-shard lookahead L (minimum message delay); must be positive.
     SimTime lookahead = 0;
@@ -147,7 +138,6 @@ class ShardGroup {
     /// Extend per-shard horizons past the classic global bound using the
     /// executors' earliest-output-time reports.  Outcome-invisible.
     bool eot_extension = true;
-    Barrier barrier = Barrier::kSpin;
     /// Minimum local delay between accepting an inbound message and handing
     /// a consequent message to the fabric (receive-to-emit slack).  0 is
     /// always safe; models whose delivery path pays CPU costs (e.g. dom0 rx
@@ -203,7 +193,6 @@ class ShardGroup {
   std::size_t thread_count() const { return threads_; }
   SimTime lookahead() const { return lookahead_; }
   bool eot_extension() const { return eot_extension_; }
-  Barrier barrier() const { return barrier_; }
 
  private:
   struct Pool;
@@ -234,7 +223,6 @@ class ShardGroup {
   SimTime lookahead_;
   std::size_t threads_;
   bool eot_extension_;
-  Barrier barrier_;
   SimTime chain_slack_;
   std::function<void()> round_prologue_;
   obs::TraceSink* trace_;

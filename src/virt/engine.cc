@@ -502,7 +502,6 @@ sim::SimTime Engine::earliest_effect_time() {
     }
     return inc;
   }
-  if (reference_bound_) return earliest_effect_time_reference();
   return earliest_effect_time_incremental();
 }
 

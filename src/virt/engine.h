@@ -101,13 +101,11 @@ class Engine {
   void set_effect_tracking(bool on) { effect_tracking_ = on; }
   bool effect_tracking() const { return effect_tracking_; }
 
-  /// Diagnostics: answer bound queries with the preserved full-scan
-  /// reference implementation instead of the incremental index (for
-  /// byte-identity A/B runs), or compute both and abort on any mismatch
+  /// Diagnostics: compute both the incremental index and the preserved
+  /// full-scan reference at every bound query and abort on any mismatch
   /// (the differential property test).  Exactness, not conservatism, is the
   /// contract: the index changes when bounds are computed, never their
   /// values.
-  void set_reference_bound(bool on) { reference_bound_ = on; }
   void set_differential_check(bool on) { differential_check_ = on; }
 
   /// Incremental-bound cache effectiveness, for bench/report plumbing:
@@ -195,7 +193,6 @@ class Engine {
   Platform* platform_;
   bool started_ = false;
   bool effect_tracking_ = true;
-  bool reference_bound_ = false;
   bool differential_check_ = false;
   std::uint64_t total_switches_ = 0;
   std::size_t deposits_pending_ = 0;

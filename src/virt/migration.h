@@ -28,11 +28,11 @@
 #include <vector>
 
 #include "simcore/time.h"
+#include "virt/vm.h"
 
 namespace atcsim::virt {
 
 class SyncEvent;
-class Vm;
 
 /// Routing entry for one guest, by global id.
 struct VmLocation {
@@ -114,7 +114,7 @@ class LocationDirectory {
 /// Everything that travels in a stop-and-copy migration.  Produced by
 /// Engine::pause_and_expel on the source, consumed by Engine::adopt_and_resume
 /// on the destination (possibly on another shard, via a ShardFabric
-/// kVmTransfer record carrying the bundle pointer).
+/// kVmTransfer record that owns the bundle while it is in flight).
 struct MigrationBundle {
   std::int64_t gid = -1;
   std::unique_ptr<Vm> vm;

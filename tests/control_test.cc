@@ -104,6 +104,33 @@ TEST(MigrationTest, ScheduledMoveIsNoOpWhenAlreadyInTransitOrArrived) {
   EXPECT_EQ(s.migrator().migrations_adopted(), 1u);
 }
 
+TEST(MigrationTest, DestroyingAScenarioMidCopyFreesTheBundle) {
+  // A run may end inside a copy window.  The migrating VM is then owned by
+  // the pending adoption (one shard) or by the in-flight kVmTransfer record
+  // (two shards), and destroying the scenario must free it; the sanitizer
+  // job's leak checker turns a lost bundle into a failure.
+  for (int shards : {1, 2}) {
+    auto sp = ScenarioBuilder{}
+                  .nodes(2)
+                  .approach(Approach::kCR)
+                  .seed(5)
+                  .shards(shards)
+                  .build();
+    Scenario& s = *sp;
+    virt::Vm& vm = s.add_cpu_vm(0, workload::CpuBoundWorkload::gcc(), "gcc");
+    s.start();
+    s.schedule_migration(vm, 50_ms, /*dest_node=*/1);
+    s.run_for(100_ms);  // the ~300 ms copy window is still open
+    std::uint64_t started = 0, adopted = 0;
+    for (int k = 0; k < s.shard_count(); ++k) {
+      started += s.migrator(k).migrations_started();
+      adopted += s.migrator(k).migrations_adopted();
+    }
+    EXPECT_EQ(started, 1u) << "shards=" << shards;
+    EXPECT_EQ(adopted, 0u) << "shards=" << shards;
+  }
+}
+
 // ------------------------------------------------------------ rebalancer
 
 TEST(RebalancerTest, MovesBusiestGuestOffTheHotHost) {

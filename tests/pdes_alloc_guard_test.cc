@@ -26,6 +26,7 @@
 #include "sched/credit.h"
 #include "simcore/shard.h"
 #include "simcore/simulation.h"
+#include "virt/migration.h"
 #include "virt/platform.h"
 
 namespace {
@@ -100,6 +101,8 @@ class Exec final : public sim::ShardExecutor {
 // Two single-node shards; each hosts one busy guest.  Streams ping-pong:
 // a delivery on shard d immediately sends the ball back from d's side, so
 // traffic flows through both (0 -> 1) and (1 -> 0) mailboxes every round.
+// As in cluster::Scenario, guests carry global ids and every shard routes
+// through its own location-directory replica.
 struct ShardedPktRig {
   virt::ModelParams params;
   net::ShardFabric fabric;
@@ -107,6 +110,7 @@ struct ShardedPktRig {
   struct Stack {
     sim::Simulation simulation;
     std::unique_ptr<virt::Platform> platform;
+    virt::LocationDirectory directory;
     std::unique_ptr<net::VirtualNetwork> network;
   };
   std::vector<std::unique_ptr<Stack>> stacks;
@@ -130,10 +134,12 @@ struct ShardedPktRig {
           std::make_unique<virt::Platform>(stack->simulation, pc);
       stack->network = std::make_unique<net::VirtualNetwork>(*stack->platform);
       stack->network->attach();
+      stack->network->set_directory(&stack->directory);
       fabric.bind(s, *stack->network);
       virt::Vm& vm = stack->platform->create_vm(
           virt::NodeId{0}, virt::VmType::kNonParallel, "g" + std::to_string(s),
           1);
+      vm.set_global_id(s);  // guest s lives on shard s, global node s
       workloads.push_back(std::make_unique<BusyWorkload>());
       vm.vcpus()[0]->set_workload(workloads.back().get());
       guests.push_back(&vm);
@@ -142,6 +148,9 @@ struct ShardedPktRig {
       stack->platform->engine().start();
       execs.push_back(std::make_unique<Exec>(s, stack->simulation, fabric));
       stacks.push_back(std::move(stack));
+    }
+    for (auto& stack : stacks) {
+      for (int g = 0; g < 2; ++g) stack->directory.register_vm(g, g, g);
     }
     sim::ShardGroup::Options opts;
     opts.lookahead = params.wire_latency;

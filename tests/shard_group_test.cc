@@ -1,8 +1,8 @@
 // ShardGroup contract tests that need no model stack: the documented
 // run_until non-decreasing-deadline rule, the worker-thread clamp, and the
-// equivalence of both barrier implementations on bare executors.  The
-// model-level determinism properties (merged traces across shard/thread
-// counts, EOT on/off) live in pdes_invariance_test.cc.
+// equivalence of sequential and pooled (barrier-joined) rounds on bare
+// executors.  The model-level determinism properties (merged traces across
+// shard/thread counts, EOT on/off) live in pdes_invariance_test.cc.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -84,16 +84,17 @@ TEST(ShardGroupTest, ThreadCountIsClampedToShardCount) {
 }
 
 TEST(ShardGroupTest, BarrierChoiceDoesNotChangeExecution) {
+  // threads = 1 runs every round sequentially with no barrier; threads = 2
+  // forks each round onto the pool and joins through its spin-then-park
+  // barrier.  The choice must not change what executes.
   std::uint64_t events[2] = {0, 0};
   std::uint64_t ticks[2] = {0, 0};
-  const sim::ShardGroup::Barrier kinds[] = {
-      sim::ShardGroup::Barrier::kSpin, sim::ShardGroup::Barrier::kCondvar};
+  const std::size_t threads[] = {1, 2};
   for (int i = 0; i < 2; ++i) {
     auto opts = base_opts();
-    opts.threads = 2;  // a real pool, so the barrier is actually exercised
-    opts.barrier = kinds[i];
+    opts.threads = threads[i];
     Rig rig(opts);
-    EXPECT_EQ(rig.group->barrier(), kinds[i]);
+    EXPECT_EQ(rig.group->thread_count(), threads[i]);
     events[i] = rig.group->run_until(25_ms);
     ticks[i] = rig.execs[0]->ticks + rig.execs[1]->ticks;
   }
