@@ -89,9 +89,9 @@ struct PktRig {
     network->attach();
     streams.reserve(static_cast<std::size_t>(nodes));
     for (int n = 0; n < nodes; ++n) {
-      virt::Vm& vm = platform->create_vm(virt::NodeId{n},
-                                         virt::VmType::kNonParallel,
-                                         "g" + std::to_string(n), 1);
+      virt::Vm& vm = platform->create_vm(
+          virt::NodeId{n}, virt::VmType::kNonParallel,
+          std::string("g").append(std::to_string(n)), 1);
       workloads.push_back(std::make_unique<BusyWorkload>());
       vm.vcpus()[0]->set_workload(workloads.back().get());
       guests.push_back(&vm);

@@ -1,25 +1,19 @@
 // Shared scaffolding for every bench binary: the figure-harness wrapper
 // (scale/banner/slice helpers re-exported from the experiment-runner
 // library) plus, for the tracked perf-report binaries (perf_report,
-// sched_report, net_report, pdes_report), a global operator-new allocation
-// counter, the best-of-N bench harness, and the JSON run-record /
-// history-append emitters.
-//
-// This header DEFINES the replacement global operator new/delete (they may
-// not be inline, per [replacement.functions]), so it must be included from
-// exactly one translation unit per binary.  Every bench is a single-TU
-// executable, which is what makes this layout workable.
+// sched_report, net_report, pdes_report), the global operator-new
+// allocation counter (alloc_counter.cc, linked into every bench), the
+// best-of-N bench harness, and the JSON run-record / history-append
+// emitters.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <sstream>
 #include <string>
 
@@ -31,21 +25,9 @@
 #include "metrics/report.h"
 
 namespace atcsim::bench {
-inline std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace atcsim::bench
 
-void* operator new(std::size_t n) {
-  atcsim::bench::g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace atcsim::bench {
+/// Heap allocations made so far (alloc_counter.cc's operator new).
+extern std::atomic<std::uint64_t> g_allocs;
 
 using namespace sim::time_literals;
 

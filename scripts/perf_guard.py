@@ -9,14 +9,16 @@ Takes a bench history file (schema 1: {"history": [run, run, ...]}) where
 the FRESH run — appended by the report binary moments earlier — is the last
 entry.  For every requested key (default: every "macro_*" object in the
 fresh entry that carries the metric), finds the most recent EARLIER entry
-containing the same key (the committed baseline) and compares the metric.
+containing the same key and recorded on the same host class (equal
+host_cores) — the committed baseline — and compares the metric.  A key
+whose only earlier entries come from another core count is skipped with a
+line naming both counts: throughput across host classes is not comparable.
 A relative drop beyond the threshold emits a GitHub Actions `::warning`
 annotation.
 
 The guard never turns the job red: it always exits 0 apart from CLI misuse.
-CI runners are noisy and heterogeneous (the committed baselines may come
-from a different host class — entries record host_cores), so a drop here is
-a nudge to re-measure on quiet hardware, not a verdict.
+CI runners are noisy, so a drop here is a nudge to re-measure on quiet
+hardware, not a verdict.
 """
 
 import argparse
@@ -47,6 +49,7 @@ def main() -> int:
         return 0
 
     fresh = history[-1]
+    cores = fresh.get("host_cores")
     keys = args.key or sorted(
         k for k, v in fresh.items()
         if k.startswith("macro_") and isinstance(v, dict) and args.metric in v)
@@ -61,11 +64,18 @@ def main() -> int:
         if not isinstance(cell, dict) or args.metric not in cell:
             print(f"perf_guard: {key}: absent from the freshest entry; skipped")
             continue
-        base = next((e for e in reversed(history[:-1])
-                     if isinstance(e.get(key), dict)
-                     and args.metric in e[key]), None)
-        if base is None:
+        earlier = [e for e in reversed(history[:-1])
+                   if isinstance(e.get(key), dict) and args.metric in e[key]]
+        if not earlier:
             print(f"perf_guard: {key}: no earlier entry carries it; skipped")
+            continue
+        base = next((e for e in earlier if e.get("host_cores") == cores),
+                    None)
+        if base is None:
+            print(f"perf_guard: {key}: fresh entry has host_cores={cores}, "
+                  f"latest earlier entry has host_cores="
+                  f"{earlier[0].get('host_cores')}; no same-class baseline, "
+                  "skipped")
             continue
         base_v = float(base[key][args.metric])
         fresh_v = float(cell[args.metric])
@@ -75,7 +85,7 @@ def main() -> int:
         drop = (base_v - fresh_v) / base_v
         line = (f"{key}.{args.metric}: {fresh_v:.6g} vs baseline "
                 f"{base_v:.6g} ('{base.get('label', '?')}', "
-                f"host_cores={base.get('host_cores', '?')}) — "
+                f"host_cores={cores}) — "
                 f"{'-' if drop >= 0 else '+'}{abs(drop):.1%}")
         if drop > args.threshold:
             print(f"::warning title=perf_guard {key}::{line} exceeds the "

@@ -64,7 +64,9 @@ std::string jsonl_row(const Trial& t, const TrialResult& r) {
   for (const auto& [name, value] : r.metrics) {
     if (!first) row += ",";
     first = false;
-    row += "\"" + json_escape(name) + "\":" + num(value);
+    row += '"';
+    row += json_escape(name);
+    row += "\":" + num(value);
   }
   row += "}}";
   return row;

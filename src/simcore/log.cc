@@ -18,7 +18,11 @@ void set_log_level(LogLevel level) { g_level = level; }
 std::string format_time(SimTime t) {
   char buf[64];
   if (t == kTimeNever) return "never";
-  if (t < 0) return "-" + format_time(-t);
+  if (t < 0) {
+    std::string out(1, '-');
+    out += format_time(-t);
+    return out;
+  }
   if (t < kMicrosecond) {
     std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t));
   } else if (t < kMillisecond) {

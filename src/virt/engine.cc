@@ -382,6 +382,20 @@ sim::SimTime sat_add(sim::SimTime a, sim::SimTime b) {
   return a + b;
 }
 
+/// Minimum declared effect_distance over `ev`'s registered waiters
+/// (kTimeNever when none): what a pending timer on `ev` owes before its
+/// firing can reach the network.
+sim::SimTime min_waiter_distance(const SyncEvent& ev) {
+  SimTime dist = sim::kTimeNever;
+  for (const Vcpu* w = ev.first_waiter(); w != nullptr;
+       w = w->eng().next_waiter) {
+    const Workload* wl = w->workload();
+    dist = std::min(dist, wl != nullptr ? wl->effect_distance()
+                                        : sim::SimTime{0});
+  }
+  return dist;
+}
+
 }  // namespace
 
 void Engine::signal_in(SyncEvent& ev, sim::SimTime delay, Vm* owner) {
@@ -394,7 +408,7 @@ void Engine::signal_in(SyncEvent& ev, sim::SimTime delay, Vm* owner) {
     // contributes nothing); the first add_waiter re-keys and pushes.
     // Travelled timers re-armed by adopt_and_resume hit the non-empty case:
     // their waiters stayed registered across the migration.
-    if (!ev.waiters().empty()) push_effect_node(ev, fire);
+    if (ev.first_waiter() != nullptr) push_effect_node(ev, fire);
   }
   SyncEvent* evp = &ev;
   const sim::EventId id = sim_->call_in(delay, [evp] { evp->signal(); });
@@ -423,18 +437,12 @@ void Engine::on_effect_event_changed(SyncEvent& ev) {
   ev.bump_effect_seq();
   // An entry at or behind the clock contributes nothing (the firing is
   // already in flight this instant); neither does one nobody waits on.
-  if (when <= sim_->now() || ev.waiters().empty()) return;
+  if (when <= sim_->now() || ev.first_waiter() == nullptr) return;
   push_effect_node(ev, when);
 }
 
 void Engine::push_effect_node(SyncEvent& ev, sim::SimTime when) {
-  SimTime dist = sim::kTimeNever;
-  for (const Vcpu* w : ev.waiters()) {
-    const Workload* wl = w->workload();
-    dist = std::min(dist, wl != nullptr ? wl->effect_distance()
-                                        : sim::SimTime{0});
-  }
-  const SimTime key = sat_add(when, dist);
+  const SimTime key = sat_add(when, min_waiter_distance(ev));
   if (key == sim::kTimeNever) return;  // contributes nothing; skip the node
   prune_effect_heap();
   effect_heap_.push_back({key, when, &ev, ev.effect_seq()});
@@ -651,14 +659,8 @@ sim::SimTime Engine::earliest_effect_time_reference() {
       continue;
     }
     if (entry.seq != entry.ev->effect_seq()) continue;  // stale generation
-    if (entry.ev->waiters().empty()) continue;
-    SimTime dist = sim::kTimeNever;
-    for (const Vcpu* w : entry.ev->waiters()) {
-      const Workload* wl = w->workload();
-      dist = std::min(dist, wl != nullptr ? wl->effect_distance()
-                                          : sim::SimTime{0});
-    }
-    bound = std::min(bound, sat_add(entry.when, dist));
+    bound = std::min(bound,
+                     sat_add(entry.when, min_waiter_distance(*entry.ev)));
   }
   for (auto& node : platform_->nodes()) {
     for (auto& vm : node->vms()) {
@@ -920,9 +922,13 @@ void Engine::request_resched(Pcpu& p) {
   leave_cpu(p, LeaveReason::kPreempt);
 }
 
-void Engine::on_signalled(const std::vector<Vcpu*>& waiters) {
-  for (Vcpu* v : waiters) {
+void Engine::on_signalled(Vcpu* first) {
+  // Read each link before handling its VCPU: a released running spinner
+  // re-enters run_current and may append itself to another event's list.
+  for (Vcpu* next = first; next != nullptr;) {
+    Vcpu* v = next;
     auto& e = v->eng();
+    next = e.next_waiter;
     mark_effect(v->vm());  // the wait this VCPU was parked on is gone
     e.wait_registered = false;
     switch (v->state()) {

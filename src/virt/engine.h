@@ -57,8 +57,9 @@ class Engine {
   /// Attempts to dispatch work onto any idle PCPU of `node`.
   void kick_idle_pcpus(Node& node);
 
-  /// SyncEvent plumbing: called by SyncEvent::signal with its waiter list.
-  void on_signalled(const std::vector<Vcpu*>& waiters);
+  /// SyncEvent plumbing: called by SyncEvent::signal with the head of its
+  /// detached waiter list (nullptr when nobody waited).
+  void on_signalled(Vcpu* first);
 
   /// Schedules `ev.signal()` in `delay` and records the pending wake so
   /// earliest_effect_time can see it.  Every workload timer whose firing can

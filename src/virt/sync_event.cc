@@ -1,7 +1,5 @@
 #include "virt/sync_event.h"
 
-#include <algorithm>
-
 #include "obs/trace.h"
 #include "virt/engine.h"
 #include "virt/vcpu.h"
@@ -9,8 +7,20 @@
 
 namespace atcsim::virt {
 
+void SyncEvent::add_waiter(Vcpu& v) {
+  v.eng().next_waiter = nullptr;
+  if (tail_ != nullptr) {
+    tail_->eng().next_waiter = &v;
+  } else {
+    head_ = &v;
+  }
+  tail_ = &v;
+  if (effect_when_ != 0) notify_effect_waiters_changed();
+}
+
 void SyncEvent::signal() {
   if (signalled_) return;
+  assert(engine_ != nullptr && "signal() on an unbound SyncEvent");
   signalled_ = true;
   // Any pending effect-index entry is dead from here on: either this is the
   // registered timer itself firing (the entry's time is <= now) or the
@@ -18,34 +28,28 @@ void SyncEvent::signal() {
   // no longer guards anything.  Bumping the sequence invalidates the heap
   // node lazily.
   clear_effect_pending();
-  // Swap the waiter list into a retained scratch buffer instead of moving
-  // it out: both vectors keep their capacity, so a reset()/wait/signal
-  // cycle (dom0's idle wait) never reallocates.  Waiters registered
-  // re-entrantly during on_signalled land in the (empty) waiters_ vector,
-  // not in the list being consumed.
-  scratch_.swap(waiters_);
+  // Detach the whole list before waking anyone: a released spinner may
+  // wait again at once, relinking its next_waiter into another event's list
+  // (Engine::on_signalled reads each link before handling its VCPU).
+  Vcpu* const first = head_;
+  head_ = tail_ = nullptr;
 #if ATCSIM_TRACE_ENABLED
   if (obs::TraceSink* sink = engine_->simulation().trace()) {
     obs::TraceEvent e;
     e.time = engine_->simulation().now();
     e.cat = obs::TraceCat::kSync;
     e.type = obs::ev::kSignal;
-    if (!scratch_.empty()) {
-      e.vm = scratch_.front()->vm().id().value;
-      e.vcpu = scratch_.front()->id().value;
+    if (first != nullptr) {
+      e.vm = first->vm().id().value;
+      e.vcpu = first->id().value;
     }
-    e.a0 = static_cast<std::int64_t>(scratch_.size());
+    for (const Vcpu* w = first; w != nullptr; w = w->eng().next_waiter) {
+      ++e.a0;  // waiters woken
+    }
     sink->emit(e);
   }
 #endif
-  engine_->on_signalled(scratch_);
-  scratch_.clear();
-}
-
-void SyncEvent::remove_waiter(const Vcpu& v) {
-  waiters_.erase(std::remove(waiters_.begin(), waiters_.end(), &v),
-                 waiters_.end());
-  if (effect_when_ != 0) notify_effect_waiters_changed();
+  engine_->on_signalled(first);
 }
 
 void SyncEvent::notify_effect_waiters_changed() {

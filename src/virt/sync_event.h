@@ -5,14 +5,16 @@
 // (kBlockWait: the VCPU halts and is woken with BOOST — the kernel/IRQ
 // model).  A SyncEvent is signalled at most once between resets;
 // steady-state consumers (dom0's idle wait, BspApp's generation ring of
-// barrier events) reset() and reuse their events to honour the
-// zero-allocation contract.
+// barrier events) reset() and reuse their events.
+//
+// Waiters form an intrusive FIFO list threaded through
+// Vcpu::EngineState::next_waiter: a VCPU waits on at most one event at a
+// time (EngineState::wait_registered), so one link per VCPU suffices and
+// registering, signalling and resetting never touch the allocator.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "simcore/time.h"
 
@@ -23,13 +25,17 @@ class Vcpu;
 
 class SyncEvent {
  public:
+  /// Unbound: rebind() must name the engine before the first signal() or
+  /// signal_in().  Lets owners build events in place in flat arrays.
+  SyncEvent() = default;
   explicit SyncEvent(Engine& engine) : engine_(&engine) {}
   SyncEvent(const SyncEvent&) = delete;
   SyncEvent& operator=(const SyncEvent&) = delete;
 
-  /// Re-homes the event onto another engine (live migration: the owning
-  /// workload travels with its VM and must signal waiters through the
-  /// destination platform's engine).  Only legal between events.
+  /// Binds the event to an engine, or re-homes it onto another one (live
+  /// migration: the owning workload travels with its VM and must signal
+  /// waiters through the destination platform's engine).  Only legal
+  /// between events.
   void rebind(Engine& engine) { engine_ = &engine; }
 
   /// Fires the condition.  Blocked waiters are woken; waiters spinning on a
@@ -40,37 +46,25 @@ class SyncEvent {
   bool signalled() const { return signalled_; }
 
   /// Re-arms a consumed event for the next wait/signal cycle.  Only legal
-  /// with no waiters registered (i.e. after every woken waiter has
-  /// proceeded); together with the capacity-preserving signal() this makes
-  /// a reset/wait/signal steady state allocation-free.
+  /// with no waiters registered: signal() detaches the whole list, so this
+  /// holds once the event has fired and nobody has waited on it since.
   void reset() {
-    assert(waiters_.empty() && "reset() with waiters still registered");
+    assert(head_ == nullptr && "reset() with waiters still registered");
     signalled_ = false;
   }
 
-  /// Pre-sizes both waiter buffers for `n` concurrent waiters.  signal()
-  /// swaps `waiters_` into `scratch_`, so without this an event reaches its
-  /// allocation-free steady state only after *two* wait/signal cycles;
-  /// construction-time reservation removes the warm-up transient entirely.
-  void reserve(std::size_t n) {
-    waiters_.reserve(n);
-    scratch_.reserve(n);
-  }
+  /// Engine bookkeeping: appends a waiter (any wait style) to the list.
+  /// While a signal_in timer on this event is pending in the engine's
+  /// effect index, a waiter-set change re-keys the index entry (the entry's
+  /// key is the fire time plus the minimum waiter effect distance); the
+  /// cold notify path stays out of line so the common un-indexed case is
+  /// one branch.
+  void add_waiter(Vcpu& v);
 
-  /// Engine bookkeeping: registers a waiter (any wait style).  While a
-  /// signal_in timer on this event is pending in the engine's effect index,
-  /// a waiter-set change re-keys the index entry (the entry's key is the
-  /// fire time plus the minimum waiter effect distance); the cold notify
-  /// path stays out of line so the common un-indexed case is one branch.
-  void add_waiter(Vcpu& v) {
-    waiters_.push_back(&v);
-    if (effect_when_ != 0) notify_effect_waiters_changed();
-  }
-  void remove_waiter(const Vcpu& v);
-
-  /// Currently registered waiters — read by Engine::earliest_effect_time to
-  /// bound the network acts a pending timer signal can unleash.
-  const std::vector<Vcpu*>& waiters() const { return waiters_; }
+  /// First registered waiter (registration order), or nullptr; the rest
+  /// follow through Vcpu::EngineState::next_waiter.  Read by the engine's
+  /// effect bound to credit a pending timer with its waiters' distances.
+  const Vcpu* first_waiter() const { return head_; }
 
   // --- effect-index bookkeeping (Engine::signal_in only) ------------------
   /// Fire time of the pending signal_in timer registered on this event in
@@ -97,12 +91,12 @@ class SyncEvent {
  private:
   void notify_effect_waiters_changed();
 
-  Engine* engine_;
-  bool signalled_ = false;
+  Engine* engine_ = nullptr;
+  Vcpu* head_ = nullptr;  ///< oldest waiter
+  Vcpu* tail_ = nullptr;  ///< newest waiter (append point)
   sim::SimTime effect_when_ = 0;
   std::uint32_t effect_seq_ = 0;
-  std::vector<Vcpu*> waiters_;
-  std::vector<Vcpu*> scratch_;  ///< signal()'s wake list; kept for capacity
+  bool signalled_ = false;
 };
 
 }  // namespace atcsim::virt

@@ -86,18 +86,21 @@ class Vcpu {
   const Sched& sched() const { return sched_; }
 
   struct EngineState {
-    Action action;                ///< current/next action to execute
-    bool action_valid = false;    ///< false until first fetch from workload
+    Action action;                      ///< current/next action to execute
     sim::SimTime compute_left = 0;      ///< remaining work of kCompute
     sim::SimTime cache_debt = 0;        ///< pending refill penalty to pay
     sim::SimTime stint_start = 0;       ///< when current on-CPU stint began
     sim::SimTime last_stint = 0;        ///< length of the previous stint
     sim::SimTime segment_start = 0;     ///< when current segment began
     sim::SimTime spin_episode_start = 0;///< wall start of current spin wait
+    bool action_valid = false;          ///< false until first fetch
     bool in_spin_episode = false;
     bool wait_registered = false;       ///< in its event's waiter list
     sim::TimerId segment_timer;         ///< compute-finish timer (reusable)
     class Pcpu* on_pcpu = nullptr;      ///< set while kRunning
+    /// Intrusive SyncEvent waiter-list link (see sync_event.h); meaningful
+    /// only while wait_registered.
+    Vcpu* next_waiter = nullptr;
   };
   EngineState& eng() { return eng_; }
   const EngineState& eng() const { return eng_; }

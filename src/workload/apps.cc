@@ -103,7 +103,6 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
       case PhaseKind::kThink: {
         if (think_ == nullptr) {
           think_ = std::make_unique<virt::SyncEvent>(net_->engine());
-          think_->reserve(1);
         } else {
           think_->reset();
         }
@@ -118,7 +117,6 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
       case PhaseKind::kIo: {
         if (io_ == nullptr) {
           io_ = std::make_unique<virt::SyncEvent>(net_->engine());
-          io_->reserve(1);
         } else {
           io_->reset();
         }

@@ -112,7 +112,8 @@ class BspApp {
  private:
   friend class BspRank;
 
-  /// Builds the VM/generation-slot state; requires program_ compiled.
+  /// Builds the effect-distance table and the flat barrier arrays;
+  /// requires program_ compiled.
   void init_slots();
 
   /// Rank bookkeeping at barrier entry; returns the release event the rank
@@ -131,30 +132,19 @@ class BspApp {
   /// rank has passed barrier g-1, so the only generations whose events can
   /// still be referenced are {g-1, g, g+1} — three — and a window of four
   /// lets slot (g-2) % 4 be reset in place for generation g+2.  Steady-state
-  /// supersteps therefore never touch the allocator (the old map-of-
-  /// unique_ptr design created and destroyed every event once per
-  /// generation).
+  /// supersteps therefore never touch the allocator.
   static constexpr std::uint64_t kGenWindow = 4;
 
-  /// Reusable barrier state for one generation slot of one VM.  Events are
-  /// constructed once at BspApp construction and recycled with
-  /// SyncEvent::reset(); counters self-zero when their barrier completes.
-  struct GenSlot {
-    std::unique_ptr<virt::SyncEvent> release;
-    int arrivals = 0;
-    /// Intra-VM shared-memory barriers, one per local_barrier step.
-    std::vector<std::unique_ptr<virt::SyncEvent>> local;
-    std::vector<int> local_arrivals;
-  };
-
-  struct VmState {
-    virt::Vm* vm = nullptr;
-    std::array<GenSlot, kGenWindow> gens;
-  };
-
-  GenSlot& slot(int vm_index, std::uint64_t gen) {
-    return vms_[static_cast<std::size_t>(vm_index)]
-        .gens[gen & (kGenWindow - 1)];
+  /// Index into events_/arrivals_.  Each (VM, generation slot) owns one
+  /// contiguous row of slot_size_ entries: entry 0 is the global barrier's
+  /// release, entry 1 + i the i-th local_barrier step.  Arrival counters
+  /// self-zero when their barrier completes.
+  std::size_t barrier_index(int vm_index, std::uint64_t gen,
+                            int entry) const {
+    return (static_cast<std::size_t>(vm_index) * kGenWindow +
+            (gen & (kGenWindow - 1))) *
+               slot_size_ +
+           static_cast<std::size_t>(entry);
   }
 
   /// Network of `vm`'s shard (the platform back-pointer set at attach()).
@@ -163,10 +153,14 @@ class BspApp {
   BspConfig cfg_;
   std::vector<Step> program_;
   std::vector<sim::SimTime> effect_dist_;  ///< see effect_distance_from
-  int local_count_ = 0;  ///< local_barrier steps per program pass
+  /// Barriers per generation: the release plus one per local_barrier step.
+  std::size_t slot_size_ = 0;
   sim::Rng rng_;
-  std::vector<VmState> vms_;
   std::vector<virt::Vm*> vm_ptrs_;
+  /// Barrier events and their arrival counters, built once in init_slots
+  /// and recycled in place (see barrier_index for the layout).
+  std::vector<virt::SyncEvent> events_;
+  std::vector<int> arrivals_;
   std::vector<std::unique_ptr<BspRank>> ranks_;
   std::array<int, kGenWindow> coord_arrivals_{};
   std::uint64_t supersteps_done_ = 0;

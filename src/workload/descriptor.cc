@@ -293,13 +293,15 @@ std::string Descriptor::print() const {
     switch (p.kind) {
       case PhaseKind::kCompute:
       case PhaseKind::kThink:
-        out += " " + print_duration(p.duration);
+        out += ' ';
+        out += print_duration(p.duration);
         if (p.jitter != 0.0) out += " jitter=" + print_double(p.jitter);
         break;
       case PhaseKind::kIo:
       case PhaseKind::kSend:
       case PhaseKind::kBarrier:
-        out += " " + print_size(p.bytes);
+        out += ' ';
+        out += print_size(p.bytes);
         break;
       case PhaseKind::kLocalBarrier:
         break;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "net/network.h"
@@ -19,6 +20,8 @@
 #include "simcore/simulation.h"
 #include "virt/engine.h"
 #include "virt/platform.h"
+#include "virt/sync_event.h"
+#include "workload/bsp_app.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -168,6 +171,92 @@ TEST(AllocGuardTest, Dom0IdleWakeSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs() - before, 0u)
       << "dom0 idle/wake loop allocated after warm-up";
   EXPECT_EQ(done, 64u + 256u);
+}
+
+// A guest that computes briefly, then re-arms its wait event and blocks on
+// it (dom0's idle-loop shape).  `use` is the event for the next wait; the
+// test may swap it between cycles.
+class WaitLoop : public atcsim::virt::Workload {
+ public:
+  explicit WaitLoop(atcsim::virt::SyncEvent& ev) : use(&ev) {}
+  atcsim::virt::Action next(atcsim::virt::Vcpu& /*self*/) override {
+    compute_next_ = !compute_next_;
+    if (compute_next_) return atcsim::virt::Action::compute(1'000);
+    use->reset();
+    waiting = use;
+    return atcsim::virt::Action::block_wait(*use);
+  }
+  double cache_sensitivity() const override { return 0.0; }
+  std::string name() const override { return "wait_loop"; }
+
+  atcsim::virt::SyncEvent* use;
+  atcsim::virt::SyncEvent* waiting = nullptr;  ///< event of the current wait
+
+ private:
+  bool compute_next_ = false;
+};
+
+// The waiter list is threaded through the VCPUs, so an event needs no
+// buffer of its own: the first cycles on a freshly built event (nothing
+// reserved) allocate exactly as little as the warmed steady state.
+TEST(AllocGuardTest, FreshSyncEventCyclesAreAllocationFree) {
+  Simulation s;
+  atcsim::virt::PlatformConfig pc;
+  pc.nodes = 1;
+  pc.pcpus_per_node = 1;
+  atcsim::virt::Platform platform(s, pc);
+  atcsim::virt::Vm& vm = platform.create_vm(
+      atcsim::virt::NodeId{0}, atcsim::virt::VmType::kParallel, "guest", 1);
+  atcsim::virt::Engine& engine = platform.engine();
+  atcsim::virt::SyncEvent warm(engine);
+  WaitLoop loop(warm);
+  vm.vcpus()[0]->set_workload(&loop);
+  platform.set_scheduler(atcsim::virt::NodeId{0},
+                         std::make_unique<atcsim::sched::CreditScheduler>());
+  const TimerId kick = s.make_timer([&loop] { loop.waiting->signal(); });
+  engine.start();
+
+  auto cycles = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      s.run_until(s.now() + 100'000);  // computes, then blocks
+      ASSERT_EQ(vm.vcpus()[0]->state(), atcsim::virt::VcpuState::kBlocked);
+      s.arm_at(kick, s.now() + 1);
+    }
+  };
+  cycles(64);
+  atcsim::virt::SyncEvent fresh(engine);
+  loop.use = &fresh;  // the next wait (and every later one) is on `fresh`
+  const std::uint64_t before = allocs();
+  cycles(4);
+  EXPECT_EQ(allocs() - before, 0u)
+      << "wait/signal/reset on a fresh SyncEvent allocated";
+  EXPECT_EQ(loop.waiting, &fresh);
+}
+
+// BspApp keeps every barrier event and arrival counter in two flat arrays,
+// so its construction cost in allocations does not grow with the VM count.
+TEST(AllocGuardTest, BspAppBarrierStorageIsFlat) {
+  Simulation s;
+  atcsim::virt::PlatformConfig pc;
+  pc.nodes = 1;
+  pc.pcpus_per_node = 2;
+  atcsim::virt::Platform platform(s, pc);
+  std::vector<atcsim::virt::Vm*> all;
+  for (int i = 0; i < 64; ++i) {
+    all.push_back(&platform.create_vm(atcsim::virt::NodeId{0},
+                                      atcsim::virt::VmType::kParallel,
+                                      "vm" + std::to_string(i), 2));
+  }
+  atcsim::workload::BspConfig cfg;
+  cfg.sync_rounds = 4;
+  auto build_allocs = [&](std::size_t vm_count) {
+    std::vector<atcsim::virt::Vm*> vms(all.begin(), all.begin() + vm_count);
+    const std::uint64_t before = allocs();
+    atcsim::workload::BspApp app(std::move(vms), cfg, Rng(1), nullptr,
+                                 nullptr);
+    return allocs() - before;
+  };
+  EXPECT_EQ(build_allocs(4), build_allocs(64));
 }
 
 }  // namespace

@@ -245,8 +245,9 @@ struct CtrlRig {
   }
 
   virt::Vm& vm(virt::VmType type) {
-    return platform->create_vm(virt::NodeId{0}, type,
-                               "v" + std::to_string(platform->vm_count()), 1);
+    return platform->create_vm(
+        virt::NodeId{0}, type,
+        std::string("v").append(std::to_string(platform->vm_count())), 1);
   }
 };
 

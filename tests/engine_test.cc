@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sched/credit.h"
 #include "virt/engine.h"
 #include "virt/platform.h"
@@ -419,6 +420,159 @@ TEST(SyncEventTest, SignalIsIdempotent) {
   EXPECT_TRUE(ev.signalled());
   ev.signal();  // no effect, no crash
   EXPECT_TRUE(ev.signalled());
+}
+
+// Scripted workload that appends `tag` to a shared log each time its
+// script advances past a wait, so tests can read the order waiters resumed.
+class ResumeLogWorkload : public ScriptWorkload {
+ public:
+  ResumeLogWorkload(std::vector<Action> script, int tag, std::vector<int>* log)
+      : ScriptWorkload(std::move(script)), tag_(tag), log_(log) {}
+  Action next(Vcpu& self) override {
+    if (waited_) log_->push_back(tag_);
+    Action a = ScriptWorkload::next(self);
+    waited_ = a.kind == Action::Kind::kSpinWait ||
+              a.kind == Action::Kind::kBlockWait;
+    return a;
+  }
+
+ private:
+  int tag_;
+  std::vector<int>* log_;
+  bool waited_ = false;
+};
+
+TEST(SyncEventTest, WaitersWakeInRegistrationOrder) {
+  // Three single-VCPU VMs on three PCPUs reach the same spin barrier at 3,
+  // 1 and 2 ms: registration order is vm1, vm2, vm0 — not creation order.
+  Rig rig(3, 1, exact_params());
+  virt::SyncEvent ev(rig.platform->engine());
+  std::vector<int> resumed;
+  std::vector<std::unique_ptr<ResumeLogWorkload>> ws;
+  const sim::SimTime arrive[3] = {3_ms, 1_ms, 2_ms};
+  std::vector<virt::Vm*> vms;
+  for (int i = 0; i < 3; ++i) {
+    vms.push_back(&rig.vm(0, 1));
+    ws.push_back(std::make_unique<ResumeLogWorkload>(
+        std::vector<Action>{Action::compute(arrive[i]), Action::spin_wait(ev),
+                            Action::compute(1_ms)},
+        i, &resumed));
+    vms.back()->vcpus()[0]->set_workload(ws.back().get());
+  }
+#if ATCSIM_TRACE_ENABLED
+  obs::TraceSink sink;
+  rig.simulation.set_trace(&sink);
+#endif
+  rig.start();
+  rig.simulation.run_until(4_ms);
+  EXPECT_EQ(ev.first_waiter(), vms[1]->vcpus()[0].get());
+  rig.simulation.call_at(5_ms, [&] { ev.signal(); });
+  rig.simulation.run_until(1_s);
+  EXPECT_EQ(resumed, (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(ev.first_waiter(), nullptr);
+  for (virt::Vm* vm : vms) {
+    EXPECT_EQ(vm->vcpus()[0]->state(), VcpuState::kDone);
+    EXPECT_EQ(vm->totals().spin_episodes, 1u);
+  }
+#if ATCSIM_TRACE_ENABLED
+  // sync.signal names the first waiter and counts the list.
+  int signals = 0;
+  for (const obs::TraceEvent& e : sink.snapshot()) {
+    if (e.cat != obs::TraceCat::kSync || e.type != obs::ev::kSignal) continue;
+    ++signals;
+    EXPECT_EQ(e.vm, vms[1]->id().value);
+    EXPECT_EQ(e.vcpu, vms[1]->vcpus()[0]->id().value);
+    EXPECT_EQ(e.a0, 3);
+  }
+  EXPECT_EQ(signals, 1);
+#endif
+}
+
+TEST(SyncEventTest, ReleasedSpinnerMayWaitOnAnotherEventReentrantly) {
+  // vm0 registers on `first` before vm1.  The signal resumes vm0 in place,
+  // and vm0 immediately spins on `second` — appending itself to another
+  // list while `first`'s detached list is still being walked.  vm1, behind
+  // it in that list, must still be released.
+  Rig rig(2, 1, exact_params());
+  virt::SyncEvent first(rig.platform->engine());
+  virt::SyncEvent second(rig.platform->engine());
+  virt::Vm& a = rig.vm(0, 1);
+  virt::Vm& b = rig.vm(0, 1);
+  ScriptWorkload wa({Action::compute(1_ms), Action::spin_wait(first),
+                     Action::spin_wait(second), Action::compute(1_ms)});
+  ScriptWorkload wb({Action::compute(2_ms), Action::spin_wait(first),
+                     Action::compute(1_ms)});
+  a.vcpus()[0]->set_workload(&wa);
+  b.vcpus()[0]->set_workload(&wb);
+  rig.start();
+  rig.simulation.call_at(5_ms, [&] { first.signal(); });
+  rig.simulation.run_until(5_ms + 1);
+  EXPECT_EQ(first.first_waiter(), nullptr);
+  EXPECT_EQ(second.first_waiter(), a.vcpus()[0].get());
+  EXPECT_EQ(a.vcpus()[0]->eng().next_waiter, nullptr);
+  EXPECT_EQ(wb.steps_taken(), 3u);  // released into its final compute
+  EXPECT_EQ(b.totals().spin_episodes, 1u);
+
+  rig.simulation.call_at(9_ms, [&] { second.signal(); });
+  rig.simulation.run_until(1_s);
+  EXPECT_EQ(a.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(b.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(a.totals().spin_episodes, 2u);
+  EXPECT_EQ(a.totals().spin_wall, (5_ms - 1_ms) + (9_ms - 5_ms));
+  EXPECT_EQ(b.totals().spin_wall, 5_ms - 2_ms);
+  EXPECT_EQ(second.first_waiter(), nullptr);
+}
+
+TEST(SyncEventTest, SignalWithNoWaiters) {
+  Rig rig(1);
+  virt::SyncEvent ev(rig.platform->engine());
+#if ATCSIM_TRACE_ENABLED
+  obs::TraceSink sink;
+  rig.simulation.set_trace(&sink);
+#endif
+  ev.signal();
+  EXPECT_TRUE(ev.signalled());
+  EXPECT_EQ(ev.first_waiter(), nullptr);
+#if ATCSIM_TRACE_ENABLED
+  const std::vector<obs::TraceEvent> events = sink.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].type, obs::ev::kSignal);
+  EXPECT_EQ(events[0].vm, -1);
+  EXPECT_EQ(events[0].a0, 0);
+#endif
+  ev.reset();
+  EXPECT_FALSE(ev.signalled());
+}
+
+TEST(SyncEventTest, ResetAfterEveryWaiterProceededRearmsTheEvent) {
+  // Two blocked waiters are released, run on, and block on the same event
+  // again after the owner reset it: the second signal must wake both.
+  Rig rig(2, 1, exact_params());
+  virt::SyncEvent ev(rig.platform->engine());
+  virt::Vm& vm = rig.vm(0, 2);
+  ScriptWorkload w0({Action::block_wait(ev), Action::compute(2_ms),
+                     Action::block_wait(ev), Action::compute(1_ms)});
+  ScriptWorkload w1({Action::block_wait(ev), Action::compute(2_ms),
+                     Action::block_wait(ev), Action::compute(1_ms)});
+  vm.vcpus()[0]->set_workload(&w0);
+  vm.vcpus()[1]->set_workload(&w1);
+  rig.start();
+  rig.simulation.call_at(1_ms, [&] { ev.signal(); });
+  rig.simulation.call_at(2_ms, [&] {
+    EXPECT_EQ(ev.first_waiter(), nullptr);
+    ev.reset();
+  });
+  rig.simulation.run_until(4_ms);
+  EXPECT_FALSE(ev.signalled());
+  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kBlocked);
+  EXPECT_EQ(vm.vcpus()[1]->state(), VcpuState::kBlocked);
+  EXPECT_NE(ev.first_waiter(), nullptr);
+  ev.signal();
+  rig.simulation.run_until(1_s);
+  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[1]->state(), VcpuState::kDone);
+  EXPECT_EQ(vm.totals().run_time, 2 * (2_ms + 1_ms));
+  EXPECT_EQ(vm.period().wakeups, 4u);
 }
 
 TEST(VmTest, FirstBlockedAndAnyRunning) {

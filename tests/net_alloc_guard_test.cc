@@ -88,9 +88,9 @@ struct PktRig {
     network = std::make_unique<net::VirtualNetwork>(*platform);
     network->attach();
     for (int n = 0; n < nodes; ++n) {
-      virt::Vm& vm = platform->create_vm(virt::NodeId{n},
-                                         virt::VmType::kNonParallel,
-                                         "g" + std::to_string(n), 1);
+      virt::Vm& vm = platform->create_vm(
+          virt::NodeId{n}, virt::VmType::kNonParallel,
+          std::string("g").append(std::to_string(n)), 1);
       workloads.push_back(std::make_unique<BusyWorkload>());
       vm.vcpus()[0]->set_workload(workloads.back().get());
       guests.push_back(&vm);
@@ -164,10 +164,9 @@ TEST(NetAllocGuardTest, BspSuperstepCycleSteadyStateIsAllocationFree) {
   }
   platform.engine().start();
 
-  // Warm-up must cover >= 2 uses of every generation slot (8 supersteps for
-  // the 4-slot ring): SyncEvent::signal swaps its waiter list into a scratch
-  // buffer, so an event's *two* buffers only both reach capacity after two
-  // signal cycles.
+  // Warm-up lets the packet pool, dom0 job rings and mailboxes reach their
+  // high-water marks.  The barrier events need none: they are built once
+  // with the app, and their waiter lists are threaded through the VCPUs.
   simulation.run_until(500_ms);
   const std::uint64_t done0 = app.supersteps_completed();
   ASSERT_GT(done0, 9u) << "warm-up did not complete enough supersteps";

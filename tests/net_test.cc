@@ -43,7 +43,7 @@ struct NetRig {
   virt::Vm& busy_vm(int node) {
     virt::Vm& vm = platform->create_vm(
         virt::NodeId{node}, virt::VmType::kNonParallel,
-        "g" + std::to_string(platform->vm_count()), 1);
+        std::string("g").append(std::to_string(platform->vm_count())), 1);
     workloads.push_back(std::make_unique<BusyWorkload>());
     vm.vcpus()[0]->set_workload(workloads.back().get());
     return vm;

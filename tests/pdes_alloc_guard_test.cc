@@ -137,8 +137,8 @@ struct ShardedPktRig {
       stack->network->set_directory(&stack->directory);
       fabric.bind(s, *stack->network);
       virt::Vm& vm = stack->platform->create_vm(
-          virt::NodeId{0}, virt::VmType::kNonParallel, "g" + std::to_string(s),
-          1);
+          virt::NodeId{0}, virt::VmType::kNonParallel,
+          std::string("g").append(std::to_string(s)), 1);
       vm.set_global_id(s);  // guest s lives on shard s, global node s
       workloads.push_back(std::make_unique<BusyWorkload>());
       vm.vcpus()[0]->set_workload(workloads.back().get());
