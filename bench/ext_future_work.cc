@@ -33,17 +33,17 @@ Row run(cluster::Approach a, const atc::AtcConfig& atc_cfg) {
   for (int j = 0; j < 2; ++j) {
     auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1, 2, 3});
     s.add_bsp_app("vc" + std::to_string(j),
-                  workload::npb_profile(j == 0 ? "lu" : "cg",
-                                        workload::NpbClass::kB),
+                  workload::npb_descriptor(j == 0 ? "lu" : "cg",
+                                           workload::NpbClass::kB),
                   std::move(vms));
   }
   s.add_web_vm(0, 80.0, "web");
-  s.add_cpu_vm(1, workload::CpuBoundWorkload::sphinx3(), "sphinx3");
+  s.add_loop_vm(1, workload::cpu_descriptor("sphinx3"), "sphinx3");
   auto ivm0 = s.create_cluster_vms("ivm0", {2});
-  s.add_bsp_app("ivm0", workload::npb_profile("lu", workload::NpbClass::kB),
+  s.add_bsp_app("ivm0", workload::npb_descriptor("lu", workload::NpbClass::kB),
                 std::move(ivm0));
   auto ivm1 = s.create_cluster_vms("ivm1", {3});
-  s.add_bsp_app("ivm1", workload::npb_profile("is", workload::NpbClass::kB),
+  s.add_bsp_app("ivm1", workload::npb_descriptor("is", workload::NpbClass::kB),
                 std::move(ivm1));
   s.start();
   s.warmup_and_measure(scaled(3_s), scaled(5_s));

@@ -30,13 +30,13 @@ FigResult run(cluster::Approach a) {
     auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1});
     const auto& apps = workload::npb_apps();
     s.add_bsp_app("vc" + std::to_string(j),
-                  workload::npb_profile(apps[static_cast<std::size_t>(j)],
-                                        workload::NpbClass::kB),
+                  workload::npb_descriptor(apps[static_cast<std::size_t>(j)],
+                                           workload::NpbClass::kB),
                   std::move(vms));
   }
   s.add_disk_vm(0, "bonnie");
-  s.add_cpu_vm(0, workload::CpuBoundWorkload::sphinx3(), "sphinx3");
-  s.add_cpu_vm(1, workload::CpuBoundWorkload::stream(), "stream");
+  s.add_loop_vm(0, workload::cpu_descriptor("sphinx3"), "sphinx3");
+  s.add_loop_vm(1, workload::cpu_descriptor("stream"), "stream");
   s.add_ping_pair(1, 0, "ping");
   s.start();
   s.warmup_and_measure(scaled(2_s), scaled(6_s));

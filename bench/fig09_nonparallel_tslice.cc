@@ -28,11 +28,11 @@ FigResult run(sim::SimTime slice) {
   for (int j = 0; j < 3; ++j) {
     auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1});
     s.add_bsp_app("vc" + std::to_string(j),
-                  workload::npb_profile("lu", workload::NpbClass::kB),
+                  workload::npb_descriptor("lu", workload::NpbClass::kB),
                   std::move(vms));
   }
-  s.add_cpu_vm(0, workload::CpuBoundWorkload::sphinx3(), "sphinx3");
-  s.add_cpu_vm(1, workload::CpuBoundWorkload::stream(), "stream");
+  s.add_loop_vm(0, workload::cpu_descriptor("sphinx3"), "sphinx3");
+  s.add_loop_vm(1, workload::cpu_descriptor("stream"), "stream");
   s.add_ping_pair(1, 0, "ping");
   s.start();
   set_global_guest_slice(s, slice);

@@ -154,18 +154,8 @@ Result macro_cluster512(int reps, int shards) {
   Result r;
   r.wall_s = 1e100;
   for (int i = 0; i < reps; ++i) {
-    auto sp = cluster::ScenarioBuilder{}
-                  .nodes(512)
-                  .pcpus_per_node(8)
-                  .vms_per_node(4)
-                  .vcpus_per_vm(8)
-                  .approach(cluster::Approach::kATC)
-                  .seed(7)
-                  .shards(shards)
-                  .build();
+    auto sp = rb::lu_b_atc_macro(512, shards);
     cluster::Scenario& s = *sp;
-    cluster::build_type_a(s, "lu", workload::NpbClass::kB);
-    s.start();
     s.run_for(50_ms);  // warm-up: all pools, rings and mailboxes sized
     const std::uint64_t e0 = s.events_executed();
     const std::uint64_t a0 = rb::g_allocs.load(std::memory_order_relaxed);

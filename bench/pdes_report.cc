@@ -62,18 +62,7 @@ ShardRun run_macro(int shards, std::size_t threads, int nodes,
   best.threads = threads;
   best.wall_s = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
-    auto s = cluster::ScenarioBuilder{}
-                 .nodes(nodes)
-                 .pcpus_per_node(8)
-                 .vms_per_node(4)
-                 .vcpus_per_vm(8)
-                 .approach(cluster::Approach::kATC)
-                 .seed(7)
-                 .shards(shards)
-                 .shard_threads(threads)
-                 .build();
-    cluster::build_type_a(*s, "lu", workload::NpbClass::kB);
-    s->start();
+    auto s = rb::lu_b_atc_macro(nodes, shards, threads);
     const auto t0 = rb::Clock::now();
     s->run_for(duration);
     const double wall =

@@ -127,18 +127,9 @@ Result macro_event_throughput() {
 /// End-to-end 32-node LU sweep cell under ATC (the fig10 shape at type-B
 /// scale): measures simulator events per wall second with the full
 /// engine/scheduler/network model in the loop.
-Result macro_lu32(cluster::Approach approach) {
-  return rb::bench(3, [approach]() -> std::uint64_t {
-    auto s = cluster::ScenarioBuilder{}
-                 .nodes(32)
-                 .pcpus_per_node(8)
-                 .vms_per_node(4)
-                 .vcpus_per_vm(8)
-                 .approach(approach)
-                 .seed(7)
-                 .build();
-    cluster::build_type_a(*s, "lu", workload::NpbClass::kB);
-    s->start();
+Result macro_lu32() {
+  return rb::bench(3, []() -> std::uint64_t {
+    auto s = rb::lu_b_atc_macro(32);
     s->run_for(3_s);
     return s->events_executed();
   });
@@ -219,7 +210,7 @@ int main(int argc, char** argv) {
   Result lu, ch, sy;
   if (!quick) {
     std::fprintf(stderr, "perf_report: macro_lu32_atc...\n");
-    lu = macro_lu32(cluster::Approach::kATC);
+    lu = macro_lu32();
     std::fprintf(stderr, "perf_report: macro_cancel_heavy...\n");
     ch = macro_cancel_heavy();
     std::fprintf(stderr, "perf_report: macro_sync_heavy...\n");

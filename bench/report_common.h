@@ -3,8 +3,8 @@
 // library) plus, for the tracked perf-report binaries (perf_report,
 // sched_report, net_report, pdes_report), the global operator-new
 // allocation counter (alloc_counter.cc, linked into every bench), the
-// best-of-N bench harness, and the JSON run-record / history-append
-// emitters.
+// best-of-N bench harness, the lu.B ATC macro they all time, and the JSON
+// run-record / history-append emitters.
 #pragma once
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -68,6 +69,27 @@ Result bench(int reps, Body&& body) {
   }
   r.per_sec = r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0;
   return r;
+}
+
+/// The lu.B ATC macro the perf reports time: the paper's type-A cell (8
+/// PCPUs and 4 VMs of 8 VCPUs per node, lu.B, Approach::kATC, seed 7) at
+/// `nodes` nodes on `shards` shards (`threads` workers; 0 = default),
+/// populated and started.  Each report times its own window around it.
+inline std::unique_ptr<cluster::Scenario> lu_b_atc_macro(
+    int nodes, int shards = 1, std::size_t threads = 0) {
+  auto s = cluster::ScenarioBuilder{}
+               .nodes(nodes)
+               .pcpus_per_node(8)
+               .vms_per_node(4)
+               .vcpus_per_vm(8)
+               .approach(cluster::Approach::kATC)
+               .seed(7)
+               .shards(shards)
+               .shard_threads(threads)
+               .build();
+  cluster::build_type_a(*s, "lu", workload::NpbClass::kB);
+  s->start();
+  return s;
 }
 
 inline std::string json_number(double v) {

@@ -262,17 +262,7 @@ Result bench_replay(NodeFixture& fx, int nodes, std::uint64_t* fingerprint) {
 /// `shards` > 1 runs the same macro through the conservative-PDES path.
 Result macro_cluster512(int shards) {
   return rb::bench(2, [shards]() -> std::uint64_t {
-    auto s = cluster::ScenarioBuilder{}
-                 .nodes(512)
-                 .pcpus_per_node(8)
-                 .vms_per_node(4)
-                 .vcpus_per_vm(8)
-                 .approach(cluster::Approach::kATC)
-                 .seed(7)
-                 .shards(shards)
-                 .build();
-    cluster::build_type_a(*s, "lu", workload::NpbClass::kB);
-    s->start();
+    auto s = rb::lu_b_atc_macro(512, shards);
     s->run_for(250_ms);
     return s->events_executed();
   });

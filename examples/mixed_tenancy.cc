@@ -37,12 +37,13 @@ Row run(cluster::Approach a, sim::SimTime admin_slice) {
   cluster::Scenario& s = *sp;
   // One 2-VM virtual cluster (cg.B) spanning the nodes...
   auto vms = s.create_cluster_vms("cluster", {0, 1});
-  s.add_bsp_app("cluster", workload::npb_profile("cg", workload::NpbClass::kB),
+  s.add_bsp_app("cluster",
+                workload::npb_descriptor("cg", workload::NpbClass::kB),
                 std::move(vms));
   // ...plus non-parallel tenants.
   virt::Vm& web = s.add_web_vm(0, 60.0, "web");
   virt::Vm& cpu =
-      s.add_cpu_vm(1, workload::CpuBoundWorkload::sphinx3(), "sphinx3");
+      s.add_loop_vm(1, workload::cpu_descriptor("sphinx3"), "sphinx3");
   s.add_ping_pair(0, 1, "ping");
   if (admin_slice > 0) {
     web.set_admin_slice(admin_slice);

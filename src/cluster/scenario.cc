@@ -9,6 +9,20 @@ namespace atcsim::cluster {
 
 using sim::SimTime;
 
+namespace {
+
+/// Initial capacity of each per-(src,dst) shard mailbox, in packets.  The
+/// mailboxes retain their high-water capacity across rounds, so this only
+/// sets the cold-start size of one round's cross-shard exchange batch.
+constexpr std::size_t kPdesMailboxSlots = 256;
+
+/// Smallest wire_latency — the cross-shard lookahead — a sharded scenario
+/// accepts: rounds that advance less than this per barrier synchronize
+/// more than they simulate.
+constexpr SimTime kPdesLookaheadFloor = sim::kMicrosecond;
+
+}  // namespace
+
 /// Shard-local executor: one Simulation + fabric port, run by the
 /// ShardGroup's round protocol.
 class Scenario::ShardExec final : public sim::ShardExecutor {
@@ -126,8 +140,7 @@ Scenario::Scenario(ScenarioConfig config)
       std::make_unique<metrics::MetricsRegistry>(stacks_[0]->simulation);
 
   if (shards > 1) {
-    fabric_ = std::make_unique<net::ShardFabric>(
-        shards, config_.params.pdes_mailbox_slots);
+    fabric_ = std::make_unique<net::ShardFabric>(shards, kPdesMailboxSlots);
     for (int k = 0; k < shards; ++k) {
       fabric_->bind(k, *stacks_[static_cast<std::size_t>(k)]->network);
     }
@@ -213,20 +226,6 @@ std::vector<virt::Vm*> Scenario::create_cluster_vms(
 }
 
 workload::BspApp& Scenario::add_bsp_app(const std::string& key,
-                                        const workload::BspConfig& cfg,
-                                        std::vector<virt::Vm*> vms) {
-  assert(!started_);
-  auto& superstep = metrics_->durations(key + "/superstep");
-  auto& iteration = metrics_->durations(key + "/iteration");
-  bsp_apps_.push_back(std::make_unique<workload::BspApp>(
-      std::move(vms), cfg, app_rng_.split(std::hash<std::string>{}(key)),
-      &superstep, &iteration));
-  bsp_apps_.back()->attach();
-  bsp_keys_.push_back(key);
-  return *bsp_apps_.back();
-}
-
-workload::BspApp& Scenario::add_bsp_app(const std::string& key,
                                         const workload::Descriptor& desc,
                                         std::vector<virt::Vm*> vms) {
   assert(!started_);
@@ -238,16 +237,6 @@ workload::BspApp& Scenario::add_bsp_app(const std::string& key,
   bsp_apps_.back()->attach();
   bsp_keys_.push_back(key);
   return *bsp_apps_.back();
-}
-
-void Scenario::add_identical_clusters(const workload::BspConfig& cfg) {
-  for (int j = 0; j < config_.vms_per_node; ++j) {
-    std::vector<int> placement;
-    for (int n = 0; n < config_.nodes; ++n) placement.push_back(n);
-    auto vms = create_cluster_vms(cfg.name + "-vc" + std::to_string(j),
-                                  placement);
-    add_bsp_app(cfg.name + "/vc" + std::to_string(j), cfg, std::move(vms));
-  }
 }
 
 void Scenario::add_identical_clusters(const workload::Descriptor& desc) {
@@ -271,21 +260,6 @@ void Scenario::add_identical_clusters(const workload::Descriptor& desc) {
                       std::to_string(n));
     }
   }
-}
-
-virt::Vm& Scenario::add_cpu_vm(int node,
-                               const workload::CpuBoundWorkload::Config& cfg,
-                               const std::string& key) {
-  assert(!started_);
-  virt::Vm& vm = platform_of_node(node).create_vm(
-      local_node_id(node), virt::VmType::kNonParallel, key,
-      config_.vcpus_per_vm);
-  register_vm(vm, node);
-  workloads_.push_back(std::make_unique<workload::CpuBoundWorkload>(
-      cfg, app_rng_.split(std::hash<std::string>{}(key)),
-      &metrics_->rate(key)));
-  vm.vcpus()[0]->set_workload(workloads_.back().get());
-  return vm;
 }
 
 virt::Vm& Scenario::add_loop_vm(int node, const workload::Descriptor& desc,
@@ -492,7 +466,6 @@ void Scenario::reset_platform_stats() {
       for (auto& v : vm->vcpus()) v->mutable_totals() = virt::Vcpu::Totals{};
     }
   }
-  llc_baseline_ = 0;  // totals were zeroed; baseline resets with them
   stats_reset_at_ = stacks_[0]->simulation.now();
 }
 
@@ -557,7 +530,7 @@ double Scenario::llc_miss_rate() {
   }
   const SimTime span = stacks_[0]->simulation.now() - stats_reset_at_;
   if (span <= 0) return 0.0;
-  return static_cast<double>(misses - llc_baseline_) / sim::to_seconds(span);
+  return static_cast<double>(misses) / sim::to_seconds(span);
 }
 
 ScenarioConfig ScenarioBuilder::validated() const {
@@ -585,14 +558,12 @@ ScenarioConfig ScenarioBuilder::validated() const {
         std::to_string(config_.nodes) +
         "); a shard must own at least one node");
   }
-  if (config_.shards > 1 &&
-      config_.params.wire_latency < config_.params.pdes_lookahead_floor) {
+  if (config_.shards > 1 && config_.params.wire_latency < kPdesLookaheadFloor) {
     throw std::invalid_argument(
         "wire_latency (" + std::to_string(config_.params.wire_latency) +
-        " ns) is below pdes_lookahead_floor (" +
-        std::to_string(config_.params.pdes_lookahead_floor) +
-        " ns); conservative rounds would synchronize more than they "
-        "simulate — raise the latency or lower the floor");
+        " ns) is below the " + std::to_string(kPdesLookaheadFloor) +
+        " ns PDES lookahead floor; conservative rounds would synchronize "
+        "more than they simulate — raise the latency or run unsharded");
   }
   return config_;
 }

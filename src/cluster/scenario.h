@@ -71,32 +71,24 @@ class Scenario {
   std::vector<virt::Vm*> create_cluster_vms(const std::string& name,
                                             const std::vector<int>& node_for_vm);
 
-  /// Binds a BSP application to cluster VMs; recorders are registered under
-  /// `key` ("<key>/superstep", "<key>/iteration").
-  workload::BspApp& add_bsp_app(const std::string& key,
-                                const workload::BspConfig& cfg,
-                                std::vector<virt::Vm*> vms);
-  /// Same, built from a parallel (barrier-terminated) descriptor.
+  /// Binds a BSP application, built from a parallel (barrier-terminated)
+  /// descriptor, to cluster VMs; recorders are registered under `key`
+  /// ("<key>/superstep", "<key>/iteration").
   workload::BspApp& add_bsp_app(const std::string& key,
                                 const workload::Descriptor& desc,
                                 std::vector<virt::Vm*> vms);
 
-  /// Four identical virtual clusters: cluster j = VM j of every node
-  /// (the paper's type-A and motivation layout).  Keys "<name>/vc<j>".
-  void add_identical_clusters(const workload::BspConfig& cfg);
-  /// Descriptor dispatch: a parallel descriptor lays out exactly like the
-  /// BspConfig overload (same VM names and app keys, so an npb_descriptor
-  /// run is byte-identical to its legacy twin); a loop descriptor fills
-  /// every (node, slot) with an independent single-VCPU LoopWorkload VM
-  /// under keys "<name>/vc<j>/n<i>".
+  /// One VM per (node, slot) of `vms_per_node` slots — the paper's type-A
+  /// and motivation layout.  A parallel descriptor makes identical virtual
+  /// clusters, cluster j = VM j of every node, under keys "<name>/vc<j>";
+  /// a loop descriptor fills every (node, slot) with an independent
+  /// single-VCPU LoopWorkload VM under keys "<name>/vc<j>/n<i>".
   void add_identical_clusters(const workload::Descriptor& desc);
 
-  /// Independent non-parallel VMs (one app VCPU each).
-  virt::Vm& add_cpu_vm(int node, const workload::CpuBoundWorkload::Config& cfg,
-                       const std::string& key);
-  /// One LoopWorkload VM interpreting a loop (non-barrier) descriptor;
-  /// work-rate units recorded under `key` when the descriptor sets
-  /// rate_units.
+  /// Independent non-parallel VMs (one app VCPU each).  add_loop_vm
+  /// interprets a loop (non-barrier) descriptor, e.g. a
+  /// workload::cpu_descriptor profile; work-rate units are recorded under
+  /// `key` when the descriptor sets rate_units.
   virt::Vm& add_loop_vm(int node, const workload::Descriptor& desc,
                         const std::string& key);
   virt::Vm& add_disk_vm(int node, const std::string& key);
@@ -247,7 +239,6 @@ class Scenario {
   std::vector<std::unique_ptr<workload::HttperfClient>> clients_;
   std::vector<std::string> bsp_keys_;
   sim::SimTime stats_reset_at_ = 0;
-  std::uint64_t llc_baseline_ = 0;
   std::int64_t next_gid_ = 0;
   bool started_ = false;
 };

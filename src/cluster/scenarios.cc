@@ -10,7 +10,7 @@ namespace atcsim::cluster {
 using workload::NpbClass;
 
 void build_type_a(Scenario& s, const std::string& app, NpbClass cls) {
-  s.add_identical_clusters(workload::npb_profile(app, cls));
+  s.add_identical_clusters(workload::npb_descriptor(app, cls));
 }
 
 void build_type_a(Scenario& s, const workload::Descriptor& desc) {
@@ -57,12 +57,13 @@ std::vector<std::string> build_trace_vcs(Scenario& s,
     const std::string app =
         apps[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(apps.size()) - 1))];
-    workload::BspConfig cfg = workload::npb_profile(app, NpbClass::kB);
+    const workload::Descriptor desc =
+        workload::npb_descriptor(app, NpbClass::kB);
     const std::string key =
-        "VC" + std::to_string(i + 1) + ":" + cfg.name;
+        "VC" + std::to_string(i + 1) + ":" + desc.name;
     auto placement = place_cluster(capacity, sizes[i]);
     auto vms = s.create_cluster_vms(key, placement);
-    s.add_bsp_app(key, cfg, std::move(vms));
+    s.add_bsp_app(key, desc, std::move(vms));
     keys.push_back(key);
   }
   return keys;
@@ -81,10 +82,10 @@ void add_independent_parallel(Scenario& s, std::vector<int>& capacity,
   const int node = first_node_with_capacity(capacity);
   assert(node >= 0);
   --capacity[node];
-  workload::BspConfig cfg = workload::npb_profile(app, NpbClass::kB);
-  const std::string key = "IVM" + std::to_string(index) + ":" + cfg.name;
+  const workload::Descriptor desc = workload::npb_descriptor(app, NpbClass::kB);
+  const std::string key = "IVM" + std::to_string(index) + ":" + desc.name;
   auto vms = s.create_cluster_vms(key, {node});
-  s.add_bsp_app(key, cfg, std::move(vms));
+  s.add_bsp_app(key, desc, std::move(vms));
   keys.push_back(key);
 }
 
@@ -115,6 +116,10 @@ MixedLayout build_mixed(Scenario& s) {
 
   // Independent VMs cycle through non-parallel apps + single-VM lu/is
   // (Sec. IV-C: Apache, bonnie++, SPEC CPU 2006, stream, and lu/is).
+  const workload::Descriptor stream = workload::cpu_descriptor("stream");
+  const workload::Descriptor gcc = workload::cpu_descriptor("gcc");
+  const workload::Descriptor bzip2 = workload::cpu_descriptor("bzip2");
+  const workload::Descriptor sphinx3 = workload::cpu_descriptor("sphinx3");
   int index = 0;
   for (;;) {
     const int node = first_node_with_capacity(capacity);
@@ -134,25 +139,22 @@ MixedLayout build_mixed(Scenario& s) {
         break;
       case 2:
         --capacity[node];
-        s.add_cpu_vm(node, workload::CpuBoundWorkload::stream(),
-                     "stream" + suffix);
+        s.add_loop_vm(node, stream, "stream" + suffix);
         layout.stream_keys.push_back("stream" + suffix);
         break;
       case 3:
         --capacity[node];
-        s.add_cpu_vm(node, workload::CpuBoundWorkload::gcc(), "gcc" + suffix);
+        s.add_loop_vm(node, gcc, "gcc" + suffix);
         layout.cpu_keys.push_back("gcc" + suffix);
         break;
       case 4:
         --capacity[node];
-        s.add_cpu_vm(node, workload::CpuBoundWorkload::bzip2(),
-                     "bzip2" + suffix);
+        s.add_loop_vm(node, bzip2, "bzip2" + suffix);
         layout.cpu_keys.push_back("bzip2" + suffix);
         break;
       case 5:
         --capacity[node];
-        s.add_cpu_vm(node, workload::CpuBoundWorkload::sphinx3(),
-                     "sphinx3" + suffix);
+        s.add_loop_vm(node, sphinx3, "sphinx3" + suffix);
         layout.cpu_keys.push_back("sphinx3" + suffix);
         break;
       case 6: {
@@ -168,8 +170,7 @@ MixedLayout build_mixed(Scenario& s) {
           layout.ping_keys.push_back("ping" + suffix);
         } else {
           --capacity[node];
-          s.add_cpu_vm(node, workload::CpuBoundWorkload::sphinx3(),
-                       "sphinx3" + suffix);
+          s.add_loop_vm(node, sphinx3, "sphinx3" + suffix);
           layout.cpu_keys.push_back("sphinx3" + suffix);
         }
         break;

@@ -16,9 +16,9 @@ void build_type_a(Scenario& s, const std::string& app,
                   workload::NpbClass cls);
 
 /// Type-A layout from a workload descriptor: parallel descriptors become
-/// the identical virtual-cluster grid (an npb_descriptor run is
-/// byte-identical to its legacy twin); loop descriptors fill the same VM
-/// slots with independent single-VCPU interpreters.
+/// the identical virtual-cluster grid (the app-name overload above is this
+/// with npb_descriptor(app, cls)); loop descriptors fill the same VM slots
+/// with independent single-VCPU interpreters.
 void build_type_a(Scenario& s, const workload::Descriptor& desc);
 
 /// Evaluation type B (Sec. IV-B2): virtual clusters sized from the Atlas

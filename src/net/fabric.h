@@ -25,9 +25,9 @@
 // during a fused phase; ready queue d is read only by shard d's worker.
 // The coordinator moves packets from boxes to queues strictly between
 // phases, and the ShardGroup barrier publishes the moves.  Boxes and
-// queues keep their high-water capacity (cold-start size
-// ModelParams::pdes_mailbox_slots) and sealing sorts in place, so
-// steady-state exchange touches the allocator zero times.
+// queues keep their high-water capacity (cold-start size: the constructor's
+// mailbox_slots) and sealing sorts in place, so steady-state exchange
+// touches the allocator zero times.
 #pragma once
 
 #include <cstdint>

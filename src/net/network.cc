@@ -32,18 +32,21 @@ obs::TraceEvent net_event(SimTime now, std::uint8_t type, std::int32_t node,
 // ---------------------------------------------------------------- Dom0Backend
 
 namespace {
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+
+/// Initial capacity of each dom0 backend's job ring (expected in-flight
+/// netback/blkback jobs per node), a power of two.  The ring doubles when
+/// it fills — tracing a net.ring_grow event — so this only sets the
+/// cold-start size; at ~80 B/slot it costs 512 nodes * 64 * 80 B ≈ 2.6 MB.
+constexpr std::size_t kDom0RingSlots = 64;
+static_assert((kDom0RingSlots & (kDom0RingSlots - 1)) == 0,
+              "the ring wraps with a mask");
+
 }  // namespace
 
 Dom0Backend::Dom0Backend(VirtualNetwork& net, virt::Node& node)
     : net_(&net),
       node_(&node),
-      jobs_(round_up_pow2(std::max<std::size_t>(net.params().dom0_ring_slots,
-                                                2))),
+      jobs_(kDom0RingSlots),
       idle_wait_(net.engine()) {}
 
 void Dom0Backend::grow_ring() {

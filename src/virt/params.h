@@ -84,29 +84,10 @@ struct ModelParams {
   /// dom0 CPU cost per KiB copied through netback.
   SimTime dom0_per_kib_cost = 1_us;
 
-  /// Initial capacity of each dom0 backend's job ring (expected in-flight
-  /// netback/blkback jobs per node).  The ring doubles when it fills —
-  /// tracing a net.ring_grow event — so this only sets the cold-start size;
-  /// at ~80 B/slot the default costs 512 nodes * 64 * 80 B ≈ 2.6 MB.
-  std::size_t dom0_ring_slots = 64;
-
   /// Guest-side cost to post or receive one packet.
   SimTime guest_packet_cost = 3_us;
 
   // --- Sharded execution (conservative PDES; DESIGN.md §10) -------------
-  /// Smallest cross-shard lookahead the conservative synchronizer will
-  /// accept.  The lookahead horizon is wire_latency (every cross-shard
-  /// packet pays at least one wire delay); building a sharded scenario with
-  /// wire_latency below this floor throws, because rounds that advance less
-  /// than the floor per barrier synchronize more than they simulate.
-  SimTime pdes_lookahead_floor = 1_us;
-
-  /// Initial capacity of each per-(src,dst) shard mailbox, in packets.  The
-  /// mailboxes retain their high-water capacity across rounds (the same
-  /// policy as dom0_ring_slots), so this only sets the cold-start size of
-  /// one round's cross-shard exchange batch.
-  std::size_t pdes_mailbox_slots = 256;
-
   /// When true (default), the round synchronizer extends per-shard horizons
   /// past the classic global_min + wire_latency bound using each shard's
   /// earliest-output-time: a shard whose next events are purely local

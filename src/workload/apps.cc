@@ -1,71 +1,49 @@
 #include "workload/apps.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace atcsim::workload {
 
 using sim::SimTime;
 
-// ---------------------------------------------------------- CpuBoundWorkload
+// ------------------------------------------------------------ cpu_descriptor
 
-virt::Action CpuBoundWorkload::next(virt::Vcpu& /*self*/) {
-  if (last_chunk_ > 0 && counter_ != nullptr) {
-    counter_->add(sim::to_seconds(last_chunk_) *
-                  cfg_.units_per_second_of_work);
+namespace {
+
+struct CpuProfile {
+  const char* name;
+  SimTime chunk;      ///< mean compute per loop iteration
+  double cache_sens;
+  double rate_units;  ///< units credited per compute-second
+};
+
+constexpr CpuProfile kCpuProfiles[] = {
+    {"sphinx3", 1'500'000 /*1.5ms*/, 12.0, 1.0},  // large acoustic model
+    {"gcc", 2'000'000 /*2ms*/, 8.0, 1.0},
+    {"bzip2", 3'000'000 /*3ms*/, 5.0, 1.0},
+    // ~12 GB/s of triad traffic per busy second, reported in MB.
+    {"stream", 500'000 /*0.5ms*/, 6.0, 12'000.0},
+};
+
+}  // namespace
+
+Descriptor cpu_descriptor(const std::string& name) {
+  for (const CpuProfile& p : kCpuProfiles) {
+    if (name != p.name) continue;
+    Descriptor d;
+    d.name = p.name;
+    d.cache_sensitivity = p.cache_sens;
+    d.rate_units = p.rate_units;
+    Phase compute;
+    compute.kind = PhaseKind::kCompute;
+    compute.duration = p.chunk;
+    compute.jitter = 0.05;
+    d.phases.push_back(compute);
+    return d;
   }
-  last_chunk_ = rng_.jittered(cfg_.chunk, cfg_.jitter);
-  return virt::Action::compute(last_chunk_);
-}
-
-CpuBoundWorkload::Config CpuBoundWorkload::sphinx3() {
-  Config c;
-  c.name = "sphinx3";
-  c.chunk = 1'500'000;  // 1.5 ms
-  c.cache_sens = 12.0;  // large acoustic-model working set
-  return c;
-}
-
-CpuBoundWorkload::Config CpuBoundWorkload::gcc() {
-  Config c;
-  c.name = "gcc";
-  c.chunk = 2'000'000;  // 2 ms
-  c.cache_sens = 8.0;
-  return c;
-}
-
-CpuBoundWorkload::Config CpuBoundWorkload::bzip2() {
-  Config c;
-  c.name = "bzip2";
-  c.chunk = 3'000'000;  // 3 ms
-  c.cache_sens = 5.0;
-  return c;
-}
-
-CpuBoundWorkload::Config CpuBoundWorkload::stream() {
-  Config c;
-  c.name = "stream";
-  c.chunk = 500'000;  // 0.5 ms
-  c.cache_sens = 6.0;
-  // ~12 GB/s of triad traffic per busy second, reported in MB.
-  c.units_per_second_of_work = 12'000.0;
-  return c;
-}
-
-Descriptor CpuBoundWorkload::descriptor(const Config& cfg) {
-  Descriptor d;
-  d.name = cfg.name;
-  d.cache_sensitivity = cfg.cache_sens;
-  d.rate_units = cfg.units_per_second_of_work;
-  Phase p;
-  p.kind = PhaseKind::kCompute;
-  p.duration = cfg.chunk;
-  p.jitter = cfg.jitter;
-  d.phases.push_back(p);
-  if (const std::string err = d.validate(); !err.empty()) {
-    throw DescriptorError(err);
-  }
-  return d;
+  throw std::invalid_argument("unknown CPU profile: " + name);
 }
 
 // -------------------------------------------------------------- LoopWorkload
@@ -86,9 +64,8 @@ LoopWorkload::LoopWorkload(net::VirtualNetwork& net, virt::Vm& self_vm,
 }
 
 virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
-  // Same accounting as CpuBoundWorkload: the chunk completed by reaching
-  // this call is credited before the next one is drawn, so a
-  // single-compute descriptor reproduces its unit stream exactly.
+  // The compute phase completed by reaching this call is credited before
+  // the next phase is drawn.
   if (last_compute_ > 0 && counter_ != nullptr) {
     counter_->add(sim::to_seconds(last_compute_) * desc_.rate_units);
     last_compute_ = 0;

@@ -1,6 +1,7 @@
-// Non-parallel application models: CPU-bound (SPEC-like), memory-bandwidth
-// (stream), disk I/O (bonnie++-like), ICMP echo (ping), and a web server
-// driven by an httperf-style open-loop client.
+// Non-parallel application models: the loop-descriptor interpreter with the
+// CPU-bound (SPEC-like) and memory-bandwidth (stream) profiles, disk I/O
+// (bonnie++-like), ICMP echo (ping), and a web server driven by an
+// httperf-style open-loop client.
 #pragma once
 
 #include <cstdint>
@@ -19,54 +20,18 @@ namespace atcsim::workload {
 
 using namespace sim::time_literals;
 
-/// CPU-bound loop (sphinx3 / gcc / bzip2 / stream).  Counts completed work
-/// into a RateCounter; effective throughput vs. CR gives the paper's
-/// normalized execution time for fixed-work applications.
-class CpuBoundWorkload : public virt::Workload {
- public:
-  struct Config {
-    std::string name = "cpu";
-    sim::SimTime chunk = 2 * sim::kMillisecond;
-    double jitter = 0.05;
-    double cache_sens = 1.2;
-    /// Units credited per completed chunk-second (1.0 = CPU-seconds; stream
-    /// uses bytes-derived units).
-    double units_per_second_of_work = 1.0;
-  };
-
-  CpuBoundWorkload(Config cfg, sim::Rng rng, metrics::RateCounter* counter)
-      : cfg_(std::move(cfg)), rng_(rng), counter_(counter) {}
-
-  virt::Action next(virt::Vcpu& self) override;
-  double cache_sensitivity() const override { return cfg_.cache_sens; }
-  /// Pure compute loop: never touches the network.
-  sim::SimTime effect_distance() const override { return sim::kTimeNever; }
-  std::string name() const override { return cfg_.name; }
-  /// No node-local state at all: safe to move at any instant.
-  bool migratable() const override { return true; }
-
-  /// Canned SPEC CPU 2006 profiles.
-  static Config sphinx3();
-  static Config gcc();
-  static Config bzip2();
-  static Config stream();  ///< units = MB of triad traffic
-
-  /// The descriptor twin of `cfg`: a single-compute loop descriptor whose
-  /// LoopWorkload interpretation credits the identical unit stream.
-  static Descriptor descriptor(const Config& cfg);
-
- private:
-  Config cfg_;
-  sim::Rng rng_;
-  metrics::RateCounter* counter_;
-  sim::SimTime last_chunk_ = 0;
-};
+/// The CPU-bound guests (SPEC CPU 2006 sphinx3 / gcc / bzip2, and stream)
+/// as single-compute loop descriptors for LoopWorkload.  Each credits
+/// rate_units per compute-second: CPU-seconds, or MB of triad traffic for
+/// stream.  Effective throughput vs. CR gives the paper's normalized
+/// execution time for fixed-work applications.  Throws
+/// std::invalid_argument for any other name.
+Descriptor cpu_descriptor(const std::string& name);
 
 /// Interpreter for loop (non-barrier) descriptors: one VCPU cycling through
-/// compute / think / io phases.  Subsumes CpuBoundWorkload shapes (a
-/// single-compute program with rate_units credits the identical unit
-/// stream) and adds blocked think time and blkback I/O bursts, so
-/// non-parallel guests are descriptor instances too.
+/// compute / think / io phases — CPU loops (cpu_descriptor), blocked think
+/// time and blkback I/O bursts, so non-parallel guests are descriptor
+/// instances too.
 class LoopWorkload : public virt::Workload {
  public:
   /// Throws DescriptorError when `desc` is invalid or parallel

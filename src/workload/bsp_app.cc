@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 namespace atcsim::workload {
 
@@ -14,46 +13,16 @@ net::VirtualNetwork& BspApp::net_of(virt::Vm& vm) {
   return *net;
 }
 
-BspApp::BspApp(std::vector<virt::Vm*> vms, BspConfig cfg, sim::Rng rng,
-               metrics::DurationRecorder* superstep_rec,
-               metrics::DurationRecorder* iteration_rec)
-    : cfg_(std::move(cfg)), rng_(rng), vm_ptrs_(std::move(vms)),
-      superstep_rec_(superstep_rec), iteration_rec_(iteration_rec) {
-  if (cfg_.sync_rounds < 1 || cfg_.sync_rounds > 32) {
-    throw std::invalid_argument(
-        "BspConfig.sync_rounds must be in [1, 32], got " +
-        std::to_string(cfg_.sync_rounds));
-  }
-  // Compile the classic shape directly (not via Descriptor::from_bsp) so
-  // this constructor cannot reject a BspConfig the pre-descriptor code
-  // accepted; from_bsp emits exactly this step sequence.
-  const SimTime segment =
-      cfg_.compute_per_superstep / std::max(1, cfg_.sync_rounds);
-  for (int r = 0; r < cfg_.sync_rounds; ++r) {
-    Step c;
-    c.kind = PhaseKind::kCompute;
-    c.duration = segment;
-    c.jitter = cfg_.compute_jitter;
-    program_.push_back(c);
-    if (r < cfg_.sync_rounds - 1) {
-      Step lb;
-      lb.kind = PhaseKind::kLocalBarrier;
-      lb.local_index = r;
-      program_.push_back(lb);
-    }
-  }
-  Step b;
-  b.kind = PhaseKind::kBarrier;
-  b.bytes = cfg_.bytes_per_msg;
-  program_.push_back(b);
-  slot_size_ = static_cast<std::size_t>(cfg_.sync_rounds);
-  init_slots();
-}
-
 BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
                sim::Rng rng, metrics::DurationRecorder* superstep_rec,
                metrics::DurationRecorder* iteration_rec)
-    : rng_(rng), vm_ptrs_(std::move(vms)), superstep_rec_(superstep_rec),
+    : name_(desc.name),
+      cache_sensitivity_(desc.cache_sensitivity),
+      steps_per_iter_(desc.steps_per_iter),
+      barrier_bytes_(desc.barrier_bytes()),
+      rng_(rng),
+      vm_ptrs_(std::move(vms)),
+      superstep_rec_(superstep_rec),
       iteration_rec_(iteration_rec) {
   if (const std::string err = desc.validate(); !err.empty()) {
     throw DescriptorError(err);
@@ -63,8 +32,9 @@ BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
                           "descriptor; '" +
                           desc.name + "' has no barrier phase");
   }
-  cfg_ = desc.to_bsp();
+  assert(!vm_ptrs_.empty());
   int local_index = 0;
+  program_.reserve(desc.phases.size());
   for (const Phase& p : desc.phases) {
     Step st;
     st.kind = p.kind;
@@ -75,11 +45,7 @@ BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
     program_.push_back(st);
   }
   slot_size_ = 1 + static_cast<std::size_t>(local_index);
-  init_slots();
-}
 
-void BspApp::init_slots() {
-  assert(!vm_ptrs_.empty());
   // Per-position effect distances (Workload::effect_distance): from drawing
   // step i, the minimum delay until the program's next network act — the
   // kSend or kBarrier draw itself.  Compute/think steps contribute their
@@ -164,7 +130,7 @@ virt::SyncEvent& BspApp::rank_arrived(int vm_index, std::uint64_t gen) {
     if (vm_index == 0) {
       coordinator_arrive(gen);
     } else {
-      net_of(vm).send(vm, *vm_ptrs_[0], cfg_.bytes_per_msg,
+      net_of(vm).send(vm, *vm_ptrs_[0], barrier_bytes_,
                       [this, gen] { coordinator_arrive(gen); });
     }
   }
@@ -190,7 +156,7 @@ void BspApp::release_generation(std::uint64_t gen) {
   ++supersteps_done_;
   if (iteration_rec_ != nullptr &&
       supersteps_done_ % static_cast<std::uint64_t>(
-                             cfg_.supersteps_per_iteration) == 0) {
+                             steps_per_iter_) == 0) {
     iteration_rec_->record(now - iter_start_);
     iter_start_ = now;
   }
@@ -198,7 +164,7 @@ void BspApp::release_generation(std::uint64_t gen) {
   release_event(0, gen).signal();
   virt::Vm& coord = *vm_ptrs_[0];
   for (std::size_t i = 1; i < vm_ptrs_.size(); ++i) {
-    net_of(coord).send(coord, *vm_ptrs_[i], cfg_.bytes_per_msg,
+    net_of(coord).send(coord, *vm_ptrs_[i], barrier_bytes_,
                        [this, i, gen] {
                          release_event(static_cast<int>(i), gen).signal();
                        });

@@ -2,11 +2,9 @@
 //
 // A BspApp executes a cyclic *phase program* — compute segments, think
 // (blocked) time, disk I/O bursts, fire-and-forget messages, intra-VM spin
-// barriers and one global barrier — compiled either from a classic
-// BspConfig (the original compute/sync_rounds shape) or from a
-// workload::Descriptor (descriptor.h).  Both lowerings of the same shape
-// produce the identical step sequence, so descriptor-built NPB profiles are
-// event-for-event equal to the legacy classes.
+// barriers and one global barrier — compiled from a parallel
+// workload::Descriptor (descriptor.h).  The classic NPB shapes reach it the
+// same way, through Descriptor::from_bsp.
 //
 // Barrier semantics per superstep (one pass through the program):
 //  * intra-VM (local_barrier): ranks of a VM busy-wait (user-space MPI
@@ -36,24 +34,6 @@
 
 namespace atcsim::workload {
 
-struct BspConfig {
-  std::string name = "bsp";
-  /// Mean per-rank compute per superstep (grain of coupling).
-  sim::SimTime compute_per_superstep = 2 * sim::kMillisecond;
-  double compute_jitter = 0.15;
-  /// Barrier/exchange message volume per VM per superstep direction.
-  std::uint64_t bytes_per_msg = 64 * 1024;
-  /// Supersteps per application iteration (one "run" of the benchmark).
-  int supersteps_per_iteration = 20;
-  /// Compute-then-synchronize segments per superstep.  The first
-  /// (sync_rounds - 1) syncs are intra-VM shared-memory barriers (the LHP
-  /// spin the co-scheduling literature targets); the last is the global
-  /// cross-VM barrier.  Must be in [1, 32]; BspApp's constructor throws
-  /// std::invalid_argument otherwise.
-  int sync_rounds = 3;
-  double cache_sensitivity = 1.0;
-};
-
 class BspRank;
 
 /// One parallel application running on a virtual cluster of VMs.
@@ -67,26 +47,10 @@ class BspRank;
 /// the round barriers.
 class BspApp {
  public:
-  /// One compiled step of the per-rank phase program.
-  struct Step {
-    PhaseKind kind = PhaseKind::kCompute;
-    sim::SimTime duration = 0;  ///< compute / think
-    double jitter = 0.0;        ///< compute / think
-    std::uint64_t bytes = 0;    ///< io / send / barrier
-    int local_index = 0;        ///< local_barrier: slot within a generation
-  };
-
-  /// Classic shape: sync_rounds equal compute segments separated by local
-  /// barriers, closed by the global barrier.  Throws std::invalid_argument
-  /// when cfg.sync_rounds is outside [1, 32].  Each VM uses its own
-  /// platform's network; vms[0] is the coordinator.
-  BspApp(std::vector<virt::Vm*> vms, BspConfig cfg, sim::Rng rng,
-         metrics::DurationRecorder* superstep_rec,
-         metrics::DurationRecorder* iteration_rec);
-
-  /// Arbitrary phase program from a parallel (barrier-terminated)
+  /// Compiles the phase program of a parallel (barrier-terminated)
   /// descriptor.  Throws DescriptorError when the descriptor is invalid or
-  /// not parallel.
+  /// not parallel.  Each VM uses its own platform's network; vms[0] is the
+  /// coordinator.
   BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc, sim::Rng rng,
          metrics::DurationRecorder* superstep_rec,
          metrics::DurationRecorder* iteration_rec);
@@ -99,8 +63,8 @@ class BspApp {
   /// Call before Engine::start().
   void attach();
 
-  const BspConfig& config() const { return cfg_; }
-  const std::vector<Step>& program() const { return program_; }
+  const std::string& name() const { return name_; }
+  double cache_sensitivity() const { return cache_sensitivity_; }
   /// Lower bound on the delay from drawing step `pc` to the program's next
   /// network act (a kSend or kBarrier draw), per Workload::effect_distance.
   sim::SimTime effect_distance_from(std::size_t pc) const {
@@ -112,9 +76,14 @@ class BspApp {
  private:
   friend class BspRank;
 
-  /// Builds the effect-distance table and the flat barrier arrays;
-  /// requires program_ compiled.
-  void init_slots();
+  /// One compiled step of the per-rank phase program.
+  struct Step {
+    PhaseKind kind = PhaseKind::kCompute;
+    sim::SimTime duration = 0;  ///< compute / think
+    double jitter = 0.0;        ///< compute / think
+    std::uint64_t bytes = 0;    ///< io / send / barrier
+    int local_index = 0;        ///< local_barrier: slot within a generation
+  };
 
   /// Rank bookkeeping at barrier entry; returns the release event the rank
   /// must spin on for generation `gen`.
@@ -150,7 +119,10 @@ class BspApp {
   /// Network of `vm`'s shard (the platform back-pointer set at attach()).
   static net::VirtualNetwork& net_of(virt::Vm& vm);
 
-  BspConfig cfg_;
+  std::string name_;
+  double cache_sensitivity_;
+  int steps_per_iter_;            ///< supersteps per recorded iteration
+  std::uint64_t barrier_bytes_;   ///< per-VM arrive/release message volume
   std::vector<Step> program_;
   std::vector<sim::SimTime> effect_dist_;  ///< see effect_distance_from
   /// Barriers per generation: the release plus one per local_barrier step.
@@ -179,7 +151,7 @@ class BspRank : public virt::Workload {
 
   virt::Action next(virt::Vcpu& self) override;
   double cache_sensitivity() const override {
-    return app_->config().cache_sensitivity;
+    return app_->cache_sensitivity();
   }
   /// O(1): the program-position table precomputed by BspApp.  This is what
   /// lets shard horizons stride over LU compute segments — a rank mid-
@@ -188,7 +160,7 @@ class BspRank : public virt::Workload {
     return app_->effect_distance_from(pc_);
   }
   std::string name() const override {
-    return app_->config().name + "/r" + std::to_string(rank_);
+    return app_->name() + "/r" + std::to_string(rank_);
   }
 
  private:

@@ -8,8 +8,6 @@
 #include <cstring>
 #include <string_view>
 
-#include "workload/bsp_app.h"
-
 namespace atcsim::workload {
 
 namespace {
@@ -216,32 +214,35 @@ std::string Descriptor::validate() const {
   bool has_send = false;
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const Phase& p = phases[i];
-    const std::string where =
-        std::string("phase ") + phase_kind_name(p.kind) + " #" +
-        std::to_string(i + 1);
+    // The message prefix is built only on the error path: every app a
+    // scenario creates is validated, and nearly every phase passes.
+    const auto where = [&p, i] {
+      return std::string("phase ") + phase_kind_name(p.kind) + " #" +
+             std::to_string(i + 1);
+    };
     switch (p.kind) {
       case PhaseKind::kCompute:
       case PhaseKind::kThink:
         if (p.duration < 1 || p.duration > kMaxPhaseDuration) {
-          return where + ": duration " + std::to_string(p.duration) +
+          return where() + ": duration " + std::to_string(p.duration) +
                  "ns outside [1ns, 60s]";
         }
         if (p.jitter < 0.0 || p.jitter > kMaxJitter ||
             !std::isfinite(p.jitter)) {
-          return where + ": jitter " + print_double(p.jitter) +
+          return where() + ": jitter " + print_double(p.jitter) +
                  " outside [0, " + print_double(kMaxJitter) + "]";
         }
-        if (p.bytes != 0) return where + ": unexpected byte volume";
+        if (p.bytes != 0) return where() + ": unexpected byte volume";
         break;
       case PhaseKind::kIo:
       case PhaseKind::kSend:
       case PhaseKind::kBarrier:
         if (p.bytes < 1 || p.bytes > kMaxPhaseBytes) {
-          return where + ": size " + std::to_string(p.bytes) +
+          return where() + ": size " + std::to_string(p.bytes) +
                  "B outside [1B, 256MiB]";
         }
         if (p.duration != 0 || p.jitter != 0.0) {
-          return where + ": unexpected duration/jitter";
+          return where() + ": unexpected duration/jitter";
         }
         if (p.kind == PhaseKind::kBarrier) {
           ++barriers;
@@ -253,7 +254,7 @@ std::string Descriptor::validate() const {
         break;
       case PhaseKind::kLocalBarrier:
         if (p.duration != 0 || p.jitter != 0.0 || p.bytes != 0) {
-          return where + ": unexpected arguments";
+          return where() + ": unexpected arguments";
         }
         ++locals;
         break;
@@ -421,11 +422,9 @@ Descriptor Descriptor::from_bsp(const BspConfig& cfg) {
   d.name = cfg.name;
   d.cache_sensitivity = cfg.cache_sensitivity;
   d.steps_per_iter = cfg.supersteps_per_iteration;
-  // The exact segmentation BspApp has always used: integer division, every
-  // segment equal — so the descriptor twin draws the identical jitter
-  // sequence and the golden traces stay byte-identical.
-  const SimTime segment =
-      cfg.compute_per_superstep / std::max(1, cfg.sync_rounds);
+  // Integer division, every segment equal: the segmentation the golden
+  // traces were recorded with.
+  const SimTime segment = cfg.compute_per_superstep / cfg.sync_rounds;
   for (int r = 0; r < cfg.sync_rounds; ++r) {
     Phase c;
     c.kind = PhaseKind::kCompute;
@@ -444,28 +443,6 @@ Descriptor Descriptor::from_bsp(const BspConfig& cfg) {
   d.phases.push_back(b);
   if (const std::string err = d.validate(); !err.empty()) fail(err);
   return d;
-}
-
-BspConfig Descriptor::to_bsp() const {
-  BspConfig cfg;
-  cfg.name = name;
-  cfg.cache_sensitivity = cache_sensitivity;
-  cfg.supersteps_per_iteration = steps_per_iter;
-  cfg.sync_rounds = std::min(local_barriers() + 1, kMaxLocalBarriers + 1);
-  cfg.compute_per_superstep = 0;
-  cfg.compute_jitter = 0.0;
-  bool first_compute = true;
-  for (const Phase& p : phases) {
-    if (p.kind == PhaseKind::kCompute) {
-      cfg.compute_per_superstep += p.duration;
-      if (first_compute) {
-        cfg.compute_jitter = p.jitter;
-        first_compute = false;
-      }
-    }
-  }
-  cfg.bytes_per_msg = parallel() ? barrier_bytes() : kDefaultBarrierBytes;
-  return cfg;
 }
 
 }  // namespace atcsim::workload

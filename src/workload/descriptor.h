@@ -44,7 +44,27 @@
 
 namespace atcsim::workload {
 
-struct BspConfig;
+/// The classic BSP shape the NPB profiles are written in: sync_rounds equal
+/// compute segments, separated by local barriers and closed by the global
+/// barrier.  Descriptor::from_bsp lowers it to the phase program BspApp
+/// runs.
+struct BspConfig {
+  std::string name = "bsp";
+  /// Mean per-rank compute per superstep (grain of coupling).
+  sim::SimTime compute_per_superstep = 2 * sim::kMillisecond;
+  double compute_jitter = 0.15;
+  /// Barrier/exchange message volume per VM per superstep direction.
+  std::uint64_t bytes_per_msg = 64 * 1024;
+  /// Supersteps per application iteration (one "run" of the benchmark).
+  int supersteps_per_iteration = 20;
+  /// Compute-then-synchronize segments per superstep.  The first
+  /// (sync_rounds - 1) syncs are intra-VM shared-memory barriers (the LHP
+  /// spin the co-scheduling literature targets); the last is the global
+  /// cross-VM barrier.  Must be in [1, 32]; Descriptor::from_bsp throws
+  /// DescriptorError otherwise.
+  int sync_rounds = 3;
+  double cache_sensitivity = 1.0;
+};
 
 class DescriptorError : public std::invalid_argument {
  public:
@@ -76,8 +96,8 @@ struct Descriptor {
   std::string name;
   double cache_sensitivity = 1.0;
   int steps_per_iter = 20;
-  /// Loop mode: work units credited per second of completed compute (the
-  /// CpuBoundWorkload accounting; 0 = no rate metric).
+  /// Loop mode: work units credited per second of completed compute (0 = no
+  /// rate metric).
   double rate_units = 0.0;
   std::vector<Phase> phases;
 
@@ -103,17 +123,11 @@ struct Descriptor {
   std::string validate() const;
 
   /// Lowers a classic BspConfig to its descriptor form: sync_rounds
-  /// segments of compute_per_superstep / sync_rounds each, separated by
-  /// local barriers, closed by the global barrier.  Exactly the phase
-  /// sequence BspApp has always executed, so a BspConfig-built app and its
-  /// descriptor twin are event-for-event identical.  Throws
-  /// DescriptorError when cfg.sync_rounds is outside [1, 32].
+  /// segments of compute_per_superstep / sync_rounds each (integer
+  /// division), separated by local barriers, closed by the global barrier.
+  /// Throws DescriptorError when cfg.sync_rounds is outside [1, 32] or the
+  /// lowered descriptor is invalid.
   static Descriptor from_bsp(const BspConfig& cfg);
-
-  /// Aggregates the descriptor back into a BspConfig summary (total
-  /// compute, sync-round count, barrier volume).  Informational — the
-  /// phase list is the executable truth.
-  BspConfig to_bsp() const;
 };
 
 }  // namespace atcsim::workload

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "workload/bsp_app.h"
+#include "workload/descriptor.h"
 
 namespace atcsim::workload {
 
@@ -23,9 +23,8 @@ enum class NpbClass { kA, kB, kC };
 /// Knows: lu, is, sp, bt, mg, cg.
 BspConfig npb_profile(const std::string& app, NpbClass cls);
 
-/// The descriptor form of npb_profile(app, cls), via Descriptor::from_bsp —
-/// guaranteed to compile to the identical BspApp phase program, so the
-/// descriptor-built profile is event-for-event equal to the legacy one.
+/// The descriptor form of npb_profile(app, cls), via Descriptor::from_bsp:
+/// what the layout builders hand to BspApp.
 Descriptor npb_descriptor(const std::string& app, NpbClass cls);
 
 /// The six applications in the order the paper's figures use.

@@ -249,10 +249,11 @@ TEST(AllocGuardTest, BspAppBarrierStorageIsFlat) {
   }
   atcsim::workload::BspConfig cfg;
   cfg.sync_rounds = 4;
+  const auto desc = atcsim::workload::Descriptor::from_bsp(cfg);
   auto build_allocs = [&](std::size_t vm_count) {
     std::vector<atcsim::virt::Vm*> vms(all.begin(), all.begin() + vm_count);
     const std::uint64_t before = allocs();
-    atcsim::workload::BspApp app(std::move(vms), cfg, Rng(1), nullptr,
+    atcsim::workload::BspApp app(std::move(vms), desc, Rng(1), nullptr,
                                  nullptr);
     return allocs() - before;
   };

@@ -31,12 +31,13 @@ struct Rig {
     network->attach();
   }
 
-  workload::BspApp& app(int vcpus, workload::BspConfig cfg) {
+  workload::BspApp& app(int vcpus, const workload::BspConfig& cfg) {
     virt::Vm& vm = platform->create_vm(
         virt::NodeId{0}, virt::VmType::kParallel,
         "bsp" + std::to_string(platform->vm_count()), vcpus);
     apps.push_back(std::make_unique<workload::BspApp>(
-        std::vector<virt::Vm*>{&vm}, cfg, sim::Rng(9), nullptr, nullptr));
+        std::vector<virt::Vm*>{&vm}, workload::Descriptor::from_bsp(cfg),
+        sim::Rng(9), nullptr, nullptr));
     apps.back()->attach();
     return *apps.back();
   }
@@ -131,17 +132,18 @@ TEST(BspRoundsTest, RejectsOutOfRangeSyncRounds) {
   virt::Vm& vm = rig.platform->create_vm(virt::NodeId{0},
                                          virt::VmType::kParallel, "bsp-v", 2);
   const std::vector<virt::Vm*> vms{&vm};
+  const auto build = [&vms](int rounds) {
+    workload::BspApp(vms,
+                     workload::Descriptor::from_bsp(cfg_with_rounds(rounds)),
+                     sim::Rng(9), nullptr, nullptr);
+  };
   for (int rounds : {0, -1, 33, 100}) {
-    EXPECT_THROW(workload::BspApp(vms, cfg_with_rounds(rounds), sim::Rng(9),
-                                  nullptr, nullptr),
-                 std::invalid_argument)
+    EXPECT_THROW(build(rounds), std::invalid_argument)
         << "sync_rounds=" << rounds << " should be rejected";
   }
   // Boundaries of the documented [1, 32] range are accepted.
-  EXPECT_NO_THROW(workload::BspApp(vms, cfg_with_rounds(1), sim::Rng(9),
-                                   nullptr, nullptr));
-  EXPECT_NO_THROW(workload::BspApp(vms, cfg_with_rounds(32), sim::Rng(9),
-                                   nullptr, nullptr));
+  EXPECT_NO_THROW(build(1));
+  EXPECT_NO_THROW(build(32));
 }
 
 TEST(BspRoundsTest, JitterSpreadsArrivals) {

@@ -155,7 +155,7 @@ TEST(ScenarioTest, RunsEndToEndWithEveryApproach) {
     workload::BspConfig cfg;
     cfg.compute_per_superstep = 2_ms;
     auto vms = s.create_cluster_vms("vc", {0, 0});
-    s.add_bsp_app("vc", cfg, std::move(vms));
+    s.add_bsp_app("vc", workload::Descriptor::from_bsp(cfg), std::move(vms));
     s.start();
     s.warmup_and_measure(300_ms, 700_ms);
     EXPECT_GT(s.mean_superstep("vc"), 0.0) << approach_name(a);
@@ -173,7 +173,7 @@ TEST(ScenarioTest, WarmupResetExcludesEarlySamples) {
   workload::BspConfig cfg;
   cfg.compute_per_superstep = 2_ms;
   auto vms = s.create_cluster_vms("vc", {0, 0});
-  s.add_bsp_app("vc", cfg, std::move(vms));
+  s.add_bsp_app("vc", workload::Descriptor::from_bsp(cfg), std::move(vms));
   s.start();
   s.run_for(500_ms);
   const auto before = s.metrics().durations("vc/superstep").count();

@@ -70,7 +70,7 @@ TEST(MigrationTest, ScriptedMoveRelocatesVmAndPreservesProgress) {
 TEST(MigrationTest, GuardsRefuseDom0AndInTransitVms) {
   auto sp = ScenarioBuilder{}.nodes(2).approach(Approach::kCR).seed(5).build();
   Scenario& s = *sp;
-  virt::Vm& vm = s.add_cpu_vm(0, workload::CpuBoundWorkload::gcc(), "gcc");
+  virt::Vm& vm = s.add_loop_vm(0, workload::cpu_descriptor("gcc"), "gcc");
   const std::int64_t gid = vm.global_id();
   s.start();
   s.run_for(50_ms);
@@ -91,7 +91,7 @@ TEST(MigrationTest, GuardsRefuseDom0AndInTransitVms) {
 TEST(MigrationTest, ScheduledMoveIsNoOpWhenAlreadyInTransitOrArrived) {
   auto sp = ScenarioBuilder{}.nodes(2).approach(Approach::kCR).seed(6).build();
   Scenario& s = *sp;
-  virt::Vm& vm = s.add_cpu_vm(0, workload::CpuBoundWorkload::gcc(), "gcc");
+  virt::Vm& vm = s.add_loop_vm(0, workload::cpu_descriptor("gcc"), "gcc");
   s.start();
   // The copy window of the default 32 MiB working set runs ~300 ms, so the
   // 150 ms order lands mid-transit (refused) and the 800 ms one finds the
@@ -117,7 +117,7 @@ TEST(MigrationTest, DestroyingAScenarioMidCopyFreesTheBundle) {
                   .shards(shards)
                   .build();
     Scenario& s = *sp;
-    virt::Vm& vm = s.add_cpu_vm(0, workload::CpuBoundWorkload::gcc(), "gcc");
+    virt::Vm& vm = s.add_loop_vm(0, workload::cpu_descriptor("gcc"), "gcc");
     s.start();
     s.schedule_migration(vm, 50_ms, /*dest_node=*/1);
     s.run_for(100_ms);  // the ~300 ms copy window is still open
@@ -148,8 +148,8 @@ TEST(RebalancerTest, MovesBusiestGuestOffTheHotHost) {
   Scenario& s = *sp;
   std::vector<std::int64_t> gids;
   for (int i = 0; i < 4; ++i) {
-    virt::Vm& vm = s.add_cpu_vm(0, workload::CpuBoundWorkload::stream(),
-                                "stream" + std::to_string(i));
+    virt::Vm& vm = s.add_loop_vm(0, workload::cpu_descriptor("stream"),
+                                 "stream" + std::to_string(i));
     gids.push_back(vm.global_id());
   }
   s.start();

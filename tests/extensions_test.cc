@@ -52,7 +52,8 @@ struct ClsRig {
     workload::BspConfig cfg;
     cfg.compute_per_superstep = 2_ms;
     apps.push_back(std::make_unique<workload::BspApp>(
-        std::vector<virt::Vm*>{&vm}, cfg, sim::Rng(1), nullptr, nullptr));
+        std::vector<virt::Vm*>{&vm}, workload::Descriptor::from_bsp(cfg),
+        sim::Rng(1), nullptr, nullptr));
     apps.back()->attach();
     return vm;
   }
@@ -60,8 +61,8 @@ struct ClsRig {
   virt::Vm& cpu_vm() {
     virt::Vm& vm = platform->create_vm(virt::NodeId{0},
                                        virt::VmType::kNonParallel, "cpu", 1);
-    workloads.push_back(std::make_unique<workload::CpuBoundWorkload>(
-        workload::CpuBoundWorkload::gcc(), sim::Rng(2), nullptr));
+    workloads.push_back(std::make_unique<workload::LoopWorkload>(
+        *network, vm, workload::cpu_descriptor("gcc"), sim::Rng(2), nullptr));
     vm.vcpus()[0]->set_workload(workloads.back().get());
     return vm;
   }
@@ -145,11 +146,11 @@ TEST(AtcAdaptiveNonParallelTest, LatencySensitiveVmGetsShortSlice) {
                 .build();
   Scenario& s = *sp;
   auto vms = s.create_cluster_vms("vc", {0, 1});
-  s.add_bsp_app("vc", workload::npb_profile("cg", workload::NpbClass::kB),
+  s.add_bsp_app("vc", workload::npb_descriptor("cg", workload::NpbClass::kB),
                 std::move(vms));
   virt::Vm& web = s.add_web_vm(0, 100.0, "web");       // wakes per request
   virt::Vm& cpu =
-      s.add_cpu_vm(1, workload::CpuBoundWorkload::gcc(), "gcc");  // never
+      s.add_loop_vm(1, workload::cpu_descriptor("gcc"), "gcc");  // never
   s.start();
   s.run_for(2_s);
   EXPECT_EQ(web.time_slice(), s.config().atc.latency_sensitive_slice);

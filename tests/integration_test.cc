@@ -135,12 +135,12 @@ TEST(IntegrationTest, NonParallelAppUnaffectedByAtc30) {
     Scenario& s = *sp;
     for (int j = 0; j < 3; ++j) {
       auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1});
-      workload::BspConfig cfg =
-          workload::npb_profile("lu", workload::NpbClass::kB);
-      s.add_bsp_app("vc" + std::to_string(j), cfg, std::move(vms));
+      s.add_bsp_app("vc" + std::to_string(j),
+                    workload::npb_descriptor("lu", workload::NpbClass::kB),
+                    std::move(vms));
     }
-    s.add_cpu_vm(0, workload::CpuBoundWorkload::sphinx3(), "sphinx3");
-    s.add_cpu_vm(1, workload::CpuBoundWorkload::gcc(), "gcc");
+    s.add_loop_vm(0, workload::cpu_descriptor("sphinx3"), "sphinx3");
+    s.add_loop_vm(1, workload::cpu_descriptor("gcc"), "gcc");
     s.start();
     s.warmup_and_measure(2_s, 3_s);
     return s.metrics().rate("sphinx3").per_second();
@@ -157,11 +157,11 @@ TEST(IntegrationTest, Atc6msAdminSliceDegradesCpuApps) {
     for (int j = 0; j < 3; ++j) {
       auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1});
       s.add_bsp_app("vc" + std::to_string(j),
-                    workload::npb_profile("lu", workload::NpbClass::kB),
+                    workload::npb_descriptor("lu", workload::NpbClass::kB),
                     std::move(vms));
     }
     virt::Vm& cpu =
-        s.add_cpu_vm(0, workload::CpuBoundWorkload::sphinx3(), "sphinx3");
+        s.add_loop_vm(0, workload::cpu_descriptor("sphinx3"), "sphinx3");
     if (admin6) cpu.set_admin_slice(6_ms);
     s.start();
     s.warmup_and_measure(2_s, 3_s);

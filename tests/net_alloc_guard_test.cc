@@ -156,7 +156,8 @@ TEST(NetAllocGuardTest, BspSuperstepCycleSteadyStateIsAllocationFree) {
   workload::BspConfig cfg;
   cfg.compute_per_superstep = 600_us;
   cfg.sync_rounds = 3;
-  workload::BspApp app(vms, cfg, sim::Rng(9), &supersteps, &iterations);
+  workload::BspApp app(vms, workload::Descriptor::from_bsp(cfg), sim::Rng(9),
+                       &supersteps, &iterations);
   app.attach();
   for (int n = 0; n < 2; ++n) {
     platform.set_scheduler(virt::NodeId{n},

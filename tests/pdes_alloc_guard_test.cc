@@ -102,8 +102,10 @@ class Exec final : public sim::ShardExecutor {
 // a delivery on shard d immediately sends the ball back from d's side, so
 // traffic flows through both (0 -> 1) and (1 -> 0) mailboxes every round.
 // As in cluster::Scenario, guests carry global ids and every shard routes
-// through its own location-directory replica.
+// through its own location-directory replica, and the mailboxes start at
+// Scenario's cold-start size.
 struct ShardedPktRig {
+  static constexpr std::size_t kMailboxSlots = 256;
   virt::ModelParams params;
   net::ShardFabric fabric;
 
@@ -121,7 +123,7 @@ struct ShardedPktRig {
   std::uint64_t delivered = 0;
 
   explicit ShardedPktRig(std::size_t threads)
-      : fabric(2, params.pdes_mailbox_slots) {
+      : fabric(2, kMailboxSlots) {
     for (int s = 0; s < 2; ++s) {
       auto stack = std::make_unique<Stack>();
       virt::PlatformConfig pc;

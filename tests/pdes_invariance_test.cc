@@ -426,7 +426,7 @@ TEST(PdesInvarianceTest, BuilderRejectsUnusableShardCounts) {
   // A wire latency below the lookahead floor would make rounds advance less
   // than a microsecond of simulated time each.
   virt::ModelParams params;
-  params.wire_latency = 500;  // ns, below the 1us pdes_lookahead_floor
+  params.wire_latency = 500;  // ns, below the 1 us PDES lookahead floor
   EXPECT_THROW(
       ScenarioBuilder{}.nodes(4).shards(2).params(params).validated(),
       std::invalid_argument);

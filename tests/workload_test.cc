@@ -59,7 +59,8 @@ TEST(BspTest, SingleVmAppCompletesSupersteps) {
   cfg.supersteps_per_iteration = 5;
   auto& steps = rig.metrics.durations("app/superstep");
   auto& iters = rig.metrics.durations("app/iteration");
-  workload::BspApp app({&vm}, cfg, sim::Rng(1), &steps, &iters);
+  workload::BspApp app({&vm}, workload::Descriptor::from_bsp(cfg),
+                       sim::Rng(1), &steps, &iters);
   app.attach();
   rig.start();
   rig.simulation.run_until(2_s);
@@ -77,7 +78,8 @@ TEST(BspTest, UncontendedSuperstepTakesAboutComputeTime) {
   cfg.sync_rounds = 1;
   cfg.compute_jitter = 0.0;
   auto& steps = rig.metrics.durations("app/superstep");
-  workload::BspApp app({&vm}, cfg, sim::Rng(1), &steps, nullptr);
+  workload::BspApp app({&vm}, workload::Descriptor::from_bsp(cfg),
+                       sim::Rng(1), &steps, nullptr);
   app.attach();
   rig.start();
   rig.simulation.run_until(1_s);
@@ -93,7 +95,8 @@ TEST(BspTest, CrossVmAppSynchronizesThroughTheNetwork) {
   cfg.compute_per_superstep = 2_ms;
   cfg.sync_rounds = 1;
   cfg.bytes_per_msg = 64 * 1024;
-  workload::BspApp app({&a, &b}, cfg, sim::Rng(1), nullptr, nullptr);
+  workload::BspApp app({&a, &b}, workload::Descriptor::from_bsp(cfg),
+                       sim::Rng(1), nullptr, nullptr);
   app.attach();
   rig.start();
   rig.simulation.run_until(1_s);
@@ -113,7 +116,8 @@ TEST(BspTest, ContendedSuperstepsSlowWithCoTenants) {
     for (int c = 0; c < clusters; ++c) {
       virt::Vm& vm = rig.vm(0, 2, virt::VmType::kParallel);
       rig.apps.push_back(std::make_unique<workload::BspApp>(
-          std::vector<virt::Vm*>{&vm}, cfg, sim::Rng(1), nullptr, nullptr));
+          std::vector<virt::Vm*>{&vm}, workload::Descriptor::from_bsp(cfg),
+          sim::Rng(1), nullptr, nullptr));
       rig.apps.back()->attach();
       apps.push_back(rig.apps.back().get());
     }
@@ -130,8 +134,9 @@ TEST(BspTest, SpinLatencyRecordedPerVm) {
   virt::Vm& b = rig.vm(0, 2, virt::VmType::kParallel);
   workload::BspConfig cfg;
   cfg.compute_per_superstep = 2_ms;
-  workload::BspApp app1({&a}, cfg, sim::Rng(1), nullptr, nullptr);
-  workload::BspApp app2({&b}, cfg, sim::Rng(2), nullptr, nullptr);
+  const workload::Descriptor desc = workload::Descriptor::from_bsp(cfg);
+  workload::BspApp app1({&a}, desc, sim::Rng(1), nullptr, nullptr);
+  workload::BspApp app2({&b}, desc, sim::Rng(2), nullptr, nullptr);
   app1.attach();
   app2.attach();
   rig.start();
@@ -175,9 +180,9 @@ TEST(NpbProfilesTest, UnknownAppThrows) {
 TEST(CpuWorkloadTest, CountsCompletedWork) {
   WlRig rig;
   virt::Vm& vm = rig.vm(0, 1, virt::VmType::kNonParallel);
-  auto cfg = workload::CpuBoundWorkload::sphinx3();
-  rig.workloads.push_back(std::make_unique<workload::CpuBoundWorkload>(
-      cfg, sim::Rng(4), &rig.metrics.rate("cpu")));
+  rig.workloads.push_back(std::make_unique<workload::LoopWorkload>(
+      *rig.network, vm, workload::cpu_descriptor("sphinx3"), sim::Rng(4),
+      &rig.metrics.rate("cpu")));
   vm.vcpus()[0]->set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(2_s);
@@ -186,9 +191,9 @@ TEST(CpuWorkloadTest, CountsCompletedWork) {
 }
 
 TEST(CpuWorkloadTest, StreamReportsBandwidthUnits) {
-  const auto cfg = workload::CpuBoundWorkload::stream();
-  EXPECT_GT(cfg.units_per_second_of_work, 1.0);  // MB per CPU-second
-  EXPECT_GT(cfg.cache_sens, 1.5);                // bandwidth-bound
+  const auto desc = workload::cpu_descriptor("stream");
+  EXPECT_GT(desc.rate_units, 1.0);         // MB per CPU-second
+  EXPECT_GT(desc.cache_sensitivity, 1.5);  // bandwidth-bound
 }
 
 TEST(PingTest, RecordsRoundTrips) {
@@ -227,7 +232,8 @@ TEST(PingTest, RttGrowsWhenPeerContended) {
       workload::BspConfig cfg;
       cfg.compute_per_superstep = 5_ms;
       rig.apps.push_back(std::make_unique<workload::BspApp>(
-          std::vector<virt::Vm*>{&spin}, cfg, sim::Rng(1), nullptr, nullptr));
+          std::vector<virt::Vm*>{&spin}, workload::Descriptor::from_bsp(cfg),
+          sim::Rng(1), nullptr, nullptr));
       rig.apps.back()->attach();
     }
     rig.start();
