@@ -8,6 +8,9 @@
 //                               "tickle"); shrinks CR's I/O waits
 //   * no tick preemption     -> under-served VMs wait whole slices
 //   * coarse jitter          -> straggler spread dominates sub-ms slices
+#include <cstdio>
+#include <iostream>
+
 #include "report_common.h"
 
 using namespace atcsim;

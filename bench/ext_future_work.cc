@@ -7,6 +7,9 @@
 //  2. Flexible non-parallel slices (adaptive_nonparallel): web-like VMs are
 //     detected by wake-up rate and given a shorter slice automatically
 //     (instead of the static admin interface), CPU VMs keep the default.
+#include <cstdio>
+#include <iostream>
+
 #include "report_common.h"
 
 using namespace atcsim;

@@ -5,6 +5,9 @@
 // Paper shape: CS's normalized execution time *increases* with cluster size
 // (0.30 at 2 VMs -> 0.44 at 32 VMs): gang dispatch fixes intra-VM stalls but
 // VMs of one cluster on different nodes stay unaligned.
+#include <cstdio>
+#include <iostream>
+
 #include "report_common.h"
 
 using namespace atcsim;

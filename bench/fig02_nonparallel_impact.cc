@@ -4,6 +4,9 @@
 // hosting bonnie++, sphinx3, stream and ping.  Paper shape: under CS, ping
 // RTT is ~1.75x CR, sphinx3 ~1.11x slower, stream slightly slower, bonnie++
 // roughly unaffected.
+#include <cstdio>
+#include <iostream>
+
 #include "report_common.h"
 
 using namespace atcsim;

@@ -9,6 +9,8 @@
 // The (app x slice) grid is declared as one exp::SweepSpec and executed in
 // parallel with result caching; re-runs with a warm .atcsim-cache/ skip the
 // simulations entirely.
+#include <cstdio>
+#include <iostream>
 #include <vector>
 
 #include "report_common.h"

@@ -8,6 +8,8 @@
 // metric over {0.5, 0.4, 0.3, 0.2, 0.1, 0.03} ms picks 0.3 ms as the uniform
 // minimum time-slice threshold (paper distances: 0.034, 0.020, 0.018, 0.049,
 // 0.039, 0.069).
+#include <cstdio>
+#include <iostream>
 #include <map>
 #include <vector>
 

@@ -4,6 +4,9 @@
 // Paper shape: sphinx3 (CPU-bound) degrades as the slice shrinks (context
 // switches), ping RTT *improves* (the peer gets scheduled sooner), stream
 // suffers slightly (cache flushes).
+#include <cstdio>
+#include <iostream>
+
 #include "report_common.h"
 
 using namespace atcsim;

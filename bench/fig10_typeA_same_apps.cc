@@ -8,6 +8,8 @@
 //
 // The (app x approach x nodes) grid — CR baselines included — runs through
 // the experiment runner: parallel across host cores and cached on disk.
+#include <cstdio>
+#include <iostream>
 #include <map>
 #include <utility>
 

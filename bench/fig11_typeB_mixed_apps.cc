@@ -5,6 +5,9 @@
 // proportions) each running a random NPB class-B code, the remaining 30 VMs
 // independent (lu/is).  Paper shape (VC1/sp example): ATC 0.25, DSS 0.45,
 // CS 0.49, BS 0.90, CR 1.
+#include <cstdio>
+#include <iostream>
+
 #include "report_common.h"
 #include "cluster/trace.h"
 

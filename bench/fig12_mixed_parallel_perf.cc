@@ -4,6 +4,9 @@
 // Paper shape: ATC(30ms)/ATC(6ms) best; CS better than DSS here (DSS is
 // misled by latency-insensitive co-tenants that keep long slices); DSS
 // better than VS; BS ~ CR.
+#include <cstdio>
+#include <iostream>
+
 #include "mixed_common.h"
 
 using namespace atcsim;

@@ -5,6 +5,9 @@
 // worse under CS and ATC(6ms) (extra cache flushes); web-server performance
 // collapses under CS (~0.35x CR) and *improves* under VS, DSS and ATC(6ms)
 // (higher scheduling frequency -> shorter response time).
+#include <cstdio>
+#include <iostream>
+
 #include "mixed_common.h"
 
 using namespace atcsim;

@@ -3,6 +3,9 @@
 //
 // Paper shape: CS and ATC(6ms) degrade CPU-bound apps (VM preemption /
 // extra context switches); BS, VS, DSS and ATC(30ms) approximate CR.
+#include <cstdio>
+#include <iostream>
+
 #include "mixed_common.h"
 
 using namespace atcsim;

@@ -23,9 +23,9 @@
 //    immediately followed by rebucket() (the old resort_queues()).
 //
 // The pre-rewrite linear-scan structure survives verbatim as
-// sched::LinearRunQueues (run_queue_ref.h); a differential property test
-// drives both through randomized enqueue/remove/steal/refill sequences and
-// asserts identical pick order, and bench/sched_report measures both.
+// sched::LinearRunQueues (tests/run_queue_ref.h); a differential property
+// test drives both through randomized enqueue/remove/steal/refill sequences
+// and asserts identical pick order.
 #pragma once
 
 #include <array>

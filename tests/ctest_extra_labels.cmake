@@ -14,3 +14,6 @@ endforeach()
 foreach(t IN LISTS descriptor_fuzz_test_TESTS)
   set_tests_properties("${t}" PROPERTIES LABELS "slow;fuzz;pdes")
 endforeach()
+foreach(t IN LISTS claims_test_TESTS)
+  set_tests_properties("${t}" PROPERTIES LABELS "slow;claims")
+endforeach()

@@ -18,8 +18,8 @@
 
 #include <vector>
 
+#include "run_queue_ref.h"
 #include "sched/run_queue.h"
-#include "sched/run_queue_ref.h"
 #include "simcore/rng.h"
 #include "simcore/simulation.h"
 #include "virt/platform.h"
@@ -215,12 +215,22 @@ TEST(RunQueueDifferentialTest, SmallTopologyManySeeds) {
   }
 }
 
+// Two 8-PCPU shapes: 6 VMs x 4 VCPUs, and the paper's 8-VCPU parallel VMs
+// consolidated 8 deep, so the queues carry realistic depth.
 TEST(RunQueueDifferentialTest, WideTopology) {
-  for (std::uint64_t seed = 100; seed <= 105; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    RunQueueDifferential diff(/*pcpus=*/8, /*guest_vms=*/6,
-                              /*vcpus_per_vm=*/4, seed);
-    diff.run(4000);
+  struct Shape {
+    int guest_vms;
+    int vcpus_per_vm;
+    int steps;
+  };
+  for (const Shape shape : {Shape{6, 4, 4000}, Shape{8, 8, 8000}}) {
+    for (std::uint64_t seed = 100; seed <= 105; ++seed) {
+      SCOPED_TRACE("vms " + std::to_string(shape.guest_vms) + " seed " +
+                   std::to_string(seed));
+      RunQueueDifferential diff(/*pcpus=*/8, shape.guest_vms,
+                                shape.vcpus_per_vm, seed);
+      diff.run(shape.steps);
+    }
   }
 }
 
