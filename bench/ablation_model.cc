@@ -57,7 +57,7 @@ int main() {
   auto add = [&](const std::string& name, const virt::ModelParams& p) {
     const Outcome o = run(p);
     t.add_row({name, metrics::fmt(o.cr_ms, 1), metrics::fmt(o.atc_ms, 1),
-               metrics::fmt(o.cr_ms / o.atc_ms, 1),
+               metrics::fmt_ratio(o.cr_ms, o.atc_ms, 1),
                metrics::fmt(o.atc_003_ms, 1)});
   };
 

@@ -38,7 +38,8 @@ int main() {
   for (int nodes : {2, 4, 8, 16, 32}) {
     const double cr = run(cluster::Approach::kCR, nodes);
     const double cs = run(cluster::Approach::kCS, nodes);
-    t.add_row({std::to_string(nodes), "1.000", metrics::fmt(cs / cr)});
+    t.add_row({std::to_string(nodes), metrics::fmt_ratio(cr, cr),
+               metrics::fmt_ratio(cs, cr)});
   }
   t.print(std::cout);
   std::printf("expected shape: CS column increases with cluster size "

@@ -62,16 +62,17 @@ int main() {
                    {"application", "metric", "CR", "CS", "CS/CR"});
   t.add_row({"bonnie++", "throughput (MB/s)", metrics::fmt(cr.bonnie_mbps, 1),
              metrics::fmt(cs.bonnie_mbps, 1),
-             metrics::fmt(cs.bonnie_mbps / cr.bonnie_mbps)});
-  t.add_row({"sphinx3", "norm. exec time", "1.000",
-             metrics::fmt(cr.sphinx_rate / cs.sphinx_rate),
-             metrics::fmt(cr.sphinx_rate / cs.sphinx_rate)});
+             metrics::fmt_ratio(cs.bonnie_mbps, cr.bonnie_mbps)});
+  t.add_row({"sphinx3", "norm. exec time",
+             metrics::fmt_ratio(cr.sphinx_rate, cr.sphinx_rate),
+             metrics::fmt_ratio(cr.sphinx_rate, cs.sphinx_rate),
+             metrics::fmt_ratio(cr.sphinx_rate, cs.sphinx_rate)});
   t.add_row({"stream", "bandwidth (MB/s)", metrics::fmt(cr.stream_mbps, 0),
              metrics::fmt(cs.stream_mbps, 0),
-             metrics::fmt(cs.stream_mbps / cr.stream_mbps)});
+             metrics::fmt_ratio(cs.stream_mbps, cr.stream_mbps)});
   t.add_row({"ping", "RTT (ms)", metrics::fmt(cr.ping_rtt_s * 1e3, 2),
              metrics::fmt(cs.ping_rtt_s * 1e3, 2),
-             metrics::fmt(cs.ping_rtt_s / cr.ping_rtt_s)});
+             metrics::fmt_ratio(cs.ping_rtt_s, cr.ping_rtt_s)});
   t.print(std::cout);
   std::printf("expected shape: ping RTT and sphinx3 exec time clearly worse "
               "under CS (paper: 1.75x / 1.11x); bonnie++ ~unchanged\n");

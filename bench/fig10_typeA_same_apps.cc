@@ -7,7 +7,7 @@
 // than CR; DSS between CS and ATC.
 //
 // The (app x approach x nodes) grid — CR baselines included — runs through
-// the experiment runner: parallel across host cores and cached on disk.
+// the experiment runner, parallel across host cores.
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       const double cr = cell(app, cluster::Approach::kCR, nodes);
       std::vector<std::string> row = {std::to_string(nodes)};
       for (cluster::Approach a : columns) {
-        row.push_back(metrics::fmt(cell(app, a, nodes) / cr));
+        row.push_back(metrics::fmt_ratio(cell(app, a, nodes), cr));
       }
       t.add_row(std::move(row));
     }

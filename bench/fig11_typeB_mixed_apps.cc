@@ -67,8 +67,7 @@ int main() {
   for (std::size_t k = 0; k < cr.keys.size(); ++k) {
     std::vector<std::string> row = {cr.keys[k]};
     for (const Run& r : results) {
-      row.push_back(cr.means[k] > 0 ? metrics::fmt(r.means[k] / cr.means[k])
-                                    : "n/a");
+      row.push_back(metrics::fmt_ratio(r.means[k], cr.means[k]));
     }
     t.add_row(std::move(row));
   }

@@ -29,7 +29,7 @@ int main() {
     for (const char* label :
          {"BS", "CS", "DSS", "VS", "ATC(30ms)", "ATC(6ms)"}) {
       const double v = results.at(label).parallel_mean.at(key);
-      row.push_back(base > 0 && v > 0 ? metrics::fmt(v / base) : "n/a");
+      row.push_back(metrics::fmt_ratio(v, base));
     }
     t.add_row(std::move(row));
   }

@@ -36,11 +36,11 @@ int main() {
        {"BS", "CS", "DSS", "VS", "ATC(30ms)", "ATC(6ms)"}) {
     const MixedResult& r = results.at(label);
     bonnie_row.push_back(
-        metrics::fmt(mean_of(r.rates, layout.disk_keys) / cr_bonnie));
+        metrics::fmt_ratio(mean_of(r.rates, layout.disk_keys), cr_bonnie));
     stream_row.push_back(
-        metrics::fmt(mean_of(r.rates, layout.stream_keys) / cr_stream));
+        metrics::fmt_ratio(mean_of(r.rates, layout.stream_keys), cr_stream));
     web_row.push_back(
-        metrics::fmt(cr_web / mean_of(r.web_resp, layout.web_keys)));
+        metrics::fmt_ratio(cr_web, mean_of(r.web_resp, layout.web_keys)));
   }
   t.add_row(std::move(bonnie_row));
   t.add_row(std::move(stream_row));

@@ -29,7 +29,7 @@ int main() {
          {"BS", "CS", "DSS", "VS", "ATC(30ms)", "ATC(6ms)"}) {
       const double rate =
           mean_of(results.at(label).rates, layout.cpu_keys, app);
-      row.push_back(rate > 0 ? metrics::fmt(base / rate) : "n/a");
+      row.push_back(metrics::fmt_ratio(base, rate));
     }
     t.add_row(std::move(row));
   }

@@ -6,9 +6,8 @@
 // ATC(6ms) uses the Sec. III-C administrator interface to give them a 6 ms
 // slice.
 //
-// All seven variants execute through the experiment runner as one cached
-// parallel sweep; the three figure binaries share its .atcsim-cache/
-// entries, so only the first of them ever simulates.
+// All seven variants execute through the experiment runner as parallel
+// sweeps; each of the three figure binaries simulates them afresh.
 #pragma once
 
 #include <algorithm>
@@ -170,11 +169,11 @@ inline exp::SweepSpec mixed_spec(const std::vector<cluster::Approach>& as,
   return spec;
 }
 
-/// Runs all seven variants (parallel, cached) and returns label -> result.
+/// Runs all seven variants in parallel and returns label -> result.
 inline std::map<std::string, MixedResult> run_mixed_all(
     std::uint64_t seed = 42) {
-  // Two sweeps over one cache namespace: every approach at the default
-  // admin slice, plus ATC with the 6 ms administrator slice.
+  // Two sweeps: every approach at the default admin slice, plus ATC with
+  // the 6 ms administrator slice.
   const auto spec_default =
       mixed_spec({cluster::Approach::kCR, cluster::Approach::kBS,
                   cluster::Approach::kCS, cluster::Approach::kDSS,

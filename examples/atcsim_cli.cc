@@ -3,12 +3,11 @@
 //
 //   $ ./atcsim_cli --app lu --class B --nodes 8 --approach ATC
 //                  --warmup-s 2 --measure-s 6 [--slice-ms 0.3] [--reps 3]
-//                  [--threads N] [--no-cache] [--csv] [--jsonl out.jsonl]
+//                  [--threads N] [--csv] [--jsonl out.jsonl]
 //
 // Builds evaluation type A (four identical virtual clusters of the chosen
 // app) through cluster::ScenarioBuilder and executes it via the experiment
-// runner (src/exp/): repetitions run in parallel and results are cached
-// under .atcsim-cache/, so re-running an explored configuration is free.
+// runner (src/exp/): repetitions run in parallel across host threads.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -40,9 +39,8 @@ struct Args {
   std::uint64_t seed = 42;
   int shards = 1;
   int reps = 1;
-  std::size_t threads = 0;
+  long long threads = 0;
   bool csv = false;
-  bool no_cache = false;
   std::string jsonl_path;
   bool auto_classify = false;
   bool trace = false;
@@ -56,7 +54,7 @@ void usage() {
       "                  [--nodes N] [--vcpus N] [--approach CR|CS|BS|DSS|VS|ATC]\n"
       "                  [--slice-ms X] [--warmup-s X] [--measure-s X]\n"
       "                  [--seed N] [--shards K] [--reps N] [--threads N]\n"
-      "                  [--no-cache] [--auto-classify] [--csv]\n"
+      "                  [--auto-classify] [--csv]\n"
       "                  [--jsonl PATH] [--trace]\n"
       "  --workload: run a workload descriptor instead of an NPB profile\n"
       "              (replaces --app/--class).  The argument is a descriptor\n"
@@ -136,11 +134,9 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (flag == "--threads") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
-      a.threads = static_cast<std::size_t>(std::atoll(v));
+      a.threads = std::atoll(v);
     } else if (flag == "--csv") {
       a.csv = true;
-    } else if (flag == "--no-cache") {
-      a.no_cache = true;
     } else if (flag == "--jsonl") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
@@ -153,8 +149,11 @@ std::optional<Args> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (a.nodes <= 0 || a.vcpus <= 0 || a.measure_s <= 0 || a.reps <= 0 ||
-      a.shards <= 0) {
+  // Negated comparisons so NaN values are rejected too.
+  const bool bad_slice = a.slice_ms && !(*a.slice_ms > 0);
+  if (a.nodes <= 0 || a.vcpus <= 0 || !(a.measure_s > 0) ||
+      !(a.warmup_s >= 0) || bad_slice || a.reps <= 0 || a.shards <= 0 ||
+      a.threads < 0) {
     return std::nullopt;
   }
   return a;
@@ -194,7 +193,6 @@ int main(int argc, char** argv) {
 
   exp::SweepSpec spec;
   spec.name = "atcsim_cli";
-  if (args->auto_classify) spec.tag = "auto-classify";
   std::string workload_name;
   if (!args->workload.empty()) {
     spec.workload = load_workload_text(args->workload);
@@ -226,8 +224,7 @@ int main(int argc, char** argv) {
   atc_cfg.auto_classify = args->auto_classify;
 
   exp::RunOptions opts;
-  opts.threads = args->threads;
-  opts.use_cache = !args->no_cache;
+  opts.threads = static_cast<std::size_t>(args->threads);
   opts.progress = !args->csv;
 
   std::vector<exp::TrialResult> results;

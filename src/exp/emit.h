@@ -16,7 +16,6 @@ namespace atcsim::exp {
 /// One JSONL row: trial config + metrics, e.g.
 ///   {"trial":0,"app":"lu","class":"B","approach":"CR","nodes":2,...,
 ///    "metrics":{"spin_s":0.0012,...}}
-/// `from_cache` is intentionally excluded so warm and cold runs match.
 std::string jsonl_row(const Trial& trial, const TrialResult& result);
 
 /// Writes every trial of the spec, ordered by trial id; `results[i]` must be

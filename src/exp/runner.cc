@@ -1,14 +1,9 @@
 #include "exp/runner.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <unistd.h>
 
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
@@ -18,26 +13,7 @@
 
 namespace atcsim::exp {
 
-namespace fs = std::filesystem;
-
 namespace {
-
-constexpr const char* kCacheHeader = "# atcsim trial v1";
-
-bool cache_disabled_by_env() {
-  const char* env = std::getenv("ATCSIM_NO_CACHE");
-  return env != nullptr && std::strcmp(env, "0") != 0;
-}
-
-std::string cache_root(const RunOptions& opts) {
-  if (!opts.cache_dir.empty()) return opts.cache_dir;
-  if (const char* env = std::getenv("ATCSIM_CACHE_DIR")) return env;
-  return ".atcsim-cache";
-}
-
-fs::path trial_path(const std::string& dir, const Trial& t) {
-  return fs::path(dir) / (hash_hex(trial_hash(t)) + ".trial");
-}
 
 std::string trace_root() {
   if (const char* env = std::getenv("ATCSIM_TRACE_DIR")) return env;
@@ -53,61 +29,14 @@ std::string trace_stem(const Trial& t) {
   return s;
 }
 
-bool load_cached(const fs::path& path, TrialResult& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line) || line != kCacheHeader) return false;
-  TrialResult r;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto tab = line.find('\t');
-    if (tab == std::string::npos) return false;
-    char* end = nullptr;
-    const double v = std::strtod(line.c_str() + tab + 1, &end);
-    if (end == line.c_str() + tab + 1) return false;
-    r.metrics[line.substr(0, tab)] = v;
-  }
-  out.metrics = std::move(r.metrics);
-  out.from_cache = true;
-  return true;
-}
-
-void store_cached(const fs::path& path, const TrialResult& r) {
-  std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-  if (ec) return;  // cache is best-effort; never fail the sweep
-  // Write-to-temp + rename so concurrent workers/processes never observe a
-  // half-written entry.
-  const fs::path tmp = path.string() + ".tmp" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp);
-    if (!out) return;
-    out << kCacheHeader << '\n';
-    char buf[64];
-    for (const auto& [name, value] : r.metrics) {
-      std::snprintf(buf, sizeof buf, "%.17g", value);
-      out << name << '\t' << buf << '\n';
-    }
-    if (!out) {
-      out.close();
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) fs::remove(tmp, ec);
-}
-
 /// Serialized progress/ETA reporting ("[12/60] 20% elapsed 3.2s eta 13.1s").
 class Progress {
  public:
-  Progress(std::size_t total, std::size_t cached, bool enabled)
+  Progress(std::size_t total, bool enabled)
       : total_(total), enabled_(enabled && total > 0),
         start_(std::chrono::steady_clock::now()) {
     if (!enabled_) return;
-    std::fprintf(stderr, "exp: %zu trials (%zu cached, %zu to run)\n", total_,
-                 cached, total_ - cached);
+    std::fprintf(stderr, "exp: %zu trials\n", total_);
   }
 
   void tick(const Trial& t) {
@@ -137,12 +66,6 @@ class Progress {
 };
 
 }  // namespace
-
-std::string cache_dir_for(const SweepSpec& spec, const RunOptions& opts) {
-  return (fs::path(cache_root(opts)) /
-          (spec.name + "-" + hash_hex(spec_hash(spec))))
-      .string();
-}
 
 TrialResult run_type_a_trial(const Trial& t, const atc::AtcConfig& atc_cfg) {
   cluster::ScenarioBuilder builder;
@@ -191,46 +114,17 @@ std::vector<TrialResult> run_sweep(const SweepSpec& spec, const TrialFn& fn,
                                    const RunOptions& opts) {
   const std::vector<Trial> trials = expand(spec);
   std::vector<TrialResult> results(trials.size());
-  // Traced sweeps always execute so the per-trial artifacts are regenerated.
-  const bool use_cache =
-      opts.use_cache && !cache_disabled_by_env() && !spec.trace;
-  const std::string dir = cache_dir_for(spec, opts);
-
-  std::vector<const Trial*> pending;
-  pending.reserve(trials.size());
-  for (const Trial& t : trials) {
-    results[static_cast<std::size_t>(t.id)].trial_id = t.id;
-    if (use_cache &&
-        load_cached(trial_path(dir, t),
-                    results[static_cast<std::size_t>(t.id)])) {
-      continue;
-    }
-    pending.push_back(&t);
-  }
-
-  Progress progress(trials.size(), trials.size() - pending.size(),
-                    opts.progress);
-  auto run_one = [&](const Trial& t) {
-    TrialResult r = fn(t);
-    r.trial_id = t.id;
-    r.from_cache = false;
-    if (use_cache) store_cached(trial_path(dir, t), r);
-    progress.tick(t);
-    results[static_cast<std::size_t>(t.id)] = std::move(r);
-  };
-
-  if (opts.threads == 1) {
-    for (const Trial* t : pending) run_one(*t);
-    return results;
-  }
-
-  sim::ThreadPool pool(opts.threads);
-  for (const Trial* t : pending) {
-    pool.submit([&run_one, t] { run_one(*t); });
-  }
-  pool.wait_idle();
-  auto errors = pool.take_exceptions();
-  if (!errors.empty()) std::rethrow_exception(errors.front());
+  Progress progress(trials.size(), opts.progress);
+  sim::parallel_for(
+      trials.size(),
+      [&](std::size_t i) {
+        const Trial& t = trials[i];
+        TrialResult r = fn(t);
+        r.trial_id = t.id;
+        progress.tick(t);
+        results[i] = std::move(r);
+      },
+      opts.threads);
   return results;
 }
 

@@ -1,15 +1,13 @@
-// Parallel sweep execution with an on-disk result cache.
+// Parallel sweep execution.
 //
-// run_sweep() expands a SweepSpec, skips every trial that already has a
-// cached result under `<cache_dir>/<spec-name>-<spec-hash>/`, fans the rest
-// out over a sim::ThreadPool (one single-threaded simulation per worker),
-// reports progress/ETA to stderr, and returns results ordered by trial id —
-// so a parallel run is byte-identical to a serial run of the same spec.
+// run_sweep() expands a SweepSpec, runs every trial through
+// sim::parallel_for (one single-threaded simulation per worker), reports
+// progress/ETA to stderr, and returns results ordered by trial id — so a
+// parallel run is byte-identical to a serial run of the same spec.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "exp/sweep.h"
@@ -18,23 +16,20 @@ namespace atcsim::exp {
 
 /// Runs one trial and returns its flat metrics.  Must be thread-safe across
 /// distinct trials (each call builds its own Scenario) and must not depend
-/// on execution order.  Exceptions escape run_sweep after the sweep drains.
+/// on execution order.
 using TrialFn = std::function<TrialResult(const Trial&)>;
 
 struct RunOptions {
   /// Worker threads; 0 = hardware concurrency.  1 runs strictly serially
-  /// on the calling thread (no pool), which the determinism test exploits.
+  /// on the calling thread, in trial-id order.
   std::size_t threads = 0;
-  /// Reuse/write `.atcsim-cache` entries.  Also forced off by the
-  /// ATCSIM_NO_CACHE=1 environment variable.
-  bool use_cache = true;
-  /// Cache root; empty = $ATCSIM_CACHE_DIR or ".atcsim-cache".
-  std::string cache_dir;
   /// Progress/ETA line on stderr.
   bool progress = true;
 };
 
 /// Executes every trial of `spec` through `fn`; result[i].trial_id == i.
+/// Every trial runs even when some throw; the exception of the lowest
+/// throwing trial id is then rethrown.
 std::vector<TrialResult> run_sweep(const SweepSpec& spec, const TrialFn& fn,
                                    const RunOptions& opts = {});
 
@@ -43,13 +38,7 @@ std::vector<TrialResult> run_sweep(const SweepSpec& spec, const TrialFn& fn,
 /// >= 0 is applied globally to every guest VM after start (the Fig. 5
 /// "xl sched-credit -t" control).  Metrics: superstep_s, spin_s,
 /// llc_miss_per_s, events.
-///
-/// When a non-default `atc_cfg` changes the outcome, salt SweepSpec::tag so
-/// the cache distinguishes the runs.
 TrialResult run_type_a_trial(const Trial& t,
                              const atc::AtcConfig& atc_cfg = {});
-
-/// Resolved cache directory for a spec ("<root>/<name>-<spec-hash>").
-std::string cache_dir_for(const SweepSpec& spec, const RunOptions& opts);
 
 }  // namespace atcsim::exp

@@ -1,15 +1,8 @@
 #include "exp/sweep.h"
 
-#include <cstdio>
-
 namespace atcsim::exp {
 
 namespace {
-
-// Bump when the simulation model changes in a way that invalidates cached
-// trial results (platform physics, workload profiles, metric definitions,
-// RNG stream layout).
-constexpr std::uint64_t kModelSchemaVersion = 2;
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -17,26 +10,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
-
-// FNV-1a, folded through splitmix for better diffusion of small ints.
-class Hasher {
- public:
-  void mix(std::uint64_t v) {
-    h_ ^= splitmix64(v);
-    h_ *= 0x100000001B3ULL;
-  }
-  void mix(const std::string& s) {
-    for (unsigned char c : s) {
-      h_ ^= c;
-      h_ *= 0x100000001B3ULL;
-    }
-    mix(s.size());
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
 
 }  // namespace
 
@@ -71,16 +44,12 @@ std::string Trial::label() const {
 }
 
 std::vector<Trial> expand(const SweepSpec& spec) {
-  // Descriptor sweeps canonicalize the text once (parse + print), so every
-  // textual spelling of the same workload shares trial hashes, and an
-  // invalid descriptor fails here — before any trial runs.
-  std::string desc_text;
+  // Descriptor sweeps parse the text once, so an invalid descriptor fails
+  // here — before any trial runs.
   std::vector<std::string> apps = spec.apps;
   std::vector<workload::NpbClass> classes = spec.classes;
   if (!spec.workload.empty()) {
-    const workload::Descriptor d = workload::Descriptor::parse(spec.workload);
-    desc_text = d.print();
-    apps = {d.name};
+    apps = {workload::Descriptor::parse(spec.workload).name};
     classes = {workload::NpbClass::kB};
   }
   std::vector<Trial> trials;
@@ -97,7 +66,7 @@ std::vector<Trial> expand(const SweepSpec& spec) {
                   Trial t;
                   t.id = id++;
                   t.app = app;
-                  t.descriptor = desc_text;
+                  t.descriptor = spec.workload;
                   t.cls = cls;
                   t.approach = approach;
                   t.nodes = n;
@@ -114,48 +83,6 @@ std::vector<Trial> expand(const SweepSpec& spec) {
                   trials.push_back(std::move(t));
                 }
   return trials;
-}
-
-std::uint64_t spec_hash(const SweepSpec& spec) {
-  Hasher h;
-  h.mix(kModelSchemaVersion);
-  h.mix(spec.name);
-  h.mix(spec.tag);
-  h.mix(static_cast<std::uint64_t>(spec.warmup));
-  h.mix(static_cast<std::uint64_t>(spec.measure));
-  h.mix(static_cast<std::uint64_t>(spec.vms_per_node));
-  h.mix(static_cast<std::uint64_t>(spec.pcpus_per_node));
-  // Metrics are shard-count invariant, but the events count is not.
-  h.mix(static_cast<std::uint64_t>(spec.shards));
-  h.mix(spec.workload);
-  return h.value();
-}
-
-std::uint64_t trial_hash(const Trial& t) {
-  Hasher h;
-  h.mix(t.app);
-  h.mix(static_cast<std::uint64_t>(t.cls));
-  h.mix(static_cast<std::uint64_t>(t.approach));
-  h.mix(static_cast<std::uint64_t>(t.nodes));
-  h.mix(static_cast<std::uint64_t>(t.vcpus));
-  h.mix(static_cast<std::uint64_t>(t.vms_per_node));
-  h.mix(static_cast<std::uint64_t>(t.pcpus_per_node));
-  h.mix(static_cast<std::uint64_t>(t.slice));
-  h.mix(t.base_seed);
-  h.mix(static_cast<std::uint64_t>(t.rep));
-  h.mix(static_cast<std::uint64_t>(t.warmup));
-  h.mix(static_cast<std::uint64_t>(t.measure));
-  h.mix(static_cast<std::uint64_t>(t.shards));
-  // Canonical descriptor text is the workload's content hash key.
-  h.mix(t.descriptor);
-  return h.value();
-}
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
 }
 
 }  // namespace atcsim::exp

@@ -26,15 +26,12 @@ inline constexpr sim::SimTime kAdaptiveSlice = -1;
 /// full product in a fixed nesting order (apps outermost, repetitions
 /// innermost), so trial ids are stable for a given spec.
 struct SweepSpec {
-  std::string name = "sweep";  ///< cache namespace + emitter file stem
-  std::string tag;             ///< extra cache salt for off-grid knobs
+  std::string name = "sweep";  ///< emitter file stem
 
   /// Workload descriptor text (workload/descriptor.h).  When non-empty it
   /// replaces the apps/classes axes: every trial builds this descriptor
-  /// instead of an NPB profile, trial labels use the descriptor's name, and
-  /// the text is content-hashed into spec/trial hashes (empty descriptors
-  /// hash exactly as before, so existing caches stay warm).  expand()
-  /// throws workload::DescriptorError on invalid text.
+  /// instead of an NPB profile and trial labels use the descriptor's name.
+  /// expand() throws workload::DescriptorError on invalid text.
   std::string workload;
 
   std::vector<std::string> apps = {"lu"};
@@ -49,16 +46,14 @@ struct SweepSpec {
   int vms_per_node = 4;
   int pcpus_per_node = 8;
   /// Conservative-PDES shard count applied to every trial (1 = classic
-  /// single-threaded run).  Hashed only when != 1 so existing caches and
-  /// golden sweep ids survive unchanged.
+  /// single-threaded run).
   int shards = 1;
   sim::SimTime warmup = sim::kSecond;
   sim::SimTime measure = 5 * sim::kSecond;
 
   /// Capture a structured trace (and run the invariant checker) in every
-  /// trial; artifacts land under $ATCSIM_TRACE_DIR (default "traces/").
-  /// Excluded from spec_hash/trial_hash; a traced sweep bypasses the result
-  /// cache so the artifacts are always regenerated.
+  /// trial; artifacts land under $ATCSIM_TRACE_DIR (default "traces/"),
+  /// named by Trial::label().
   bool trace = false;
 
   std::size_t grid_size() const;
@@ -69,7 +64,7 @@ struct SweepSpec {
 struct Trial {
   int id = 0;
   std::string app;
-  /// Canonical descriptor text (SweepSpec::workload); empty for NPB-profile
+  /// Descriptor text (SweepSpec::workload); empty for NPB-profile
   /// trials.  When set, `app` holds the descriptor's workload name and
   /// `cls` is ignored.
   std::string descriptor;
@@ -82,39 +77,27 @@ struct Trial {
   sim::SimTime slice = kAdaptiveSlice;
   std::uint64_t base_seed = 42;
   int rep = 0;
-  int shards = 1;  ///< copied from SweepSpec::shards; hashed only when != 1
+  int shards = 1;  ///< copied from SweepSpec::shards
   sim::SimTime warmup = sim::kSecond;
   sim::SimTime measure = 5 * sim::kSecond;
-  bool trace = false;  ///< copied from SweepSpec::trace; not hashed
+  bool trace = false;  ///< copied from SweepSpec::trace
 
   /// Scenario seed: splitmix of (base_seed, rep), so repetitions are
   /// independent streams and rep 0 of seed S != rep 1 of seed S.
   std::uint64_t seed() const;
 
   /// Human-readable cell label, e.g. "lu.B/ATC/n8/v8/adaptive/s42/r0".
+  /// Traced trials name their artifacts by it.
   std::string label() const;
 };
 
 /// Flat metric bundle produced by running one trial.
 struct TrialResult {
   int trial_id = -1;
-  bool from_cache = false;
   std::map<std::string, double> metrics;
 };
 
 /// Expands the grid; result[i].id == i.
 std::vector<Trial> expand(const SweepSpec& spec);
-
-/// Content hash over the spec-level knobs that affect every trial's outcome
-/// (name, tag, durations, platform shape, model schema version).  Cache
-/// directory name; intentionally excludes the axis lists so overlapping
-/// sweeps share cached trials.
-std::uint64_t spec_hash(const SweepSpec& spec);
-
-/// Content hash of one trial's own configuration (cache file name).
-std::uint64_t trial_hash(const Trial& t);
-
-/// Fixed-width lowercase hex of a hash value.
-std::string hash_hex(std::uint64_t h);
 
 }  // namespace atcsim::exp

@@ -56,6 +56,10 @@ std::string fmt(double v, int precision) {
   return buf;
 }
 
+std::string fmt_ratio(double num, double den, int precision) {
+  return num > 0 && den > 0 ? fmt(num / den, precision) : "n/a";
+}
+
 std::string fmt_ms(double ms) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%gms", ms);

@@ -27,6 +27,9 @@ class Table {
 
 /// Fixed-precision double formatting ("0.153").
 std::string fmt(double v, int precision = 3);
+/// `num / den` formatted like fmt(), or "n/a" when either operand is not
+/// positive (e.g. a cell that completed no superstep in its window).
+std::string fmt_ratio(double num, double den, int precision = 3);
 /// SimTime-in-milliseconds formatting ("0.3ms").
 std::string fmt_ms(double ms);
 

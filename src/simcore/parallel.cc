@@ -1,101 +1,42 @@
 #include "simcore/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <vector>
 
 namespace atcsim::sim {
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t max_queued)
-    : max_queued_(max_queued) {
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
+                  std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+  threads = std::min(threads, n);
 
-ThreadPool::~ThreadPool() {
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  auto work = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        body(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+
   {
-    std::lock_guard lock(mu_);
-    shutdown_ = true;
+    // jthreads join on scope exit, also when spawning one of them throws.
+    std::vector<std::jthread> workers;
+    for (std::size_t t = 1; t < threads; ++t) workers.emplace_back(work);
+    work();
   }
-  cv_task_.notify_all();
-  cv_space_.notify_all();
-  for (auto& w : workers_) w.join();
-}
 
-bool ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock lock(mu_);
-    if (max_queued_ > 0) {
-      cv_space_.wait(lock, [this] {
-        return shutdown_ || tasks_.size() < max_queued_;
-      });
-    }
-    // Checked on every path, not just after a blocked wait: workers have
-    // stopped draining once shutdown begins, so accepting a task here would
-    // leave in_flight_ > 0 forever and hang the next wait_idle().
-    if (shutdown_) return false;
-    tasks_.push(std::move(task));
-    ++in_flight_;
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
-  cv_task_.notify_one();
-  return true;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-std::vector<std::exception_ptr> ThreadPool::take_exceptions() {
-  std::lock_guard lock(mu_);
-  std::vector<std::exception_ptr> out;
-  out.swap(exceptions_);
-  return out;
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_task_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // shutdown with no work left
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    cv_space_.notify_one();
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mu_);
-      if (error) exceptions_.push_back(std::move(error));
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  if (n == 0) return;
-  if (n == 1) {
-    body(0);
-    return;
-  }
-  ThreadPool pool(threads);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&body, i] { body(i); });
-  }
-  pool.wait_idle();
-  auto errors = pool.take_exceptions();
-  if (!errors.empty()) std::rethrow_exception(errors.front());
 }
 
 }  // namespace atcsim::sim

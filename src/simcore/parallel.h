@@ -2,68 +2,20 @@
 //
 // Each simulation instance is strictly single-threaded; experiments run many
 // independent instances (one per configuration / repetition).  parallel_for
-// fans those out over a pool of worker threads.
+// fans those out over worker threads.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace atcsim::sim {
 
-/// Fixed-size thread pool.  A task that throws does not kill its worker:
-/// the exception is captured and handed back via take_exceptions() after
-/// wait_idle(), so a sweep drains fully before failures surface.
-class ThreadPool {
- public:
-  /// `threads == 0` selects std::thread::hardware_concurrency() (min 1).
-  /// `max_queued` bounds the task queue; submit() blocks while the queue is
-  /// full (backpressure for producers that enqueue faster than workers
-  /// drain).  0 means unbounded.  Only external threads may submit; a task
-  /// submitting into its own full pool would deadlock.
-  explicit ThreadPool(std::size_t threads = 0, std::size_t max_queued = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues `task`; with a bounded queue, blocks while the queue is full.
-  /// Returns false (task dropped, not run) when the pool is shutting down —
-  /// including when shutdown begins while submit is blocked on a full queue.
-  bool submit(std::function<void()> task);
-
-  /// Blocks until all submitted tasks have completed (or thrown).
-  void wait_idle();
-
-  /// Exceptions captured from completed tasks since the last call, in
-  /// completion order.  Call after wait_idle().
-  std::vector<std::exception_ptr> take_exceptions();
-
-  std::size_t thread_count() const { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_space_;
-  std::condition_variable cv_idle_;
-  std::vector<std::exception_ptr> exceptions_;
-  std::size_t max_queued_ = 0;
-  std::size_t in_flight_ = 0;
-  bool shutdown_ = false;
-};
-
-/// Runs body(i) for i in [0, n) across the pool and waits for completion.
-/// Iterations must be independent.  If any iteration throws, the first
-/// captured exception is rethrown after all iterations finish.
+/// Runs body(i) for every i in [0, n).  Workers (the caller plus up to
+/// `threads - 1` spawned threads) take indices from a shared atomic counter.
+/// `threads == 0` selects std::thread::hardware_concurrency(); `threads == 1`
+/// runs every iteration on the caller, in index order.  Iterations must be
+/// independent.  Every iteration runs even when some throw; afterwards the
+/// exception of the lowest throwing index is rethrown.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t threads = 0);
 

@@ -1,12 +1,14 @@
 // Experiment-runner subsystem: grid expansion, seed determinism, the
-// ScenarioBuilder contract, result caching, and the serial-vs-parallel
-// byte-identity guarantee the emitters provide.
+// ScenarioBuilder contract, the runner's run-every-trial and drain-then-
+// rethrow contracts, and the serial-vs-parallel byte-identity guarantee the
+// emitters provide.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <atomic>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "cluster/scenario.h"
 #include "exp/emit.h"
@@ -16,7 +18,6 @@
 namespace atcsim {
 namespace {
 
-namespace fs = std::filesystem;
 using namespace sim::time_literals;
 
 exp::SweepSpec small_grid() {
@@ -32,25 +33,6 @@ exp::SweepSpec small_grid() {
   spec.repetitions = 2;
   return spec;
 }
-
-class TempDir {
- public:
-  TempDir() {
-    path_ = fs::temp_directory_path() /
-            ("atcsim-exp-test-" + std::to_string(::getpid()) + "-" +
-             std::to_string(counter_++));
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  static inline int counter_ = 0;
-  fs::path path_;
-};
 
 TEST(SweepSpecTest, ExpandProducesFullGridWithStableIds) {
   const exp::SweepSpec spec = small_grid();
@@ -75,7 +57,6 @@ TEST(SweepSpecTest, ExpansionAndSeedsAreDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].seed(), b[i].seed()) << i;
     EXPECT_EQ(a[i].label(), b[i].label()) << i;
-    EXPECT_EQ(exp::trial_hash(a[i]), exp::trial_hash(b[i])) << i;
   }
 }
 
@@ -88,13 +69,13 @@ TEST(SweepSpecTest, RepZeroUsesBaseSeedAndRepsDiverge) {
   EXPECT_NE(trials[2].seed(), trials[1].seed());
 }
 
-TEST(SweepSpecTest, TrialHashDistinguishesEveryCell) {
+// Traced trials name their artifacts by label, so two cells of one grid
+// must never share a label.
+TEST(SweepSpecTest, LabelDistinguishesEveryCell) {
   const auto trials = exp::expand(small_grid());
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    for (std::size_t j = i + 1; j < trials.size(); ++j) {
-      EXPECT_NE(exp::trial_hash(trials[i]), exp::trial_hash(trials[j]))
-          << trials[i].label() << " vs " << trials[j].label();
-    }
+  std::set<std::string> labels;
+  for (const exp::Trial& t : trials) {
+    EXPECT_TRUE(labels.insert(t.label()).second) << t.label();
   }
 }
 
@@ -140,71 +121,46 @@ exp::TrialResult fake_trial(const exp::Trial& t,
   return r;
 }
 
-TEST(RunnerTest, CacheMissThenHitSkipsExecution) {
-  TempDir dir;
+TEST(RunnerTest, RerunExecutesEveryTrial) {
   const exp::SweepSpec spec = small_grid();
   exp::RunOptions opts;
-  opts.cache_dir = dir.str();
   opts.progress = false;
   std::atomic<int> invocations{0};
   auto fn = [&](const exp::Trial& t) { return fake_trial(t, &invocations); };
-
-  const auto cold = exp::run_sweep(spec, fn, opts);
-  EXPECT_EQ(invocations.load(), static_cast<int>(spec.grid_size()));
-  for (const auto& r : cold) EXPECT_FALSE(r.from_cache);
-
-  const auto warm = exp::run_sweep(spec, fn, opts);
-  EXPECT_EQ(invocations.load(), static_cast<int>(spec.grid_size()))
-      << "warm run must not re-execute any trial";
-  ASSERT_EQ(warm.size(), cold.size());
-  for (std::size_t i = 0; i < warm.size(); ++i) {
-    EXPECT_TRUE(warm[i].from_cache);
-    EXPECT_EQ(warm[i].metrics, cold[i].metrics);
+  const auto first = exp::run_sweep(spec, fn, opts);
+  const auto second = exp::run_sweep(spec, fn, opts);
+  EXPECT_EQ(invocations.load(), 2 * static_cast<int>(spec.grid_size()));
+  ASSERT_EQ(first.size(), spec.grid_size());
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].trial_id, static_cast<int>(i));
+    EXPECT_EQ(second[i].metrics, first[i].metrics);
   }
 }
 
-TEST(RunnerTest, CacheDisabledReExecutes) {
-  TempDir dir;
-  const exp::SweepSpec spec = small_grid();
-  exp::RunOptions opts;
-  opts.cache_dir = dir.str();
-  opts.progress = false;
-  opts.use_cache = false;
-  std::atomic<int> invocations{0};
-  auto fn = [&](const exp::Trial& t) { return fake_trial(t, &invocations); };
-  exp::run_sweep(spec, fn, opts);
-  exp::run_sweep(spec, fn, opts);
-  EXPECT_EQ(invocations.load(), 2 * static_cast<int>(spec.grid_size()));
-}
-
-TEST(RunnerTest, DifferentTagUsesDifferentCache) {
-  TempDir dir;
-  exp::SweepSpec spec = small_grid();
-  exp::RunOptions opts;
-  opts.cache_dir = dir.str();
-  opts.progress = false;
-  std::atomic<int> invocations{0};
-  auto fn = [&](const exp::Trial& t) { return fake_trial(t, &invocations); };
-  exp::run_sweep(spec, fn, opts);
-  spec.tag = "variant";
-  exp::run_sweep(spec, fn, opts);
-  EXPECT_EQ(invocations.load(), 2 * static_cast<int>(spec.grid_size()));
-}
-
 TEST(RunnerTest, TrialExceptionPropagatesAfterDrain) {
-  TempDir dir;
-  exp::SweepSpec spec = small_grid();
-  exp::RunOptions opts;
-  opts.cache_dir = dir.str();
-  opts.progress = false;
-  opts.threads = 2;
-  auto fn = [&](const exp::Trial& t) -> exp::TrialResult {
-    if (t.id == 3) throw std::runtime_error("trial 3 exploded");
-    exp::TrialResult r;
-    r.trial_id = t.id;
-    return r;
-  };
-  EXPECT_THROW(exp::run_sweep(spec, fn, opts), std::runtime_error);
+  const exp::SweepSpec spec = small_grid();
+  for (std::size_t threads : {1u, 2u}) {
+    exp::RunOptions opts;
+    opts.progress = false;
+    opts.threads = threads;
+    std::vector<std::atomic<int>> calls(spec.grid_size());
+    auto fn = [&](const exp::Trial& t) -> exp::TrialResult {
+      calls[static_cast<std::size_t>(t.id)].fetch_add(1);
+      if (t.id == 3) throw std::runtime_error("trial 3 exploded");
+      if (t.id == 9) throw std::logic_error("trial 9 exploded");
+      return exp::TrialResult{};
+    };
+    try {
+      exp::run_sweep(spec, fn, opts);
+      ADD_FAILURE() << "threads=" << threads << ": sweep did not throw";
+    } catch (const std::exception& e) {
+      EXPECT_STREQ(e.what(), "trial 3 exploded") << "threads=" << threads;
+    }
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].load(), 1) << "threads=" << threads << " trial " << i;
+    }
+  }
 }
 
 // The acceptance-criterion regression test: a 2-thread parallel sweep of a
@@ -228,11 +184,9 @@ TEST(RunnerTest, ParallelMatchesSerialByteForByte) {
 
   exp::RunOptions serial;
   serial.threads = 1;
-  serial.use_cache = false;
   serial.progress = false;
   exp::RunOptions parallel;
   parallel.threads = 2;
-  parallel.use_cache = false;
   parallel.progress = false;
 
   const auto serial_results = exp::run_sweep(spec, fn, serial);
@@ -250,36 +204,6 @@ TEST(RunnerTest, ParallelMatchesSerialByteForByte) {
   EXPECT_EQ(serial_csv.str(), parallel_csv.str());
 }
 
-TEST(RunnerTest, CachedRerunEmitsIdenticalJsonl) {
-  TempDir dir;
-  exp::SweepSpec spec;
-  spec.name = "exp_test_cache_jsonl";
-  spec.apps = {"is"};
-  spec.classes = {workload::NpbClass::kA};
-  spec.approaches = {cluster::Approach::kCR};
-  spec.nodes = {2};
-  spec.vcpus_per_vm = {4};
-  spec.vms_per_node = 2;
-  spec.warmup = 100_ms;
-  spec.measure = 300_ms;
-
-  exp::RunOptions opts;
-  opts.cache_dir = dir.str();
-  opts.progress = false;
-  auto fn = [](const exp::Trial& t) { return exp::run_type_a_trial(t); };
-
-  const auto cold = exp::run_sweep(spec, fn, opts);
-  const auto warm = exp::run_sweep(spec, fn, opts);
-  ASSERT_EQ(warm.size(), cold.size());
-  EXPECT_TRUE(warm[0].from_cache);
-
-  std::ostringstream a, b;
-  exp::write_jsonl(a, spec, cold);
-  exp::write_jsonl(b, spec, warm);
-  EXPECT_EQ(a.str(), b.str())
-      << "cache round-trip must preserve metric bits";
-}
-
 TEST(EmitTest, JsonlRowShape) {
   const auto trials = exp::expand(small_grid());
   exp::TrialResult r;
@@ -291,8 +215,6 @@ TEST(EmitTest, JsonlRowShape) {
   EXPECT_NE(row.find("\"approach\":\"CR\""), std::string::npos);
   EXPECT_NE(row.find("\"slice_ms\":null"), std::string::npos);
   EXPECT_NE(row.find("\"superstep_s\":0.125"), std::string::npos);
-  EXPECT_EQ(row.find("from_cache"), std::string::npos)
-      << "cache state must not leak into emitted rows";
 }
 
 }  // namespace

@@ -117,5 +117,15 @@ TEST(FmtTest, Formatting) {
   EXPECT_EQ(fmt_ms(30), "30ms");
 }
 
+TEST(FmtTest, RatioIsNotAvailableUnlessBothOperandsArePositive) {
+  EXPECT_EQ(fmt_ratio(1.0, 4.0), "0.250");
+  EXPECT_EQ(fmt_ratio(3.0, 2.0, 1), "1.5");
+  EXPECT_EQ(fmt_ratio(1.0, 0.0), "n/a");
+  EXPECT_EQ(fmt_ratio(0.0, 1.0), "n/a");
+  EXPECT_EQ(fmt_ratio(0.0, 0.0), "n/a");
+  EXPECT_EQ(fmt_ratio(-1.0, 2.0), "n/a");
+  EXPECT_EQ(fmt_ratio(std::nan(""), 1.0), "n/a");
+}
+
 }  // namespace
 }  // namespace atcsim::metrics

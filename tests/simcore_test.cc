@@ -3,10 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -405,91 +404,51 @@ TEST(ParallelTest, ParallelForCoversAllIndices) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ParallelTest, ThreadPoolRunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+TEST(ParallelTest, ParallelForWithOneThreadRunsOnCallerInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(
+      8,
+      [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+      },
+      1);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(ParallelTest, ThreadPoolCapturesTaskExceptions) {
-  ThreadPool pool(2);
+TEST(ParallelTest, ParallelForRunsEveryIterationDespiteExceptions) {
   std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&count, i] {
-      if (i % 2 == 0) throw std::runtime_error("boom " + std::to_string(i));
-      count.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 5) << "throwing tasks must not kill workers";
-  const auto errors = pool.take_exceptions();
-  EXPECT_EQ(errors.size(), 5u);
-  EXPECT_TRUE(pool.take_exceptions().empty()) << "take drains the list";
-}
-
-TEST(ParallelTest, BoundedQueueAppliesBackpressureWithoutLoss) {
-  ThreadPool pool(2, /*max_queued=*/4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&] { count.fetch_add(1); });  // blocks when queue is full
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ParallelTest, ThreadPoolShutdownUnblocksBlockedSubmit) {
-  // One worker pinned on a gate task + a full one-slot queue: the third
-  // submit must block.  Destroying the pool from another thread has to wake
-  // that submit and make it report the task as dropped — before the fix,
-  // the post-wait path re-enqueued into a dead pool (latent wait_idle hang).
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  auto pool = std::make_unique<ThreadPool>(1, /*max_queued=*/1);
-  ASSERT_TRUE(pool->submit([&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ran.fetch_add(1);
-  }));
-  ASSERT_TRUE(pool->submit([&] { ran.fetch_add(1); }));  // fills the queue
-
-  std::atomic<bool> submit_returned{false};
-  std::atomic<bool> accepted{true};
-  std::thread blocked([&] {
-    accepted.store(pool->submit([&] { ran.fetch_add(1); }));
-    submit_returned.store(true);
-  });
-  // Give the submitter time to block on the full queue; the worker is still
-  // gated, so the queue cannot drain.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(submit_returned.load()) << "submit should be blocked";
-
-  std::thread destroyer([&] { pool.reset(); });  // joins workers; needs gate
-  // Shutdown must wake the blocked submit even while workers are busy.
-  for (int i = 0; i < 2000 && !submit_returned.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(submit_returned.load()) << "shutdown left submit blocked";
-  EXPECT_FALSE(accepted.load()) << "task must be reported dropped";
-  release.store(true);
-  blocked.join();
-  destroyer.join();
-  EXPECT_EQ(ran.load(), 2) << "gate task + queued task ran; blocked one dropped";
+  EXPECT_THROW(parallel_for(
+                   10,
+                   [&count](std::size_t i) {
+                     if (i % 2 == 0) {
+                       throw std::runtime_error("boom " + std::to_string(i));
+                     }
+                     count.fetch_add(1);
+                   },
+                   2),
+               std::runtime_error);
+  EXPECT_EQ(count.load(), 5) << "throwing iterations must not stop the rest";
 }
 
 TEST(ParallelTest, ParallelForRethrowsFirstException) {
-  EXPECT_THROW(
+  // The lowest throwing index wins, whichever worker finished first.
+  for (std::size_t threads : {1u, 4u}) {
+    try {
       parallel_for(
           16,
           [](std::size_t i) {
-            if (i == 7) throw std::runtime_error("iteration 7");
+            if (i == 7 || i == 12) {
+              throw std::runtime_error("iteration " + std::to_string(i));
+            }
           },
-          4),
-      std::runtime_error);
+          threads);
+      ADD_FAILURE() << "threads=" << threads << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "iteration 7") << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
