@@ -429,21 +429,21 @@ void Scenario::schedule_migration(virt::Vm& vm, SimTime at, int dest_node) {
   const int src_node =
       vm.node().platform().global_node_id(vm.node());
   const int k = shard_of_node(src_node);
-  ShardStack& stack = this->stack(k);
-  const std::int64_t gid = vm.global_id();
+  ShardStack* stack = &this->stack(k);
   // The migration acts on the network at `at`; the shard output bound must
   // see it from the moment it is scheduled (HttperfClient::arrival pattern).
-  stack.platform->engine().note_effect_at(at);
+  stack->platform->engine().note_effect_at(at);
   virt::Vm* vmp = &vm;
-  control::Migrator* migrator = stack.migrator.get();
-  virt::LocationDirectory* directory = stack.directory.get();
-  stack.simulation.call_at(at, [vmp, migrator, directory, gid, k, dest_node] {
+  // The order reaches the shard's directory and migrator through its
+  // heap-stable stack, which keeps the capture within InlineCallback's
+  // 24 bytes; the VM's global id is written once, at registration.
+  stack->simulation.call_at(at, [stack, vmp, k, dest_node] {
     // Skip silently if the VM moved off this shard in the meantime, is in
     // transit, became unmigratable, or already sits on the target.
-    const virt::VmLocation& loc = directory->at(gid);
+    const virt::VmLocation& loc = stack->directory->at(vmp->global_id());
     if (loc.shard != k || loc.node_global == dest_node) return;
-    if (!migrator->can_migrate(*vmp)) return;
-    migrator->migrate(*vmp, dest_node);
+    if (!stack->migrator->can_migrate(*vmp)) return;
+    stack->migrator->migrate(*vmp, dest_node);
   });
 }
 

@@ -36,8 +36,10 @@ namespace {
 /// Initial capacity of each dom0 backend's job ring (expected in-flight
 /// netback/blkback jobs per node), a power of two.  The ring doubles when
 /// it fills — tracing a net.ring_grow event — so this only sets the
-/// cold-start size; at ~80 B/slot it costs 512 nodes * 64 * 80 B ≈ 2.6 MB.
-constexpr std::size_t kDom0RingSlots = 64;
+/// cold-start size.  Most nodes never queue more than four jobs; the few
+/// busier ones grow during warm-up.  At 48 B/slot it costs
+/// 16384 nodes * 8 * 48 B = 6 MiB.
+constexpr std::size_t kDom0RingSlots = 8;
 static_assert((kDom0RingSlots & (kDom0RingSlots - 1)) == 0,
               "the ring wraps with a mask");
 

@@ -59,7 +59,7 @@ class Dom0Backend : public virt::Workload {
   std::string name() const override { return "dom0-backend"; }
 
   std::size_t backlog() const { return job_count_; }
-  /// Capacity of the job ring (64 slots at construction; doubles on
+  /// Capacity of the job ring (8 slots at construction; doubles on
   /// overflow, tracing a net.ring_grow event).
   std::size_t ring_capacity() const { return jobs_.size(); }
 

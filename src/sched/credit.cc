@@ -16,6 +16,7 @@ using virt::VcpuState;
 
 namespace {
 
+#if ATCSIM_TRACE_ENABLED
 /// Credit balances are traced in millicredits so events stay integral.
 std::int64_t mcr(double credits) { return std::llround(credits * 1e3); }
 
@@ -33,6 +34,7 @@ obs::TraceEvent sched_event(SimTime now, std::uint8_t type, const Vcpu& v,
   e.a1 = a1;
   return e;
 }
+#endif
 
 }  // namespace
 

@@ -6,7 +6,7 @@ namespace atcsim::sim {
 
 // ------------------------------------------------------------ 4-ary heap --
 //
-// Children of i live at 4i+1..4i+4, parent at (i-1)/4.  With 24-byte keys a
+// Children of i live at 4i+1..4i+4, parent at (i-1)/4.  With 16-byte keys a
 // node's children span at most two cache lines, and the tree is half as deep
 // as a binary heap, which is what makes sift_down cheap on large queues.
 

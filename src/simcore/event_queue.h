@@ -3,7 +3,7 @@
 // Zero-allocation design (see DESIGN.md §7 "Event core"):
 //
 //  * Callbacks are stored in `InlineCallback`, a small-buffer-optimized
-//    callable with a fixed 64-byte inline buffer.  Oversized or
+//    callable with a fixed 24-byte inline buffer.  Oversized or
 //    throwing-move callables fail to compile (static_assert), so the hot
 //    path can never fall back to the heap.
 //  * Liveness is tracked by generation-tagged slab slots instead of a hash
@@ -45,7 +45,7 @@
 
 namespace atcsim::sim {
 
-// InlineCallback — the 64-byte SBO callable the queue stores — lives in
+// InlineCallback — the 32-byte SBO callable the queue stores — lives in
 // simcore/inline_callback.h; it is shared with the split-driver packet
 // descriptors and the VM event-channel mailboxes.
 
@@ -163,7 +163,7 @@ class EventQueue {
     }
   };
 
-  /// Per-slot bookkeeping, split from the 72-byte callback payload: the
+  /// Per-slot bookkeeping, split from the 32-byte callback payload: the
   /// liveness checks on pop/next_time/compact hit this dense 16-byte array
   /// instead of sweeping the payload slab.
   struct SlotMeta {

@@ -23,7 +23,7 @@ namespace atcsim::sim {
 /// is a build error, not a silent heap fallback.
 class InlineCallback {
  public:
-  static constexpr std::size_t kCapacity = 64;
+  static constexpr std::size_t kCapacity = 24;
 
   InlineCallback() = default;
 

@@ -64,23 +64,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  if (have_gauss_) {
-    have_gauss_ = false;
-    return mean + stddev * gauss_spare_;
-  }
-  double u1;
-  do {
-    u1 = next_double();
-  } while (u1 <= 0.0);
-  const double u2 = next_double();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  gauss_spare_ = r * std::sin(theta);
-  have_gauss_ = true;
-  return mean + stddev * r * std::cos(theta);
-}
-
 SimTime Rng::jittered(SimTime base, double fraction) {
   assert(fraction >= 0.0);
   const double f = uniform(1.0 - fraction, 1.0 + fraction);

@@ -32,9 +32,6 @@ class Rng {
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean);
 
-  /// Gaussian (Box–Muller, both values used) with given mean/stddev.
-  double normal(double mean, double stddev);
-
   /// Duration jittered by +/- `fraction` uniformly, never below zero.
   SimTime jittered(SimTime base, double fraction);
 
@@ -49,8 +46,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  bool have_gauss_ = false;
-  double gauss_spare_ = 0.0;
 };
 
 }  // namespace atcsim::sim

@@ -32,6 +32,7 @@ void cpu_relax() {
 #endif
 }
 
+#if ATCSIM_TRACE_ENABLED
 obs::TraceEvent pdes_event(SimTime time, std::uint8_t type, std::int64_t a0,
                            std::int64_t a1) {
   obs::TraceEvent e;
@@ -42,6 +43,7 @@ obs::TraceEvent pdes_event(SimTime time, std::uint8_t type, std::int64_t a0,
   e.a1 = a1;
   return e;
 }
+#endif
 
 }  // namespace
 
@@ -308,6 +310,7 @@ std::uint64_t ShardGroup::run_until(SimTime deadline) {
     }
 
     const std::uint64_t extended = plan_horizons(m, deadline);
+#if ATCSIM_TRACE_ENABLED
     if (trace_ != nullptr) {
       SimTime h_min = kTimeNever, h_max = 0;
       for (const auto& slot : slots_) {
@@ -327,6 +330,7 @@ std::uint64_t ShardGroup::run_until(SimTime deadline) {
                               (h_min - classic) / lookahead_,
                               static_cast<std::int64_t>(extended)));
     }
+#endif
 
     if (round_prologue_) round_prologue_();
     run_fused();

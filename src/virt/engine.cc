@@ -16,6 +16,7 @@ using sim::SimTime;
 
 namespace {
 
+#if ATCSIM_TRACE_ENABLED
 /// Builds a kVcpu/kSync trace event with the VCPU's full identity.
 obs::TraceEvent vcpu_event(SimTime now, obs::TraceCat cat, std::uint8_t type,
                            const Vcpu& v, std::int64_t a0 = 0,
@@ -32,6 +33,7 @@ obs::TraceEvent vcpu_event(SimTime now, obs::TraceCat cat, std::uint8_t type,
   e.a1 = a1;
   return e;
 }
+#endif
 
 }  // namespace
 

@@ -146,15 +146,13 @@ virt::Action PingWorkload::next(virt::Vcpu& /*self*/) {
         reply_->reset();
       }
       sent_at_ = net_->simulation().now();
-      virt::SyncEvent* reply = reply_.get();
-      virt::Vm* peer = peer_;
-      virt::Vm* self_vm = vm_;
-      net::VirtualNetwork* net = net_;
-      const std::uint64_t bytes = cfg_.bytes;
       // Echo request; the peer's kernel replies as soon as the peer VM can
-      // take the interrupt (the deposit handler runs in its context).
-      net->send(*self_vm, *peer, bytes, [net, peer, self_vm, bytes, reply] {
-        net->send(*peer, *self_vm, bytes, [reply] { reply->signal(); });
+      // take the interrupt (the deposit handler runs in its context).  The
+      // handler reads only members fixed before the first send (reply_ is
+      // created once, then reset in place), so `this` is its whole context.
+      net_->send(*vm_, *peer_, cfg_.bytes, [this] {
+        net_->send(*peer_, *vm_, cfg_.bytes,
+                   [reply = reply_.get()] { reply->signal(); });
       });
       phase_ = Phase::kGotReply;
       return virt::Action::block_wait(*reply_);

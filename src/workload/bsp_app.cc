@@ -90,13 +90,18 @@ BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
 BspApp::~BspApp() = default;
 
 void BspApp::attach() {
+  assert(ranks_.empty() && "attach() runs once");
+  // One block for every rank: the VCPUs point into ranks_, so it is sized
+  // up front and never reallocates.
+  std::size_t total = 0;
+  for (const virt::Vm* vm : vm_ptrs_) total += vm->vcpu_count();
+  ranks_.reserve(total);
   int rank = 0;
   for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
     for (auto& vcpu : vm_ptrs_[i]->vcpus()) {
-      ranks_.push_back(std::make_unique<BspRank>(
+      vcpu->set_workload(&ranks_.emplace_back(
           *this, static_cast<int>(i), rank,
           rng_.split(static_cast<std::uint64_t>(rank))));
-      vcpu->set_workload(ranks_.back().get());
       ++rank;
     }
   }

@@ -133,7 +133,7 @@ class BspApp {
   /// and recycled in place (see barrier_index for the layout).
   std::vector<virt::SyncEvent> events_;
   std::vector<int> arrivals_;
-  std::vector<std::unique_ptr<BspRank>> ranks_;
+  std::vector<BspRank> ranks_;  ///< one per VCPU, built by attach()
   std::array<int, kGenWindow> coord_arrivals_{};
   std::uint64_t supersteps_done_ = 0;
   sim::SimTime superstep_start_ = 0;

@@ -233,8 +233,9 @@ TEST(AllocGuardTest, FreshSyncEventCyclesAreAllocationFree) {
   EXPECT_EQ(loop.waiting, &fresh);
 }
 
-// BspApp keeps every barrier event and arrival counter in two flat arrays,
-// so its construction cost in allocations does not grow with the VM count.
+// BspApp keeps every barrier event and arrival counter in two flat arrays
+// and every rank in a third, so its construction and attach() cost in
+// allocations does not grow with the VM count.
 TEST(AllocGuardTest, BspAppBarrierStorageIsFlat) {
   Simulation s;
   atcsim::virt::PlatformConfig pc;
@@ -255,6 +256,7 @@ TEST(AllocGuardTest, BspAppBarrierStorageIsFlat) {
     const std::uint64_t before = allocs();
     atcsim::workload::BspApp app(std::move(vms), desc, Rng(1), nullptr,
                                  nullptr);
+    app.attach();
     return allocs() - before;
   };
   EXPECT_EQ(build_allocs(4), build_allocs(64));

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "net/network.h"
+#include "obs/trace.h"
 #include "sched/credit.h"
 #include "virt/platform.h"
 
@@ -64,9 +68,10 @@ TEST(NetTest, SameNodeDeliveryGoesThroughDom0) {
   virt::Vm& b = rig.busy_vm(0);
   rig.start();
   sim::SimTime delivered = -1;
-  rig.simulation.call_at(1_ms, [&] {
+  auto send = [&] {
     rig.network->send(a, b, 1024, [&] { delivered = rig.simulation.now(); });
-  });
+  };
+  rig.simulation.call_at(1_ms, [&send] { send(); });
   rig.simulation.run_until(2_s);
   ASSERT_GE(delivered, 0);
   // dom0 must process tx + rx jobs (CPU cost) before delivery.
@@ -82,9 +87,10 @@ TEST(NetTest, CrossNodeDeliveryIncludesWireLatency) {
   virt::Vm& b = rig.busy_vm(1);
   rig.start();
   sim::SimTime delivered = -1;
-  rig.simulation.call_at(1_ms, [&] {
+  auto send = [&] {
     rig.network->send(a, b, 1024, [&] { delivered = rig.simulation.now(); });
-  });
+  };
+  rig.simulation.call_at(1_ms, [&send] { send(); });
   rig.simulation.run_until(2_s);
   ASSERT_GE(delivered, 0);
   EXPECT_GT(delivered, 1_ms + 500_us);
@@ -97,13 +103,15 @@ TEST(NetTest, LargeMessagesPaySerialization) {
   virt::Vm& b = rig.busy_vm(1);
   rig.start();
   sim::SimTime small = -1, big = -1;
-  rig.simulation.call_at(1_ms, [&] {
+  auto send_small = [&] {
     rig.network->send(a, b, 64, [&] { small = rig.simulation.now(); });
-  });
-  rig.simulation.call_at(500_ms, [&] {
+  };
+  auto send_big = [&] {
     rig.network->send(a, b, 10 * 1024 * 1024,
                       [&] { big = rig.simulation.now(); });
-  });
+  };
+  rig.simulation.call_at(1_ms, [&send_small] { send_small(); });
+  rig.simulation.call_at(500_ms, [&send_big] { send_big(); });
   rig.simulation.run_until(5_s);
   ASSERT_GE(small, 0);
   ASSERT_GE(big, 0);
@@ -117,12 +125,13 @@ TEST(NetTest, BackToBackMessagesQueueOnTheNic) {
   virt::Vm& b = rig.busy_vm(1);
   rig.start();
   std::vector<sim::SimTime> deliveries;
-  rig.simulation.call_at(1_ms, [&] {
+  auto send_three = [&] {
     for (int i = 0; i < 3; ++i) {
       rig.network->send(a, b, 4 * 1024 * 1024,
                         [&] { deliveries.push_back(rig.simulation.now()); });
     }
-  });
+  };
+  rig.simulation.call_at(1_ms, [&send_three] { send_three(); });
   rig.simulation.run_until(10_s);
   ASSERT_EQ(deliveries.size(), 3u);
   // 4MB = 32ms serialization; arrivals are spaced by at least that.
@@ -207,6 +216,57 @@ TEST(NetTest, Dom0BlocksWhenIdleAndWakesOnWork) {
   EXPECT_TRUE(delivered);
   EXPECT_EQ(dom0->vcpus()[0]->state(), virt::VcpuState::kBlocked);
   EXPECT_GT(dom0->totals().run_time, 0);
+}
+
+TEST(NetTest, Dom0RingDoublesInFifoOrderWithAWrappedHead) {
+  NetRig rig(1);
+#if ATCSIM_TRACE_ENABLED
+  obs::TraceSink sink;
+  rig.simulation.set_trace(&sink);
+#endif
+  rig.start();
+  net::Dom0Backend& dom0 = rig.network->backend(0);
+  std::vector<int> order;
+  auto job = [&order](int id) {
+    return net::Dom0Backend::Job{10_us, [&order, id] { order.push_back(id); }};
+  };
+  std::vector<std::size_t> capacity{dom0.ring_capacity()};
+  // Job 2's effect runs on busy dom0 while jobs 3 and 4 wait in slots 3
+  // and 4.  It queues fifteen more: the tail wraps past slot 7, and the
+  // ring doubles twice with its head at slot 3.
+  auto refill = [&] {
+    order.push_back(2);
+    for (int id = 5; id < 20; ++id) {
+      dom0.enqueue(job(id));
+      if (dom0.ring_capacity() != capacity.back()) {
+        capacity.push_back(dom0.ring_capacity());
+      }
+    }
+  };
+  dom0.enqueue(job(0));
+  dom0.enqueue(job(1));
+  dom0.enqueue({10_us, [&refill] { refill(); }});
+  dom0.enqueue(job(3));
+  dom0.enqueue(job(4));
+  rig.simulation.run_until(100_ms);
+
+  std::vector<int> fifo(20);
+  std::iota(fifo.begin(), fifo.end(), 0);
+  EXPECT_EQ(order, fifo);
+  EXPECT_EQ(capacity, (std::vector<std::size_t>{8, 16, 32}));
+  EXPECT_EQ(dom0.backlog(), 0u);
+#if ATCSIM_TRACE_ENABLED
+  // One net.ring_grow per doubling: a0 = new capacity, a1 = old.
+  std::vector<std::pair<std::int64_t, std::int64_t>> grows;
+  for (const obs::TraceEvent& e : sink.snapshot()) {
+    if (e.cat == obs::TraceCat::kNet && e.type == obs::ev::kRingGrow) {
+      EXPECT_EQ(e.node, 0);
+      grows.emplace_back(e.a0, e.a1);
+    }
+  }
+  EXPECT_EQ(grows, (std::vector<std::pair<std::int64_t, std::int64_t>>{
+                       {16, 8}, {32, 16}}));
+#endif
 }
 
 TEST(NetTest, CountersAccumulate) {

@@ -217,6 +217,21 @@ TEST(InlineCallbackTest, MoveTransfersAndEmptiesSource) {
   EXPECT_EQ(hits, 1);
 }
 
+TEST(InlineCallbackTest, IsThirtyTwoBytesAndHoldsThreePointers) {
+  EXPECT_EQ(sizeof(InlineCallback), 32u);
+  int a = 1, b = 2, c = 0;
+  int* pa = &a;
+  int* pb = &b;
+  int* pc = &c;
+  auto sum = [pa, pb, pc] { *pc = *pa + *pb; };
+  EXPECT_EQ(sizeof(sum), 24u);
+  InlineCallback first = sum;
+  InlineCallback second = std::move(first);
+  EXPECT_FALSE(static_cast<bool>(first));  // NOLINT: testing moved-from state
+  second();
+  EXPECT_EQ(c, 3);
+}
+
 TEST(InlineCallbackTest, DestroysCaptureExactlyOnce) {
   auto token = std::make_shared<int>(7);
   std::weak_ptr<int> watch = token;
@@ -351,7 +366,7 @@ TEST(StatsTest, MergeMatchesCombined) {
   OnlineStats a, b, all;
   Rng r(9);
   for (int i = 0; i < 500; ++i) {
-    const double v = r.normal(3.0, 2.0);
+    const double v = r.uniform(-1.0, 7.0);
     (i % 2 ? a : b).add(v);
     all.add(v);
   }
