@@ -18,13 +18,12 @@
 using namespace atcsim;
 using namespace atcsim::bench;
 
-int main(int argc, char** argv) {
+int main() {
   banner("Figure 5 — spinlock latency & performance vs time slice",
          "2 nodes x 4x16-VCPU VMs (8:1), four identical virtual clusters");
 
   exp::SweepSpec spec;
   spec.name = "fig05_tslice_sweep";
-  spec.trace = exp::trace_requested(argc, argv);
   spec.apps = workload::npb_apps();
   spec.classes = {workload::NpbClass::kB};
   spec.approaches = {cluster::Approach::kCR};

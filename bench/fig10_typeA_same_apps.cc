@@ -18,7 +18,7 @@
 using namespace atcsim;
 using namespace atcsim::bench;
 
-int main(int argc, char** argv) {
+int main() {
   banner("Figure 10 — type A: same app on four virtual clusters, 2-32 nodes",
          "N nodes x 4x8-VCPU VMs (4:1), normalized execution time vs CR");
   const std::vector<cluster::Approach> columns = {
@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
 
   exp::SweepSpec spec;
   spec.name = "fig10_typeA_same_apps";
-  spec.trace = exp::trace_requested(argc, argv);
   spec.apps = workload::npb_apps();
   spec.classes = {workload::NpbClass::kB};
   spec.approaches = {cluster::Approach::kCR, cluster::Approach::kBS,

@@ -3,9 +3,8 @@
 namespace atcsim::atc {
 
 VmClassifier::VmClassifier(virt::Node& node,
-                           const sync::PeriodMonitor& monitor, Options opts)
-    : node_(&node), monitor_(&monitor), opts_(opts),
-      state_(node.vms().size()) {}
+                           const sync::PeriodMonitor& monitor)
+    : node_(&node), monitor_(&monitor), state_(node.vms().size()) {}
 
 void VmClassifier::on_period() {
   if (state_.size() < node_->vms().size()) {
@@ -19,15 +18,15 @@ void VmClassifier::on_period() {
     const double run = static_cast<double>(snap.run_time);
     const double spin_frac =
         run > 0.0 ? static_cast<double>(snap.spin_cpu) / run : 0.0;
-    const bool hot = spin_frac >= opts_.spin_fraction_threshold &&
-                     snap.spin_episodes >= opts_.min_episodes;
+    const bool hot = spin_frac >= kSpinFractionThreshold &&
+                     snap.spin_episodes >= kMinEpisodes;
     State& st = state_[i];
     if (hot) {
       st.cold_streak = 0;
-      if (++st.hot_streak >= opts_.on_periods) st.parallel = true;
+      if (++st.hot_streak >= kOnPeriods) st.parallel = true;
     } else {
       st.hot_streak = 0;
-      if (++st.cold_streak >= opts_.off_periods) st.parallel = false;
+      if (++st.cold_streak >= kOffPeriods) st.parallel = false;
     }
   }
 }

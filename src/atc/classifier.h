@@ -19,31 +19,25 @@ namespace atcsim::atc {
 
 class VmClassifier {
  public:
-  struct Options {
-    /// Spin-CPU share of run time above which a period looks parallel.
-    double spin_fraction_threshold = 0.05;
-    /// Minimum spin episodes per period (filters one-off waits).
-    std::uint64_t min_episodes = 1;
-    /// Consecutive qualifying periods before a VM is labelled parallel.
-    int on_periods = 2;
-    /// Consecutive idle periods (no spinning) before the label is dropped
-    /// (long compute phases must not flip the label; Algorithm 1's
-    /// zero-latency branch already relaxes the slice meanwhile).
-    int off_periods = 20;
-  };
+  /// Spin-CPU share of run time above which a period looks parallel.
+  static constexpr double kSpinFractionThreshold = 0.05;
+  /// Minimum spin episodes per period (filters one-off waits).
+  static constexpr std::uint64_t kMinEpisodes = 1;
+  /// Consecutive qualifying periods before a VM is labelled parallel.
+  static constexpr int kOnPeriods = 2;
+  /// Consecutive idle periods (no spinning) before the label is dropped
+  /// (long compute phases must not flip the label; Algorithm 1's
+  /// zero-latency branch already relaxes the slice meanwhile).
+  static constexpr int kOffPeriods = 20;
+  static_assert(kOffPeriods > kOnPeriods, "labels are sticky by design");
 
-  VmClassifier(virt::Node& node, const sync::PeriodMonitor& monitor)
-      : VmClassifier(node, monitor, Options{}) {}
-  VmClassifier(virt::Node& node, const sync::PeriodMonitor& monitor,
-               Options opts);
+  VmClassifier(virt::Node& node, const sync::PeriodMonitor& monitor);
 
   /// Period hook: updates labels from the last monitor snapshot.
   void on_period();
 
   /// Current label for a VM hosted on this node (by node-local index).
   bool is_parallel(const virt::Vm& vm) const;
-
-  const Options& options() const { return opts_; }
 
  private:
   struct State {
@@ -54,7 +48,6 @@ class VmClassifier {
 
   virt::Node* node_;
   const sync::PeriodMonitor* monitor_;
-  Options opts_;
   std::vector<State> state_;  // by VM index within the node
 };
 

@@ -33,7 +33,7 @@ obs::TraceEvent atc_event(sim::SimTime now, std::uint8_t type,
 AtcController::AtcController(virt::Node& node,
                              const sync::PeriodMonitor& monitor, AtcConfig cfg)
     : node_(&node), monitor_(&monitor), cfg_(cfg),
-      history_(node.vms().size()), candidate_(node.vms().size(), 0),
+      history_(node.vms().size()),
       wakeup_rate_(node.vms().size(), 0.0) {
   if (cfg_.auto_classify) {
     classifier_ = std::make_unique<VmClassifier>(node, monitor);
@@ -56,7 +56,6 @@ void AtcController::on_period() {
   // tombstones, so surviving indices are stable).
   if (history_.size() < node_->vms().size()) {
     history_.resize(node_->vms().size());
-    candidate_.resize(node_->vms().size(), 0);
     wakeup_rate_.resize(node_->vms().size(), 0.0);
   }
   // Step 1: Algorithm 1 per parallel VM.
@@ -71,7 +70,6 @@ void AtcController::on_period() {
     h.push(PeriodSample{spin, vm.time_slice()});
     SimTime slice = vm.time_slice();
     if (h.full()) slice = compute_time_slice(cfg_, h);
-    candidate_[i] = slice;
     any_parallel = true;
     min_slice = std::min(min_slice, slice);
 #if ATCSIM_TRACE_ENABLED
@@ -128,16 +126,6 @@ void AtcController::on_period() {
     }
 #endif
   }
-}
-
-SimTime AtcController::last_candidate(virt::VmId id) const {
-  for (std::size_t i = 0; i < node_->vms().size(); ++i) {
-    if (node_->vms()[i] == nullptr) continue;  // migration tombstone
-    if (node_->vms()[i]->id() == id && i < candidate_.size()) {
-      return candidate_[i];
-    }
-  }
-  return 0;
 }
 
 std::vector<std::unique_ptr<AtcController>> install_atc(

@@ -30,9 +30,6 @@ class AtcController {
   /// Period hook (wire via PeriodMonitor::subscribe).
   void on_period();
 
-  /// Candidate slice most recently computed for a VM (for tests/benches).
-  sim::SimTime last_candidate(virt::VmId id) const;
-
   const AtcConfig& config() const { return cfg_; }
 
   /// Whether the controller currently treats `vm` as parallel (admin
@@ -44,7 +41,6 @@ class AtcController {
   const sync::PeriodMonitor* monitor_;
   AtcConfig cfg_;
   std::vector<PeriodHistory> history_;    // by VM index within the node
-  std::vector<sim::SimTime> candidate_;   // by VM index within the node
   std::vector<double> wakeup_rate_;       // EWMA, by VM index within node
   std::unique_ptr<VmClassifier> classifier_;  // when auto_classify
 };

@@ -38,13 +38,12 @@ bool Migrator::can_migrate(const virt::Vm& vm) const {
   return true;
 }
 
-SimTime Migrator::copy_duration(std::int64_t ws_bytes) const {
+SimTime Migrator::copy_duration() const {
   const virt::ModelParams& mp = ctx_.platform->params();
-  const std::int64_t ws = ws_bytes > 0 ? ws_bytes : mp.migration_ws_bytes;
   const SimTime copy =
       mp.migration_downtime_floor +
-      static_cast<SimTime>(static_cast<double>(ws) / mp.nic_bandwidth_bps *
-                           1e9) +
+      static_cast<SimTime>(static_cast<double>(mp.migration_ws_bytes) /
+                           mp.nic_bandwidth_bps * 1e9) +
       mp.wire_latency;
   // Fabric legality: a control record posted at decision time t must come
   // due no earlier than the shard's promised output bound (next event +
@@ -60,7 +59,7 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
   sim::Simulation& sim = platform.simulation();
   const std::int64_t gid = vm.global_id();
   const SimTime now = sim.now();
-  const SimTime t_r = now + copy_duration(vm.ws_bytes());
+  const SimTime t_r = now + copy_duration();
   const int dest_shard =
       ctx_.node_shard.empty()
           ? ctx_.shard
@@ -76,8 +75,7 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
     e.node = vm.node().id().value;
     e.vm = vm.id().value;
     e.a0 = dest_node_global;
-    e.a1 = vm.ws_bytes() > 0 ? vm.ws_bytes()
-                             : platform.params().migration_ws_bytes;
+    e.a1 = platform.params().migration_ws_bytes;
     return e;
   }());
 

@@ -61,9 +61,9 @@ class Migrator {
   /// Caller must have checked can_migrate().  Returns the resume time t_r.
   sim::SimTime migrate(virt::Vm& vm, std::int32_t dest_node_global);
 
-  /// Pause window of a guest with working set `ws_bytes` (0 = the
-  /// ModelParams::migration_ws_bytes default).
-  sim::SimTime copy_duration(std::int64_t ws_bytes) const;
+  /// Pause window of a guest with the ModelParams::migration_ws_bytes
+  /// working set.
+  sim::SimTime copy_duration() const;
 
   std::uint64_t migrations_started() const { return migrations_; }
   std::uint64_t migrations_adopted() const { return adoptions_; }

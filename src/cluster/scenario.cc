@@ -283,8 +283,7 @@ virt::Vm& Scenario::add_disk_vm(int node, const std::string& key) {
       config_.vcpus_per_vm);
   register_vm(vm, node);
   workloads_.push_back(std::make_unique<workload::DiskWorkload>(
-      net_of(vm), vm, workload::DiskWorkload::Config{},
-      &metrics_->rate(key)));
+      net_of(vm), vm, &metrics_->rate(key)));
   vm.vcpus()[0]->set_workload(workloads_.back().get());
   return vm;
 }
@@ -303,8 +302,7 @@ virt::Vm& Scenario::add_ping_pair(int node_a, int node_b,
   register_vm(pinger, node_a);
   register_vm(peer, node_b);
   workloads_.push_back(std::make_unique<workload::PingWorkload>(
-      net_of(pinger), pinger, peer, workload::PingWorkload::Config{},
-      &metrics_->latency(key)));
+      net_of(pinger), pinger, peer, &metrics_->latency(key)));
   pinger.vcpus()[0]->set_workload(workloads_.back().get());
   workloads_.push_back(std::make_unique<workload::IdleServerWorkload>(
       peer.node().platform().engine()));
@@ -321,14 +319,11 @@ virt::Vm& Scenario::add_web_vm(int node, double requests_per_second,
   vm.set_latency_sensitive(true);
   register_vm(vm, node);
   auto server = std::make_unique<workload::WebServerWorkload>(
-      net_of(vm), vm, workload::WebServerWorkload::Config{},
-      &metrics_->latency(key),
+      net_of(vm), vm, &metrics_->latency(key),
       app_rng_.split(std::hash<std::string>{}(key)));
   vm.vcpus()[0]->set_workload(server.get());
-  workload::HttperfClient::Config cc;
-  cc.rate_per_second = requests_per_second;
   clients_.push_back(std::make_unique<workload::HttperfClient>(
-      net_of(vm), vm, *server, cc,
+      net_of(vm), vm, *server, requests_per_second,
       app_rng_.split(std::hash<std::string>{}(key + "/client"))));
   workloads_.push_back(std::move(server));
   return vm;

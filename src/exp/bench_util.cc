@@ -1,16 +1,17 @@
 #include "exp/bench_util.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace atcsim::exp {
 
 double scale_factor() {
   const char* env = std::getenv("ATCSIM_BENCH_SCALE");
   if (env == nullptr) return 1.0;
+  // The cap keeps scaled() windows far inside SimTime's range.
   const double v = std::atof(env);
-  return v > 0.0 ? v : 1.0;
+  return std::isfinite(v) && v > 0.0 && v <= 1e6 ? v : 1.0;
 }
 
 sim::SimTime scaled(sim::SimTime base) {
@@ -22,14 +23,6 @@ void banner(const std::string& what, const std::string& setup) {
   std::printf("atcsim bench: %s\n  setup: %s\n  (simulated platform; shapes "
               "reproduce the paper, absolute values are model-relative)\n\n",
               what.c_str(), setup.c_str());
-}
-
-bool trace_requested(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) return true;
-  }
-  const char* env = std::getenv("ATCSIM_TRACE");
-  return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
 void set_global_guest_slice(cluster::Scenario& s, sim::SimTime slice) {

@@ -12,7 +12,8 @@
 
 namespace atcsim::exp {
 
-/// ATCSIM_BENCH_SCALE multiplier (1.0 when unset or invalid).
+/// ATCSIM_BENCH_SCALE multiplier: 1.0 when unset or invalid (not a finite
+/// number in (0, 1e6]).
 double scale_factor();
 
 /// `base` scaled by scale_factor().
@@ -24,10 +25,5 @@ void banner(const std::string& what, const std::string& setup);
 /// Sets a fixed time slice on every guest VM (the Sec. II / Fig. 5 global
 /// "xl sched-credit -t"-style sweep control).
 void set_global_guest_slice(cluster::Scenario& s, sim::SimTime slice);
-
-/// True when the harness should capture traces: a `--trace` argument was
-/// passed, or ATCSIM_TRACE is set to anything but "0".  Set
-/// SweepSpec::trace from this in figure benches.
-bool trace_requested(int argc, char** argv);
 
 }  // namespace atcsim::exp

@@ -31,9 +31,10 @@ bool write_jsonl_file(const std::string& path, const SweepSpec& spec,
 bool write_csv_file(const std::string& path, const SweepSpec& spec,
                     const std::vector<TrialResult>& results);
 
-/// If $ATCSIM_RESULTS_DIR is set, writes `<dir>/<spec.name>.jsonl` and
-/// `<dir>/<spec.name>.csv` and logs the paths to stderr.  No-op otherwise.
-/// Benches call this so every figure run leaves structured data behind.
+/// If $ATCSIM_RESULTS_DIR is set and non-empty, writes
+/// `<dir>/<spec.name>.jsonl` and `<dir>/<spec.name>.csv` (creating `dir`)
+/// and logs the paths to stderr.  No-op otherwise.  The sweep benches call
+/// this so a figure run can leave structured data behind.
 void emit_results_env(const SweepSpec& spec,
                       const std::vector<TrialResult>& results);
 

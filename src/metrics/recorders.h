@@ -211,12 +211,6 @@ class MetricsRegistry {
     for (auto& [name, r] : rates_) r.reset();
   }
 
-  const std::map<std::string, DurationRecorder>& all_durations() const {
-    return durations_;
-  }
-  const std::map<std::string, LatencyRecorder>& all_latencies() const {
-    return latency_;
-  }
   const std::map<std::string, RateCounter>& all_rates() const {
     return rates_;
   }

@@ -38,18 +38,6 @@ void Table::print(std::ostream& os) const {
   os << '\n';
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto line = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c != 0) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  line(headers_);
-  for (const auto& row : rows_) line(row);
-}
-
 std::string fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);

@@ -7,16 +7,14 @@
 
 namespace atcsim::metrics {
 
-/// Aligned-column text table with optional CSV output.
+/// Aligned-column text table.
 class Table {
  public:
   Table(std::string title, std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> cells);
   void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
 
-  const std::string& title() const { return title_; }
   std::size_t rows() const { return rows_.size(); }
 
  private:

@@ -137,7 +137,7 @@ void CreditScheduler::enqueue(Vcpu& v) {
   // a dead band so near-equal balances keep FIFO order).  A VM consuming
   // under its entitlement (large positive balance) thereby keeps its core
   // ahead of spinners that only just crossed zero.
-  queues_.insert(v, q, prio, opts_.credit_dead_band);
+  queues_.insert(v, q, prio, kCreditDeadBand);
   ATCSIM_TRACE(engine().simulation().trace(),
                sched_event(engine().simulation().now(), obs::ev::kEnqueue, v,
                            static_cast<std::int64_t>(prio),
@@ -233,7 +233,7 @@ Vcpu* CreditScheduler::pick_next(Pcpu& p) {
   const CreditPrio own_prio = own_front == nullptr || is_parked(*own_front)
                                   ? CreditPrio::kParked
                                   : effective_prio(*own_front);
-  if (opts_.work_stealing && own_prio != CreditPrio::kBoost) {
+  if (own_prio != CreditPrio::kBoost) {
     const int n = static_cast<int>(queues_.queue_count());
     int best_q = -1;
     CreditPrio best_prio = own_prio;

@@ -37,15 +37,14 @@ class CreditScheduler : public virt::Scheduler {
  public:
   struct Options {
     Placement placement = Placement::kAffinity;
-    /// Steal work from sibling queues when a PCPU would otherwise idle.
-    bool work_stealing = true;
-    /// Credit-ordered intra-class queueing dead band (DESIGN.md §8): an
-    /// enqueued VCPU is filed ahead of a same-class VCPU only when its
-    /// balance exceeds the other's by more than this many credits;
-    /// near-equal balances keep FIFO order.  30.0 ~ one slice's debit at
-    /// default parameters (the historical hardcoded value).
-    double credit_dead_band = 30.0;
   };
+
+  /// Credit-ordered intra-class queueing dead band (DESIGN.md §8): an
+  /// enqueued VCPU is filed ahead of a same-class VCPU only when its
+  /// balance exceeds the other's by more than this many credits;
+  /// near-equal balances keep FIFO order.  30.0 ~ one slice's debit at
+  /// default parameters.
+  static constexpr double kCreditDeadBand = 30.0;
 
   CreditScheduler() : CreditScheduler(Options{}) {}
   explicit CreditScheduler(Options opts);
@@ -73,7 +72,6 @@ class CreditScheduler : public virt::Scheduler {
   std::size_t queue_depth(int q) const { return queues_.depth(q); }
   /// Front (next natural pick) of queue `q`; queue must be non-empty.
   Vcpu* queue_front(int q) const { return queues_.front(q); }
-  const Options& options() const { return opts_; }
 
  protected:
   virt::Node& node() { return *node_; }

@@ -9,9 +9,8 @@ namespace atcsim::sched {
 using sim::SimTime;
 
 DssController::DssController(virt::Node& node,
-                             const sync::PeriodMonitor& monitor,
-                             DssOptions opts)
-    : node_(&node), monitor_(&monitor), opts_(opts),
+                             const sync::PeriodMonitor& monitor)
+    : node_(&node), monitor_(&monitor),
       smoothed_rate_(node.vms().size(), 0.0) {}
 
 void DssController::on_period() {
@@ -26,12 +25,12 @@ void DssController::on_period() {
     if (vm.is_dom0()) continue;
     const double rate =
         static_cast<double>(monitor_->last(vm.id()).io_events) / period_s;
-    smoothed_rate_[i] = opts_.smoothing * smoothed_rate_[i] +
-                        (1.0 - opts_.smoothing) * rate;
+    smoothed_rate_[i] =
+        kSmoothing * smoothed_rate_[i] + (1.0 - kSmoothing) * rate;
     SimTime slice = mp.default_time_slice;
-    if (smoothed_rate_[i] >= opts_.idle_rate_hz) {
-      slice = sim::from_millis(opts_.rate_constant_ms_hz / smoothed_rate_[i]);
-      slice = std::clamp(slice, opts_.min_slice, mp.default_time_slice);
+    if (smoothed_rate_[i] >= kIdleRateHz) {
+      slice = sim::from_millis(kRateConstantMsHz / smoothed_rate_[i]);
+      slice = std::clamp(slice, kMinSlice, mp.default_time_slice);
     }
     vm.set_time_slice(slice);
   }

@@ -21,23 +21,18 @@ namespace atcsim::sched {
 
 class DssController {
  public:
-  struct DssOptions {
-    /// slice = clamp(rate_constant / io_rate_hz, min_slice, default).
-    /// 60 ms*Hz: 30 I/O events/s -> 2 ms slice, 10/s -> 6 ms.
-    double rate_constant_ms_hz = 60.0;
-    sim::SimTime min_slice = 2'000'000;  // 2 ms
-    /// Exponential smoothing factor for the rate estimate.  I/O arrives in
-    /// bursts around synchronization points, so the horizon must span
-    /// several scheduling periods (~0.9 -> ~10 periods = 300 ms).
-    double smoothing = 0.9;
-    /// Below this rate a VM counts as I/O-idle and keeps the default slice.
-    double idle_rate_hz = 0.5;
-  };
+  /// slice = clamp(kRateConstantMsHz / io_rate_hz, kMinSlice, default).
+  /// 60 ms*Hz: 30 I/O events/s -> 2 ms slice, 10/s -> 6 ms.
+  static constexpr double kRateConstantMsHz = 60.0;
+  static constexpr sim::SimTime kMinSlice = 2 * sim::kMillisecond;
+  /// Exponential smoothing factor for the rate estimate.  I/O arrives in
+  /// bursts around synchronization points, so the horizon must span
+  /// several scheduling periods (~0.9 -> ~10 periods = 300 ms).
+  static constexpr double kSmoothing = 0.9;
+  /// Below this rate a VM counts as I/O-idle and keeps the default slice.
+  static constexpr double kIdleRateHz = 0.5;
 
-  DssController(virt::Node& node, const sync::PeriodMonitor& monitor)
-      : DssController(node, monitor, DssOptions{}) {}
-  DssController(virt::Node& node, const sync::PeriodMonitor& monitor,
-                DssOptions opts);
+  DssController(virt::Node& node, const sync::PeriodMonitor& monitor);
 
   /// Period hook: re-estimates I/O rates and rewrites VM slices.
   void on_period();
@@ -45,7 +40,6 @@ class DssController {
  private:
   virt::Node* node_;
   const sync::PeriodMonitor* monitor_;
-  DssOptions opts_;
   std::vector<double> smoothed_rate_;  // by VM index within the node
 };
 

@@ -66,8 +66,6 @@ class IndexedRunQueues {
     vm_stride_ = vms;
   }
 
-  std::size_t vm_stride() const { return vm_stride_; }
-
   /// Inserts `v` into queue `q` under class `cls`, before the first element
   /// of the same class whose credit balance is more than `dead_band` below
   /// `v`'s (credit-ordered with FIFO inside the dead band) — byte-identical

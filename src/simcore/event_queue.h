@@ -137,13 +137,6 @@ class EventQueue {
   /// max(kCompactMin - 1, live).
   std::size_t heap_size() const { return heap_.size(); }
 
-  /// Dead (cancelled/superseded) keys currently retained in the heap.
-  std::size_t dead_entries() const { return dead_in_heap_; }
-
-  /// Slab slots allocated over the queue's lifetime (high-water mark of
-  /// concurrently live events + timers).
-  std::size_t slot_count() const { return meta_.size(); }
-
  private:
   /// Slot index bits packed into the low end of HeapKey::seq_slot; caps the
   /// slab at 16M concurrent events (asserted in alloc_slot) and leaves 40

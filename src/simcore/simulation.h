@@ -80,8 +80,6 @@ class Simulation {
     return queue_.empty() ? kTimeNever : queue_.next_time();
   }
 
-  std::size_t pending_events() const { return queue_.size(); }
-
   /// Read-only view of the event queue (observability: heap/slab sizing in
   /// tests and benchmark reports).
   const EventQueue& queue() const { return queue_; }

@@ -41,46 +41,6 @@ double OnlineStats::variance() const {
   return m2_ / static_cast<double>(n_);
 }
 
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac =
-          counts_[i] == 0 ? 0.0
-                          : (target - cum) / static_cast<double>(counts_[i]);
-      return lo_ + (static_cast<double>(i) + frac) * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
 double pearson(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() != ys.size() || xs.empty()) return 0.0;
   const double n = static_cast<double>(xs.size());

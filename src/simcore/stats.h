@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace atcsim::sim {
 
@@ -18,7 +17,6 @@ class OnlineStats {
   std::uint64_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const;  ///< population variance; 0 when count < 2
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return sum_; }
@@ -30,25 +28,6 @@ class OnlineStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples land in the
-/// first/last bucket.  Used for latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::uint64_t total() const { return total_; }
-  std::span<const std::uint64_t> buckets() const { return counts_; }
-
-  /// Linear-interpolated quantile, q in [0, 1].  Returns 0 when empty.
-  double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Pearson correlation coefficient of two equal-length series.

@@ -119,10 +119,6 @@ class Engine {
   };
   const BoundStats& bound_stats() const { return bound_stats_; }
 
-  /// Event-channel mail queued in VM mailboxes (handlers that will run at
-  /// the owning VM's next dispatch).
-  std::size_t pending_deposits() const { return deposits_pending_; }
-
   /// Conservative lower bound on the next simulated time guest code on this
   /// platform can act on the network (a VirtualNetwork send or inject),
   /// from the current rest state; kTimeNever when nothing ever will.  Each

@@ -107,9 +107,9 @@ struct ModelParams {
   /// least this long (final dirty-round + handshake).
   SimTime migration_downtime_floor = 30_ms;
 
-  /// Default guest working-set size copied by a migration when the VM does
-  /// not declare one (Vm::ws_bytes).  Small on purpose: at 1 GbE, 32 MiB
-  /// keeps a move ~0.3 s so short experiment windows can afford several.
+  /// Guest working-set size copied by a migration.  Small on purpose: at
+  /// 1 GbE, 32 MiB keeps a move ~0.3 s so short experiment windows can
+  /// afford several.
   std::int64_t migration_ws_bytes = 32ll << 20;
 
   // --- Disk (blkback path) ----------------------------------------------

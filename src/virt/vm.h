@@ -43,11 +43,6 @@ class Vm {
   void set_id(VmId id) { id_ = id; }
   void set_node(Node& n) { node_ = &n; }
 
-  /// Working-set size used for the live-migration copy cost; 0 means "use
-  /// ModelParams::migration_ws_bytes".
-  std::int64_t ws_bytes() const { return ws_bytes_; }
-  void set_ws_bytes(std::int64_t b) { ws_bytes_ = b; }
-
   bool is_parallel() const { return type_ == VmType::kParallel; }
   bool is_dom0() const { return type_ == VmType::kDom0; }
 
@@ -83,7 +78,6 @@ class Vm {
   bool has_admin_slice() const { return admin_slice_ >= 0; }
   sim::SimTime admin_slice() const { return admin_slice_; }
   void set_admin_slice(sim::SimTime s) { admin_slice_ = s; }
-  void clear_admin_slice() { admin_slice_ = -1; }
 
   // --- monitoring accumulators ------------------------------------------
   /// Reset every control period by the period monitor.
@@ -154,7 +148,6 @@ class Vm {
   VmType type_;
   std::string name_;
   std::int64_t global_id_ = -1;
-  std::int64_t ws_bytes_ = 0;
   std::vector<std::unique_ptr<Vcpu>> vcpus_;
   int weight_ = 256;
   int cap_percent_ = 0;

@@ -150,8 +150,8 @@ virt::Action PingWorkload::next(virt::Vcpu& /*self*/) {
       // take the interrupt (the deposit handler runs in its context).  The
       // handler reads only members fixed before the first send (reply_ is
       // created once, then reset in place), so `this` is its whole context.
-      net_->send(*vm_, *peer_, cfg_.bytes, [this] {
-        net_->send(*peer_, *vm_, cfg_.bytes,
+      net_->send(*vm_, *peer_, kBytes, [this] {
+        net_->send(*peer_, *vm_, kBytes,
                    [reply = reply_.get()] { reply->signal(); });
       });
       phase_ = Phase::kGotReply;
@@ -167,7 +167,7 @@ virt::Action PingWorkload::next(virt::Vcpu& /*self*/) {
       } else {
         sleep_->reset();
       }
-      net_->engine().signal_in(*sleep_, cfg_.interval);
+      net_->engine().signal_in(*sleep_, kInterval);
       return virt::Action::block_wait(*sleep_);
     }
   }
@@ -177,17 +177,17 @@ virt::Action PingWorkload::next(virt::Vcpu& /*self*/) {
 // -------------------------------------------------------------- DiskWorkload
 
 virt::Action DiskWorkload::next(virt::Vcpu& /*self*/) {
-  if (outstanding_ < cfg_.queue_depth) {
+  if (outstanding_ < kQueueDepth) {
     ++outstanding_;
-    net_->submit_disk(*vm_, cfg_.request_bytes, [this] {
+    net_->submit_disk(*vm_, kRequestBytes, [this] {
       --outstanding_;
       if (counter_ != nullptr) {
-        counter_->add(static_cast<double>(cfg_.request_bytes) /
+        counter_->add(static_cast<double>(kRequestBytes) /
                       (1024.0 * 1024.0));
       }
       if (wait_ != nullptr && !wait_->signalled()) wait_->signal();
     });
-    return virt::Action::compute(cfg_.submit_cost);
+    return virt::Action::compute(kSubmitCost);
   }
   // Pipe full: sleep until a completion frees a slot.
   if (wait_ == nullptr) {
@@ -213,7 +213,7 @@ virt::Action WebServerWorkload::next(virt::Vcpu& /*self*/) {
     metrics::LatencyRecorder* rec = rec_;
     net::VirtualNetwork* net = net_;
     const SimTime t0 = current_t0_;
-    net->send_out(*vm_, cfg_.response_bytes, [net, rec, t0] {
+    net->send_out(*vm_, kResponseBytes, [net, rec, t0] {
       if (rec != nullptr) rec->record(net->simulation().now() - t0);
     });
   }
@@ -221,7 +221,7 @@ virt::Action WebServerWorkload::next(virt::Vcpu& /*self*/) {
     current_t0_ = backlog_.front();
     backlog_.pop_front();
     serving_ = true;
-    return virt::Action::compute(rng_.jittered(cfg_.service, cfg_.jitter));
+    return virt::Action::compute(rng_.jittered(kService, kJitter));
   }
   if (idle_ == nullptr) {
     idle_ = std::make_unique<virt::SyncEvent>(net_->engine());
@@ -236,7 +236,7 @@ virt::Action WebServerWorkload::next(virt::Vcpu& /*self*/) {
 void HttperfClient::start() { arrival(); }
 
 void HttperfClient::arrival() {
-  const double gap_s = rng_.exponential(1.0 / cfg_.rate_per_second);
+  const double gap_s = rng_.exponential(1.0 / rate_per_second_);
   const SimTime gap = static_cast<SimTime>(gap_s * 1e9);
   const SimTime wait = std::max<SimTime>(gap, 1);
   // Not a SyncEvent wake, but the injection is itself a network act, so
@@ -245,7 +245,7 @@ void HttperfClient::arrival() {
   net_->simulation().call_in(wait, [this] {
     const SimTime t0 = net_->simulation().now();
     WebServerWorkload* server = server_;
-    net_->inject(*server_vm_, cfg_.request_bytes,
+    net_->inject(*server_vm_, kRequestBytes,
                  [server, t0] { server->on_request(t0); });
     arrival();
   });

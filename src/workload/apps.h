@@ -90,14 +90,12 @@ class IdleServerWorkload : public virt::Workload {
 /// scheduling delays on both ends.
 class PingWorkload : public virt::Workload {
  public:
-  struct Config {
-    sim::SimTime interval = 5 * sim::kMillisecond;
-    std::uint64_t bytes = 64;
-  };
+  static constexpr sim::SimTime kInterval = 5 * sim::kMillisecond;
+  static constexpr std::uint64_t kBytes = 64;
 
   PingWorkload(net::VirtualNetwork& net, virt::Vm& self_vm, virt::Vm& peer,
-               Config cfg, metrics::LatencyRecorder* rtt)
-      : net_(&net), vm_(&self_vm), peer_(&peer), cfg_(cfg), rtt_(rtt) {}
+               metrics::LatencyRecorder* rtt)
+      : net_(&net), vm_(&self_vm), peer_(&peer), rtt_(rtt) {}
 
   virt::Action next(virt::Vcpu& self) override;
   std::string name() const override { return "ping"; }
@@ -107,7 +105,6 @@ class PingWorkload : public virt::Workload {
   net::VirtualNetwork* net_;
   virt::Vm* vm_;
   virt::Vm* peer_;
-  Config cfg_;
   metrics::LatencyRecorder* rtt_;
   std::unique_ptr<virt::SyncEvent> reply_;
   std::unique_ptr<virt::SyncEvent> sleep_;
@@ -116,19 +113,17 @@ class PingWorkload : public virt::Workload {
 };
 
 /// bonnie++-like sequential disk workload through blkback.  Keeps
-/// `queue_depth` requests in flight (buffered sequential I/O), so its
+/// kQueueDepth requests in flight (buffered sequential I/O), so its
 /// throughput is disk-bound rather than scheduling-latency-bound.
 class DiskWorkload : public virt::Workload {
  public:
-  struct Config {
-    std::uint64_t request_bytes = 256 * 1024;
-    sim::SimTime submit_cost = 20 * sim::kMicrosecond;
-    int queue_depth = 8;
-  };
+  static constexpr std::uint64_t kRequestBytes = 256 * 1024;
+  static constexpr sim::SimTime kSubmitCost = 20 * sim::kMicrosecond;
+  static constexpr int kQueueDepth = 8;
 
-  DiskWorkload(net::VirtualNetwork& net, virt::Vm& self_vm, Config cfg,
+  DiskWorkload(net::VirtualNetwork& net, virt::Vm& self_vm,
                metrics::RateCounter* mb_counter)
-      : net_(&net), vm_(&self_vm), cfg_(cfg), counter_(mb_counter) {}
+      : net_(&net), vm_(&self_vm), counter_(mb_counter) {}
 
   virt::Action next(virt::Vcpu& self) override;
   std::string name() const override { return "bonnie"; }
@@ -139,7 +134,6 @@ class DiskWorkload : public virt::Workload {
  private:
   net::VirtualNetwork* net_;
   virt::Vm* vm_;
-  Config cfg_;
   metrics::RateCounter* counter_;
   std::unique_ptr<virt::SyncEvent> wait_;
   int outstanding_ = 0;
@@ -148,15 +142,13 @@ class DiskWorkload : public virt::Workload {
 /// Apache-like request/response server; measure with HttperfClient.
 class WebServerWorkload : public virt::Workload {
  public:
-  struct Config {
-    sim::SimTime service = 1 * sim::kMillisecond;
-    double jitter = 0.2;
-    std::uint64_t response_bytes = 16 * 1024;
-  };
+  static constexpr sim::SimTime kService = 1 * sim::kMillisecond;
+  static constexpr double kJitter = 0.2;
+  static constexpr std::uint64_t kResponseBytes = 16 * 1024;
 
-  WebServerWorkload(net::VirtualNetwork& net, virt::Vm& self_vm, Config cfg,
+  WebServerWorkload(net::VirtualNetwork& net, virt::Vm& self_vm,
                     metrics::LatencyRecorder* response_time, sim::Rng rng)
-      : net_(&net), vm_(&self_vm), cfg_(cfg), rec_(response_time), rng_(rng) {}
+      : net_(&net), vm_(&self_vm), rec_(response_time), rng_(rng) {}
 
   /// Called from the request-delivery deposit handler.
   void on_request(sim::SimTime injected_at);
@@ -168,13 +160,12 @@ class WebServerWorkload : public virt::Workload {
   /// any response is at least one service time away, whether the next draw
   /// pops the backlog or a future request wakes the idle wait.
   sim::SimTime effect_distance() const override {
-    return serving_ ? 0 : sim::Rng::jittered_floor(cfg_.service, cfg_.jitter);
+    return serving_ ? 0 : sim::Rng::jittered_floor(kService, kJitter);
   }
 
  private:
   net::VirtualNetwork* net_;
   virt::Vm* vm_;
-  Config cfg_;
   metrics::LatencyRecorder* rec_;
   sim::Rng rng_;
   std::deque<sim::SimTime> backlog_;
@@ -183,18 +174,16 @@ class WebServerWorkload : public virt::Workload {
   sim::SimTime current_t0_ = 0;
 };
 
-/// Open-loop Poisson request generator (httperf).
+/// Open-loop Poisson request generator (httperf) at `rate_per_second`.
 class HttperfClient {
  public:
-  struct Config {
-    double rate_per_second = 50.0;
-    std::uint64_t request_bytes = 512;
-  };
+  static constexpr std::uint64_t kRequestBytes = 512;
 
   HttperfClient(net::VirtualNetwork& net, virt::Vm& server_vm,
-                WebServerWorkload& server, Config cfg, sim::Rng rng)
-      : net_(&net), server_vm_(&server_vm), server_(&server), cfg_(cfg),
-        rng_(rng) {}
+                WebServerWorkload& server, double rate_per_second,
+                sim::Rng rng)
+      : net_(&net), server_vm_(&server_vm), server_(&server),
+        rate_per_second_(rate_per_second), rng_(rng) {}
 
   /// Schedules the arrival process; call before the simulation runs.
   void start();
@@ -205,7 +194,7 @@ class HttperfClient {
   net::VirtualNetwork* net_;
   virt::Vm* server_vm_;
   WebServerWorkload* server_;
-  Config cfg_;
+  double rate_per_second_;
   sim::Rng rng_;
 };
 

@@ -1,16 +1,23 @@
 // Experiment-runner subsystem: grid expansion, seed determinism, the
 // ScenarioBuilder contract, the runner's run-every-trial and drain-then-
-// rethrow contracts, and the serial-vs-parallel byte-identity guarantee the
-// emitters provide.
+// rethrow contracts, the serial-vs-parallel byte-identity guarantee the
+// emitters provide, and the two environment variables the benches read
+// (ATCSIM_BENCH_SCALE, ATCSIM_RESULTS_DIR).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/scenario.h"
+#include "exp/bench_util.h"
 #include "exp/emit.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
@@ -215,6 +222,123 @@ TEST(EmitTest, JsonlRowShape) {
   EXPECT_NE(row.find("\"approach\":\"CR\""), std::string::npos);
   EXPECT_NE(row.find("\"slice_ms\":null"), std::string::npos);
   EXPECT_NE(row.find("\"superstep_s\":0.125"), std::string::npos);
+}
+
+/// Sets an environment variable for one scope and restores its previous
+/// value (or absence) afterwards.
+class ScopedEnv {
+ public:
+  explicit ScopedEnv(const char* name) : name_(name) {
+    if (const char* v = std::getenv(name)) saved_ = v;
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      setenv(name_, saved_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  void set(const std::string& value) { setenv(name_, value.c_str(), 1); }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// A fresh, empty directory under the system temp dir, removed on exit.
+class TempDir {
+ public:
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "atcsim_exp_XXXXXX")
+            .string();
+    if (mkdtemp(tmpl.data()) == nullptr) throw std::runtime_error("mkdtemp");
+    path_ = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+std::string read_file(const std::filesystem::path& p) {
+  std::ifstream in(p);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// A two-trial spec (CR and ATC) with hand-made results.
+exp::SweepSpec two_trial_spec(const std::string& name) {
+  exp::SweepSpec spec;
+  spec.name = name;
+  spec.approaches = {cluster::Approach::kCR, cluster::Approach::kATC};
+  return spec;
+}
+
+std::vector<exp::TrialResult> two_trial_results() {
+  std::vector<exp::TrialResult> results(2);
+  results[0].trial_id = 0;
+  results[0].metrics["superstep_s"] = 0.5;
+  results[1].trial_id = 1;
+  results[1].metrics["superstep_s"] = 0.25;
+  results[1].metrics["spin_s"] = 0.001;
+  return results;
+}
+
+TEST(BenchUtilTest, ScaleFactorFallsBackToOneOnInvalidValues) {
+  ScopedEnv env("ATCSIM_BENCH_SCALE");
+  for (const char* bad : {"inf", "1e300", "0", "-3", "abc"}) {
+    env.set(bad);
+    EXPECT_EQ(exp::scale_factor(), 1.0) << bad;
+    EXPECT_EQ(exp::scaled(2_s), 2_s) << bad;
+  }
+  env.set("0.5");
+  EXPECT_EQ(exp::scale_factor(), 0.5);
+  EXPECT_EQ(exp::scaled(2_s), 1_s);
+}
+
+TEST(EmitTest, ResultsEnvWritesJsonlAndCsv) {
+  const TempDir tmp;
+  const std::filesystem::path dir = tmp.path() / "results";  // not yet made
+  ScopedEnv env("ATCSIM_RESULTS_DIR");
+  env.set(dir.string());
+  const exp::SweepSpec spec = two_trial_spec("emit_env");
+  const auto results = two_trial_results();
+  exp::emit_results_env(spec, results);
+
+  std::ostringstream jsonl;
+  exp::write_jsonl(jsonl, spec, results);
+  EXPECT_EQ(read_file(dir / "emit_env.jsonl"), jsonl.str());
+
+  std::istringstream csv(read_file(dir / "emit_env.csv"));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(csv, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);  // header + one row per trial
+  EXPECT_EQ(lines[0].rfind("trial,app,class,approach,", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1].rfind("0,lu,B,CR,", 0), 0u) << lines[1];
+  EXPECT_EQ(lines[2].rfind("1,lu,B,ATC,", 0), 0u) << lines[2];
+}
+
+TEST(EmitTest, EmptyResultsEnvWritesNothing) {
+  const TempDir tmp;
+  ScopedEnv env("ATCSIM_RESULTS_DIR");
+  env.set("");
+  // An absolute spec name: a write despite the empty value would land in
+  // the temp dir.
+  exp::emit_results_env(two_trial_spec((tmp.path() / "emit_env").string()),
+                        two_trial_results());
+  EXPECT_TRUE(std::filesystem::is_empty(tmp.path()));
 }
 
 }  // namespace

@@ -97,11 +97,6 @@ TEST(ClassifierTest, Dom0NeverLabelled) {
   EXPECT_FALSE(cls.is_parallel(*rig.platform->nodes()[0]->dom0()));
 }
 
-TEST(ClassifierTest, HysteresisSurvivesQuietPeriods) {
-  atc::VmClassifier::Options opts;
-  EXPECT_GT(opts.off_periods, opts.on_periods);  // sticky by design
-}
-
 TEST(AtcAutoClassifyTest, MatchesDeclaredTypesEndToEnd) {
   // Two scenarios, identical workloads: one with declared VM types, one
   // with every guest mislabelled kNonParallel + auto_classify.  ATC must

@@ -94,20 +94,17 @@ TEST(TableTest, AlignedRendering) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
-TEST(TableTest, CsvRendering) {
-  Table t("demo", {"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, ShortRowsArePadded) {
   Table t("demo", {"a", "b", "c"});
   t.add_row({"only"});
   std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b,c\nonly,,\n");
+  t.print(os);
+  EXPECT_EQ(os.str(),
+            "== demo ==\n"
+            "a     b  c  \n"
+            "------------\n"
+            "only        \n"
+            "\n");
 }
 
 TEST(FmtTest, Formatting) {

@@ -403,16 +403,6 @@ TEST(StatsTest, EuclideanDistance) {
   EXPECT_DOUBLE_EQ(euclidean_distance(a, b), 5.0);
 }
 
-TEST(HistogramTest, QuantilesAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) / 10.0);
-  h.add(-5.0);   // clamps into first bucket
-  h.add(100.0);  // clamps into last bucket
-  EXPECT_EQ(h.total(), 102u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_GE(h.quantile(1.0), 9.0);
-}
-
 TEST(ParallelTest, ParallelForCoversAllIndices) {
   std::vector<int> hits(64, 0);
   parallel_for(64, [&](std::size_t i) { hits[i] += 1; }, 4);

@@ -202,7 +202,7 @@ TEST(PingTest, RecordsRoundTrips) {
   virt::Vm& peer = rig.vm(1, 1, virt::VmType::kNonParallel);
   auto& rtt = rig.metrics.latency("rtt");
   rig.workloads.push_back(std::make_unique<workload::PingWorkload>(
-      *rig.network, pinger, peer, workload::PingWorkload::Config{}, &rtt));
+      *rig.network, pinger, peer, &rtt));
   pinger.vcpus()[0]->set_workload(rig.workloads.back().get());
   rig.workloads.push_back(
       std::make_unique<workload::IdleServerWorkload>(rig.platform->engine()));
@@ -221,7 +221,7 @@ TEST(PingTest, RttGrowsWhenPeerContended) {
     virt::Vm& peer = rig.vm(1, 1, virt::VmType::kNonParallel);
     auto& rtt = rig.metrics.latency("rtt");
     rig.workloads.push_back(std::make_unique<workload::PingWorkload>(
-        *rig.network, pinger, peer, workload::PingWorkload::Config{}, &rtt));
+        *rig.network, pinger, peer, &rtt));
     pinger.vcpus()[0]->set_workload(rig.workloads.back().get());
     rig.workloads.push_back(std::make_unique<workload::IdleServerWorkload>(
         rig.platform->engine()));
@@ -248,7 +248,7 @@ TEST(DiskWorkloadTest, ThroughputBoundedByDiskBandwidth) {
   virt::Vm& vm = rig.vm(0, 1, virt::VmType::kNonParallel);
   auto& mb = rig.metrics.rate("disk");
   rig.workloads.push_back(std::make_unique<workload::DiskWorkload>(
-      *rig.network, vm, workload::DiskWorkload::Config{}, &mb));
+      *rig.network, vm, &mb));
   vm.vcpus()[0]->set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(3_s);
@@ -263,12 +263,10 @@ TEST(WebTest, ServerAnswersOpenLoopClients) {
   virt::Vm& vm = rig.vm(0, 1, virt::VmType::kNonParallel);
   auto& resp = rig.metrics.latency("resp");
   auto server = std::make_unique<workload::WebServerWorkload>(
-      *rig.network, vm, workload::WebServerWorkload::Config{}, &resp,
-      sim::Rng(9));
+      *rig.network, vm, &resp, sim::Rng(9));
   vm.vcpus()[0]->set_workload(server.get());
-  workload::HttperfClient::Config cc;
-  cc.rate_per_second = 100.0;
-  workload::HttperfClient client(*rig.network, vm, *server, cc, sim::Rng(10));
+  workload::HttperfClient client(*rig.network, vm, *server, 100.0,
+                                 sim::Rng(10));
   rig.workloads.push_back(std::move(server));
   client.start();
   rig.start();
