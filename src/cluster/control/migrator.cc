@@ -29,10 +29,10 @@ bool Migrator::can_migrate(const virt::Vm& vm) const {
   const virt::VmLocation& loc = ctx_.directory->at(vm.global_id());
   if (ctx_.platform->simulation().now() < loc.moving_until) return false;
   if (!vm.node().scheduler().supports_migration()) return false;
-  for (const auto& v : vm.vcpus()) {
+  for (const virt::Vcpu& v : vm.vcpus()) {
     // A VCPU with no workload idles forever: nothing to expel or re-arm,
     // so it never blocks a move (single-app VMs pad to vcpus_per_vm).
-    const virt::Workload* wl = v->workload();
+    const virt::Workload* wl = v.workload();
     if (wl != nullptr && !wl->migratable()) return false;
   }
   return true;

@@ -272,7 +272,7 @@ virt::Vm& Scenario::add_loop_vm(int node, const workload::Descriptor& desc,
   workloads_.push_back(std::make_unique<workload::LoopWorkload>(
       net_of(vm), vm, desc, app_rng_.split(std::hash<std::string>{}(key)),
       &metrics_->rate(key)));
-  vm.vcpus()[0]->set_workload(workloads_.back().get());
+  vm.vcpus()[0].set_workload(workloads_.back().get());
   return vm;
 }
 
@@ -284,7 +284,7 @@ virt::Vm& Scenario::add_disk_vm(int node, const std::string& key) {
   register_vm(vm, node);
   workloads_.push_back(std::make_unique<workload::DiskWorkload>(
       net_of(vm), vm, &metrics_->rate(key)));
-  vm.vcpus()[0]->set_workload(workloads_.back().get());
+  vm.vcpus()[0].set_workload(workloads_.back().get());
   return vm;
 }
 
@@ -303,10 +303,10 @@ virt::Vm& Scenario::add_ping_pair(int node_a, int node_b,
   register_vm(peer, node_b);
   workloads_.push_back(std::make_unique<workload::PingWorkload>(
       net_of(pinger), pinger, peer, &metrics_->latency(key)));
-  pinger.vcpus()[0]->set_workload(workloads_.back().get());
+  pinger.vcpus()[0].set_workload(workloads_.back().get());
   workloads_.push_back(std::make_unique<workload::IdleServerWorkload>(
       peer.node().platform().engine()));
-  peer.vcpus()[0]->set_workload(workloads_.back().get());
+  peer.vcpus()[0].set_workload(workloads_.back().get());
   return pinger;
 }
 
@@ -321,7 +321,7 @@ virt::Vm& Scenario::add_web_vm(int node, double requests_per_second,
   auto server = std::make_unique<workload::WebServerWorkload>(
       net_of(vm), vm, &metrics_->latency(key),
       app_rng_.split(std::hash<std::string>{}(key)));
-  vm.vcpus()[0]->set_workload(server.get());
+  vm.vcpus()[0].set_workload(server.get());
   clients_.push_back(std::make_unique<workload::HttperfClient>(
       net_of(vm), vm, *server, requests_per_second,
       app_rng_.split(std::hash<std::string>{}(key + "/client"))));
@@ -458,7 +458,7 @@ void Scenario::reset_platform_stats() {
       virt::Vm* vm = platform.vm_ptr(virt::VmId{static_cast<std::int32_t>(id)});
       if (vm == nullptr) continue;
       vm->totals() = virt::Vm::Totals{};
-      for (auto& v : vm->vcpus()) v->mutable_totals() = virt::Vcpu::Totals{};
+      for (virt::Vcpu& v : vm->vcpus()) v.mutable_totals() = {};
     }
   }
   stats_reset_at_ = stacks_[0]->simulation.now();

@@ -54,30 +54,29 @@ void CoScheduler::on_dispatched(Vcpu& v, Pcpu& p) {
   // any claimable PCPU (not just their own run queue's), each rescheduled
   // immediately (deferred one event so the current dispatch completes).
   std::vector<Pcpu*> free_pcpus;
-  for (auto& pc : node().pcpus()) {
-    if (pc.get() == &p) continue;
-    if (forced_[static_cast<std::size_t>(pc->index_in_node())] != nullptr) {
+  for (Pcpu& pc : node().pcpus()) {
+    if (&pc == &p) continue;
+    if (forced_[static_cast<std::size_t>(pc.index_in_node())] != nullptr) {
       continue;  // claimed by an earlier gang launch
     }
-    if (pc->current() != nullptr) {
-      if (&pc->current()->vm() == &vm || pc->current()->vm().is_dom0()) {
+    if (pc.current() != nullptr) {
+      if (&pc.current()->vm() == &vm || pc.current()->vm().is_dom0()) {
         continue;  // sibling already running there / never preempt dom0
       }
       // Co-scheduling reorders execution but must not steal CPU share
       // from under-served non-concurrent VMs or boosted wakes.
-      if (gang_protected(*pc->current())) continue;
+      if (gang_protected(*pc.current())) continue;
     }
-    free_pcpus.push_back(pc.get());
+    free_pcpus.push_back(&pc);
   }
   std::size_t next_target = 0;
-  for (const auto& sibling : v.vm().vcpus()) {
-    Vcpu* s = sibling.get();
-    if (s == &v || !s->runnable()) continue;
+  for (Vcpu& s : v.vm().vcpus()) {
+    if (&s == &v || !s.runnable()) continue;
     if (next_target >= free_pcpus.size()) break;
-    if (!remove_from_queue(*s)) continue;  // raced with another pick
+    if (!remove_from_queue(s)) continue;  // raced with another pick
     Pcpu& target = *free_pcpus[next_target++];
-    s->sched().queue = target.id();
-    forced_[static_cast<std::size_t>(target.index_in_node())] = s;
+    s.sched().queue = target.id();
+    forced_[static_cast<std::size_t>(target.index_in_node())] = &s;
     Pcpu* tp = &target;
     engine().simulation().call_in(
         0, [this, tp] { engine().request_resched(*tp); });

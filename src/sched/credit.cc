@@ -63,8 +63,8 @@ void CreditScheduler::attach(virt::Node& node, virt::Engine& engine) {
   // vm_arrived.
   for (std::size_t i = 0; i < node.vms().size(); ++i) {
     if (node.vms()[i] == nullptr) continue;  // migration tombstone
-    for (auto& v : node.vms()[i]->vcpus()) {
-      v->sched().rq.vm = static_cast<std::int32_t>(i);
+    for (Vcpu& v : node.vms()[i]->vcpus()) {
+      v.sched().rq.vm = static_cast<std::int32_t>(i);
     }
   }
   next_vm_index_ = static_cast<std::int32_t>(node.vms().size());
@@ -87,26 +87,26 @@ void CreditScheduler::attach(virt::Node& node, virt::Engine& engine) {
 }
 
 void CreditScheduler::vm_departing(Vm& vm) {
-  for (auto& v : vm.vcpus()) {
-    queues_.erase(*v);  // no-op for VCPUs not queued (blocked/done)
-    v->sched().boosted = false;
+  for (Vcpu& v : vm.vcpus()) {
+    queues_.erase(v);  // no-op for VCPUs not queued (blocked/done)
+    v.sched().boosted = false;
   }
 }
 
 void CreditScheduler::vm_arrived(Vm& vm) {
   const std::int32_t idx = next_vm_index_++;
   queues_.grow_vm_stride(static_cast<std::size_t>(next_vm_index_));
-  for (auto& v : vm.vcpus()) {
-    v->sched().rq.vm = idx;
+  for (Vcpu& v : vm.vcpus()) {
+    v.sched().rq.vm = idx;
     // Placement state from the previous host is meaningless here.
-    v->sched().queue = virt::PcpuId{};
-    v->sched().last_pcpu = virt::PcpuId{};
+    v.sched().queue = virt::PcpuId{};
+    v.sched().last_pcpu = virt::PcpuId{};
   }
 }
 
 void CreditScheduler::tick() {
   for (std::size_t q = 0; q < queues_.queue_count(); ++q) {
-    Pcpu& p = *node_->pcpus()[q];
+    Pcpu& p = node_->pcpus()[q];
     Vcpu* head = queues_.front(static_cast<int>(q));
     if (p.idle() || head == nullptr) continue;
     if (effective_prio(*head) < effective_prio(*p.current())) {
@@ -150,7 +150,7 @@ bool CreditScheduler::remove_from_queue(Vcpu& v) {
 
 int CreditScheduler::siblings_in_queue(const Vcpu& v, int q) const {
   int count = queues_.queued_of_vm(q, v.sched().rq.vm);
-  const Pcpu& p = *node_->pcpus()[static_cast<std::size_t>(q)];
+  const Pcpu& p = node_->pcpus()[static_cast<std::size_t>(q)];
   if (p.current() != nullptr && &p.current()->vm() == &v.vm()) ++count;
   return count;
 }
@@ -181,7 +181,7 @@ int CreditScheduler::place(Vcpu& v) {
 void CreditScheduler::vcpu_started(Vcpu& v) {
   v.sched().credits = 0.0;
   const int q = place(v);
-  v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)]->id();
+  v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)].id();
   enqueue(v);
 }
 
@@ -192,7 +192,7 @@ void CreditScheduler::on_wake(Vcpu& v) {
     // vm_arrived wiped its placement and vcpu_started never ran here.
     // Credits travelled in the bundle; only the queue needs choosing.
     const int q = place(v);
-    v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)]->id();
+    v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)].id();
   }
   // Xen grants BOOST to wakes of VCPUs that have not over-consumed.
   v.sched().boosted = v.sched().credits >= 0.0;
@@ -217,7 +217,7 @@ void CreditScheduler::rebalance_if_stacked(Vcpu& v) {
       engine().platform().pcpu(v.sched().queue).index_in_node());
   if (siblings_in_queue(v, cur) == 0) return;
   const int q = place(v);
-  v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)]->id();
+  v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)].id();
 }
 
 void CreditScheduler::on_exit(Vcpu& /*v*/) {}
@@ -307,8 +307,8 @@ void CreditScheduler::refill_credits() {
   double weight_sum = 0.0;
   for (const auto& vm : node_->vms()) {
     if (vm == nullptr) continue;  // migration tombstone
-    for (const auto& v : vm->vcpus()) {
-      if (v->state() != VcpuState::kDone) {
+    for (const Vcpu& v : vm->vcpus()) {
+      if (v.state() != VcpuState::kDone) {
         weight_sum += static_cast<double>(vm->weight());
         break;
       }
@@ -319,8 +319,8 @@ void CreditScheduler::refill_credits() {
   for (const auto& vm : node_->vms()) {
     if (vm == nullptr) continue;  // migration tombstone
     int live = 0;
-    for (const auto& v : vm->vcpus()) {
-      if (v->state() != VcpuState::kDone) ++live;
+    for (const Vcpu& v : vm->vcpus()) {
+      if (v.state() != VcpuState::kDone) ++live;
     }
     if (live == 0) continue;
     double share = pool * static_cast<double>(vm->weight()) / weight_sum;
@@ -331,16 +331,16 @@ void CreditScheduler::refill_credits() {
                                   100.0);
     }
     const double per_vcpu = share / static_cast<double>(live);
-    for (const auto& v : vm->vcpus()) {
-      if (v->state() == VcpuState::kDone) continue;
-      const double before = v->sched().credits;
-      v->sched().credits =
-          std::clamp(v->sched().credits + per_vcpu, -mp.credit_clip,
+    for (Vcpu& v : vm->vcpus()) {
+      if (v.state() == VcpuState::kDone) continue;
+      const double before = v.sched().credits;
+      v.sched().credits =
+          std::clamp(v.sched().credits + per_vcpu, -mp.credit_clip,
                      mp.credit_clip);
-      distributed += v->sched().credits - before;
+      distributed += v.sched().credits - before;
       ATCSIM_TRACE(engine().simulation().trace(),
                    sched_event(engine().simulation().now(), obs::ev::kCredit,
-                               *v, mcr(v->sched().credits)));
+                               v, mcr(v.sched().credits)));
     }
   }
 #if ATCSIM_TRACE_ENABLED

@@ -137,6 +137,11 @@ class EventQueue {
   /// max(kCompactMin - 1, live).
   std::size_t heap_size() const { return heap_.size(); }
 
+  /// Slab slots, live or free, one-shot or timer.  The slab never shrinks
+  /// and a timer's slot is never freed, so a steady state that makes no new
+  /// timers keeps this constant.
+  std::size_t slot_count() const { return meta_.size(); }
+
  private:
   /// Slot index bits packed into the low end of HeapKey::seq_slot; caps the
   /// slab at 16M concurrent events (asserted in alloc_slot) and leaves 40

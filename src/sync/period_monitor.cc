@@ -9,13 +9,25 @@ using sim::SimTime;
 
 void PeriodMonitor::Subscription::reset() {
   if (id_ == 0) return;
-  if (auto list = list_.lock()) {
-    list->erase(std::remove_if(list->begin(), list->end(),
-                               [this](const Entry& e) { return e.id == id_; }),
-                list->end());
-  }
+  if (auto list = list_.lock()) list->detach(id_);
   list_.reset();
   id_ = 0;
+}
+
+void PeriodMonitor::SubscriberList::detach(std::uint64_t id) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), id,
+      [](const Entry& e, std::uint64_t v) { return e.id < v; });
+  assert(it != entries.end() && it->id == id && it->live);
+  it->live = false;
+  it->cb = nullptr;  // release the captured state now
+  --live;
+  if (!sweeping) compact_if_sparse();
+}
+
+void PeriodMonitor::SubscriberList::compact_if_sparse() {
+  if (entries.size() - live <= live) return;
+  std::erase_if(entries, [](const Entry& e) { return !e.live; });
 }
 
 PeriodMonitor::PeriodMonitor(virt::Platform& platform)
@@ -26,7 +38,8 @@ PeriodMonitor::~PeriodMonitor() { stop(); }
 
 PeriodMonitor::Subscription PeriodMonitor::subscribe(Callback cb) {
   const std::uint64_t id = next_sub_id_++;
-  subscribers_->push_back(Entry{id, std::move(cb)});
+  subscribers_->entries.push_back(Entry{id, std::move(cb)});
+  ++subscribers_->live;
   return Subscription{subscribers_, id};
 }
 
@@ -87,13 +100,13 @@ void PeriodMonitor::sample() {
     // pre-boundary wall time was double-counted: once in this snapshot and
     // again in full in the period where the episode ended.
     bool spinning = false;
-    for (const auto& v : vm.vcpus()) {
-      if (v->eng().in_spin_episode) {
-        const SimTime segment = now - v->eng().spin_episode_start;
+    for (virt::Vcpu& v : vm.vcpus()) {
+      if (v.eng().in_spin_episode) {
+        const SimTime segment = now - v.eng().spin_episode_start;
         snap.spin_wall += segment;
         snap.spin_episodes += 1;
         vm.totals().spin_wall += segment;
-        v->eng().spin_episode_start = now;
+        v.eng().spin_episode_start = now;
         spinning = true;
       }
     }
@@ -106,17 +119,21 @@ void PeriodMonitor::sample() {
   }
   ++periods_;
   // Callbacks may subscribe/unsubscribe (or migrate VMs) from inside a
-  // period; sweep a snapshot of ids and re-find each in the live list so
-  // erasure during the sweep cannot skip or double-invoke an entry.
-  sweep_ids_.clear();
-  for (const Entry& e : *subscribers_) sweep_ids_.push_back(e.id);
-  for (const std::uint64_t id : sweep_ids_) {
-    for (std::size_t i = 0; i < subscribers_->size(); ++i) {
-      if ((*subscribers_)[i].id != id) continue;
-      (*subscribers_)[i].cb(periods_);
-      break;
-    }
+  // period.  Entries keep their index for the whole walk (compaction waits
+  // for it to end); subscribers added by a callback join at the end and
+  // first fire next period; detached ones are skipped.  Each callback runs
+  // from a local, so neither a subscribe that reallocates the list nor a
+  // self-detach can destroy it mid-call.
+  SubscriberList& subs = *subscribers_;
+  subs.sweeping = true;
+  for (std::size_t i = 0, n = subs.entries.size(); i < n; ++i) {
+    if (!subs.entries[i].live) continue;
+    Callback cb = std::move(subs.entries[i].cb);
+    cb(periods_);
+    if (subs.entries[i].live) subs.entries[i].cb = std::move(cb);
   }
+  subs.sweeping = false;
+  subs.compact_if_sparse();
 }
 
 sim::SimTime PeriodMonitor::avg_spin_latency(virt::VmId id) const {

@@ -12,11 +12,14 @@
 // the monitor — a scheduler replaced by Node::set_scheduler, a controller
 // torn down by a repeated install_approach — never leaves a dangling
 // std::function behind.  Handles reach the subscriber list through a
-// shared_ptr, so they may also safely outlive the monitor.  The sampling
-// timer itself is a reusable cancellable Simulation timer: stop() (and the
-// destructor) disarm it, so a monitor can be destroyed before its
-// simulation and a drained shard's next_event_time is not pinned forever by
-// an eternal re-arm.
+// shared_ptr, so they may also safely outlive the monitor.  Detaching is
+// amortized O(log n): the entry is found by id and tombstoned, and
+// tombstones are compacted away once they outnumber the live entries, so
+// tearing down a 16384-node scenario's subscriptions is not quadratic.
+// The sampling timer itself is a reusable cancellable Simulation timer:
+// stop() (and the destructor) disarm it, so a monitor can be destroyed
+// before its simulation and a drained shard's next_event_time is not
+// pinned forever by an eternal re-arm.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +40,22 @@ class PeriodMonitor {
   struct Entry {
     std::uint64_t id = 0;
     Callback cb;
+    bool live = true;  ///< false: detached (cb released), awaiting compaction
   };
   /// Shared between the monitor and its subscription handles; a handle
-  /// detaching after the monitor died just finds the list empty.
-  using SubscriberList = std::vector<Entry>;
+  /// detaching after the monitor died finds it gone.
+  struct SubscriberList {
+    /// In subscription order, so ids ascend and detach can bisect.
+    std::vector<Entry> entries;
+    std::size_t live = 0;
+    /// sample() is walking `entries` by index, so compaction waits for the
+    /// walk to end.
+    bool sweeping = false;
+
+    void detach(std::uint64_t id);
+    /// Drops the tombstones once they outnumber the live entries.
+    void compact_if_sparse();
+  };
 
  public:
   /// RAII handle for one subscription.  Movable; destroying (or reset()ing)
@@ -112,7 +127,7 @@ class PeriodMonitor {
   sim::SimTime avg_spin_latency(virt::VmId id) const;
 
   std::uint64_t periods_elapsed() const { return periods_; }
-  std::size_t subscriber_count() const { return subscribers_->size(); }
+  std::size_t subscriber_count() const { return subscribers_->live; }
 
  private:
   void sample();
@@ -120,7 +135,6 @@ class PeriodMonitor {
   virt::Platform* platform_;
   std::vector<virt::Vm::PeriodStats> last_;
   std::shared_ptr<SubscriberList> subscribers_;
-  std::vector<std::uint64_t> sweep_ids_;  // reused per sample() sweep
   std::vector<virt::VmId> ring_scratch_;  // swapped with the platform ring
   std::vector<virt::VmId> prev_active_;   // sampled last period; may go idle
   std::uint64_t next_sub_id_ = 1;

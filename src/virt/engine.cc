@@ -43,14 +43,16 @@ Engine::Engine(sim::Simulation& simulation, Platform& platform)
 void Engine::start() {
   assert(!started_ && "Engine::start called twice");
   started_ = true;
-  // Create the reusable timer slots.  One set per PCPU plus a segment timer
-  // per VCPU; every dispatch cycle re-arms these in place, so the steady
+  // Create the reusable timer slots: dispatch, slice, resched and compute
+  // per PCPU, none per VCPU (only the VCPU on a core can compute, so its
+  // PCPU's compute timer serves it, and a migrating VM leaves no slots
+  // behind).  Every dispatch cycle re-arms these in place, so the steady
   // state never constructs a callback or touches the allocator.  Creation
   // order is irrelevant to determinism: only arm() consumes sequence
   // numbers.
   for (auto& node : platform_->nodes()) {
-    for (auto& p : node->pcpus()) {
-      Pcpu* pp = p.get();
+    for (Pcpu& p : node->pcpus()) {
+      Pcpu* pp = &p;
       pp->eng().dispatch_timer = sim_->make_timer([this, pp] {
         pp->eng().dispatch_pending = false;
         dispatch(*pp);
@@ -61,16 +63,10 @@ void Engine::start() {
         pp->eng().resched_pending = false;
         if (!pp->idle() && !pp->eng().in_dispatch) request_resched(*pp);
       });
-    }
-    for (auto& vm : node->vms()) {
-      for (auto& v : vm->vcpus()) {
-        Vcpu* vp = v.get();
-        vp->eng().segment_timer = sim_->make_timer([this, vp] {
-          Pcpu* p = vp->eng().on_pcpu;
-          assert(p != nullptr && "segment timer fired off-CPU");
-          compute_finished(*p, *vp);
-        });
-      }
+      pp->eng().compute_timer = sim_->make_timer([this, pp] {
+        assert(!pp->idle() && "compute timer fired on an idle PCPU");
+        compute_finished(*pp, *pp->current());
+      });
     }
   }
   for (auto& node : platform_->nodes()) {
@@ -79,13 +75,13 @@ void Engine::start() {
   }
   for (auto& node : platform_->nodes()) {
     for (auto& vm : node->vms()) {
-      for (auto& v : vm->vcpus()) {
-        if (v->workload() != nullptr) {
-          v->set_state(VcpuState::kRunnable);
+      for (Vcpu& v : vm->vcpus()) {
+        if (v.workload() != nullptr) {
+          v.set_state(VcpuState::kRunnable);
           ATCSIM_TRACE(sim_->trace(),
                        vcpu_event(sim_->now(), obs::TraceCat::kVcpu,
-                                  obs::ev::kStart, *v));
-          node->scheduler().vcpu_started(*v);
+                                  obs::ev::kStart, v));
+          node->scheduler().vcpu_started(v);
         }
       }
     }
@@ -100,8 +96,8 @@ void Engine::schedule_dispatch(Pcpu& p) {
 }
 
 void Engine::kick_idle_pcpus(Node& node) {
-  for (auto& p : node.pcpus()) {
-    if (p->idle()) schedule_dispatch(*p);
+  for (Pcpu& p : node.pcpus()) {
+    if (p.idle()) schedule_dispatch(p);
   }
 }
 
@@ -198,7 +194,7 @@ void Engine::run_current(Pcpu& p) {
         e.segment_start = now;
         const SimTime end = now + need;
         if (end < p.eng().slice_end) {
-          sim_->arm_at(e.segment_timer, end);
+          sim_->arm_at(p.eng().compute_timer, end);
         }
         return;  // compute until segment end or slice expiry
       }
@@ -277,7 +273,6 @@ void Engine::account_segment(Pcpu& /*p*/, Vcpu& v) {
     e.compute_left -= elapsed - pay;
     if (e.compute_left < 0) e.compute_left = 0;
   } else if (e.action.kind == Action::Kind::kSpinWait) {
-    v.mutable_totals().spin_cpu += elapsed;
     platform_->mark_period_activity(vm);
     vm.period().spin_cpu += elapsed;
     vm.totals().spin_cpu += elapsed;
@@ -289,8 +284,9 @@ void Engine::leave_cpu(Pcpu& p, LeaveReason reason) {
   assert(v != nullptr);
   account_segment(p, *v);
   auto& e = v->eng();
-  sim_->disarm(e.segment_timer);
-  sim_->disarm(p.eng().slice_timer);  // no-op when the slice just expired
+  // Each is a no-op when its own expiry brought us here.
+  sim_->disarm(p.eng().compute_timer);
+  sim_->disarm(p.eng().slice_timer);
   const SimTime now = sim_->now();
   const SimTime stint = now - e.stint_start;
   e.last_stint = stint;
@@ -298,7 +294,6 @@ void Engine::leave_cpu(Pcpu& p, LeaveReason reason) {
   platform_->mark_period_activity(vm);
   vm.period().run_time += stint;
   vm.totals().run_time += stint;
-  v->mutable_totals().run += stint;
   p.totals().busy += stint;
   p.node().scheduler().charge(*v, stint);
   ATCSIM_TRACE(sim_->trace(),
@@ -551,11 +546,11 @@ Engine::BoundPair Engine::vm_bound_pair(const Vm& vm) const {
   // split is exact — sat_add(now + x, d) == sat_add(now, sat_add(x, d))
   // for non-negative operands, on both sides of the saturation point.
   BoundPair bp;
-  for (const auto& v : vm.vcpus()) {
-    const auto& e = v->eng();
-    const VcpuState st = v->state();
+  for (const Vcpu& v : vm.vcpus()) {
+    const auto& e = v.eng();
+    const VcpuState st = v.state();
     if (st == VcpuState::kDone || st == VcpuState::kBlocked) continue;
-    const Workload* wl = v->workload();
+    const Workload* wl = v.workload();
     const SimTime dist =
         wl != nullptr ? wl->effect_distance() : sim::SimTime{0};
     if (e.action_valid && e.action.kind == Action::Kind::kCompute) {
@@ -667,9 +662,9 @@ sim::SimTime Engine::earliest_effect_time_reference() {
   for (auto& node : platform_->nodes()) {
     for (auto& vm : node->vms()) {
       if (vm == nullptr) continue;  // expelled by migration (tombstone slot)
-      for (auto& v : vm->vcpus()) {
-        const auto& e = v->eng();
-        const VcpuState st = v->state();
+      for (const Vcpu& v : vm->vcpus()) {
+        const auto& e = v.eng();
+        const VcpuState st = v.state();
         if (st == VcpuState::kDone) continue;
         if (st == VcpuState::kBlocked) {
           // A blocked VCPU resumes only when something signals it: local
@@ -680,7 +675,7 @@ sim::SimTime Engine::earliest_effect_time_reference() {
           // contributes no bound of its own.
           continue;
         }
-        const Workload* wl = v->workload();
+        const Workload* wl = v.workload();
         const SimTime dist =
             wl != nullptr ? wl->effect_distance() : sim::SimTime{0};
         if (e.action_valid && e.action.kind == Action::Kind::kCompute) {
@@ -725,10 +720,10 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
 
   // Force running VCPUs off their PCPUs first: leave_cpu accounts the
   // partial stint and charges the scheduler exactly as a preemption would.
-  for (auto& v : vm.vcpus()) {
-    if (v->state() == VcpuState::kRunning) {
-      Pcpu* p = v->eng().on_pcpu;
-      assert(p != nullptr && p->current() == v.get());
+  for (Vcpu& v : vm.vcpus()) {
+    if (v.state() == VcpuState::kRunning) {
+      Pcpu* p = v.eng().on_pcpu;
+      assert(p != nullptr && p->current() == &v);
       leave_cpu(*p, LeaveReason::kPreempt);
     }
   }
@@ -739,17 +734,14 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
   bundle->depart_time = sim_->now();
   bundle->arrive_time = arrive_time;
 
-  // Out of the run queues, then park every VCPU for the copy window.  The
-  // segment timers belong to this shard's simulation and stay behind;
-  // adopt_and_resume makes fresh ones.
+  // Out of the run queues, then park every VCPU for the copy window.  No
+  // VCPU is on a core any more, so none has a compute timer armed.
   node.scheduler().vm_departing(vm);
   bundle->vcpu_runnable.reserve(vm.vcpus().size());
-  for (auto& v : vm.vcpus()) {
-    bundle->vcpu_runnable.push_back(v->state() == VcpuState::kRunnable);
-    bundle->credits_total += v->sched().credits;
-    if (v->state() != VcpuState::kDone) v->set_state(VcpuState::kBlocked);
-    sim_->disarm(v->eng().segment_timer);
-    v->eng().on_pcpu = nullptr;
+  for (Vcpu& v : vm.vcpus()) {
+    bundle->vcpu_runnable.push_back(v.state() == VcpuState::kRunnable);
+    bundle->credits_total += v.sched().credits;
+    if (v.state() != VcpuState::kDone) v.set_state(VcpuState::kBlocked);
   }
 
   // Owned workload timers: cancel here, travel as remaining delays.  A
@@ -819,21 +811,10 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   // Queued mail re-enters this engine's pending-deposit accounting.
   deposits_pending_ += vm.mailbox().size();
 
-  // Fresh per-VCPU segment timers on this simulation (the source slots are
-  // orphaned there, permanently disarmed).
-  for (auto& v : vm.vcpus()) {
-    Vcpu* vp = v.get();
-    vp->eng().segment_timer = sim_->make_timer([this, vp] {
-      Pcpu* p = vp->eng().on_pcpu;
-      assert(p != nullptr && "segment timer fired off-CPU");
-      compute_finished(*p, *vp);
-    });
-  }
-
   // Workload rebind hooks run before any VCPU resumes, so the first next()
   // on this node already sees the destination engine/network.
-  for (auto& v : vm.vcpus()) {
-    if (v->workload() != nullptr) v->workload()->on_vm_migrated(vm, *this);
+  for (Vcpu& v : vm.vcpus()) {
+    if (v.workload() != nullptr) v.workload()->on_vm_migrated(vm, *this);
   }
 
   // Travelled timers re-arm with their remaining delays.
@@ -843,7 +824,7 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
 
   ATCSIM_TRACE(sim_->trace(), [&] {
     double credits = 0.0;
-    for (auto& v : vm.vcpus()) credits += v->sched().credits;
+    for (const Vcpu& v : vm.vcpus()) credits += v.sched().credits;
     obs::TraceEvent e;
     e.time = sim_->now();
     e.cat = obs::TraceCat::kMigration;
@@ -861,12 +842,12 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   // VCPU, exactly as the deposit that queued it would have.
   std::size_t i = 0;
   bool any_runnable = false;
-  for (auto& v : vm.vcpus()) {
+  for (Vcpu& v : vm.vcpus()) {
     const bool was_runnable = bundle.vcpu_runnable[i++];
-    if (v->state() == VcpuState::kDone) continue;
+    if (v.state() == VcpuState::kDone) continue;
     if (was_runnable) {
-      v->set_state(VcpuState::kRunnable);
-      node.scheduler().vcpu_started(*v);
+      v.set_state(VcpuState::kRunnable);
+      node.scheduler().vcpu_started(v);
       any_runnable = true;
     }
   }

@@ -30,8 +30,9 @@ class Engine {
  public:
   Engine(sim::Simulation& simulation, Platform& platform);
 
-  /// Enqueues every VCPU that has a workload and begins scheduling.
-  /// Call exactly once, before running the simulation.
+  /// Creates each PCPU's four reusable timers (dispatch, slice, resched,
+  /// compute), enqueues every VCPU that has a workload and begins
+  /// scheduling.  Call exactly once, before running the simulation.
   void start();
 
   sim::Simulation& simulation() { return *sim_; }
@@ -156,10 +157,10 @@ class Engine {
   std::unique_ptr<MigrationBundle> pause_and_expel(
       Vm& vm, std::int32_t dest_node_global, sim::SimTime arrive_time);
 
-  /// Destination half, at t_r: attaches the VM to `dest_node`, gives every
-  /// VCPU a fresh segment timer on this simulation, runs the workloads'
-  /// on_vm_migrated rebind hooks, re-arms the travelled timers, restores
-  /// runnability and kicks the node's idle PCPUs.
+  /// Destination half, at t_r: attaches the VM to `dest_node`, runs the
+  /// workloads' on_vm_migrated rebind hooks, re-arms the travelled timers,
+  /// restores runnability and kicks the node's idle PCPUs.  It creates no
+  /// timer slots: a VCPU computes on its PCPU's compute timer.
   Vm& adopt_and_resume(MigrationBundle& bundle, NodeId dest_node);
 
  private:

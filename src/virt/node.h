@@ -2,7 +2,7 @@
 #pragma once
 
 #include <memory>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "virt/ids.h"
@@ -16,15 +16,27 @@ class Platform;
 
 class Node {
  public:
-  Node(NodeId id, Platform& platform, int index)
-      : id_(id), platform_(&platform), index_(index) {}
+  /// Creates the node with `pcpus` PCPUs, numbered from `first_pcpu`.
+  Node(NodeId id, Platform& platform, int index, PcpuId first_pcpu,
+       int pcpus)
+      : id_(id), platform_(&platform), index_(index) {
+    pcpus_.reserve(static_cast<std::size_t>(pcpus));
+    for (int c = 0; c < pcpus; ++c) {
+      pcpus_.emplace_back(PcpuId{first_pcpu.value + c}, *this, c);
+    }
+  }
+
+  // The PCPUs point back at their node.
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
 
   NodeId id() const { return id_; }
   Platform& platform() { return *platform_; }
   int index() const { return index_; }
 
-  std::vector<std::unique_ptr<Pcpu>>& pcpus() { return pcpus_; }
-  const std::vector<std::unique_ptr<Pcpu>>& pcpus() const { return pcpus_; }
+  /// The PCPUs, in index_in_node order; one array, never reallocated.
+  std::span<Pcpu> pcpus() { return pcpus_; }
+  std::span<const Pcpu> pcpus() const { return pcpus_; }
 
   std::vector<std::unique_ptr<Vm>>& vms() { return vms_; }
   const std::vector<std::unique_ptr<Vm>>& vms() const { return vms_; }
@@ -49,7 +61,7 @@ class Node {
   Platform* platform_;
   int index_;
   int llc_domains_ = 1;
-  std::vector<std::unique_ptr<Pcpu>> pcpus_;
+  std::vector<Pcpu> pcpus_;  // never grows after construction
   std::vector<std::unique_ptr<Vm>> vms_;
   Vm* dom0_ = nullptr;
   std::unique_ptr<Scheduler> scheduler_;

@@ -15,7 +15,15 @@ class Vcpu;
 class Pcpu {
  public:
   Pcpu(PcpuId id, Node& node, int index_in_node)
-      : id_(id), node_(&node), index_in_node_(index_in_node) {}
+      : id_(id), index_in_node_(index_in_node), node_(&node) {}
+
+  // The engine's timers and the schedulers hold PCPU addresses, so a copy
+  // is always a bug.  The move exists only for std::vector's growth path,
+  // which never runs: Node reserves its PCPU array once.
+  Pcpu(const Pcpu&) = delete;
+  Pcpu& operator=(const Pcpu&) = delete;
+  Pcpu(Pcpu&&) = default;
+  Pcpu& operator=(Pcpu&&) = delete;
 
   PcpuId id() const { return id_; }
   Node& node() { return *node_; }
@@ -28,11 +36,16 @@ class Pcpu {
 
   // Engine working state (engine.cc is the only writer).
   struct EngineState {
-    // Reusable timer slots, created once by Engine::start(): dispatches and
-    // slice expiries re-arm in place instead of cancel+alloc+push per cycle.
+    // Reusable timer slots, created once by Engine::start(): dispatches,
+    // slice expiries and compute segments re-arm in place instead of
+    // cancel+alloc+push per cycle.
     sim::TimerId slice_timer;      ///< slice-expiry timer
     sim::TimerId dispatch_timer;   ///< zero-delay dispatch trampoline
     sim::TimerId resched_timer;    ///< deferred (ratelimited) preemption
+    /// The current VCPU's compute segment finishing before its slice ends.
+    /// Only the VCPU on the core can compute, so one slot per PCPU serves
+    /// every VCPU; armed by run_current, disarmed by leave_cpu.
+    sim::TimerId compute_timer;
     sim::SimTime slice_end = 0;    ///< absolute end of current slice
     /// Last VCPU that occupied the core; used for the cache-warmth model
     /// (no refill when the same VCPU resumes with nothing in between).
@@ -54,8 +67,8 @@ class Pcpu {
 
  private:
   PcpuId id_;
-  Node* node_;
   int index_in_node_;
+  Node* node_;
   Vcpu* current_ = nullptr;
   EngineState eng_;
   Totals totals_;

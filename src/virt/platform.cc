@@ -30,15 +30,14 @@ Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
                                            config_.node_id_offset + n));
   }
   nodes_.reserve(static_cast<std::size_t>(config_.nodes));
+  pcpus_.reserve(static_cast<std::size_t>(config_.nodes) *
+                 static_cast<std::size_t>(config_.pcpus_per_node));
   for (int n = 0; n < config_.nodes; ++n) {
-    auto node = std::make_unique<Node>(NodeId{n}, *this, n);
+    auto node = std::make_unique<Node>(
+        NodeId{n}, *this, n, PcpuId{static_cast<std::int32_t>(pcpus_.size())},
+        config_.pcpus_per_node);
     node->set_llc_domains(config_.params.llc_domains_per_node);
-    for (int c = 0; c < config_.pcpus_per_node; ++c) {
-      auto pcpu = std::make_unique<Pcpu>(
-          PcpuId{static_cast<std::int32_t>(pcpus_.size())}, *node, c);
-      pcpus_.push_back(pcpu.get());
-      node->pcpus().push_back(std::move(pcpu));
-    }
+    for (Pcpu& p : node->pcpus()) pcpus_.push_back(&p);
     nodes_.push_back(std::move(node));
   }
   engine_ = std::make_unique<Engine>(simulation, *this);
@@ -65,12 +64,10 @@ Vm& Platform::create_vm(NodeId node_id, VmType type, const std::string& name,
   assert(node_id.valid() && node_id.index() < nodes_.size());
   Node& node = *nodes_[node_id.index()];
   auto vm = std::make_unique<Vm>(VmId{static_cast<std::int32_t>(vms_.size())},
-                                 node, type, name);
+                                 node, type, name, VcpuId{next_vcpu_id_},
+                                 vcpus);
+  next_vcpu_id_ += vcpus;
   vm->set_time_slice(config_.params.default_time_slice);
-  for (int i = 0; i < vcpus; ++i) {
-    Vcpu& v = vm->add_vcpu(VcpuId{static_cast<std::int32_t>(vcpus_.size())});
-    vcpus_.push_back(&v);
-  }
   vms_.push_back(vm.get());
   node.vms().push_back(std::move(vm));
   ++topology_version_;
@@ -95,10 +92,6 @@ std::unique_ptr<Vm> Platform::expel_vm(Vm& vm) {
   Node& node = vm.node();
   assert(vms_[vm.id().index()] == &vm);
   vms_[vm.id().index()] = nullptr;
-  for (auto& v : vm.vcpus()) {
-    assert(vcpus_[v->id().index()] == v.get());
-    vcpus_[v->id().index()] = nullptr;
-  }
   ++topology_version_;
   // Extract ownership but keep the (now null) slot, so sibling VMs keep
   // their node-local positions and the scheduler's dense per-VM indices.
@@ -117,10 +110,7 @@ Vm& Platform::adopt_vm(NodeId node_id, std::unique_ptr<Vm> vm) {
   // whichever platform expelled it) stay tombstoned forever.
   vm->set_id(VmId{static_cast<std::int32_t>(vms_.size())});
   vm->set_node(node);
-  for (auto& v : vm->vcpus()) {
-    v->set_id(VcpuId{static_cast<std::int32_t>(vcpus_.size())});
-    vcpus_.push_back(v.get());
-  }
+  for (Vcpu& v : vm->vcpus()) v.set_id(VcpuId{next_vcpu_id_++});
   vms_.push_back(vm.get());
   node.vms().push_back(std::move(vm));
   ++topology_version_;

@@ -86,10 +86,8 @@ class Platform {
     assert(vms_[id.index()] != nullptr);  // expelled ids are tombstoned
     return *vms_[id.index()];
   }
-  Vcpu& vcpu(VcpuId id) { return *vcpus_[id.index()]; }
   Pcpu& pcpu(PcpuId id) { return *pcpus_[id.index()]; }
   std::size_t vm_count() const { return vms_.size(); }
-  std::size_t vcpu_count() const { return vcpus_.size(); }
 
   /// Null-safe VM lookup: nullptr for out-of-range ids and for slots left
   /// behind by a VM that migrated off this platform (tombstones).  Every
@@ -125,10 +123,11 @@ class Platform {
 
   // --- live migration ----------------------------------------------------
 
-  /// Detaches `vm` from this platform: its id slots become tombstones and
-  /// the node keeps a null placeholder so sibling VMs' scheduler indices
-  /// stay dense.  The caller receives ownership; the VCPUs must already be
-  /// off-CPU and out of every run queue (Engine::pause_and_expel does both).
+  /// Detaches `vm` from this platform: its VmId slot becomes a tombstone
+  /// and the node keeps a null placeholder so sibling VMs' scheduler
+  /// indices stay dense.  The caller receives ownership; the VCPUs must
+  /// already be off-CPU and out of every run queue
+  /// (Engine::pause_and_expel does both).
   std::unique_ptr<Vm> expel_vm(Vm& vm);
 
   /// Adopts a VM expelled from another (or this) platform onto `node`:
@@ -144,8 +143,10 @@ class Platform {
   std::vector<std::unique_ptr<Node>> nodes_;
   // Flat id-indexed views (non-owning; owners are the nodes).
   std::vector<Vm*> vms_;
-  std::vector<Vcpu*> vcpus_;
   std::vector<Pcpu*> pcpus_;
+  /// VcpuIds are dense in creation and adoption order; nothing looks a
+  /// VCPU up by id, so only the next one is kept.
+  std::int32_t next_vcpu_id_ = 0;
   std::unique_ptr<Engine> engine_;
   net::VirtualNetwork* network_ = nullptr;
   std::uint64_t topology_version_ = 0;

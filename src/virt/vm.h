@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +24,13 @@ enum class VmType : std::uint8_t {
 
 class Vm {
  public:
-  Vm(VmId id, Node& node, VmType type, std::string name);
+  /// Creates the VM with `vcpus` VCPUs, numbered from `first_vcpu`.
+  Vm(VmId id, Node& node, VmType type, std::string name, VcpuId first_vcpu,
+     int vcpus);
+
+  // The VCPUs point back at their VM.
+  Vm(const Vm&) = delete;
+  Vm& operator=(const Vm&) = delete;
 
   VmId id() const { return id_; }
   Node& node() { return *node_; }
@@ -46,11 +52,11 @@ class Vm {
   bool is_parallel() const { return type_ == VmType::kParallel; }
   bool is_dom0() const { return type_ == VmType::kDom0; }
 
-  /// Adds a VCPU (platform assigns the global id).  Construction-time only.
-  Vcpu& add_vcpu(VcpuId id);
-
-  std::vector<std::unique_ptr<Vcpu>>& vcpus() { return vcpus_; }
-  const std::vector<std::unique_ptr<Vcpu>>& vcpus() const { return vcpus_; }
+  /// The VCPUs, in index_in_vm order.  One array, sized by the constructor
+  /// and never reallocated: a VCPU's address is stable for the VM's
+  /// lifetime, migrations included.
+  std::span<Vcpu> vcpus() { return vcpus_; }
+  std::span<const Vcpu> vcpus() const { return vcpus_; }
   std::size_t vcpu_count() const { return vcpus_.size(); }
 
   // --- scheduling parameters -------------------------------------------
@@ -148,7 +154,7 @@ class Vm {
   VmType type_;
   std::string name_;
   std::int64_t global_id_ = -1;
-  std::vector<std::unique_ptr<Vcpu>> vcpus_;
+  std::vector<Vcpu> vcpus_;  // never grows after construction
   int weight_ = 256;
   int cap_percent_ = 0;
   sim::SimTime time_slice_ = 0;  // set from ModelParams default at creation

@@ -98,8 +98,8 @@ void BspApp::attach() {
   ranks_.reserve(total);
   int rank = 0;
   for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
-    for (auto& vcpu : vm_ptrs_[i]->vcpus()) {
-      vcpu->set_workload(&ranks_.emplace_back(
+    for (virt::Vcpu& vcpu : vm_ptrs_[i]->vcpus()) {
+      vcpu.set_workload(&ranks_.emplace_back(
           *this, static_cast<int>(i), rank,
           rng_.split(static_cast<std::uint64_t>(rank))));
       ++rank;

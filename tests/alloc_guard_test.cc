@@ -7,6 +7,7 @@
 // cannot interfere with the main test suite.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -210,7 +211,7 @@ TEST(AllocGuardTest, FreshSyncEventCyclesAreAllocationFree) {
   atcsim::virt::Engine& engine = platform.engine();
   atcsim::virt::SyncEvent warm(engine);
   WaitLoop loop(warm);
-  vm.vcpus()[0]->set_workload(&loop);
+  vm.vcpus()[0].set_workload(&loop);
   platform.set_scheduler(atcsim::virt::NodeId{0},
                          std::make_unique<atcsim::sched::CreditScheduler>());
   const TimerId kick = s.make_timer([&loop] { loop.waiting->signal(); });
@@ -219,7 +220,7 @@ TEST(AllocGuardTest, FreshSyncEventCyclesAreAllocationFree) {
   auto cycles = [&](int n) {
     for (int i = 0; i < n; ++i) {
       s.run_until(s.now() + 100'000);  // computes, then blocks
-      ASSERT_EQ(vm.vcpus()[0]->state(), atcsim::virt::VcpuState::kBlocked);
+      ASSERT_EQ(vm.vcpus()[0].state(), atcsim::virt::VcpuState::kBlocked);
       s.arm_at(kick, s.now() + 1);
     }
   };
@@ -260,6 +261,113 @@ TEST(AllocGuardTest, BspAppBarrierStorageIsFlat) {
     return allocs() - before;
   };
   EXPECT_EQ(build_allocs(4), build_allocs(64));
+}
+
+// A guest program that only computes, in short segments.
+class ComputeLoop : public atcsim::virt::Workload {
+ public:
+  atcsim::virt::Action next(atcsim::virt::Vcpu& /*self*/) override {
+    return atcsim::virt::Action::compute(50'000);
+  }
+  std::string name() const override { return "compute_loop"; }
+};
+
+// Every node holds its PCPUs in one array and every VM its VCPUs in one
+// array, and the engine's timers are per PCPU: building a platform costs
+// the same allocations for 1 or 8 PCPUs per node, creating a VM the same
+// for 1 or 8 VCPUs, and Engine::start() the same for either VM shape.
+TEST(AllocGuardTest, VcpuAndPcpuStorageIsFlat) {
+  using atcsim::virt::NodeId;
+  using atcsim::virt::Platform;
+  using atcsim::virt::VmType;
+  auto platform_allocs = [](int pcpus) {
+    Simulation s;
+    atcsim::virt::PlatformConfig pc;
+    pc.nodes = 2;
+    pc.pcpus_per_node = pcpus;
+    const std::uint64_t before = allocs();
+    Platform platform(s, pc);
+    return allocs() - before;
+  };
+  EXPECT_EQ(platform_allocs(1), platform_allocs(8));
+
+  struct Counts {
+    std::uint64_t create_vm = 0;
+    std::uint64_t start = 0;
+  };
+  auto vm_allocs = [](int vcpus) {
+    Simulation s;
+    atcsim::virt::PlatformConfig pc;
+    pc.nodes = 1;
+    pc.pcpus_per_node = 4;
+    Platform platform(s, pc);
+    platform.set_scheduler(NodeId{0},
+                           std::make_unique<atcsim::sched::CreditScheduler>());
+    std::array<ComputeLoop, 32> programs;
+    Counts c;
+    for (int i = 0; i < 4; ++i) {
+      const std::uint64_t before = allocs();
+      atcsim::virt::Vm& vm =
+          platform.create_vm(NodeId{0}, VmType::kParallel, "vm", vcpus);
+      c.create_vm = allocs() - before;
+      for (auto& v : vm.vcpus()) {
+        v.set_workload(&programs[static_cast<std::size_t>(
+            4 * v.index_in_vm() + i)]);
+      }
+    }
+    const std::uint64_t before = allocs();
+    platform.engine().start();
+    c.start = allocs() - before;
+    return c;
+  };
+  const Counts one = vm_allocs(1);
+  const Counts eight = vm_allocs(8);
+  EXPECT_EQ(one.create_vm, eight.create_vm);
+  EXPECT_EQ(one.start, eight.start);
+}
+
+// Compute timers live on PCPUs, so a migrating VM neither orphans timer
+// slots on its source nor makes new ones on its destination: once warm,
+// round trips between two nodes leave the event-queue slab as it was.
+TEST(AllocGuardTest, MigrationRoundTripsMakeNoTimerSlots) {
+  using atcsim::virt::NodeId;
+  Simulation s;
+  atcsim::virt::PlatformConfig pc;
+  pc.nodes = 2;
+  pc.pcpus_per_node = 4;
+  atcsim::virt::Platform platform(s, pc);
+  for (int n = 0; n < 2; ++n) {
+    platform.set_scheduler(NodeId{n},
+                           std::make_unique<atcsim::sched::CreditScheduler>());
+  }
+  atcsim::virt::Vm* vm = &platform.create_vm(
+      NodeId{0}, atcsim::virt::VmType::kParallel, "guest", 8);
+  std::array<ComputeLoop, 8> programs;
+  for (auto& v : vm->vcpus()) {
+    v.set_workload(&programs[static_cast<std::size_t>(v.index_in_vm())]);
+  }
+  atcsim::virt::Engine& engine = platform.engine();
+  engine.start();
+
+  auto round_trips = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      for (const int dest : {1, 0}) {
+        s.run_until(s.now() + 1'000'000);
+        auto bundle = engine.pause_and_expel(*vm, dest, s.now());
+        vm = &engine.adopt_and_resume(*bundle, NodeId{dest});
+        ASSERT_EQ(vm->node().id(), NodeId{dest});
+      }
+    }
+  };
+  round_trips(32);
+  const std::size_t warm = s.queue().slot_count();
+  round_trips(64);
+  EXPECT_EQ(s.queue().slot_count(), warm)
+      << "migration round trips made new event-queue slots";
+  s.run_until(s.now() + 1'000'000);
+  for (const auto& v : vm->vcpus()) {
+    EXPECT_GT(v.totals().dispatches, 0u);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cache/xenoprof.h"
 #include "cluster/approach.h"
@@ -206,6 +207,51 @@ TEST(ApproachLifetimeTest, DestroyingARuntimeUnsubscribesItsCallbacks) {
   platform.engine().start();
   simulation.run_until(200_ms);
   EXPECT_GT(monitor.periods_elapsed(), 0u);
+}
+
+// Detach tombstones the entry instead of erasing it, and a period's sweep
+// walks the list by index: detaching half the subscribers — one of them
+// from another's callback, one from its own — must leave the survivors
+// firing exactly once per period, in subscription order.
+TEST(PeriodMonitorTest, DetachKeepsSurvivorsInSubscriptionOrder) {
+  sim::Simulation simulation;
+  virt::PlatformConfig pc;
+  pc.nodes = 1;
+  pc.pcpus_per_node = 1;
+  virt::Platform platform(simulation, pc);
+  sync::PeriodMonitor monitor(platform);
+  constexpr int kSubs = 64;
+  constexpr int kDetacher = 10;   // detaches kDetacher + 1 mid-sweep
+  constexpr int kSelfDetach = 20; // fires once, then detaches itself
+  std::vector<int> fired;
+  std::vector<sync::PeriodMonitor::Subscription> subs(kSubs);
+  for (int i = 0; i < kSubs; ++i) {
+    subs[static_cast<std::size_t>(i)] =
+        monitor.subscribe([&fired, &subs, i](std::uint64_t) {
+          fired.push_back(i);
+          if (i == kDetacher) subs[kDetacher + 1].reset();
+          if (i == kSelfDetach) subs[kSelfDetach].reset();
+        });
+  }
+  for (int i = 1; i < kSubs; i += 2) {
+    if (i != kDetacher + 1) subs[static_cast<std::size_t>(i)].reset();
+  }
+  EXPECT_EQ(monitor.subscriber_count(), std::size_t{kSubs / 2 + 1});
+
+  std::vector<int> evens;
+  for (int i = 0; i < kSubs; i += 2) evens.push_back(i);
+  monitor.start();
+  const sim::SimTime period = platform.params().accounting_period;
+  simulation.run_until(period);
+  ASSERT_EQ(monitor.periods_elapsed(), 1u);
+  EXPECT_EQ(fired, evens);
+  EXPECT_EQ(monitor.subscriber_count(), std::size_t{kSubs / 2 - 1});
+
+  fired.clear();
+  simulation.run_until(2 * period);
+  ASSERT_EQ(monitor.periods_elapsed(), 2u);
+  std::erase(evens, kSelfDetach);
+  EXPECT_EQ(fired, evens);
 }
 
 // ------------------------------------------------ sampler-timer regression

@@ -87,10 +87,10 @@ TEST(EngineTest, ComputeRunsToCompletionAndExits) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
   ScriptWorkload w({Action::compute(5_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(1_s);
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kDone);
   EXPECT_EQ(vm.totals().run_time, 5_ms);
 }
 
@@ -100,25 +100,25 @@ TEST(EngineTest, ComputeLongerThanSliceSplitsAcrossSlices) {
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(50_ms)});
   ScriptWorkload wb({Action::compute(50_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.run_until(10_s);
   // Both complete; with 30ms default slices each ran in 2 stints.
   EXPECT_EQ(a.totals().run_time, 50_ms);
   EXPECT_EQ(b.totals().run_time, 50_ms);
-  EXPECT_GE(a.vcpus()[0]->totals().dispatches, 2u);
+  EXPECT_GE(a.vcpus()[0].totals().dispatches, 2u);
 }
 
 TEST(EngineTest, VcpuWithoutWorkloadNeverRuns) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 2);
   ScriptWorkload w({Action::compute(1_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(1_s);
-  EXPECT_EQ(vm.vcpus()[1]->state(), VcpuState::kDone);
-  EXPECT_EQ(vm.vcpus()[1]->totals().dispatches, 0u);
+  EXPECT_EQ(vm.vcpus()[1].state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[1].totals().dispatches, 0u);
 }
 
 TEST(EngineTest, SpinWaitBurnsCpuUntilSignal) {
@@ -126,7 +126,7 @@ TEST(EngineTest, SpinWaitBurnsCpuUntilSignal) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent ev(rig.platform->engine());
   ScriptWorkload w({Action::spin_wait(ev), Action::compute(1_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.call_at(7_ms, [&] { ev.signal(); });
   rig.simulation.run_until(1_s);
@@ -142,7 +142,7 @@ TEST(EngineTest, SpinOnSignalledEventIsZeroLatencyEpisode) {
   virt::SyncEvent ev(rig.platform->engine());
   ev.signal();
   ScriptWorkload w({Action::spin_wait(ev)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(1_s);
   EXPECT_EQ(vm.totals().spin_episodes, 1u);
@@ -159,8 +159,8 @@ TEST(EngineTest, DescheduledSpinnerObservesSignalOnlyAtDispatch) {
   virt::SyncEvent ev(rig.platform->engine());
   ScriptWorkload spinner({Action::spin_wait(ev)});
   ScriptWorkload hog({Action::compute(300_ms)});
-  spin_vm.vcpus()[0]->set_workload(&spinner);
-  hog_vm.vcpus()[0]->set_workload(&hog);
+  spin_vm.vcpus()[0].set_workload(&spinner);
+  hog_vm.vcpus()[0].set_workload(&hog);
   rig.start();
   // Fire while the hog holds the PCPU (spinner descheduled).
   rig.simulation.call_at(35_ms, [&] { ev.signal(); });
@@ -175,13 +175,13 @@ TEST(EngineTest, BlockWaitHaltsAndWakes) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent ev(rig.platform->engine());
   ScriptWorkload w({Action::block_wait(ev), Action::compute(2_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(5_ms);
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kBlocked);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
   ev.signal();
   rig.simulation.run_until(1_s);
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kDone);
   // Blocked time is not CPU time.
   EXPECT_EQ(vm.totals().run_time, 2_ms);
   EXPECT_EQ(vm.totals().spin_cpu, 0);
@@ -192,7 +192,7 @@ TEST(EngineTest, BlockWakeCountsAsWakeup) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent ev(rig.platform->engine());
   ScriptWorkload w({Action::block_wait(ev)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.call_at(1_ms, [&] { ev.signal(); });
   rig.simulation.run_until(1_s);
@@ -204,7 +204,7 @@ TEST(EngineTest, DepositToRunningVmIsImmediate) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
   ScriptWorkload w({Action::compute(100_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   bool delivered = false;
   sim::SimTime at = -1;
@@ -227,16 +227,16 @@ TEST(EngineTest, DepositToBlockedVmWakesAndDrainsOnDispatch) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent never(rig.platform->engine());
   ScriptWorkload w({Action::block_wait(never)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(5_ms);
-  ASSERT_EQ(vm.vcpus()[0]->state(), VcpuState::kBlocked);
+  ASSERT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
   bool delivered = false;
   rig.platform->engine().deposit(vm, [&] { delivered = true; });
   rig.simulation.run_until(10_ms);
   EXPECT_TRUE(delivered);  // woken by the event-channel IRQ, mail drained
   // The VCPU re-blocked afterwards (its event never fires).
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kBlocked);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
 }
 
 TEST(EngineTest, DepositToDescheduledVmWaitsForDispatch) {
@@ -248,8 +248,8 @@ TEST(EngineTest, DepositToDescheduledVmWaitsForDispatch) {
   virt::SyncEvent never(rig.platform->engine());
   ScriptWorkload spinner({Action::spin_wait(never)});
   ScriptWorkload hog({Action::compute(300_ms)});
-  spin_vm.vcpus()[0]->set_workload(&spinner);
-  hog_vm.vcpus()[0]->set_workload(&hog);
+  spin_vm.vcpus()[0].set_workload(&spinner);
+  hog_vm.vcpus()[0].set_workload(&hog);
   rig.start();
   sim::SimTime delivered_at = -1;
   rig.simulation.call_at(35_ms, [&] {
@@ -277,8 +277,8 @@ TEST(EngineTest, ContextSwitchChargesDebtAndMisses) {
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(100_ms)});
   ScriptWorkload wb({Action::compute(100_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.run_until(5_s);
   // Alternating 30ms slices: several switches each, each charging misses.
@@ -286,7 +286,7 @@ TEST(EngineTest, ContextSwitchChargesDebtAndMisses) {
   EXPECT_GT(a.totals().llc_misses, 0u);
   // Wall completion is later than pure compute due to debt.
   EXPECT_EQ(a.totals().run_time + b.totals().run_time,
-            rig.platform->node(virt::NodeId{0}).pcpus()[0]->totals().busy);
+            rig.platform->node(virt::NodeId{0}).pcpus()[0].totals().busy);
 }
 
 TEST(EngineTest, FirstDispatchHasNoRefillDebt) {
@@ -298,7 +298,7 @@ TEST(EngineTest, FirstDispatchHasNoRefillDebt) {
   Rig rig(1, 1, p);
   virt::Vm& vm = rig.vm(0, 1);
   ScriptWorkload w({Action::compute(5_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(1_s);
   // last_stint was 0 at first dispatch, so no refill debt was charged.
@@ -320,12 +320,12 @@ TEST(EngineTest, CacheDebtBoundedByLastStint) {
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(20_ms)});
   ScriptWorkload wb({Action::compute(20_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.run_until(30_s);
-  EXPECT_EQ(a.vcpus()[0]->state(), VcpuState::kDone);
-  EXPECT_EQ(b.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(a.vcpus()[0].state(), VcpuState::kDone);
+  EXPECT_EQ(b.vcpus()[0].state(), VcpuState::kDone);
 }
 
 TEST(EngineTest, MinTimeSliceClampsTinySlices) {
@@ -338,13 +338,13 @@ TEST(EngineTest, MinTimeSliceClampsTinySlices) {
   b.set_time_slice(1);
   ScriptWorkload wa({Action::compute(1_ms)});
   ScriptWorkload wb({Action::compute(1_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.run_until(1_s);
   // 2ms of work in 50us slices: at most ~40 dispatches each (plus noise),
   // far fewer than the millions 1ns slices would give.
-  EXPECT_LE(a.vcpus()[0]->totals().dispatches, 50u);
+  EXPECT_LE(a.vcpus()[0].totals().dispatches, 50u);
 }
 
 TEST(EngineTest, PcpuBusyMatchesVcpuRunTotals) {
@@ -354,13 +354,13 @@ TEST(EngineTest, PcpuBusyMatchesVcpuRunTotals) {
     virt::Vm& vm = rig.vm(0, 1);
     scripts.push_back(std::make_unique<ScriptWorkload>(
         std::vector<Action>{Action::compute(40_ms)}));
-    vm.vcpus()[0]->set_workload(scripts.back().get());
+    vm.vcpus()[0].set_workload(scripts.back().get());
   }
   rig.start();
   rig.simulation.run_until(5_s);
   sim::SimTime busy = 0;
   for (auto& p : rig.platform->node(virt::NodeId{0}).pcpus()) {
-    busy += p->totals().busy;
+    busy += p.totals().busy;
   }
   EXPECT_EQ(busy, 4 * 40_ms);
 }
@@ -373,11 +373,11 @@ TEST(EngineTest, RequestReschedHonorsRatelimit) {
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(20_ms)});
   ScriptWorkload wb({Action::compute(20_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   // Preempt immediately after the first dispatch: must be deferred to 1ms.
-  virt::Pcpu& pcpu = *rig.platform->node(virt::NodeId{0}).pcpus()[0];
+  virt::Pcpu& pcpu = rig.platform->node(virt::NodeId{0}).pcpus()[0];
   rig.simulation.call_at(0, [&] {
     rig.platform->engine().request_resched(pcpu);
   });
@@ -399,7 +399,7 @@ TEST(EngineTest, TwoIdenticalRunsAreDeterministic) {
       scripts.push_back(std::make_unique<ScriptWorkload>(
           std::vector<Action>{Action::compute(17_ms),
                               Action::compute(9_ms)}));
-      vm.vcpus()[0]->set_workload(scripts.back().get());
+      vm.vcpus()[0].set_workload(scripts.back().get());
     }
     rig.start();
     rig.simulation.run_until(3_s);
@@ -460,7 +460,7 @@ TEST(SyncEventTest, WaitersWakeInRegistrationOrder) {
         std::vector<Action>{Action::compute(arrive[i]), Action::spin_wait(ev),
                             Action::compute(1_ms)},
         i, &resumed));
-    vms.back()->vcpus()[0]->set_workload(ws.back().get());
+    vms.back()->vcpus()[0].set_workload(ws.back().get());
   }
 #if ATCSIM_TRACE_ENABLED
   obs::TraceSink sink;
@@ -468,13 +468,13 @@ TEST(SyncEventTest, WaitersWakeInRegistrationOrder) {
 #endif
   rig.start();
   rig.simulation.run_until(4_ms);
-  EXPECT_EQ(ev.first_waiter(), vms[1]->vcpus()[0].get());
+  EXPECT_EQ(ev.first_waiter(), &vms[1]->vcpus()[0]);
   rig.simulation.call_at(5_ms, [&] { ev.signal(); });
   rig.simulation.run_until(1_s);
   EXPECT_EQ(resumed, (std::vector<int>{1, 2, 0}));
   EXPECT_EQ(ev.first_waiter(), nullptr);
   for (virt::Vm* vm : vms) {
-    EXPECT_EQ(vm->vcpus()[0]->state(), VcpuState::kDone);
+    EXPECT_EQ(vm->vcpus()[0].state(), VcpuState::kDone);
     EXPECT_EQ(vm->totals().spin_episodes, 1u);
   }
 #if ATCSIM_TRACE_ENABLED
@@ -484,7 +484,7 @@ TEST(SyncEventTest, WaitersWakeInRegistrationOrder) {
     if (e.cat != obs::TraceCat::kSync || e.type != obs::ev::kSignal) continue;
     ++signals;
     EXPECT_EQ(e.vm, vms[1]->id().value);
-    EXPECT_EQ(e.vcpu, vms[1]->vcpus()[0]->id().value);
+    EXPECT_EQ(e.vcpu, vms[1]->vcpus()[0].id().value);
     EXPECT_EQ(e.a0, 3);
   }
   EXPECT_EQ(signals, 1);
@@ -505,21 +505,21 @@ TEST(SyncEventTest, ReleasedSpinnerMayWaitOnAnotherEventReentrantly) {
                      Action::spin_wait(second), Action::compute(1_ms)});
   ScriptWorkload wb({Action::compute(2_ms), Action::spin_wait(first),
                      Action::compute(1_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.call_at(5_ms, [&] { first.signal(); });
   rig.simulation.run_until(5_ms + 1);
   EXPECT_EQ(first.first_waiter(), nullptr);
-  EXPECT_EQ(second.first_waiter(), a.vcpus()[0].get());
-  EXPECT_EQ(a.vcpus()[0]->eng().next_waiter, nullptr);
+  EXPECT_EQ(second.first_waiter(), &a.vcpus()[0]);
+  EXPECT_EQ(a.vcpus()[0].eng().next_waiter, nullptr);
   EXPECT_EQ(wb.steps_taken(), 3u);  // released into its final compute
   EXPECT_EQ(b.totals().spin_episodes, 1u);
 
   rig.simulation.call_at(9_ms, [&] { second.signal(); });
   rig.simulation.run_until(1_s);
-  EXPECT_EQ(a.vcpus()[0]->state(), VcpuState::kDone);
-  EXPECT_EQ(b.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(a.vcpus()[0].state(), VcpuState::kDone);
+  EXPECT_EQ(b.vcpus()[0].state(), VcpuState::kDone);
   EXPECT_EQ(a.totals().spin_episodes, 2u);
   EXPECT_EQ(a.totals().spin_wall, (5_ms - 1_ms) + (9_ms - 5_ms));
   EXPECT_EQ(b.totals().spin_wall, 5_ms - 2_ms);
@@ -557,8 +557,8 @@ TEST(SyncEventTest, ResetAfterEveryWaiterProceededRearmsTheEvent) {
                      Action::block_wait(ev), Action::compute(1_ms)});
   ScriptWorkload w1({Action::block_wait(ev), Action::compute(2_ms),
                      Action::block_wait(ev), Action::compute(1_ms)});
-  vm.vcpus()[0]->set_workload(&w0);
-  vm.vcpus()[1]->set_workload(&w1);
+  vm.vcpus()[0].set_workload(&w0);
+  vm.vcpus()[1].set_workload(&w1);
   rig.start();
   rig.simulation.call_at(1_ms, [&] { ev.signal(); });
   rig.simulation.call_at(2_ms, [&] {
@@ -567,13 +567,13 @@ TEST(SyncEventTest, ResetAfterEveryWaiterProceededRearmsTheEvent) {
   });
   rig.simulation.run_until(4_ms);
   EXPECT_FALSE(ev.signalled());
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kBlocked);
-  EXPECT_EQ(vm.vcpus()[1]->state(), VcpuState::kBlocked);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
+  EXPECT_EQ(vm.vcpus()[1].state(), VcpuState::kBlocked);
   EXPECT_NE(ev.first_waiter(), nullptr);
   ev.signal();
   rig.simulation.run_until(1_s);
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kDone);
-  EXPECT_EQ(vm.vcpus()[1]->state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[1].state(), VcpuState::kDone);
   EXPECT_EQ(vm.totals().run_time, 2 * (2_ms + 1_ms));
   EXPECT_EQ(vm.period().wakeups, 4u);
 }
@@ -584,11 +584,11 @@ TEST(VmTest, FirstBlockedAndAnyRunning) {
   virt::SyncEvent never(rig.platform->engine());
   ScriptWorkload w0({Action::block_wait(never)});
   ScriptWorkload w1({Action::compute(50_ms)});
-  vm.vcpus()[0]->set_workload(&w0);
-  vm.vcpus()[1]->set_workload(&w1);
+  vm.vcpus()[0].set_workload(&w0);
+  vm.vcpus()[1].set_workload(&w1);
   rig.start();
   rig.simulation.run_until(10_ms);
-  EXPECT_EQ(vm.first_blocked(), vm.vcpus()[0].get());
+  EXPECT_EQ(vm.first_blocked(), &vm.vcpus()[0]);
   EXPECT_TRUE(vm.any_running());
 }
 

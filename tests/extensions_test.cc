@@ -63,7 +63,7 @@ struct ClsRig {
                                        virt::VmType::kNonParallel, "cpu", 1);
     workloads.push_back(std::make_unique<workload::LoopWorkload>(
         *network, vm, workload::cpu_descriptor("gcc"), sim::Rng(2), nullptr));
-    vm.vcpus()[0]->set_workload(workloads.back().get());
+    vm.vcpus()[0].set_workload(workloads.back().get());
     return vm;
   }
 
@@ -182,7 +182,7 @@ struct CapRig {
         "hog" + std::to_string(platform->vm_count()), vcpus);
     for (auto& v : vm.vcpus()) {
       hogs.push_back(std::make_unique<HogWorkload>());
-      v->set_workload(hogs.back().get());
+      v.set_workload(hogs.back().get());
     }
     return vm;
   }
@@ -235,22 +235,22 @@ TEST(CreditCapTest, ParkedVcpusYieldToOthers) {
 TEST(VcpuPinTest, PinnedVcpuStaysOnItsPcpu) {
   CapRig rig(4);
   virt::Vm& vm = rig.hog_vm(2);
-  const virt::PcpuId target = rig.platform->nodes()[0]->pcpus()[2]->id();
-  for (auto& v : vm.vcpus()) v->sched().pinned = target;
+  const virt::PcpuId target = rig.platform->nodes()[0]->pcpus()[2].id();
+  for (auto& v : vm.vcpus()) v.sched().pinned = target;
   rig.hog_vm(4);  // background load that would otherwise attract/steal
   rig.start();
   rig.simulation.run_until(3_s);
   for (auto& v : vm.vcpus()) {
-    EXPECT_EQ(v->sched().queue.value, target.value);
-    EXPECT_EQ(v->sched().last_pcpu.value, target.value);
+    EXPECT_EQ(v.sched().queue.value, target.value);
+    EXPECT_EQ(v.sched().last_pcpu.value, target.value);
   }
 }
 
 TEST(VcpuPinTest, TwoPinnedVcpusShareTheirPcpu) {
   CapRig rig(2);
   virt::Vm& vm = rig.hog_vm(2);
-  const virt::PcpuId target = rig.platform->nodes()[0]->pcpus()[0]->id();
-  for (auto& v : vm.vcpus()) v->sched().pinned = target;
+  const virt::PcpuId target = rig.platform->nodes()[0]->pcpus()[0].id();
+  for (auto& v : vm.vcpus()) v.sched().pinned = target;
   rig.start();
   rig.simulation.run_until(4_s);
   // Both VCPUs fight over one PCPU: total run ~= 4s, not 8s.

@@ -92,7 +92,7 @@ struct PktRig {
           virt::NodeId{n}, virt::VmType::kNonParallel,
           std::string("g").append(std::to_string(n)), 1);
       workloads.push_back(std::make_unique<BusyWorkload>());
-      vm.vcpus()[0]->set_workload(workloads.back().get());
+      vm.vcpus()[0].set_workload(workloads.back().get());
       guests.push_back(&vm);
     }
     for (int n = 0; n < nodes; ++n) {

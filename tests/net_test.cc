@@ -49,7 +49,7 @@ struct NetRig {
         virt::NodeId{node}, virt::VmType::kNonParallel,
         std::string("g").append(std::to_string(platform->vm_count())), 1);
     workloads.push_back(std::make_unique<BusyWorkload>());
-    vm.vcpus()[0]->set_workload(workloads.back().get());
+    vm.vcpus()[0].set_workload(workloads.back().get());
     return vm;
   }
 
@@ -209,12 +209,12 @@ TEST(NetTest, Dom0BlocksWhenIdleAndWakesOnWork) {
   rig.start();
   rig.simulation.run_until(50_ms);
   virt::Vm* dom0 = rig.platform->nodes()[0]->dom0();
-  EXPECT_EQ(dom0->vcpus()[0]->state(), virt::VcpuState::kBlocked);
+  EXPECT_EQ(dom0->vcpus()[0].state(), virt::VcpuState::kBlocked);
   bool delivered = false;
   rig.network->send(a, a, 64, [&] { delivered = true; });
   rig.simulation.run_until(200_ms);
   EXPECT_TRUE(delivered);
-  EXPECT_EQ(dom0->vcpus()[0]->state(), virt::VcpuState::kBlocked);
+  EXPECT_EQ(dom0->vcpus()[0].state(), virt::VcpuState::kBlocked);
   EXPECT_GT(dom0->totals().run_time, 0);
 }
 

@@ -320,8 +320,8 @@ TEST(InvariantEndToEndTest, BrokenSchedulerMutationIsCaughtByChecker) {
   virt::Vm& vm =
       platform.create_vm(virt::NodeId{0}, virt::VmType::kNonParallel, "vm", 2);
   BusyWorkload w0, w1;
-  vm.vcpus()[0]->set_workload(&w0);
-  vm.vcpus()[1]->set_workload(&w1);
+  vm.vcpus()[0].set_workload(&w0);
+  vm.vcpus()[1].set_workload(&w1);
   platform.set_scheduler(virt::NodeId{0},
                          std::make_unique<BrokenCreditScheduler>());
   platform.engine().start();
@@ -351,8 +351,8 @@ TEST(InvariantEndToEndTest, IntactSchedulerProducesNoViolations) {
   virt::Vm& vm =
       platform.create_vm(virt::NodeId{0}, virt::VmType::kNonParallel, "vm", 2);
   BusyWorkload w0, w1;
-  vm.vcpus()[0]->set_workload(&w0);
-  vm.vcpus()[1]->set_workload(&w1);
+  vm.vcpus()[0].set_workload(&w0);
+  vm.vcpus()[1].set_workload(&w1);
   platform.set_scheduler(virt::NodeId{0},
                          std::make_unique<sched::CreditScheduler>());
   platform.engine().start();

@@ -143,7 +143,7 @@ struct ShardedPktRig {
           std::string("g").append(std::to_string(s)), 1);
       vm.set_global_id(s);  // guest s lives on shard s, global node s
       workloads.push_back(std::make_unique<BusyWorkload>());
-      vm.vcpus()[0]->set_workload(workloads.back().get());
+      vm.vcpus()[0].set_workload(workloads.back().get());
       guests.push_back(&vm);
       stack->platform->set_scheduler(
           virt::NodeId{0}, std::make_unique<sched::CreditScheduler>());

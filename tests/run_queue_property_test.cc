@@ -52,9 +52,9 @@ class RunQueueDifferential {
     virt::Node& node = platform_->node(virt::NodeId{0});
     for (std::size_t i = 0; i < node.vms().size(); ++i) {
       for (auto& v : node.vms()[i]->vcpus()) {
-        v->sched().rq.vm = static_cast<std::int32_t>(i);
-        v->sched().credits = rng_.uniform(-200.0, 200.0);
-        vcpus_.push_back(v.get());
+        v.sched().rq.vm = static_cast<std::int32_t>(i);
+        v.sched().credits = rng_.uniform(-200.0, 200.0);
+        vcpus_.push_back(&v);
         cls_.push_back(random_class());
       }
     }
@@ -250,15 +250,15 @@ TEST(RunQueueOrderingTest, DeadBandKeepsFifoWithinBand) {
   virt::Platform platform(sim, cfg);
   virt::Vm& vm = platform.create_vm(virt::NodeId{0}, virt::VmType::kParallel,
                                     "vm", 4);
-  for (auto& v : vm.vcpus()) v->sched().rq.vm = 0;
+  for (auto& v : vm.vcpus()) v.sched().rq.vm = 0;
 
   sched::IndexedRunQueues q;
   q.init(1, 2);
 
   // a: 100 credits, b: 80 (inside a's 30-credit band), c: 150 (beyond b's).
-  Vcpu* a = vm.vcpus()[0].get();
-  Vcpu* b = vm.vcpus()[1].get();
-  Vcpu* c = vm.vcpus()[2].get();
+  Vcpu* a = &vm.vcpus()[0];
+  Vcpu* b = &vm.vcpus()[1];
+  Vcpu* c = &vm.vcpus()[2];
   a->sched().credits = 100.0;
   b->sched().credits = 80.0;
   c->sched().credits = 150.0;

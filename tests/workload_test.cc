@@ -183,7 +183,7 @@ TEST(CpuWorkloadTest, CountsCompletedWork) {
   rig.workloads.push_back(std::make_unique<workload::LoopWorkload>(
       *rig.network, vm, workload::cpu_descriptor("sphinx3"), sim::Rng(4),
       &rig.metrics.rate("cpu")));
-  vm.vcpus()[0]->set_workload(rig.workloads.back().get());
+  vm.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(2_s);
   // Alone on 4 PCPUs: throughput ~= 1 CPU-second per second.
@@ -203,10 +203,10 @@ TEST(PingTest, RecordsRoundTrips) {
   auto& rtt = rig.metrics.latency("rtt");
   rig.workloads.push_back(std::make_unique<workload::PingWorkload>(
       *rig.network, pinger, peer, &rtt));
-  pinger.vcpus()[0]->set_workload(rig.workloads.back().get());
+  pinger.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.workloads.push_back(
       std::make_unique<workload::IdleServerWorkload>(rig.platform->engine()));
-  peer.vcpus()[0]->set_workload(rig.workloads.back().get());
+  peer.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(1_s);
   EXPECT_GT(rtt.count(), 50u);
@@ -222,10 +222,10 @@ TEST(PingTest, RttGrowsWhenPeerContended) {
     auto& rtt = rig.metrics.latency("rtt");
     rig.workloads.push_back(std::make_unique<workload::PingWorkload>(
         *rig.network, pinger, peer, &rtt));
-    pinger.vcpus()[0]->set_workload(rig.workloads.back().get());
+    pinger.vcpus()[0].set_workload(rig.workloads.back().get());
     rig.workloads.push_back(std::make_unique<workload::IdleServerWorkload>(
         rig.platform->engine()));
-    peer.vcpus()[0]->set_workload(rig.workloads.back().get());
+    peer.vcpus()[0].set_workload(rig.workloads.back().get());
     if (contended) {
       // A spinning co-tenant on the peer's node delays its scheduling.
       virt::Vm& spin = rig.vm(1, 1, virt::VmType::kParallel);
@@ -249,7 +249,7 @@ TEST(DiskWorkloadTest, ThroughputBoundedByDiskBandwidth) {
   auto& mb = rig.metrics.rate("disk");
   rig.workloads.push_back(std::make_unique<workload::DiskWorkload>(
       *rig.network, vm, &mb));
-  vm.vcpus()[0]->set_workload(rig.workloads.back().get());
+  vm.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(3_s);
   const double mbps = mb.per_second();
@@ -264,7 +264,7 @@ TEST(WebTest, ServerAnswersOpenLoopClients) {
   auto& resp = rig.metrics.latency("resp");
   auto server = std::make_unique<workload::WebServerWorkload>(
       *rig.network, vm, &resp, sim::Rng(9));
-  vm.vcpus()[0]->set_workload(server.get());
+  vm.vcpus()[0].set_workload(server.get());
   workload::HttperfClient client(*rig.network, vm, *server, 100.0,
                                  sim::Rng(10));
   rig.workloads.push_back(std::move(server));
