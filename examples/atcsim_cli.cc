@@ -8,6 +8,7 @@
 // Builds evaluation type A (four identical virtual clusters of the chosen
 // app) through cluster::ScenarioBuilder and executes it via the experiment
 // runner (src/exp/): repetitions run in parallel across host threads.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -70,6 +71,18 @@ void usage() {
       "           (chrome://tracing) under $ATCSIM_TRACE_DIR or ./traces/\n");
 }
 
+// Whole-argument numeric parse: "1x", "abc", "1.9" for an integer flag,
+// "" and out-of-range values fail instead of reading as a prefix or as 0.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+// 2^63 ns, one past the largest SimTime.
+constexpr double kSimTimeLimitNs = 0x1p63;
+
 std::optional<Args> parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -77,6 +90,12 @@ std::optional<Args> parse(int argc, char** argv) {
     auto value = [&]() -> const char* {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
+    };
+    // Reads the flag's value into `out`; false when it is missing or is not
+    // wholly a number of out's type.
+    auto number = [&](auto& out) {
+      const char* v = value();
+      return v != nullptr && parse_number(v, out);
     };
     if (flag == "--app") {
       const char* v = value();
@@ -96,45 +115,27 @@ std::optional<Args> parse(int argc, char** argv) {
         default: return std::nullopt;
       }
     } else if (flag == "--nodes") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.nodes = std::atoi(v);
+      if (!number(a.nodes)) return std::nullopt;
     } else if (flag == "--vcpus") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.vcpus = std::atoi(v);
+      if (!number(a.vcpus)) return std::nullopt;
     } else if (flag == "--approach") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
       a.approach = v;
     } else if (flag == "--slice-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.slice_ms = std::atof(v);
+      if (!number(a.slice_ms.emplace())) return std::nullopt;
     } else if (flag == "--warmup-s") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.warmup_s = std::atof(v);
+      if (!number(a.warmup_s)) return std::nullopt;
     } else if (flag == "--measure-s") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.measure_s = std::atof(v);
+      if (!number(a.measure_s)) return std::nullopt;
     } else if (flag == "--seed") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number(a.seed)) return std::nullopt;
     } else if (flag == "--shards") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.shards = std::atoi(v);
+      if (!number(a.shards)) return std::nullopt;
     } else if (flag == "--reps") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.reps = std::atoi(v);
+      if (!number(a.reps)) return std::nullopt;
     } else if (flag == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      a.threads = std::atoll(v);
+      if (!number(a.threads)) return std::nullopt;
     } else if (flag == "--csv") {
       a.csv = true;
     } else if (flag == "--jsonl") {
@@ -149,11 +150,17 @@ std::optional<Args> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  // Negated comparisons so NaN values are rejected too.
-  const bool bad_slice = a.slice_ms && !(*a.slice_ms > 0);
-  if (a.nodes <= 0 || a.vcpus <= 0 || !(a.measure_s > 0) ||
-      !(a.warmup_s >= 0) || bad_slice || a.reps <= 0 || a.shards <= 0 ||
-      a.threads < 0) {
+  // Negated comparisons so NaN values are rejected too.  Durations must fit
+  // SimTime's nanoseconds (infinities do not), the run ends at warmup +
+  // measure, and the measured window must keep at least 1 ns.
+  const double warmup_ns = a.warmup_s * 1e9;
+  const double measure_ns = a.measure_s * 1e9;
+  const bool bad_window = !(warmup_ns >= 0 && measure_ns >= 1 &&
+                            warmup_ns + measure_ns < kSimTimeLimitNs);
+  const bool bad_slice = a.slice_ms && !(*a.slice_ms > 0 &&
+                                         *a.slice_ms * 1e6 < kSimTimeLimitNs);
+  if (a.nodes <= 0 || a.vcpus <= 0 || bad_window || bad_slice ||
+      a.reps <= 0 || a.shards <= 0 || a.threads < 0) {
     return std::nullopt;
   }
   return a;

@@ -120,11 +120,6 @@ void CreditScheduler::tick() {
 }
 
 virt::CreditPrio CreditScheduler::effective_prio(const Vcpu& v) const {
-  // Capped VMs that exhausted their allowance are parked: not scheduled
-  // until the next refill brings their credits back up (Xen semantics).
-  if (v.vm().cap_percent() > 0 && v.sched().credits < 0.0) {
-    return CreditPrio::kParked;
-  }
   if (v.sched().boosted) return CreditPrio::kBoost;
   return v.sched().credits >= 0.0 ? CreditPrio::kUnder : CreditPrio::kOver;
 }
@@ -156,9 +151,6 @@ int CreditScheduler::siblings_in_queue(const Vcpu& v, int q) const {
 }
 
 int CreditScheduler::place(Vcpu& v) {
-  if (v.sched().pinned.valid()) {
-    return engine().platform().pcpu(v.sched().pinned).index_in_node();
-  }
   const int n = static_cast<int>(queues_.queue_count());
   if (opts_.placement == Placement::kAffinity) {
     // Xen does not balance siblings: initial placement is effectively
@@ -210,7 +202,6 @@ void CreditScheduler::on_deschedule(Vcpu& v) {
 
 void CreditScheduler::rebalance_if_stacked(Vcpu& v) {
   if (opts_.placement != Placement::kBalance) return;
-  if (v.sched().pinned.valid()) return;  // hard affinity wins
   // Balance Scheduling only intervenes when the sibling-disjoint invariant
   // is violated; otherwise it preserves cache affinity like plain credit.
   const int cur = static_cast<int>(
@@ -229,25 +220,24 @@ Vcpu* CreditScheduler::pick_next(Pcpu& p) {
   // Xen's csched_load_balance: when the local candidate is not top
   // priority, steal a higher-priority VCPU from a sibling queue.  This is
   // what keeps weight-fairness across unevenly loaded run queues (starved
-  // VCPUs accumulate credits, turn UNDER, and get pulled over).
-  const CreditPrio own_prio = own_front == nullptr || is_parked(*own_front)
-                                  ? CreditPrio::kParked
-                                  : effective_prio(*own_front);
-  if (own_prio != CreditPrio::kBoost) {
+  // VCPUs accumulate credits, turn UNDER, and get pulled over).  An empty
+  // own queue ranks below every class, so any sibling front beats it.
+  const int own_rank = own_front == nullptr
+                           ? IndexedRunQueues::kClasses
+                           : static_cast<int>(effective_prio(*own_front));
+  if (own_rank != static_cast<int>(CreditPrio::kBoost)) {
     const int n = static_cast<int>(queues_.queue_count());
     int best_q = -1;
-    CreditPrio best_prio = own_prio;
+    int best_rank = own_rank;
     for (int off = 1; off < n; ++off) {
       const int q = (self + off) % n;
       Vcpu* cand = queues_.front(q);
       if (cand == nullptr) continue;
-      if (cand->sched().pinned.valid()) continue;  // cannot migrate
-      const CreditPrio prio = effective_prio(*cand);
-      if (prio == CreditPrio::kParked) continue;
-      if (prio < best_prio) {
-        best_prio = prio;
+      const int rank = static_cast<int>(effective_prio(*cand));
+      if (rank < best_rank) {
+        best_rank = rank;
         best_q = q;
-        if (prio == CreditPrio::kBoost) break;
+        if (rank == static_cast<int>(CreditPrio::kBoost)) break;
       }
     }
     if (best_q >= 0) {
@@ -261,7 +251,7 @@ Vcpu* CreditScheduler::pick_next(Pcpu& p) {
       return v;
     }
   }
-  if (own_front == nullptr || is_parked(*own_front)) return nullptr;
+  if (own_front == nullptr) return nullptr;
   Vcpu* v = queues_.pop_front(self);
   ATCSIM_TRACE(engine().simulation().trace(),
                sched_event(engine().simulation().now(), obs::ev::kPick, *v,
@@ -269,10 +259,6 @@ Vcpu* CreditScheduler::pick_next(Pcpu& p) {
                            static_cast<std::int64_t>(self)));
   v->sched().boosted = false;  // BOOST is consumed by the dispatch
   return v;
-}
-
-bool CreditScheduler::is_parked(const Vcpu& v) const {
-  return effective_prio(v) == CreditPrio::kParked;
 }
 
 sim::SimTime CreditScheduler::slice_for(const Vcpu& v) const {
@@ -323,14 +309,8 @@ void CreditScheduler::refill_credits() {
       if (v.state() != VcpuState::kDone) ++live;
     }
     if (live == 0) continue;
-    double share = pool * static_cast<double>(vm->weight()) / weight_sum;
-    if (vm->cap_percent() > 0) {
-      // Cap = percent of one PCPU per accounting period.
-      share = std::min(share, mp.credits_per_pcpu_per_period *
-                                  static_cast<double>(vm->cap_percent()) /
-                                  100.0);
-    }
-    const double per_vcpu = share / static_cast<double>(live);
+    const double per_vcpu = pool * static_cast<double>(vm->weight()) /
+                            weight_sum / static_cast<double>(live);
     for (Vcpu& v : vm->vcpus()) {
       if (v.state() == VcpuState::kDone) continue;
       const double before = v.sched().credits;
@@ -356,16 +336,16 @@ void CreditScheduler::refill_credits() {
   }
 #endif
   resort_queues();
-  // Parked VCPUs may have just been unparked: give idle PCPUs a chance.
+  // A VCPU requeued without a wake kicked no idle PCPU when it was filed;
+  // give idle PCPUs a chance to steal it now.
   engine().kick_idle_pcpus(*node_);
 }
 
 void CreditScheduler::resort_queues() {
-  // Refill may have changed any queued VCPU's class (OVER -> UNDER,
-  // PARKED -> UNDER); re-file everything stably, as the historical
-  // stable_sort-by-class did.  Between refills a queued VCPU's class is
-  // invariant (credits only change off-queue), which is what makes the
-  // class-bucketed representation exact.
+  // Refill may have changed any queued VCPU's class (OVER -> UNDER); re-file
+  // everything stably, as the historical stable_sort-by-class did.  Between
+  // refills a queued VCPU's class is invariant (credits only change
+  // off-queue), which is what makes the class-bucketed representation exact.
   queues_.rebucket([this](Vcpu& v) { return effective_prio(v); });
 }
 

@@ -89,8 +89,6 @@ class CreditScheduler : public virt::Scheduler {
   void rebalance_if_stacked(Vcpu& v);
 
   virt::CreditPrio effective_prio(const Vcpu& v) const;
-  /// True when a capped VM has exhausted its allowance this period.
-  bool is_parked(const Vcpu& v) const;
 
  private:
   void refill_credits();

@@ -16,8 +16,8 @@
 //    Balance Scheduling's "fewest siblings" placement key is O(1) per queue
 //    instead of a queue scan;
 //  * priority-bucketed insertion that preserves the credit scheduler's exact
-//    ordering semantics: class first (BOOST > UNDER > OVER > PARKED), then
-//    larger credit balance first within a class under a dead band, FIFO for
+//    ordering semantics: class first (BOOST > UNDER > OVER), then larger
+//    credit balance first within a class under a dead band, FIFO for
 //    near-equal balances.  Bucketing is equivalence-preserving because a
 //    queued VCPU's class only changes at credit refill, and every refill is
 //    immediately followed by rebucket() (the old resort_queues()).
@@ -40,7 +40,7 @@ namespace atcsim::sched {
 class IndexedRunQueues {
  public:
   /// Cardinality of virt::CreditPrio (bucket index = enum value).
-  static constexpr int kClasses = 4;
+  static constexpr int kClasses = 3;
 
   /// (Re)initializes for `queues` run queues over `vms` node-local VMs.
   /// Every VCPU inserted later must carry a dense `sched().rq.vm` index in

@@ -1,5 +1,6 @@
 #include "simcore/time.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace atcsim::sim {
@@ -7,19 +8,17 @@ namespace atcsim::sim {
 std::string format_time(SimTime t) {
   char buf[64];
   if (t == kTimeNever) return "never";
-  if (t < 0) {
-    std::string out(1, '-');
-    out += format_time(-t);
-    return out;
-  }
-  if (t < kMicrosecond) {
-    std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t));
-  } else if (t < kMillisecond) {
-    std::snprintf(buf, sizeof buf, "%.3gus", to_micros(t));
-  } else if (t < kSecond) {
-    std::snprintf(buf, sizeof buf, "%.4gms", to_millis(t));
+  // Sign and magnitude apart: -t overflows for INT64_MIN.
+  const char* sign = t < 0 ? "-" : "";
+  const double ns = std::fabs(static_cast<double>(t));
+  if (ns < kMicrosecond) {
+    std::snprintf(buf, sizeof buf, "%s%.0fns", sign, ns);
+  } else if (ns < kMillisecond) {
+    std::snprintf(buf, sizeof buf, "%s%.3gus", sign, ns / kMicrosecond);
+  } else if (ns < kSecond) {
+    std::snprintf(buf, sizeof buf, "%s%.4gms", sign, ns / kMillisecond);
   } else {
-    std::snprintf(buf, sizeof buf, "%.4gs", to_seconds(t));
+    std::snprintf(buf, sizeof buf, "%s%.4gs", sign, ns / kSecond);
   }
   return buf;
 }

@@ -19,13 +19,10 @@ enum class VcpuState : std::uint8_t {
 };
 
 /// Credit-scheduler priority classes, ordered best-first as in Xen.
-/// kParked = a capped VM that exhausted its cap; never scheduled until its
-/// credits are replenished (Xen's CSCHED_PRI_TS_PARKED).
 enum class CreditPrio : std::uint8_t {
   kBoost = 0,
   kUnder = 1,
   kOver = 2,
-  kParked = 3,
 };
 
 class Vcpu {
@@ -82,7 +79,6 @@ class Vcpu {
     double credits = 0.0;
     PcpuId queue;      ///< run-queue (PCPU) this VCPU is assigned to
     PcpuId last_pcpu;  ///< last PCPU it ran on (cache affinity)
-    PcpuId pinned;     ///< hard affinity ("xl vcpu-pin"); invalid = none
     bool boosted = false;
     RunQueueLink rq;   ///< intrusive run-queue position (scheduler-owned)
   };

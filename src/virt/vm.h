@@ -63,11 +63,6 @@ class Vm {
   int weight() const { return weight_; }
   void set_weight(int w) { weight_ = w; }
 
-  /// Credit cap in percent of one PCPU ("xl sched-credit -c"); a 2-VCPU VM
-  /// capped at 150 may use at most 1.5 PCPUs.  0 = uncapped.
-  int cap_percent() const { return cap_percent_; }
-  void set_cap_percent(int cap) { cap_percent_ = cap; }
-
   /// Per-VM scheduling time slice.  The paper's hypercall extension; all
   /// slice controllers (ATC, DSS, vSlicer, admin interface) write this and
   /// the credit scheduler reads it at dispatch.
@@ -156,7 +151,6 @@ class Vm {
   std::int64_t global_id_ = -1;
   std::vector<Vcpu> vcpus_;  // never grows after construction
   int weight_ = 256;
-  int cap_percent_ = 0;
   sim::SimTime time_slice_ = 0;  // set from ModelParams default at creation
   sim::SimTime admin_slice_ = -1;
   bool latency_sensitive_ = false;

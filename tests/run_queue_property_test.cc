@@ -86,12 +86,11 @@ class RunQueueDifferential {
   static constexpr double kDeadBand = 30.0;
 
   CreditPrio random_class() {
-    // Weighted like real runs: mostly UNDER/OVER, occasional BOOST/PARKED.
+    // Weighted like real runs: mostly UNDER/OVER, occasional BOOST.
     const double r = rng_.next_double();
     if (r < 0.15) return CreditPrio::kBoost;
     if (r < 0.60) return CreditPrio::kUnder;
-    if (r < 0.95) return CreditPrio::kOver;
-    return CreditPrio::kParked;
+    return CreditPrio::kOver;
   }
 
   // The class a linear-structure scan must see for each element: the side

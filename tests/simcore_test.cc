@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,6 +35,7 @@ TEST(TimeTest, Format) {
   EXPECT_EQ(format_time(500), "500ns");
   EXPECT_EQ(format_time(30_ms), "30ms");
   EXPECT_EQ(format_time(kTimeNever), "never");
+  EXPECT_EQ(format_time(std::numeric_limits<SimTime>::min()), "-9.223e+09s");
 }
 
 TEST(EventQueueTest, OrdersByTime) {
