@@ -15,7 +15,6 @@
 
 #include "atc/threshold.h"
 #include "report_common.h"
-#include "cache/xenoprof.h"
 
 using namespace atcsim;
 using namespace atcsim::bench;

@@ -2,7 +2,7 @@
 // command line.
 //
 //   $ ./atcsim_cli --app lu --class B --nodes 8 --approach ATC
-//                  --warmup-s 2 --measure-s 6 [--slice-ms 0.3] [--reps 3]
+//                  --warmup-s 2 --measure-s 6 [--reps 3]
 //                  [--threads N] [--csv] [--jsonl out.jsonl]
 //
 // Builds evaluation type A (four identical virtual clusters of the chosen
@@ -36,7 +36,7 @@ struct Args {
   std::string approach = "ATC";
   double warmup_s = 2.0;
   double measure_s = 5.0;
-  std::optional<double> slice_ms;  // fixed global slice (overrides approach)
+  std::optional<double> slice_ms;  // fixed guest slice; CR, CS, BS, PM only
   std::uint64_t seed = 42;
   int shards = 1;
   int reps = 1;
@@ -52,7 +52,8 @@ void usage() {
       stderr,
       "usage: atcsim_cli [--app lu|is|sp|bt|mg|cg] [--class A|B|C]\n"
       "                  [--workload FILE|TEXT]\n"
-      "                  [--nodes N] [--vcpus N] [--approach CR|CS|BS|DSS|VS|ATC]\n"
+      "                  [--nodes N] [--vcpus N]\n"
+      "                  [--approach CR|CS|BS|DSS|VS|ATC|PM|ATC+PM]\n"
       "                  [--slice-ms X] [--warmup-s X] [--measure-s X]\n"
       "                  [--seed N] [--shards K] [--reps N] [--threads N]\n"
       "                  [--auto-classify] [--csv]\n"
@@ -63,6 +64,8 @@ void usage() {
       "              --workload 'workload svc; phase compute 1ms; "
       "phase think 2ms'\n"
       "              See examples/workloads/ and DESIGN.md section 11.\n"
+      "  --slice-ms: fixed time slice of every guest; refused under ATC, DSS,\n"
+      "              VS and ATC+PM, which set guest slices themselves\n"
       "  --shards: partition the hosts across K event-queue shards and run\n"
       "            them as a conservative parallel simulation (default 1,\n"
       "            the serial engine)\n"
@@ -173,6 +176,22 @@ std::optional<cluster::Approach> approach_from(const std::string& name) {
   return std::nullopt;
 }
 
+// True when the approach sets guest slices itself, so a fixed --slice-ms
+// would be silently overridden: the ATC and DSS controllers rewrite every
+// guest slice each period, and VS gives latency-sensitive VMs its micro
+// slice.
+bool sets_slices(cluster::Approach a) {
+  switch (a) {
+    case cluster::Approach::kATC:
+    case cluster::Approach::kATCPM:
+    case cluster::Approach::kDSS:
+    case cluster::Approach::kVS:
+      return true;
+    default:
+      return false;
+  }
+}
+
 // --workload accepts either a descriptor file or inline text.  A readable
 // file wins; anything else is treated as inline (inline descriptors contain
 // spaces/';', which no sensible path does).
@@ -193,7 +212,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto approach = approach_from(args->approach);
-  if (!approach) {
+  if (!approach || (args->slice_ms && sets_slices(*approach))) {
     usage();
     return 2;
   }

@@ -100,17 +100,6 @@ ApproachRuntime install_approach(virt::Platform& platform,
     runtime.atc_controllers =
         atc::install_atc(platform, monitor, atc_cfg, runtime.subscriptions);
   }
-  if (a == Approach::kPM || a == Approach::kATCPM) {
-    // The sampler's windowed rates drive the rebalancer, which migrates —
-    // a network act at the sampling instant — so each armed firing must be
-    // visible to the shard output bound.
-    runtime.sampler = std::make_unique<cache::XenoprofSampler>(
-        platform, platform.params().accounting_period);
-    runtime.sampler->enable_effect_registration();
-    runtime.sampler->start();
-    // The rebalancer itself is attached by Scenario::start(), which owns
-    // the migration context (location directory, fabric, shard map).
-  }
   return runtime;
 }
 

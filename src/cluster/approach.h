@@ -15,7 +15,6 @@
 
 #include "atc/config.h"
 #include "atc/controller.h"
-#include "cache/xenoprof.h"
 #include "sched/dss.h"
 #include "sync/period_monitor.h"
 #include "virt/platform.h"
@@ -34,7 +33,7 @@ std::string approach_name(Approach a);
 const std::vector<Approach>& all_approaches();
 
 /// Owns everything install_approach wires up for one platform: the
-/// adaptive controllers, the LLC sampler, and — crucially — the RAII
+/// adaptive controllers and — crucially — the RAII
 /// monitor subscriptions of every periodic hook.  Destroying the runtime
 /// (e.g. re-installing a different approach) unsubscribes the old
 /// callbacks instead of leaving dangling raw pointers registered with the
@@ -50,8 +49,6 @@ struct ApproachRuntime {
   /// Monitor subscriptions owned by this runtime (CS gang trigger, DSS and
   /// ATC period hooks); torn down with the runtime.
   std::vector<sync::PeriodMonitor::Subscription> subscriptions;
-  /// LLC sampler feeding the rebalancer (kPM / kATCPM only).
-  std::unique_ptr<cache::XenoprofSampler> sampler;
   /// Installed by Scenario::start() for kPM / kATCPM once the migration
   /// context (directory, fabric, shard map) exists; the factory alone
   /// cannot build it.

@@ -2,63 +2,54 @@
 // management").
 //
 // Complements ATC's time-slice control with the orthogonal spatial knob: at
-// every VMM accounting period it reads the Xenoprof sampler's windowed
-// per-host LLC pressure scores and, when the gap between the hottest and
-// coldest host in its cell exceeds a margin, live-migrates the busiest
-// migratable guest off the hot host.  One move per period with a cooldown,
-// so decisions observe the effect of the previous move before making the
-// next — the classic hysteresis that keeps contention controllers from
-// thrashing.
+// every VMM accounting period it reads each guest's LLC-miss counter (the
+// Xenoprof substitute the engine charges on cache refills), keeps a windowed
+// miss rate per guest, scores every host of its cell by LLC pressure and,
+// when the gap between the hottest and coldest host exceeds a margin,
+// live-migrates the busiest migratable guest off the hot host.  One move per
+// period with a cooldown, so decisions observe the effect of the previous
+// move before making the next — the classic hysteresis that keeps
+// contention controllers from thrashing.
 //
 // Fully deterministic: no randomness, ties broken by lower global VM id, so
 // sharded runs reproduce the unsharded decision sequence exactly.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "cache/xenoprof.h"
 #include "cluster/control/migrator.h"
 #include "sync/period_monitor.h"
 
 namespace atcsim::cluster::control {
 
-/// Rebalancer policy knobs (namespace-scope: a nested struct with default
-/// member initializers cannot be a default argument of its enclosing
-/// class's constructor).
-struct RebalancerOptions {
-  /// Minimum (hottest - coldest) pressure gap, in LLC misses per second
-  /// per cache domain, before a move is considered.
-  double min_pressure_gap = 1000.0;
-  /// Periods to sit out after a migration (observe before re-acting).
-  /// Must exceed the sampler's EWMA decay time at the gap threshold: a
-  /// migrated guest restarts its windowed rate from zero on the
-  /// destination, so until the source's stale EWMA (halving once per
-  /// period) has decayed below min_pressure_gap the pair shows a phantom
-  /// gap that would keep ping-ponging guests.  Ten halvings shrink any
-  /// realistic rate (~1e6/s) through the 1e3/s default margin.
-  std::uint64_t cooldown_periods = 10;
-};
-
 class ClusterRebalancer {
  public:
-  using Options = RebalancerOptions;
-
   /// Subscribes to `monitor` (RAII: dropping the rebalancer unsubscribes).
   /// All references must outlive the rebalancer.
   ClusterRebalancer(virt::Platform& platform, sync::PeriodMonitor& monitor,
-                    cache::XenoprofSampler& sampler, Migrator& migrator,
-                    Options opts = Options());
+                    Migrator& migrator);
 
   std::uint64_t periods_observed() const { return periods_; }
   std::uint64_t migrations_ordered() const { return migrations_; }
 
  private:
+  /// Windowed LLC-miss rate of one guest, indexed by platform-local VmId:
+  /// a guest that migrates in restarts from zero under its new id (its
+  /// cache is cold anyway).
+  struct MissWindow {
+    std::uint64_t last_total = 0;
+    double rate = 0.0;  ///< EWMA misses/second, alpha 1/2 per period
+    bool seen = false;  ///< last_total valid (first sight primes it)
+  };
+
   void on_period();
+  /// Advances `vm`'s window by one period and returns its rate.
+  double advance_window(const virt::Vm& vm, double period_s);
 
   virt::Platform* platform_;
-  cache::XenoprofSampler* sampler_;
   Migrator* migrator_;
-  Options opts_;
+  std::vector<MissWindow> windows_;
   std::uint64_t periods_ = 0;
   std::uint64_t migrations_ = 0;
   std::uint64_t cooldown_left_ = 0;

@@ -368,13 +368,13 @@ void Scenario::start() {
   for (auto& stack : stacks_) {
     stack->runtime = install_approach(*stack->platform, *stack->monitor,
                                       config_.approach, config_.atc);
-    if (stack->runtime.sampler != nullptr) {
-      // kPM / kATCPM: attach the contention-aware rebalancer now that the
-      // migration context exists.  Policy is cell-local — each shard
-      // balances its own node block.
+    if (config_.approach == Approach::kPM ||
+        config_.approach == Approach::kATCPM) {
+      // Attach the contention-aware rebalancer now that the migration
+      // context exists.  Policy is cell-local — each shard balances its own
+      // node block.
       stack->runtime.rebalancer = std::make_unique<control::ClusterRebalancer>(
-          *stack->platform, *stack->monitor, *stack->runtime.sampler,
-          *stack->migrator);
+          *stack->platform, *stack->monitor, *stack->migrator);
     }
     stack->monitor->start();
   }

@@ -8,8 +8,12 @@ namespace atcsim::sched {
 
 using sim::SimTime;
 
-CoScheduler::CoScheduler(CsOptions cs, Options base)
-    : CreditScheduler(base), cs_(cs) {}
+namespace {
+
+/// Spin wall-time per period above which a VM becomes concurrent.
+constexpr SimTime kSpinThreshold = virt::ModelParams{}.accounting_period / 30;
+
+}  // namespace
 
 void CoScheduler::attach(virt::Node& node, virt::Engine& engine) {
   CreditScheduler::attach(node, engine);
@@ -97,7 +101,7 @@ void CoScheduler::update_gang_flags(const sync::PeriodMonitor& monitor) {
   gang_.clear();
   for (const auto& vm : node().vms()) {
     if (vm->is_dom0() || vm->vcpu_count() < 2) continue;
-    if (monitor.last(vm->id()).spin_wall > cs_.spin_threshold) {
+    if (monitor.last(vm->id()).spin_wall > kSpinThreshold) {
       gang_.insert(vm.get());
     }
   }

@@ -18,14 +18,6 @@ namespace atcsim::sched {
 
 class CoScheduler : public CreditScheduler {
  public:
-  struct CsOptions {
-    /// Spin wall-time per period above which a VM becomes concurrent.
-    sim::SimTime spin_threshold = virt::ModelParams{}.accounting_period / 30;
-  };
-
-  CoScheduler() : CoScheduler(CsOptions{}) {}
-  explicit CoScheduler(CsOptions cs, Options base = Options{});
-
   std::string name() const override { return "cosched"; }
   void attach(virt::Node& node, virt::Engine& engine) override;
   Vcpu* pick_next(Pcpu& p) override;
@@ -43,7 +35,6 @@ class CoScheduler : public CreditScheduler {
   bool gang_protected(const Vcpu& w) const;
 
  private:
-  CsOptions cs_;
   std::unordered_set<const Vm*> gang_;
   std::unordered_map<const Vm*, sim::SimTime> last_gang_dispatch_;
   std::vector<Vcpu*> forced_;  // per pcpu index: gang sibling to run next

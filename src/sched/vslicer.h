@@ -16,24 +16,15 @@ namespace atcsim::sched {
 
 class VSlicerScheduler : public CreditScheduler {
  public:
-  struct VsOptions {
-    /// Micro slice for LSVMs: default 30 ms / 6 = 5 ms as in vSlicer.
-    sim::SimTime micro_slice = 5 * sim::kMillisecond;
-  };
-
-  VSlicerScheduler() : VSlicerScheduler(VsOptions{}) {}
-  explicit VSlicerScheduler(VsOptions vs, Options base = Options{})
-      : CreditScheduler(base), vs_(vs) {}
+  /// Micro slice for LSVMs: default 30 ms / 6 = 5 ms as in vSlicer.
+  static constexpr sim::SimTime kMicroSlice = 5 * sim::kMillisecond;
 
   std::string name() const override { return "vslicer"; }
 
   sim::SimTime slice_for(const Vcpu& v) const override {
-    if (v.vm().latency_sensitive()) return vs_.micro_slice;
+    if (v.vm().latency_sensitive()) return kMicroSlice;
     return CreditScheduler::slice_for(v);
   }
-
- private:
-  VsOptions vs_;
 };
 
 }  // namespace atcsim::sched

@@ -192,7 +192,6 @@ class ShardGroup {
   const Stats& stats() const { return stats_; }
   std::size_t thread_count() const { return threads_; }
   SimTime lookahead() const { return lookahead_; }
-  bool eot_extension() const { return eot_extension_; }
 
  private:
   struct Pool;

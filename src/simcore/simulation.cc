@@ -14,13 +14,9 @@ void Simulation::trace_dispatch(std::uint64_t executed_in_run) {
   trace_->emit(e);
 }
 
-// The one event loop: run() and run_until() are thin wrappers so the trace
-// hook and stop semantics can never drift apart between them.
-std::uint64_t Simulation::drain(SimTime deadline) {
+std::uint64_t Simulation::run_until(SimTime deadline) {
   std::uint64_t executed = 0;
-  stop_requested_ = false;
-  while (!stop_requested_ && !queue_.empty() &&
-         queue_.next_time() <= deadline) {
+  while (!queue_.empty() && queue_.next_time() <= deadline) {
     EventQueue::Popped ev = queue_.pop();
     assert(ev.time >= now_ && "event scheduled in the past");
     now_ = ev.time;
@@ -31,15 +27,8 @@ std::uint64_t Simulation::drain(SimTime deadline) {
     ++executed;
   }
   events_executed_ += executed;
-  return executed;
-}
-
-std::uint64_t Simulation::run_until(SimTime deadline) {
-  const std::uint64_t executed = drain(deadline);
   if (now_ < deadline) now_ = deadline;
   return executed;
 }
-
-std::uint64_t Simulation::run() { return drain(kTimeNever); }
 
 }  // namespace atcsim::sim

@@ -64,12 +64,6 @@ class Simulation {
   /// events executed.
   std::uint64_t run_until(SimTime deadline);
 
-  /// Runs until the event queue is empty.
-  std::uint64_t run();
-
-  /// Requests that the run loop stop after the current event.
-  void stop() { stop_requested_ = true; }
-
   /// Total events executed since construction.
   std::uint64_t events_executed() const { return events_executed_; }
 
@@ -92,12 +86,10 @@ class Simulation {
 
  private:
   void trace_dispatch(std::uint64_t executed_in_run);
-  std::uint64_t drain(SimTime deadline);
 
   EventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t events_executed_ = 0;
-  bool stop_requested_ = false;
   obs::TraceSink* trace_ = nullptr;
 };
 

@@ -44,9 +44,6 @@ constexpr double to_seconds(SimTime t) {
 constexpr double to_millis(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kMillisecond);
 }
-constexpr double to_micros(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMicrosecond);
-}
 
 /// Converts fractional milliseconds to SimTime (rounding to nearest ns).
 constexpr SimTime from_millis(double ms) {

@@ -50,17 +50,10 @@ class Node {
   void set_scheduler(std::unique_ptr<Scheduler> s) { scheduler_ = std::move(s); }
   bool has_scheduler() const { return scheduler_ != nullptr; }
 
-  /// Number of last-level-cache (socket) domains on this host; the
-  /// contention model normalizes aggregate guest miss pressure by it.  Set
-  /// from ModelParams::llc_domains_per_node at platform construction.
-  int llc_domains() const { return llc_domains_; }
-  void set_llc_domains(int d) { llc_domains_ = d; }
-
  private:
   NodeId id_;
   Platform* platform_;
   int index_;
-  int llc_domains_ = 1;
   std::vector<Pcpu> pcpus_;  // never grows after construction
   std::vector<std::unique_ptr<Vm>> vms_;
   Vm* dom0_ = nullptr;

@@ -36,7 +36,6 @@ Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
     auto node = std::make_unique<Node>(
         NodeId{n}, *this, n, PcpuId{static_cast<std::int32_t>(pcpus_.size())},
         config_.pcpus_per_node);
-    node->set_llc_domains(config_.params.llc_domains_per_node);
     for (Pcpu& p : node->pcpus()) pcpus_.push_back(&p);
     nodes_.push_back(std::move(node));
   }
@@ -70,7 +69,6 @@ Vm& Platform::create_vm(NodeId node_id, VmType type, const std::string& name,
   vm->set_time_slice(config_.params.default_time_slice);
   vms_.push_back(vm.get());
   node.vms().push_back(std::move(vm));
-  ++topology_version_;
   return *vms_.back();
 }
 
@@ -92,7 +90,6 @@ std::unique_ptr<Vm> Platform::expel_vm(Vm& vm) {
   Node& node = vm.node();
   assert(vms_[vm.id().index()] == &vm);
   vms_[vm.id().index()] = nullptr;
-  ++topology_version_;
   // Extract ownership but keep the (now null) slot, so sibling VMs keep
   // their node-local positions and the scheduler's dense per-VM indices.
   for (auto& slot : node.vms()) {
@@ -113,7 +110,6 @@ Vm& Platform::adopt_vm(NodeId node_id, std::unique_ptr<Vm> vm) {
   for (Vcpu& v : vm->vcpus()) v.set_id(VcpuId{next_vcpu_id_++});
   vms_.push_back(vm.get());
   node.vms().push_back(std::move(vm));
-  ++topology_version_;
   // The travelled flag belongs to the source platform's ring (that entry
   // now resolves to a tombstone there); re-enroll under the fresh id so the
   // destination monitor folds any mid-period stats the VM carried over.

@@ -102,12 +102,6 @@ class Platform {
   /// order (skips migration tombstones).
   std::vector<Vm*> guest_vms() const;
 
-  /// Bumped whenever the resident VM set changes (create/expel/adopt).
-  /// Control-plane caches keyed on the VM population (the xenoprof
-  /// per-node pressure sums) invalidate against this instead of hooking
-  /// every mutation site.
-  std::uint64_t topology_version() const { return topology_version_; }
-
   // --- period-activity dirty ring ----------------------------------------
   /// Flags `vm` as having written a per-period accumulator since the last
   /// monitor sweep; PeriodMonitor::sample visits only ringed VMs instead of
@@ -149,7 +143,6 @@ class Platform {
   std::int32_t next_vcpu_id_ = 0;
   std::unique_ptr<Engine> engine_;
   net::VirtualNetwork* network_ = nullptr;
-  std::uint64_t topology_version_ = 0;
   std::vector<VmId> period_dirty_;
 };
 

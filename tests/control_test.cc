@@ -1,14 +1,12 @@
 // Cluster control plane tests (DESIGN.md §12): the live-migration
 // primitive end-to-end, the contention-aware rebalancer policy, and the
-// two lifetime regressions fixed alongside it — install_approach's monitor
-// subscriptions are RAII tokens now, and the Xenoprof sampler's timer is
-// cancellable — both of which fail loudly on the pre-fix code.
+// lifetime regression fixed alongside it — install_approach's monitor
+// subscriptions are RAII tokens now, which fails loudly on the pre-fix code.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "cache/xenoprof.h"
 #include "cluster/approach.h"
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
@@ -157,7 +155,6 @@ TEST(RebalancerTest, MovesBusiestGuestOffTheHotHost) {
   s.run_for(2_s);
 
   const cluster::ApproachRuntime& rt = s.approach_runtime();
-  ASSERT_NE(rt.sampler, nullptr);
   ASSERT_NE(rt.rebalancer, nullptr);
   EXPECT_GT(rt.rebalancer->periods_observed(), 10u);
   EXPECT_GE(rt.rebalancer->migrations_ordered(), 1u);
@@ -252,101 +249,6 @@ TEST(PeriodMonitorTest, DetachKeepsSurvivorsInSubscriptionOrder) {
   ASSERT_EQ(monitor.periods_elapsed(), 2u);
   std::erase(evens, kSelfDetach);
   EXPECT_EQ(fired, evens);
-}
-
-// ------------------------------------------------ sampler-timer regression
-
-TEST(SamplerLifetimeTest, DestroyBeforeSimulationDisarmsTheTimer) {
-  // Pre-fix, the sampler re-armed an un-cancellable event forever: a
-  // destroyed sampler's next firing was a use-after-free, and the pending
-  // re-arm pinned next_event_time so a drained shard never looked idle.
-  sim::Simulation simulation;
-  virt::PlatformConfig pc;
-  pc.nodes = 1;
-  pc.pcpus_per_node = 1;
-  pc.seed = 3;
-  virt::Platform platform(simulation, pc);
-  {
-    cache::XenoprofSampler sampler(platform, 10_ms);
-    sampler.start();
-    simulation.run_until(35_ms);
-    EXPECT_GE(sampler.samples().size(), 3u);
-  }
-  simulation.run_until(100_ms);  // pre-fix: fired into the dead sampler
-  EXPECT_EQ(simulation.next_event_time(), sim::kTimeNever);
-}
-
-// ------------------------------------------------ node-pressure cache
-
-TEST(XenoprofPressureTest, CachedPressureMatchesNaiveWalkThroughChurnAndDecay) {
-  // node_pressure() answers from per-node running sums instead of re-walking
-  // every resident VM; the sums must stay bit-for-bit equal to the naive
-  // walk through every way the inputs move: EWMA windows advancing, VM
-  // arrival (create and adopt), departure (expel), and pure decay.  The
-  // churn happens *between* sampling instants on purpose, so the
-  // topology_version invalidation path is what keeps the cache honest.
-  sim::Simulation simulation;
-  virt::PlatformConfig pc;
-  pc.nodes = 2;
-  pc.pcpus_per_node = 2;
-  pc.seed = 3;
-  virt::Platform platform(simulation, pc);
-  virt::Vm& a = platform.create_vm(virt::NodeId{0}, virt::VmType::kNonParallel,
-                                   "a", 1);
-  virt::Vm& b = platform.create_vm(virt::NodeId{0}, virt::VmType::kNonParallel,
-                                   "b", 1);
-  virt::Vm& c =
-      platform.create_vm(virt::NodeId{1}, virt::VmType::kParallel, "c", 1);
-  cache::XenoprofSampler sampler(platform, 10_ms);
-  sampler.start();
-
-  const auto naive = [&](virt::Node& node) {
-    double p = 0.0;
-    for (const auto& vm : node.vms()) {
-      if (vm == nullptr || vm->is_dom0()) continue;
-      p += sampler.vm_miss_rate(*vm);
-    }
-    return p / static_cast<double>(node.llc_domains());
-  };
-  const auto expect_cached_equals_naive = [&](const char* what) {
-    for (const auto& node : platform.nodes()) {
-      EXPECT_EQ(sampler.node_pressure(*node), naive(*node))
-          << what << " (node " << node->index() << ")";
-    }
-  };
-
-  // Before any sample fired: all rates zero, but the query already takes
-  // the lazy-rebuild path.
-  expect_cached_equals_naive("before first sample");
-
-  // Three sampling windows with distinct per-VM miss deltas (the first
-  // sample only primes the windows; rates are nonzero from the second).
-  for (int w = 0; w < 3; ++w) {
-    a.totals().llc_misses += 9000 + 1000 * static_cast<std::uint64_t>(w);
-    b.totals().llc_misses += 4000;
-    c.totals().llc_misses += 2500;
-    simulation.run_until((w + 1) * 10_ms + 1_ms);
-    expect_cached_equals_naive("steady window");
-  }
-  ASSERT_GT(sampler.node_pressure(*platform.nodes()[0]), 0.0)
-      << "no pressure accumulated; the comparisons above were vacuous";
-
-  // Arrival between samples: a freshly created VM (rate 0 until seen).
-  platform.create_vm(virt::NodeId{1}, virt::VmType::kNonParallel, "d", 1);
-  expect_cached_equals_naive("after create");
-
-  // Departure between samples, then adoption onto the other node — the
-  // same topology operations a live migration performs.
-  std::unique_ptr<virt::Vm> owned = platform.expel_vm(b);
-  expect_cached_equals_naive("after expel");
-  platform.adopt_vm(virt::NodeId{1}, std::move(owned));
-  expect_cached_equals_naive("after adopt");
-
-  // Pure decay: no further misses, so every EWMA rate halves per window.
-  const double before = sampler.node_pressure(*platform.nodes()[0]);
-  simulation.run_until(80_ms);
-  expect_cached_equals_naive("after decay");
-  EXPECT_LT(sampler.node_pressure(*platform.nodes()[0]), before);
 }
 
 }  // namespace

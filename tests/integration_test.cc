@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "atc/controller.h"
-#include "cache/xenoprof.h"
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
 
@@ -207,23 +206,6 @@ TEST(IntegrationTest, SeedsChangeOutcomesSlightly) {
   const double b = mean_at(2);
   EXPECT_NE(a, b);
   EXPECT_NEAR(a / b, 1.0, 0.5);  // different, but same regime
-}
-
-TEST(IntegrationTest, XenoprofSamplerTracksMisses) {
-  auto sp = small_scenario(Approach::kCR);
-  Scenario& s = *sp;
-  cluster::build_type_a(s, "lu", workload::NpbClass::kB);
-  cache::XenoprofSampler sampler(s.platform(), 100_ms);
-  sampler.start();
-  s.start();
-  s.run_for(1_s);
-  EXPECT_GE(sampler.samples().size(), 9u);
-  EXPECT_GT(sampler.miss_rate_per_second(), 0.0);
-  const auto before = sampler.miss_rate_per_second();
-  sampler.reset_baseline();
-  s.run_for(200_ms);
-  EXPECT_GT(before, 0.0);
-  EXPECT_GT(sampler.miss_rate_per_second(), 0.0);
 }
 
 }  // namespace

@@ -265,16 +265,6 @@ TEST(VslicerTest, LatencySensitiveVmsGetMicroSlice) {
   EXPECT_EQ(vs.slice_for(lis.vcpus()[0]), 30_ms);
 }
 
-TEST(VslicerTest, CustomMicroSlice) {
-  SchedRig rig(1);
-  virt::Vm& ls = rig.cpu_vm(5_ms);
-  ls.set_latency_sensitive(true);
-  sched::VSlicerScheduler::VsOptions opts;
-  opts.micro_slice = 2_ms;
-  sched::VSlicerScheduler vs(opts);
-  EXPECT_EQ(vs.slice_for(ls.vcpus()[0]), 2_ms);
-}
-
 TEST(MonitorTest, SnapshotsAndResetsPeriodStats) {
   SchedRig rig(1);
   virt::Vm& vm = rig.cpu_vm(5_ms);
