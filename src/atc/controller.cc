@@ -128,18 +128,4 @@ void AtcController::on_period() {
   }
 }
 
-std::vector<std::unique_ptr<AtcController>> install_atc(
-    virt::Platform& platform, sync::PeriodMonitor& monitor, AtcConfig cfg,
-    std::vector<sync::PeriodMonitor::Subscription>& subs) {
-  std::vector<std::unique_ptr<AtcController>> controllers;
-  controllers.reserve(platform.nodes().size());
-  for (auto& node : platform.nodes()) {
-    controllers.push_back(
-        std::make_unique<AtcController>(*node, monitor, cfg));
-    AtcController* c = controllers.back().get();
-    subs.push_back(monitor.subscribe([c](std::uint64_t) { c->on_period(); }));
-  }
-  return controllers;
-}
-
 }  // namespace atcsim::atc

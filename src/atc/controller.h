@@ -27,7 +27,7 @@ class AtcController {
   AtcController(virt::Node& node, const sync::PeriodMonitor& monitor,
                 AtcConfig cfg = {});
 
-  /// Period hook (wire via PeriodMonitor::subscribe).
+  /// Period hook: runs Algorithm 2 on the monitor's fresh snapshot.
   void on_period();
 
   const AtcConfig& config() const { return cfg_; }
@@ -44,13 +44,5 @@ class AtcController {
   std::vector<double> wakeup_rate_;       // EWMA, by VM index within node
   std::unique_ptr<VmClassifier> classifier_;  // when auto_classify
 };
-
-/// Creates one controller per node and subscribes them all to the monitor,
-/// appending the RAII subscription handles to `subs` (they must stay alive
-/// as long as the controllers do — ApproachRuntime holds both).  The
-/// returned vector owns the controllers; keep it alive for the run.
-std::vector<std::unique_ptr<AtcController>> install_atc(
-    virt::Platform& platform, sync::PeriodMonitor& monitor, AtcConfig cfg,
-    std::vector<sync::PeriodMonitor::Subscription>& subs);
 
 }  // namespace atcsim::atc

@@ -4,20 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "cluster/control/rebalancer.h"
-#include "sched/coschedule.h"
 #include "sched/credit.h"
 #include "sched/vslicer.h"
 
 namespace atcsim::cluster {
-
-// Out-of-line: ApproachRuntime holds a unique_ptr to the forward-declared
-// rebalancer, so its special members need the complete type.
-ApproachRuntime::ApproachRuntime() = default;
-ApproachRuntime::ApproachRuntime(ApproachRuntime&&) noexcept = default;
-ApproachRuntime& ApproachRuntime::operator=(ApproachRuntime&&) noexcept =
-    default;
-ApproachRuntime::~ApproachRuntime() = default;
 
 std::string approach_name(Approach a) {
   switch (a) {
@@ -52,8 +42,16 @@ const std::vector<Approach>& all_approaches() {
   return all;
 }
 
+void ApproachRuntime::on_period() {
+  for (sched::CoScheduler* cs : coschedulers) cs->on_period();
+  for (auto& dss : dss_controllers) dss->on_period();
+  for (auto& atc : atc_controllers) atc->on_period();
+  if (rebalancer != nullptr) rebalancer->on_period();
+}
+
 ApproachRuntime install_approach(virt::Platform& platform,
-                                 sync::PeriodMonitor& monitor, Approach a,
+                                 const sync::PeriodMonitor& monitor,
+                                 control::Migrator& migrator, Approach a,
                                  const atc::AtcConfig& atc_cfg) {
   ApproachRuntime runtime;
   for (auto& node : platform.nodes()) {
@@ -74,13 +72,9 @@ ApproachRuntime install_approach(virt::Platform& platform,
         break;
       }
       case Approach::kCS: {
-        auto cs = std::make_unique<sched::CoScheduler>();
-        sched::CoScheduler* raw = cs.get();
+        auto cs = std::make_unique<sched::CoScheduler>(monitor);
+        runtime.coschedulers.push_back(cs.get());
         platform.set_scheduler(node->id(), std::move(cs));
-        runtime.subscriptions.push_back(
-            monitor.subscribe([raw, &monitor](std::uint64_t) {
-              raw->update_gang_flags(monitor);
-            }));
         break;
       }
       case Approach::kVS:
@@ -91,14 +85,19 @@ ApproachRuntime install_approach(virt::Platform& platform,
     if (a == Approach::kDSS) {
       runtime.dss_controllers.push_back(
           std::make_unique<sched::DssController>(*node, monitor));
-      sched::DssController* raw = runtime.dss_controllers.back().get();
-      runtime.subscriptions.push_back(
-          monitor.subscribe([raw](std::uint64_t) { raw->on_period(); }));
     }
   }
   if (a == Approach::kATC || a == Approach::kATCPM) {
-    runtime.atc_controllers =
-        atc::install_atc(platform, monitor, atc_cfg, runtime.subscriptions);
+    runtime.atc_controllers.reserve(platform.nodes().size());
+    for (auto& node : platform.nodes()) {
+      runtime.atc_controllers.push_back(
+          std::make_unique<atc::AtcController>(*node, monitor, atc_cfg));
+    }
+  }
+  if (a == Approach::kPM || a == Approach::kATCPM) {
+    // Policy is cell-local: each shard balances its own node block.
+    runtime.rebalancer =
+        std::make_unique<control::ClusterRebalancer>(platform, migrator);
   }
   return runtime;
 }

@@ -15,15 +15,13 @@
 
 #include "atc/config.h"
 #include "atc/controller.h"
+#include "cluster/control/rebalancer.h"
+#include "sched/coschedule.h"
 #include "sched/dss.h"
 #include "sync/period_monitor.h"
 #include "virt/platform.h"
 
 namespace atcsim::cluster {
-
-namespace control {
-class ClusterRebalancer;
-}  // namespace control
 
 enum class Approach { kCR, kCS, kBS, kDSS, kVS, kATC, kPM, kATCPM };
 
@@ -32,33 +30,29 @@ enum class Approach { kCR, kCS, kBS, kDSS, kVS, kATC, kPM, kATCPM };
 std::string approach_name(Approach a);
 const std::vector<Approach>& all_approaches();
 
-/// Owns everything install_approach wires up for one platform: the
-/// adaptive controllers and — crucially — the RAII
-/// monitor subscriptions of every periodic hook.  Destroying the runtime
-/// (e.g. re-installing a different approach) unsubscribes the old
-/// callbacks instead of leaving dangling raw pointers registered with the
-/// monitor.
+/// The controllers install_approach builds for one platform, and the one
+/// period hook that drives them.
 struct ApproachRuntime {
-  ApproachRuntime();
-  ApproachRuntime(ApproachRuntime&&) noexcept;
-  ApproachRuntime& operator=(ApproachRuntime&&) noexcept;
-  ~ApproachRuntime();
-
-  std::vector<std::unique_ptr<atc::AtcController>> atc_controllers;
+  /// CS gang triggers; each scheduler is owned by its node.
+  std::vector<sched::CoScheduler*> coschedulers;
   std::vector<std::unique_ptr<sched::DssController>> dss_controllers;
-  /// Monitor subscriptions owned by this runtime (CS gang trigger, DSS and
-  /// ATC period hooks); torn down with the runtime.
-  std::vector<sync::PeriodMonitor::Subscription> subscriptions;
-  /// Installed by Scenario::start() for kPM / kATCPM once the migration
-  /// context (directory, fabric, shard map) exists; the factory alone
-  /// cannot build it.
+  std::vector<std::unique_ptr<atc::AtcController>> atc_controllers;
+  /// Contention-aware placement under kPM and kATCPM; nullptr otherwise.
   std::unique_ptr<control::ClusterRebalancer> rebalancer;
+
+  /// PeriodMonitor hook.  Runs every controller in a fixed order: the CS
+  /// gang triggers, DSS controllers and ATC controllers, each in node
+  /// order, then the rebalancer.
+  void on_period();
 };
 
-/// Installs the scheduler on every node and subscribes any controllers to
-/// the monitor.  VMs must already exist; call before Engine::start().
+/// Installs the approach's scheduler on every node and builds its
+/// controllers: the one place that maps an approach to them.  VMs must
+/// already exist; call before Engine::start(), and pass the runtime's
+/// on_period to PeriodMonitor::start.
 ApproachRuntime install_approach(virt::Platform& platform,
-                                 sync::PeriodMonitor& monitor, Approach a,
-                                 const atc::AtcConfig& atc_cfg = {});
+                                 const sync::PeriodMonitor& monitor,
+                                 control::Migrator& migrator, Approach a,
+                                 const atc::AtcConfig& atc_cfg);
 
 }  // namespace atcsim::cluster

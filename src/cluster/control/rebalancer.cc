@@ -24,14 +24,12 @@ constexpr std::uint64_t kCooldownPeriods = 10;
 }  // namespace
 
 ClusterRebalancer::ClusterRebalancer(virt::Platform& platform,
-                                     sync::PeriodMonitor& monitor,
                                      Migrator& migrator)
     : platform_(&platform), migrator_(&migrator) {
   // The first period boundary can already migrate (a network act); make it
   // visible to the shard output bound before the monitor ever fires.
   platform_->engine().note_effect_at(platform_->simulation().now() +
                                      platform_->params().accounting_period);
-  sub_ = monitor.subscribe([this](std::uint64_t) { on_period(); });
 }
 
 double ClusterRebalancer::advance_window(const virt::Vm& vm,

@@ -19,16 +19,16 @@
 #include <vector>
 
 #include "cluster/control/migrator.h"
-#include "sync/period_monitor.h"
 
 namespace atcsim::cluster::control {
 
 class ClusterRebalancer {
  public:
-  /// Subscribes to `monitor` (RAII: dropping the rebalancer unsubscribes).
-  /// All references must outlive the rebalancer.
-  ClusterRebalancer(virt::Platform& platform, sync::PeriodMonitor& monitor,
-                    Migrator& migrator);
+  /// Both references must outlive the rebalancer.
+  ClusterRebalancer(virt::Platform& platform, Migrator& migrator);
+
+  /// Period hook: scores this cell's hosts and orders at most one move.
+  void on_period();
 
   std::uint64_t periods_observed() const { return periods_; }
   std::uint64_t migrations_ordered() const { return migrations_; }
@@ -43,7 +43,6 @@ class ClusterRebalancer {
     bool seen = false;  ///< last_total valid (first sight primes it)
   };
 
-  void on_period();
   /// Advances `vm`'s window by one period and returns its rate.
   double advance_window(const virt::Vm& vm, double period_s);
 
@@ -53,7 +52,6 @@ class ClusterRebalancer {
   std::uint64_t periods_ = 0;
   std::uint64_t migrations_ = 0;
   std::uint64_t cooldown_left_ = 0;
-  sync::PeriodMonitor::Subscription sub_;
 };
 
 }  // namespace atcsim::cluster::control

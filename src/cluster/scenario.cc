@@ -367,16 +367,9 @@ void Scenario::start() {
   started_ = true;
   for (auto& stack : stacks_) {
     stack->runtime = install_approach(*stack->platform, *stack->monitor,
-                                      config_.approach, config_.atc);
-    if (config_.approach == Approach::kPM ||
-        config_.approach == Approach::kATCPM) {
-      // Attach the contention-aware rebalancer now that the migration
-      // context exists.  Policy is cell-local — each shard balances its own
-      // node block.
-      stack->runtime.rebalancer = std::make_unique<control::ClusterRebalancer>(
-          *stack->platform, *stack->monitor, *stack->migrator);
-    }
-    stack->monitor->start();
+                                      *stack->migrator, config_.approach,
+                                      config_.atc);
+    stack->monitor->start([rt = &stack->runtime] { rt->on_period(); });
   }
   for (auto& client : clients_) client->start();
   for (auto& stack : stacks_) stack->platform->engine().start();

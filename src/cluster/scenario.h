@@ -24,7 +24,6 @@
 #include "atc/config.h"
 #include "cluster/approach.h"
 #include "cluster/control/migrator.h"
-#include "cluster/control/rebalancer.h"
 #include "metrics/recorders.h"
 #include "net/fabric.h"
 #include "net/network.h"

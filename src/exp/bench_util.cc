@@ -1,17 +1,23 @@
 #include "exp/bench_util.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace atcsim::exp {
 
 double scale_factor() {
   const char* env = std::getenv("ATCSIM_BENCH_SCALE");
   if (env == nullptr) return 1.0;
-  // The cap keeps scaled() windows far inside SimTime's range.
-  const double v = std::atof(env);
-  return std::isfinite(v) && v > 0.0 && v <= 1e6 ? v : 1.0;
+  // The whole value must parse ("0.5x" is invalid, not 0.5).  The cap
+  // keeps scaled() windows far inside SimTime's range.
+  const char* end = env + std::strlen(env);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  const bool ok = ec == std::errc{} && ptr == end;
+  return ok && std::isfinite(v) && v > 0.0 && v <= 1e6 ? v : 1.0;
 }
 
 sim::SimTime scaled(sim::SimTime base) {

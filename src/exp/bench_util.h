@@ -12,8 +12,8 @@
 
 namespace atcsim::exp {
 
-/// ATCSIM_BENCH_SCALE multiplier: 1.0 when unset or invalid (not a finite
-/// number in (0, 1e6]).
+/// ATCSIM_BENCH_SCALE multiplier: 1.0 when unset or invalid (not wholly a
+/// finite number in (0, 1e6]).
 double scale_factor();
 
 /// `base` scaled by scale_factor().

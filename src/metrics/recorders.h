@@ -95,38 +95,15 @@ class LogHistogram {
 };
 
 /// Durations of repeated units of work (supersteps / iterations of a
-/// parallel application).  Mean duration is the "execution time" that the
-/// paper's normalized numbers are built from; count/mean/min/max are exact
-/// (OnlineStats), quantiles are histogram-quantized.
+/// parallel application) and request/response latencies (ping RTT, web
+/// response time).  Mean duration is the "execution time" that the paper's
+/// normalized numbers are built from.  count/mean/min/max are exact
+/// (OnlineStats); tail percentiles come from the log-linear histogram
+/// (±0.79% quantization).
 class DurationRecorder {
  public:
   void record(sim::SimTime d) {
     const double s = sim::to_seconds(d);
-    stats_.add(s);
-    hist_.add(s);
-  }
-  void reset() {
-    stats_.reset();
-    hist_.reset();
-  }
-  const sim::OnlineStats& stats() const { return stats_; }
-  const LogHistogram& histogram() const { return hist_; }
-  double mean_seconds() const { return stats_.mean(); }
-  std::uint64_t count() const { return stats_.count(); }
-
- private:
-  sim::OnlineStats stats_;
-  LogHistogram hist_;
-};
-
-/// Request/response latencies (ping RTT, web response time).  Tail
-/// percentiles come from the log-linear histogram (±0.79% quantization);
-/// the extreme ranks (q at the first/last sample) and count/mean/min/max
-/// are exact.
-class LatencyRecorder {
- public:
-  void record(sim::SimTime latency) {
-    const double s = sim::to_seconds(latency);
     stats_.add(s);
     hist_.add(s);
   }
@@ -191,7 +168,9 @@ class MetricsRegistry {
   DurationRecorder& durations(const std::string& name) {
     return durations_[name];
   }
-  LatencyRecorder& latency(const std::string& name) { return latency_[name]; }
+  DurationRecorder& latency(const std::string& name) {
+    return latency_[name];
+  }
   RateCounter& rate(const std::string& name) {
     auto it = rates_.find(name);
     if (it == rates_.end()) {
@@ -218,7 +197,7 @@ class MetricsRegistry {
  private:
   sim::Simulation* sim_;
   std::map<std::string, DurationRecorder> durations_;
-  std::map<std::string, LatencyRecorder> latency_;
+  std::map<std::string, DurationRecorder> latency_;
   std::map<std::string, RateCounter> rates_;
 };
 

@@ -97,11 +97,12 @@ bool CoScheduler::gang_protected(const Vcpu& w) const {
          !w.vm().is_parallel();
 }
 
-void CoScheduler::update_gang_flags(const sync::PeriodMonitor& monitor) {
+void CoScheduler::on_period() {
   gang_.clear();
   for (const auto& vm : node().vms()) {
-    if (vm->is_dom0() || vm->vcpu_count() < 2) continue;
-    if (monitor.last(vm->id()).spin_wall > kSpinThreshold) {
+    // nullptr: a migration tombstone (Platform::expel_vm).
+    if (vm == nullptr || vm->is_dom0() || vm->vcpu_count() < 2) continue;
+    if (monitor_->last(vm->id()).spin_wall > kSpinThreshold) {
       gang_.insert(vm.get());
     }
   }

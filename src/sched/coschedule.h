@@ -18,14 +18,17 @@ namespace atcsim::sched {
 
 class CoScheduler : public CreditScheduler {
  public:
+  /// `monitor` must outlive the scheduler.
+  explicit CoScheduler(const sync::PeriodMonitor& monitor)
+      : monitor_(&monitor) {}
+
   std::string name() const override { return "cosched"; }
   void attach(virt::Node& node, virt::Engine& engine) override;
   Vcpu* pick_next(Pcpu& p) override;
   void on_dispatched(Vcpu& v, Pcpu& p) override;
 
   /// Period hook: refreshes concurrent-VM flags from the monitor snapshot.
-  /// Wire via `monitor.subscribe(...)`; see cluster/approach.cc.
-  void update_gang_flags(const sync::PeriodMonitor& monitor);
+  void on_period();
 
   bool is_gang(const Vm& vm) const { return gang_.contains(&vm); }
 
@@ -35,6 +38,7 @@ class CoScheduler : public CreditScheduler {
   bool gang_protected(const Vcpu& w) const;
 
  private:
+  const sync::PeriodMonitor* monitor_;
   std::unordered_set<const Vm*> gang_;
   std::unordered_map<const Vm*, sim::SimTime> last_gang_dispatch_;
   std::vector<Vcpu*> forced_;  // per pcpu index: gang sibling to run next

@@ -41,10 +41,9 @@ obs::TraceEvent sched_event(SimTime now, std::uint8_t type, const Vcpu& v,
 CreditScheduler::CreditScheduler(Options opts) : opts_(opts) {}
 
 CreditScheduler::~CreditScheduler() {
-  // A scheduler replaced at runtime (repeated install_approach, rebalancer
-  // experimentation) must not leave its periodic refill/tick events behind:
-  // the historical self-re-arming call_in functors kept invoking the dead
-  // `this` forever.
+  // A scheduler replaced at runtime must not leave its periodic
+  // refill/tick events behind: the historical self-re-arming call_in
+  // functors kept invoking the dead `this` forever.
   if (timers_made_) {
     sim_->disarm(refill_timer_);
     sim_->disarm(tick_timer_);

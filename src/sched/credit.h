@@ -48,9 +48,8 @@ class CreditScheduler : public virt::Scheduler {
 
   CreditScheduler() : CreditScheduler(Options{}) {}
   explicit CreditScheduler(Options opts);
-  /// Disarms the refill/tick timers: a scheduler replaced at runtime
-  /// (install_approach re-run, rebalancer) must not leave periodic events
-  /// invoking a dead `this`.
+  /// Disarms the refill/tick timers: a scheduler replaced at runtime must
+  /// not leave periodic events invoking a dead `this`.
   ~CreditScheduler() override;
 
   std::string name() const override { return "credit"; }

@@ -1,65 +1,31 @@
 #include "sync/period_monitor.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace atcsim::sync {
 
 using sim::SimTime;
 
-void PeriodMonitor::Subscription::reset() {
-  if (id_ == 0) return;
-  if (auto list = list_.lock()) list->detach(id_);
-  list_.reset();
-  id_ = 0;
-}
-
-void PeriodMonitor::SubscriberList::detach(std::uint64_t id) {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), id,
-      [](const Entry& e, std::uint64_t v) { return e.id < v; });
-  assert(it != entries.end() && it->id == id && it->live);
-  it->live = false;
-  it->cb = nullptr;  // release the captured state now
-  --live;
-  if (!sweeping) compact_if_sparse();
-}
-
-void PeriodMonitor::SubscriberList::compact_if_sparse() {
-  if (entries.size() - live <= live) return;
-  std::erase_if(entries, [](const Entry& e) { return !e.live; });
-}
-
 PeriodMonitor::PeriodMonitor(virt::Platform& platform)
-    : platform_(&platform),
-      subscribers_(std::make_shared<SubscriberList>()) {}
+    : platform_(&platform) {}
 
-PeriodMonitor::~PeriodMonitor() { stop(); }
-
-PeriodMonitor::Subscription PeriodMonitor::subscribe(Callback cb) {
-  const std::uint64_t id = next_sub_id_++;
-  subscribers_->entries.push_back(Entry{id, std::move(cb)});
-  ++subscribers_->live;
-  return Subscription{subscribers_, id};
+PeriodMonitor::~PeriodMonitor() {
+  if (started_) platform_->simulation().disarm(timer_);
 }
 
-void PeriodMonitor::start() {
+void PeriodMonitor::start(std::function<void()> on_period) {
   assert(!started_);
   started_ = true;
+  on_period_ = std::move(on_period);
   last_.assign(platform_->vm_count(), {});
   const SimTime period = platform_->params().accounting_period;
-  if (!timer_made_) {
-    timer_ = platform_->simulation().make_timer([this, period] {
-      sample();
-      platform_->simulation().arm_in(timer_, period);
-    });
-    timer_made_ = true;
-  }
+  timer_ = platform_->simulation().make_timer([this, period] {
+    sample();
+    if (on_period_) on_period_();
+    platform_->simulation().arm_in(timer_, period);
+  });
   platform_->simulation().arm_in(timer_, period);
-}
-
-void PeriodMonitor::stop() {
-  if (timer_made_) platform_->simulation().disarm(timer_);
 }
 
 void PeriodMonitor::sample() {
@@ -118,22 +84,6 @@ void PeriodMonitor::sample() {
     if (spinning) platform_->mark_period_activity(vm);
   }
   ++periods_;
-  // Callbacks may subscribe/unsubscribe (or migrate VMs) from inside a
-  // period.  Entries keep their index for the whole walk (compaction waits
-  // for it to end); subscribers added by a callback join at the end and
-  // first fire next period; detached ones are skipped.  Each callback runs
-  // from a local, so neither a subscribe that reallocates the list nor a
-  // self-detach can destroy it mid-call.
-  SubscriberList& subs = *subscribers_;
-  subs.sweeping = true;
-  for (std::size_t i = 0, n = subs.entries.size(); i < n; ++i) {
-    if (!subs.entries[i].live) continue;
-    Callback cb = std::move(subs.entries[i].cb);
-    cb(periods_);
-    if (subs.entries[i].live) subs.entries[i].cb = std::move(cb);
-  }
-  subs.sweeping = false;
-  subs.compact_if_sparse();
 }
 
 sim::SimTime PeriodMonitor::avg_spin_latency(virt::VmId id) const {

@@ -210,7 +210,7 @@ virt::Action WebServerWorkload::next(virt::Vcpu& /*self*/) {
     // Service finished: emit the response; stamp the response time when it
     // exits the fabric (the client-side measurement point).
     serving_ = false;
-    metrics::LatencyRecorder* rec = rec_;
+    metrics::DurationRecorder* rec = rec_;
     net::VirtualNetwork* net = net_;
     const SimTime t0 = current_t0_;
     net->send_out(*vm_, kResponseBytes, [net, rec, t0] {

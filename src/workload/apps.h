@@ -94,7 +94,7 @@ class PingWorkload : public virt::Workload {
   static constexpr std::uint64_t kBytes = 64;
 
   PingWorkload(net::VirtualNetwork& net, virt::Vm& self_vm, virt::Vm& peer,
-               metrics::LatencyRecorder* rtt)
+               metrics::DurationRecorder* rtt)
       : net_(&net), vm_(&self_vm), peer_(&peer), rtt_(rtt) {}
 
   virt::Action next(virt::Vcpu& self) override;
@@ -105,7 +105,7 @@ class PingWorkload : public virt::Workload {
   net::VirtualNetwork* net_;
   virt::Vm* vm_;
   virt::Vm* peer_;
-  metrics::LatencyRecorder* rtt_;
+  metrics::DurationRecorder* rtt_;
   std::unique_ptr<virt::SyncEvent> reply_;
   std::unique_ptr<virt::SyncEvent> sleep_;
   sim::SimTime sent_at_ = 0;
@@ -147,7 +147,7 @@ class WebServerWorkload : public virt::Workload {
   static constexpr std::uint64_t kResponseBytes = 16 * 1024;
 
   WebServerWorkload(net::VirtualNetwork& net, virt::Vm& self_vm,
-                    metrics::LatencyRecorder* response_time, sim::Rng rng)
+                    metrics::DurationRecorder* response_time, sim::Rng rng)
       : net_(&net), vm_(&self_vm), rec_(response_time), rng_(rng) {}
 
   /// Called from the request-delivery deposit handler.
@@ -166,7 +166,7 @@ class WebServerWorkload : public virt::Workload {
  private:
   net::VirtualNetwork* net_;
   virt::Vm* vm_;
-  metrics::LatencyRecorder* rec_;
+  metrics::DurationRecorder* rec_;
   sim::Rng rng_;
   std::deque<sim::SimTime> backlog_;
   std::unique_ptr<virt::SyncEvent> idle_;

@@ -3,8 +3,9 @@
 // A global operator-new hook counts heap allocations; after a warm-up pass
 // (slab slots, heap array and free list reach steady-state size), the
 // schedule/pop loop, the cancel loop and the timer arm/fire loop must
-// perform exactly zero allocations.  Runs as its own binary so the hook
-// cannot interfere with the main test suite.
+// perform exactly zero allocations.  The hook defined here serves the whole
+// alloc_guard_test binary, which also holds net_alloc_guard_test.cc and
+// pdes_alloc_guard_test.cc (see alloc_guard.h).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_guard.h"
 #include "net/network.h"
 #include "sched/credit.h"
 #include "simcore/event_queue.h"
@@ -39,10 +41,12 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
+namespace atcsim {
+std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+}  // namespace atcsim
+
 namespace atcsim::sim {
 namespace {
-
-std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
 TEST(AllocGuardTest, SchedulePopSteadyStateIsAllocationFree) {
   EventQueue q;

@@ -144,8 +144,9 @@ TEST(ScenarioTest, MixedLayoutContainsEveryAppKind) {
 
 TEST(ScenarioTest, RunsEndToEndWithEveryApproach) {
   for (Approach a : all_approaches()) {
+    SCOPED_TRACE(approach_name(a));
     auto sp = ScenarioBuilder{}
-                  .nodes(1)
+                  .nodes(2)
                   .vms_per_node(2)
                   .vcpus_per_vm(2)
                   .pcpus_per_node(2)
@@ -157,6 +158,23 @@ TEST(ScenarioTest, RunsEndToEndWithEveryApproach) {
     auto vms = s.create_cluster_vms("vc", {0, 0});
     s.add_bsp_app("vc", workload::Descriptor::from_bsp(cfg), std::move(vms));
     s.start();
+
+    // What install_approach maps each approach to, per node.
+    const cluster::ApproachRuntime& rt = s.approach_runtime();
+    const std::size_t nodes = s.platform().nodes().size();
+    const bool atc = a == Approach::kATC || a == Approach::kATCPM;
+    const bool pm = a == Approach::kPM || a == Approach::kATCPM;
+    EXPECT_EQ(rt.coschedulers.size(), a == Approach::kCS ? nodes : 0u);
+    EXPECT_EQ(rt.dss_controllers.size(), a == Approach::kDSS ? nodes : 0u);
+    EXPECT_EQ(rt.atc_controllers.size(), atc ? nodes : 0u);
+    EXPECT_EQ(rt.rebalancer != nullptr, pm);
+    const std::string sched = a == Approach::kCS   ? "cosched"
+                              : a == Approach::kVS ? "vslicer"
+                                                   : "credit";
+    for (const auto& node : s.platform().nodes()) {
+      EXPECT_EQ(node->scheduler().name(), sched);
+    }
+
     s.warmup_and_measure(300_ms, 700_ms);
     EXPECT_GT(s.mean_superstep("vc"), 0.0) << approach_name(a);
   }

@@ -7,9 +7,14 @@
 # to the directory's TEST_INCLUDE_FILES (after the discovery includes, which
 # define each binary's <target>_TESTS list) and re-applies the full label
 # sets at ctest time, where quoted list values survive intact.
-foreach(t IN LISTS pdes_invariance_test_TESTS pdes_alloc_guard_test_TESTS
-    shard_group_test_TESTS effect_bound_differential_test_TESTS)
+foreach(t IN LISTS pdes_invariance_test_TESTS shard_group_test_TESTS
+    effect_bound_differential_test_TESTS)
   set_tests_properties("${t}" PROPERTIES LABELS "fast;pdes")
+endforeach()
+foreach(t IN LISTS alloc_guard_test_TESTS)
+  if(t MATCHES "^PdesAllocGuardTest\\.")
+    set_tests_properties("${t}" PROPERTIES LABELS "fast;pdes")
+  endif()
 endforeach()
 foreach(t IN LISTS descriptor_fuzz_test_TESTS)
   set_tests_properties("${t}" PROPERTIES LABELS "slow;fuzz;pdes")

@@ -298,7 +298,7 @@ std::vector<exp::TrialResult> two_trial_results() {
 
 TEST(BenchUtilTest, ScaleFactorFallsBackToOneOnInvalidValues) {
   ScopedEnv env("ATCSIM_BENCH_SCALE");
-  for (const char* bad : {"inf", "1e300", "0", "-3", "abc"}) {
+  for (const char* bad : {"inf", "1e300", "0", "-3", "abc", "0.5x"}) {
     env.set(bad);
     EXPECT_EQ(exp::scale_factor(), 1.0) << bad;
     EXPECT_EQ(exp::scaled(2_s), 2_s) << bad;

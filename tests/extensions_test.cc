@@ -3,6 +3,7 @@
 // CPU hog's share, pipelined disk I/O, and latency percentiles.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "atc/classifier.h"
@@ -67,10 +68,10 @@ struct ClsRig {
     return vm;
   }
 
-  void start() {
+  void start(std::function<void()> on_period) {
     platform->set_scheduler(virt::NodeId{0},
                             std::make_unique<sched::CreditScheduler>());
-    monitor->start();
+    monitor->start(std::move(on_period));
     platform->engine().start();
   }
 };
@@ -80,8 +81,7 @@ TEST(ClassifierTest, DetectsParallelBehaviourWithoutLabels) {
   virt::Vm& bsp = rig.bsp_vm();
   virt::Vm& cpu = rig.cpu_vm();
   atc::VmClassifier cls(*rig.platform->nodes()[0], *rig.monitor);
-  auto sub = rig.monitor->subscribe([&](std::uint64_t) { cls.on_period(); });
-  rig.start();
+  rig.start([&] { cls.on_period(); });
   rig.simulation.run_until(500_ms);
   EXPECT_TRUE(cls.is_parallel(bsp));
   EXPECT_FALSE(cls.is_parallel(cpu));
@@ -91,8 +91,7 @@ TEST(ClassifierTest, Dom0NeverLabelled) {
   ClsRig rig;
   rig.bsp_vm();
   atc::VmClassifier cls(*rig.platform->nodes()[0], *rig.monitor);
-  auto sub = rig.monitor->subscribe([&](std::uint64_t) { cls.on_period(); });
-  rig.start();
+  rig.start([&] { cls.on_period(); });
   rig.simulation.run_until(500_ms);
   EXPECT_FALSE(cls.is_parallel(*rig.platform->nodes()[0]->dom0()));
 }
@@ -206,7 +205,7 @@ TEST(CreditCapTest, UncappedVmIsNotLimited) {
 // ------------------------------------------------------------- percentiles
 
 TEST(LatencyPercentileTest, ExactQuantiles) {
-  metrics::LatencyRecorder r;
+  metrics::DurationRecorder r;
   for (int i = 1; i <= 100; ++i) r.record(i * 1_ms);
   EXPECT_NEAR(r.quantile_seconds(0.0), 0.001, 1e-9);
   EXPECT_NEAR(r.quantile_seconds(0.5), 0.050, 0.002);
@@ -216,7 +215,7 @@ TEST(LatencyPercentileTest, ExactQuantiles) {
 }
 
 TEST(LatencyPercentileTest, RecordAfterQuantileStillSorted) {
-  metrics::LatencyRecorder r;
+  metrics::DurationRecorder r;
   r.record(5_ms);
   r.record(1_ms);
   EXPECT_NEAR(r.quantile_seconds(1.0), 0.005, 1e-9);
@@ -226,7 +225,7 @@ TEST(LatencyPercentileTest, RecordAfterQuantileStillSorted) {
 }
 
 TEST(LatencyPercentileTest, EmptyIsZero) {
-  metrics::LatencyRecorder r;
+  metrics::DurationRecorder r;
   EXPECT_EQ(r.p99_seconds(), 0.0);
 }
 

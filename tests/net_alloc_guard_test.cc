@@ -9,19 +9,16 @@
 //    arrive/release messages over the network -> generation recycling,
 //    including the duration recorders fed every superstep.
 //
-// A global operator-new hook counts heap allocations; after a warm-up
-// window both cycles must perform exactly zero.  Runs as its own binary so
-// the hook cannot interfere with the main suite.
+// The operator-new hook in alloc_guard_test.cc counts heap allocations;
+// after a warm-up window both cycles must perform exactly zero.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_guard.h"
 #include "metrics/recorders.h"
 #include "net/network.h"
 #include "sched/credit.h"
@@ -29,27 +26,10 @@
 #include "virt/platform.h"
 #include "workload/bsp_app.h"
 
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace atcsim {
 namespace {
 
 using namespace sim::time_literals;
-
-std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
 /// Always-runnable guest: deposits arrive as immediate IRQs, so the test
 /// exercises the I/O path itself rather than guest scheduling.

@@ -9,18 +9,15 @@
 // fabric and both mailbox directions reach their high-water capacity.
 // After a warm-up window of rounds, the whole cycle — including the
 // ShardGroup's min-scan/advance phases — must touch the allocator exactly
-// zero times.  Own binary: the global operator-new hook must not interfere
-// with the main suite.
+// zero times, as counted by the operator-new hook in alloc_guard_test.cc.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_guard.h"
 #include "net/fabric.h"
 #include "net/network.h"
 #include "sched/credit.h"
@@ -29,27 +26,10 @@
 #include "virt/migration.h"
 #include "virt/platform.h"
 
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace atcsim {
 namespace {
 
 using namespace sim::time_literals;
-
-std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
 /// Always-runnable guest, as in net_alloc_guard_test: deposits arrive as
 /// immediate IRQs, so the test exercises the exchange path, not scheduling.

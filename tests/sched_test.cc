@@ -202,12 +202,10 @@ TEST(CoschedTest, GangFlagFollowsSpinThreshold) {
   SchedRig rig(2);
   virt::Vm& spin = rig.spin_vm(2);
   virt::Vm& quiet = rig.cpu_vm(5_ms);
-  auto cs = std::make_unique<sched::CoScheduler>();
-  sched::CoScheduler* raw = cs.get();
   sync::PeriodMonitor monitor(*rig.platform);
-  auto sub = monitor.subscribe(
-      [&](std::uint64_t) { raw->update_gang_flags(monitor); });
-  monitor.start();
+  auto cs = std::make_unique<sched::CoScheduler>(monitor);
+  sched::CoScheduler* raw = cs.get();
+  monitor.start([raw] { raw->on_period(); });
   rig.start(std::move(cs));
   rig.simulation.run_until(200_ms);
   EXPECT_TRUE(raw->is_gang(spin));
@@ -217,12 +215,10 @@ TEST(CoschedTest, GangFlagFollowsSpinThreshold) {
 TEST(CoschedTest, SingleVcpuVmsNeverGang) {
   SchedRig rig(2);
   virt::Vm& single = rig.cpu_vm(5_ms);
-  auto cs = std::make_unique<sched::CoScheduler>();
-  sched::CoScheduler* raw = cs.get();
   sync::PeriodMonitor monitor(*rig.platform);
-  auto sub = monitor.subscribe(
-      [&](std::uint64_t) { raw->update_gang_flags(monitor); });
-  monitor.start();
+  auto cs = std::make_unique<sched::CoScheduler>(monitor);
+  sched::CoScheduler* raw = cs.get();
+  monitor.start([raw] { raw->on_period(); });
   rig.start(std::move(cs));
   rig.simulation.run_until(200_ms);
   EXPECT_FALSE(raw->is_gang(single));
@@ -234,7 +230,6 @@ TEST(DssTest, IoActiveVmGetsShortSliceIdleVmKeepsDefault) {
   virt::Vm& idle = rig.cpu_vm(5_ms);
   sync::PeriodMonitor monitor(*rig.platform);
   sched::DssController ctrl(rig.platform->node(virt::NodeId{0}), monitor);
-  auto sub = monitor.subscribe([&](std::uint64_t) { ctrl.on_period(); });
   // Inject a steady I/O event stream into `active`.
   struct Pump {
     virt::Platform* p;
@@ -246,7 +241,7 @@ TEST(DssTest, IoActiveVmGetsShortSliceIdleVmKeepsDefault) {
     }
   };
   rig.simulation.call_in(10_ms, Pump{rig.platform.get(), &active});
-  monitor.start();
+  monitor.start([&] { ctrl.on_period(); });
   rig.start(std::make_unique<sched::CreditScheduler>());
   rig.simulation.run_until(3_s);
   EXPECT_LT(active.time_slice(), 30_ms);
@@ -324,9 +319,8 @@ TEST(MonitorTest, SpanningEpisodeConservesPeriodAndTotalSpin) {
 
   sync::PeriodMonitor monitor(*rig.platform);
   std::vector<sim::SimTime> period_spin;
-  auto sub = monitor.subscribe(
-      [&](std::uint64_t) { period_spin.push_back(monitor.last(vm.id()).spin_wall); });
-  monitor.start();
+  monitor.start(
+      [&] { period_spin.push_back(monitor.last(vm.id()).spin_wall); });
   rig.start(std::make_unique<sched::CreditScheduler>());
 
   // Episode spans two 30 ms sampling boundaries and ends mid-period.
@@ -346,18 +340,21 @@ TEST(MonitorTest, SpanningEpisodeConservesPeriodAndTotalSpin) {
   EXPECT_EQ(vm.totals().spin_episodes, 1u);
 }
 
-TEST(MonitorTest, SubscribersInvokedEveryPeriod) {
+// The hook runs once per period, after that period's sample.
+TEST(MonitorTest, HookRunsAfterEachSample) {
   SchedRig rig(1);
-  rig.cpu_vm(5_ms);
+  virt::Vm& vm = rig.cpu_vm(5_ms);
   sync::PeriodMonitor monitor(*rig.platform);
-  std::vector<std::uint64_t> calls;
-  auto sub = monitor.subscribe([&](std::uint64_t idx) { calls.push_back(idx); });
-  monitor.start();
+  std::vector<std::uint64_t> periods;
+  sim::SimTime run_time = 0;
+  monitor.start([&] {
+    periods.push_back(monitor.periods_elapsed());
+    run_time += monitor.last(vm.id()).run_time;
+  });
   rig.start(std::make_unique<sched::CreditScheduler>());
   rig.simulation.run_until(100_ms);
-  ASSERT_EQ(calls.size(), 3u);
-  EXPECT_EQ(calls[0], 1u);
-  EXPECT_EQ(calls[2], 3u);
+  EXPECT_EQ(periods, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_GT(run_time, 0);
 }
 
 }  // namespace
