@@ -11,12 +11,15 @@
 // With --large the sweep is replaced by a single cluster-scale cell (512
 // nodes unless overridden; the indexed run queues are what make this size
 // tractable) under CR and ATC, reporting wall-clock simulation throughput
-// alongside the model metrics.
+// alongside the model metrics.  A node count that is not wholly a positive
+// integer prints the usage text and exits 2.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
@@ -77,19 +80,38 @@ void run_large(const std::string& app, int nodes) {
   t.print(std::cout);
 }
 
+void usage() {
+  std::fprintf(stderr,
+               "usage: virtual_cluster_scaling [app]\n"
+               "       virtual_cluster_scaling [app] --large [nodes]\n"
+               "  app defaults to cg; nodes (a positive integer) to 512\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string app = argc > 1 ? argv[1] : "cg";
+  // The first argument names the app unless it is the --large flag itself.
+  std::string app = "cg";
+  if (argc > 1 && std::string(argv[1]) != "--large") app = argv[1];
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--large") {
-      const int nodes = i + 1 < argc ? std::atoi(argv[i + 1]) : 512;
-      std::printf("virtual_cluster_scaling: NPB %s.B cluster-scale macro, "
-                  "4x8-VCPU VMs per 8-PCPU node\n\n",
-                  app.c_str());
-      run_large(app == "--large" ? "cg" : app, nodes > 0 ? nodes : 512);
-      return 0;
+    if (std::string(argv[i]) != "--large") continue;
+    int nodes = 512;
+    if (i + 1 < argc) {
+      // Whole-argument parse: "1x", "abc" and out-of-range values fail
+      // instead of reading as a prefix or as 0.
+      const char* text = argv[i + 1];
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, nodes);
+      if (ec != std::errc{} || ptr != end || nodes <= 0) {
+        usage();
+        return 2;
+      }
     }
+    std::printf("virtual_cluster_scaling: NPB %s.B cluster-scale macro, "
+                "4x8-VCPU VMs per 8-PCPU node\n\n",
+                app.c_str());
+    run_large(app, nodes);
+    return 0;
   }
   std::printf("virtual_cluster_scaling: NPB %s.B, four virtual clusters, "
               "4x8-VCPU VMs per 8-PCPU node\n\n", app.c_str());

@@ -45,10 +45,11 @@ SimTime Migrator::copy_duration() const {
       static_cast<SimTime>(static_cast<double>(mp.migration_ws_bytes) /
                            mp.nic_bandwidth_bps * 1e9) +
       mp.wire_latency;
-  // Fabric legality: a control record posted at decision time t must come
-  // due no earlier than the shard's promised output bound (next event +
-  // dom0_packet_cost) plus the lookahead (one wire latency).  Any physical
-  // copy already dwarfs this clamp; it only guards degenerate parameters.
+  // Fabric legality: a control record posted at decision time t comes due
+  // at t + copy, which must clear the round horizon — at least the
+  // lookahead (one wire latency) past t.  The clamp keeps a dom0 packet
+  // cost of margin on top.  Any physical copy already dwarfs it; it only
+  // guards degenerate parameters.
   return std::max(copy, mp.dom0_packet_cost + mp.wire_latency);
 }
 
@@ -119,9 +120,6 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
 
 void Migrator::adopt_at(sim::SimTime t_r,
                         std::unique_ptr<virt::MigrationBundle> bundle) {
-  // The resumed guest may act on the network the instant it lands, so the
-  // shard's output bound must see the landing.
-  ctx_.platform->engine().note_effect_at(t_r);
   ctx_.platform->simulation().call_at(
       t_r, [this, owned = std::move(bundle)] { settle_and_adopt(*owned); });
 }

@@ -14,9 +14,9 @@
 // replicas settle atomically in virtual time via fabric control records
 // (kVmTransfer carries the bundle to the destination shard, kLocationUpdate
 // fans out to bystander shards).  The copy-duration clamp
-// max(..., dom0_packet_cost + wire_latency) guarantees the control records'
-// due times clear the conservative synchronizer's output bound, so
-// migrations never violate the EOT promise.
+// max(..., dom0_packet_cost + wire_latency) keeps the control records' due
+// times at least one lookahead past their post, beyond the conservative
+// synchronizer's round horizon.
 #pragma once
 
 #include <cstdint>

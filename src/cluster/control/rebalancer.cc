@@ -25,12 +25,7 @@ constexpr std::uint64_t kCooldownPeriods = 10;
 
 ClusterRebalancer::ClusterRebalancer(virt::Platform& platform,
                                      Migrator& migrator)
-    : platform_(&platform), migrator_(&migrator) {
-  // The first period boundary can already migrate (a network act); make it
-  // visible to the shard output bound before the monitor ever fires.
-  platform_->engine().note_effect_at(platform_->simulation().now() +
-                                     platform_->params().accounting_period);
-}
+    : platform_(&platform), migrator_(&migrator) {}
 
 double ClusterRebalancer::advance_window(const virt::Vm& vm,
                                          double period_s) {
@@ -54,9 +49,6 @@ double ClusterRebalancer::advance_window(const virt::Vm& vm,
 void ClusterRebalancer::on_period() {
   ++periods_;
   const virt::ModelParams& params = platform_->params();
-  // Rolling effect registration: the NEXT boundary may migrate too.
-  platform_->engine().note_effect_at(platform_->simulation().now() +
-                                     params.accounting_period);
 
   // One sweep advances every guest's miss window and scores each host of
   // this cell (= this shard's platform): the sum of its guests' rates per

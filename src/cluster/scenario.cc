@@ -27,54 +27,18 @@ constexpr SimTime kPdesLookaheadFloor = sim::kMicrosecond;
 /// ShardGroup's round protocol.
 class Scenario::ShardExec final : public sim::ShardExecutor {
  public:
-  ShardExec(sim::Simulation& simulation, net::ShardFabric& fabric,
-            net::VirtualNetwork& network, sim::SimTime out_slack, int id)
-      : sim_(&simulation),
-        fabric_(&fabric),
-        net_(&network),
-        out_slack_(out_slack),
-        id_(id) {}
+  ShardExec(sim::Simulation& simulation, net::ShardFabric& fabric, int id)
+      : sim_(&simulation), fabric_(&fabric), id_(id) {}
 
   int shard_id() const override { return id_; }
   sim::SimTime next_event_time() const override {
     return sim_->next_event_time();
-  }
-  sim::SimTime earliest_output_time() const override {
-    // Every cross-shard post happens inside a dom0 netback tx job, and that
-    // job exists only because guest code sent a packet.  Three regimes:
-    //   * a remote send is already in flight (job queued or computing): its
-    //     post can land while any pending event runs — next_event_time is
-    //     the only safe bound;
-    //   * local packets or disk requests are in flight: their completions
-    //     deposit mail that re-enters guest code at events the engine's
-    //     timer list never sees, so the next event is the only safe floor;
-    //   * the shard is quiescent on the I/O side: the engine's
-    //     earliest_effect_time lower-bounds the next *network act* — each
-    //     VCPU's remaining compute plus its workload's declared distance to
-    //     its next send (an LU rank mid-superstep is whole compute segments
-    //     away from its barrier message; loop guests never send at all).
-    // A fresh post then still needs the dom0 tx job, which consumes at
-    // least dom0_packet_cost of CPU — the slack that lets neighbours run
-    // far past this shard's purely local timers and compute phases.
-    const sim::SimTime next = sim_->next_event_time();
-    if (next == sim::kTimeNever) return sim::kTimeNever;
-    if (net_->pending_remote_tx() > 0) return next;
-    sim::SimTime entry = next;
-    if (net_->packets_in_flight() == 0) {
-      entry = std::max(entry, net_->engine().earliest_effect_time());
-    }
-    if (entry == sim::kTimeNever) return sim::kTimeNever;
-    return entry + out_slack_;
   }
   sim::SimTime pending_inbound_time() const override {
     return fabric_->pending_due(id_);
   }
   void deliver_inbound(sim::SimTime watermark) override {
     fabric_->deliver_to(id_, watermark);
-  }
-  BoundCounters bound_counters() const override {
-    const auto& bs = net_->engine().bound_stats();
-    return {bs.recomputes, bs.cache_hits};
   }
 
   std::uint64_t advance_to(sim::SimTime horizon) override {
@@ -99,8 +63,6 @@ class Scenario::ShardExec final : public sim::ShardExecutor {
  private:
   sim::Simulation* sim_;
   net::ShardFabric* fabric_;
-  net::VirtualNetwork* net_;
-  sim::SimTime out_slack_;
   int id_;
 };
 
@@ -126,10 +88,6 @@ Scenario::Scenario(ScenarioConfig config)
     pc.node_id_offset = first;
     stack->platform =
         std::make_unique<virt::Platform>(stack->simulation, pc);
-    // Only the round synchronizer queries the effect bound, and a one-shard
-    // run has none (run_for drives its Simulation directly), so the index
-    // bookkeeping would be pure overhead on the timer hot path.
-    if (shards == 1) stack->platform->engine().set_effect_tracking(false);
     stack->network = std::make_unique<net::VirtualNetwork>(*stack->platform);
     stack->network->attach();
     stack->monitor = std::make_unique<sync::PeriodMonitor>(*stack->platform);
@@ -379,8 +337,7 @@ void Scenario::start() {
     std::vector<sim::ShardExecutor*> execs;
     for (std::size_t k = 0; k < stacks_.size(); ++k) {
       executors_.push_back(std::make_unique<ShardExec>(
-          stacks_[k]->simulation, *fabric_, *stacks_[k]->network,
-          config_.params.dom0_packet_cost, static_cast<int>(k)));
+          stacks_[k]->simulation, *fabric_, static_cast<int>(k)));
       execs.push_back(executors_.back().get());
     }
     sim::ShardGroup::Options opts;
@@ -388,11 +345,6 @@ void Scenario::start() {
     // source-NIC completion, so that delay is the safe lookahead.
     opts.lookahead = config_.params.wire_latency;
     opts.threads = config_.shard_threads;
-    opts.eot_extension = config_.params.pdes_eot_extension;
-    // Receive-to-emit slack: a delivered packet pays a dom0 rx job and any
-    // consequent send pays a dom0 tx job, each at least dom0_packet_cost of
-    // CPU time, before it can reach the fabric again.
-    opts.chain_slack = 2 * config_.params.dom0_packet_cost;
     opts.round_prologue = [fabric = fabric_.get()] { fabric->seal_round(); };
     // Round events land in shard 0's sink (enable_tracing runs before
     // start(), so the pointer is final here; null stays null).
@@ -418,9 +370,6 @@ void Scenario::schedule_migration(virt::Vm& vm, SimTime at, int dest_node) {
       vm.node().platform().global_node_id(vm.node());
   const int k = shard_of_node(src_node);
   ShardStack* stack = &this->stack(k);
-  // The migration acts on the network at `at`; the shard output bound must
-  // see it from the moment it is scheduled (HttperfClient::arrival pattern).
-  stack->platform->engine().note_effect_at(at);
   virt::Vm* vmp = &vm;
   // The order reaches the shard's directory and migrator through its
   // heap-stable stack, which keeps the capture within InlineCallback's

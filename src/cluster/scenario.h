@@ -146,7 +146,6 @@ class Scenario {
   virt::Platform& platform() { return *stacks_[0]->platform; }
   sim::Simulation& simulation() { return stacks_[0]->simulation; }
   net::VirtualNetwork& network() { return *stacks_[0]->network; }
-  sync::PeriodMonitor& monitor() { return *stacks_[0]->monitor; }
 
   virt::Platform& platform(int shard) { return *stack(shard).platform; }
   sim::Simulation& simulation(int shard) { return stack(shard).simulation; }

@@ -18,8 +18,7 @@
 // that round's delivery runs, so the sequence of receive_remote calls a
 // destination observes is globally sorted by (due, src, seq) — a pure
 // function of the packet population, identical no matter how rounds are
-// batched (EOT extension on or off) or how many worker threads run them
-// (DESIGN.md §10).
+// batched or how many worker threads run them (DESIGN.md §10).
 //
 // Concurrency: a staging box (s, d) is written only by shard s's worker
 // during a fused phase; ready queue d is read only by shard d's worker.

@@ -168,7 +168,6 @@ VirtualNetwork::PacketRef VirtualNetwork::acquire(std::uint64_t bytes,
   p.dst_node = dst_node;
   p.done = std::move(done);
   p.next_free = kNilSlot;
-  ++in_flight_;
   return PacketRef{slot, p.generation};
 }
 
@@ -186,7 +185,6 @@ sim::InlineCallback VirtualNetwork::release(PacketRef r) {
   p.dst = nullptr;
   p.next_free = free_head_;
   free_head_ = r.slot;
-  --in_flight_;
   return cb;
 }
 
@@ -231,8 +229,6 @@ void VirtualNetwork::tx_effect(PacketRef r) {
     // job sat in the dom0 ring.  (send() marks only registered guests
     // remote, so the directory is there.)
     const virt::VmLocation& loc = directory_->at(dst->global_id());
-    assert(pending_remote_tx_ > 0);
-    --pending_remote_tx_;
     if (loc.shard == shard_) {
       // It moved *onto* this shard — the wire hop stays local after all,
       // at the same arrival time a fabric round trip would have produced.
@@ -305,12 +301,7 @@ void VirtualNetwork::deliver(PacketRef r) {
     const std::int32_t here = node_id_offset() + p.dst_node;
     if (target_node != here) {
       // The guest migrated away after this packet was addressed.  This
-      // node's dom0 pays one more netback job to re-route it; the job also
-      // backs the shard's earliest-output-time promise — counting it as a
-      // pending remote tx pins EOT to the next event time until the re-post
-      // lands, so a cross-shard forward can never post earlier than the
-      // horizon other shards were told to trust (DESIGN.md §12).
-      ++pending_remote_tx_;
+      // node's dom0 pays one more netback job to re-route it.
       nodes_[static_cast<std::size_t>(p.dst_node)].backend->enqueue(
           Dom0Backend::Job{packet_cpu_cost(p.bytes),
                            [this, r] { forward_effect(r); }});
@@ -348,8 +339,6 @@ void VirtualNetwork::forward_effect(PacketRef r) {
     e.a1 = target_node;
     return e;
   }());
-  assert(pending_remote_tx_ > 0);
-  --pending_remote_tx_;
   if (target_shard == shard_) {
     p.dst_node = target_node - node_id_offset();
     simulation().call_at(arrive, [this, r] { rx_arrive(r); });
@@ -416,21 +405,19 @@ void VirtualNetwork::send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
                net_event(simulation().now(), obs::ev::kGuestTx,
                          src.node().id().value, &src,
                          static_cast<std::int64_t>(bytes), dst.id().value));
-  bool remote = false;
   std::int32_t dst_node;
   if (directory_ != nullptr && dst.global_id() >= 0) {
     // Route by the registered location, not dst's current platform
     // pointers: during a migration's copy phase the directory still points
     // at the source node, whose dom0 forwards anything that lands there.
     const virt::VmLocation& loc = directory_->at(dst.global_id());
-    remote = loc.shard != shard_;
-    dst_node = remote ? kRemoteNode : loc.node_global - node_id_offset();
+    dst_node = loc.shard != shard_ ? kRemoteNode
+                                   : loc.node_global - node_id_offset();
   } else {
     assert(&dst.node().platform() == platform_ &&
            "cross-shard destinations need a location-directory entry");
     dst_node = dst.node().index();
   }
-  if (remote) ++pending_remote_tx_;
   const PacketRef r = acquire(bytes, &dst, src.node().index(), dst_node,
                               std::move(on_delivered));
   backend_of(src).enqueue(

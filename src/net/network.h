@@ -134,14 +134,6 @@ class VirtualNetwork {
   }
   int shard() const { return shard_; }
 
-  /// Cross-shard sends accepted by send() whose fabric post has not happened
-  /// yet (the source dom0 netback job is still queued or computing).  When
-  /// zero, any future fabric post from this shard must begin with a fresh
-  /// guest send and then pay a dom0 tx job of at least dom0_packet_cost CPU
-  /// time — the slack Scenario's earliest-output-time bound is built on
-  /// (DESIGN.md §10).
-  std::size_t pending_remote_tx() const { return pending_remote_tx_; }
-
   /// Guest-to-guest message.  `on_delivered` runs in the destination guest's
   /// context (event-channel mailbox), i.e. only once that VM can process
   /// interrupts.
@@ -183,8 +175,6 @@ class VirtualNetwork {
   /// Descriptor slots ever created (high-water mark of concurrently
   /// in-flight packets + disk requests); tests assert it stops growing.
   std::size_t packet_slots() const { return pool_.size(); }
-  /// Descriptors currently in flight.
-  std::size_t packets_in_flight() const { return in_flight_; }
 
  private:
   friend class Dom0Backend;
@@ -255,7 +245,6 @@ class VirtualNetwork {
 
   virt::Platform* platform_;
   ShardFabric* fabric_ = nullptr;  ///< non-null only in sharded runs
-  std::size_t pending_remote_tx_ = 0;  ///< remote sends awaiting fabric post
   int shard_ = 0;
   virt::LocationDirectory* directory_ = nullptr;  ///< null = static placement
   ControlHandler control_handler_;  ///< migration control-record receiver
@@ -263,7 +252,6 @@ class VirtualNetwork {
   Counters counters_;
   std::vector<Packet> pool_;  ///< descriptor slab; grows to high-water only
   std::uint32_t free_head_ = kNilSlot;
-  std::size_t in_flight_ = 0;
   bool attached_ = false;
 };
 

@@ -81,8 +81,10 @@ inline constexpr std::uint8_t kRingGrow = 6;  ///< a0=new cap, a1=old cap (dom0 
 // TraceCat::kPdes (emitted by the round coordinator into shard 0's sink;
 // time = the round's global earliest event time m)
 inline constexpr std::uint8_t kRoundBegin = 0;    ///< a0=round index, a1=shards
-inline constexpr std::uint8_t kRoundHorizon = 1;  ///< a0=min horizon, a1=max horizon
-inline constexpr std::uint8_t kRoundElide = 2;    ///< a0=classic rounds covered, a1=extended shards
+inline constexpr std::uint8_t kRoundHorizon = 1;  ///< a0=a1=the round's horizon
+/// Retired: no longer emitted.  The code stays reserved (and named) so
+/// trace types never renumber.
+inline constexpr std::uint8_t kRoundElide = 2;
 // TraceCat::kMigration (node/vm = the local ids on the emitting platform)
 inline constexpr std::uint8_t kMigStart = 0;   ///< a0=dest global node, a1=ws bytes
 inline constexpr std::uint8_t kMigDepart = 1;  ///< a0=dest global node, a1=credits (milli)

@@ -71,15 +71,6 @@ SimTime Rng::jittered(SimTime base, double fraction) {
   return v <= 0.0 ? 0 : static_cast<SimTime>(v);
 }
 
-SimTime Rng::jittered_floor(SimTime base, double fraction) {
-  assert(fraction >= 0.0);
-  const double v = static_cast<double>(base) * (1.0 - fraction);
-  if (v <= 1.0) return 0;
-  // jittered() truncates double(base) * f with f >= 1 - fraction; the -1
-  // absorbs any rounding difference between that product and this one.
-  return static_cast<SimTime>(v) - 1;
-}
-
 Rng Rng::split(std::uint64_t salt) {
   // Mix the salt with fresh output so sibling streams are independent.
   return Rng(next_u64() ^ (salt * 0xD1B54A32D192ED03ULL) ^ 0xA0761D6478BD642FULL);

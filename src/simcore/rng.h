@@ -35,12 +35,6 @@ class Rng {
   /// Duration jittered by +/- `fraction` uniformly, never below zero.
   SimTime jittered(SimTime base, double fraction);
 
-  /// Hard lower bound on every value jittered(base, fraction) can return,
-  /// with a one-tick margin for floating-point rounding.  Workloads use it
-  /// to promise minimum compute/think durations to the sharded
-  /// synchronizer's output bound (Workload::effect_distance).
-  static SimTime jittered_floor(SimTime base, double fraction);
-
   /// Derives an independent stream; deterministic in (parent seed, salt).
   Rng split(std::uint64_t salt);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -145,8 +144,6 @@ struct ShardGroup::Pool {
 ShardGroup::ShardGroup(std::vector<ShardExecutor*> shards, Options options)
     : shards_(std::move(shards)),
       lookahead_(options.lookahead),
-      eot_extension_(options.eot_extension),
-      chain_slack_(options.chain_slack),
       round_prologue_(std::move(options.round_prologue)),
       trace_(options.trace) {
   if (shards_.empty()) {
@@ -157,9 +154,6 @@ ShardGroup::ShardGroup(std::vector<ShardExecutor*> shards, Options options)
         "ShardGroup lookahead must be positive; cross-shard messages must "
         "carry a minimum delay");
   }
-  if (chain_slack_ < 0) {
-    throw std::invalid_argument("ShardGroup chain_slack must be >= 0");
-  }
   std::size_t threads = options.threads;
   if (threads == 0) {
     const std::size_t hw = std::thread::hardware_concurrency();
@@ -167,7 +161,6 @@ ShardGroup::ShardGroup(std::vector<ShardExecutor*> shards, Options options)
   }
   threads_ = std::min(threads, shards_.size());
   slots_.assign(shards_.size(), ShardSlot{});
-  bound_.assign(shards_.size(), kTimeNever);
   if (threads_ > 1) pool_ = std::make_unique<Pool>(*this);
 }
 
@@ -177,81 +170,15 @@ void ShardGroup::fused_phase(std::size_t s) {
   ShardExecutor* shard = shards_[s];
   ShardSlot& slot = slots_[s];
   const auto t0 = std::chrono::steady_clock::now();
-  slot.executed += shard->advance_to(slot.horizon);
+  slot.executed += shard->advance_to(horizon_);
   slot.local_min = shard->next_event_time();
-  slot.eot = shard->earliest_output_time();
   slot.phase_wall = seconds_since(t0);
 }
 
 void ShardGroup::rescan_all() {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     slots_[s].local_min = shards_[s]->next_event_time();
-    slots_[s].eot = shards_[s]->earliest_output_time();
   }
-}
-
-std::uint64_t ShardGroup::plan_horizons(SimTime m, SimTime deadline) {
-  assert(lookahead_ > 0);
-  // Classic CMB bound: every event at or after m produces cross-shard
-  // messages due >= m + lookahead, i.e. strictly beyond this horizon.
-  const SimTime classic = std::min(sat_add(m, lookahead_ - 1), deadline);
-  if (!eot_extension_) {
-    for (auto& slot : slots_) slot.horizon = std::max(classic, slot.horizon);
-    return 0;
-  }
-
-  // bound_[s] currently seeds base_s = e_s + L, a due-time lower bound for
-  // messages s posts from its current local state or its undelivered
-  // inbound.  Messages caused by a *future* inbound message from q arrive
-  // no earlier than D_q + chain_slack + L; since chain_slack + L > 0,
-  // longer causal chains only push dues later, so the channel-clock fixed
-  // point has the closed form
-  //     D_s = min(base_s, (min over q != s of base_q) + chain_slack + L).
-  SimTime low = kTimeNever, second = kTimeNever;
-  std::size_t low_at = 0;
-  for (std::size_t s = 0; s < bound_.size(); ++s) {
-    if (bound_[s] < low) {
-      second = low;
-      low = bound_[s];
-      low_at = s;
-    } else {
-      second = std::min(second, bound_[s]);
-    }
-  }
-  const SimTime chain = sat_add(chain_slack_, lookahead_);
-  for (std::size_t s = 0; s < bound_.size(); ++s) {
-    const SimTime other = s == low_at ? second : low;
-    bound_[s] = std::min(bound_[s], sat_add(other, chain));
-  }
-
-  // h_d = min over s != d of D_s, exclusive: no message can reach d at or
-  // before it.  Monotone per shard — a later round may compute a smaller
-  // bound (neighbours' clocks caught up), but the old bound quantified over
-  // all future messages and remains valid forever.
-  low = kTimeNever;
-  second = kTimeNever;
-  low_at = 0;
-  for (std::size_t s = 0; s < bound_.size(); ++s) {
-    if (bound_[s] < low) {
-      second = low;
-      low = bound_[s];
-      low_at = s;
-    } else {
-      second = std::min(second, bound_[s]);
-    }
-  }
-  std::uint64_t extended = 0;
-  for (std::size_t d = 0; d < slots_.size(); ++d) {
-    const SimTime inbound_bound = d == low_at ? second : low;
-    SimTime h = inbound_bound == kTimeNever
-                    ? deadline
-                    : std::min(inbound_bound - 1, deadline);
-    h = std::max(h, classic);
-    h = std::max(h, slots_[d].horizon);
-    slots_[d].horizon = h;
-    if (h > classic) ++extended;
-  }
-  return extended;
 }
 
 std::uint64_t ShardGroup::run_until(SimTime deadline) {
@@ -276,19 +203,10 @@ std::uint64_t ShardGroup::run_until(SimTime deadline) {
 
   for (;;) {
     // Round plan (coordinator, between phases): fold each shard's earliest
-    // undelivered inbound due into its next-event time, and seed the
-    // channel clocks from its earliest-output bound.
+    // undelivered inbound due into its next-event time.
     SimTime m = kTimeNever;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const SimTime pend = shards_[s]->pending_inbound_time();
-      const SimTime next = std::min(slots_[s].local_min, pend);
-      m = std::min(m, next);
-      // A shard cannot post before its next event (output happens while
-      // executing events), so the executor's bound is floored by it; posts
-      // provoked by undelivered inbound are bounded by due + chain_slack.
-      const SimTime local_out = std::max(slots_[s].eot, slots_[s].local_min);
-      const SimTime e = std::min(local_out, sat_add(pend, chain_slack_));
-      bound_[s] = sat_add(e, lookahead_);
+      m = std::min({m, slots_[s].local_min, shards_[s]->pending_inbound_time()});
     }
 
     if (m > deadline) {
@@ -309,34 +227,23 @@ std::uint64_t ShardGroup::run_until(SimTime deadline) {
       continue;
     }
 
-    const std::uint64_t extended = plan_horizons(m, deadline);
-#if ATCSIM_TRACE_ENABLED
-    if (trace_ != nullptr) {
-      SimTime h_min = kTimeNever, h_max = 0;
-      for (const auto& slot : slots_) {
-        h_min = std::min(h_min, slot.horizon);
-        h_max = std::max(h_max, slot.horizon);
-      }
-      const SimTime classic = std::min(sat_add(m, lookahead_ - 1), deadline);
-      ATCSIM_TRACE(trace_,
-                   pdes_event(m, obs::ev::kRoundBegin,
-                              static_cast<std::int64_t>(stats_.rounds),
-                              static_cast<std::int64_t>(shards_.size())));
-      ATCSIM_TRACE(trace_, pdes_event(m, obs::ev::kRoundHorizon, h_min, h_max));
-      // How many classic rounds this one covers for the least-advanced
-      // shard: the round structure a Chrome trace would otherwise show.
-      ATCSIM_TRACE(trace_,
-                   pdes_event(m, obs::ev::kRoundElide,
-                              (h_min - classic) / lookahead_,
-                              static_cast<std::int64_t>(extended)));
-    }
-#endif
+    // Classic CMB bound: every event of this round runs at or after m, so
+    // every message it posts is due at or after m + lookahead, strictly
+    // beyond the horizon.  One shard has no inbound channel at all.
+    horizon_ = shards_.size() == 1
+                   ? deadline
+                   : std::min(sat_add(m, lookahead_ - 1), deadline);
+    ATCSIM_TRACE(trace_,
+                 pdes_event(m, obs::ev::kRoundBegin,
+                            static_cast<std::int64_t>(stats_.rounds),
+                            static_cast<std::int64_t>(shards_.size())));
+    ATCSIM_TRACE(trace_,
+                 pdes_event(m, obs::ev::kRoundHorizon, horizon_, horizon_));
 
     if (round_prologue_) round_prologue_();
     run_fused();
 
     ++stats_.rounds;
-    stats_.horizon_extensions += extended;
     double worst = 0.0;
     for (const auto& slot : slots_) {
       stats_.serial_s += slot.phase_wall;
@@ -350,17 +257,7 @@ std::uint64_t ShardGroup::run_until(SimTime deadline) {
   std::uint64_t after = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     slots_[s].executed += shards_[s]->advance_to(deadline);
-    slots_[s].horizon = deadline;
     after += slots_[s].executed;
-  }
-  // Snapshot (not accumulate: the executors' counters are cumulative) the
-  // incremental-bound cache effectiveness for reporting.
-  stats_.bound_recomputes = 0;
-  stats_.bound_cache_hits = 0;
-  for (const ShardExecutor* shard : shards_) {
-    const auto bc = shard->bound_counters();
-    stats_.bound_recomputes += bc.recomputes;
-    stats_.bound_cache_hits += bc.cache_hits;
   }
   return after - before;
 }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
 
 #include "obs/trace.h"
 #include "virt/scheduler.h"
@@ -112,7 +109,6 @@ void Engine::dispatch(Pcpu& p) {
   v->set_state(VcpuState::kRunning);
   v->eng().on_pcpu = &p;
   Vm& vm = v->vm();
-  mark_effect(vm);
   const ModelParams& mp = params();
 
   // Context-switch + cache-refill costs.  The direct switch cost and the
@@ -173,7 +169,6 @@ void Engine::dispatch(Pcpu& p) {
 void Engine::run_current(Pcpu& p) {
   Vcpu* v = p.current();
   assert(v != nullptr && v->running());
-  mark_effect(v->vm());  // next() advances the workload's effect distance
   const SimTime now = sim_->now();
   auto& e = v->eng();
   for (;;) {
@@ -258,9 +253,6 @@ void Engine::slice_expired(Pcpu& p) {
 }
 
 void Engine::account_segment(Pcpu& /*p*/, Vcpu& v) {
-  // Marked even when nothing elapsed: every leave_cpu path runs through
-  // here, and the state transition that follows moves the bound inputs.
-  mark_effect(v.vm());
   const SimTime now = sim_->now();
   auto& e = v.eng();
   const SimTime elapsed = now - e.segment_start;
@@ -339,7 +331,6 @@ void Engine::end_spin_episode(Vcpu& v) {
 }
 
 void Engine::deposit(Vm& vm, sim::InlineCallback handler) {
-  mark_effect(vm);  // handlers mutate the VM's workload state
   platform_->mark_period_activity(vm);
   vm.period().io_events += 1;
   vm.totals().io_events += 1;
@@ -349,7 +340,6 @@ void Engine::deposit(Vm& vm, sim::InlineCallback handler) {
     return;
   }
   vm.mailbox().push_back(std::move(handler));
-  ++deposits_pending_;
   // Event-channel interrupt: wake a halted VCPU so the VM gets scheduled.
   if (Vcpu* b = vm.first_blocked()) wake(*b);
 }
@@ -363,117 +353,19 @@ void Engine::drain_mailbox(Vm& vm) {
   auto& scratch = vm.mailbox_scratch();
   while (!box.empty()) {
     assert(scratch.empty());
-    assert(deposits_pending_ >= box.size());
-    deposits_pending_ -= box.size();
     box.swap(scratch);
     for (auto& h : scratch) h();
     scratch.clear();
   }
 }
 
-namespace {
-
-/// kTimeNever-absorbing addition (both operands are non-negative times).
-sim::SimTime sat_add(sim::SimTime a, sim::SimTime b) {
-  if (a >= sim::kTimeNever - b) return sim::kTimeNever;
-  return a + b;
-}
-
-/// Minimum declared effect_distance over `ev`'s registered waiters
-/// (kTimeNever when none): what a pending timer on `ev` owes before its
-/// firing can reach the network.
-sim::SimTime min_waiter_distance(const SyncEvent& ev) {
-  SimTime dist = sim::kTimeNever;
-  for (const Vcpu* w = ev.first_waiter(); w != nullptr;
-       w = w->eng().next_waiter) {
-    const Workload* wl = w->workload();
-    dist = std::min(dist, wl != nullptr ? wl->effect_distance()
-                                        : sim::SimTime{0});
-  }
-  return dist;
-}
-
-}  // namespace
-
 void Engine::signal_in(SyncEvent& ev, sim::SimTime delay, Vm* owner) {
-  const SimTime fire = sim_->now() + delay;
-  if (effect_tracking_) {
-    assert(ev.effect_pending_at() == 0 &&
-           "one pending signal_in per event: re-arm only after firing");
-    ev.set_effect_pending(fire);
-    // No node while the waiter set is empty (an empty-waiter entry
-    // contributes nothing); the first add_waiter re-keys and pushes.
-    // Travelled timers re-armed by adopt_and_resume hit the non-empty case:
-    // their waiters stayed registered across the migration.
-    if (ev.first_waiter() != nullptr) push_effect_node(ev, fire);
-  }
   SyncEvent* evp = &ev;
   const sim::EventId id = sim_->call_in(delay, [evp] { evp->signal(); });
   if (owner != nullptr) {
     prune_owned_timers();
-    owned_timers_.push_back({owner, &ev, fire, id});
+    owned_timers_.push_back({owner, &ev, sim_->now() + delay, id});
   }
-}
-
-void Engine::note_effect_at(sim::SimTime when) {
-  if (!effect_tracking_) return;
-  prune_effect_heap();
-  effect_heap_.push_back({when, when, nullptr, 0});
-  std::push_heap(effect_heap_.begin(), effect_heap_.end(),
-                 [](const EffectNode& a, const EffectNode& b) {
-                   return a.key > b.key;
-                 });
-}
-
-void Engine::on_effect_event_changed(SyncEvent& ev) {
-  const SimTime when = ev.effect_pending_at();
-  assert(when != 0 && "notified with no pending timer");
-  // Invalidate the current node unconditionally: add_waiter can *lower*
-  // the true key below the stored one, where lazy top-validation alone
-  // would never look.
-  ev.bump_effect_seq();
-  // An entry at or behind the clock contributes nothing (the firing is
-  // already in flight this instant); neither does one nobody waits on.
-  if (when <= sim_->now() || ev.first_waiter() == nullptr) return;
-  push_effect_node(ev, when);
-}
-
-void Engine::push_effect_node(SyncEvent& ev, sim::SimTime when) {
-  const SimTime key = sat_add(when, min_waiter_distance(ev));
-  if (key == sim::kTimeNever) return;  // contributes nothing; skip the node
-  prune_effect_heap();
-  effect_heap_.push_back({key, when, &ev, ev.effect_seq()});
-  std::push_heap(effect_heap_.begin(), effect_heap_.end(),
-                 [](const EffectNode& a, const EffectNode& b) {
-                   return a.key > b.key;
-                 });
-}
-
-void Engine::prune_effect_heap() {
-  // Amortized dead-node sweep: the lazy readers only discard at the top /
-  // on iteration, so without this a long run could accrete dead nodes
-  // below live ones.  The doubling threshold keeps the amortized cost O(1)
-  // per push and the heap within 2x its live population; capacity is
-  // retained.
-  if (effect_heap_.size() < effect_prune_threshold_) return;
-  const sim::SimTime now = sim_->now();
-  for (std::size_t i = 0; i < effect_heap_.size();) {
-    const EffectNode& n = effect_heap_[i];
-    const bool dead =
-        n.when <= now || (n.ev != nullptr && n.seq != n.ev->effect_seq());
-    if (dead) {
-      effect_heap_[i] = effect_heap_.back();
-      effect_heap_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  std::make_heap(effect_heap_.begin(), effect_heap_.end(),
-                 [](const EffectNode& a, const EffectNode& b) {
-                   return a.key > b.key;
-                 });
-  effect_prune_threshold_ =
-      std::max<std::size_t>(kEffectPruneFloor, effect_heap_.size() * 2);
 }
 
 void Engine::prune_owned_timers() {
@@ -489,226 +381,6 @@ void Engine::prune_owned_timers() {
       ++i;
     }
   }
-}
-
-sim::SimTime Engine::earliest_effect_time() {
-  assert(effect_tracking_ &&
-         "bound query with the effect index disabled (unsharded gating)");
-  if (differential_check_) {
-    const SimTime inc = earliest_effect_time_incremental();
-    const SimTime ref = earliest_effect_time_reference();
-    if (inc != ref) {
-      std::fprintf(stderr,
-                   "earliest_effect_time mismatch at t=%lld: "
-                   "incremental=%lld reference=%lld\n",
-                   static_cast<long long>(sim_->now()),
-                   static_cast<long long>(inc), static_cast<long long>(ref));
-      std::abort();
-    }
-    return inc;
-  }
-  return earliest_effect_time_incremental();
-}
-
-sim::SimTime Engine::earliest_effect_time_incremental() {
-  const SimTime now = sim_->now();
-  if (deposits_pending_ > 0) return now;  // queued handlers may send at the
-                                          // owning VM's next dispatch
-  // Pending timers: the heap top, once dead generations (clock passed, or
-  // the event's sequence moved on) are discarded.  Live nodes always carry
-  // a current key — any waiter-set change re-pushed them.
-  const auto greater = [](const EffectNode& a, const EffectNode& b) {
-    return a.key > b.key;
-  };
-  while (!effect_heap_.empty()) {
-    const EffectNode& top = effect_heap_.front();
-    const bool dead = top.when <= now ||
-                      (top.ev != nullptr && top.seq != top.ev->effect_seq());
-    if (!dead) break;
-    std::pop_heap(effect_heap_.begin(), effect_heap_.end(), greater);
-    effect_heap_.pop_back();
-  }
-  SimTime bound = effect_heap_.empty() ? sim::kTimeNever
-                                       : effect_heap_.front().key;
-  // VCPU side: re-derive only the VMs an event has touched since the last
-  // query, then read the fold root.
-  refresh_dirty_vms();
-  if (fold_cap_ > 0) {
-    const BoundPair& root = fold_tree_[1];
-    bound = std::min(bound, std::min(root.abs, sat_add(now, root.rel)));
-  }
-  return bound;
-}
-
-Engine::BoundPair Engine::vm_bound_pair(const Vm& vm) const {
-  // One VM's slice of the reference per-VCPU scan, with the query time
-  // factored out: `rel` terms are added to `now` at the root read.  The
-  // split is exact — sat_add(now + x, d) == sat_add(now, sat_add(x, d))
-  // for non-negative operands, on both sides of the saturation point.
-  BoundPair bp;
-  for (const Vcpu& v : vm.vcpus()) {
-    const auto& e = v.eng();
-    const VcpuState st = v.state();
-    if (st == VcpuState::kDone || st == VcpuState::kBlocked) continue;
-    const Workload* wl = v.workload();
-    const SimTime dist =
-        wl != nullptr ? wl->effect_distance() : sim::SimTime{0};
-    if (e.action_valid && e.action.kind == Action::Kind::kCompute) {
-      if (st == VcpuState::kRunning) {
-        bp.abs = std::min(
-            bp.abs,
-            sat_add(e.segment_start + e.cache_debt + e.compute_left, dist));
-      } else {
-        bp.rel = std::min(bp.rel,
-                          sat_add(e.cache_debt + e.compute_left, dist));
-      }
-      continue;
-    }
-    if (e.action_valid &&
-        (e.action.kind == Action::Kind::kSpinWait ||
-         e.action.kind == Action::Kind::kBlockWait) &&
-        !e.action.event->signalled()) {
-      continue;
-    }
-    bp.rel = std::min(bp.rel, dist);
-  }
-  return bp;
-}
-
-void Engine::ensure_fold_capacity(std::size_t slots) {
-  if (slots <= fold_cap_ && fold_cap_ > 0) return;
-  std::size_t cap = fold_cap_ > 0 ? fold_cap_ : 1;
-  while (cap < slots) cap *= 2;
-  std::vector<BoundPair> tree(2 * cap);
-  for (std::size_t i = 0; i < fold_synced_; ++i) {
-    tree[cap + i] = fold_tree_[fold_cap_ + i];
-  }
-  for (std::size_t i = cap; i-- > 1;) {
-    tree[i].abs = std::min(tree[2 * i].abs, tree[2 * i + 1].abs);
-    tree[i].rel = std::min(tree[2 * i].rel, tree[2 * i + 1].rel);
-  }
-  fold_tree_.swap(tree);
-  fold_cap_ = cap;
-}
-
-void Engine::update_fold_leaf(std::size_t slot, BoundPair bp) {
-  std::size_t i = fold_cap_ + slot;
-  if (fold_tree_[i] == bp) return;
-  fold_tree_[i] = bp;
-  for (i /= 2; i >= 1; i /= 2) {
-    const BoundPair merged{
-        std::min(fold_tree_[2 * i].abs, fold_tree_[2 * i + 1].abs),
-        std::min(fold_tree_[2 * i].rel, fold_tree_[2 * i + 1].rel)};
-    if (fold_tree_[i] == merged) return;  // ancestors unchanged too
-    fold_tree_[i] = merged;
-  }
-}
-
-void Engine::refresh_dirty_vms() {
-  const std::size_t total = platform_->vm_count();
-  ensure_fold_capacity(total);
-  std::uint64_t recomputed = 0;
-  // VMs created or adopted since the last query occupy the id-space tail;
-  // sweep them in without needing a creation-time hook.
-  for (std::size_t i = fold_synced_; i < total; ++i) {
-    Vm* vm = platform_->vm_ptr(VmId{static_cast<std::int32_t>(i)});
-    if (vm != nullptr) {
-      vm->set_effect_bound_dirty(false);
-      update_fold_leaf(i, vm_bound_pair(*vm));
-    } else {
-      update_fold_leaf(i, BoundPair{});
-    }
-    ++recomputed;
-  }
-  fold_synced_ = total;
-  for (const VmId id : effect_dirty_) {
-    Vm* vm = platform_->vm_ptr(id);
-    // Null: expelled since marking (its leaf was tombstoned then).  Clean
-    // flag: already re-derived by the tail sweep above.
-    if (vm == nullptr || !vm->effect_bound_dirty()) continue;
-    vm->set_effect_bound_dirty(false);
-    update_fold_leaf(static_cast<std::size_t>(id.index()),
-                     vm_bound_pair(*vm));
-    ++recomputed;
-  }
-  effect_dirty_.clear();
-  bound_stats_.recomputes += recomputed;
-  bound_stats_.cache_hits += total > recomputed ? total - recomputed : 0;
-}
-
-sim::SimTime Engine::earliest_effect_time_reference() {
-  const SimTime now = sim_->now();
-  if (deposits_pending_ > 0) return now;  // queued handlers may send at the
-                                          // owning VM's next dispatch
-  SimTime bound = sim::kTimeNever;
-  // Pending timers.  A direct-injection entry acts at its fire time; a
-  // SyncEvent entry only starts its waiters, who then owe their own
-  // declared distance before they can reach the network.  An entry whose
-  // event has no registered waiters is dropped: any VCPU that waits on it
-  // later reaches that wait through next() calls its own per-VCPU bound
-  // below already covers (distance scans continue through wait steps).
-  // The store is shared with the incremental heap; this scan is
-  // order-agnostic (a min) and skips dead generations without pruning.
-  for (const EffectNode& entry : effect_heap_) {
-    if (entry.when <= now) continue;  // fired
-    if (entry.ev == nullptr) {
-      bound = std::min(bound, entry.when);
-      continue;
-    }
-    if (entry.seq != entry.ev->effect_seq()) continue;  // stale generation
-    bound = std::min(bound,
-                     sat_add(entry.when, min_waiter_distance(*entry.ev)));
-  }
-  for (auto& node : platform_->nodes()) {
-    for (auto& vm : node->vms()) {
-      if (vm == nullptr) continue;  // expelled by migration (tombstone slot)
-      for (const Vcpu& v : vm->vcpus()) {
-        const auto& e = v.eng();
-        const VcpuState st = v.state();
-        if (st == VcpuState::kDone) continue;
-        if (st == VcpuState::kBlocked) {
-          // A blocked VCPU resumes only when something signals it: local
-          // guest code (whose effect_distance contract covers the VCPUs it
-          // unblocks), a registered timer (credited with this waiter's
-          // distance above), a deposit (counted above), or an in-flight I/O
-          // completion (the caller's packets_in_flight check).  It
-          // contributes no bound of its own.
-          continue;
-        }
-        const Workload* wl = v.workload();
-        const SimTime dist =
-            wl != nullptr ? wl->effect_distance() : sim::SimTime{0};
-        if (e.action_valid && e.action.kind == Action::Kind::kCompute) {
-          // The current segment completes when its remaining debt + work is
-          // burned (preemption only pushes that later; the fields are as of
-          // segment_start, and a descheduled segment still owes debt + left
-          // from whenever it is next dispatched, >= now).  Only then does
-          // next() run, and the program is still `dist` away from the
-          // network at that point.
-          const SimTime base =
-              (st == VcpuState::kRunning ? e.segment_start : now) +
-              e.cache_debt + e.compute_left;
-          bound = std::min(bound, sat_add(base, dist));
-          continue;
-        }
-        if (e.action_valid &&
-            (e.action.kind == Action::Kind::kSpinWait ||
-             e.action.kind == Action::Kind::kBlockWait) &&
-            !e.action.event->signalled()) {
-          // Unsignalled waiter: proceeds only when signalled, and every
-          // signal source is covered — guest signallers by the unblock
-          // clause of their own effect_distance, timers by the entry loop
-          // above, deposits and I/O chains by their counters.
-          continue;
-        }
-        // Signalled waiter awaiting dispatch, or a fresh/woken VCPU with no
-        // action drawn: next() can run at its very next dispatch (>= now),
-        // after which the program owes `dist` before touching the network.
-        bound = std::min(bound, sat_add(now, dist));
-      }
-    }
-  }
-  return bound;
 }
 
 std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
@@ -753,11 +425,6 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
     if (t.owner == &vm) {
       if (sim_->cancel(t.id)) {
         bundle->timers.push_back({t.ev, t.fire - now});
-        // The cancelled firing leaves this engine's effect index: the event
-        // travels, and re-arming on the destination makes a fresh entry
-        // there.  The sequence bump also stops the destination's later
-        // activity from resurrecting our stale heap node.
-        t.ev->clear_effect_pending();
       }
       owned_timers_[i] = owned_timers_.back();
       owned_timers_.pop_back();
@@ -766,10 +433,7 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
     }
   }
 
-  // Queued event-channel mail travels inside the Vm's mailbox; it stops
-  // counting against this engine's pending-deposit bound.
-  assert(deposits_pending_ >= vm.mailbox().size());
-  deposits_pending_ -= vm.mailbox().size();
+  // Queued event-channel mail travels inside the Vm's mailbox.
   bundle->mailbox_count = vm.mailbox().size();
 
   ATCSIM_TRACE(sim_->trace(), [&] {
@@ -784,12 +448,6 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
     return e;
   }());
 
-  // The slot becomes a tombstone; its cached bound must stop contributing
-  // (slots past fold_synced_ are swept as null at the next query anyway).
-  const auto slot = static_cast<std::size_t>(vm.id().index());
-  if (effect_tracking_ && slot < fold_synced_) {
-    update_fold_leaf(slot, BoundPair{});
-  }
   bundle->vm = platform_->expel_vm(vm);
   assert(bundle->vm != nullptr);
   return bundle;
@@ -802,14 +460,6 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   Node& node = vm.node();
   assert(node.scheduler().supports_migration());
   node.scheduler().vm_arrived(vm);
-  // The dirty flag may still be set from the source engine's ring (that
-  // entry now resolves to a tombstone there); clear it so this engine's
-  // mark actually enrolls the VM in *its* ring.
-  vm.set_effect_bound_dirty(false);
-  mark_effect(vm);
-
-  // Queued mail re-enters this engine's pending-deposit accounting.
-  deposits_pending_ += vm.mailbox().size();
 
   // Workload rebind hooks run before any VCPU resumes, so the first next()
   // on this node already sees the destination engine/network.
@@ -863,7 +513,6 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
 
 void Engine::wake(Vcpu& v) {
   if (v.state() != VcpuState::kBlocked) return;
-  mark_effect(v.vm());
   v.set_state(VcpuState::kRunnable);
   ATCSIM_TRACE(sim_->trace(), vcpu_event(sim_->now(), obs::TraceCat::kVcpu,
                                          obs::ev::kWake, v));
@@ -912,7 +561,6 @@ void Engine::on_signalled(Vcpu* first) {
     Vcpu* v = next;
     auto& e = v->eng();
     next = e.next_waiter;
-    mark_effect(v->vm());  // the wait this VCPU was parked on is gone
     e.wait_registered = false;
     switch (v->state()) {
       case VcpuState::kBlocked:

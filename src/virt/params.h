@@ -87,16 +87,6 @@ struct ModelParams {
   /// Guest-side cost to post or receive one packet.
   SimTime guest_packet_cost = 3_us;
 
-  // --- Sharded execution (conservative PDES; DESIGN.md §10) -------------
-  /// When true (default), the round synchronizer extends per-shard horizons
-  /// past the classic global_min + wire_latency bound using each shard's
-  /// earliest-output-time: a shard whose next events are purely local
-  /// (timers, compute segments, dom0 work with no remote send in flight)
-  /// cannot cap its neighbours before it could actually emit a packet, so
-  /// rounds get fewer and fatter (DESIGN.md §10).  The simulated outcome is
-  /// bit-identical either way; only the round structure changes.
-  bool pdes_eot_extension = true;
-
   // --- Cluster control plane (contention model + live migration) --------
   /// LLC (socket) domains per host; the contention model divides a host's
   /// aggregate guest miss pressure by this (two sockets absorb twice the

@@ -15,19 +15,12 @@ void SyncEvent::add_waiter(Vcpu& v) {
     head_ = &v;
   }
   tail_ = &v;
-  if (effect_when_ != 0) notify_effect_waiters_changed();
 }
 
 void SyncEvent::signal() {
   if (signalled_) return;
   assert(engine_ != nullptr && "signal() on an unbound SyncEvent");
   signalled_ = true;
-  // Any pending effect-index entry is dead from here on: either this is the
-  // registered timer itself firing (the entry's time is <= now) or the
-  // condition fired early and the waiters are being consumed, so the entry
-  // no longer guards anything.  Bumping the sequence invalidates the heap
-  // node lazily.
-  clear_effect_pending();
   // Detach the whole list before waking anyone: a released spinner may
   // wait again at once, relinking its next_waiter into another event's list
   // (Engine::on_signalled reads each link before handling its VCPU).
@@ -50,10 +43,6 @@ void SyncEvent::signal() {
   }
 #endif
   engine_->on_signalled(first);
-}
-
-void SyncEvent::notify_effect_waiters_changed() {
-  engine_->on_effect_event_changed(*this);
 }
 
 }  // namespace atcsim::virt

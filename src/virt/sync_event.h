@@ -14,9 +14,6 @@
 #pragma once
 
 #include <cassert>
-#include <cstdint>
-
-#include "simcore/time.h"
 
 namespace atcsim::virt {
 
@@ -54,48 +51,16 @@ class SyncEvent {
   }
 
   /// Engine bookkeeping: appends a waiter (any wait style) to the list.
-  /// While a signal_in timer on this event is pending in the engine's
-  /// effect index, a waiter-set change re-keys the index entry (the entry's
-  /// key is the fire time plus the minimum waiter effect distance); the
-  /// cold notify path stays out of line so the common un-indexed case is
-  /// one branch.
   void add_waiter(Vcpu& v);
 
   /// First registered waiter (registration order), or nullptr; the rest
-  /// follow through Vcpu::EngineState::next_waiter.  Read by the engine's
-  /// effect bound to credit a pending timer with its waiters' distances.
+  /// follow through Vcpu::EngineState::next_waiter.
   const Vcpu* first_waiter() const { return head_; }
 
-  // --- effect-index bookkeeping (Engine::signal_in only) ------------------
-  /// Fire time of the pending signal_in timer registered on this event in
-  /// the engine's effect index; 0 when none.  At most one timer may be
-  /// pending per event (both signal_in users re-arm only after firing).
-  sim::SimTime effect_pending_at() const { return effect_when_; }
-  /// Version of this event's effect-index entry: heap nodes stamped with an
-  /// older sequence are stale and discarded lazily at inspection.
-  std::uint32_t effect_seq() const { return effect_seq_; }
-  void set_effect_pending(sim::SimTime when) {
-    effect_when_ = when;
-    ++effect_seq_;
-  }
-  /// Kills the pending entry (signal consumed it, or migration cancelled
-  /// the timer); the sequence bump lazily invalidates any heap node.
-  void clear_effect_pending() {
-    if (effect_when_ != 0) {
-      effect_when_ = 0;
-      ++effect_seq_;
-    }
-  }
-  std::uint32_t bump_effect_seq() { return ++effect_seq_; }
-
  private:
-  void notify_effect_waiters_changed();
-
   Engine* engine_ = nullptr;
   Vcpu* head_ = nullptr;  ///< oldest waiter
   Vcpu* tail_ = nullptr;  ///< newest waiter (append point)
-  sim::SimTime effect_when_ = 0;
-  std::uint32_t effect_seq_ = 0;
   bool signalled_ = false;
 };
 

@@ -131,12 +131,7 @@ class Vm {
   /// First blocked VCPU (event-channel IRQ target), or nullptr.
   Vcpu* first_blocked();
 
-  // --- incremental-sweep dirty flags (engine / platform bookkeeping) ------
-  /// Set while this VM sits in its engine's effect-bound dirty ring: its
-  /// cached earliest-effect contribution must be recomputed at the next
-  /// bound query (see Engine::earliest_effect_time).
-  bool effect_bound_dirty() const { return effect_bound_dirty_; }
-  void set_effect_bound_dirty(bool d) { effect_bound_dirty_ = d; }
+  // --- incremental-sweep dirty flag (platform bookkeeping) ---------------
   /// Set while this VM sits in its platform's period-activity ring: some
   /// per-period accumulator was written since the last monitor sweep, so
   /// PeriodMonitor::sample must visit it (clean VMs are skipped).
@@ -156,7 +151,6 @@ class Vm {
   bool latency_sensitive_ = false;
   PeriodStats period_;
   Totals totals_;
-  bool effect_bound_dirty_ = false;
   bool period_dirty_ = false;
   std::vector<sim::InlineCallback> mailbox_;
   std::vector<sim::InlineCallback> mailbox_scratch_;

@@ -61,28 +61,6 @@ class Workload {
   /// program suffers when its LLC working set is evicted.
   virtual double cache_sensitivity() const { return 1.0; }
 
-  /// Lower bound on the delay between this program's next `next()` call
-  /// (i.e. the completion of whatever action is currently in flight) and
-  /// its next *network act* — a VirtualNetwork send or inject, the only
-  /// guest-initiated operations that can reach another VM.  The sharded
-  /// synchronizer (DESIGN.md §10) uses it to extend round horizons past
-  /// purely local compute: an LU rank three compute segments away from its
-  /// barrier message cannot emit a packet for milliseconds, and saying so
-  /// lets neighbour shards run that far ahead.
-  ///
-  /// Contract (soundness of the PDES output bound depends on it):
-  ///  * the bound covers network acts performed by *other* VCPUs this
-  ///    program unblocks along the way (e.g. a barrier release must not
-  ///    promise more than the released ranks' own remaining distance);
-  ///  * effects driven by deposited event-channel handlers, in-flight
-  ///    packets/disk chains and registered timers are accounted by the
-  ///    engine separately and need not be covered;
-  ///  * durations drawn from Rng::jittered may only be counted at
-  ///    Rng::jittered_floor.
-  /// 0 (the default) is always safe: "my very next step may send".
-  /// sim::kTimeNever promises the program never touches the network.
-  virtual sim::SimTime effect_distance() const { return 0; }
-
   /// Whether this program's VM may be live-migrated *right now*.  A program
   /// opting in must (a) keep all cross-engine references rebindables via
   /// on_vm_migrated and (b) return false while an I/O chain it started is

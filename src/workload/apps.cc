@@ -239,9 +239,6 @@ void HttperfClient::arrival() {
   const double gap_s = rng_.exponential(1.0 / rate_per_second_);
   const SimTime gap = static_cast<SimTime>(gap_s * 1e9);
   const SimTime wait = std::max<SimTime>(gap, 1);
-  // Not a SyncEvent wake, but the injection is itself a network act, so
-  // the sharded output bound must see it.
-  net_->engine().note_effect_at(net_->simulation().now() + wait);
   net_->simulation().call_in(wait, [this] {
     const SimTime t0 = net_->simulation().now();
     WebServerWorkload* server = server_;

@@ -43,10 +43,6 @@ class LoopWorkload : public virt::Workload {
   double cache_sensitivity() const override {
     return desc_.cache_sensitivity;
   }
-  /// Loop descriptors hold only compute/think/io phases (validation rejects
-  /// send and barrier outside parallel programs), and disk chains are
-  /// VM-local, so a loop guest never acts on the network.
-  sim::SimTime effect_distance() const override { return sim::kTimeNever; }
   std::string name() const override { return desc_.name; }
   /// Movable except while a blkback request is in flight: the disk chain
   /// holds node-local device state that cannot follow the VM.
@@ -77,9 +73,6 @@ class IdleServerWorkload : public virt::Workload {
   virt::Action next(virt::Vcpu& self) override;
   std::string name() const override { return "idle-server"; }
   double cache_sensitivity() const override { return 0.1; }
-  /// next() only ever re-blocks; replies happen in deposit handlers, which
-  /// the engine's deposit/packet accounting covers.
-  sim::SimTime effect_distance() const override { return sim::kTimeNever; }
 
  private:
   virt::Engine* engine_;
@@ -128,8 +121,6 @@ class DiskWorkload : public virt::Workload {
   virt::Action next(virt::Vcpu& self) override;
   std::string name() const override { return "bonnie"; }
   double cache_sensitivity() const override { return 0.3; }
-  /// Disk-only: blkback chains never leave the VM's node.
-  sim::SimTime effect_distance() const override { return sim::kTimeNever; }
 
  private:
   net::VirtualNetwork* net_;
@@ -156,12 +147,6 @@ class WebServerWorkload : public virt::Workload {
   virt::Action next(virt::Vcpu& self) override;
   std::string name() const override { return "webserver"; }
   double cache_sensitivity() const override { return 2.0; }
-  /// Mid-service the next next() emits the response (distance 0); otherwise
-  /// any response is at least one service time away, whether the next draw
-  /// pops the backlog or a future request wakes the idle wait.
-  sim::SimTime effect_distance() const override {
-    return serving_ ? 0 : sim::Rng::jittered_floor(kService, kJitter);
-  }
 
  private:
   net::VirtualNetwork* net_;

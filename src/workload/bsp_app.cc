@@ -46,30 +46,6 @@ BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
   }
   slot_size_ = 1 + static_cast<std::size_t>(local_index);
 
-  // Per-position effect distances (Workload::effect_distance): from drawing
-  // step i, the minimum delay until the program's next network act — the
-  // kSend or kBarrier draw itself.  Compute/think steps contribute their
-  // jitter floor; local barriers and disk I/O are VM-local, so the waits
-  // they impose only add time and count as zero.  Unblock clause: the only
-  // VCPUs a draw can unblock are co-ranks at the same local barrier, whose
-  // remaining program — and therefore distance — is the continuation this
-  // same scan walks, and barrier releases, which the scan's stop at
-  // kBarrier already bounds from below.
-  effect_dist_.assign(program_.size(), sim::kTimeNever);
-  for (std::size_t i = 0; i < program_.size(); ++i) {
-    SimTime acc = 0;
-    for (std::size_t n = 0, pc = i; n < program_.size();
-         ++n, pc = (pc + 1) % program_.size()) {
-      const Step& st = program_[pc];
-      if (st.kind == PhaseKind::kSend || st.kind == PhaseKind::kBarrier) {
-        effect_dist_[i] = acc;
-        break;
-      }
-      if (st.kind == PhaseKind::kCompute || st.kind == PhaseKind::kThink) {
-        acc += sim::Rng::jittered_floor(st.duration, st.jitter);
-      }
-    }
-  }
   // Construct every barrier event up front; steady-state supersteps only
   // reset them in place (see kGenWindow in the header).  The events live on
   // the owning VM's engine: in a sharded run a spin-wait and its release

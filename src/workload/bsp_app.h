@@ -65,11 +65,6 @@ class BspApp {
 
   const std::string& name() const { return name_; }
   double cache_sensitivity() const { return cache_sensitivity_; }
-  /// Lower bound on the delay from drawing step `pc` to the program's next
-  /// network act (a kSend or kBarrier draw), per Workload::effect_distance.
-  sim::SimTime effect_distance_from(std::size_t pc) const {
-    return effect_dist_[pc];
-  }
   std::uint64_t supersteps_completed() const { return supersteps_done_; }
   const std::vector<virt::Vm*>& vms() const { return vm_ptrs_; }
 
@@ -124,7 +119,6 @@ class BspApp {
   int steps_per_iter_;            ///< supersteps per recorded iteration
   std::uint64_t barrier_bytes_;   ///< per-VM arrive/release message volume
   std::vector<Step> program_;
-  std::vector<sim::SimTime> effect_dist_;  ///< see effect_distance_from
   /// Barriers per generation: the release plus one per local_barrier step.
   std::size_t slot_size_ = 0;
   sim::Rng rng_;
@@ -152,12 +146,6 @@ class BspRank : public virt::Workload {
   virt::Action next(virt::Vcpu& self) override;
   double cache_sensitivity() const override {
     return app_->cache_sensitivity();
-  }
-  /// O(1): the program-position table precomputed by BspApp.  This is what
-  /// lets shard horizons stride over LU compute segments — a rank mid-
-  /// superstep is provably milliseconds away from its next barrier message.
-  sim::SimTime effect_distance() const override {
-    return app_->effect_distance_from(pc_);
   }
   std::string name() const override {
     return app_->name() + "/r" + std::to_string(rank_);

@@ -7,8 +7,7 @@
 # to the directory's TEST_INCLUDE_FILES (after the discovery includes, which
 # define each binary's <target>_TESTS list) and re-applies the full label
 # sets at ctest time, where quoted list values survive intact.
-foreach(t IN LISTS pdes_invariance_test_TESTS shard_group_test_TESTS
-    effect_bound_differential_test_TESTS)
+foreach(t IN LISTS pdes_invariance_test_TESTS shard_group_test_TESTS)
   set_tests_properties("${t}" PROPERTIES LABELS "fast;pdes")
 endforeach()
 foreach(t IN LISTS alloc_guard_test_TESTS)

@@ -18,7 +18,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cluster/scenario.h"
@@ -44,16 +43,13 @@ struct RunResult {
   double rate = 0.0;  // summed work-rate units (loop descriptors)
   std::uint64_t fabric_posted = 0;
   std::uint64_t fabric_delivered = 0;
-  std::uint64_t rounds = 0;              // ShardGroup stats (sharded only)
-  std::uint64_t horizon_extensions = 0;  // "
+  std::uint64_t rounds = 0;      // ShardGroup stats (sharded only)
   std::uint64_t migrations = 0;  // started, summed over every shard
   std::string trace;  // merged compact trace; empty unless requested
-  // Digests of the merged trace (trace_hash mode): the whole byte stream,
-  // and the stream with the coordinator's pdes.* round events stripped.
-  // Used instead of `trace` where holding several multi-GB strings would
-  // dominate the test's memory.
-  std::uint64_t trace_full_hash = 0;
-  std::uint64_t trace_stripped_hash = 0;
+  // Digest of the merged trace (trace_hash mode), pdes.* round events
+  // included.  Used instead of `trace` where holding several multi-GB
+  // strings would dominate the test's memory.
+  std::uint64_t trace_hash = 0;
   std::uint64_t trace_bytes = 0;
 };
 
@@ -62,8 +58,7 @@ struct RunCase {
   int shards = 1;
   std::uint64_t seed = 7;
   Approach approach = Approach::kCR;
-  std::size_t threads = 0;   // ShardGroup workers; 0 = auto
-  bool eot = true;           // EOT horizon extension (pdes_eot_extension)
+  std::size_t threads = 0;  // ShardGroup workers; 0 = auto
   bool trace = false;       // keep the merged trace string in the result
   bool trace_hash = false;  // digest the merged trace instead of keeping it
   sim::SimTime warmup = 500_ms;
@@ -78,50 +73,25 @@ struct RunCase {
   bool migrate = false;
 };
 
-std::uint64_t fnv1a(std::uint64_t h, const char* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(p[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Digests the merged trace in one pass: the full byte stream, and the
-/// stream with lines containing a pdes.* event (the coordinator's round
-/// markers — the round structure itself, which EOT legitimately changes)
-/// left out.  Line-by-line so the stripped digest equals the digest of the
-/// stripped text.
+/// FNV-1a digest of the merged trace's whole byte stream.
 void hash_trace(const std::string& t, RunResult& r) {
   r.trace_bytes = t.size();
-  std::uint64_t full = 14695981039346656037ULL;
-  std::uint64_t stripped = 14695981039346656037ULL;
-  std::size_t pos = 0;
-  while (pos < t.size()) {
-    std::size_t eol = t.find('\n', pos);
-    if (eol == std::string::npos) eol = t.size() - 1;
-    const std::size_t len = eol - pos + 1;  // line including '\n'
-    full = fnv1a(full, t.data() + pos, len);
-    if (std::string_view(t.data() + pos, len).find("\tpdes.") ==
-        std::string_view::npos) {
-      stripped = fnv1a(stripped, t.data() + pos, len);
-    }
-    pos = eol + 1;
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : t) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
   }
-  r.trace_full_hash = full;
-  r.trace_stripped_hash = stripped;
+  r.trace_hash = h;
 }
 
 // All metric aggregation paths sum integer counters before the final
 // divisions, so equal event histories give bit-equal doubles — the
 // comparisons below are exact on purpose.
 RunResult run_case(const RunCase& c) {
-  virt::ModelParams params;
-  params.pdes_eot_extension = c.eot;
   ScenarioBuilder b;
   b.nodes(c.nodes)
       .approach(c.approach)
       .seed(c.seed)
-      .params(params)
       .shards(c.shards)
       .shard_threads(c.threads);
   if (c.trace || c.trace_hash) b.tracing();
@@ -175,7 +145,6 @@ RunResult run_case(const RunCase& c) {
   }
   if (const sim::ShardGroup* g = s.shard_group()) {
     r.rounds = g->stats().rounds;
-    r.horizon_extensions = g->stats().horizon_extensions;
   }
   if (c.trace || c.trace_hash) {
     std::ostringstream os;
@@ -298,18 +267,14 @@ TEST(PdesInvarianceTest, WorkerThreadCountNeverChangesTheMergedTrace) {
   }
 }
 
-TEST(PdesInvarianceTest, EotExtensionAndBarrierChoiceNeverChangeTheOutcome) {
-  // EOT on/off x worker-thread counts must produce the same simulation:
-  // identical metrics and — modulo the pdes.* round events, which are the
-  // round structure itself — byte-identical merged traces.  The barrier
-  // choice is the thread count: threads = 1 runs every round sequentially
-  // with no barrier, 2 and 4 fork each round onto the pool and join through
-  // its spin-then-park barrier.  At equal EOT the comparison additionally
-  // holds on the *unstripped* trace (same rounds, different thread count).
-  // Traces are compared by digest (hash_trace): a traced run's merged
-  // stream runs to GBs, and the cells only need equality, not diffs.  The
-  // reference (EOT on, threads 1) plus the cells cover the full 2x3
-  // product.
+TEST(PdesInvarianceTest, BarrierChoiceNeverChangesTheOutcome) {
+  // The barrier choice is the thread count: threads = 1 runs every round
+  // sequentially with no barrier, 2 and 4 fork each round onto the pool and
+  // join through its spin-then-park barrier.  It must not change the
+  // simulation or the round structure: identical metrics, rounds and merged
+  // traces, the coordinator's pdes.* round events included.  Traces are
+  // compared by digest (hash_trace): a traced run's merged stream runs to
+  // GBs, and the cells only need equality, not diffs.
   RunCase base;
   base.nodes = 4;
   base.shards = 4;
@@ -319,35 +284,17 @@ TEST(PdesInvarianceTest, EotExtensionAndBarrierChoiceNeverChangeTheOutcome) {
   base.measure = 700_ms;
   const RunResult ref = run_case(base);
   ASSERT_GT(ref.trace_bytes, 0u);
-  ASSERT_GT(ref.horizon_extensions, 0u)
-      << "EOT never extended a horizon; the on/off comparison is vacuous";
-  const struct {
-    bool eot;
-    std::size_t threads;
-  } cells[] = {
-      {true, 2},  {true, 4},              // EOT on: pooled rounds
-      {false, 1}, {false, 2}, {false, 4}, // EOT off: serial + pooled
-  };
-  for (const auto& cell : cells) {
+  ASSERT_GT(ref.rounds, 0u);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     RunCase c = base;
-    c.eot = cell.eot;
-    c.threads = cell.threads;
+    c.threads = threads;
     const RunResult r = run_case(c);
-    const std::string what = std::string("eot=") + (cell.eot ? "on" : "off") +
-                             " threads=" + std::to_string(cell.threads);
+    const std::string what = "threads=" + std::to_string(threads);
     expect_equal_metrics(ref, r, what);
     EXPECT_EQ(r.fabric_posted, ref.fabric_posted) << what;
-    EXPECT_EQ(r.trace_stripped_hash, ref.trace_stripped_hash) << what;
-    if (cell.eot) {
-      // Same round structure too, so the whole stream matches.
-      EXPECT_EQ(r.trace_full_hash, ref.trace_full_hash) << what;
-      EXPECT_EQ(r.trace_bytes, ref.trace_bytes) << what;
-      EXPECT_EQ(r.rounds, ref.rounds) << what;
-    } else {
-      EXPECT_GT(r.rounds, ref.rounds)
-          << what << ": disabling EOT should cost rounds here, or the "
-                     "extension does nothing on this workload";
-    }
+    EXPECT_EQ(r.rounds, ref.rounds) << what;
+    EXPECT_EQ(r.trace_bytes, ref.trace_bytes) << what;
+    EXPECT_EQ(r.trace_hash, ref.trace_hash) << what;
   }
 }
 

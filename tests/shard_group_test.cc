@@ -1,12 +1,15 @@
 // ShardGroup contract tests that need no model stack: the documented
-// run_until non-decreasing-deadline rule, the worker-thread clamp, and the
-// equivalence of sequential and pooled (barrier-joined) rounds on bare
-// executors.  The model-level determinism properties (merged traces across
-// shard/thread counts, EOT on/off) live in pdes_invariance_test.cc.
+// run_until non-decreasing-deadline rule, the worker-thread clamp, the round
+// horizon, and the equivalence of sequential and pooled (barrier-joined)
+// rounds on bare executors.  The model-level determinism properties
+// (metrics across shard counts, merged traces across thread counts) live in
+// pdes_invariance_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "simcore/shard.h"
@@ -29,9 +32,12 @@ class TickExec final : public sim::ShardExecutor {
   }
   void deliver_inbound(sim::SimTime /*watermark*/) override {}
   std::uint64_t advance_to(sim::SimTime horizon) override {
+    advances.emplace_back(horizon, sim_.next_event_time());
     return sim_.run_until(horizon);
   }
   std::uint64_t ticks = 0;
+  /// Every advance_to call: {horizon, next_event_time() on entry}.
+  std::vector<std::pair<sim::SimTime, sim::SimTime>> advances;
 
  private:
   void tick() {
@@ -46,13 +52,15 @@ class TickExec final : public sim::ShardExecutor {
 };
 
 struct Rig {
-  explicit Rig(sim::ShardGroup::Options opts) {
-    for (int s = 0; s < 2; ++s) {
-      execs.push_back(std::make_unique<TickExec>(s, 100_us));
+  explicit Rig(sim::ShardGroup::Options opts,
+               std::vector<sim::SimTime> periods = {100_us, 100_us}) {
+    std::vector<sim::ShardExecutor*> shards;
+    for (std::size_t s = 0; s < periods.size(); ++s) {
+      execs.push_back(
+          std::make_unique<TickExec>(static_cast<int>(s), periods[s]));
+      shards.push_back(execs.back().get());
     }
-    group = std::make_unique<sim::ShardGroup>(
-        std::vector<sim::ShardExecutor*>{execs[0].get(), execs[1].get()},
-        opts);
+    group = std::make_unique<sim::ShardGroup>(std::move(shards), opts);
   }
   std::vector<std::unique_ptr<TickExec>> execs;
   std::unique_ptr<sim::ShardGroup> group;
@@ -81,6 +89,40 @@ TEST(ShardGroupTest, ThreadCountIsClampedToShardCount) {
   opts.threads = 8;  // only 2 shards: extra workers could only idle
   Rig rig(opts);
   EXPECT_EQ(rig.group->thread_count(), 2u);
+}
+
+TEST(ShardGroupTest, EveryRoundRunsToTheClassicHorizon) {
+  // Offset tick periods make the two shards' next events interleave, so
+  // the global minimum m moves between them from round to round.  Every
+  // advance_to — the rounds and the final alignment alike — must hand both
+  // shards the same horizon h = min(m + L - 1, deadline).
+  const auto opts = base_opts();
+  const sim::SimTime deadline = 10_ms;
+  Rig rig(opts, {100_us, 130_us});
+  rig.group->run_until(deadline);
+  const auto& a = rig.execs[0]->advances;
+  const auto& b = rig.execs[1]->advances;
+  ASSERT_EQ(a.size(), b.size());
+  // The alignment is one call; the rest are the rounds.
+  ASSERT_EQ(a.size(), rig.group->stats().rounds + 1);
+  // Each round covers less than L = 60 us past a tick: 10 ms takes many.
+  EXPECT_GE(rig.group->stats().rounds, 50u);
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    EXPECT_EQ(a[r].first, b[r].first) << "advance " << r;
+    const sim::SimTime m = std::min(a[r].second, b[r].second);
+    EXPECT_EQ(a[r].first, std::min(m + opts.lookahead - 1, deadline))
+        << "advance " << r;
+  }
+  EXPECT_EQ(a.back().first, deadline);
+}
+
+TEST(ShardGroupTest, OneShardRunsStraightToTheDeadline) {
+  // No other shard can send to it, so nothing bounds its horizon below the
+  // deadline.
+  Rig rig(base_opts(), {100_us});
+  rig.group->run_until(10_ms);
+  EXPECT_EQ(rig.group->stats().rounds, 1u);
+  EXPECT_EQ(rig.execs[0]->ticks, 100u);
 }
 
 TEST(ShardGroupTest, BarrierChoiceDoesNotChangeExecution) {
