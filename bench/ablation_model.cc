@@ -10,77 +10,72 @@
 //   * coarse jitter          -> straggler spread dominates sub-ms slices
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "report_common.h"
 
 using namespace atcsim;
 using namespace atcsim::bench;
 
-namespace {
-
-struct Outcome {
-  double cr_ms;
-  double atc_ms;
-  double atc_003_ms;  // fixed 0.03ms global slice under CR machinery
-};
-
-Outcome run(const virt::ModelParams& params) {
-  Outcome o{};
-  auto one = [&](cluster::Approach a, sim::SimTime forced_slice) {
-    auto sp = cluster::ScenarioBuilder{}
-                  .nodes(4)
-                  .approach(a)
-                  .seed(42)
-                  .params(params)
-                  .build();
-    cluster::Scenario& s = *sp;
-    cluster::build_type_a(s, "lu", workload::NpbClass::kB);
-    s.start();
-    if (forced_slice > 0) set_global_guest_slice(s, forced_slice);
-    s.warmup_and_measure(scaled(2_s), scaled(4_s));
-    return s.mean_superstep_with_prefix("lu.B") * 1e3;
-  };
-  o.cr_ms = one(cluster::Approach::kCR, 0);
-  o.atc_ms = one(cluster::Approach::kATC, 0);
-  o.atc_003_ms = one(cluster::Approach::kCR, 30_us);
-  return o;
-}
-
-}  // namespace
-
 int main() {
   banner("Ablation — which model mechanisms carry the result",
          "lu.B, 4 nodes x 4x8-VCPU VMs; CR vs ATC vs fixed 0.03ms slice");
-  metrics::Table t("ablations (superstep ms; gain = CR/ATC)",
-                   {"variant", "CR", "ATC", "gain", "fixed 0.03ms"});
 
-  auto add = [&](const std::string& name, const virt::ModelParams& p) {
-    const Outcome o = run(p);
-    t.add_row({name, metrics::fmt(o.cr_ms, 1), metrics::fmt(o.atc_ms, 1),
-               metrics::fmt_ratio(o.cr_ms, o.atc_ms, 1),
-               metrics::fmt(o.atc_003_ms, 1)});
-  };
-
-  virt::ModelParams base;
-  add("baseline", base);
+  std::vector<std::pair<std::string, virt::ModelParams>> variants;
+  const virt::ModelParams base;
+  variants.emplace_back("baseline", base);
 
   virt::ModelParams no_cache = base;
   no_cache.cache_refill_penalty = 0;
   no_cache.context_switch_cost = 0;
-  add("no cache/switch cost", no_cache);
+  variants.emplace_back("no cache/switch cost", no_cache);
 
   virt::ModelParams wakep = base;
   wakep.wake_preemption = true;
-  add("wake preemption on", wakep);
+  variants.emplace_back("wake preemption on", wakep);
 
   virt::ModelParams no_tick = base;
   no_tick.tick_period = 10 * sim::kSecond;  // effectively off
-  add("no tick preemption", no_tick);
+  variants.emplace_back("no tick preemption", no_tick);
 
   virt::ModelParams slow_net = base;
   slow_net.nic_bandwidth_bps = 12.5e6;  // 100 Mbps fabric
-  add("100Mbps fabric", slow_net);
+  variants.emplace_back("100Mbps fabric", slow_net);
 
+  // Three cells per variant, at 3v, 3v + 1 and 3v + 2: CR, ATC, and CR
+  // with a fixed 0.03 ms global slice.
+  std::vector<exp::TypeACell> cells;
+  for (const auto& variant : variants) {
+    exp::TypeACell c;
+    c.nodes = 4;
+    c.params = variant.second;
+    c.warmup = scaled(2_s);
+    c.measure = scaled(4_s);
+    c.approach = cluster::Approach::kCR;
+    cells.push_back(c);
+    c.approach = cluster::Approach::kATC;
+    cells.push_back(c);
+    c.approach = cluster::Approach::kCR;
+    c.slice = 30_us;
+    cells.push_back(c);
+  }
+  std::vector<exp::TypeAResult> results(cells.size());
+  sim::parallel_for(cells.size(), [&](std::size_t i) {
+    results[i] = exp::run_type_a(cells[i]);
+  });
+
+  metrics::Table t("ablations (superstep ms; gain = CR/ATC)",
+                   {"variant", "CR", "ATC", "gain", "fixed 0.03ms"});
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const double cr_ms = results[3 * v].superstep_s * 1e3;
+    const double atc_ms = results[3 * v + 1].superstep_s * 1e3;
+    const double fixed_ms = results[3 * v + 2].superstep_s * 1e3;
+    t.add_row({variants[v].first, metrics::fmt(cr_ms, 1),
+               metrics::fmt(atc_ms, 1), metrics::fmt_ratio(cr_ms, atc_ms, 1),
+               metrics::fmt(fixed_ms, 1)});
+  }
   t.print(std::cout);
   std::printf("reading: 'no cache/switch cost' removes the 0.03ms blowup "
               "(Fig. 8's inflection is the cache model); the ATC gain itself "

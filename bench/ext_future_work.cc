@@ -7,8 +7,10 @@
 //  2. Flexible non-parallel slices (adaptive_nonparallel): web-like VMs are
 //     detected by wake-up rate and given a shorter slice automatically
 //     (instead of the static admin interface), CPU VMs keep the default.
+#include <array>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "report_common.h"
 
@@ -71,22 +73,32 @@ int main() {
   adaptive.auto_classify = true;
   adaptive.adaptive_nonparallel = true;
 
-  const Row cr = run(cluster::Approach::kCR, declared);
-  const Row atc = run(cluster::Approach::kATC, declared);
-  const Row atc_cls = run(cluster::Approach::kATC, classified);
-  const Row atc_full = run(cluster::Approach::kATC, adaptive);
+  struct Variant {
+    const char* name;
+    cluster::Approach approach;
+    atc::AtcConfig atc_cfg;
+  };
+  const std::array<Variant, 4> variants = {{
+      {"CR", cluster::Approach::kCR, declared},
+      {"ATC (declared types)", cluster::Approach::kATC, declared},
+      {"ATC + auto-classify", cluster::Approach::kATC, classified},
+      {"ATC + auto-classify + adaptive non-parallel", cluster::Approach::kATC,
+       adaptive},
+  }};
+  std::vector<Row> rows(variants.size());
+  sim::parallel_for(variants.size(), [&](std::size_t i) {
+    rows[i] = run(variants[i].approach, variants[i].atc_cfg);
+  });
 
   metrics::Table t("future-work extensions vs published ATC",
                    {"variant", "parallel superstep (ms)", "web mean (ms)",
                     "web p95 (ms)", "sphinx3 rate"});
-  auto add = [&](const char* name, const Row& r) {
-    t.add_row({name, metrics::fmt(r.parallel_ms, 1), metrics::fmt(r.web_ms, 2),
-               metrics::fmt(r.web_p95_ms, 2), metrics::fmt(r.cpu_rate)});
-  };
-  add("CR", cr);
-  add("ATC (declared types)", atc);
-  add("ATC + auto-classify", atc_cls);
-  add("ATC + auto-classify + adaptive non-parallel", atc_full);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const Row& r = rows[i];
+    t.add_row({variants[i].name, metrics::fmt(r.parallel_ms, 1),
+               metrics::fmt(r.web_ms, 2), metrics::fmt(r.web_p95_ms, 2),
+               metrics::fmt(r.cpu_rate)});
+  }
   t.print(std::cout);
   std::printf("expected: auto-classify matches declared ATC (no admin input "
               "needed); adaptive non-parallel trims web latency further "

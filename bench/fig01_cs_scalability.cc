@@ -7,38 +7,41 @@
 // VMs of one cluster on different nodes stay unaligned.
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "report_common.h"
 
 using namespace atcsim;
 using namespace atcsim::bench;
 
-namespace {
-
-double run(cluster::Approach a, int nodes) {
-  auto sp = cluster::ScenarioBuilder{}
-                .nodes(nodes)
-                .approach(a)
-                .seed(42)
-                .build();
-  cluster::Scenario& s = *sp;
-  cluster::build_type_a(s, "lu", workload::NpbClass::kB);
-  s.start();
-  s.warmup_and_measure(scaled(2_s), scaled(6_s));
-  return s.mean_superstep_with_prefix("lu.B");
-}
-
-}  // namespace
-
 int main() {
   banner("Figure 1 — CS vs CR scalability (lu)",
          "N nodes x 4 VMs x 8 VCPUs, four identical virtual clusters");
+  const std::vector<int> node_counts = {2, 4, 8, 16, 32};
+  // Cells 2n and 2n + 1: CR and CS on node_counts[n].
+  std::vector<exp::TypeACell> cells;
+  for (int nodes : node_counts) {
+    for (cluster::Approach a : {cluster::Approach::kCR,
+                                cluster::Approach::kCS}) {
+      exp::TypeACell c;
+      c.approach = a;
+      c.nodes = nodes;
+      c.warmup = scaled(2_s);
+      c.measure = scaled(6_s);
+      cells.push_back(c);
+    }
+  }
+  std::vector<exp::TypeAResult> results(cells.size());
+  sim::parallel_for(cells.size(), [&](std::size_t i) {
+    results[i] = exp::run_type_a(cells[i]);
+  });
+
   metrics::Table t("Fig. 1: normalized execution time of lu (vs CR)",
                    {"VMs per cluster", "CR", "CS"});
-  for (int nodes : {2, 4, 8, 16, 32}) {
-    const double cr = run(cluster::Approach::kCR, nodes);
-    const double cs = run(cluster::Approach::kCS, nodes);
-    t.add_row({std::to_string(nodes), metrics::fmt_ratio(cr, cr),
+  for (std::size_t n = 0; n < node_counts.size(); ++n) {
+    const double cr = results[2 * n].superstep_s;
+    const double cs = results[2 * n + 1].superstep_s;
+    t.add_row({std::to_string(node_counts[n]), metrics::fmt_ratio(cr, cr),
                metrics::fmt_ratio(cs, cr)});
   }
   t.print(std::cout);

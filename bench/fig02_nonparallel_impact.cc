@@ -4,6 +4,7 @@
 // hosting bonnie++, sphinx3, stream and ping.  Paper shape: under CS, ping
 // RTT is ~1.75x CR, sphinx3 ~1.11x slower, stream slightly slower, bonnie++
 // roughly unaffected.
+#include <array>
 #include <cstdio>
 #include <iostream>
 
@@ -56,8 +57,14 @@ FigResult run(cluster::Approach a) {
 int main() {
   banner("Figure 2 — CS impact on non-parallel applications",
          "2 nodes, 3 virtual clusters + bonnie++/sphinx3/stream/ping VMs");
-  const FigResult cr = run(cluster::Approach::kCR);
-  const FigResult cs = run(cluster::Approach::kCS);
+  const std::array<cluster::Approach, 2> approaches = {
+      cluster::Approach::kCR, cluster::Approach::kCS};
+  std::array<FigResult, 2> results;
+  sim::parallel_for(approaches.size(), [&](std::size_t i) {
+    results[i] = run(approaches[i]);
+  });
+  const FigResult& cr = results[0];
+  const FigResult& cs = results[1];
   metrics::Table t("Fig. 2: non-parallel metrics, CS normalized to CR",
                    {"application", "metric", "CR", "CS", "CS/CR"});
   t.add_row({"bonnie++", "throughput (MB/s)", metrics::fmt(cr.bonnie_mbps, 1),

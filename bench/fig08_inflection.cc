@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "atc/threshold.h"
@@ -18,34 +19,6 @@
 
 using namespace atcsim;
 using namespace atcsim::bench;
-
-namespace {
-
-struct Point {
-  double exec_s;
-  double spin_ms;
-  double miss_rate;  // LLC misses per second
-};
-
-Point run(const std::string& app, sim::SimTime slice) {
-  auto sp = cluster::ScenarioBuilder{}
-                .nodes(2)
-                .vms_per_node(4)
-                .vcpus_per_vm(16)
-                .approach(cluster::Approach::kCR)
-                .seed(42)
-                .allow_wide_vms()
-                .build();
-  cluster::Scenario& s = *sp;
-  cluster::build_type_a(s, app, workload::NpbClass::kC);
-  s.start();
-  set_global_guest_slice(s, slice);
-  s.warmup_and_measure(scaled(1_s), scaled(8_s));
-  return Point{s.mean_superstep_with_prefix(app),
-               s.avg_parallel_spin_latency() * 1e3, s.llc_miss_rate()};
-}
-
-}  // namespace
 
 int main() {
   banner("Figure 8 — performance inflection of short slices (NPB class C) "
@@ -57,23 +30,46 @@ int main() {
   // Normalized exec time per app per candidate slice (the Sec. III-B grid).
   const std::vector<sim::SimTime> candidates = {500_us, 400_us, 300_us,
                                                 200_us, 100_us, 30_us};
+  // Slices innermost: app a's cells start at a * slices.size(), with its
+  // 30 ms baseline first.
+  const std::vector<std::string>& apps = workload::npb_apps();
+  std::vector<exp::TypeACell> cells;
+  for (const auto& app : apps) {
+    for (sim::SimTime slice : slices) {
+      exp::TypeACell c;
+      c.app = app;
+      c.cls = workload::NpbClass::kC;
+      c.approach = cluster::Approach::kCR;
+      c.nodes = 2;
+      c.vcpus = 16;
+      c.slice = slice;
+      c.warmup = scaled(1_s);
+      c.measure = scaled(8_s);
+      cells.push_back(c);
+    }
+  }
+  std::vector<exp::TypeAResult> results(cells.size());
+  sim::parallel_for(cells.size(), [&](std::size_t i) {
+    results[i] = exp::run_type_a(cells[i]);
+  });
+
   std::vector<std::vector<double>> grid(candidates.size());
   bool complete = true;  // every grid cell has a normalized exec time
-
-  for (const auto& app : workload::npb_apps()) {
-    metrics::Table t("Fig. 8 (" + app + ".C)",
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    metrics::Table t("Fig. 8 (" + apps[a] + ".C)",
                      {"time slice", "normalized exec time",
                       "avg spin latency (ms)", "LLC misses/s"});
-    double baseline = 0.0;  // the 30 ms cell
+    const double baseline = results[a * slices.size()].superstep_s;
     std::map<sim::SimTime, double> norm;
-    for (sim::SimTime slice : slices) {
-      const Point p = run(app, slice);
-      if (slice == slices.front()) baseline = p.exec_s;
-      if (p.exec_s > 0 && baseline > 0) norm[slice] = p.exec_s / baseline;
-      t.add_row({metrics::fmt_ms(sim::to_millis(slice)),
-                 metrics::fmt_ratio(p.exec_s, baseline),
-                 metrics::fmt(p.spin_ms, 2),
-                 metrics::fmt(p.miss_rate / 1e6, 1) + "M"});
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      const exp::TypeAResult& r = results[a * slices.size() + i];
+      if (r.superstep_s > 0 && baseline > 0) {
+        norm[slices[i]] = r.superstep_s / baseline;
+      }
+      t.add_row({metrics::fmt_ms(sim::to_millis(slices[i])),
+                 metrics::fmt_ratio(r.superstep_s, baseline),
+                 metrics::fmt(r.spin_s * 1e3, 2),
+                 metrics::fmt(r.llc_miss_per_s / 1e6, 1) + "M"});
     }
     t.print(std::cout);
     for (std::size_t c = 0; c < candidates.size(); ++c) {

@@ -6,12 +6,13 @@
 // CS between BS and ATC and degrading with scale; BS only marginally better
 // than CR; DSS between CS and ATC.
 //
-// The (app x approach x nodes) grid — CR baselines included — runs through
-// the experiment runner, parallel across host cores.
+// Every (app, approach, nodes) cell — CR baselines included — is one
+// exp::TypeACell; the cells run in parallel through sim::parallel_for.
 #include <cstdio>
 #include <iostream>
-#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "report_common.h"
 
@@ -21,43 +22,46 @@ using namespace atcsim::bench;
 int main() {
   banner("Figure 10 — type A: same app on four virtual clusters, 2-32 nodes",
          "N nodes x 4x8-VCPU VMs (4:1), normalized execution time vs CR");
-  const std::vector<cluster::Approach> columns = {
-      cluster::Approach::kBS, cluster::Approach::kCS, cluster::Approach::kDSS,
-      cluster::Approach::kATC};
+  const std::vector<std::string>& apps = workload::npb_apps();
+  // CR first: every other column is normalized to it.
+  const std::vector<cluster::Approach> approaches = {
+      cluster::Approach::kCR, cluster::Approach::kBS, cluster::Approach::kCS,
+      cluster::Approach::kDSS, cluster::Approach::kATC};
+  const std::vector<int> node_counts = {2, 4, 8, 16, 32};
 
-  exp::SweepSpec spec;
-  spec.name = "fig10_typeA_same_apps";
-  spec.apps = workload::npb_apps();
-  spec.classes = {workload::NpbClass::kB};
-  spec.approaches = {cluster::Approach::kCR, cluster::Approach::kBS,
-                     cluster::Approach::kCS, cluster::Approach::kDSS,
-                     cluster::Approach::kATC};
-  spec.nodes = {2, 4, 8, 16, 32};
-  spec.vcpus_per_vm = {8};
-  spec.seeds = {42};
-  spec.warmup = scaled(2_s);
-  spec.measure = scaled(5_s);
-
-  const auto results = exp::run_sweep(
-      spec, [](const exp::Trial& t) { return exp::run_type_a_trial(t); });
-  const auto trials = exp::expand(spec);
-  std::map<std::pair<std::string, std::pair<int, int>>, double> exec;
-  for (const exp::Trial& t : trials) {
-    exec[{t.app, {static_cast<int>(t.approach), t.nodes}}] =
-        results[static_cast<std::size_t>(t.id)].metrics.at("superstep_s");
+  // Nodes innermost, then approach, then app: the order exec() reads.
+  std::vector<exp::TypeACell> cells;
+  for (const auto& app : apps) {
+    for (cluster::Approach approach : approaches) {
+      for (int nodes : node_counts) {
+        exp::TypeACell c;
+        c.app = app;
+        c.approach = approach;
+        c.nodes = nodes;
+        c.vcpus = 8;
+        c.warmup = scaled(2_s);
+        c.measure = scaled(5_s);
+        cells.push_back(c);
+      }
+    }
   }
-  auto cell = [&](const std::string& app, cluster::Approach a, int nodes) {
-    return exec.at({app, {static_cast<int>(a), nodes}});
+  std::vector<exp::TypeAResult> results(cells.size());
+  sim::parallel_for(cells.size(), [&](std::size_t i) {
+    results[i] = exp::run_type_a(cells[i]);
+  });
+  auto exec = [&](std::size_t a, std::size_t p, std::size_t n) {
+    return results[(a * approaches.size() + p) * node_counts.size() + n]
+        .superstep_s;
   };
 
-  for (const auto& app : spec.apps) {
-    metrics::Table t("Fig. 10 (" + app + ".B): normalized exec time vs CR",
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    metrics::Table t("Fig. 10 (" + apps[a] + ".B): normalized exec time vs CR",
                      {"nodes", "BS", "CS", "DSS", "ATC"});
-    for (int nodes : spec.nodes) {
-      const double cr = cell(app, cluster::Approach::kCR, nodes);
-      std::vector<std::string> row = {std::to_string(nodes)};
-      for (cluster::Approach a : columns) {
-        row.push_back(metrics::fmt_ratio(cell(app, a, nodes), cr));
+    for (std::size_t n = 0; n < node_counts.size(); ++n) {
+      const double cr = exec(a, 0, n);
+      std::vector<std::string> row = {std::to_string(node_counts[n])};
+      for (std::size_t p = 1; p < approaches.size(); ++p) {
+        row.push_back(metrics::fmt_ratio(exec(a, p, n), cr));
       }
       t.add_row(std::move(row));
     }
@@ -66,6 +70,5 @@ int main() {
   std::printf("expected shape: ATC lowest and ~flat; CS rises with scale; "
               "BS close to 1 (paper example, lu @ 8 nodes: BS 0.85, CS 0.38, "
               "ATC 0.15)\n");
-  exp::emit_results_env(spec, results);
   return 0;
 }

@@ -6,21 +6,24 @@
 //                  [--threads N] [--csv] [--jsonl out.jsonl]
 //
 // Builds evaluation type A (four identical virtual clusters of the chosen
-// app) through cluster::ScenarioBuilder and executes it via the experiment
-// runner (src/exp/): repetitions run in parallel across host threads.
+// app) as one exp::TypeACell per repetition; the repetitions run in
+// parallel across host threads through sim::parallel_for.
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "cluster/scenarios.h"
-#include "exp/emit.h"
-#include "exp/runner.h"
+#include "cluster/scenario.h"
+#include "exp/type_a.h"
 #include "metrics/report.h"
+#include "simcore/parallel.h"
 
 using namespace atcsim;
 using namespace sim::time_literals;
@@ -111,11 +114,15 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (flag == "--class") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
-      switch (v[0]) {
-        case 'A': a.cls = workload::NpbClass::kA; break;
-        case 'B': a.cls = workload::NpbClass::kB; break;
-        case 'C': a.cls = workload::NpbClass::kC; break;
-        default: return std::nullopt;
+      const std::string cls = v;
+      if (cls == "A") {
+        a.cls = workload::NpbClass::kA;
+      } else if (cls == "B") {
+        a.cls = workload::NpbClass::kB;
+      } else if (cls == "C") {
+        a.cls = workload::NpbClass::kC;
+      } else {
+        return std::nullopt;
       }
     } else if (flag == "--nodes") {
       if (!number(a.nodes)) return std::nullopt;
@@ -203,6 +210,78 @@ std::string load_workload_text(const std::string& arg) {
   return text.str();
 }
 
+// "%.17g": every double reads back exactly.
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// One repetition's metric columns, in name order; trace_events only when
+// the run was traced.
+std::vector<std::pair<const char*, double>> metric_columns(
+    const exp::TypeAResult& r, bool traced) {
+  std::vector<std::pair<const char*, double>> m = {
+      {"events", static_cast<double>(r.events)},
+      {"llc_miss_per_s", r.llc_miss_per_s},
+      {"spin_s", r.spin_s},
+      {"superstep_s", r.superstep_s}};
+  if (traced) {
+    m.emplace_back("trace_events", static_cast<double>(r.trace_events));
+  }
+  return m;
+}
+
+char class_letter(workload::NpbClass cls) {
+  return "ABC"[static_cast<int>(cls)];
+}
+
+// Rows describe `cell` (the repetitions' shared axes) with base seed
+// `seed`; row i is repetition i.
+void write_jsonl(std::ostream& os, const exp::TypeACell& cell,
+                 std::uint64_t seed,
+                 const std::vector<exp::TypeAResult>& results, bool traced) {
+  const cluster::ScenarioConfig layout;  // the VM layout every cell uses
+  for (std::size_t rep = 0; rep < results.size(); ++rep) {
+    os << "{\"trial\":" << rep << ",\"app\":\"" << cell.app
+       << "\",\"class\":\"" << class_letter(cell.cls)
+       << "\",\"approach\":\"" << cluster::approach_name(cell.approach)
+       << "\",\"nodes\":" << cell.nodes << ",\"vcpus\":" << cell.vcpus
+       << ",\"vms_per_node\":" << layout.vms_per_node
+       << ",\"pcpus_per_node\":" << layout.pcpus_per_node << ",\"slice_ms\":"
+       << (cell.slice ? num(sim::to_millis(*cell.slice)) : "null")
+       << ",\"seed\":" << seed << ",\"rep\":" << rep
+       << ",\"warmup_s\":" << num(sim::to_seconds(cell.warmup))
+       << ",\"measure_s\":" << num(sim::to_seconds(cell.measure))
+       << ",\"metrics\":{";
+    const char* sep = "";
+    for (const auto& m : metric_columns(results[rep], traced)) {
+      os << sep << '"' << m.first << "\":" << num(m.second);
+      sep = ",";
+    }
+    os << "}}\n";
+  }
+}
+
+void write_csv(std::ostream& os, const exp::TypeACell& cell,
+               std::uint64_t seed,
+               const std::vector<exp::TypeAResult>& results, bool traced) {
+  os << "trial,app,class,approach,nodes,vcpus,slice_ms,seed,rep";
+  for (const auto& m : metric_columns({}, traced)) os << ',' << m.first;
+  os << '\n';
+  for (std::size_t rep = 0; rep < results.size(); ++rep) {
+    os << rep << ',' << cell.app << ',' << class_letter(cell.cls) << ','
+       << cluster::approach_name(cell.approach) << ',' << cell.nodes << ','
+       << cell.vcpus << ','
+       << (cell.slice ? num(sim::to_millis(*cell.slice)) : "adaptive") << ','
+       << seed << ',' << rep;
+    for (const auto& m : metric_columns(results[rep], traced)) {
+      os << ',' << num(m.second);
+    }
+    os << '\n';
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -217,48 +296,58 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  exp::SweepSpec spec;
-  spec.name = "atcsim_cli";
-  std::string workload_name;
+  exp::TypeACell cell;
+  cell.app = args->app;
+  cell.cls = args->cls;
   if (!args->workload.empty()) {
-    spec.workload = load_workload_text(args->workload);
-    // Validate up front so a typo fails with the parser's message instead of
-    // surfacing mid-sweep.
+    // Parse up front so a typo fails with the parser's message before any
+    // repetition runs.
     try {
-      workload_name = workload::Descriptor::parse(spec.workload).name;
+      cell.workload =
+          workload::Descriptor::parse(load_workload_text(args->workload));
     } catch (const workload::DescriptorError& e) {
       std::fprintf(stderr, "error: --workload %s: %s\n",
                    args->workload.c_str(), e.what());
       return 2;
     }
+    // Rows and trace files name a descriptor run by its workload, class B.
+    cell.app = cell.workload->name;
+    cell.cls = workload::NpbClass::kB;
   }
-  spec.apps = {args->app};
-  spec.classes = {args->cls};
-  spec.approaches = {*approach};
-  spec.nodes = {args->nodes};
-  spec.vcpus_per_vm = {args->vcpus};
-  spec.slices = {args->slice_ms ? sim::from_millis(*args->slice_ms)
-                                : exp::kAdaptiveSlice};
-  spec.seeds = {args->seed};
-  spec.shards = args->shards;
-  spec.repetitions = args->reps;
-  spec.warmup = static_cast<sim::SimTime>(args->warmup_s * 1e9);
-  spec.measure = static_cast<sim::SimTime>(args->measure_s * 1e9);
-  spec.trace = args->trace;
+  cell.approach = *approach;
+  cell.nodes = args->nodes;
+  cell.vcpus = args->vcpus;
+  cell.shards = args->shards;
+  if (args->slice_ms) cell.slice = sim::from_millis(*args->slice_ms);
+  cell.warmup = static_cast<sim::SimTime>(args->warmup_s * 1e9);
+  cell.measure = static_cast<sim::SimTime>(args->measure_s * 1e9);
+  const std::string name =
+      cell.workload ? cell.app
+                    : cell.app + workload::npb_class_suffix(cell.cls);
+
+  std::vector<exp::TypeACell> cells(static_cast<std::size_t>(args->reps),
+                                    cell);
+  for (std::size_t rep = 0; rep < cells.size(); ++rep) {
+    exp::TypeACell& c = cells[rep];
+    c.seed = exp::rep_seed(args->seed, static_cast<int>(rep));
+    if (args->trace) {
+      c.trace_stem =
+          name + "_" + cluster::approach_name(c.approach) + "_n" +
+          std::to_string(c.nodes) + "_v" + std::to_string(c.vcpus) + "_" +
+          (c.slice ? sim::format_time(*c.slice) : "adaptive") + "_s" +
+          std::to_string(args->seed) + "_r" + std::to_string(rep);
+    }
+  }
 
   atc::AtcConfig atc_cfg;
   atc_cfg.auto_classify = args->auto_classify;
 
-  exp::RunOptions opts;
-  opts.threads = static_cast<std::size_t>(args->threads);
-  opts.progress = !args->csv;
-
-  std::vector<exp::TrialResult> results;
+  std::vector<exp::TypeAResult> results(cells.size());
   try {
-    results = exp::run_sweep(
-        spec,
-        [&](const exp::Trial& t) { return exp::run_type_a_trial(t, atc_cfg); },
-        opts);
+    sim::parallel_for(
+        cells.size(),
+        [&](std::size_t i) { results[i] = exp::run_type_a(cells[i], atc_cfg); },
+        static_cast<std::size_t>(args->threads));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -270,36 +359,35 @@ int main(int argc, char** argv) {
                  dir != nullptr ? dir : "traces");
   }
 
-  if (!args->jsonl_path.empty() &&
-      !exp::write_jsonl_file(args->jsonl_path, spec, results)) {
-    std::fprintf(stderr, "error: cannot write %s\n",
-                 args->jsonl_path.c_str());
-    return 1;
+  if (!args->jsonl_path.empty()) {
+    std::ofstream out(args->jsonl_path);
+    if (out) write_jsonl(out, cell, args->seed, results, args->trace);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n",
+                   args->jsonl_path.c_str());
+      return 1;
+    }
   }
 
   if (args->csv) {
-    exp::write_csv(std::cout, spec, results);
+    write_csv(std::cout, cell, args->seed, results, args->trace);
     return 0;
   }
 
   // Mean across repetitions for the human-readable summary.
   double superstep = 0, spin = 0, miss_rate = 0, events = 0;
   for (const auto& r : results) {
-    superstep += r.metrics.at("superstep_s");
-    spin += r.metrics.at("spin_s");
-    miss_rate += r.metrics.at("llc_miss_per_s");
-    events += r.metrics.at("events");
+    superstep += r.superstep_s;
+    spin += r.spin_s;
+    miss_rate += r.llc_miss_per_s;
+    events += static_cast<double>(r.events);
   }
   const auto n = static_cast<double>(results.size());
   superstep /= n;
   spin /= n;
   miss_rate /= n;
 
-  const std::string prefix =
-      workload_name.empty()
-          ? args->app + workload::npb_class_suffix(args->cls)
-          : workload_name;
-  metrics::Table t("atcsim_cli: " + prefix + " on " +
+  metrics::Table t("atcsim_cli: " + name + " on " +
                        std::to_string(args->nodes) + " nodes under " +
                        args->approach +
                        (args->reps > 1

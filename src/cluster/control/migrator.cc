@@ -28,7 +28,6 @@ bool Migrator::can_migrate(const virt::Vm& vm) const {
   if (vm.is_dom0() || vm.global_id() < 0) return false;
   const virt::VmLocation& loc = ctx_.directory->at(vm.global_id());
   if (ctx_.platform->simulation().now() < loc.moving_until) return false;
-  if (!vm.node().scheduler().supports_migration()) return false;
   for (const virt::Vcpu& v : vm.vcpus()) {
     // A VCPU with no workload idles forever: nothing to expel or re-arm,
     // so it never blocks a move (single-app VMs pad to vcpus_per_vm).

@@ -52,9 +52,8 @@ class Migrator {
   void install();
 
   /// Whether `vm` can be moved right now: a registered guest (not dom0),
-  /// not already in transit, every loaded VCPU's workload declares
-  /// migratable() (idle VCPUs never block a move), and the hosting
-  /// scheduler supports migration.
+  /// not already in transit, and every loaded VCPU's workload declares
+  /// migratable() (idle VCPUs never block a move).
   bool can_migrate(const virt::Vm& vm) const;
 
   /// Stop-and-copy `vm` (resident on this shard) to `dest_node_global`.

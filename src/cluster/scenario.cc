@@ -30,7 +30,6 @@ class Scenario::ShardExec final : public sim::ShardExecutor {
   ShardExec(sim::Simulation& simulation, net::ShardFabric& fabric, int id)
       : sim_(&simulation), fabric_(&fabric), id_(id) {}
 
-  int shard_id() const override { return id_; }
   sim::SimTime next_event_time() const override {
     return sim_->next_event_time();
   }

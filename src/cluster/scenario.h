@@ -125,10 +125,9 @@ class Scenario {
 
   /// Schedules a scripted live migration of `vm` (created by this scenario)
   /// to global node `dest_node` at simulated time `at`.  The move is a
-  /// no-op if the VM is not migratable at that instant (in transit, I/O
-  /// pinned, or hosted by a non-migrating scheduler) or has already moved
-  /// off the shard that owned it at scheduling time.  Call any time before
-  /// the simulation passes `at`.
+  /// no-op if the VM is not migratable at that instant (in transit or I/O
+  /// pinned) or has already moved off the shard that owned it at
+  /// scheduling time.  Call any time before the simulation passes `at`.
   void schedule_migration(virt::Vm& vm, sim::SimTime at, int dest_node);
 
   /// Runs `warmup` (controller convergence), resets all metrics and

@@ -1,7 +1,5 @@
 #include "cluster/trace.h"
 
-#include <algorithm>
-
 namespace atcsim::cluster {
 
 const std::vector<TraceBucket>& atlas_table1() {
@@ -14,43 +12,6 @@ const std::vector<TraceBucket>& atlas_table1() {
 
 std::vector<int> paper_vc_sizes_vms() {
   return {32, 16, 16, 8, 8, 8, 4, 2, 2, 2};
-}
-
-std::vector<int> sample_vc_sizes_vms(sim::Rng& rng, int vm_budget,
-                                     int vcpus_per_vm) {
-  // Sampling weights over the sized buckets (skip "others", which the paper
-  // maps to independent VMs).
-  std::vector<TraceBucket> sized;
-  double total = 0.0;
-  for (const TraceBucket& b : atlas_table1()) {
-    if (b.vcpus > 0) {
-      sized.push_back(b);
-      total += b.percent;
-    }
-  }
-  std::vector<int> out;
-  // Keep at least half the budget for clusters, as in the paper (90/128).
-  int remaining = vm_budget;
-  int attempts = 0;
-  while (remaining >= 2 && attempts++ < 10'000) {
-    double draw = rng.uniform(0.0, total);
-    int vcpus = sized.back().vcpus;
-    for (const TraceBucket& b : sized) {
-      if (draw < b.percent) {
-        vcpus = b.vcpus;
-        break;
-      }
-      draw -= b.percent;
-    }
-    const int vms = std::max(1, vcpus / vcpus_per_vm);
-    if (vms < 2) continue;         // single-VM jobs act as independent VMs
-    if (vms > remaining) continue;  // try again with a smaller draw
-    out.push_back(vms);
-    remaining -= vms;
-    if (static_cast<int>(out.size()) >= 16) break;  // enough clusters
-  }
-  std::sort(out.begin(), out.end(), std::greater<>());
-  return out;
 }
 
 }  // namespace atcsim::cluster

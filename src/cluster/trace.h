@@ -3,13 +3,10 @@
 // The paper sizes its type-B virtual clusters from the job-size distribution
 // of the Atlas cluster at LLNL [16].  We provide both the distribution
 // itself and the concrete 10-VC configuration the paper derives from it for
-// a 128-VM platform, plus a sampler for other platform sizes.
+// a 128-VM platform.
 #pragma once
 
-#include <cstdint>
 #include <vector>
-
-#include "simcore/rng.h"
 
 namespace atcsim::cluster {
 
@@ -27,11 +24,5 @@ const std::vector<TraceBucket>& atlas_table1();
 /// independent VMs = 128.  (The paper's prose says "ninety" cluster VMs,
 /// which contradicts its own cluster list; 98 + 30 = 128 is consistent.)
 std::vector<int> paper_vc_sizes_vms();
-
-/// Samples virtual-cluster sizes (in VMs) consistent with Table I until the
-/// VM budget is exhausted; sizes are descending.  Used for platforms other
-/// than the paper's 32 nodes.
-std::vector<int> sample_vc_sizes_vms(sim::Rng& rng, int vm_budget,
-                                     int vcpus_per_vm);
 
 }  // namespace atcsim::cluster

@@ -63,7 +63,6 @@ class CreditScheduler : public virt::Scheduler {
   sim::SimTime slice_for(const Vcpu& v) const override;
   void charge(Vcpu& v, sim::SimTime run) override;
   Pcpu* wake_preemption_target(Vcpu& v) override;
-  bool supports_migration() const override { return true; }
   void vm_departing(Vm& vm) override;
   void vm_arrived(Vm& vm) override;
 

@@ -48,15 +48,13 @@ class TraceSink;
 
 namespace atcsim::sim {
 
-/// What one shard exposes to the synchronizer: an id, a cross-shard packet
-/// port (deliver_inbound), horizon advance, and two time reports (next
-/// local event, earliest undelivered inbound).  The model side (Scenario)
+/// What one shard exposes to the synchronizer: a cross-shard packet port
+/// (deliver_inbound), horizon advance, and two time reports (next local
+/// event, earliest undelivered inbound).  The model side (Scenario)
 /// implements this over one Simulation + Platform + VirtualNetwork stack.
 class ShardExecutor {
  public:
   virtual ~ShardExecutor() = default;
-
-  virtual int shard_id() const = 0;
 
   /// Time of the earliest pending local event, or kTimeNever when drained.
   virtual SimTime next_event_time() const = 0;

@@ -388,7 +388,6 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
   assert(started_ && "migration before Engine::start");
   assert(!vm.is_dom0() && "dom0 cannot migrate");
   Node& node = vm.node();
-  assert(node.scheduler().supports_migration());
 
   // Force running VCPUs off their PCPUs first: leave_cpu accounts the
   // partial stint and charges the scheduler exactly as a preemption would.
@@ -433,9 +432,6 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
     }
   }
 
-  // Queued event-channel mail travels inside the Vm's mailbox.
-  bundle->mailbox_count = vm.mailbox().size();
-
   ATCSIM_TRACE(sim_->trace(), [&] {
     obs::TraceEvent e;
     e.time = now;
@@ -448,6 +444,7 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
     return e;
   }());
 
+  // Queued event-channel mail travels inside the Vm's mailbox.
   bundle->vm = platform_->expel_vm(vm);
   assert(bundle->vm != nullptr);
   return bundle;
@@ -458,7 +455,6 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   assert(bundle.vm != nullptr);
   Vm& vm = platform_->adopt_vm(dest_node, std::move(bundle.vm));
   Node& node = vm.node();
-  assert(node.scheduler().supports_migration());
   node.scheduler().vm_arrived(vm);
 
   // Workload rebind hooks run before any VCPU resumes, so the first next()

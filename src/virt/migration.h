@@ -135,9 +135,8 @@ struct MigrationBundle {
   /// blocked until its (travelled) event signals.
   std::vector<bool> vcpu_runnable;
 
-  /// Diagnostics / invariants: queued event-channel mail and total credit
-  /// balance at expel (credits are conserved across the move).
-  std::size_t mailbox_count = 0;
+  /// Diagnostics / invariants: total credit balance at expel (credits are
+  /// conserved across the move).
   double credits_total = 0.0;
 };
 

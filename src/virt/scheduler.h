@@ -65,11 +65,6 @@ class Scheduler {
 
   // --- live migration ----------------------------------------------------
 
-  /// Whether this scheduler can host migrating VMs (implements the two
-  /// hooks below).  The migration manager refuses moves between nodes whose
-  /// scheduler says no, so approaches that never migrate need not bother.
-  virtual bool supports_migration() const { return false; }
-
   /// `vm` is about to leave this node.  The engine has already forced its
   /// VCPUs off-CPU (they sit requeued as runnable or blocked); the
   /// scheduler must remove every one of them from its run queues and drop

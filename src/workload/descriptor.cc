@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -365,12 +366,14 @@ Descriptor Descriptor::parse(const std::string& text) {
           parse_double(scalar_value(seen_cache), "cache_sens", stmt);
     } else if (dir == "steps_per_iter") {
       const std::string& v = scalar_value(seen_steps);
-      char* endp = nullptr;
-      const long n = std::strtol(v.c_str(), &endp, 10);
-      if (endp != v.c_str() + v.size() || v.empty()) {
+      const char* end = v.data() + v.size();
+      const auto [ptr, ec] = std::from_chars(v.data(), end, d.steps_per_iter);
+      if (ec == std::errc::result_out_of_range) {
+        fail_at("steps_per_iter '" + v + "' out of range", stmt);
+      }
+      if (ec != std::errc{} || ptr != end) {
         fail_at("malformed steps_per_iter '" + v + "'", stmt);
       }
-      d.steps_per_iter = static_cast<int>(n);
     } else if (dir == "rate_units") {
       d.rate_units = parse_double(scalar_value(seen_rate), "rate_units", stmt);
     } else if (dir == "phase") {

@@ -47,21 +47,6 @@ TEST(TraceTest, PaperVcSizesMatchSection4B2) {
   EXPECT_EQ(std::count(sizes.begin(), sizes.end(), 2), 3);
 }
 
-TEST(TraceTest, SamplerRespectsBudgetAndIsDescending) {
-  sim::Rng rng(77);
-  const auto sizes = sample_vc_sizes_vms(rng, 64, 8);
-  int total = 0;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    total += sizes[i];
-    EXPECT_GE(sizes[i], 2);
-    if (i > 0) {
-      EXPECT_LE(sizes[i], sizes[i - 1]);
-    }
-  }
-  EXPECT_LE(total, 64);
-  EXPECT_GT(total, 0);
-}
-
 TEST(PlacementTest, SpreadsClusterAcrossDistinctNodes) {
   std::vector<int> capacity(8, 4);
   const auto placement = place_cluster(capacity, 8);

@@ -134,6 +134,9 @@ TEST(DescriptorRejection, EveryParseAndValidateErrorPath) {
        "malformed cache_sens"},
       {"workload x\nsteps_per_iter 3x\nphase compute 1ms",
        "malformed steps_per_iter"},
+      {"workload w; steps_per_iter 4294967297; phase compute 1ms; "
+       "phase barrier",
+       "steps_per_iter '4294967297' out of range"},
       {"workload x\nfrobnicate 3\nphase compute 1ms",
        "unknown directive 'frobnicate'"},
       {"workload x\nphase\nphase compute 1ms", "phase needs a kind"},

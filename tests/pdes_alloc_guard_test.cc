@@ -48,7 +48,6 @@ class Exec final : public sim::ShardExecutor {
  public:
   Exec(int id, sim::Simulation& sim, net::ShardFabric& fabric)
       : id_(id), sim_(sim), fabric_(fabric) {}
-  int shard_id() const override { return id_; }
   sim::SimTime next_event_time() const override {
     return sim_.next_event_time();
   }

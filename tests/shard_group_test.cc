@@ -25,8 +25,7 @@ using namespace sim::time_literals;
 /// always has rounds to run.
 class TickExec final : public sim::ShardExecutor {
  public:
-  TickExec(int id, sim::SimTime period) : id_(id), period_(period) { tick(); }
-  int shard_id() const override { return id_; }
+  explicit TickExec(sim::SimTime period) : period_(period) { tick(); }
   sim::SimTime next_event_time() const override {
     return sim_.next_event_time();
   }
@@ -46,7 +45,6 @@ class TickExec final : public sim::ShardExecutor {
       tick();
     });
   }
-  int id_;
   sim::SimTime period_;
   sim::Simulation sim_;
 };
@@ -56,8 +54,7 @@ struct Rig {
                std::vector<sim::SimTime> periods = {100_us, 100_us}) {
     std::vector<sim::ShardExecutor*> shards;
     for (std::size_t s = 0; s < periods.size(); ++s) {
-      execs.push_back(
-          std::make_unique<TickExec>(static_cast<int>(s), periods[s]));
+      execs.push_back(std::make_unique<TickExec>(periods[s]));
       shards.push_back(execs.back().get());
     }
     group = std::make_unique<sim::ShardGroup>(std::move(shards), opts);
