@@ -16,6 +16,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -351,6 +352,9 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 
   if (args->trace) {

@@ -28,13 +28,9 @@ struct AtcConfig {
   /// Flexible non-parallel slices: give latency-sensitive non-parallel VMs
   /// (high wake-up rate, low CPU) a shorter slice instead of the default,
   /// "to better meet the demand ... for synchronization and interrupt
-  /// processing" (Sec. VI).  Admin-specified slices still win.
+  /// processing" (Sec. VI).  Admin-specified slices still win.  The
+  /// threshold and the slice are AtcController constants.
   bool adaptive_nonparallel = false;
-  /// Wake-ups per second above which a non-parallel VM counts as
-  /// latency-sensitive.
-  double latency_sensitive_wakeups_hz = 30.0;
-  /// Slice assigned to such VMs.
-  sim::SimTime latency_sensitive_slice = 5 * sim::kMillisecond;
 };
 
 }  // namespace atcsim::atc

@@ -111,8 +111,8 @@ void AtcController::on_period() {
           static_cast<double>(snap.wakeups) /
           sim::to_seconds(node_->platform().params().accounting_period);
       wakeup_rate_[i] = 0.8 * wakeup_rate_[i] + 0.2 * rate;
-      vm->set_time_slice(wakeup_rate_[i] >= cfg_.latency_sensitive_wakeups_hz
-                             ? cfg_.latency_sensitive_slice
+      vm->set_time_slice(wakeup_rate_[i] >= kLatencySensitiveWakeupsHz
+                             ? kLatencySensitiveSlice
                              : cfg_.default_slice);
     } else {
       vm->set_time_slice(cfg_.default_slice);

@@ -24,6 +24,12 @@ namespace atcsim::atc {
 
 class AtcController {
  public:
+  /// adaptive_nonparallel: wake-ups per second above which a non-parallel
+  /// VM counts as latency-sensitive, and the slice such a VM gets.
+  static constexpr double kLatencySensitiveWakeupsHz = 30.0;
+  static constexpr sim::SimTime kLatencySensitiveSlice =
+      5 * sim::kMillisecond;
+
   AtcController(virt::Node& node, const sync::PeriodMonitor& monitor,
                 AtcConfig cfg = {});
 

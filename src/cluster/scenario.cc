@@ -151,12 +151,6 @@ virt::NodeId Scenario::local_node_id(int node) const {
   return virt::NodeId{node - stack.first_node};
 }
 
-net::VirtualNetwork& Scenario::net_of(virt::Vm& vm) {
-  net::VirtualNetwork* net = vm.node().platform().network();
-  assert(net != nullptr);
-  return *net;
-}
-
 void Scenario::register_vm(virt::Vm& vm, int node) {
   const std::int64_t gid = next_gid_++;
   vm.set_global_id(gid);
@@ -227,7 +221,7 @@ virt::Vm& Scenario::add_loop_vm(int node, const workload::Descriptor& desc,
       config_.vcpus_per_vm);
   register_vm(vm, node);
   workloads_.push_back(std::make_unique<workload::LoopWorkload>(
-      net_of(vm), vm, desc, app_rng_.split(std::hash<std::string>{}(key)),
+      vm, desc, app_rng_.split(std::hash<std::string>{}(key)),
       &metrics_->rate(key)));
   vm.vcpus()[0].set_workload(workloads_.back().get());
   return vm;
@@ -239,8 +233,8 @@ virt::Vm& Scenario::add_disk_vm(int node, const std::string& key) {
       local_node_id(node), virt::VmType::kNonParallel, key,
       config_.vcpus_per_vm);
   register_vm(vm, node);
-  workloads_.push_back(std::make_unique<workload::DiskWorkload>(
-      net_of(vm), vm, &metrics_->rate(key)));
+  workloads_.push_back(
+      std::make_unique<workload::DiskWorkload>(vm, &metrics_->rate(key)));
   vm.vcpus()[0].set_workload(workloads_.back().get());
   return vm;
 }
@@ -259,10 +253,9 @@ virt::Vm& Scenario::add_ping_pair(int node_a, int node_b,
   register_vm(pinger, node_a);
   register_vm(peer, node_b);
   workloads_.push_back(std::make_unique<workload::PingWorkload>(
-      net_of(pinger), pinger, peer, &metrics_->latency(key)));
+      pinger, peer, &metrics_->latency(key)));
   pinger.vcpus()[0].set_workload(workloads_.back().get());
-  workloads_.push_back(std::make_unique<workload::IdleServerWorkload>(
-      peer.node().platform().engine()));
+  workloads_.push_back(std::make_unique<workload::IdleServerWorkload>());
   peer.vcpus()[0].set_workload(workloads_.back().get());
   return pinger;
 }
@@ -276,11 +269,11 @@ virt::Vm& Scenario::add_web_vm(int node, double requests_per_second,
   vm.set_latency_sensitive(true);
   register_vm(vm, node);
   auto server = std::make_unique<workload::WebServerWorkload>(
-      net_of(vm), vm, &metrics_->latency(key),
+      vm, &metrics_->latency(key),
       app_rng_.split(std::hash<std::string>{}(key)));
   vm.vcpus()[0].set_workload(server.get());
   clients_.push_back(std::make_unique<workload::HttperfClient>(
-      net_of(vm), vm, *server, requests_per_second,
+      vm, *server, requests_per_second,
       app_rng_.split(std::hash<std::string>{}(key + "/client"))));
   workloads_.push_back(std::move(server));
   return vm;

@@ -217,7 +217,6 @@ class Scenario {
   int shard_of_node(int node) const;
   virt::Platform& platform_of_node(int node);
   virt::NodeId local_node_id(int node) const;
-  static net::VirtualNetwork& net_of(virt::Vm& vm);
   /// Assigns the next global id to `vm` (hosted on global node `node`) and
   /// registers it in every shard's location directory.
   void register_vm(virt::Vm& vm, int node);

@@ -1,6 +1,7 @@
 #include "exp/type_a.h"
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
@@ -55,7 +56,11 @@ TypeAResult run_type_a(const TypeACell& c, const atc::AtcConfig& atc_cfg) {
   r.llc_miss_per_s = s->llc_miss_rate();
   r.events = s->events_executed();
   if (traced) {
-    obs::write_trace_files(s->trace_sinks(), trace_root(), c.trace_stem);
+    const std::string dir = trace_root();
+    if (!obs::write_trace_files(s->trace_sinks(), dir, c.trace_stem)) {
+      throw std::runtime_error("cannot write trace files " + c.trace_stem +
+                               ".{trace,json} under " + dir);
+    }
     for (const obs::TraceSink* sink : s->trace_sinks()) {
       r.trace_events += sink->emitted();
     }

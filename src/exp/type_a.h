@@ -56,7 +56,8 @@ struct TypeAResult {
 
 /// Builds, runs and measures one cell; distinct calls may run on distinct
 /// threads.  Throws std::invalid_argument for a shape ScenarioBuilder
-/// rejects or an unknown app.
+/// rejects or an unknown app, and std::runtime_error naming the stem and
+/// the directory when a traced cell cannot write its trace files.
 TypeAResult run_type_a(const TypeACell& cell,
                        const atc::AtcConfig& atc_cfg = {});
 

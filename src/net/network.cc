@@ -45,11 +45,8 @@ static_assert((kDom0RingSlots & (kDom0RingSlots - 1)) == 0,
 
 }  // namespace
 
-Dom0Backend::Dom0Backend(VirtualNetwork& net, virt::Node& node)
-    : net_(&net),
-      node_(&node),
-      jobs_(kDom0RingSlots),
-      idle_wait_(net.engine()) {}
+Dom0Backend::Dom0Backend(virt::Node& node)
+    : node_(&node), jobs_(kDom0RingSlots), idle_wait_(*node.dom0()) {}
 
 void Dom0Backend::grow_ring() {
   const std::size_t old_cap = jobs_.size();
@@ -59,9 +56,9 @@ void Dom0Backend::grow_ring() {
   }
   jobs_ = std::move(bigger);
   head_ = 0;
-  ATCSIM_TRACE(net_->simulation().trace(),
-               net_event(net_->simulation().now(), obs::ev::kRingGrow,
-                         node_->id().value, nullptr,
+  ATCSIM_TRACE(node_->platform().simulation().trace(),
+               net_event(node_->platform().simulation().now(),
+                         obs::ev::kRingGrow, node_->id().value, nullptr,
                          static_cast<std::int64_t>(jobs_.size()),
                          static_cast<std::int64_t>(old_cap)));
 }
@@ -117,8 +114,8 @@ void VirtualNetwork::attach() {
   platform_->set_network(this);
   for (std::size_t n = 0; n < platform_->nodes().size(); ++n) {
     virt::Node& node = *platform_->nodes()[n];
-    nodes_[n].backend = std::make_unique<Dom0Backend>(*this, node);
     assert(node.dom0() != nullptr && node.dom0()->vcpu_count() >= 1);
+    nodes_[n].backend = std::make_unique<Dom0Backend>(node);
     node.dom0()->vcpus()[0].set_workload(nodes_[n].backend.get());
   }
 }
@@ -310,7 +307,7 @@ void VirtualNetwork::deliver(PacketRef r) {
   }
   virt::Vm* dst = p.dst;
   auto cb = release(r);
-  engine().deposit(*dst, std::move(cb));
+  platform_->engine().deposit(*dst, std::move(cb));
 }
 
 void VirtualNetwork::forward_effect(PacketRef r) {
@@ -381,21 +378,16 @@ void VirtualNetwork::disk_done(PacketRef r) {
                          static_cast<std::int64_t>(p.bytes)));
   virt::Vm* dst = p.dst;
   auto cb = release(r);
-  engine().deposit(*dst, std::move(cb));
+  platform_->engine().deposit(*dst, std::move(cb));
 }
 
 // ------------------------------------------------------------- public entry
 
 void VirtualNetwork::send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
                           sim::InlineCallback on_delivered) {
-  // Self-route: workloads hold whichever shard's network they were built
-  // with, but a packet always originates on the shard owning its source VM.
-  if (&src.node().platform() != platform_) {
-    src.node().platform().network()->send(src, dst, bytes,
-                                          std::move(on_delivered));
-    return;
-  }
   assert(attached_);
+  assert(&src.node().platform() == platform_ &&
+         "send on the source VM's network (network_of)");
   counters_.packets += 1;
   counters_.bytes += bytes;
   platform_->mark_period_activity(src);
@@ -426,12 +418,9 @@ void VirtualNetwork::send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
 
 void VirtualNetwork::inject(virt::Vm& dst, std::uint64_t bytes,
                             sim::InlineCallback on_delivered) {
-  if (&dst.node().platform() != platform_) {
-    dst.node().platform().network()->inject(dst, bytes,
-                                            std::move(on_delivered));
-    return;
-  }
   assert(attached_);
+  assert(&dst.node().platform() == platform_ &&
+         "inject on the destination VM's network (network_of)");
   counters_.packets += 1;
   counters_.bytes += bytes;
   ATCSIM_TRACE(simulation().trace(),
@@ -445,12 +434,9 @@ void VirtualNetwork::inject(virt::Vm& dst, std::uint64_t bytes,
 
 void VirtualNetwork::send_out(virt::Vm& src, std::uint64_t bytes,
                               sim::InlineCallback on_exit_fabric) {
-  if (&src.node().platform() != platform_) {
-    src.node().platform().network()->send_out(src, bytes,
-                                              std::move(on_exit_fabric));
-    return;
-  }
   assert(attached_);
+  assert(&src.node().platform() == platform_ &&
+         "send_out on the source VM's network (network_of)");
   counters_.packets += 1;
   counters_.bytes += bytes;
   platform_->mark_period_activity(src);
@@ -468,12 +454,9 @@ void VirtualNetwork::send_out(virt::Vm& src, std::uint64_t bytes,
 
 void VirtualNetwork::submit_disk(virt::Vm& vm, std::uint64_t bytes,
                                  sim::InlineCallback on_complete) {
-  if (&vm.node().platform() != platform_) {
-    vm.node().platform().network()->submit_disk(vm, bytes,
-                                                std::move(on_complete));
-    return;
-  }
   assert(attached_);
+  assert(&vm.node().platform() == platform_ &&
+         "submit_disk on the VM's own network (network_of)");
   counters_.disk_ops += 1;
   ATCSIM_TRACE(simulation().trace(),
                net_event(simulation().now(), obs::ev::kDiskSubmit,

@@ -20,10 +20,10 @@
 // reached their high-water size.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/fabric.h"
@@ -36,14 +36,13 @@
 
 namespace atcsim::net {
 
-class VirtualNetwork;
-
 /// dom0's netback/blkback service loop: one per node, bound to dom0 VCPU 0.
 /// Jobs (tx/rx packet processing, disk submissions) are FIFO; each costs
 /// dom0 CPU time, then applies its effect (NIC push, guest delivery, ...).
 class Dom0Backend : public virt::Workload {
  public:
-  Dom0Backend(VirtualNetwork& net, virt::Node& node);
+  /// Binds the idle event to the node's dom0, which must exist.
+  explicit Dom0Backend(virt::Node& node);
 
   struct Job {
     sim::SimTime cpu_cost = 0;
@@ -56,7 +55,6 @@ class Dom0Backend : public virt::Workload {
   // virt::Workload:
   virt::Action next(virt::Vcpu& self) override;
   double cache_sensitivity() const override { return 0.3; }
-  std::string name() const override { return "dom0-backend"; }
 
   std::size_t backlog() const { return job_count_; }
   /// Capacity of the job ring (8 slots at construction; doubles on
@@ -66,7 +64,6 @@ class Dom0Backend : public virt::Workload {
  private:
   void grow_ring();
 
-  VirtualNetwork* net_;
   virt::Node* node_;
   /// FIFO job ring (head_ + job_count_ entries, wrapping): a deque's chunk
   /// churn would allocate in steady state, a ring only grows.  Pre-sized at
@@ -160,7 +157,6 @@ class VirtualNetwork {
     return *nodes_[static_cast<std::size_t>(n)].backend;
   }
 
-  virt::Engine& engine() { return platform_->engine(); }
   virt::Platform& platform() { return *platform_; }
   const virt::ModelParams& params() const { return platform_->params(); }
   sim::Simulation& simulation() { return platform_->simulation(); }
@@ -177,8 +173,6 @@ class VirtualNetwork {
   std::size_t packet_slots() const { return pool_.size(); }
 
  private:
-  friend class Dom0Backend;
-
   /// Handle to a pooled packet descriptor.  {slot, generation}: the
   /// generation tag makes a handle single-use — once the descriptor is
   /// released the slot's generation moves on and stale handles trip the
@@ -254,5 +248,14 @@ class VirtualNetwork {
   std::uint32_t free_head_ = kNilSlot;
   bool attached_ = false;
 };
+
+/// The network serving `vm`: its current platform's.  Guest programs hold
+/// only their VMs and look the network up per use, so a migrated VM's
+/// sends go out on the destination platform with no rebinding.
+inline VirtualNetwork& network_of(virt::Vm& vm) {
+  VirtualNetwork* net = vm.node().platform().network();
+  assert(net != nullptr && "VirtualNetwork::attach() has not run");
+  return *net;
+}
 
 }  // namespace atcsim::net

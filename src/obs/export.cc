@@ -31,19 +31,52 @@ void write_args(std::ostream& os, const TraceEvent& e) {
      << ",\"a0\":" << e.a0 << ",\"a1\":" << e.a1 << "}";
 }
 
-template <typename Events>
-void write_compact_events(std::ostream& os, const Events& events,
-                          std::uint64_t dropped) {
+}  // namespace
+
+std::string format_event(const TraceEvent& e) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "%" PRId64 "\t%s.%s\t%d\t%d\t%d\t%d\t%" PRId64 "\t%" PRId64,
+                e.time, cat_name(e.cat), type_name(e.cat, e.type), e.node,
+                e.vm, e.vcpu, e.pcpu, e.a0, e.a1);
+  return buf;
+}
+
+std::vector<TraceEvent> merged_events(
+    const std::vector<const TraceSink*>& sinks) {
+  std::vector<TraceEvent> events;
+  std::size_t total = 0;
+  for (const TraceSink* sink : sinks) total += sink->size();
+  events.reserve(total);
+  for (const TraceSink* sink : sinks) {
+    const auto snapshot = sink->snapshot();
+    events.insert(events.end(), snapshot.begin(), snapshot.end());
+  }
+  // Stable: same-timestamp events keep shard order, so the merge is a pure
+  // function of the per-shard streams (thread-count independent).
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.time < b.time;
+                   });
+  return events;
+}
+
+void write_compact(std::ostream& os,
+                   const std::vector<const TraceSink*>& sinks) {
+  std::uint64_t dropped = 0;
+  for (const TraceSink* sink : sinks) dropped += sink->dropped();
   os << kCompactHeader << '\n';
-  for (const TraceEvent& e : events) os << format_event(e) << '\n';
+  for (const TraceEvent& e : merged_events(sinks)) {
+    os << format_event(e) << '\n';
+  }
   os << "# dropped=" << dropped << '\n';
 }
 
-template <typename Events>
-void write_chrome_events(std::ostream& os, const Events& events) {
+void write_chrome_json(std::ostream& os,
+                       const std::vector<const TraceSink*>& sinks) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& e : events) {
+  for (const TraceEvent& e : merged_events(sinks)) {
     if (!first) os << ",";
     first = false;
     os << "\n{";
@@ -67,65 +100,8 @@ void write_chrome_events(std::ostream& os, const Events& events) {
   os << "\n]}\n";
 }
 
-std::uint64_t total_dropped(const std::vector<const TraceSink*>& sinks) {
-  std::uint64_t dropped = 0;
-  for (const TraceSink* sink : sinks) dropped += sink->dropped();
-  return dropped;
-}
-
-}  // namespace
-
-std::string format_event(const TraceEvent& e) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "%" PRId64 "\t%s.%s\t%d\t%d\t%d\t%d\t%" PRId64 "\t%" PRId64,
-                e.time, cat_name(e.cat), type_name(e.cat, e.type), e.node,
-                e.vm, e.vcpu, e.pcpu, e.a0, e.a1);
-  return buf;
-}
-
-void write_compact(std::ostream& os, const TraceSink& sink) {
-  write_compact_events(os, sink.snapshot(), sink.dropped());
-}
-
-void write_chrome_json(std::ostream& os, const TraceSink& sink) {
-  write_chrome_events(os, sink.snapshot());
-}
-
-std::vector<TraceEvent> merged_events(
-    const std::vector<const TraceSink*>& sinks) {
-  std::vector<TraceEvent> events;
-  std::size_t total = 0;
-  for (const TraceSink* sink : sinks) total += sink->snapshot().size();
-  events.reserve(total);
-  for (const TraceSink* sink : sinks) {
-    const auto snapshot = sink->snapshot();
-    events.insert(events.end(), snapshot.begin(), snapshot.end());
-  }
-  // Stable: same-timestamp events keep shard order, so the merge is a pure
-  // function of the per-shard streams (thread-count independent).
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.time < b.time;
-                   });
-  return events;
-}
-
-void write_compact(std::ostream& os,
-                   const std::vector<const TraceSink*>& sinks) {
-  write_compact_events(os, merged_events(sinks), total_dropped(sinks));
-}
-
-void write_chrome_json(std::ostream& os,
-                       const std::vector<const TraceSink*>& sinks) {
-  write_chrome_events(os, merged_events(sinks));
-}
-
-namespace {
-
-template <typename Source>
-bool write_trace_files_impl(const Source& source, const std::string& dir,
-                            const std::string& stem) {
+bool write_trace_files(const std::vector<const TraceSink*>& sinks,
+                       const std::string& dir, const std::string& stem) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return false;
@@ -133,28 +109,16 @@ bool write_trace_files_impl(const Source& source, const std::string& dir,
   {
     std::ofstream out(base.string() + ".trace");
     if (!out) return false;
-    write_compact(out, source);
+    write_compact(out, sinks);
     if (!out) return false;
   }
   {
     std::ofstream out(base.string() + ".json");
     if (!out) return false;
-    write_chrome_json(out, source);
+    write_chrome_json(out, sinks);
     if (!out) return false;
   }
   return true;
-}
-
-}  // namespace
-
-bool write_trace_files(const TraceSink& sink, const std::string& dir,
-                       const std::string& stem) {
-  return write_trace_files_impl(sink, dir, stem);
-}
-
-bool write_trace_files(const std::vector<const TraceSink*>& sinks,
-                       const std::string& dir, const std::string& stem) {
-  return write_trace_files_impl(sinks, dir, stem);
 }
 
 }  // namespace atcsim::obs

@@ -22,36 +22,28 @@ namespace atcsim::obs {
 /// "<time>\t<cat>.<type>\t<node>\t<vm>\t<vcpu>\t<pcpu>\t<a0>\t<a1>".
 std::string format_event(const TraceEvent& e);
 
-/// Header + one line per buffered event + a dropped-count footer.
-void write_compact(std::ostream& os, const TraceSink& sink);
-
-/// Chrome-tracing JSON object ({"traceEvents":[...]}).
-void write_chrome_json(std::ostream& os, const TraceSink& sink);
-
-/// Writes "<dir>/<stem>.trace" (compact) and "<dir>/<stem>.json" (chrome),
-/// creating `dir` if needed.  Returns false on any I/O failure.
-bool write_trace_files(const TraceSink& sink, const std::string& dir,
-                       const std::string& stem);
-
-// --- multi-sink (sharded-run) variants -----------------------------------
-//
 // A sharded Scenario keeps one TraceSink per shard (node/vm/vcpu ids are
-// shard-local).  These merge the streams into one time-ordered artifact:
-// events are stably sorted by timestamp, with the sinks' order in `sinks`
-// (shard order) breaking ties — so for a fixed shard map the merged output
-// is identical at every worker-thread count.
+// shard-local); an unsharded one passes its single sink as `{&sink}`.  The
+// writers merge the streams into one time-ordered artifact: events are
+// stably sorted by timestamp, with the sinks' order in `sinks` (shard
+// order) breaking ties — so for a fixed shard map the merged output is
+// identical at every worker-thread count, and one sink's output is its own
+// (already time-ordered) stream.
 
 /// All sinks' events merged into one time-ordered stream.
 std::vector<TraceEvent> merged_events(const std::vector<const TraceSink*>& sinks);
 
-/// Compact text of the merged stream (dropped counts summed).
+/// Compact text of the merged stream: header, one line per buffered event
+/// and a footer with the summed dropped count.
 void write_compact(std::ostream& os, const std::vector<const TraceSink*>& sinks);
 
-/// Chrome-tracing JSON of the merged stream.
+/// Chrome-tracing JSON object ({"traceEvents":[...]}) of the merged stream.
 void write_chrome_json(std::ostream& os,
                        const std::vector<const TraceSink*>& sinks);
 
-/// Merged-stream equivalent of write_trace_files().
+/// Writes "<dir>/<stem>.trace" (compact) and "<dir>/<stem>.json" (chrome)
+/// of the merged stream, creating `dir` if needed.  Returns false on any
+/// I/O failure.
 bool write_trace_files(const std::vector<const TraceSink*>& sinks,
                        const std::string& dir, const std::string& stem);
 

@@ -90,7 +90,6 @@ TraceSink::TraceSink(TraceConfig cfg) : cfg_(cfg) {
 }
 
 void TraceSink::emit(const TraceEvent& e) {
-  if (!wants(e.cat)) return;
   ++emitted_;
   for (const auto& fn : observers_) fn(e);
   if (cfg_.capacity == 0) {

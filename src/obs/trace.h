@@ -27,7 +27,7 @@
 
 namespace atcsim::obs {
 
-/// Event categories; used as bit positions in TraceConfig::categories.
+/// Event categories.
 enum class TraceCat : std::uint8_t {
   kSim = 0,    ///< simulation kernel (event dispatch)
   kSched = 1,  ///< credit-scheduler run-queue / credit operations
@@ -39,11 +39,6 @@ enum class TraceCat : std::uint8_t {
   kMigration = 7,  ///< cluster control plane: live migration lifecycle
 };
 inline constexpr int kTraceCatCount = 8;
-
-constexpr std::uint32_t cat_bit(TraceCat c) {
-  return 1u << static_cast<unsigned>(c);
-}
-inline constexpr std::uint32_t kAllCats = (1u << kTraceCatCount) - 1;
 
 // Per-category event type codes.  Codes are part of the on-disk compact
 // format: only append, never renumber (see DESIGN.md "Trace schema").
@@ -122,9 +117,6 @@ struct TraceConfig {
   /// Ring capacity in events; oldest events are dropped past it.  0 keeps
   /// everything (golden traces / short runs).
   std::size_t capacity = 1u << 20;
-  /// Bitmask of recorded categories (cat_bit()).  Observers still see every
-  /// emitted event regardless of the mask's effect on the ring.
-  std::uint32_t categories = kAllCats;
 };
 
 class TraceSink {
@@ -133,14 +125,10 @@ class TraceSink {
 
   explicit TraceSink(TraceConfig cfg = {});
 
-  bool wants(TraceCat c) const {
-    return (cfg_.categories & cat_bit(c)) != 0;
-  }
-
   void emit(const TraceEvent& e);
 
-  /// Invariant checkers and live consumers; called for every emitted event
-  /// in a recorded category, before ring insertion.
+  /// Invariant checkers and live consumers; called for every emitted
+  /// event, before ring insertion.
   void add_observer(Observer fn) { observers_.push_back(std::move(fn)); }
 
   /// Buffered events, oldest first.

@@ -457,12 +457,6 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   Node& node = vm.node();
   node.scheduler().vm_arrived(vm);
 
-  // Workload rebind hooks run before any VCPU resumes, so the first next()
-  // on this node already sees the destination engine/network.
-  for (Vcpu& v : vm.vcpus()) {
-    if (v.workload() != nullptr) v.workload()->on_vm_migrated(vm, *this);
-  }
-
   // Travelled timers re-arm with their remaining delays.
   for (const auto& t : bundle.timers) {
     signal_in(*t.ev, std::max<SimTime>(t.remaining, 0), &vm);

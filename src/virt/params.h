@@ -84,9 +84,6 @@ struct ModelParams {
   /// dom0 CPU cost per KiB copied through netback.
   SimTime dom0_per_kib_cost = 1_us;
 
-  /// Guest-side cost to post or receive one packet.
-  SimTime guest_packet_cost = 3_us;
-
   // --- Cluster control plane (contention model + live migration) --------
   /// LLC (socket) domains per host; the contention model divides a host's
   /// aggregate guest miss pressure by this (two sockets absorb twice the

@@ -40,13 +40,12 @@ Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
     nodes_.push_back(std::move(node));
   }
   engine_ = std::make_unique<Engine>(simulation, *this);
-  // Every node gets a driver domain; net/disk backends attach workloads.
-  // Named by global node id so names stay unique and stable across shard
-  // maps (offset is 0 on unsharded platforms).
+  // Every node gets a one-VCPU driver domain; net/disk backends attach
+  // workloads.  Named by global node id so names stay unique and stable
+  // across shard maps (offset is 0 on unsharded platforms).
   for (auto& node : nodes_) {
     Vm& dom0 = create_vm(node->id(), VmType::kDom0,
-                         "dom0-n" + std::to_string(global_node_id(*node)),
-                         config_.dom0_vcpus);
+                         "dom0-n" + std::to_string(global_node_id(*node)), 1);
     node->set_dom0(&dom0);
   }
 }

@@ -25,7 +25,6 @@ class Engine;
 struct PlatformConfig {
   int nodes = 1;
   int pcpus_per_node = 8;
-  int dom0_vcpus = 1;
   ModelParams params;
   std::uint64_t seed = 1;
   /// Global id of this platform's first node.  A sharded scenario carves
@@ -65,8 +64,8 @@ class Platform {
   /// (seed, global node id).
   sim::Rng scheduler_rng(Node& node);
 
-  /// Owning network, set by VirtualNetwork::attach().  Lets cross-shard
-  /// senders route a packet to the shard that owns its source VM.
+  /// Owning network, set by VirtualNetwork::attach(); read through
+  /// net::network_of(vm), the one way to find the network serving a VM.
   void set_network(net::VirtualNetwork* net) { network_ = net; }
   net::VirtualNetwork* network() const { return network_; }
 

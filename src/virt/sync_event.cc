@@ -2,6 +2,8 @@
 
 #include "obs/trace.h"
 #include "virt/engine.h"
+#include "virt/node.h"
+#include "virt/platform.h"
 #include "virt/vcpu.h"
 #include "virt/vm.h"
 
@@ -19,17 +21,18 @@ void SyncEvent::add_waiter(Vcpu& v) {
 
 void SyncEvent::signal() {
   if (signalled_) return;
-  assert(engine_ != nullptr && "signal() on an unbound SyncEvent");
+  assert(vm_ != nullptr && "signal() on an unbound SyncEvent");
   signalled_ = true;
+  Engine& engine = vm_->node().platform().engine();
   // Detach the whole list before waking anyone: a released spinner may
   // wait again at once, relinking its next_waiter into another event's list
   // (Engine::on_signalled reads each link before handling its VCPU).
   Vcpu* const first = head_;
   head_ = tail_ = nullptr;
 #if ATCSIM_TRACE_ENABLED
-  if (obs::TraceSink* sink = engine_->simulation().trace()) {
+  if (obs::TraceSink* sink = engine.simulation().trace()) {
     obs::TraceEvent e;
-    e.time = engine_->simulation().now();
+    e.time = engine.simulation().now();
     e.cat = obs::TraceCat::kSync;
     e.type = obs::ev::kSignal;
     if (first != nullptr) {
@@ -42,7 +45,7 @@ void SyncEvent::signal() {
     sink->emit(e);
   }
 #endif
-  engine_->on_signalled(first);
+  engine.on_signalled(first);
 }
 
 }  // namespace atcsim::virt

@@ -17,23 +17,22 @@
 
 namespace atcsim::virt {
 
-class Engine;
 class Vcpu;
+class Vm;
 
 class SyncEvent {
  public:
-  /// Unbound: rebind() must name the engine before the first signal() or
+  /// Unbound: bind() must name the VM before the first signal() or
   /// signal_in().  Lets owners build events in place in flat arrays.
   SyncEvent() = default;
-  explicit SyncEvent(Engine& engine) : engine_(&engine) {}
+  explicit SyncEvent(Vm& vm) : vm_(&vm) {}
   SyncEvent(const SyncEvent&) = delete;
   SyncEvent& operator=(const SyncEvent&) = delete;
 
-  /// Binds the event to an engine, or re-homes it onto another one (live
-  /// migration: the owning workload travels with its VM and must signal
-  /// waiters through the destination platform's engine).  Only legal
-  /// between events.
-  void rebind(Engine& engine) { engine_ = &engine; }
+  /// Binds the event to the VM whose platform serves it.  signal() looks
+  /// the engine up through the VM, so the event follows its VM across live
+  /// migrations with no rebinding.
+  void bind(Vm& vm) { vm_ = &vm; }
 
   /// Fires the condition.  Blocked waiters are woken; waiters spinning on a
   /// PCPU proceed immediately; descheduled spinners proceed when next
@@ -58,10 +57,13 @@ class SyncEvent {
   const Vcpu* first_waiter() const { return head_; }
 
  private:
-  Engine* engine_ = nullptr;
+  Vm* vm_ = nullptr;
   Vcpu* head_ = nullptr;  ///< oldest waiter
   Vcpu* tail_ = nullptr;  ///< newest waiter (append point)
   bool signalled_ = false;
 };
+
+// One per barrier slot of every BspApp, so it is kept to four words.
+static_assert(sizeof(SyncEvent) <= 32, "SyncEvent outgrew four words");
 
 }  // namespace atcsim::virt

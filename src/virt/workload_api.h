@@ -9,16 +9,12 @@
 // runs at the simulated instant the VCPU reaches that point of its program.
 #pragma once
 
-#include <string>
-
 #include "simcore/time.h"
 #include "virt/ids.h"
 
 namespace atcsim::virt {
 
-class Engine;
 class Vcpu;
-class Vm;
 class SyncEvent;
 
 /// One step of a guest program.
@@ -61,22 +57,13 @@ class Workload {
   /// program suffers when its LLC working set is evicted.
   virtual double cache_sensitivity() const { return 1.0; }
 
-  /// Whether this program's VM may be live-migrated *right now*.  A program
-  /// opting in must (a) keep all cross-engine references rebindables via
-  /// on_vm_migrated and (b) return false while an I/O chain it started is
-  /// still in flight on the source node (the completion callback would act
-  /// on the wrong engine).  The default keeps every workload pinned.
+  /// Whether this program's VM may be live-migrated *right now*.  The
+  /// program's handles name its VM, never a platform, so nothing needs
+  /// rebinding when the VM moves; a program opting in must still return
+  /// false while an I/O chain it started is in flight on the source node
+  /// (the device state of that chain cannot follow the VM).  The default
+  /// keeps every workload pinned.
   virtual bool migratable() const { return false; }
-
-  /// Post-adopt hook: the VM now lives on `engine`'s platform.  Rebind any
-  /// retained Engine/VirtualNetwork pointers and SyncEvents here.  Runs at
-  /// the arrival instant, before any VCPU of the VM is resumed.
-  virtual void on_vm_migrated(Vm& vm, Engine& engine) {
-    (void)vm;
-    (void)engine;
-  }
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace atcsim::virt

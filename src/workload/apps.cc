@@ -48,11 +48,9 @@ Descriptor cpu_descriptor(const std::string& name) {
 
 // -------------------------------------------------------------- LoopWorkload
 
-LoopWorkload::LoopWorkload(net::VirtualNetwork& net, virt::Vm& self_vm,
-                           Descriptor desc, sim::Rng rng,
+LoopWorkload::LoopWorkload(virt::Vm& self_vm, Descriptor desc, sim::Rng rng,
                            metrics::RateCounter* counter)
-    : net_(&net), vm_(&self_vm), desc_(std::move(desc)), rng_(rng),
-      counter_(counter) {
+    : vm_(&self_vm), desc_(std::move(desc)), rng_(rng), counter_(counter) {
   if (const std::string err = desc_.validate(); !err.empty()) {
     throw DescriptorError(err);
   }
@@ -79,13 +77,13 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
         return virt::Action::compute(last_compute_);
       case PhaseKind::kThink: {
         if (think_ == nullptr) {
-          think_ = std::make_unique<virt::SyncEvent>(net_->engine());
+          think_ = std::make_unique<virt::SyncEvent>(*vm_);
         } else {
           think_->reset();
         }
         // Owner-tagged: if the VM migrates mid-think the engine cancels
         // this timer and re-arms the remaining wait on the destination.
-        net_->engine().signal_in(
+        vm_->node().platform().engine().signal_in(
             *think_,
             std::max<sim::SimTime>(rng_.jittered(p.duration, p.jitter), 1),
             vm_);
@@ -93,7 +91,7 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
       }
       case PhaseKind::kIo: {
         if (io_ == nullptr) {
-          io_ = std::make_unique<virt::SyncEvent>(net_->engine());
+          io_ = std::make_unique<virt::SyncEvent>(*vm_);
         } else {
           io_->reset();
         }
@@ -101,7 +99,7 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
         // node-local anyway: io_pending_ pins the VM (migratable() false)
         // until the completion lands.
         io_pending_ = true;
-        net_->submit_disk(*vm_, p.bytes, [this] {
+        net::network_of(*vm_).submit_disk(*vm_, p.bytes, [this] {
           io_pending_ = false;
           io_->signal();
         });
@@ -115,20 +113,14 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
   }
 }
 
-void LoopWorkload::on_vm_migrated(virt::Vm& vm, virt::Engine& engine) {
-  net_ = vm.node().platform().network();
-  if (think_ != nullptr) think_->rebind(engine);
-  if (io_ != nullptr) io_->rebind(engine);
-}
-
 // -------------------------------------------------------- IdleServerWorkload
 
-virt::Action IdleServerWorkload::next(virt::Vcpu& /*self*/) {
+virt::Action IdleServerWorkload::next(virt::Vcpu& self) {
   // Created once, then reset-and-reused: a woken waiter implies the event
   // has no registered waiters, so the halted-server steady state performs
   // no allocations (including the waiter-list growth a fresh event pays).
   if (wait_ == nullptr) {
-    wait_ = std::make_unique<virt::SyncEvent>(*engine_);
+    wait_ = std::make_unique<virt::SyncEvent>(self.vm());
   } else if (wait_->signalled()) {
     wait_->reset();
   }
@@ -141,33 +133,36 @@ virt::Action PingWorkload::next(virt::Vcpu& /*self*/) {
   switch (phase_) {
     case Phase::kSend: {
       if (reply_ == nullptr) {
-        reply_ = std::make_unique<virt::SyncEvent>(net_->engine());
+        reply_ = std::make_unique<virt::SyncEvent>(*vm_);
       } else {
         reply_->reset();
       }
-      sent_at_ = net_->simulation().now();
+      net::VirtualNetwork& net = net::network_of(*vm_);
+      sent_at_ = net.simulation().now();
       // Echo request; the peer's kernel replies as soon as the peer VM can
-      // take the interrupt (the deposit handler runs in its context).  The
-      // handler reads only members fixed before the first send (reply_ is
-      // created once, then reset in place), so `this` is its whole context.
-      net_->send(*vm_, *peer_, kBytes, [this] {
-        net_->send(*peer_, *vm_, kBytes,
-                   [reply = reply_.get()] { reply->signal(); });
+      // take the interrupt (the deposit handler runs in its context), on
+      // the peer's network.  The handler reads only members fixed before
+      // the first send (reply_ is created once, then reset in place), so
+      // `this` is its whole context.
+      net.send(*vm_, *peer_, kBytes, [this] {
+        net::network_of(*peer_).send(
+            *peer_, *vm_, kBytes, [reply = reply_.get()] { reply->signal(); });
       });
       phase_ = Phase::kGotReply;
       return virt::Action::block_wait(*reply_);
     }
     case Phase::kGotReply: {
+      virt::Engine& engine = vm_->node().platform().engine();
       if (rtt_ != nullptr) {
-        rtt_->record(net_->simulation().now() - sent_at_);
+        rtt_->record(engine.simulation().now() - sent_at_);
       }
       phase_ = Phase::kSend;
       if (sleep_ == nullptr) {
-        sleep_ = std::make_unique<virt::SyncEvent>(net_->engine());
+        sleep_ = std::make_unique<virt::SyncEvent>(*vm_);
       } else {
         sleep_->reset();
       }
-      net_->engine().signal_in(*sleep_, kInterval);
+      engine.signal_in(*sleep_, kInterval);
       return virt::Action::block_wait(*sleep_);
     }
   }
@@ -179,7 +174,7 @@ virt::Action PingWorkload::next(virt::Vcpu& /*self*/) {
 virt::Action DiskWorkload::next(virt::Vcpu& /*self*/) {
   if (outstanding_ < kQueueDepth) {
     ++outstanding_;
-    net_->submit_disk(*vm_, kRequestBytes, [this] {
+    net::network_of(*vm_).submit_disk(*vm_, kRequestBytes, [this] {
       --outstanding_;
       if (counter_ != nullptr) {
         counter_->add(static_cast<double>(kRequestBytes) /
@@ -191,7 +186,7 @@ virt::Action DiskWorkload::next(virt::Vcpu& /*self*/) {
   }
   // Pipe full: sleep until a completion frees a slot.
   if (wait_ == nullptr) {
-    wait_ = std::make_unique<virt::SyncEvent>(net_->engine());
+    wait_ = std::make_unique<virt::SyncEvent>(*vm_);
   } else {
     wait_->reset();
   }
@@ -211,10 +206,11 @@ virt::Action WebServerWorkload::next(virt::Vcpu& /*self*/) {
     // exits the fabric (the client-side measurement point).
     serving_ = false;
     metrics::DurationRecorder* rec = rec_;
-    net::VirtualNetwork* net = net_;
+    net::VirtualNetwork& net = net::network_of(*vm_);
+    sim::Simulation* simulation = &net.simulation();
     const SimTime t0 = current_t0_;
-    net->send_out(*vm_, kResponseBytes, [net, rec, t0] {
-      if (rec != nullptr) rec->record(net->simulation().now() - t0);
+    net.send_out(*vm_, kResponseBytes, [simulation, rec, t0] {
+      if (rec != nullptr) rec->record(simulation->now() - t0);
     });
   }
   if (!backlog_.empty()) {
@@ -224,7 +220,7 @@ virt::Action WebServerWorkload::next(virt::Vcpu& /*self*/) {
     return virt::Action::compute(rng_.jittered(kService, kJitter));
   }
   if (idle_ == nullptr) {
-    idle_ = std::make_unique<virt::SyncEvent>(net_->engine());
+    idle_ = std::make_unique<virt::SyncEvent>(*vm_);
   } else {
     idle_->reset();
   }
@@ -239,11 +235,12 @@ void HttperfClient::arrival() {
   const double gap_s = rng_.exponential(1.0 / rate_per_second_);
   const SimTime gap = static_cast<SimTime>(gap_s * 1e9);
   const SimTime wait = std::max<SimTime>(gap, 1);
-  net_->simulation().call_in(wait, [this] {
-    const SimTime t0 = net_->simulation().now();
+  net::network_of(*server_vm_).simulation().call_in(wait, [this] {
+    net::VirtualNetwork& net = net::network_of(*server_vm_);
+    const SimTime t0 = net.simulation().now();
     WebServerWorkload* server = server_;
-    net_->inject(*server_vm_, kRequestBytes,
-                 [server, t0] { server->on_request(t0); });
+    net.inject(*server_vm_, kRequestBytes,
+               [server, t0] { server->on_request(t0); });
     arrival();
   });
 }

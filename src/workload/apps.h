@@ -36,24 +36,19 @@ class LoopWorkload : public virt::Workload {
  public:
   /// Throws DescriptorError when `desc` is invalid or parallel
   /// (barrier-terminated programs need BspApp).
-  LoopWorkload(net::VirtualNetwork& net, virt::Vm& self_vm, Descriptor desc,
-               sim::Rng rng, metrics::RateCounter* counter);
+  LoopWorkload(virt::Vm& self_vm, Descriptor desc, sim::Rng rng,
+               metrics::RateCounter* counter);
 
   virt::Action next(virt::Vcpu& self) override;
   double cache_sensitivity() const override {
     return desc_.cache_sensitivity;
   }
-  std::string name() const override { return desc_.name; }
   /// Movable except while a blkback request is in flight: the disk chain
-  /// holds node-local device state that cannot follow the VM.
+  /// holds node-local device state that cannot follow the VM.  Think
+  /// timers travel as owned engine timers (signal_in's owner tag).
   bool migratable() const override { return !io_pending_; }
-  /// Rebinds the node-derived references (network, sync-event engines) to
-  /// the adopting platform.  Think timers travel separately as owned
-  /// engine timers (signal_in's owner tag).
-  void on_vm_migrated(virt::Vm& vm, virt::Engine& engine) override;
 
  private:
-  net::VirtualNetwork* net_;
   virt::Vm* vm_;
   Descriptor desc_;
   sim::Rng rng_;
@@ -69,13 +64,10 @@ class LoopWorkload : public virt::Workload {
 /// mail (ICMP echo handling happens in the deposit handlers).
 class IdleServerWorkload : public virt::Workload {
  public:
-  explicit IdleServerWorkload(virt::Engine& engine) : engine_(&engine) {}
   virt::Action next(virt::Vcpu& self) override;
-  std::string name() const override { return "idle-server"; }
   double cache_sensitivity() const override { return 0.1; }
 
  private:
-  virt::Engine* engine_;
   std::unique_ptr<virt::SyncEvent> wait_;
 };
 
@@ -86,16 +78,14 @@ class PingWorkload : public virt::Workload {
   static constexpr sim::SimTime kInterval = 5 * sim::kMillisecond;
   static constexpr std::uint64_t kBytes = 64;
 
-  PingWorkload(net::VirtualNetwork& net, virt::Vm& self_vm, virt::Vm& peer,
+  PingWorkload(virt::Vm& self_vm, virt::Vm& peer,
                metrics::DurationRecorder* rtt)
-      : net_(&net), vm_(&self_vm), peer_(&peer), rtt_(rtt) {}
+      : vm_(&self_vm), peer_(&peer), rtt_(rtt) {}
 
   virt::Action next(virt::Vcpu& self) override;
-  std::string name() const override { return "ping"; }
   double cache_sensitivity() const override { return 0.1; }
 
  private:
-  net::VirtualNetwork* net_;
   virt::Vm* vm_;
   virt::Vm* peer_;
   metrics::DurationRecorder* rtt_;
@@ -114,16 +104,13 @@ class DiskWorkload : public virt::Workload {
   static constexpr sim::SimTime kSubmitCost = 20 * sim::kMicrosecond;
   static constexpr int kQueueDepth = 8;
 
-  DiskWorkload(net::VirtualNetwork& net, virt::Vm& self_vm,
-               metrics::RateCounter* mb_counter)
-      : net_(&net), vm_(&self_vm), counter_(mb_counter) {}
+  DiskWorkload(virt::Vm& self_vm, metrics::RateCounter* mb_counter)
+      : vm_(&self_vm), counter_(mb_counter) {}
 
   virt::Action next(virt::Vcpu& self) override;
-  std::string name() const override { return "bonnie"; }
   double cache_sensitivity() const override { return 0.3; }
 
  private:
-  net::VirtualNetwork* net_;
   virt::Vm* vm_;
   metrics::RateCounter* counter_;
   std::unique_ptr<virt::SyncEvent> wait_;
@@ -137,19 +124,17 @@ class WebServerWorkload : public virt::Workload {
   static constexpr double kJitter = 0.2;
   static constexpr std::uint64_t kResponseBytes = 16 * 1024;
 
-  WebServerWorkload(net::VirtualNetwork& net, virt::Vm& self_vm,
+  WebServerWorkload(virt::Vm& self_vm,
                     metrics::DurationRecorder* response_time, sim::Rng rng)
-      : net_(&net), vm_(&self_vm), rec_(response_time), rng_(rng) {}
+      : vm_(&self_vm), rec_(response_time), rng_(rng) {}
 
   /// Called from the request-delivery deposit handler.
   void on_request(sim::SimTime injected_at);
 
   virt::Action next(virt::Vcpu& self) override;
-  std::string name() const override { return "webserver"; }
   double cache_sensitivity() const override { return 2.0; }
 
  private:
-  net::VirtualNetwork* net_;
   virt::Vm* vm_;
   metrics::DurationRecorder* rec_;
   sim::Rng rng_;
@@ -164,10 +149,9 @@ class HttperfClient {
  public:
   static constexpr std::uint64_t kRequestBytes = 512;
 
-  HttperfClient(net::VirtualNetwork& net, virt::Vm& server_vm,
-                WebServerWorkload& server, double rate_per_second,
-                sim::Rng rng)
-      : net_(&net), server_vm_(&server_vm), server_(&server),
+  HttperfClient(virt::Vm& server_vm, WebServerWorkload& server,
+                double rate_per_second, sim::Rng rng)
+      : server_vm_(&server_vm), server_(&server),
         rate_per_second_(rate_per_second), rng_(rng) {}
 
   /// Schedules the arrival process; call before the simulation runs.
@@ -176,7 +160,6 @@ class HttperfClient {
  private:
   void arrival();
 
-  net::VirtualNetwork* net_;
   virt::Vm* server_vm_;
   WebServerWorkload* server_;
   double rate_per_second_;

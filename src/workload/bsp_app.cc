@@ -7,12 +7,6 @@ namespace atcsim::workload {
 
 using sim::SimTime;
 
-net::VirtualNetwork& BspApp::net_of(virt::Vm& vm) {
-  net::VirtualNetwork* net = vm.node().platform().network();
-  assert(net != nullptr && "VirtualNetwork::attach() must run before BSP");
-  return *net;
-}
-
 BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
                sim::Rng rng, metrics::DurationRecorder* superstep_rec,
                metrics::DurationRecorder* iteration_rec)
@@ -47,18 +41,17 @@ BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
   slot_size_ = 1 + static_cast<std::size_t>(local_index);
 
   // Construct every barrier event up front; steady-state supersteps only
-  // reset them in place (see kGenWindow in the header).  The events live on
-  // the owning VM's engine: in a sharded run a spin-wait and its release
-  // must both happen on the VM's own shard.
+  // reset them in place (see kGenWindow in the header).  Each event is
+  // bound to the VM whose ranks wait on it: in a sharded run a spin-wait
+  // and its release must both happen on the VM's own shard.
   const std::size_t per_vm = kGenWindow * slot_size_;
   events_ = std::vector<virt::SyncEvent>(vm_ptrs_.size() * per_vm);
   arrivals_.assign(events_.size(), 0);
   for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
     assert(vm_ptrs_[i]->vcpu_count() == vm_ptrs_[0]->vcpu_count() &&
            "all VMs of a virtual cluster have the same VCPU count");
-    virt::Engine& engine = vm_ptrs_[i]->node().platform().engine();
     for (std::size_t k = i * per_vm; k < (i + 1) * per_vm; ++k) {
-      events_[k].rebind(engine);
+      events_[k].bind(*vm_ptrs_[i]);
     }
   }
 }
@@ -76,7 +69,7 @@ void BspApp::attach() {
   for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
     for (virt::Vcpu& vcpu : vm_ptrs_[i]->vcpus()) {
       vcpu.set_workload(&ranks_.emplace_back(
-          *this, static_cast<int>(i), rank,
+          *this, static_cast<int>(i),
           rng_.split(static_cast<std::uint64_t>(rank))));
       ++rank;
     }
@@ -111,8 +104,8 @@ virt::SyncEvent& BspApp::rank_arrived(int vm_index, std::uint64_t gen) {
     if (vm_index == 0) {
       coordinator_arrive(gen);
     } else {
-      net_of(vm).send(vm, *vm_ptrs_[0], barrier_bytes_,
-                      [this, gen] { coordinator_arrive(gen); });
+      net::network_of(vm).send(vm, *vm_ptrs_[0], barrier_bytes_,
+                               [this, gen] { coordinator_arrive(gen); });
     }
   }
   return events_[k];
@@ -145,10 +138,9 @@ void BspApp::release_generation(std::uint64_t gen) {
   release_event(0, gen).signal();
   virt::Vm& coord = *vm_ptrs_[0];
   for (std::size_t i = 1; i < vm_ptrs_.size(); ++i) {
-    net_of(coord).send(coord, *vm_ptrs_[i], barrier_bytes_,
-                       [this, i, gen] {
-                         release_event(static_cast<int>(i), gen).signal();
-                       });
+    net::network_of(coord).send(
+        coord, *vm_ptrs_[i], barrier_bytes_,
+        [this, i, gen] { release_event(static_cast<int>(i), gen).signal(); });
   }
 
   // Recycle: by the time generation g is released, every rank has passed
@@ -166,8 +158,8 @@ void BspApp::release_generation(std::uint64_t gen) {
 virt::SyncEvent& BspRank::armed_event(
     std::unique_ptr<virt::SyncEvent>& slot) {
   if (slot == nullptr) {
-    virt::Vm& vm = *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)];
-    slot = std::make_unique<virt::SyncEvent>(vm.node().platform().engine());
+    slot = std::make_unique<virt::SyncEvent>(
+        *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)]);
   } else {
     slot->reset();
   }
@@ -195,8 +187,8 @@ virt::Action BspRank::next(virt::Vcpu& /*self*/) {
         virt::SyncEvent& ev = armed_event(io_);
         virt::SyncEvent* evp = &ev;
         virt::Vm& vm = *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)];
-        BspApp::net_of(vm).submit_disk(vm, st.bytes,
-                                       [evp] { evp->signal(); });
+        net::network_of(vm).submit_disk(vm, st.bytes,
+                                        [evp] { evp->signal(); });
         return virt::Action::block_wait(ev);
       }
       case PhaseKind::kSend: {
@@ -207,7 +199,7 @@ virt::Action BspRank::next(virt::Vcpu& /*self*/) {
           virt::Vm& src = *vms[static_cast<std::size_t>(vm_index_)];
           virt::Vm& dst =
               *vms[(static_cast<std::size_t>(vm_index_) + 1) % vms.size()];
-          BspApp::net_of(src).send(src, dst, st.bytes, [] {});
+          net::network_of(src).send(src, dst, st.bytes, [] {});
         }
         continue;  // non-blocking: execute the next phase at this instant
       }

@@ -40,8 +40,8 @@ class BspRank;
 ///
 /// Shard-aware: the VMs of one virtual cluster may live on different
 /// shards' platforms.  Every per-VM resource (barrier SyncEvents, message
-/// sends, think timers, disk requests) is bound to the owning VM's
-/// engine/network, and coordinator-side state is only ever touched from the
+/// sends, think timers, disk requests) goes through the owning VM's
+/// platform, and coordinator-side state is only ever touched from the
 /// coordinator VM's shard — either directly (VM 0's own ranks) or via
 /// message delivery, which establishes the required happens-before through
 /// the round barriers.
@@ -111,9 +111,6 @@ class BspApp {
            static_cast<std::size_t>(entry);
   }
 
-  /// Network of `vm`'s shard (the platform back-pointer set at attach()).
-  static net::VirtualNetwork& net_of(virt::Vm& vm);
-
   std::string name_;
   double cache_sensitivity_;
   int steps_per_iter_;            ///< supersteps per recorded iteration
@@ -140,26 +137,22 @@ class BspApp {
 /// wrapping around after the global barrier.
 class BspRank : public virt::Workload {
  public:
-  BspRank(BspApp& app, int vm_index, int rank, sim::Rng rng)
-      : app_(&app), vm_index_(vm_index), rank_(rank), rng_(rng) {}
+  BspRank(BspApp& app, int vm_index, sim::Rng rng)
+      : app_(&app), vm_index_(vm_index), rng_(rng) {}
 
   virt::Action next(virt::Vcpu& self) override;
   double cache_sensitivity() const override {
     return app_->cache_sensitivity();
   }
-  std::string name() const override {
-    return app_->name() + "/r" + std::to_string(rank_);
-  }
 
  private:
-  /// Lazily creates (then resets and reuses) a rank-private wait event on
-  /// the owning VM's engine — think timers and disk completions stay
+  /// Lazily creates (then resets and reuses) a rank-private wait event
+  /// bound to the owning VM — think timers and disk completions stay
   /// allocation-free in steady state.
   virt::SyncEvent& armed_event(std::unique_ptr<virt::SyncEvent>& slot);
 
   BspApp* app_;
   int vm_index_;
-  int rank_;
   sim::Rng rng_;
   std::uint64_t gen_ = 0;
   std::size_t pc_ = 0;  ///< next step of app_->program()

@@ -153,7 +153,6 @@ TEST(AllocGuardTest, Dom0IdleWakeSteadyStateIsAllocationFree) {
   atcsim::virt::PlatformConfig pc;
   pc.nodes = 1;
   pc.pcpus_per_node = 1;
-  pc.dom0_vcpus = 1;
   atcsim::virt::Platform platform(s, pc);
   atcsim::net::VirtualNetwork net(platform);
   net.attach();
@@ -192,7 +191,6 @@ class WaitLoop : public atcsim::virt::Workload {
     return atcsim::virt::Action::block_wait(*use);
   }
   double cache_sensitivity() const override { return 0.0; }
-  std::string name() const override { return "wait_loop"; }
 
   atcsim::virt::SyncEvent* use;
   atcsim::virt::SyncEvent* waiting = nullptr;  ///< event of the current wait
@@ -213,7 +211,7 @@ TEST(AllocGuardTest, FreshSyncEventCyclesAreAllocationFree) {
   atcsim::virt::Vm& vm = platform.create_vm(
       atcsim::virt::NodeId{0}, atcsim::virt::VmType::kParallel, "guest", 1);
   atcsim::virt::Engine& engine = platform.engine();
-  atcsim::virt::SyncEvent warm(engine);
+  atcsim::virt::SyncEvent warm(vm);
   WaitLoop loop(warm);
   vm.vcpus()[0].set_workload(&loop);
   platform.set_scheduler(atcsim::virt::NodeId{0},
@@ -229,7 +227,7 @@ TEST(AllocGuardTest, FreshSyncEventCyclesAreAllocationFree) {
     }
   };
   cycles(64);
-  atcsim::virt::SyncEvent fresh(engine);
+  atcsim::virt::SyncEvent fresh(vm);
   loop.use = &fresh;  // the next wait (and every later one) is on `fresh`
   const std::uint64_t before = allocs();
   cycles(4);
@@ -273,7 +271,6 @@ class ComputeLoop : public atcsim::virt::Workload {
   atcsim::virt::Action next(atcsim::virt::Vcpu& /*self*/) override {
     return atcsim::virt::Action::compute(50'000);
   }
-  std::string name() const override { return "compute_loop"; }
 };
 
 // Every node holds its PCPUs in one array and every VM its VCPUs in one

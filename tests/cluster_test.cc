@@ -229,7 +229,7 @@ TEST(ScenarioBuilderTest, IdenticalInputsProduceIdenticalRuns) {
     s->start();
     s->run_for(30_ms);
     std::ostringstream os;
-    obs::write_compact(os, *s->trace_sink());
+    obs::write_compact(os, s->trace_sinks());
     return std::make_pair(os.str(), s->simulation().events_executed());
   };
 

@@ -341,9 +341,9 @@ TEST(DescriptorTest, LoopDescriptorsRejectBspAppAndViceVersa) {
       workload::BspApp({&rig.vm()}, loop, sim::Rng(1), nullptr, nullptr),
       DescriptorError);
   metrics::MetricsRegistry reg(rig.simulation);
-  EXPECT_THROW(workload::LoopWorkload(*rig.network, rig.vm(), par,
-                                      sim::Rng(1), &reg.rate("r")),
-               DescriptorError);
+  EXPECT_THROW(
+      workload::LoopWorkload(rig.vm(), par, sim::Rng(1), &reg.rate("r")),
+      DescriptorError);
 }
 
 TEST(DescriptorTest, MinimizerPreservesTheFailurePredicate) {

@@ -32,7 +32,6 @@ class ScriptWorkload : public virt::Workload {
     return script_[step_++];
   }
   double cache_sensitivity() const override { return sens_; }
-  std::string name() const override { return "script"; }
 
   std::size_t steps_taken() const { return step_; }
   const std::vector<std::size_t>& trace() const { return on_step_; }
@@ -62,6 +61,10 @@ struct Rig {
                                "vm" + std::to_string(platform->vm_count()),
                                vcpus);
   }
+
+  /// Node 0's driver domain: binds events that VCPUs of several VMs (or
+  /// none) wait on.
+  virt::Vm& dom0() { return *platform->nodes()[0]->dom0(); }
 
   void start() {
     for (auto& node : platform->nodes()) {
@@ -124,7 +127,7 @@ TEST(EngineTest, VcpuWithoutWorkloadNeverRuns) {
 TEST(EngineTest, SpinWaitBurnsCpuUntilSignal) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(vm);
   ScriptWorkload w({Action::spin_wait(ev), Action::compute(1_ms)});
   vm.vcpus()[0].set_workload(&w);
   rig.start();
@@ -139,7 +142,7 @@ TEST(EngineTest, SpinWaitBurnsCpuUntilSignal) {
 TEST(EngineTest, SpinOnSignalledEventIsZeroLatencyEpisode) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(vm);
   ev.signal();
   ScriptWorkload w({Action::spin_wait(ev)});
   vm.vcpus()[0].set_workload(&w);
@@ -156,7 +159,7 @@ TEST(EngineTest, DescheduledSpinnerObservesSignalOnlyAtDispatch) {
   Rig rig(1, 1, exact_params());
   virt::Vm& spin_vm = rig.vm(0, 1);
   virt::Vm& hog_vm = rig.vm(0, 1);
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(spin_vm);
   ScriptWorkload spinner({Action::spin_wait(ev)});
   ScriptWorkload hog({Action::compute(300_ms)});
   spin_vm.vcpus()[0].set_workload(&spinner);
@@ -173,7 +176,7 @@ TEST(EngineTest, DescheduledSpinnerObservesSignalOnlyAtDispatch) {
 TEST(EngineTest, BlockWaitHaltsAndWakes) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(vm);
   ScriptWorkload w({Action::block_wait(ev), Action::compute(2_ms)});
   vm.vcpus()[0].set_workload(&w);
   rig.start();
@@ -190,7 +193,7 @@ TEST(EngineTest, BlockWaitHaltsAndWakes) {
 TEST(EngineTest, BlockWakeCountsAsWakeup) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(vm);
   ScriptWorkload w({Action::block_wait(ev)});
   vm.vcpus()[0].set_workload(&w);
   rig.start();
@@ -225,7 +228,7 @@ TEST(EngineTest, DepositToRunningVmIsImmediate) {
 TEST(EngineTest, DepositToBlockedVmWakesAndDrainsOnDispatch) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
-  virt::SyncEvent never(rig.platform->engine());
+  virt::SyncEvent never(vm);
   ScriptWorkload w({Action::block_wait(never)});
   vm.vcpus()[0].set_workload(&w);
   rig.start();
@@ -245,7 +248,7 @@ TEST(EngineTest, DepositToDescheduledVmWaitsForDispatch) {
   Rig rig(1, 1, exact_params());
   virt::Vm& spin_vm = rig.vm(0, 1);
   virt::Vm& hog_vm = rig.vm(0, 1);
-  virt::SyncEvent never(rig.platform->engine());
+  virt::SyncEvent never(spin_vm);
   ScriptWorkload spinner({Action::spin_wait(never)});
   ScriptWorkload hog({Action::compute(300_ms)});
   spin_vm.vcpus()[0].set_workload(&spinner);
@@ -417,7 +420,7 @@ TEST(EngineTest, TwoIdenticalRunsAreDeterministic) {
 
 TEST(SyncEventTest, SignalIsIdempotent) {
   Rig rig(1);
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(rig.dom0());
   EXPECT_FALSE(ev.signalled());
   ev.signal();
   EXPECT_TRUE(ev.signalled());
@@ -449,7 +452,7 @@ TEST(SyncEventTest, WaitersWakeInRegistrationOrder) {
   // Three single-VCPU VMs on three PCPUs reach the same spin barrier at 3,
   // 1 and 2 ms: registration order is vm1, vm2, vm0 — not creation order.
   Rig rig(3, 1, exact_params());
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(rig.dom0());
   std::vector<int> resumed;
   std::vector<std::unique_ptr<ResumeLogWorkload>> ws;
   const sim::SimTime arrive[3] = {3_ms, 1_ms, 2_ms};
@@ -497,8 +500,8 @@ TEST(SyncEventTest, ReleasedSpinnerMayWaitOnAnotherEventReentrantly) {
   // list while `first`'s detached list is still being walked.  vm1, behind
   // it in that list, must still be released.
   Rig rig(2, 1, exact_params());
-  virt::SyncEvent first(rig.platform->engine());
-  virt::SyncEvent second(rig.platform->engine());
+  virt::SyncEvent first(rig.dom0());
+  virt::SyncEvent second(rig.dom0());
   virt::Vm& a = rig.vm(0, 1);
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(1_ms), Action::spin_wait(first),
@@ -528,7 +531,7 @@ TEST(SyncEventTest, ReleasedSpinnerMayWaitOnAnotherEventReentrantly) {
 
 TEST(SyncEventTest, SignalWithNoWaiters) {
   Rig rig(1);
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(rig.dom0());
 #if ATCSIM_TRACE_ENABLED
   obs::TraceSink sink;
   rig.simulation.set_trace(&sink);
@@ -551,8 +554,8 @@ TEST(SyncEventTest, ResetAfterEveryWaiterProceededRearmsTheEvent) {
   // Two blocked waiters are released, run on, and block on the same event
   // again after the owner reset it: the second signal must wake both.
   Rig rig(2, 1, exact_params());
-  virt::SyncEvent ev(rig.platform->engine());
   virt::Vm& vm = rig.vm(0, 2);
+  virt::SyncEvent ev(vm);
   ScriptWorkload w0({Action::block_wait(ev), Action::compute(2_ms),
                      Action::block_wait(ev), Action::compute(1_ms)});
   ScriptWorkload w1({Action::block_wait(ev), Action::compute(2_ms),
@@ -578,10 +581,43 @@ TEST(SyncEventTest, ResetAfterEveryWaiterProceededRearmsTheEvent) {
   EXPECT_EQ(vm.period().wakeups, 4u);
 }
 
+TEST(SyncEventTest, EventFollowsItsVmToAnotherPlatform) {
+  // The event names its VM, not an engine: after the VM moves to another
+  // platform (here another simulation), a signal wakes it there, and it
+  // finishes on the destination's PCPU.
+  Rig src(1, 1, exact_params());
+  Rig dst(1, 1, exact_params());
+  virt::Vm& vm = src.vm(0, 1);
+  virt::SyncEvent ev(vm);
+  ScriptWorkload w({Action::block_wait(ev), Action::compute(1_ms)});
+  vm.vcpus()[0].set_workload(&w);
+  src.start();
+  dst.start();
+  src.simulation.run_until(1_ms);
+  ASSERT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
+  ASSERT_EQ(ev.first_waiter(), &vm.vcpus()[0]);
+
+  auto bundle = src.platform->engine().pause_and_expel(vm, 0, 2_ms);
+  dst.simulation.run_until(2_ms);
+  virt::Vm& moved =
+      dst.platform->engine().adopt_and_resume(*bundle, virt::NodeId{0});
+  ASSERT_EQ(&moved, &vm);
+  dst.simulation.run_until(3_ms);  // past the adoption's own dispatch
+  ASSERT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
+
+  ev.signal();
+  dst.simulation.run_until(1_s);
+  EXPECT_EQ(w.steps_taken(), 2u);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kDone);
+  EXPECT_EQ(dst.platform->node(virt::NodeId{0}).pcpus()[0].totals().busy,
+            1_ms);
+  EXPECT_EQ(src.platform->node(virt::NodeId{0}).pcpus()[0].totals().busy, 0);
+}
+
 TEST(VmTest, FirstBlockedAndAnyRunning) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 2);
-  virt::SyncEvent never(rig.platform->engine());
+  virt::SyncEvent never(vm);
   ScriptWorkload w0({Action::block_wait(never)});
   ScriptWorkload w1({Action::compute(50_ms)});
   vm.vcpus()[0].set_workload(&w0);

@@ -63,7 +63,7 @@ struct ClsRig {
     virt::Vm& vm = platform->create_vm(virt::NodeId{0},
                                        virt::VmType::kNonParallel, "cpu", 1);
     workloads.push_back(std::make_unique<workload::LoopWorkload>(
-        *network, vm, workload::cpu_descriptor("gcc"), sim::Rng(2), nullptr));
+        vm, workload::cpu_descriptor("gcc"), sim::Rng(2), nullptr));
     vm.vcpus()[0].set_workload(workloads.back().get());
     return vm;
   }
@@ -147,7 +147,7 @@ TEST(AtcAdaptiveNonParallelTest, LatencySensitiveVmGetsShortSlice) {
       s.add_loop_vm(1, workload::cpu_descriptor("gcc"), "gcc");  // never
   s.start();
   s.run_for(2_s);
-  EXPECT_EQ(web.time_slice(), s.config().atc.latency_sensitive_slice);
+  EXPECT_EQ(web.time_slice(), atc::AtcController::kLatencySensitiveSlice);
   EXPECT_EQ(cpu.time_slice(), s.config().atc.default_slice);
 }
 
@@ -159,7 +159,6 @@ class HogWorkload : public virt::Workload {
     return virt::Action::compute(5_ms);
   }
   double cache_sensitivity() const override { return 0.0; }
-  std::string name() const override { return "hog"; }
 };
 
 struct HogRig {

@@ -39,7 +39,6 @@ class BusyWorkload : public virt::Workload {
     return virt::Action::compute(1_ms);
   }
   double cache_sensitivity() const override { return 0.0; }
-  std::string name() const override { return "busy"; }
 };
 
 // One guest VM per node; node i streams messages to node (i + 1) % nodes,

@@ -24,7 +24,6 @@ class BusyWorkload : public virt::Workload {
  public:
   Action next(Vcpu&) override { return Action::compute(1_ms); }
   double cache_sensitivity() const override { return 0.0; }
-  std::string name() const override { return "busy"; }
 };
 
 struct NetRig {

@@ -39,7 +39,6 @@ class BusyWorkload : public virt::Workload {
     return virt::Action::compute(1_ms);
   }
   double cache_sensitivity() const override { return 0.0; }
-  std::string name() const override { return "busy"; }
 };
 
 /// Minimal shard executor over one Simulation + fabric port — the same

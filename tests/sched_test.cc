@@ -28,7 +28,6 @@ class LoopWorkload : public virt::Workload {
       : chunk_(chunk), sens_(sens) {}
   Action next(Vcpu&) override { return Action::compute(chunk_); }
   double cache_sensitivity() const override { return sens_; }
-  std::string name() const override { return "loop"; }
 
  private:
   sim::SimTime chunk_;
@@ -37,16 +36,13 @@ class LoopWorkload : public virt::Workload {
 
 class SpinForeverWorkload : public virt::Workload {
  public:
-  explicit SpinForeverWorkload(virt::Engine& engine) : engine_(&engine) {}
-  Action next(Vcpu&) override {
-    ev_ = std::make_unique<virt::SyncEvent>(*engine_);
+  Action next(Vcpu& self) override {
+    ev_ = std::make_unique<virt::SyncEvent>(self.vm());
     return Action::spin_wait(*ev_);
   }
   double cache_sensitivity() const override { return 0.0; }
-  std::string name() const override { return "spin"; }
 
  private:
-  virt::Engine* engine_;
   std::unique_ptr<virt::SyncEvent> ev_;
 };
 
@@ -80,8 +76,7 @@ struct SchedRig {
         virt::NodeId{0}, VmType::kParallel,
         "spin" + std::to_string(platform->vm_count()), vcpus);
     for (auto& v : vm.vcpus()) {
-      workloads.push_back(
-          std::make_unique<SpinForeverWorkload>(platform->engine()));
+      workloads.push_back(std::make_unique<SpinForeverWorkload>());
       v.set_workload(workloads.back().get());
     }
     return vm;
@@ -298,7 +293,7 @@ TEST(MonitorTest, SpanningEpisodeConservesPeriodAndTotalSpin) {
   SchedRig rig(1, params);
   virt::Vm& vm = rig.platform->create_vm(virt::NodeId{0}, VmType::kParallel,
                                          "spanner", 1);
-  virt::SyncEvent ev(rig.platform->engine());
+  virt::SyncEvent ev(vm);
   class OneSpinWorkload : public virt::Workload {
    public:
     explicit OneSpinWorkload(virt::SyncEvent& ev) : ev_(&ev) {}
@@ -308,7 +303,6 @@ TEST(MonitorTest, SpanningEpisodeConservesPeriodAndTotalSpin) {
       return Action::spin_wait(*ev_);
     }
     double cache_sensitivity() const override { return 0.0; }
-    std::string name() const override { return "one-spin"; }
 
    private:
     virt::SyncEvent* ev_;

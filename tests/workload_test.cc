@@ -181,7 +181,7 @@ TEST(CpuWorkloadTest, CountsCompletedWork) {
   WlRig rig;
   virt::Vm& vm = rig.vm(0, 1, virt::VmType::kNonParallel);
   rig.workloads.push_back(std::make_unique<workload::LoopWorkload>(
-      *rig.network, vm, workload::cpu_descriptor("sphinx3"), sim::Rng(4),
+      vm, workload::cpu_descriptor("sphinx3"), sim::Rng(4),
       &rig.metrics.rate("cpu")));
   vm.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
@@ -201,11 +201,10 @@ TEST(PingTest, RecordsRoundTrips) {
   virt::Vm& pinger = rig.vm(0, 1, virt::VmType::kNonParallel);
   virt::Vm& peer = rig.vm(1, 1, virt::VmType::kNonParallel);
   auto& rtt = rig.metrics.latency("rtt");
-  rig.workloads.push_back(std::make_unique<workload::PingWorkload>(
-      *rig.network, pinger, peer, &rtt));
-  pinger.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.workloads.push_back(
-      std::make_unique<workload::IdleServerWorkload>(rig.platform->engine()));
+      std::make_unique<workload::PingWorkload>(pinger, peer, &rtt));
+  pinger.vcpus()[0].set_workload(rig.workloads.back().get());
+  rig.workloads.push_back(std::make_unique<workload::IdleServerWorkload>());
   peer.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(1_s);
@@ -220,11 +219,10 @@ TEST(PingTest, RttGrowsWhenPeerContended) {
     virt::Vm& pinger = rig.vm(0, 1, virt::VmType::kNonParallel);
     virt::Vm& peer = rig.vm(1, 1, virt::VmType::kNonParallel);
     auto& rtt = rig.metrics.latency("rtt");
-    rig.workloads.push_back(std::make_unique<workload::PingWorkload>(
-        *rig.network, pinger, peer, &rtt));
+    rig.workloads.push_back(
+        std::make_unique<workload::PingWorkload>(pinger, peer, &rtt));
     pinger.vcpus()[0].set_workload(rig.workloads.back().get());
-    rig.workloads.push_back(std::make_unique<workload::IdleServerWorkload>(
-        rig.platform->engine()));
+    rig.workloads.push_back(std::make_unique<workload::IdleServerWorkload>());
     peer.vcpus()[0].set_workload(rig.workloads.back().get());
     if (contended) {
       // A spinning co-tenant on the peer's node delays its scheduling.
@@ -247,8 +245,7 @@ TEST(DiskWorkloadTest, ThroughputBoundedByDiskBandwidth) {
   WlRig rig;
   virt::Vm& vm = rig.vm(0, 1, virt::VmType::kNonParallel);
   auto& mb = rig.metrics.rate("disk");
-  rig.workloads.push_back(std::make_unique<workload::DiskWorkload>(
-      *rig.network, vm, &mb));
+  rig.workloads.push_back(std::make_unique<workload::DiskWorkload>(vm, &mb));
   vm.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(3_s);
@@ -262,11 +259,10 @@ TEST(WebTest, ServerAnswersOpenLoopClients) {
   WlRig rig;
   virt::Vm& vm = rig.vm(0, 1, virt::VmType::kNonParallel);
   auto& resp = rig.metrics.latency("resp");
-  auto server = std::make_unique<workload::WebServerWorkload>(
-      *rig.network, vm, &resp, sim::Rng(9));
+  auto server =
+      std::make_unique<workload::WebServerWorkload>(vm, &resp, sim::Rng(9));
   vm.vcpus()[0].set_workload(server.get());
-  workload::HttperfClient client(*rig.network, vm, *server, 100.0,
-                                 sim::Rng(10));
+  workload::HttperfClient client(vm, *server, 100.0, sim::Rng(10));
   rig.workloads.push_back(std::move(server));
   client.start();
   rig.start();
