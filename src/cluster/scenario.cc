@@ -103,29 +103,18 @@ Scenario::Scenario(ScenarioConfig config)
     }
   }
 
-  // Cluster control plane: every shard carries a full directory replica and
-  // a migration manager.  Unsharded runs get them too (the directory is
-  // behaviorally inert for static VMs, and scripted migrations then work at
-  // any shard count).
+  // Cluster control plane: every shard's network carries a full directory
+  // replica, and every shard a migration manager.  Unsharded runs get them
+  // too (the directory is behaviorally inert for static VMs, and scripted
+  // migrations then work at any shard count).
   std::vector<std::int32_t> node_shard;
   node_shard.reserve(static_cast<std::size_t>(config_.nodes));
   for (int n = 0; n < config_.nodes; ++n) {
     node_shard.push_back(static_cast<std::int32_t>(shard_of_node(n)));
   }
-  for (int k = 0; k < shards; ++k) {
-    auto& stack = *stacks_[static_cast<std::size_t>(k)];
-    stack.directory = std::make_unique<virt::LocationDirectory>();
-    stack.network->set_directory(stack.directory.get());
-    control::Migrator::Context mc;
-    mc.platform = stack.platform.get();
-    mc.network = stack.network.get();
-    mc.directory = stack.directory.get();
-    mc.fabric = fabric_.get();
-    mc.shard = k;
-    mc.total_shards = shards;
-    mc.node_shard = node_shard;
-    stack.migrator = std::make_unique<control::Migrator>(std::move(mc));
-    stack.migrator->install();
+  for (auto& stack : stacks_) {
+    stack->migrator =
+        std::make_unique<control::Migrator>(*stack->network, node_shard);
   }
 }
 
@@ -156,7 +145,7 @@ void Scenario::register_vm(virt::Vm& vm, int node) {
   vm.set_global_id(gid);
   const auto shard = static_cast<std::int32_t>(shard_of_node(node));
   for (auto& stack : stacks_) {
-    stack->directory->register_vm(gid, shard, node);
+    stack->network->directory().register_vm(gid, shard, node);
   }
 }
 
@@ -363,13 +352,14 @@ void Scenario::schedule_migration(virt::Vm& vm, SimTime at, int dest_node) {
   const int k = shard_of_node(src_node);
   ShardStack* stack = &this->stack(k);
   virt::Vm* vmp = &vm;
-  // The order reaches the shard's directory and migrator through its
+  // The order reaches the shard's network and migrator through its
   // heap-stable stack, which keeps the capture within InlineCallback's
   // 24 bytes; the VM's global id is written once, at registration.
   stack->simulation.call_at(at, [stack, vmp, k, dest_node] {
     // Skip silently if the VM moved off this shard in the meantime, is in
     // transit, became unmigratable, or already sits on the target.
-    const virt::VmLocation& loc = stack->directory->at(vmp->global_id());
+    const virt::VmLocation& loc =
+        stack->network->directory().at(vmp->global_id());
     if (loc.shard != k || loc.node_global == dest_node) return;
     if (!stack->migrator->can_migrate(*vmp)) return;
     stack->migrator->migrate(*vmp, dest_node);

@@ -148,7 +148,6 @@ class Scenario {
 
   virt::Platform& platform(int shard) { return *stack(shard).platform; }
   sim::Simulation& simulation(int shard) { return stack(shard).simulation; }
-  net::VirtualNetwork& network(int shard) { return *stack(shard).network; }
 
   /// Controllers installed by start() on shard 0 (per-shard runtimes exist
   /// for every shard; the Scenario owns them all for its whole lifetime).
@@ -162,9 +161,9 @@ class Scenario {
   control::Migrator& migrator(int shard = 0) {
     return *stack(shard).migrator;
   }
-  /// Shard `shard`'s VM location directory (always present).
+  /// Shard `shard`'s VM location directory replica (its network's).
   const virt::LocationDirectory& directory(int shard = 0) {
-    return *stack(shard).directory;
+    return stack(shard).network->directory();
   }
   /// Round synchronizer; nullptr until start(), and in unsharded runs.
   const sim::ShardGroup* shard_group() const { return group_.get(); }
@@ -199,8 +198,6 @@ class Scenario {
     std::unique_ptr<sync::PeriodMonitor> monitor;
     std::unique_ptr<obs::TraceSink> trace_sink;
     std::unique_ptr<obs::InvariantChecker> invariants;
-    /// Every shard's replica maps every guest gid (cluster control plane).
-    std::unique_ptr<virt::LocationDirectory> directory;
     std::unique_ptr<control::Migrator> migrator;
     ApproachRuntime runtime;
     int first_node = 0;  ///< global id of this shard's first node
@@ -218,7 +215,7 @@ class Scenario {
   virt::Platform& platform_of_node(int node);
   virt::NodeId local_node_id(int node) const;
   /// Assigns the next global id to `vm` (hosted on global node `node`) and
-  /// registers it in every shard's location directory.
+  /// registers it in every shard's location directory replica.
   void register_vm(virt::Vm& vm, int node);
 
   ScenarioConfig config_;

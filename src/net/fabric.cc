@@ -41,35 +41,35 @@ void ShardFabric::bind(int shard, VirtualNetwork& net) {
   net.bind_fabric(this, shard);
 }
 
+void ShardFabric::stage(int src_shard, int dst_shard, RemotePacket&& rec) {
+  Box& b = box(src_shard, dst_shard);
+  rec.src = src_shard;
+  rec.seq = b.next_seq++;
+  b.staged_min = std::min(b.staged_min, rec.due);
+  b.staged.push_back(std::move(rec));
+  ++posted_[static_cast<std::size_t>(src_shard)];
+}
+
 void ShardFabric::post_packet(int src_shard, int dst_shard, virt::Vm& dst,
                               std::int32_t dst_node_global, sim::SimTime due,
                               std::uint64_t bytes, sim::InlineCallback done) {
   assert(dst_shard != src_shard && "local packets never enter the fabric");
-  Box& b = box(src_shard, dst_shard);
   RemotePacket pkt;
   pkt.due = due;
   pkt.dst = &dst;
   pkt.bytes = bytes;
-  pkt.src = src_shard;
-  pkt.seq = b.next_seq++;
-  pkt.done = std::move(done);
   pkt.dst_node_global = dst_node_global;
-  b.staged.push_back(std::move(pkt));
-  b.staged_min = std::min(b.staged_min, due);
-  ++posted_[static_cast<std::size_t>(src_shard)];
+  pkt.done = std::move(done);
+  stage(src_shard, dst_shard, std::move(pkt));
 }
 
-void ShardFabric::post_control(int src_shard, int dst_shard,
-                               RemotePacket&& rec) {
-  assert(dst_shard != src_shard && "control records are cross-shard only");
-  assert(rec.kind != Kind::kPacket && "use post_packet for the data plane");
-  Box& b = box(src_shard, dst_shard);
-  rec.src = src_shard;
-  rec.seq = b.next_seq++;
-  const sim::SimTime due = rec.due;
-  b.staged.push_back(std::move(rec));
-  b.staged_min = std::min(b.staged_min, due);
-  ++posted_[static_cast<std::size_t>(src_shard)];
+void ShardFabric::post_call(int src_shard, int dst_shard, sim::SimTime due,
+                            sim::InlineCallback fn) {
+  assert(dst_shard != src_shard && "a local call is Simulation::call_at");
+  RemotePacket call;
+  call.due = due;
+  call.done = std::move(fn);
+  stage(src_shard, dst_shard, std::move(call));
 }
 
 void ShardFabric::seal_round() {

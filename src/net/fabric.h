@@ -1,28 +1,32 @@
-// Cross-shard packet fabric for sharded (conservative PDES) runs.
+// Cross-shard fabric for sharded (conservative PDES) runs.
 //
-// One ShardFabric spans all shards of a scenario.  During a round's fused
-// phase, a shard whose guest sends to a VM owned by another shard serializes
-// the packet through its own NIC as usual and then posts a RemotePacket —
+// One ShardFabric spans all shards of a scenario and carries two things in
+// one record type: packets and calls.  During a round's fused phase, a
+// shard whose guest sends to a VM owned by another shard serializes the
+// packet through its own NIC as usual and then posts a RemotePacket —
 // {due time, destination VM, bytes, completion} — into the (src, dst)
-// staging box.  Between phases the round coordinator *seals* the staged
-// packets (seal_round) into one ready queue per destination shard, kept
-// sorted by the canonical key (due, source shard, per-channel FIFO seq).
-// During its next fused phase the destination drains the queue in batches,
-// one per distinct due time, each only after its local clock has consumed
-// every event at or before that due (ShardExec::advance_to's interleave;
+// staging box.  A call is a record with no destination VM: the destination
+// shard runs its callback as a local event at the due time (the migration
+// control plane moves VMs and settles directory replicas this way).
+// Between phases the round coordinator *seals* the staged records
+// (seal_round) into one ready queue per destination shard, kept sorted by
+// the canonical key (due, source shard, per-channel FIFO seq).  During its
+// next fused phase the destination drains the queue in batches, one per
+// distinct due time, each only after its local clock has consumed every
+// event at or before that due (ShardExec::advance_to's interleave;
 // deliver_to's watermark).
 //
 // The watermark + canonical key are what make sharded runs deterministic
 // and *round-structure independent*: horizon safety guarantees that every
-// packet due at or before a shard's horizon has already been posted when
+// record due at or before a shard's horizon has already been posted when
 // that round's delivery runs, so the sequence of receive_remote calls a
 // destination observes is globally sorted by (due, src, seq) — a pure
-// function of the packet population, identical no matter how rounds are
+// function of the record population, identical no matter how rounds are
 // batched or how many worker threads run them (DESIGN.md §10).
 //
 // Concurrency: a staging box (s, d) is written only by shard s's worker
 // during a fused phase; ready queue d is read only by shard d's worker.
-// The coordinator moves packets from boxes to queues strictly between
+// The coordinator moves records from boxes to queues strictly between
 // phases, and the ShardGroup barrier publishes the moves.  Boxes and
 // queues keep their high-water capacity (cold-start size: the constructor's
 // mailbox_slots) and sealing sorts in place, so steady-state exchange
@@ -30,54 +34,37 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "simcore/inline_callback.h"
 #include "simcore/time.h"
-#include "virt/migration.h"
 
 namespace atcsim {
+namespace virt {
+class Vm;
+}  // namespace virt
 namespace net {
 
 class VirtualNetwork;
 
 class ShardFabric {
  public:
-  /// Record kinds carried over the fabric.  Packets are the data plane;
-  /// VM transfers and location updates are the migration control plane and
-  /// share the per-channel FIFO seq with packets, so the canonical
-  /// (due, src, seq) delivery order totally orders control against data.
-  enum class Kind : std::uint8_t {
-    kPacket,          ///< a guest packet due at the destination NIC
-    kVmTransfer,      ///< a migrating VM (RemotePacket::bundle)
-    kLocationUpdate,  ///< "guest vm_gid lives at (a_shard, a_node) from due"
-  };
-
-  /// A packet in flight between shards: it has already paid the source-side
-  /// guest/dom0/NIC costs and is due at the destination NIC at `due`
-  /// (>= send time + wire latency, which is the PDES lookahead).  `src` and
-  /// `seq` (assigned at post time) make the delivery order canonical.
+  /// A record in flight between shards, due at the destination at `due`
+  /// (>= post time + wire latency, which is the PDES lookahead).  A packet
+  /// has already paid the source-side guest/dom0/NIC costs and is due at
+  /// the destination NIC; a call (`dst == nullptr`) runs `done` on the
+  /// destination shard at `due`.  `src` and `seq` (assigned at post time)
+  /// make the delivery order canonical.
   struct RemotePacket {
     sim::SimTime due = 0;
-    virt::Vm* dst = nullptr;
+    virt::Vm* dst = nullptr;  ///< destination VM; nullptr = a call
     std::uint64_t bytes = 0;
     std::int32_t src = 0;     ///< source shard
+    /// Destination *global* node id, resolved from the sender's location
+    /// directory at post time (packets only).
+    std::int32_t dst_node_global = -1;
     std::uint64_t seq = 0;    ///< FIFO index within the (src, dst) channel
     sim::InlineCallback done;
-    Kind kind = Kind::kPacket;
-    /// kPacket: destination *global* node id, resolved from the sender's
-    /// location directory at post time.
-    /// kLocationUpdate: the guest's new global node id.
-    std::int32_t dst_node_global = -1;
-    /// kVmTransfer / kLocationUpdate: the migrating guest's global id.
-    std::int64_t vm_gid = -1;
-    /// kLocationUpdate: the guest's new shard.
-    std::int32_t new_shard = -1;
-    /// kVmTransfer: the migrating VM.  The record owns it until the
-    /// destination shard's control handler takes it, so a run that ends
-    /// with the record in flight frees it with the fabric.
-    std::unique_ptr<virt::MigrationBundle> bundle;
   };
 
   ShardFabric(int shards, std::size_t mailbox_slots);
@@ -99,36 +86,39 @@ class ShardFabric {
                    std::int32_t dst_node_global, sim::SimTime due,
                    std::uint64_t bytes, sim::InlineCallback done);
 
-  /// Migration control plane: posts a kVmTransfer / kLocationUpdate record
-  /// (fields beyond due/src/seq already filled in by the caller) to
-  /// `dst_shard`'s box.  Shares the channel seq with packets.
-  void post_control(int src_shard, int dst_shard, RemotePacket&& rec);
+  /// Posts a call: `fn` runs on `dst_shard` as a local event at `due`.
+  /// Shares the channel seq with packets, so calls and packets keep one
+  /// canonical (due, src, seq) order.  A record that is never delivered
+  /// (the run ends first) is destroyed with the fabric, and with it
+  /// whatever `fn` owns.
+  void post_call(int src_shard, int dst_shard, sim::SimTime due,
+                 sim::InlineCallback fn);
 
-  /// Moves every packet staged during the last phase into its destination's
+  /// Moves every record staged during the last phase into its destination's
   /// ready queue and restores the queues' canonical (due, src, seq) order.
   /// Call single-threaded between rounds (ShardGroup::Options::
   /// round_prologue); the group barrier publishes the moves.
   void seal_round();
 
-  /// Hands every sealed packet for `dst_shard` with due <= `watermark` to
-  /// that shard's network, in canonical (due, src, seq) order.  Packets due
+  /// Hands every sealed record for `dst_shard` with due <= `watermark` to
+  /// that shard's network, in canonical (due, src, seq) order.  Records due
   /// later stay queued — delivering them early would tie their event-queue
   /// insertion order (and same-timestamp tie-breaks against local events)
   /// to the round structure.  Caller is the destination shard's worker
   /// inside its fused phase, with `watermark` = the batch's due time, after
   /// running local events up to it (ShardExec::advance_to); the final drain
-  /// after the exit check passes kTimeNever (every remaining packet is due
+  /// after the exit check passes kTimeNever (every remaining record is due
   /// beyond the deadline, so the canonical order is preserved).
   void deliver_to(int dst_shard, sim::SimTime watermark);
 
-  /// Earliest due time over packets posted to `dst_shard` but not yet
+  /// Earliest due time over records posted to `dst_shard` but not yet
   /// delivered — staged or sealed-but-beyond-watermark — or kTimeNever.
   /// The synchronizer folds this into the shard's next-event time so the
   /// round plan sees work that delivery has not surfaced yet.  Call only
   /// between phases.
   sim::SimTime pending_due(int dst_shard) const;
 
-  /// Earliest due time over *sealed* packets for `dst_shard`, or
+  /// Earliest due time over *sealed* records for `dst_shard`, or
   /// kTimeNever.  Unlike pending_due this is safe from the destination
   /// shard's worker during a fused phase: the ready queue is owned by that
   /// worker, while the staging boxes it must not look at are being written
@@ -136,6 +126,10 @@ class ShardFabric {
   sim::SimTime ready_due(int dst_shard) const;
 
   int shards() const { return shards_; }
+  /// Shard `shard`'s network (bound by bind()).
+  VirtualNetwork& network(int shard) {
+    return *nets_[static_cast<std::size_t>(shard)];
+  }
   /// Totals across shards.  Call only while no round is in flight (the
   /// per-shard counters below are owned by the shard workers).
   std::uint64_t posted() const;
@@ -150,11 +144,15 @@ class ShardFabric {
     std::uint64_t next_seq = 0;  ///< FIFO counter; never reset
   };
 
-  /// One destination's sealed packets, sorted descending by the canonical
-  /// key so delivery pops ready packets off the back.
+  /// One destination's sealed records, sorted descending by the canonical
+  /// key so delivery pops ready records off the back.
   struct ReadyQueue {
     std::vector<RemotePacket> q;
   };
+
+  /// Stamps `rec` with its channel's next seq and stages it in the
+  /// (src, dst) box.
+  void stage(int src_shard, int dst_shard, RemotePacket&& rec);
 
   Box& box(int src, int dst) {
     return boxes_[static_cast<std::size_t>(src) *

@@ -224,8 +224,8 @@ void VirtualNetwork::tx_effect(PacketRef r) {
     const std::uint64_t bytes = p.bytes;
     // Re-resolve at post time: the guest may have migrated while the tx
     // job sat in the dom0 ring.  (send() marks only registered guests
-    // remote, so the directory is there.)
-    const virt::VmLocation& loc = directory_->at(dst->global_id());
+    // remote.)
+    const virt::VmLocation& loc = directory_.at(dst->global_id());
     if (loc.shard == shard_) {
       // It moved *onto* this shard — the wire hop stays local after all,
       // at the same arrival time a fabric round trip would have produced.
@@ -241,18 +241,14 @@ void VirtualNetwork::tx_effect(PacketRef r) {
 }
 
 void VirtualNetwork::receive_remote(ShardFabric::RemotePacket& pkt) {
-  // Lookahead safety: a remote packet is delivered at its canonical point —
+  // Lookahead safety: a remote record is delivered at its canonical point —
   // after every local event at or before its due time — so the clock is at
   // most pkt.due here, with equality the common case (ShardExec::advance_to
   // runs local events up to the due time before delivering the batch).
   assert(pkt.due >= simulation().now() &&
-         "cross-shard packet due in the past: lookahead violated");
-  if (pkt.kind != ShardFabric::Kind::kPacket) {
-    // Migration control plane: hand the record to the shard's Migrator.
-    // Control records ride the same canonical (due, src, seq) order as
-    // packets, so the handoff point is deterministic.
-    assert(control_handler_ && "control record arrived with no handler");
-    control_handler_(pkt);
+         "cross-shard record due in the past: lookahead violated");
+  if (pkt.dst == nullptr) {
+    simulation().call_at(pkt.due, std::move(pkt.done));
     return;
   }
   // Packets carry the global node the sender's directory resolved.
@@ -290,8 +286,8 @@ void VirtualNetwork::enqueue_rx(PacketRef r) {
 
 void VirtualNetwork::deliver(PacketRef r) {
   Packet& p = desc(r);
-  if (directory_ != nullptr && p.dst->global_id() >= 0) {
-    const virt::VmLocation& loc = directory_->at(p.dst->global_id());
+  if (p.dst->global_id() >= 0) {
+    const virt::VmLocation& loc = directory_.at(p.dst->global_id());
     const bool in_transit = simulation().now() < loc.moving_until;
     const std::int32_t target_node =
         in_transit ? loc.dest_node_global : loc.node_global;
@@ -312,8 +308,8 @@ void VirtualNetwork::deliver(PacketRef r) {
 
 void VirtualNetwork::forward_effect(PacketRef r) {
   Packet& p = desc(r);
-  assert(directory_ != nullptr && p.dst->global_id() >= 0);
-  const virt::VmLocation& loc = directory_->at(p.dst->global_id());
+  assert(p.dst->global_id() >= 0);
+  const virt::VmLocation& loc = directory_.at(p.dst->global_id());
   const sim::SimTime now = simulation().now();
   const bool in_transit = now < loc.moving_until;
   const std::int32_t target_shard = in_transit ? loc.dest_shard : loc.shard;
@@ -398,16 +394,16 @@ void VirtualNetwork::send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
                          src.node().id().value, &src,
                          static_cast<std::int64_t>(bytes), dst.id().value));
   std::int32_t dst_node;
-  if (directory_ != nullptr && dst.global_id() >= 0) {
+  if (dst.global_id() >= 0) {
     // Route by the registered location, not dst's current platform
     // pointers: during a migration's copy phase the directory still points
     // at the source node, whose dom0 forwards anything that lands there.
-    const virt::VmLocation& loc = directory_->at(dst.global_id());
+    const virt::VmLocation& loc = directory_.at(dst.global_id());
     dst_node = loc.shard != shard_ ? kRemoteNode
                                    : loc.node_global - node_id_offset();
   } else {
     assert(&dst.node().platform() == platform_ &&
-           "cross-shard destinations need a location-directory entry");
+           "cross-shard destinations need a global id");
     dst_node = dst.node().index();
   }
   const PacketRef r = acquire(bytes, &dst, src.node().index(), dst_node,

@@ -22,7 +22,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -98,31 +97,24 @@ class VirtualNetwork {
     shard_ = shard;
   }
 
-  /// Accepts a packet posted by another shard: acquires a local descriptor
-  /// and schedules the destination NIC rx leg at the packet's due time.
-  /// Runs between rounds; `pkt.due` is strictly ahead of the local clock
-  /// (the lookahead guarantee), which the assert inside enforces.
-  /// Migration control records (kVmTransfer / kLocationUpdate) are handed to
-  /// the installed control handler instead.
+  /// Accepts a record posted by another shard.  A packet acquires a local
+  /// descriptor and schedules the destination NIC rx leg at its due time;
+  /// a call (no destination VM) is scheduled as a local event at its due
+  /// time.  `pkt.due` is never behind the local clock (the lookahead
+  /// guarantee), which the assert inside enforces.
   void receive_remote(ShardFabric::RemotePacket& pkt);
 
-  /// Installs the cluster location directory.  With a directory, send()
-  /// routes by the destination VM's *registered* global location rather than
-  /// its current platform pointers — the only safe source of truth once VMs
-  /// migrate.  Only registered guests can be reached across shards; a
-  /// guest without a global id (dom0, externals), or any guest when no
-  /// directory is installed, must live on this network's platform.
-  void set_directory(virt::LocationDirectory* directory) {
-    directory_ = directory;
-  }
-  virt::LocationDirectory* directory() { return directory_; }
+  /// This shard's replica of the cluster location directory.  send()
+  /// routes a guest with a global id by its *registered* location rather
+  /// than its current platform pointers — the only safe source of truth
+  /// once VMs migrate — so every such guest must be registered here.  A
+  /// guest without a global id (dom0, VMs built outside a Scenario) must
+  /// live on this network's platform.
+  virt::LocationDirectory& directory() { return directory_; }
 
-  /// Receiver for migration control records arriving over the fabric
-  /// (installed by the shard's Migrator).
-  using ControlHandler = std::function<void(ShardFabric::RemotePacket&)>;
-  void set_control_handler(ControlHandler handler) {
-    control_handler_ = std::move(handler);
-  }
+  /// The cross-shard fabric this network is bound to; nullptr when
+  /// unsharded.
+  ShardFabric* fabric() { return fabric_; }
 
   /// First global node id owned by this network's platform; translates the
   /// directory's global node ids to local Node indices.
@@ -240,8 +232,7 @@ class VirtualNetwork {
   virt::Platform* platform_;
   ShardFabric* fabric_ = nullptr;  ///< non-null only in sharded runs
   int shard_ = 0;
-  virt::LocationDirectory* directory_ = nullptr;  ///< null = static placement
-  ControlHandler control_handler_;  ///< migration control-record receiver
+  virt::LocationDirectory directory_;
   std::vector<NodeState> nodes_;
   Counters counters_;
   std::vector<Packet> pool_;  ///< descriptor slab; grows to high-water only

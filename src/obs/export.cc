@@ -61,22 +61,27 @@ std::vector<TraceEvent> merged_events(
   return events;
 }
 
-void write_compact(std::ostream& os,
-                   const std::vector<const TraceSink*>& sinks) {
+namespace {
+
+std::uint64_t dropped_total(const std::vector<const TraceSink*>& sinks) {
   std::uint64_t dropped = 0;
   for (const TraceSink* sink : sinks) dropped += sink->dropped();
+  return dropped;
+}
+
+void write_compact_events(std::ostream& os,
+                          const std::vector<TraceEvent>& events,
+                          std::uint64_t dropped) {
   os << kCompactHeader << '\n';
-  for (const TraceEvent& e : merged_events(sinks)) {
-    os << format_event(e) << '\n';
-  }
+  for (const TraceEvent& e : events) os << format_event(e) << '\n';
   os << "# dropped=" << dropped << '\n';
 }
 
-void write_chrome_json(std::ostream& os,
-                       const std::vector<const TraceSink*>& sinks) {
+void write_chrome_events(std::ostream& os,
+                         const std::vector<TraceEvent>& events) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& e : merged_events(sinks)) {
+  for (const TraceEvent& e : events) {
     if (!first) os << ",";
     first = false;
     os << "\n{";
@@ -100,22 +105,36 @@ void write_chrome_json(std::ostream& os,
   os << "\n]}\n";
 }
 
+}  // namespace
+
+void write_compact(std::ostream& os,
+                   const std::vector<const TraceSink*>& sinks) {
+  write_compact_events(os, merged_events(sinks), dropped_total(sinks));
+}
+
+void write_chrome_json(std::ostream& os,
+                       const std::vector<const TraceSink*>& sinks) {
+  write_chrome_events(os, merged_events(sinks));
+}
+
 bool write_trace_files(const std::vector<const TraceSink*>& sinks,
                        const std::string& dir, const std::string& stem) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return false;
   const auto base = std::filesystem::path(dir) / stem;
+  // One merge feeds both formats.
+  const std::vector<TraceEvent> events = merged_events(sinks);
   {
     std::ofstream out(base.string() + ".trace");
     if (!out) return false;
-    write_compact(out, sinks);
+    write_compact_events(out, events, dropped_total(sinks));
     if (!out) return false;
   }
   {
     std::ofstream out(base.string() + ".json");
     if (!out) return false;
-    write_chrome_json(out, sinks);
+    write_chrome_events(out, events);
     if (!out) return false;
   }
   return true;

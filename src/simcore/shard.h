@@ -150,7 +150,6 @@ class ShardGroup {
 
   const Stats& stats() const { return stats_; }
   std::size_t thread_count() const { return threads_; }
-  SimTime lookahead() const { return lookahead_; }
 
  private:
   struct Pool;

@@ -363,7 +363,7 @@ void Engine::signal_in(SyncEvent& ev, sim::SimTime delay, Vm* owner) {
   SyncEvent* evp = &ev;
   const sim::EventId id = sim_->call_in(delay, [evp] { evp->signal(); });
   if (owner != nullptr) {
-    prune_owned_timers();
+    if (owned_timers_.size() >= prune_at_) prune_owned_timers();
     owned_timers_.push_back({owner, &ev, sim_->now() + delay, id});
   }
 }
@@ -381,10 +381,11 @@ void Engine::prune_owned_timers() {
       ++i;
     }
   }
+  prune_at_ = std::max(kMinPruneAt, 2 * owned_timers_.size());
 }
 
 std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
-    Vm& vm, std::int32_t dest_node_global, SimTime arrive_time) {
+    Vm& vm, std::int32_t dest_node_global) {
   assert(started_ && "migration before Engine::start");
   assert(!vm.is_dom0() && "dom0 cannot migrate");
   Node& node = vm.node();
@@ -400,10 +401,8 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
   }
 
   auto bundle = std::make_unique<MigrationBundle>();
-  bundle->gid = vm.global_id();
   bundle->dest_node_global = dest_node_global;
   bundle->depart_time = sim_->now();
-  bundle->arrive_time = arrive_time;
 
   // Out of the run queues, then park every VCPU for the copy window.  No
   // VCPU is on a core any more, so none has a compute timer armed.

@@ -73,9 +73,8 @@ class Engine {
   /// every VCPU out of the node's run queues, cancels the VM's owned
   /// workload timers (their remaining delays travel in the bundle) and
   /// detaches the Vm, queued mail included, from the platform.
-  /// `arrive_time` is t_r, the end of the copy window.
   std::unique_ptr<MigrationBundle> pause_and_expel(
-      Vm& vm, std::int32_t dest_node_global, sim::SimTime arrive_time);
+      Vm& vm, std::int32_t dest_node_global);
 
   /// Destination half, at t_r: attaches the VM to `dest_node`, re-arms the
   /// travelled timers, restores runnability and kicks the node's idle
@@ -105,7 +104,9 @@ class Engine {
   /// VM-owned pending workload timers (signal_in with an owner): enough to
   /// cancel and re-home them when the owner migrates.  Fired entries are
   /// pruned lazily (cancel() on a fired EventId is a safe no-op thanks to
-  /// generation tags, but we sweep to keep the vector small).
+  /// generation tags): signal_in sweeps only once the vector reaches
+  /// `prune_at_`, twice its size after the last sweep and at least
+  /// kMinPruneAt, so a timer costs amortized O(1) however many are pending.
   struct OwnedTimer {
     Vm* owner = nullptr;
     SyncEvent* ev = nullptr;
@@ -113,6 +114,8 @@ class Engine {
     sim::EventId id{};
   };
   std::vector<OwnedTimer> owned_timers_;
+  static constexpr std::size_t kMinPruneAt = 64;
+  std::size_t prune_at_ = kMinPruneAt;
 
   void prune_owned_timers();
 };

@@ -9,8 +9,8 @@
 //    the SOURCE node for the whole copy window [t, t_r) — on every shard —
 //    and switches to the destination at t_r (the source shard annotates the
 //    transit so packets landing at the source mid-copy are forwarded with
-//    an arrival strictly after t_r; remote shards apply a plain location
-//    update at t_r and never need the annotation).
+//    an arrival strictly after t_r; every other shard settles its replica
+//    with one call at t_r and never needs the annotation).
 // Because all shards apply the same update at the same simulated time,
 // routing decisions — and therefore metrics — cannot depend on where the
 // shard boundaries fall (DESIGN.md §12).
@@ -42,7 +42,7 @@ struct VmLocation {
   /// <= now means settled (not in transit).
   sim::SimTime moving_until = 0;
   // Destination while in transit (valid only when moving_until > now; set
-  // on the source shard by begin_move — remote shards skip the transit
+  // on the source shard by begin_move — the other shards skip the transit
   // state entirely and jump to the destination at settle time).
   std::int32_t dest_shard = -1;
   std::int32_t dest_node_global = -1;
@@ -113,14 +113,13 @@ class LocationDirectory {
 
 /// Everything that travels in a stop-and-copy migration.  Produced by
 /// Engine::pause_and_expel on the source, consumed by Engine::adopt_and_resume
-/// on the destination (possibly on another shard, via a ShardFabric
-/// kVmTransfer record that owns the bundle while it is in flight).
+/// on the destination.  The destination shard's migration call owns it
+/// until then (a pending event, or a ShardFabric call in flight to another
+/// shard).
 struct MigrationBundle {
-  std::int64_t gid = -1;
-  std::unique_ptr<Vm> vm;
+  std::unique_ptr<Vm> vm;  ///< its global id names the guest
   std::int32_t dest_node_global = -1;
   sim::SimTime depart_time = 0;
-  sim::SimTime arrive_time = 0;  ///< t_r: adopt happens at this instant
 
   /// Workload timers (Engine::signal_in with an owner) that were pending at
   /// expel; re-armed on the destination engine with their remaining delay.

@@ -354,7 +354,7 @@ TEST(AllocGuardTest, MigrationRoundTripsMakeNoTimerSlots) {
     for (int i = 0; i < n; ++i) {
       for (const int dest : {1, 0}) {
         s.run_until(s.now() + 1'000'000);
-        auto bundle = engine.pause_and_expel(*vm, dest, s.now());
+        auto bundle = engine.pause_and_expel(*vm, dest);
         vm = &engine.adopt_and_resume(*bundle, NodeId{dest});
         ASSERT_EQ(vm->node().id(), NodeId{dest});
       }

@@ -15,6 +15,13 @@ foreach(t IN LISTS alloc_guard_test_TESTS)
     set_tests_properties("${t}" PROPERTIES LABELS "fast;pdes")
   endif()
 endforeach()
+# The migration suite moves VM bundles between shard workers inside fabric
+# calls, so the TSan job's `-L pdes` run covers it too.
+foreach(t IN LISTS atcsim_tests_TESTS)
+  if(t MATCHES "^MigrationTest\\.")
+    set_tests_properties("${t}" PROPERTIES LABELS "fast;pdes")
+  endif()
+endforeach()
 foreach(t IN LISTS descriptor_fuzz_test_TESTS)
   set_tests_properties("${t}" PROPERTIES LABELS "slow;fuzz;pdes")
 endforeach()

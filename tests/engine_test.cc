@@ -597,7 +597,7 @@ TEST(SyncEventTest, EventFollowsItsVmToAnotherPlatform) {
   ASSERT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
   ASSERT_EQ(ev.first_waiter(), &vm.vcpus()[0]);
 
-  auto bundle = src.platform->engine().pause_and_expel(vm, 0, 2_ms);
+  auto bundle = src.platform->engine().pause_and_expel(vm, 0);
   dst.simulation.run_until(2_ms);
   virt::Vm& moved =
       dst.platform->engine().adopt_and_resume(*bundle, virt::NodeId{0});

@@ -90,7 +90,6 @@ struct ShardedPktRig {
   struct Stack {
     sim::Simulation simulation;
     std::unique_ptr<virt::Platform> platform;
-    virt::LocationDirectory directory;
     std::unique_ptr<net::VirtualNetwork> network;
   };
   std::vector<std::unique_ptr<Stack>> stacks;
@@ -114,7 +113,6 @@ struct ShardedPktRig {
           std::make_unique<virt::Platform>(stack->simulation, pc);
       stack->network = std::make_unique<net::VirtualNetwork>(*stack->platform);
       stack->network->attach();
-      stack->network->set_directory(&stack->directory);
       fabric.bind(s, *stack->network);
       virt::Vm& vm = stack->platform->create_vm(
           virt::NodeId{0}, virt::VmType::kNonParallel,
@@ -130,7 +128,9 @@ struct ShardedPktRig {
       stacks.push_back(std::move(stack));
     }
     for (auto& stack : stacks) {
-      for (int g = 0; g < 2; ++g) stack->directory.register_vm(g, g, g);
+      for (int g = 0; g < 2; ++g) {
+        stack->network->directory().register_vm(g, g, g);
+      }
     }
     sim::ShardGroup::Options opts;
     opts.lookahead = params.wire_latency;

@@ -45,6 +45,9 @@ struct RunResult {
   std::uint64_t fabric_delivered = 0;
   std::uint64_t rounds = 0;      // ShardGroup stats (sharded only)
   std::uint64_t migrations = 0;  // started, summed over every shard
+  // Guests whose location on some shard's directory replica differs from
+  // shard 0's at the end of the run.
+  std::uint64_t replica_disagreements = 0;
   std::string trace;  // merged compact trace; empty unless requested
   // Digest of the merged trace (trace_hash mode), pdes.* round events
   // included.  Used instead of `trace` where holding several multi-GB
@@ -110,8 +113,8 @@ RunResult run_case(const RunCase& c) {
     // Three moves during the measurement window, addressed by global VM id
     // (creation order — independent of the shard map).  The half-cluster
     // hop crosses a shard boundary at every K >= 2; the single hop is
-    // same-shard at low K and cross-shard at high K, so both the fabric
-    // kVmTransfer path and the local call_at path run under comparison.
+    // same-shard at low K and cross-shard at high K, so both kinds of move
+    // run under comparison.
     const struct {
       std::int64_t gid;
       sim::SimTime at;
@@ -132,6 +135,16 @@ RunResult run_case(const RunCase& c) {
   RunResult r;
   for (int k = 0; k < s.shard_count(); ++k) {
     r.migrations += s.migrator(k).migrations_started();
+  }
+  for (const virt::Vm* vm : s.guest_vms()) {
+    const virt::VmLocation& ref = s.directory(0).at(vm->global_id());
+    for (int k = 1; k < s.shard_count(); ++k) {
+      const virt::VmLocation& loc = s.directory(k).at(vm->global_id());
+      if (loc.shard != ref.shard || loc.node_global != ref.node_global) {
+        ++r.replica_disagreements;
+        break;
+      }
+    }
   }
   r.superstep = s.mean_superstep_with_prefix(prefix);
   r.spin = s.avg_parallel_spin_latency();
@@ -326,13 +339,16 @@ TEST(PdesInvarianceTest, ScriptedMigrationsAreShardCountInvariant) {
     EXPECT_EQ(sharded.migrations, serial.migrations)
         << "shards=" << shards
         << ": the scripted plan must fire identically at every shard count";
+    // Every replica settles on every move, same-shard moves included (at
+    // 2 shards the gid-5 hop, node 5 -> 6, stays inside shard 1).
+    EXPECT_EQ(sharded.replica_disagreements, 0u) << "shards=" << shards;
   }
 }
 
 TEST(PdesInvarianceTest, MigratingRunsKeepThreadCountTraceDeterminism) {
   // With the shard map fixed, the worker-thread count must stay invisible
-  // even while kVmTransfer control records and VM bundles cross the fabric:
-  // merged traces are byte-identical.
+  // even while migration calls and the VM bundles they own cross the
+  // fabric: merged traces are byte-identical.
   RunCase base;
   base.nodes = 8;
   base.shards = 4;
