@@ -170,10 +170,9 @@ workload::BspApp& Scenario::add_bsp_app(const std::string& key,
                                         std::vector<virt::Vm*> vms) {
   assert(!started_);
   auto& superstep = metrics_->durations(key + "/superstep");
-  auto& iteration = metrics_->durations(key + "/iteration");
   bsp_apps_.push_back(std::make_unique<workload::BspApp>(
       std::move(vms), desc, app_rng_.split(std::hash<std::string>{}(key)),
-      &superstep, &iteration));
+      &superstep));
   bsp_apps_.back()->attach();
   bsp_keys_.push_back(key);
   return *bsp_apps_.back();

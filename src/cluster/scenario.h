@@ -71,8 +71,8 @@ class Scenario {
                                             const std::vector<int>& node_for_vm);
 
   /// Binds a BSP application, built from a parallel (barrier-terminated)
-  /// descriptor, to cluster VMs; recorders are registered under `key`
-  /// ("<key>/superstep", "<key>/iteration").
+  /// descriptor, to cluster VMs; its superstep recorder is registered as
+  /// "<key>/superstep".
   workload::BspApp& add_bsp_app(const std::string& key,
                                 const workload::Descriptor& desc,
                                 std::vector<virt::Vm*> vms);

@@ -94,8 +94,8 @@ class LogHistogram {
   std::uint64_t total_ = 0;
 };
 
-/// Durations of repeated units of work (supersteps / iterations of a
-/// parallel application) and request/response latencies (ping RTT, web
+/// Durations of repeated units of work (supersteps of a parallel
+/// application) and request/response latencies (ping RTT, web
 /// response time).  Mean duration is the "execution time" that the paper's
 /// normalized numbers are built from.  count/mean/min/max are exact
 /// (OnlineStats); tail percentiles come from the log-linear histogram

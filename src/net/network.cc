@@ -386,9 +386,7 @@ void VirtualNetwork::send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
          "send on the source VM's network (network_of)");
   counters_.packets += 1;
   counters_.bytes += bytes;
-  platform_->mark_period_activity(src);
   src.period().io_events += 1;  // tx side counts toward the VM's I/O rate
-  src.totals().io_events += 1;
   ATCSIM_TRACE(simulation().trace(),
                net_event(simulation().now(), obs::ev::kGuestTx,
                          src.node().id().value, &src,
@@ -435,9 +433,7 @@ void VirtualNetwork::send_out(virt::Vm& src, std::uint64_t bytes,
          "send_out on the source VM's network (network_of)");
   counters_.packets += 1;
   counters_.bytes += bytes;
-  platform_->mark_period_activity(src);
   src.period().io_events += 1;
-  src.totals().io_events += 1;
   ATCSIM_TRACE(simulation().trace(),
                net_event(simulation().now(), obs::ev::kGuestTx,
                          src.node().id().value, &src,

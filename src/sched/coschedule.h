@@ -22,7 +22,6 @@ class CoScheduler : public CreditScheduler {
   explicit CoScheduler(const sync::PeriodMonitor& monitor)
       : monitor_(&monitor) {}
 
-  std::string name() const override { return "cosched"; }
   void attach(virt::Node& node, virt::Engine& engine) override;
   Vcpu* pick_next(Pcpu& p) override;
   void on_dispatched(Vcpu& v, Pcpu& p) override;

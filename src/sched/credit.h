@@ -17,7 +17,6 @@
 // fewest siblings of the same VM (BS's sibling-disjoint invariant).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sched/run_queue.h"
@@ -52,7 +51,6 @@ class CreditScheduler : public virt::Scheduler {
   /// not leave periodic events invoking a dead `this`.
   ~CreditScheduler() override;
 
-  std::string name() const override { return "credit"; }
   void attach(virt::Node& node, virt::Engine& engine) override;
   void vcpu_started(Vcpu& v) override;
   void on_wake(Vcpu& v) override;

@@ -19,8 +19,6 @@ class VSlicerScheduler : public CreditScheduler {
   /// Micro slice for LSVMs: default 30 ms / 6 = 5 ms as in vSlicer.
   static constexpr sim::SimTime kMicroSlice = 5 * sim::kMillisecond;
 
-  std::string name() const override { return "vslicer"; }
-
   sim::SimTime slice_for(const Vcpu& v) const override {
     if (v.vm().latency_sensitive()) return kMicroSlice;
     return CreditScheduler::slice_for(v);

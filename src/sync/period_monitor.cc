@@ -33,29 +33,15 @@ void PeriodMonitor::sample() {
   if (last_.size() < platform_->vm_count()) {
     last_.resize(platform_->vm_count());  // migration arrivals
   }
-  // Visit only VMs with activity since the last boundary (the platform's
-  // period-activity ring), not every id slot: a mostly-idle cluster pays
-  // O(active) per period.  The ring is swapped into a retained scratch
-  // buffer, so marking during the sweep (the in-flight re-mark below)
-  // enrolls into the *next* period's ring.
-  ring_scratch_.clear();
-  platform_->period_dirty_ring().swap(ring_scratch_);
-  // VMs sampled last period but untouched since must read as idle again;
-  // their accumulators are already zero (reset below happened last sweep),
-  // so only the snapshot needs clearing.  Expelled ids are skipped — a
-  // tombstone keeps its final snapshot, exactly as the full walk did.
-  for (const virt::VmId id : prev_active_) {
-    virt::Vm* vmp = platform_->vm_ptr(id);
-    if (vmp != nullptr && !vmp->period_dirty()) {
-      last_[static_cast<std::size_t>(id.index())] = {};
-    }
-  }
-  prev_active_.clear();
-  for (const virt::VmId id : ring_scratch_) {
-    virt::Vm* vmp = platform_->vm_ptr(id);
-    if (vmp == nullptr) continue;  // expelled (migrated away) after marking
+  // Every period consumer walks every resident VM anyway, so the sweep is a
+  // plain walk too.  A VM with no activity since the last boundary snapshots
+  // its all-zero accumulators.
+  for (std::size_t i = 0; i < platform_->vm_count(); ++i) {
+    virt::Vm* vmp =
+        platform_->vm_ptr(virt::VmId{static_cast<std::int32_t>(i)});
+    // A tombstone (migrated away) keeps its final snapshot.
+    if (vmp == nullptr) continue;
     virt::Vm& vm = *vmp;
-    vm.set_period_dirty(false);
     virt::Vm::PeriodStats snap = vm.period();
     // Fold in spins that have not finished yet: a VM whose VCPUs are stuck
     // mid-episode must not look idle to the controller.  The folded segment
@@ -65,7 +51,6 @@ void PeriodMonitor::sample() {
     // (end_spin_episode will no longer see it).  Without the advance the
     // pre-boundary wall time was double-counted: once in this snapshot and
     // again in full in the period where the episode ended.
-    bool spinning = false;
     for (virt::Vcpu& v : vm.vcpus()) {
       if (v.eng().in_spin_episode) {
         const SimTime segment = now - v.eng().spin_episode_start;
@@ -73,15 +58,10 @@ void PeriodMonitor::sample() {
         snap.spin_episodes += 1;
         vm.totals().spin_wall += segment;
         v.eng().spin_episode_start = now;
-        spinning = true;
       }
     }
-    last_[static_cast<std::size_t>(id.index())] = snap;
+    last_[i] = snap;
     vm.period().reset();
-    prev_active_.push_back(id);
-    // A still-running episode keeps accruing into the next period; re-mark
-    // so the next sweep folds its post-boundary segment too.
-    if (spinning) platform_->mark_period_activity(vm);
   }
   ++periods_;
 }

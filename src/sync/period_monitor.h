@@ -56,8 +56,6 @@ class PeriodMonitor {
   virt::Platform* platform_;
   std::vector<virt::Vm::PeriodStats> last_;
   std::function<void()> on_period_;
-  std::vector<virt::VmId> ring_scratch_;  // swapped with the platform ring
-  std::vector<virt::VmId> prev_active_;   // sampled last period; may go idle
   std::uint64_t periods_ = 0;
   bool started_ = false;
   sim::TimerId timer_{};

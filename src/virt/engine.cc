@@ -134,12 +134,9 @@ void Engine::dispatch(Pcpu& p) {
                           static_cast<double>(mp.cache_refill_penalty);
     const auto misses = static_cast<std::uint64_t>(
         static_cast<double>(mp.llc_misses_per_refill) * refill_frac);
-    platform_->mark_period_activity(vm);
-    vm.period().ctx_switches += 1;
     vm.totals().ctx_switches += 1;
     vm.period().llc_misses += misses;
     vm.totals().llc_misses += misses;
-    p.totals().switches += 1;
     ++total_switches_;
   }
   v->sched().last_pcpu = p.id();
@@ -197,10 +194,6 @@ void Engine::run_current(Pcpu& p) {
         if (!e.in_spin_episode) {
           e.in_spin_episode = true;
           e.spin_episode_start = now;
-          // The monitor must visit this VM even if the episode spans the
-          // whole period without finishing (in-flight spins are folded at
-          // each boundary).
-          platform_->mark_period_activity(v->vm());
           ATCSIM_TRACE(sim_->trace(),
                        vcpu_event(now, obs::TraceCat::kSync,
                                   obs::ev::kSpinStart, *v));
@@ -265,7 +258,6 @@ void Engine::account_segment(Pcpu& /*p*/, Vcpu& v) {
     e.compute_left -= elapsed - pay;
     if (e.compute_left < 0) e.compute_left = 0;
   } else if (e.action.kind == Action::Kind::kSpinWait) {
-    platform_->mark_period_activity(vm);
     vm.period().spin_cpu += elapsed;
     vm.totals().spin_cpu += elapsed;
   }
@@ -283,7 +275,6 @@ void Engine::leave_cpu(Pcpu& p, LeaveReason reason) {
   const SimTime stint = now - e.stint_start;
   e.last_stint = stint;
   Vm& vm = v->vm();
-  platform_->mark_period_activity(vm);
   vm.period().run_time += stint;
   vm.totals().run_time += stint;
   p.totals().busy += stint;
@@ -323,7 +314,6 @@ void Engine::end_spin_episode(Vcpu& v) {
   ATCSIM_TRACE(sim_->trace(), vcpu_event(sim_->now(), obs::TraceCat::kSync,
                                          obs::ev::kSpinEnd, v, wall));
   Vm& vm = v.vm();
-  platform_->mark_period_activity(vm);
   vm.period().spin_wall += wall;
   vm.period().spin_episodes += 1;
   vm.totals().spin_wall += wall;
@@ -331,9 +321,7 @@ void Engine::end_spin_episode(Vcpu& v) {
 }
 
 void Engine::deposit(Vm& vm, sim::InlineCallback handler) {
-  platform_->mark_period_activity(vm);
   vm.period().io_events += 1;
-  vm.totals().io_events += 1;
   if (vm.any_running()) {
     // IRQ into a running guest: handled immediately.
     handler();
@@ -505,7 +493,6 @@ void Engine::wake(Vcpu& v) {
   v.set_state(VcpuState::kRunnable);
   ATCSIM_TRACE(sim_->trace(), vcpu_event(sim_->now(), obs::TraceCat::kVcpu,
                                          obs::ev::kWake, v));
-  platform_->mark_period_activity(v.vm());
   v.vm().period().wakeups += 1;
   Node& node = v.vm().node();
   Scheduler& s = node.scheduler();

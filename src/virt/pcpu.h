@@ -60,7 +60,6 @@ class Pcpu {
 
   struct Totals {
     sim::SimTime busy = 0;
-    std::uint64_t switches = 0;
   };
   Totals& totals() { return totals_; }
   const Totals& totals() const { return totals_; }

@@ -109,13 +109,7 @@ Vm& Platform::adopt_vm(NodeId node_id, std::unique_ptr<Vm> vm) {
   for (Vcpu& v : vm->vcpus()) v.set_id(VcpuId{next_vcpu_id_++});
   vms_.push_back(vm.get());
   node.vms().push_back(std::move(vm));
-  // The travelled flag belongs to the source platform's ring (that entry
-  // now resolves to a tombstone there); re-enroll under the fresh id so the
-  // destination monitor folds any mid-period stats the VM carried over.
-  Vm& adopted = *vms_.back();
-  adopted.set_period_dirty(false);
-  mark_period_activity(adopted);
-  return adopted;
+  return *vms_.back();
 }
 
 }  // namespace atcsim::virt

@@ -101,19 +101,6 @@ class Platform {
   /// order (skips migration tombstones).
   std::vector<Vm*> guest_vms() const;
 
-  // --- period-activity dirty ring ----------------------------------------
-  /// Flags `vm` as having written a per-period accumulator since the last
-  /// monitor sweep; PeriodMonitor::sample visits only ringed VMs instead of
-  /// walking every id slot.  O(1), idempotent within a period.
-  void mark_period_activity(Vm& vm) {
-    if (vm.period_dirty()) return;
-    vm.set_period_dirty(true);
-    period_dirty_.push_back(vm.id());
-  }
-  /// The ring itself; the monitor swaps it empty at each sweep (capacity is
-  /// exchanged, so the steady state allocates nothing).
-  std::vector<VmId>& period_dirty_ring() { return period_dirty_; }
-
   // --- live migration ----------------------------------------------------
 
   /// Detaches `vm` from this platform: its VmId slot becomes a tombstone
@@ -142,7 +129,6 @@ class Platform {
   std::int32_t next_vcpu_id_ = 0;
   std::unique_ptr<Engine> engine_;
   net::VirtualNetwork* network_ = nullptr;
-  std::vector<VmId> period_dirty_;
 };
 
 }  // namespace virt

@@ -6,8 +6,6 @@
 // (gang dispatch, slice adaptation hooks).
 #pragma once
 
-#include <string>
-
 #include "simcore/simulation.h"
 #include "simcore/time.h"
 #include "virt/params.h"
@@ -23,8 +21,6 @@ class Vm;
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
-
-  virtual std::string name() const = 0;
 
   /// Called once before Engine::start(); the scheduler may schedule its own
   /// periodic events (credit accounting, adaptive controllers).

@@ -89,14 +89,10 @@ class Vm {
     sim::SimTime run_time = 0;     ///< on-CPU time (all)
     std::uint64_t io_events = 0;   ///< packets+disk ops (DSS signal)
     std::uint64_t wakeups = 0;     ///< block->wake transitions (vSlicer signal)
-    std::uint64_t ctx_switches = 0;
     std::uint64_t llc_misses = 0;
 
     void reset() { *this = PeriodStats{}; }
   };
-  /// Writers must call Platform::mark_period_activity(vm) first (engine and
-  /// network sites do): PeriodMonitor::sample visits only marked VMs, so an
-  /// unmarked write is invisible until the VM is next marked.
   PeriodStats& period() { return period_; }
   const PeriodStats& period() const { return period_; }
 
@@ -108,7 +104,6 @@ class Vm {
     sim::SimTime run_time = 0;
     std::uint64_t ctx_switches = 0;
     std::uint64_t llc_misses = 0;
-    std::uint64_t io_events = 0;
   };
   Totals& totals() { return totals_; }
   const Totals& totals() const { return totals_; }
@@ -131,13 +126,6 @@ class Vm {
   /// First blocked VCPU (event-channel IRQ target), or nullptr.
   Vcpu* first_blocked();
 
-  // --- incremental-sweep dirty flag (platform bookkeeping) ---------------
-  /// Set while this VM sits in its platform's period-activity ring: some
-  /// per-period accumulator was written since the last monitor sweep, so
-  /// PeriodMonitor::sample must visit it (clean VMs are skipped).
-  bool period_dirty() const { return period_dirty_; }
-  void set_period_dirty(bool d) { period_dirty_ = d; }
-
  private:
   VmId id_;
   Node* node_;
@@ -151,7 +139,6 @@ class Vm {
   bool latency_sensitive_ = false;
   PeriodStats period_;
   Totals totals_;
-  bool period_dirty_ = false;
   std::vector<sim::InlineCallback> mailbox_;
   std::vector<sim::InlineCallback> mailbox_scratch_;
 };

@@ -8,16 +8,13 @@ namespace atcsim::workload {
 using sim::SimTime;
 
 BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
-               sim::Rng rng, metrics::DurationRecorder* superstep_rec,
-               metrics::DurationRecorder* iteration_rec)
+               sim::Rng rng, metrics::DurationRecorder* superstep_rec)
     : name_(desc.name),
       cache_sensitivity_(desc.cache_sensitivity),
-      steps_per_iter_(desc.steps_per_iter),
       barrier_bytes_(desc.barrier_bytes()),
       rng_(rng),
       vm_ptrs_(std::move(vms)),
-      superstep_rec_(superstep_rec),
-      iteration_rec_(iteration_rec) {
+      superstep_rec_(superstep_rec) {
   if (const std::string err = desc.validate(); !err.empty()) {
     throw DescriptorError(err);
   }
@@ -128,12 +125,6 @@ void BspApp::release_generation(std::uint64_t gen) {
   }
   superstep_start_ = now;
   ++supersteps_done_;
-  if (iteration_rec_ != nullptr &&
-      supersteps_done_ % static_cast<std::uint64_t>(
-                             steps_per_iter_) == 0) {
-    iteration_rec_->record(now - iter_start_);
-    iter_start_ = now;
-  }
 
   release_event(0, gen).signal();
   virt::Vm& coord = *vm_ptrs_[0];

@@ -52,8 +52,7 @@ class BspApp {
   /// not parallel.  Each VM uses its own platform's network; vms[0] is the
   /// coordinator.
   BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc, sim::Rng rng,
-         metrics::DurationRecorder* superstep_rec,
-         metrics::DurationRecorder* iteration_rec);
+         metrics::DurationRecorder* superstep_rec);
   ~BspApp();
 
   BspApp(const BspApp&) = delete;
@@ -113,7 +112,6 @@ class BspApp {
 
   std::string name_;
   double cache_sensitivity_;
-  int steps_per_iter_;            ///< supersteps per recorded iteration
   std::uint64_t barrier_bytes_;   ///< per-VM arrive/release message volume
   std::vector<Step> program_;
   /// Barriers per generation: the release plus one per local_barrier step.
@@ -128,9 +126,7 @@ class BspApp {
   std::array<int, kGenWindow> coord_arrivals_{};
   std::uint64_t supersteps_done_ = 0;
   sim::SimTime superstep_start_ = 0;
-  sim::SimTime iter_start_ = 0;
   metrics::DurationRecorder* superstep_rec_;
-  metrics::DurationRecorder* iteration_rec_;
 };
 
 /// The per-VCPU rank program: an interpreter over BspApp::program(),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +19,6 @@ constexpr std::uint64_t kMaxPhaseBytes = 256ull * 1024 * 1024;  // 256 MiB
 constexpr std::uint64_t kDefaultBarrierBytes = 64 * 1024;
 constexpr double kMaxJitter = 0.9;
 constexpr double kMaxCacheSens = 64.0;
-constexpr int kMaxStepsPerIter = 100'000;
 constexpr double kMaxRateUnits = 1e9;
 constexpr int kMaxLocalBarriers = 31;  // sync_rounds <= 32
 constexpr std::size_t kMaxPhases = 64;
@@ -196,10 +194,6 @@ std::string Descriptor::validate() const {
     return "cache_sens " + print_double(cache_sensitivity) +
            " outside (0, " + print_double(kMaxCacheSens) + "]";
   }
-  if (steps_per_iter < 1 || steps_per_iter > kMaxStepsPerIter) {
-    return "steps_per_iter " + std::to_string(steps_per_iter) +
-           " outside [1, " + std::to_string(kMaxStepsPerIter) + "]";
-  }
   if (rate_units < 0.0 || rate_units > kMaxRateUnits ||
       !std::isfinite(rate_units)) {
     return "rate_units " + print_double(rate_units) + " outside [0, 1e9]";
@@ -286,7 +280,6 @@ std::string Descriptor::validate() const {
 std::string Descriptor::print() const {
   std::string out = "workload " + name + "\n";
   out += "cache_sens " + print_double(cache_sensitivity) + "\n";
-  out += "steps_per_iter " + std::to_string(steps_per_iter) + "\n";
   if (rate_units != 0.0) {
     out += "rate_units " + print_double(rate_units) + "\n";
   }
@@ -317,7 +310,6 @@ Descriptor Descriptor::parse(const std::string& text) {
   Descriptor d;
   bool seen_name = false;
   bool seen_cache = false;
-  bool seen_steps = false;
   bool seen_rate = false;
 
   // Statements are separated by newlines or ';' (inline CLI form); '#'
@@ -364,16 +356,6 @@ Descriptor Descriptor::parse(const std::string& text) {
     } else if (dir == "cache_sens") {
       d.cache_sensitivity =
           parse_double(scalar_value(seen_cache), "cache_sens", stmt);
-    } else if (dir == "steps_per_iter") {
-      const std::string& v = scalar_value(seen_steps);
-      const char* end = v.data() + v.size();
-      const auto [ptr, ec] = std::from_chars(v.data(), end, d.steps_per_iter);
-      if (ec == std::errc::result_out_of_range) {
-        fail_at("steps_per_iter '" + v + "' out of range", stmt);
-      }
-      if (ec != std::errc{} || ptr != end) {
-        fail_at("malformed steps_per_iter '" + v + "'", stmt);
-      }
     } else if (dir == "rate_units") {
       d.rate_units = parse_double(scalar_value(seen_rate), "rate_units", stmt);
     } else if (dir == "phase") {
@@ -424,7 +406,6 @@ Descriptor Descriptor::from_bsp(const BspConfig& cfg) {
   Descriptor d;
   d.name = cfg.name;
   d.cache_sensitivity = cfg.cache_sensitivity;
-  d.steps_per_iter = cfg.supersteps_per_iteration;
   // Integer division, every segment equal: the segmentation the golden
   // traces were recorded with.
   const SimTime segment = cfg.compute_per_superstep / cfg.sync_rounds;

@@ -17,7 +17,6 @@
 //
 //   workload <name>               required; [A-Za-z0-9._-]+, at most 64 chars
 //   cache_sens <x>                optional; (0, 64], default 1.0
-//   steps_per_iter <n>            optional; [1, 100000], default 20
 //   rate_units <x>                optional; [0, 1e9], default 0 — units
 //                                 credited per compute-second (loop mode)
 //   phase compute <dur> [jitter=<f>]   on-CPU burn; dur in (0, 60s]
@@ -55,8 +54,6 @@ struct BspConfig {
   double compute_jitter = 0.15;
   /// Barrier/exchange message volume per VM per superstep direction.
   std::uint64_t bytes_per_msg = 64 * 1024;
-  /// Supersteps per application iteration (one "run" of the benchmark).
-  int supersteps_per_iteration = 20;
   /// Compute-then-synchronize segments per superstep.  The first
   /// (sync_rounds - 1) syncs are intra-VM shared-memory barriers (the LHP
   /// spin the co-scheduling literature targets); the last is the global
@@ -95,7 +92,6 @@ struct Phase {
 struct Descriptor {
   std::string name;
   double cache_sensitivity = 1.0;
-  int steps_per_iter = 20;
   /// Loop mode: work units credited per second of completed compute (0 = no
   /// rate metric).
   double rate_units = 0.0;

@@ -58,7 +58,6 @@ Descriptor fuzz_descriptor(sim::Rng& rng) {
   d.name = "fz" + std::to_string(rng.uniform_int(0, 999'999));
   const double sens[] = {0.5, 1.0, 1.5, 2.0};
   d.cache_sensitivity = sens[rng.uniform_int(0, 3)];
-  d.steps_per_iter = static_cast<int>(rng.uniform_int(1, 40));
 
   const bool parallel = rng.next_double() < 0.8;
   if (parallel) {
@@ -126,15 +125,6 @@ Descriptor minimize_descriptor(
       }
     }
     if (any) {
-      --budget;
-      if (still_fails(cand)) {
-        d = cand;
-        changed = true;
-      }
-    }
-    if (d.steps_per_iter != 1 && budget > 0) {
-      cand = d;
-      cand.steps_per_iter = 1;
       --budget;
       if (still_fails(cand)) {
         d = cand;

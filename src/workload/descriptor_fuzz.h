@@ -18,9 +18,9 @@ namespace atcsim::workload {
 Descriptor fuzz_descriptor(sim::Rng& rng);
 
 /// Greedily shrinks a failing descriptor: drops phases one at a time, zeroes
-/// jitter, and collapses steps_per_iter / rate_units, keeping each change
-/// only while `still_fails` returns true.  Re-runs the predicate at most
-/// `budget` times (each run typically replays a full scenario).
+/// jitter, and collapses rate_units, keeping each change only while
+/// `still_fails` returns true.  Re-runs the predicate at most `budget` times
+/// (each run typically replays a full scenario).
 Descriptor minimize_descriptor(
     Descriptor d, const std::function<bool(const Descriptor&)>& still_fails,
     int budget = 48);

@@ -14,7 +14,6 @@ struct Base {
   const char* name;
   SimTime compute;          // class-B per-rank compute per superstep
   std::uint64_t msg_bytes;  // class-B per-VM exchange volume per superstep
-  int steps_per_iter;
   int sync_rounds;          // intra-VM sync frequency (lu highest)
   double cache_sens;
 };
@@ -23,12 +22,12 @@ struct Base {
 // period* of the code (lu's wavefront sweeps synchronize most often; is
 // synchronizes rarely but moves the largest volumes).  See header.
 constexpr Base kBases[] = {
-    {"lu", 8'000'000 /*8ms*/, 30 * 1024, 12, 4, 1.0},
-    {"cg", 10'000'000 /*10ms*/, 100 * 1024, 12, 3, 0.8},
-    {"sp", 15'000'000 /*15ms*/, 120 * 1024, 10, 3, 1.0},
-    {"bt", 20'000'000 /*20ms*/, 150 * 1024, 8, 2, 1.1},
-    {"mg", 22'000'000 /*22ms*/, 300 * 1024, 8, 2, 1.2},
-    {"is", 30'000'000 /*30ms*/, 256 * 1024, 5, 1, 0.9},
+    {"lu", 8'000'000 /*8ms*/, 30 * 1024, 4, 1.0},
+    {"cg", 10'000'000 /*10ms*/, 100 * 1024, 3, 0.8},
+    {"sp", 15'000'000 /*15ms*/, 120 * 1024, 3, 1.0},
+    {"bt", 20'000'000 /*20ms*/, 150 * 1024, 2, 1.1},
+    {"mg", 22'000'000 /*22ms*/, 300 * 1024, 2, 1.2},
+    {"is", 30'000'000 /*30ms*/, 256 * 1024, 1, 0.9},
 };
 
 }  // namespace
@@ -56,7 +55,6 @@ BspConfig npb_profile(const std::string& app, NpbClass cls) {
         static_cast<SimTime>(static_cast<double>(b.compute) * compute_scale);
     cfg.bytes_per_msg = static_cast<std::uint64_t>(
         static_cast<double>(b.msg_bytes) * msg_scale);
-    cfg.supersteps_per_iteration = b.steps_per_iter;
     cfg.sync_rounds = b.sync_rounds;
     cfg.cache_sensitivity = b.cache_sens;
     cfg.compute_jitter = 0.05;

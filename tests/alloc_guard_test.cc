@@ -257,8 +257,7 @@ TEST(AllocGuardTest, BspAppBarrierStorageIsFlat) {
   auto build_allocs = [&](std::size_t vm_count) {
     std::vector<atcsim::virt::Vm*> vms(all.begin(), all.begin() + vm_count);
     const std::uint64_t before = allocs();
-    atcsim::workload::BspApp app(std::move(vms), desc, Rng(1), nullptr,
-                                 nullptr);
+    atcsim::workload::BspApp app(std::move(vms), desc, Rng(1), nullptr);
     app.attach();
     return allocs() - before;
   };

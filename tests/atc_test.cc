@@ -262,7 +262,6 @@ TEST(ControllerTest, ParallelVmsGetUniformMinimumSlice) {
   p2.set_time_slice(30_ms);
   // Drive latency by writing period accumulators before each sampling.
   for (int period = 0; period < 5; ++period) {
-    rig.platform->mark_period_activity(p1);  // external writers must mark
     p1.period().spin_wall = (period + 1) * 1_ms;
     p1.period().spin_episodes = 1;
     rig.simulation.run_until((period + 1) * 30_ms);
@@ -280,7 +279,6 @@ TEST(ControllerTest, NonParallelVmKeepsDefault) {
   AtcController ctrl(*rig.platform->nodes()[0], *rig.monitor, cfg());
   rig.monitor->start();
   for (int period = 0; period < 6; ++period) {
-    rig.platform->mark_period_activity(par);  // external writers must mark
     par.period().spin_wall = (period + 1) * 1_ms;
     par.period().spin_episodes = 1;
     rig.simulation.run_until((period + 1) * 30_ms);

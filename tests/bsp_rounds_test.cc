@@ -37,7 +37,7 @@ struct Rig {
         "bsp" + std::to_string(platform->vm_count()), vcpus);
     apps.push_back(std::make_unique<workload::BspApp>(
         std::vector<virt::Vm*>{&vm}, workload::Descriptor::from_bsp(cfg),
-        sim::Rng(9), nullptr, nullptr));
+        sim::Rng(9), nullptr));
     apps.back()->attach();
     return *apps.back();
   }
@@ -102,9 +102,7 @@ TEST(BspRoundsTest, ContendedRoundsMultiplySuperstepCost) {
 
 TEST(BspRoundsTest, SuperstepCountsMatchAcrossClusterVms) {
   Rig rig(2);
-  workload::BspConfig cfg = cfg_with_rounds(3);
-  cfg.supersteps_per_iteration = 4;
-  auto& app = rig.app(2, cfg);
+  auto& app = rig.app(2, cfg_with_rounds(3));
   rig.run(1_s);
   EXPECT_GT(app.supersteps_completed(), 10u);
   // Every rank observed every generation: total spin episodes per VM equal
@@ -135,7 +133,7 @@ TEST(BspRoundsTest, RejectsOutOfRangeSyncRounds) {
   const auto build = [&vms](int rounds) {
     workload::BspApp(vms,
                      workload::Descriptor::from_bsp(cfg_with_rounds(rounds)),
-                     sim::Rng(9), nullptr, nullptr);
+                     sim::Rng(9), nullptr);
   };
   for (int rounds : {0, -1, 33, 100}) {
     EXPECT_THROW(build(rounds), std::invalid_argument)

@@ -5,12 +5,16 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <typeinfo>
 #include <utility>
 
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
 #include "cluster/trace.h"
 #include "obs/export.h"
+#include "sched/coschedule.h"
+#include "sched/credit.h"
+#include "sched/vslicer.h"
 
 namespace atcsim::cluster {
 namespace {
@@ -153,11 +157,13 @@ TEST(ScenarioTest, RunsEndToEndWithEveryApproach) {
     EXPECT_EQ(rt.dss_controllers.size(), a == Approach::kDSS ? nodes : 0u);
     EXPECT_EQ(rt.atc_controllers.size(), atc ? nodes : 0u);
     EXPECT_EQ(rt.rebalancer != nullptr, pm);
-    const std::string sched = a == Approach::kCS   ? "cosched"
-                              : a == Approach::kVS ? "vslicer"
-                                                   : "credit";
+    const std::type_info& want =
+        a == Approach::kCS   ? typeid(sched::CoScheduler)
+        : a == Approach::kVS ? typeid(sched::VSlicerScheduler)
+                             : typeid(sched::CreditScheduler);
     for (const auto& node : s.platform().nodes()) {
-      EXPECT_EQ(node->scheduler().name(), sched);
+      const virt::Scheduler& installed = node->scheduler();
+      EXPECT_TRUE(typeid(installed) == want) << typeid(installed).name();
     }
 
     s.warmup_and_measure(300_ms, 700_ms);

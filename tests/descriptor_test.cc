@@ -4,7 +4,9 @@
 // NPB profiles' phase structure, and the CPU profiles' pinned unit streams.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,7 +46,6 @@ TEST(DescriptorRoundTrip, HandWrittenCornerCases) {
       // fractional durations, every unit, loop form with rate_units
       "workload svc\n"
       "cache_sens 0.25\n"
-      "steps_per_iter 3\n"
       "rate_units 12000\n"
       "phase compute 1.5ms jitter=0.05\n"
       "phase think 250us\n"
@@ -132,11 +133,6 @@ TEST(DescriptorRejection, EveryParseAndValidateErrorPath) {
       {"workload x y\nphase compute 1ms", "takes exactly one value"},
       {"workload x\ncache_sens nope\nphase compute 1ms",
        "malformed cache_sens"},
-      {"workload x\nsteps_per_iter 3x\nphase compute 1ms",
-       "malformed steps_per_iter"},
-      {"workload w; steps_per_iter 4294967297; phase compute 1ms; "
-       "phase barrier",
-       "steps_per_iter '4294967297' out of range"},
       {"workload x\nfrobnicate 3\nphase compute 1ms",
        "unknown directive 'frobnicate'"},
       {"workload x\nphase\nphase compute 1ms", "phase needs a kind"},
@@ -162,8 +158,6 @@ TEST(DescriptorRejection, EveryParseAndValidateErrorPath) {
        "must be 1-64 characters"},
       {"workload x\ncache_sens 0\nphase compute 1ms", "outside (0, 64]"},
       {"workload x\ncache_sens 65\nphase compute 1ms", "outside (0, 64]"},
-      {"workload x\nsteps_per_iter 0\nphase compute 1ms",
-       "outside [1, 100000]"},
       {"workload x\nrate_units -1\nphase compute 1ms", "outside [0, 1e9]"},
       {"workload x", "descriptor has no phases"},
       {"workload x\nphase compute 0ns", "outside [1ns, 60s]"},
@@ -251,7 +245,6 @@ TEST(NpbDescriptorTest, PhaseStructureMirrorsTheProfile) {
       SCOPED_TRACE(cfg.name);
       EXPECT_EQ(d.name, cfg.name);
       EXPECT_EQ(d.cache_sensitivity, cfg.cache_sensitivity);
-      EXPECT_EQ(d.steps_per_iter, cfg.supersteps_per_iteration);
       EXPECT_TRUE(d.parallel());
       EXPECT_EQ(d.local_barriers(), cfg.sync_rounds - 1);
       EXPECT_EQ(d.barrier_bytes(), cfg.bytes_per_msg);
@@ -338,7 +331,7 @@ TEST(DescriptorTest, LoopDescriptorsRejectBspAppAndViceVersa) {
       Descriptor::parse("workload p\nphase compute 1ms\nphase barrier\n");
   ProgRig rig;
   EXPECT_THROW(
-      workload::BspApp({&rig.vm()}, loop, sim::Rng(1), nullptr, nullptr),
+      workload::BspApp({&rig.vm()}, loop, sim::Rng(1), nullptr),
       DescriptorError);
   metrics::MetricsRegistry reg(rig.simulation);
   EXPECT_THROW(
@@ -347,17 +340,39 @@ TEST(DescriptorTest, LoopDescriptorsRejectBspAppAndViceVersa) {
 }
 
 TEST(DescriptorTest, MinimizerPreservesTheFailurePredicate) {
-  sim::Rng rng(77);
-  const Descriptor d = workload::fuzz_descriptor(rng);
   // Pretend any descriptor that is still parallel "fails": the minimizer
   // must return a valid descriptor that still satisfies the predicate.
   const auto still_fails = [](const Descriptor& c) { return c.parallel(); };
-  if (!still_fails(d)) return;
+  sim::Rng rng(77);
+  Descriptor d = workload::fuzz_descriptor(rng);
+  for (int draw = 0; draw < 100 && !still_fails(d); ++draw) {
+    d = workload::fuzz_descriptor(rng);
+  }
+  ASSERT_TRUE(still_fails(d)) << "no parallel descriptor in 100 draws";
   const Descriptor min = workload::minimize_descriptor(d, still_fails);
   EXPECT_EQ(min.validate(), "");
   EXPECT_TRUE(still_fails(min));
-  EXPECT_LE(min.phases.size(), d.phases.size());
-  EXPECT_EQ(min.steps_per_iter, 1);
+  // Greedy drops end at the smallest parallel form: one phase and the
+  // barrier, with every jitter zeroed.
+  EXPECT_EQ(min.phases.size(), 2u) << min.print();
+  for (const Phase& p : min.phases) EXPECT_EQ(p.jitter, 0.0);
+}
+
+// The committed example descriptors parse, and lu_b.wl is the descriptor
+// twin of the lu.B profile.
+TEST(DescriptorTest, ExampleWorkloadsParse) {
+  const auto parse_file = [](const std::string& file) {
+    std::ifstream in(std::string(ATCSIM_EXAMPLE_WORKLOADS_DIR) + "/" + file);
+    EXPECT_TRUE(in.is_open()) << file;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return Descriptor::parse(text.str());
+  };
+  EXPECT_EQ(parse_file("lu_b.wl"),
+            workload::npb_descriptor("lu", workload::NpbClass::kB));
+  const Descriptor chatty = parse_file("chatty_service.wl");
+  EXPECT_EQ(chatty.name, "chatty-svc");
+  EXPECT_FALSE(chatty.parallel());
 }
 
 }  // namespace

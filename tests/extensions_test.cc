@@ -54,7 +54,7 @@ struct ClsRig {
     cfg.compute_per_superstep = 2_ms;
     apps.push_back(std::make_unique<workload::BspApp>(
         std::vector<virt::Vm*>{&vm}, workload::Descriptor::from_bsp(cfg),
-        sim::Rng(1), nullptr, nullptr));
+        sim::Rng(1), nullptr));
     apps.back()->attach();
     return vm;
   }

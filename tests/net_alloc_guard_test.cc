@@ -131,12 +131,11 @@ TEST(NetAllocGuardTest, BspSuperstepCycleSteadyStateIsAllocationFree) {
                                       "bsp" + std::to_string(n), 2));
   }
   metrics::DurationRecorder supersteps;
-  metrics::DurationRecorder iterations;
   workload::BspConfig cfg;
   cfg.compute_per_superstep = 600_us;
   cfg.sync_rounds = 3;
   workload::BspApp app(vms, workload::Descriptor::from_bsp(cfg), sim::Rng(9),
-                       &supersteps, &iterations);
+                       &supersteps);
   app.attach();
   for (int n = 0; n < 2; ++n) {
     platform.set_scheduler(virt::NodeId{n},

@@ -230,7 +230,6 @@ TEST(DssTest, IoActiveVmGetsShortSliceIdleVmKeepsDefault) {
     virt::Platform* p;
     virt::Vm* vm;
     void operator()() const {
-      p->mark_period_activity(*vm);  // external writers must mark
       vm->period().io_events += 1;
       p->simulation().call_in(10_ms, *this);
     }
@@ -266,6 +265,21 @@ TEST(MonitorTest, SnapshotsAndResetsPeriodStats) {
   // Run time is accounted at stint boundaries, so by the second sampling
   // the snapshot has caught the first completed slice.
   EXPECT_GT(monitor.last(vm.id()).run_time, 0);
+}
+
+// The sample visits every resident VM, not only those the engine touched:
+// a write to an idle VM's accumulators shows in the next snapshot.
+TEST(MonitorTest, SamplesEveryResidentVm) {
+  SchedRig rig(1);
+  virt::Vm& vm = rig.platform->create_vm(virt::NodeId{0},
+                                         VmType::kNonParallel, "idle", 1);
+  sync::PeriodMonitor monitor(*rig.platform);
+  monitor.start();
+  rig.start(std::make_unique<sched::CreditScheduler>());
+  vm.period().io_events = 3;
+  rig.simulation.run_until(31_ms);
+  EXPECT_EQ(monitor.periods_elapsed(), 1u);
+  EXPECT_EQ(monitor.last(vm.id()).io_events, 3u);
 }
 
 TEST(MonitorTest, InFlightSpinEpisodesAreVisible) {

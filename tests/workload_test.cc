@@ -56,17 +56,14 @@ TEST(BspTest, SingleVmAppCompletesSupersteps) {
   workload::BspConfig cfg;
   cfg.compute_per_superstep = 2_ms;
   cfg.sync_rounds = 2;
-  cfg.supersteps_per_iteration = 5;
   auto& steps = rig.metrics.durations("app/superstep");
-  auto& iters = rig.metrics.durations("app/iteration");
   workload::BspApp app({&vm}, workload::Descriptor::from_bsp(cfg),
-                       sim::Rng(1), &steps, &iters);
+                       sim::Rng(1), &steps);
   app.attach();
   rig.start();
   rig.simulation.run_until(2_s);
   EXPECT_GT(app.supersteps_completed(), 50u);
   EXPECT_EQ(steps.count(), app.supersteps_completed());
-  EXPECT_EQ(iters.count(), app.supersteps_completed() / 5);
 }
 
 TEST(BspTest, UncontendedSuperstepTakesAboutComputeTime) {
@@ -79,7 +76,7 @@ TEST(BspTest, UncontendedSuperstepTakesAboutComputeTime) {
   cfg.compute_jitter = 0.0;
   auto& steps = rig.metrics.durations("app/superstep");
   workload::BspApp app({&vm}, workload::Descriptor::from_bsp(cfg),
-                       sim::Rng(1), &steps, nullptr);
+                       sim::Rng(1), &steps);
   app.attach();
   rig.start();
   rig.simulation.run_until(1_s);
@@ -96,7 +93,7 @@ TEST(BspTest, CrossVmAppSynchronizesThroughTheNetwork) {
   cfg.sync_rounds = 1;
   cfg.bytes_per_msg = 64 * 1024;
   workload::BspApp app({&a, &b}, workload::Descriptor::from_bsp(cfg),
-                       sim::Rng(1), nullptr, nullptr);
+                       sim::Rng(1), nullptr);
   app.attach();
   rig.start();
   rig.simulation.run_until(1_s);
@@ -117,7 +114,7 @@ TEST(BspTest, ContendedSuperstepsSlowWithCoTenants) {
       virt::Vm& vm = rig.vm(0, 2, virt::VmType::kParallel);
       rig.apps.push_back(std::make_unique<workload::BspApp>(
           std::vector<virt::Vm*>{&vm}, workload::Descriptor::from_bsp(cfg),
-          sim::Rng(1), nullptr, nullptr));
+          sim::Rng(1), nullptr));
       rig.apps.back()->attach();
       apps.push_back(rig.apps.back().get());
     }
@@ -135,8 +132,8 @@ TEST(BspTest, SpinLatencyRecordedPerVm) {
   workload::BspConfig cfg;
   cfg.compute_per_superstep = 2_ms;
   const workload::Descriptor desc = workload::Descriptor::from_bsp(cfg);
-  workload::BspApp app1({&a}, desc, sim::Rng(1), nullptr, nullptr);
-  workload::BspApp app2({&b}, desc, sim::Rng(2), nullptr, nullptr);
+  workload::BspApp app1({&a}, desc, sim::Rng(1), nullptr);
+  workload::BspApp app2({&b}, desc, sim::Rng(2), nullptr);
   app1.attach();
   app2.attach();
   rig.start();
@@ -231,7 +228,7 @@ TEST(PingTest, RttGrowsWhenPeerContended) {
       cfg.compute_per_superstep = 5_ms;
       rig.apps.push_back(std::make_unique<workload::BspApp>(
           std::vector<virt::Vm*>{&spin}, workload::Descriptor::from_bsp(cfg),
-          sim::Rng(1), nullptr, nullptr));
+          sim::Rng(1), nullptr));
       rig.apps.back()->attach();
     }
     rig.start();
