@@ -1,14 +1,17 @@
 // google-benchmark micro suite: hot paths of the simulator (event queue,
-// timers, RNG, end-to-end event throughput) plus macro end-to-end profiles
-// (32-node LU sweep, cancel-heavy, sync-heavy).  End-to-end speed and memory
-// are measured by atcsim_bench (see README "Benchmarking").
+// timers, RNG, histogram recording, end-to-end event throughput) plus macro
+// end-to-end profiles (32-node LU sweep, cancel-heavy, sync-heavy).
+// End-to-end speed and memory are measured by atcsim_bench (see README
+// "Benchmarking").
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
+#include "metrics/recorders.h"
 #include "simcore/event_queue.h"
 #include "simcore/rng.h"
 
@@ -99,6 +102,26 @@ void BM_RngExponential(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_RngExponential);
+
+// The histogram half of DurationRecorder::record(): samples spread over
+// four octaves (1-16 ms), the span of a typical superstep or latency
+// recorder, so every add() goes through the octave directory.
+void BM_LogHistogramAdd(benchmark::State& state) {
+  sim::Rng rng(1);
+  std::vector<double> samples(1024);
+  for (double& v : samples) v = 1e-3 * std::exp2(rng.uniform(0.0, 4.0));
+  metrics::LogHistogram h;
+  benchmark::DoNotOptimize(&h);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    h.add(samples[i]);
+    i = (i + 1) % samples.size();
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(h.total());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LogHistogramAdd);
 
 // End-to-end: simulated seconds per wall second for a 1-node ATC scenario —
 // the figure harnesses' dominant cost.

@@ -401,11 +401,13 @@ std::vector<virt::Vm*> Scenario::guest_vms() const {
   return out;
 }
 
-double Scenario::mean_superstep(const std::string& key) {
-  return metrics_->durations(key + "/superstep").mean_seconds();
+double Scenario::mean_superstep(const std::string& key) const {
+  const metrics::DurationRecorder* steps =
+      metrics_->find_durations(key + "/superstep");
+  return steps == nullptr ? 0.0 : steps->mean_seconds();
 }
 
-double Scenario::mean_superstep_with_prefix(const std::string& prefix) {
+double Scenario::mean_superstep_with_prefix(const std::string& prefix) const {
   double sum = 0.0;
   int n = 0;
   for (const auto& key : bsp_keys_) {

@@ -173,10 +173,11 @@ class Scenario {
   /// All guest (non-dom0) VMs across all shards, shard-then-id order.
   std::vector<virt::Vm*> guest_vms() const;
 
-  /// Mean superstep seconds of one app key; 0 when nothing recorded.
-  double mean_superstep(const std::string& key);
+  /// Mean superstep seconds of one app key; 0 when nothing recorded or
+  /// the key is unknown (which creates no recorder).
+  double mean_superstep(const std::string& key) const;
   /// Mean superstep seconds averaged over every key with `prefix`.
-  double mean_superstep_with_prefix(const std::string& prefix);
+  double mean_superstep_with_prefix(const std::string& prefix) const;
   /// Wall spin latency per episode averaged over all parallel VMs (s).
   double avg_parallel_spin_latency();
   /// Platform-wide LLC misses per second of simulated time since reset.

@@ -1,14 +1,18 @@
 // Experiment measurement: named recorders for durations, latencies and
 // throughput counters, with warmup support (reset after convergence).
 //
-// Recorders are fixed-footprint: samples land in a log-linear histogram (and
-// an OnlineStats for the exact moments), never in an unbounded vector, so a
-// week-long simulated run records in O(1) memory and record() never touches
-// the allocator — part of the steady-state zero-allocation contract
+// Recorders are bounded: samples land in a log-linear histogram (and an
+// OnlineStats for the exact moments), never in an unbounded vector, so a
+// week-long simulated run records in O(1) memory.  A recorder's footprint
+// follows the octaves it records: building one makes one ~4 KiB allocation
+// with room for 8 octaves, and record() touches the allocator only on the
+// first sample of a 9th or later distinct octave, once per octave — so a
+// warmed-up recorder keeps the steady-state zero-allocation contract
 // (DESIGN.md §9).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -21,14 +25,21 @@
 
 namespace atcsim::metrics {
 
-/// Fixed-footprint log-linear histogram over positive seconds (HDR-style):
-/// each power-of-two octave is split into kSubBuckets linear buckets, so the
+/// Log-linear histogram over positive seconds (HDR-style): each
+/// power-of-two octave is split into kSubBuckets linear buckets, so the
 /// relative bucket width is 1/kSubBuckets / (2*mantissa) — at 64 sub-buckets
 /// a quantile's representative (bucket midpoint) is within ±0.79% of the
 /// true sample value (see EXPERIMENTS.md "Percentile quantization").
-/// The bucket array is allocated once at construction (~32 KiB) and covers
-/// 2^-40 s (~1 ps) to 2^24 s (~194 days); out-of-range samples land in
-/// underflow/overflow buckets so totals stay exact.
+/// Buckets cover 2^-40 s (~1 ps) to 2^24 s (~194 days); out-of-range
+/// samples land in underflow/overflow counters so totals stay exact.
+///
+/// Storage follows the octaves recorded: a one-byte directory maps each
+/// octave to a 512 B block of its kSubBuckets counters, taken when the
+/// octave sees its first sample.  Construction reserves kReservedOctaves
+/// blocks in one ~4 KiB allocation, so add() touches the allocator only
+/// when a recorder spans more octaves than that (once per further octave);
+/// reset() zeroes the blocks and keeps them.  In the 512-host mixed cell
+/// recorders span 1-9 octaves (DESIGN.md §9 "Histogram recorders").
 class LogHistogram {
  public:
   static constexpr int kSubBuckets = 64;  ///< per octave
@@ -37,14 +48,24 @@ class LogHistogram {
   static constexpr std::size_t kBuckets =
       static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets + 2;
 
-  LogHistogram() : counts_(kBuckets, 0) {}
+  LogHistogram() { blocks_.reserve(kReservedOctaves); }
 
   void add(double v) {
-    ++counts_[index_of(v)];
     ++total_;
+    const std::size_t i = index_of(v);
+    if (i == 0) {
+      ++underflow_;
+    } else if (i == kBuckets - 1) {
+      ++overflow_;
+    } else {
+      const std::size_t k = i - 1;
+      ++block(k / kSubBuckets)[k % kSubBuckets];
+    }
   }
   void reset() {
-    std::fill(counts_.begin(), counts_.end(), 0);
+    for (Block& b : blocks_) b.fill(0);
+    underflow_ = 0;
+    overflow_ = 0;
     total_ = 0;
   }
   std::uint64_t total() const { return total_; }
@@ -56,18 +77,46 @@ class LogHistogram {
     q = std::clamp(q, 0.0, 1.0);
     const auto rank = static_cast<std::uint64_t>(
         q * static_cast<double>(total_ - 1) + 0.5);
-    std::uint64_t cum = 0;
-    std::size_t i = 0;
-    for (;; ++i) {
-      cum += counts_[i];
-      if (cum > rank) break;
+    // Bucket order: underflow, the present octaves ascending, overflow.  An
+    // absent octave's buckets hold no sample, so skipping them finds the
+    // same bucket as a walk over every bucket.
+    std::uint64_t cum = underflow_;
+    if (cum > rank) return midpoint(0);
+    for (std::size_t octave = 0; octave < kOctaves; ++octave) {
+      if (dir_[octave] == 0) continue;
+      const Block& b = blocks_[dir_[octave] - 1u];
+      for (std::size_t sub = 0; sub < b.size(); ++sub) {
+        cum += b[sub];
+        if (cum > rank) return midpoint(1 + octave * kSubBuckets + sub);
+      }
     }
-    return midpoint(i);
+    return midpoint(kBuckets - 1);
   }
 
  private:
+  static constexpr std::size_t kOctaves =
+      static_cast<std::size_t>(kMaxExp - kMinExp);
+  /// Octave blocks reserved at construction.
+  static constexpr std::size_t kReservedOctaves = 8;
+  using Block = std::array<std::uint64_t, kSubBuckets>;
+
+  /// The counters of `octave`, taking the next block on its first sample.
+  Block& block(std::size_t octave) {
+    std::uint8_t& slot = dir_[octave];
+    if (slot == 0) {
+      // Past the reservation, grow by exactly one block.
+      if (blocks_.size() == blocks_.capacity()) {
+        blocks_.reserve(blocks_.size() + 1);
+      }
+      blocks_.emplace_back();  // zero-filled
+      slot = static_cast<std::uint8_t>(blocks_.size());
+    }
+    return blocks_[slot - 1u];
+  }
+
   static std::size_t index_of(double v) {
     if (!(v > 0.0)) return 0;  // zero / negative / NaN -> underflow
+    if (std::isinf(v)) return kBuckets - 1;  // frexp leaves exp unspecified
     int exp = 0;
     const double m = std::frexp(v, &exp);  // v = m * 2^exp, m in [0.5, 1)
     if (exp <= kMinExp) return 0;
@@ -90,7 +139,11 @@ class LogHistogram {
     return std::ldexp(m, exp);
   }
 
-  std::vector<std::uint64_t> counts_;
+  /// Octave -> 1 + its index in blocks_; 0 while the octave is empty.
+  std::array<std::uint8_t, kOctaves> dir_{};
+  std::vector<Block> blocks_;
+  std::uint64_t underflow_ = 0;
+  std::uint64_t overflow_ = 0;
   std::uint64_t total_ = 0;
 };
 
@@ -179,8 +232,18 @@ class MetricsRegistry {
     return it->second;
   }
 
+  /// Readers: the named recorder, or nullptr when none was created.  They
+  /// never create one, so a reader's unknown key leaves the registry as it
+  /// was.
+  const DurationRecorder* find_durations(const std::string& name) const {
+    return find(durations_, name);
+  }
+  const DurationRecorder* find_latency(const std::string& name) const {
+    return find(latency_, name);
+  }
+
   bool has_durations(const std::string& name) const {
-    return durations_.contains(name);
+    return find_durations(name) != nullptr;
   }
 
   /// Clears all samples / re-baselines all rates (end of warmup).
@@ -195,6 +258,13 @@ class MetricsRegistry {
   }
 
  private:
+  static const DurationRecorder* find(
+      const std::map<std::string, DurationRecorder>& recorders,
+      const std::string& name) {
+    const auto it = recorders.find(name);
+    return it == recorders.end() ? nullptr : &it->second;
+  }
+
   sim::Simulation* sim_;
   std::map<std::string, DurationRecorder> durations_;
   std::map<std::string, DurationRecorder> latency_;

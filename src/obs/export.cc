@@ -1,11 +1,14 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <string_view>
 
 namespace atcsim::obs {
 
@@ -13,33 +16,95 @@ namespace {
 
 constexpr const char* kCompactHeader = "# atcsim trace v1";
 
-/// Track name for the chrome export: a VCPU identified as "vm<id>/v<id>".
-std::string slice_name(const TraceEvent& e) {
-  return "vm" + std::to_string(e.vm) + "/v" + std::to_string(e.vcpu);
+/// One exported record, assembled in a stack buffer and written with one
+/// call.  Names come from fixed tables and a number takes at most 20
+/// characters, so the longest record of either format (under 300 bytes)
+/// fits; a longer one would be truncated, never overrun.
+class Record {
+ public:
+  Record& text(std::string_view s) {
+    const std::size_t n =
+        std::min(s.size(), static_cast<std::size_t>(end() - p_));
+    std::memcpy(p_, s.data(), n);
+    p_ += n;
+    return *this;
+  }
+  Record& ch(char c) {
+    if (p_ != end()) *p_++ = c;
+    return *this;
+  }
+  Record& num(std::int64_t v) {
+    p_ = std::to_chars(p_, end(), v).ptr;
+    return *this;
+  }
+  /// Chrome `ts` is fractional microseconds; 3 decimals keep ns precision.
+  Record& micros(sim::SimTime t) {
+    if (t < 0) {
+      // C's truncating division and "%03d" decide a negative time's text.
+      char buf[48];
+      const int n = std::snprintf(buf, sizeof buf, "%" PRId64 ".%03d",
+                                  t / 1000, static_cast<int>(t % 1000));
+      return text({buf, static_cast<std::size_t>(n)});
+    }
+    const auto ns = static_cast<int>(t % 1000);
+    return num(t / 1000)
+        .ch('.')
+        .ch(static_cast<char>('0' + ns / 100))
+        .ch(static_cast<char>('0' + ns / 10 % 10))
+        .ch(static_cast<char>('0' + ns % 10));
+  }
+
+  std::string_view view() const {
+    return {buf_, static_cast<std::size_t>(p_ - buf_)};
+  }
+  void write_to(std::ostream& os) const {
+    os.write(buf_, static_cast<std::streamsize>(p_ - buf_));
+  }
+
+ private:
+  char* end() { return buf_ + sizeof buf_; }
+
+  char buf_[384];
+  char* p_ = buf_;
+};
+
+/// "<time>\t<cat>.<type>\t<node>\t<vm>\t<vcpu>\t<pcpu>\t<a0>\t<a1>"
+void compact_line(Record& r, const TraceEvent& e) {
+  r.num(e.time).ch('\t').text(cat_name(e.cat)).ch('.');
+  r.text(type_name(e.cat, e.type)).ch('\t').num(e.node).ch('\t');
+  r.num(e.vm).ch('\t').num(e.vcpu).ch('\t').num(e.pcpu).ch('\t');
+  r.num(e.a0).ch('\t').num(e.a1);
 }
 
-/// Chrome `ts` is fractional microseconds; 3 decimals keep ns precision.
-std::string chrome_ts(sim::SimTime t) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%" PRId64 ".%03d", t / 1000,
-                static_cast<int>(t % 1000));
-  return buf;
-}
-
-void write_args(std::ostream& os, const TraceEvent& e) {
-  os << "\"args\":{\"vm\":" << e.vm << ",\"vcpu\":" << e.vcpu
-     << ",\"a0\":" << e.a0 << ",\"a1\":" << e.a1 << "}";
+/// One chrome event object, without the separator before it.
+void chrome_record(Record& r, const TraceEvent& e) {
+  r.text("{\"name\":\"");
+  if (e.cat == TraceCat::kVcpu &&
+      (e.type == ev::kDispatch || e.type == ev::kLeave)) {
+    // Dispatch/leave pairs become duration slices on the PCPU track,
+    // named for the VCPU: "vm<id>/v<id>".
+    r.text("vm").num(e.vm).text("/v").num(e.vcpu);
+    r.text("\",\"cat\":\"vcpu\",\"ph\":\"");
+    r.ch(e.type == ev::kDispatch ? 'B' : 'E').text("\",\"ts\":");
+    r.micros(e.time).text(",\"pid\":").num(e.node);
+    r.text(",\"tid\":").num(e.pcpu);
+  } else {
+    r.text(cat_name(e.cat)).ch('.').text(type_name(e.cat, e.type));
+    r.text("\",\"cat\":\"").text(cat_name(e.cat));
+    r.text("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":").micros(e.time);
+    r.text(",\"pid\":").num(e.node);
+    r.text(",\"tid\":").num(e.pcpu >= 0 ? e.pcpu : e.vcpu);
+  }
+  r.text(",\"args\":{\"vm\":").num(e.vm).text(",\"vcpu\":").num(e.vcpu);
+  r.text(",\"a0\":").num(e.a0).text(",\"a1\":").num(e.a1).text("}}");
 }
 
 }  // namespace
 
 std::string format_event(const TraceEvent& e) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "%" PRId64 "\t%s.%s\t%d\t%d\t%d\t%d\t%" PRId64 "\t%" PRId64,
-                e.time, cat_name(e.cat), type_name(e.cat, e.type), e.node,
-                e.vm, e.vcpu, e.pcpu, e.a0, e.a1);
-  return buf;
+  Record r;
+  compact_line(r, e);
+  return std::string(r.view());
 }
 
 std::vector<TraceEvent> merged_events(
@@ -53,11 +118,14 @@ std::vector<TraceEvent> merged_events(
     events.insert(events.end(), snapshot.begin(), snapshot.end());
   }
   // Stable: same-timestamp events keep shard order, so the merge is a pure
-  // function of the per-shard streams (thread-count independent).
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.time < b.time;
-                   });
+  // function of the per-shard streams (thread-count independent).  A
+  // stream already in time order (one sink, as a rule) is its own merge.
+  const auto by_time = [](const TraceEvent& a, const TraceEvent& b) {
+    return a.time < b.time;
+  };
+  if (!std::is_sorted(events.begin(), events.end(), by_time)) {
+    std::stable_sort(events.begin(), events.end(), by_time);
+  }
   return events;
 }
 
@@ -73,7 +141,11 @@ void write_compact_events(std::ostream& os,
                           const std::vector<TraceEvent>& events,
                           std::uint64_t dropped) {
   os << kCompactHeader << '\n';
-  for (const TraceEvent& e : events) os << format_event(e) << '\n';
+  for (const TraceEvent& e : events) {
+    Record r;
+    compact_line(r, e);
+    r.ch('\n').write_to(os);
+  }
   os << "# dropped=" << dropped << '\n';
 }
 
@@ -82,25 +154,12 @@ void write_chrome_events(std::ostream& os,
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   for (const TraceEvent& e : events) {
-    if (!first) os << ",";
+    Record r;
+    if (!first) r.ch(',');
     first = false;
-    os << "\n{";
-    if (e.cat == TraceCat::kVcpu &&
-        (e.type == ev::kDispatch || e.type == ev::kLeave)) {
-      // Dispatch/leave pairs become duration slices on the PCPU track.
-      os << "\"name\":\"" << slice_name(e) << "\",\"cat\":\"vcpu\",\"ph\":\""
-         << (e.type == ev::kDispatch ? 'B' : 'E') << "\",\"ts\":"
-         << chrome_ts(e.time) << ",\"pid\":" << e.node << ",\"tid\":" << e.pcpu
-         << ",";
-    } else {
-      os << "\"name\":\"" << cat_name(e.cat) << '.'
-         << type_name(e.cat, e.type) << "\",\"cat\":\"" << cat_name(e.cat)
-         << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << chrome_ts(e.time)
-         << ",\"pid\":" << e.node << ",\"tid\":"
-         << (e.pcpu >= 0 ? e.pcpu : e.vcpu) << ",";
-    }
-    write_args(os, e);
-    os << "}";
+    r.ch('\n');
+    chrome_record(r, e);
+    r.write_to(os);
   }
   os << "\n]}\n";
 }

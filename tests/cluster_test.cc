@@ -212,6 +212,15 @@ TEST(ScenarioTest, MeanSuperstepPrefixAveragesClusters) {
   EXPECT_LE(avg, hi);
 }
 
+// Reading a key that nothing records under creates no recorder, so the
+// registry (and what reset_all() walks) stays as the scenario built it.
+TEST(ScenarioTest, MeanSuperstepOfUnknownKeyCreatesNoRecorder) {
+  auto sp = ScenarioBuilder{}.nodes(1).build();
+  Scenario& s = *sp;
+  EXPECT_EQ(s.mean_superstep("nope"), 0.0);
+  EXPECT_FALSE(s.metrics().has_durations("nope/superstep"));
+}
+
 #if ATCSIM_TRACE_ENABLED
 
 // ScenarioBuilder is the only construction path; two builds from identical

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
+#include "log_histogram_ref.h"
 #include "metrics/recorders.h"
 #include "metrics/report.h"
+#include "simcore/rng.h"
 
 namespace atcsim::metrics {
 namespace {
@@ -46,6 +50,102 @@ TEST(LogHistogramTest, OutOfRangeSamplesStayCounted) {
   EXPECT_DOUBLE_EQ(h.quantile(1.0), std::ldexp(1.0, LogHistogram::kMaxExp));
 }
 
+// ------------------------------------- differential: dense reference walk
+
+/// Seconds drawn log-uniformly over [2^-45, 2^30] s, with about one sample
+/// in eight replaced by an edge case: zero, negative, NaN, infinities,
+/// subnormals and overflowing values (2^24 s or more).
+double draw_seconds(sim::Rng& rng) {
+  constexpr double kEdges[] = {
+      0.0,
+      -1.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      1e-310,
+      0x1p24,
+      0x1.8p27,
+      std::numeric_limits<double>::max(),
+  };
+  constexpr std::size_t kEdgeCount = sizeof kEdges / sizeof kEdges[0];
+  if (rng.next_double() < 0.125) {
+    return kEdges[static_cast<std::size_t>(rng.next_double() * kEdgeCount)];
+  }
+  return std::exp2(rng.uniform(-45.0, 30.0));
+}
+
+/// Equal totals and bit-equal quantiles at 1001 evenly spaced q.
+void expect_same_quantiles(const LogHistogram& h, const DenseLogHistogram& ref) {
+  ASSERT_EQ(h.total(), ref.total());
+  for (int i = 0; i <= 1000; ++i) {
+    const double q = i / 1000.0;
+    ASSERT_EQ(h.quantile(q), ref.quantile(q))
+        << "q=" << q << " total=" << h.total();
+  }
+}
+
+void expect_same_quantiles(const DurationRecorder& r,
+                           const DenseDurationRecorder& ref) {
+  ASSERT_EQ(r.count(), ref.count());
+  for (int i = 0; i <= 1000; ++i) {
+    const double q = i / 1000.0;
+    ASSERT_EQ(r.quantile_seconds(q), ref.quantile_seconds(q))
+        << "q=" << q << " count=" << r.count();
+  }
+}
+
+TEST(LogHistogramDifferentialTest, MatchesDenseReferenceAcrossReset) {
+  LogHistogram h;
+  DenseLogHistogram ref;
+  ASSERT_NO_FATAL_FAILURE(expect_same_quantiles(h, ref));
+  for (const std::uint64_t seed : {11u, 12u}) {
+    sim::Rng rng(seed);
+    // Small totals put the nearest rank on every edge of the walk; the
+    // long stream spans every octave, both out-of-range counters and more
+    // octaves than the histogram reserves.
+    for (int n = 1; n <= 20'000; ++n) {
+      const double v = draw_seconds(rng);
+      h.add(v);
+      ref.add(v);
+      if (n <= 16 || n % 4'000 == 0) {
+        ASSERT_NO_FATAL_FAILURE(expect_same_quantiles(h, ref))
+            << "seed " << seed << " after " << n << " samples";
+      }
+    }
+    h.reset();
+    ref.reset();
+    ASSERT_NO_FATAL_FAILURE(expect_same_quantiles(h, ref));
+  }
+}
+
+TEST(LogHistogramDifferentialTest, RecorderQuantilesMatchDenseReference) {
+  DurationRecorder r;
+  DenseDurationRecorder ref;
+  for (const std::uint64_t seed : {21u, 22u}) {
+    sim::Rng rng(seed);
+    for (int n = 1; n <= 20'000; ++n) {
+      // Whole nanoseconds from -1 ns to SimTime's largest value.
+      const double v = draw_seconds(rng);
+      sim::SimTime d = std::numeric_limits<sim::SimTime>::max();
+      if (!(v > 0.0)) {
+        d = v == 0.0 ? 0 : -1;
+      } else if (v < 0x1p33) {
+        d = static_cast<sim::SimTime>(v * 1e9);
+      }
+      r.record(d);
+      ref.record(d);
+      if (n <= 16 || n % 4'000 == 0) {
+        ASSERT_NO_FATAL_FAILURE(expect_same_quantiles(r, ref))
+            << "seed " << seed << " after " << n << " samples";
+      }
+    }
+    r.reset();
+    ref.reset();
+    ASSERT_NO_FATAL_FAILURE(expect_same_quantiles(r, ref));
+  }
+}
+
 TEST(RateCounterTest, RateAgainstSimTime) {
   sim::Simulation s;
   RateCounter c(s);
@@ -67,6 +167,19 @@ TEST(RegistryTest, NamedRecordersAreStable) {
   EXPECT_EQ(reg.durations("a").count(), 1u);
   EXPECT_TRUE(reg.has_durations("a"));
   EXPECT_FALSE(reg.has_durations("b"));
+}
+
+TEST(RegistryTest, FindersNeverCreate) {
+  sim::Simulation s;
+  MetricsRegistry reg(s);
+  reg.durations("d").record(1_ms);
+  reg.latency("l").record(2_ms);
+  const MetricsRegistry& readers = reg;
+  EXPECT_EQ(readers.find_durations("d"), &reg.durations("d"));
+  EXPECT_EQ(readers.find_latency("l"), &reg.latency("l"));
+  EXPECT_EQ(readers.find_durations("l"), nullptr);
+  EXPECT_EQ(readers.find_latency("d"), nullptr);
+  EXPECT_FALSE(reg.has_durations("l"));
 }
 
 TEST(RegistryTest, ResetAllClearsEverything) {

@@ -10,7 +10,10 @@
 //    including the duration recorders fed every superstep.
 //
 // The operator-new hook in alloc_guard_test.cc counts heap allocations;
-// after a warm-up window both cycles must perform exactly zero.
+// after a warm-up window both cycles must perform exactly zero.  The
+// recorders' own footprint guard lives here too: a recorder built in the
+// hook's source would inline its vector's new and delete next to the hook
+// and trip -Wmismatched-new-delete.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -155,6 +158,37 @@ TEST(NetAllocGuardTest, BspSuperstepCycleSteadyStateIsAllocationFree) {
       << "BSP superstep cycle allocated after warm-up";
   EXPECT_GT(app.supersteps_completed(), done0 + 20u);
   EXPECT_EQ(supersteps.count(), app.supersteps_completed());
+}
+
+// A recorder's histogram takes one 512 B block per octave it records and
+// reserves 8 of them when it is built, so a recorder whose samples span up
+// to 8 octaves records (also after a warmup reset) without the allocator,
+// and each further octave costs one allocation.
+TEST(AllocGuardTest, RecorderFootprintFollowsOctaves) {
+  // One sample per octave: 1 us, 2 us, 4 us, ...; and a second, 1.5x larger,
+  // in the same octave.
+  auto record_octaves = [](metrics::DurationRecorder& r, int from, int to) {
+    for (int i = from; i < to; ++i) {
+      r.record(sim::SimTime{1000} << i);
+      r.record(sim::SimTime{1500} << i);
+    }
+  };
+  std::uint64_t before = allocs();
+  metrics::DurationRecorder r;
+  EXPECT_EQ(allocs() - before, 1u) << "building a recorder";
+  before = allocs();
+  record_octaves(r, 0, 8);
+  EXPECT_EQ(allocs() - before, 0u) << "recording into 8 octaves";
+  before = allocs();
+  r.reset();
+  record_octaves(r, 0, 8);
+  EXPECT_EQ(allocs() - before, 0u) << "re-recording after reset()";
+  for (int octave = 8; octave < 10; ++octave) {
+    before = allocs();
+    record_octaves(r, octave, octave + 1);
+    EXPECT_EQ(allocs() - before, 1u) << "octave " << octave + 1;
+  }
+  EXPECT_EQ(r.count(), 20u);
 }
 
 }  // namespace
