@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+
+#include "simcore/parallel.h"
 
 namespace atcsim::cluster {
 
@@ -66,42 +69,11 @@ class Scenario::ShardExec final : public sim::ShardExecutor {
 };
 
 Scenario::Scenario(ScenarioConfig config)
-    : config_(config), app_rng_(config.seed) {
+    : config_(config),
+      shard_threads_(sim::ShardGroup::resolve_threads(
+          config.shard_threads, static_cast<std::size_t>(config.shards))),
+      app_rng_(config.seed) {
   const int shards = config_.shards;
-
-  // Contiguous balanced node blocks: shard k owns base + (k < rem ? 1 : 0)
-  // nodes starting at k * base + min(k, rem).
-  const int base = config_.nodes / shards;
-  const int rem = config_.nodes % shards;
-  int first = 0;
-  stacks_.reserve(static_cast<std::size_t>(shards));
-  for (int k = 0; k < shards; ++k) {
-    auto stack = std::make_unique<ShardStack>();
-    stack->first_node = first;
-    stack->node_count = base + (k < rem ? 1 : 0);
-    virt::PlatformConfig pc;
-    pc.nodes = stack->node_count;
-    pc.pcpus_per_node = config_.pcpus_per_node;
-    pc.params = config_.params;
-    pc.seed = config_.seed;
-    pc.node_id_offset = first;
-    stack->platform =
-        std::make_unique<virt::Platform>(stack->simulation, pc);
-    stack->network = std::make_unique<net::VirtualNetwork>(*stack->platform);
-    stack->network->attach();
-    stack->monitor = std::make_unique<sync::PeriodMonitor>(*stack->platform);
-    first += stack->node_count;
-    stacks_.push_back(std::move(stack));
-  }
-  metrics_ =
-      std::make_unique<metrics::MetricsRegistry>(stacks_[0]->simulation);
-
-  if (shards > 1) {
-    fabric_ = std::make_unique<net::ShardFabric>(shards, kPdesMailboxSlots);
-    for (int k = 0; k < shards; ++k) {
-      fabric_->bind(k, *stacks_[static_cast<std::size_t>(k)]->network);
-    }
-  }
 
   // Cluster control plane: every shard's network carries a full directory
   // replica, and every shard a migration manager.  Unsharded runs get them
@@ -112,9 +84,46 @@ Scenario::Scenario(ScenarioConfig config)
   for (int n = 0; n < config_.nodes; ++n) {
     node_shard.push_back(static_cast<std::int32_t>(shard_of_node(n)));
   }
-  for (auto& stack : stacks_) {
-    stack->migrator =
-        std::make_unique<control::Migrator>(*stack->network, node_shard);
+
+  // Contiguous balanced node blocks: shard k owns base + (k < rem ? 1 : 0)
+  // nodes starting at k * base + min(k, rem).  A stack touches only its
+  // own objects, so each shard builds its own.
+  const int base = config_.nodes / shards;
+  const int rem = config_.nodes % shards;
+  stacks_.resize(static_cast<std::size_t>(shards));
+  sim::parallel_for(
+      stacks_.size(),
+      [&](std::size_t s) {
+        const int k = static_cast<int>(s);
+        auto stack = std::make_unique<ShardStack>();
+        stack->first_node = k * base + std::min(k, rem);
+        stack->node_count = base + (k < rem ? 1 : 0);
+        virt::PlatformConfig pc;
+        pc.nodes = stack->node_count;
+        pc.pcpus_per_node = config_.pcpus_per_node;
+        pc.params = config_.params;
+        pc.seed = config_.seed;
+        pc.node_id_offset = stack->first_node;
+        stack->platform =
+            std::make_unique<virt::Platform>(stack->simulation, pc);
+        stack->network =
+            std::make_unique<net::VirtualNetwork>(*stack->platform);
+        stack->network->attach();
+        stack->monitor =
+            std::make_unique<sync::PeriodMonitor>(*stack->platform);
+        stack->migrator =
+            std::make_unique<control::Migrator>(*stack->network, node_shard);
+        stacks_[s] = std::move(stack);
+      },
+      shard_threads_);
+  metrics_ =
+      std::make_unique<metrics::MetricsRegistry>(stacks_[0]->simulation);
+
+  if (shards > 1) {
+    fabric_ = std::make_unique<net::ShardFabric>(shards, kPdesMailboxSlots);
+    for (int k = 0; k < shards; ++k) {
+      fabric_->bind(k, *stacks_[static_cast<std::size_t>(k)]->network);
+    }
   }
 }
 
@@ -151,43 +160,97 @@ void Scenario::register_vm(virt::Vm& vm, int node) {
 
 std::vector<virt::Vm*> Scenario::create_cluster_vms(
     const std::string& name, const std::vector<int>& node_for_vm) {
-  std::vector<virt::Vm*> vms;
-  vms.reserve(node_for_vm.size());
-  for (std::size_t i = 0; i < node_for_vm.size(); ++i) {
-    virt::Vm& vm = platform_of_node(node_for_vm[i]).create_vm(
-        local_node_id(node_for_vm[i]), virt::VmType::kParallel,
-        name + "-vm" + std::to_string(i), config_.vcpus_per_vm);
-    // Parallel VMs are network-driven: vSlicer's admin marks them LS.
-    vm.set_latency_sensitive(true);
-    register_vm(vm, node_for_vm[i]);
-    vms.push_back(&vm);
+  const std::size_t n = node_for_vm.size();
+  std::vector<std::int32_t> vm_shard(n);
+  bool spans_shards = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    vm_shard[i] = static_cast<std::int32_t>(shard_of_node(node_for_vm[i]));
+    spans_shards = spans_shards || vm_shard[i] != vm_shard[0];
   }
+  const std::int64_t first_gid = next_gid_;
+  next_gid_ += static_cast<std::int64_t>(n);
+
+  // Shard s creates its VMs in index order, the order its platform saw
+  // them one at a time, then registers every VM in its own directory
+  // replica.  parallel_for starts threads on each call, so a cluster on
+  // one shard stays on the caller.
+  std::vector<virt::Vm*> vms(n, nullptr);
+  sim::parallel_for(
+      stacks_.size(),
+      [&](std::size_t s) {
+        ShardStack& stack = *stacks_[s];
+        for (std::size_t i = 0; i < n; ++i) {
+          if (static_cast<std::size_t>(vm_shard[i]) != s) continue;
+          virt::Vm& vm = stack.platform->create_vm(
+              virt::NodeId{node_for_vm[i] - stack.first_node},
+              virt::VmType::kParallel, name + "-vm" + std::to_string(i),
+              config_.vcpus_per_vm);
+          // Parallel VMs are network-driven: vSlicer's admin marks them LS.
+          vm.set_latency_sensitive(true);
+          vm.set_global_id(first_gid + static_cast<std::int64_t>(i));
+          vms[i] = &vm;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          stack.network->directory().register_vm(
+              first_gid + static_cast<std::int64_t>(i), vm_shard[i],
+              node_for_vm[i]);
+        }
+      },
+      spans_shards ? shard_threads_ : 1);
   return vms;
 }
 
 workload::BspApp& Scenario::add_bsp_app(const std::string& key,
                                         const workload::Descriptor& desc,
                                         std::vector<virt::Vm*> vms) {
-  assert(!started_);
-  auto& superstep = metrics_->durations(key + "/superstep");
-  bsp_apps_.push_back(std::make_unique<workload::BspApp>(
-      std::move(vms), desc, app_rng_.split(std::hash<std::string>{}(key)),
-      &superstep));
-  bsp_apps_.back()->attach();
-  bsp_keys_.push_back(key);
+  add_bsp_apps({&key, 1}, desc, {&vms, 1});
   return *bsp_apps_.back();
+}
+
+void Scenario::add_bsp_apps(std::span<const std::string> keys,
+                            const workload::Descriptor& desc,
+                            std::span<std::vector<virt::Vm*>> clusters) {
+  assert(!started_);
+  assert(keys.size() == clusters.size());
+  struct Draw {
+    metrics::DurationRecorder* superstep;
+    sim::Rng rng;
+    std::unique_ptr<workload::BspApp> app;
+  };
+  std::vector<Draw> draws;
+  draws.reserve(keys.size());
+  for (const std::string& key : keys) {
+    draws.push_back({&metrics_->durations(key + "/superstep"),
+                     app_rng_.split(std::hash<std::string>{}(key)), nullptr});
+  }
+  // An app binds only its own cluster's VMs and VCPUs.
+  sim::parallel_for(
+      keys.size(),
+      [&](std::size_t c) {
+        Draw& d = draws[c];
+        d.app = std::make_unique<workload::BspApp>(std::move(clusters[c]),
+                                                   desc, d.rng, d.superstep);
+        d.app->attach();
+      },
+      shard_threads_);
+  for (std::size_t c = 0; c < keys.size(); ++c) {
+    bsp_apps_.push_back(std::move(draws[c].app));
+    bsp_keys_.push_back(keys[c]);
+  }
 }
 
 void Scenario::add_identical_clusters(const workload::Descriptor& desc) {
   if (desc.parallel()) {
+    std::vector<int> placement(static_cast<std::size_t>(config_.nodes));
+    std::iota(placement.begin(), placement.end(), 0);
+    std::vector<std::string> keys;
+    std::vector<std::vector<virt::Vm*>> clusters;
     for (int j = 0; j < config_.vms_per_node; ++j) {
-      std::vector<int> placement;
-      for (int n = 0; n < config_.nodes; ++n) placement.push_back(n);
-      auto vms = create_cluster_vms(desc.name + "-vc" + std::to_string(j),
-                                    placement);
-      add_bsp_app(desc.name + "/vc" + std::to_string(j), desc,
-                  std::move(vms));
+      clusters.push_back(create_cluster_vms(
+          desc.name + "-vc" + std::to_string(j), placement));
+      keys.push_back(desc.name + "/vc" + std::to_string(j));
     }
+    add_bsp_apps(keys, desc, clusters);
     return;
   }
   // Loop descriptors have no cross-VM coupling: fill the same VM slots with
@@ -260,9 +323,10 @@ virt::Vm& Scenario::add_web_vm(int node, double requests_per_second,
       vm, &metrics_->latency(key),
       app_rng_.split(std::hash<std::string>{}(key)));
   vm.vcpus()[0].set_workload(server.get());
-  clients_.push_back(std::make_unique<workload::HttperfClient>(
-      vm, *server, requests_per_second,
-      app_rng_.split(std::hash<std::string>{}(key + "/client"))));
+  stack(shard_of_node(node))
+      .clients.push_back(std::make_unique<workload::HttperfClient>(
+          vm, *server, requests_per_second,
+          app_rng_.split(std::hash<std::string>{}(key + "/client"))));
   workloads_.push_back(std::move(server));
   return vm;
 }
@@ -303,14 +367,20 @@ std::vector<const obs::TraceSink*> Scenario::trace_sinks() const {
 void Scenario::start() {
   assert(!started_);
   started_ = true;
-  for (auto& stack : stacks_) {
-    stack->runtime = install_approach(*stack->platform, *stack->monitor,
-                                      *stack->migrator, config_.approach,
-                                      config_.atc);
-    stack->monitor->start([rt = &stack->runtime] { rt->on_period(); });
-  }
-  for (auto& client : clients_) client->start();
-  for (auto& stack : stacks_) stack->platform->engine().start();
+  // Each step arms events on its own shard's queue only, in the order one
+  // thread would: approach, period monitor, HTTP clients, engine.
+  sim::parallel_for(
+      stacks_.size(),
+      [this](std::size_t s) {
+        ShardStack& stack = *stacks_[s];
+        stack.runtime =
+            install_approach(*stack.platform, *stack.monitor, *stack.migrator,
+                             config_.approach, config_.atc);
+        stack.monitor->start([rt = &stack.runtime] { rt->on_period(); });
+        for (auto& client : stack.clients) client->start();
+        stack.platform->engine().start();
+      },
+      shard_threads_);
 
   if (config_.shards > 1) {
     executors_.reserve(stacks_.size());

@@ -13,10 +13,15 @@
 // that — run_for()/warmup_and_measure() behave identically at any K.  Every
 // K draws from the same RNG streams (per-node streams keyed by global node
 // id, plus one scenario-owned app stream), so metrics do not depend on K;
-// shards = 1 runs its single stack directly, without a ShardGroup.
+// shards = 1 runs its single stack directly, without a ShardGroup.  Set-up
+// steps that touch one shard's stack (or one virtual cluster's VMs) run as
+// one task per shard (or cluster) on the shard threads; ids, names and RNG
+// splits are drawn in the same order at every thread count, so the built
+// scenario does not depend on it (DESIGN.md §5 "Scenario construction").
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,7 +71,9 @@ class Scenario {
   // --- construction (all before start()) --------------------------------
 
   /// Creates the VMs of one virtual cluster; `node_for_vm[i]` hosts VM i
-  /// (global node indices — the shard map is applied internally).
+  /// (global node indices — the shard map is applied internally).  VMs on
+  /// several shards are created, and every shard's directory replica is
+  /// filled, one task per shard.
   std::vector<virt::Vm*> create_cluster_vms(const std::string& name,
                                             const std::vector<int>& node_for_vm);
 
@@ -201,12 +208,21 @@ class Scenario {
     std::unique_ptr<obs::InvariantChecker> invariants;
     std::unique_ptr<control::Migrator> migrator;
     ApproachRuntime runtime;
+    /// HTTP clients of this shard's web VMs, in creation order.
+    std::vector<std::unique_ptr<workload::HttperfClient>> clients;
     int first_node = 0;  ///< global id of this shard's first node
     int node_count = 0;
   };
   class ShardExec;
 
   explicit Scenario(ScenarioConfig config);
+
+  /// Binds one BSP application per key to the matching cluster, moving the
+  /// cluster's VM list into it.  Recorders and RNG splits are drawn in key
+  /// order; the apps are then built and attached one task per cluster.
+  void add_bsp_apps(std::span<const std::string> keys,
+                    const workload::Descriptor& desc,
+                    std::span<std::vector<virt::Vm*>> clusters);
 
   ShardStack& stack(int shard) {
     return *stacks_[static_cast<std::size_t>(shard)];
@@ -220,6 +236,9 @@ class Scenario {
   void register_vm(virt::Vm& vm, int node);
 
   ScenarioConfig config_;
+  /// config_.shard_threads resolved as the ShardGroup resolves it: the
+  /// thread count of every per-shard set-up step.
+  std::size_t shard_threads_;
   std::vector<std::unique_ptr<ShardStack>> stacks_;
   std::unique_ptr<metrics::MetricsRegistry> metrics_;
   std::unique_ptr<net::ShardFabric> fabric_;
@@ -230,7 +249,6 @@ class Scenario {
   sim::Rng app_rng_;
   std::vector<std::unique_ptr<workload::BspApp>> bsp_apps_;
   std::vector<std::unique_ptr<virt::Workload>> workloads_;
-  std::vector<std::unique_ptr<workload::HttperfClient>> clients_;
   std::vector<std::string> bsp_keys_;
   sim::SimTime stats_reset_at_ = 0;
   std::int64_t next_gid_ = 0;

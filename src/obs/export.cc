@@ -113,19 +113,25 @@ std::vector<TraceEvent> merged_events(
   std::size_t total = 0;
   for (const TraceSink* sink : sinks) total += sink->size();
   events.reserve(total);
-  for (const TraceSink* sink : sinks) {
-    const auto snapshot = sink->snapshot();
-    events.insert(events.end(), snapshot.begin(), snapshot.end());
-  }
-  // Stable: same-timestamp events keep shard order, so the merge is a pure
-  // function of the per-shard streams (thread-count independent).  A
-  // stream already in time order (one sink, as a rule) is its own merge.
+  // Stable by timestamp with the sinks' order breaking ties, so the merge
+  // is a pure function of the per-shard streams (thread-count independent).
+  // Each sink's stream is in time order as a rule, so merging it onto the
+  // merged prefix gives what a stable sort of the concatenation would.
   const auto by_time = [](const TraceEvent& a, const TraceEvent& b) {
     return a.time < b.time;
   };
-  if (!std::is_sorted(events.begin(), events.end(), by_time)) {
-    std::stable_sort(events.begin(), events.end(), by_time);
+  bool runs_sorted = true;
+  for (const TraceSink* sink : sinks) {
+    const auto run = static_cast<std::ptrdiff_t>(events.size());
+    sink->append_to(events);
+    const auto begin = events.begin() + run;
+    runs_sorted = runs_sorted && std::is_sorted(begin, events.end(), by_time);
+    if (runs_sorted && begin != events.begin() && begin != events.end() &&
+        by_time(*begin, *(begin - 1))) {
+      std::inplace_merge(events.begin(), begin, events.end(), by_time);
+    }
   }
+  if (!runs_sorted) std::stable_sort(events.begin(), events.end(), by_time);
   return events;
 }
 

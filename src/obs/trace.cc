@@ -109,14 +109,19 @@ void TraceSink::emit(const TraceEvent& e) {
 }
 
 std::vector<TraceEvent> TraceSink::snapshot() const {
-  if (!wrapped_) return ring_;
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());
-  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),
-             ring_.end());
-  out.insert(out.end(), ring_.begin(),
-             ring_.begin() + static_cast<std::ptrdiff_t>(next_));
+  append_to(out);
   return out;
+}
+
+void TraceSink::append_to(std::vector<TraceEvent>& out) const {
+  // Unwrapped, next_ is 0 or the fill level; either way the oldest event
+  // sits at ring_[0].
+  const auto oldest =
+      ring_.begin() + static_cast<std::ptrdiff_t>(wrapped_ ? next_ : 0);
+  out.insert(out.end(), oldest, ring_.end());
+  out.insert(out.end(), ring_.begin(), oldest);
 }
 
 void TraceSink::clear() {

@@ -133,6 +133,8 @@ class TraceSink {
 
   /// Buffered events, oldest first.
   std::vector<TraceEvent> snapshot() const;
+  /// Appends the buffered events, oldest first, to `out`.
+  void append_to(std::vector<TraceEvent>& out) const;
 
   std::uint64_t emitted() const { return emitted_; }
   std::uint64_t dropped() const { return dropped_; }

@@ -53,11 +53,15 @@ obs::TraceEvent pdes_event(SimTime time, std::uint8_t type, std::int64_t a0,
 /// is lock-free and race-free (each shard has exactly one owner).
 ///
 /// The barrier is an epoch counter and an outstanding-helper count, both
-/// std::atomic.  Fork bumps the epoch (release) and notifies; workers spin a
-/// short budget on the epoch with a CPU relax hint, then park in
-/// std::atomic::wait.  Join mirrors it on the pending count.  At PDES round
-/// rates (tens of microseconds of work per phase) this keeps the handoff in
-/// user space.
+/// std::atomic.  Fork bumps the epoch (release) and notifies; join waits
+/// for the pending count to reach zero.  While a run_until is in progress
+/// no waiter sleeps: workers on the epoch and the coordinator on the
+/// pending count spin with a CPU relax hint and yield every kYieldEvery
+/// spins, so a waiter that shares a core with the thread it waits for
+/// lets it run.  A parked waiter needs a futex wake, and on a shared host
+/// a vCPU wake, before it runs again, which turned a round's wait of
+/// microseconds into a scheduling delay (DESIGN.md §10 "Barrier waits").
+/// Between run_until calls workers park in std::atomic::wait on the epoch.
 struct ShardGroup::Pool {
   explicit Pool(ShardGroup& group) : group_(group) {
     // Workers 1..threads-1; the coordinator thread doubles as worker 0.
@@ -73,6 +77,12 @@ struct ShardGroup::Pool {
     for (auto& t : workers_) t.join();
   }
 
+  /// Marks the span of one run_until: workers spin between its phases and
+  /// park once it ends.
+  void set_running(bool running) {
+    running_.store(running, std::memory_order_relaxed);
+  }
+
   /// Runs the fused phase on every shard and joins; accounts the
   /// coordinator's join wait into the group's stats.
   void run_phase() {
@@ -84,16 +94,8 @@ struct ShardGroup::Pool {
       group_.fused_phase(s);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    std::size_t p;
     int spins = 0;
-    while ((p = pending_.v.load(std::memory_order_acquire)) != 0) {
-      if (++spins > kSpinBudget) {
-        pending_.v.wait(p, std::memory_order_acquire);
-        spins = 0;
-      } else {
-        cpu_relax();
-      }
-    }
+    while (pending_.v.load(std::memory_order_acquire) != 0) spin(spins);
     group_.stats_.barrier_wait_s += seconds_since(t0);
   }
 
@@ -104,11 +106,10 @@ struct ShardGroup::Pool {
       std::uint64_t e;
       int spins = 0;
       while ((e = epoch_.v.load(std::memory_order_acquire)) == seen) {
-        if (++spins > kSpinBudget) {
-          epoch_.v.wait(seen, std::memory_order_acquire);
-          spins = 0;
+        if (running_.load(std::memory_order_relaxed)) {
+          spin(spins);
         } else {
-          cpu_relax();
+          epoch_.v.wait(seen, std::memory_order_acquire);
         }
       }
       seen = e;
@@ -117,19 +118,27 @@ struct ShardGroup::Pool {
            s += group_.threads_) {
         group_.fused_phase(s);
       }
-      if (pending_.v.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        pending_.v.notify_all();
-      }
+      pending_.v.fetch_sub(1, std::memory_order_release);
     }
   }
 
-  static constexpr int kSpinBudget = 1 << 12;
+  /// One turn of a waiter inside a run.
+  static void spin(int& spins) {
+    if (++spins == kYieldEvery) {
+      spins = 0;
+      std::this_thread::yield();
+    } else {
+      cpu_relax();
+    }
+  }
+
+  static constexpr int kYieldEvery = 256;
 
   ShardGroup& group_;
   std::vector<std::thread> workers_;
 
-  // Epoch and pending on separate cache lines so the workers' park/unpark
-  // traffic never collides with the fork publication.
+  // Epoch and pending on separate cache lines so the workers' completion
+  // stores never collide with the fork publication.
   struct alignas(64) AlignedU64 {
     std::atomic<std::uint64_t> v{0};
   };
@@ -138,6 +147,7 @@ struct ShardGroup::Pool {
   };
   AlignedU64 epoch_;
   AlignedSize pending_;
+  std::atomic<bool> running_{false};
   std::atomic<bool> shutdown_{false};
 };
 
@@ -154,17 +164,20 @@ ShardGroup::ShardGroup(std::vector<ShardExecutor*> shards, Options options)
         "ShardGroup lookahead must be positive; cross-shard messages must "
         "carry a minimum delay");
   }
-  std::size_t threads = options.threads;
-  if (threads == 0) {
-    const std::size_t hw = std::thread::hardware_concurrency();
-    threads = std::max<std::size_t>(hw, 1);
-  }
-  threads_ = std::min(threads, shards_.size());
+  threads_ = resolve_threads(options.threads, shards_.size());
   slots_.assign(shards_.size(), ShardSlot{});
   if (threads_ > 1) pool_ = std::make_unique<Pool>(*this);
 }
 
 ShardGroup::~ShardGroup() = default;
+
+std::size_t ShardGroup::resolve_threads(std::size_t threads,
+                                        std::size_t shards) {
+  if (threads == 0) {
+    threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  }
+  return std::min(threads, shards);
+}
 
 void ShardGroup::fused_phase(std::size_t s) {
   ShardExecutor* shard = shards_[s];
@@ -187,6 +200,7 @@ std::uint64_t ShardGroup::run_until(SimTime deadline) {
         "ShardGroup::run_until deadlines must be non-decreasing");
   }
   last_deadline_ = deadline;
+  if (pool_ != nullptr) pool_->set_running(true);
   std::uint64_t before = 0;
   for (const auto& slot : slots_) before += slot.executed;
   // The previous call's alignment moved every clock past the last reported
@@ -259,6 +273,7 @@ std::uint64_t ShardGroup::run_until(SimTime deadline) {
     slots_[s].executed += shards_[s]->advance_to(deadline);
     after += slots_[s].executed;
   }
+  if (pool_ != nullptr) pool_->set_running(false);
   return after - before;
 }
 

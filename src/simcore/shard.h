@@ -140,6 +140,11 @@ class ShardGroup {
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
 
+  /// The worker-thread count a group of `shards` shards runs on when
+  /// Options::threads is `threads`: 0 picks the hardware concurrency, and
+  /// the result is clamped to the shard count.
+  static std::size_t resolve_threads(std::size_t threads, std::size_t shards);
+
   /// Runs rounds until every shard's next local event (and every pending
   /// inbound message) lies beyond `deadline`, then aligns all shard clocks
   /// to `deadline`.  Returns the total number of events executed.

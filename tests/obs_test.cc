@@ -4,7 +4,9 @@
 // while driving a real engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -138,6 +140,62 @@ TEST(TraceExportTest, ChromeJsonPairsDispatchAndLeaveIntoSlices) {
   EXPECT_NE(out.find("\"ph\":\"i\""), std::string::npos);
   // 1000 ns -> 1.000 us.
   EXPECT_NE(out.find("\"ts\":1.000"), std::string::npos);
+}
+
+/// What merged_events must return: every sink's snapshot concatenated in
+/// sink order, then stably sorted by time.
+std::vector<TraceEvent> concat_stable_sorted(
+    const std::vector<const TraceSink*>& sinks) {
+  std::vector<TraceEvent> all;
+  for (const TraceSink* sink : sinks) {
+    const std::vector<TraceEvent> snapshot = sink->snapshot();
+    all.insert(all.end(), snapshot.begin(), snapshot.end());
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.time < b.time;
+                   });
+  return all;
+}
+
+TEST(TraceExportTest, MergedEventsEqualsStableSortOfTheSinks) {
+  // Four time-sorted streams on a coarse time grid (ties within and across
+  // sinks); sink 2 is a ring that wraps.  Every odd trial appends one late
+  // event to sink 3, whose stream then forces the full-sort fallback.  Each
+  // event is tagged (vcpu = sink, a0 = emission index), so tie order shows.
+  std::mt19937_64 rng(0x7ACE5EEDULL);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<std::unique_ptr<TraceSink>> owned;
+    std::vector<const TraceSink*> sinks;
+    for (int k = 0; k < 4; ++k) {
+      TraceConfig cfg;
+      cfg.capacity = k == 2 ? 64 : 0;
+      owned.push_back(std::make_unique<TraceSink>(cfg));
+      sim::SimTime t = static_cast<sim::SimTime>(rng() % 8);
+      const int n = 100 + static_cast<int>(rng() % 100);
+      for (int i = 0; i < n; ++i) {
+        t += static_cast<sim::SimTime>(rng() % 3);
+        owned.back()->emit(make_event(t, TraceCat::kSim,
+                                      obs::ev::kDispatchEvent, k, -1, i));
+      }
+      sinks.push_back(owned.back().get());
+    }
+    if (trial % 2 == 1) {
+      owned[3]->emit(make_event(1, TraceCat::kSim, obs::ev::kDispatchEvent,
+                                3, -1, -1));
+    }
+    ASSERT_GT(sinks[2]->dropped(), 0u);
+
+    const std::vector<TraceEvent> merged = obs::merged_events(sinks);
+    const std::vector<TraceEvent> expected = concat_stable_sorted(sinks);
+    ASSERT_EQ(merged.size(), expected.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      ASSERT_EQ(merged[i].time, expected[i].time) << "event " << i;
+      ASSERT_EQ(merged[i].vcpu, expected[i].vcpu) << "event " << i;
+      ASSERT_EQ(merged[i].a0, expected[i].a0) << "event " << i;
+    }
+  }
 }
 
 // ------------------------------------------------- invariant checker (synthetic)

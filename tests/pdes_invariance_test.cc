@@ -25,7 +25,9 @@
 #include "net/fabric.h"
 #include "simcore/shard.h"
 #include "obs/export.h"
+#include "virt/migration.h"
 #include "virt/params.h"
+#include "virt/platform.h"
 #include "workload/apps.h"
 
 namespace atcsim {
@@ -85,6 +87,12 @@ void hash_trace(const std::string& t, RunResult& r) {
     h *= 1099511628211ULL;
   }
   r.trace_hash = h;
+}
+
+std::string merged_trace(const Scenario& s) {
+  std::ostringstream os;
+  obs::write_compact(os, s.trace_sinks());
+  return std::move(os).str();
 }
 
 // All metric aggregation paths sum integer counters before the final
@@ -159,15 +167,10 @@ RunResult run_case(const RunCase& c) {
   if (const sim::ShardGroup* g = s.shard_group()) {
     r.rounds = g->stats().rounds;
   }
-  if (c.trace || c.trace_hash) {
-    std::ostringstream os;
-    obs::write_compact(os, s.trace_sinks());
-    if (c.trace) {
-      r.trace = os.str();
-    } else {
-      const std::string merged = std::move(os).str();
-      hash_trace(merged, r);
-    }
+  if (c.trace) {
+    r.trace = merged_trace(s);
+  } else if (c.trace_hash) {
+    hash_trace(merged_trace(s), r);
   }
   return r;
 }
@@ -283,7 +286,7 @@ TEST(PdesInvarianceTest, WorkerThreadCountNeverChangesTheMergedTrace) {
 TEST(PdesInvarianceTest, BarrierChoiceNeverChangesTheOutcome) {
   // The barrier choice is the thread count: threads = 1 runs every round
   // sequentially with no barrier, 2 and 4 fork each round onto the pool and
-  // join through its spin-then-park barrier.  It must not change the
+  // join through its spinning barrier.  It must not change the
   // simulation or the round structure: identical metrics, rounds and merged
   // traces, the coordinator's pdes.* round events included.  Traces are
   // compared by digest (hash_trace): a traced run's merged stream runs to
@@ -367,6 +370,88 @@ TEST(PdesInvarianceTest, MigratingRunsKeepThreadCountTraceDeterminism) {
     EXPECT_EQ(many.migrations, one.migrations);
     EXPECT_EQ(one.trace, many.trace)
         << "merged trace differs at threads=" << threads;
+  }
+}
+
+/// Builds a traced 4-shard scenario whose per-shard set-up runs on
+/// `threads` threads: type-A lu.B under ATC, or the mixed cell under
+/// ATC+PM (web clients, disk, loop and BSP guests).
+std::unique_ptr<Scenario> build_four_shards(bool mixed, int nodes,
+                                            std::size_t threads) {
+  auto s = ScenarioBuilder{}
+               .nodes(nodes)
+               .approach(mixed ? Approach::kATCPM : Approach::kATC)
+               .seed(11)
+               .shards(4)
+               .shard_threads(threads)
+               .tracing()
+               .build();
+  if (mixed) {
+    cluster::build_mixed(*s);
+  } else {
+    cluster::build_type_a(*s, "lu", workload::NpbClass::kB);
+  }
+  return s;
+}
+
+TEST(PdesInvarianceTest, ShardThreadsLeaveConstructionUnchanged) {
+  // Construction, VM creation, BSP apps and start() run one task per shard
+  // (or per virtual cluster) on the shard threads.  Every id, name, global
+  // id, directory entry and armed event must be what one thread builds.
+  const struct {
+    const char* label;
+    bool mixed;
+    int nodes;
+  } cells[] = {{"type-A lu.B", false, 16}, {"mixed", true, 64}};
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(cell.label);
+    auto one = build_four_shards(cell.mixed, cell.nodes, 1);
+    auto four = build_four_shards(cell.mixed, cell.nodes, 4);
+    for (int k = 0; k < 4; ++k) {
+      SCOPED_TRACE("shard " + std::to_string(k));
+      virt::Platform& a = one->platform(k);
+      virt::Platform& b = four->platform(k);
+      ASSERT_EQ(a.vm_count(), b.vm_count());
+      for (std::size_t id = 0; id < a.vm_count(); ++id) {
+        const virt::VmId vm_id{static_cast<std::int32_t>(id)};
+        const virt::Vm& va = a.vm(vm_id);
+        const virt::Vm& vb = b.vm(vm_id);
+        EXPECT_EQ(va.name(), vb.name()) << "vm " << id;
+        EXPECT_EQ(va.vcpus()[0].id().value, vb.vcpus()[0].id().value)
+            << va.name();
+        EXPECT_EQ(va.global_id(), vb.global_id()) << va.name();
+        EXPECT_EQ(a.global_node_id(va.node()), b.global_node_id(vb.node()))
+            << va.name();
+      }
+      const virt::LocationDirectory& da = one->directory(k);
+      const virt::LocationDirectory& db = four->directory(k);
+      ASSERT_EQ(da.size(), db.size());
+      ASSERT_GT(da.size(), 0u);
+      for (std::int64_t gid = 0; gid < static_cast<std::int64_t>(da.size());
+           ++gid) {
+        ASSERT_TRUE(da.knows(gid) && db.knows(gid)) << "gid " << gid;
+        EXPECT_EQ(da.at(gid).shard, db.at(gid).shard) << "gid " << gid;
+        EXPECT_EQ(da.at(gid).node_global, db.at(gid).node_global)
+            << "gid " << gid;
+      }
+    }
+
+    one->start();
+    four->start();
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_EQ(one->simulation(k).next_event_time(),
+                four->simulation(k).next_event_time())
+          << "shard " << k;
+      EXPECT_EQ(one->simulation(k).queue().size(),
+                four->simulation(k).queue().size())
+          << "shard " << k;
+    }
+
+    one->run_for(100_ms);
+    four->run_for(100_ms);
+    EXPECT_GT(one->events_executed(), 0u);
+    EXPECT_EQ(one->events_executed(), four->events_executed());
+    EXPECT_EQ(merged_trace(*one), merged_trace(*four));
   }
 }
 

@@ -1,14 +1,17 @@
 // ShardGroup contract tests that need no model stack: the documented
 // run_until non-decreasing-deadline rule, the worker-thread clamp, the round
-// horizon, and the equivalence of sequential and pooled (barrier-joined)
-// rounds on bare executors.  The model-level determinism properties
-// (metrics across shard counts, merged traces across thread counts) live in
-// pdes_invariance_test.cc.
+// horizon, the equivalence of sequential and pooled (barrier-joined)
+// rounds on bare executors, and idle workers sleeping between runs.  The
+// model-level determinism properties (metrics across shard counts, merged
+// traces across thread counts) live in pdes_invariance_test.cc.
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -124,7 +127,7 @@ TEST(ShardGroupTest, OneShardRunsStraightToTheDeadline) {
 
 TEST(ShardGroupTest, BarrierChoiceDoesNotChangeExecution) {
   // threads = 1 runs every round sequentially with no barrier; threads = 2
-  // forks each round onto the pool and joins through its spin-then-park
+  // forks each round onto the pool and joins through its spinning
   // barrier.  The choice must not change what executes.
   std::uint64_t events[2] = {0, 0};
   std::uint64_t ticks[2] = {0, 0};
@@ -140,6 +143,26 @@ TEST(ShardGroupTest, BarrierChoiceDoesNotChangeExecution) {
   EXPECT_GT(events[0], 0u);
   EXPECT_EQ(events[0], events[1]);
   EXPECT_EQ(ticks[0], ticks[1]);
+}
+
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(ShardGroupTest, WorkersParkBetweenRuns) {
+  // Inside run_until the pool's waiters spin; once it returns the workers
+  // must sleep, or an idle group would burn a core per worker.
+  auto opts = base_opts();
+  opts.threads = 4;
+  Rig rig(opts, {100_us, 100_us, 100_us, 100_us});
+  ASSERT_EQ(rig.group->thread_count(), 4u);
+  rig.group->run_until(10_ms);
+  const double cpu0 = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(process_cpu_s() - cpu0, 0.050);
 }
 
 }  // namespace
