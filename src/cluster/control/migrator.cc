@@ -17,9 +17,8 @@ Migrator::Migrator(net::VirtualNetwork& net,
     : net_(&net), node_shard_(std::move(node_shard)) {}
 
 bool Migrator::can_migrate(const virt::Vm& vm) const {
+  if (!net_->platform().hosts(vm)) return false;
   if (vm.is_dom0() || vm.global_id() < 0) return false;
-  const virt::VmLocation& loc = net_->directory().at(vm.global_id());
-  if (net_->simulation().now() < loc.moving_until) return false;
   for (const virt::Vcpu& v : vm.vcpus()) {
     // A VCPU with no workload idles forever: nothing to expel or re-arm,
     // so it never blocks a move (single-app VMs pad to vcpus_per_vm).
@@ -50,7 +49,6 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
   sim::Simulation& sim = net_->simulation();
   net::ShardFabric* fabric = net_->fabric();
   const int shard = net_->shard();
-  const std::int64_t gid = vm.global_id();
   const SimTime now = sim.now();
   const SimTime t_r = now + copy_duration();
   const std::int32_t dest_shard =
@@ -73,36 +71,22 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
   }());
 
   auto bundle = platform.engine().pause_and_expel(vm, dest_node_global);
-  net_->directory().begin_move(gid, t_r, dest_shard, dest_node_global);
   ++migrations_;
 
-  // One call per shard at t_r.  The destination's call owns the bundle, so
-  // a run that ends inside the copy window frees the VM with the event
-  // queue or the fabric.
-  const int shards = fabric == nullptr ? 1 : fabric->shards();
-  for (int k = 0; k < shards; ++k) {
-    net::VirtualNetwork& target = k == shard ? *net_ : fabric->network(k);
-    sim::InlineCallback call;
-    if (k == dest_shard) {
-      // Settle first: the resumed guest's first sends must already resolve
-      // to the destination node.
-      call = [net = &target, owned = std::move(bundle)] {
-        virt::MigrationBundle& b = *owned;
-        net->directory().settle(b.vm->global_id(), net->shard(),
-                                b.dest_node_global);
-        net->platform().engine().adopt_and_resume(
-            b, virt::NodeId{b.dest_node_global - net->node_id_offset()});
-      };
-    } else {
-      call = [dir = &target.directory(), gid, dest_shard, dest_node_global] {
-        dir->settle(gid, dest_shard, dest_node_global);
-      };
-    }
-    if (k == shard) {
-      sim.call_at(t_r, std::move(call));
-    } else {
-      fabric->post_call(shard, k, t_r, std::move(call));
-    }
+  // One call at t_r on the destination shard.  It owns the bundle, so a
+  // run that ends inside the copy window frees the VM with the event queue
+  // or the fabric.
+  virt::Platform* dest =
+      dest_shard == shard ? &platform : &fabric->network(dest_shard).platform();
+  sim::InlineCallback adopt = [dest, owned = std::move(bundle)] {
+    virt::MigrationBundle& b = *owned;
+    dest->engine().adopt_and_resume(
+        b, virt::NodeId{b.dest_node_global - dest->config().node_id_offset});
+  };
+  if (dest_shard == shard) {
+    sim.call_at(t_r, std::move(adopt));
+  } else {
+    fabric->post_call(shard, dest_shard, t_r, std::move(adopt));
   }
   return t_r;
 }

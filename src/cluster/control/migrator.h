@@ -8,15 +8,14 @@
 // perturbed — so a same-shard and a cross-shard move of the same guest are
 // metrically identical and the shard map stays invisible in the results.
 //
-// Routing during the window [t, t_r) follows the directory-update-at-t_r
-// rule (DESIGN.md §12): every shard keeps routing to the SOURCE node, whose
-// dom0 forwards in-flight traffic after the guest lands.  At t_r every
-// shard runs one call: the destination's settles its directory replica and
-// adopts the VM, every other shard's settles its replica.  The source runs
-// its own shard's call as a local event and posts the others through the
-// fabric.  The copy-duration clamp max(..., dom0_packet_cost +
-// wire_latency) keeps those calls' due times at least one lookahead past
-// their post, beyond the conservative synchronizer's round horizon.
+// Only guests that no packet addresses migrate (Workload::migratable), so
+// no traffic follows a moving guest and the other shards never learn of
+// the move: it is one call at t_r on the destination shard, which adopts
+// the VM.  The source schedules it with call_at when the destination is
+// its own shard and posts it through the fabric otherwise.  The
+// copy-duration clamp max(..., dom0_packet_cost + wire_latency) keeps a
+// posted call's due time at least one lookahead past its post, beyond the
+// conservative synchronizer's round horizon (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -30,14 +29,17 @@ namespace atcsim::cluster::control {
 
 class Migrator {
  public:
-  /// One Migrator per shard.  Platform, directory replica, fabric and
-  /// shard come from `net`, which must outlive it; `node_shard` maps every
-  /// global node id to its owning shard.
+  /// One Migrator per shard.  Platform, fabric and shard come from `net`,
+  /// which must outlive it; `node_shard` maps every global node id to its
+  /// owning shard.
   Migrator(net::VirtualNetwork& net, std::vector<std::int32_t> node_shard);
 
-  /// Whether `vm` can be moved right now: a registered guest (not dom0),
-  /// not already in transit, and every loaded VCPU's workload declares
-  /// migratable() (idle VCPUs never block a move).
+  /// Whether `vm` can be moved right now: a scenario guest (not dom0)
+  /// resident on this shard's platform — so not in transit, and not on
+  /// another shard — whose every loaded VCPU's workload declares
+  /// migratable() (idle VCPUs never block a move).  Residency is read from
+  /// this shard's platform alone, never from the VM, which another shard
+  /// may be adopting.
   bool can_migrate(const virt::Vm& vm) const;
 
   /// Stop-and-copy `vm` (resident on this shard) to `dest_node_global`.

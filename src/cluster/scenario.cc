@@ -75,10 +75,8 @@ Scenario::Scenario(ScenarioConfig config)
       app_rng_(config.seed) {
   const int shards = config_.shards;
 
-  // Cluster control plane: every shard's network carries a full directory
-  // replica, and every shard a migration manager.  Unsharded runs get them
-  // too (the directory is behaviorally inert for static VMs, and scripted
-  // migrations then work at any shard count).
+  // Cluster control plane: every shard gets a migration manager, unsharded
+  // runs too, so scripted migrations work at any shard count.
   std::vector<std::int32_t> node_shard;
   node_shard.reserve(static_cast<std::size_t>(config_.nodes));
   for (int n = 0; n < config_.nodes; ++n) {
@@ -149,14 +147,7 @@ virt::NodeId Scenario::local_node_id(int node) const {
   return virt::NodeId{node - stack.first_node};
 }
 
-void Scenario::register_vm(virt::Vm& vm, int node) {
-  const std::int64_t gid = next_gid_++;
-  vm.set_global_id(gid);
-  const auto shard = static_cast<std::int32_t>(shard_of_node(node));
-  for (auto& stack : stacks_) {
-    stack->network->directory().register_vm(gid, shard, node);
-  }
-}
+void Scenario::register_vm(virt::Vm& vm) { vm.set_global_id(next_gid_++); }
 
 std::vector<virt::Vm*> Scenario::create_cluster_vms(
     const std::string& name, const std::vector<int>& node_for_vm) {
@@ -171,9 +162,8 @@ std::vector<virt::Vm*> Scenario::create_cluster_vms(
   next_gid_ += static_cast<std::int64_t>(n);
 
   // Shard s creates its VMs in index order, the order its platform saw
-  // them one at a time, then registers every VM in its own directory
-  // replica.  parallel_for starts threads on each call, so a cluster on
-  // one shard stays on the caller.
+  // them one at a time.  parallel_for starts threads on each call, so a
+  // cluster on one shard stays on the caller.
   std::vector<virt::Vm*> vms(n, nullptr);
   sim::parallel_for(
       stacks_.size(),
@@ -189,11 +179,6 @@ std::vector<virt::Vm*> Scenario::create_cluster_vms(
           vm.set_latency_sensitive(true);
           vm.set_global_id(first_gid + static_cast<std::int64_t>(i));
           vms[i] = &vm;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          stack.network->directory().register_vm(
-              first_gid + static_cast<std::int64_t>(i), vm_shard[i],
-              node_for_vm[i]);
         }
       },
       spans_shards ? shard_threads_ : 1);
@@ -270,7 +255,7 @@ virt::Vm& Scenario::add_loop_vm(int node, const workload::Descriptor& desc,
   virt::Vm& vm = platform_of_node(node).create_vm(
       local_node_id(node), virt::VmType::kNonParallel, key,
       config_.vcpus_per_vm);
-  register_vm(vm, node);
+  register_vm(vm);
   workloads_.push_back(std::make_unique<workload::LoopWorkload>(
       vm, desc, app_rng_.split(std::hash<std::string>{}(key)),
       &metrics_->rate(key)));
@@ -283,7 +268,7 @@ virt::Vm& Scenario::add_disk_vm(int node, const std::string& key) {
   virt::Vm& vm = platform_of_node(node).create_vm(
       local_node_id(node), virt::VmType::kNonParallel, key,
       config_.vcpus_per_vm);
-  register_vm(vm, node);
+  register_vm(vm);
   workloads_.push_back(
       std::make_unique<workload::DiskWorkload>(vm, &metrics_->rate(key)));
   vm.vcpus()[0].set_workload(workloads_.back().get());
@@ -301,8 +286,8 @@ virt::Vm& Scenario::add_ping_pair(int node_a, int node_b,
       config_.vcpus_per_vm);
   pinger.set_latency_sensitive(true);
   peer.set_latency_sensitive(true);
-  register_vm(pinger, node_a);
-  register_vm(peer, node_b);
+  register_vm(pinger);
+  register_vm(peer);
   workloads_.push_back(std::make_unique<workload::PingWorkload>(
       pinger, peer, &metrics_->latency(key)));
   pinger.vcpus()[0].set_workload(workloads_.back().get());
@@ -318,7 +303,7 @@ virt::Vm& Scenario::add_web_vm(int node, double requests_per_second,
       local_node_id(node), virt::VmType::kNonParallel, key,
       config_.vcpus_per_vm);
   vm.set_latency_sensitive(true);
-  register_vm(vm, node);
+  register_vm(vm);
   auto server = std::make_unique<workload::WebServerWorkload>(
       vm, &metrics_->latency(key),
       app_rng_.split(std::hash<std::string>{}(key)));
@@ -418,19 +403,17 @@ void Scenario::schedule_migration(virt::Vm& vm, SimTime at, int dest_node) {
   assert(vm.global_id() >= 0 && "schedule_migration needs a scenario VM");
   const int src_node =
       vm.node().platform().global_node_id(vm.node());
-  const int k = shard_of_node(src_node);
-  ShardStack* stack = &this->stack(k);
+  ShardStack* stack = &this->stack(shard_of_node(src_node));
   virt::Vm* vmp = &vm;
-  // The order reaches the shard's network and migrator through its
+  // The order reaches the shard's platform and migrator through its
   // heap-stable stack, which keeps the capture within InlineCallback's
-  // 24 bytes; the VM's global id is written once, at registration.
-  stack->simulation.call_at(at, [stack, vmp, k, dest_node] {
-    // Skip silently if the VM moved off this shard in the meantime, is in
-    // transit, became unmigratable, or already sits on the target.
-    const virt::VmLocation& loc =
-        stack->network->directory().at(vmp->global_id());
-    if (loc.shard != k || loc.node_global == dest_node) return;
+  // 24 bytes.
+  stack->simulation.call_at(at, [stack, vmp, dest_node] {
+    // Skip silently if the VM is in transit, moved off this shard or became
+    // unmigratable (can_migrate checks residency before it reads the VM,
+    // which another shard may be adopting), or already sits on the target.
     if (!stack->migrator->can_migrate(*vmp)) return;
+    if (stack->platform->global_node_id(vmp->node()) == dest_node) return;
     stack->migrator->migrate(*vmp, dest_node);
   });
 }

@@ -35,7 +35,6 @@
 #include "obs/invariants.h"
 #include "simcore/shard.h"
 #include "sync/period_monitor.h"
-#include "virt/migration.h"
 #include "virt/platform.h"
 #include "workload/apps.h"
 #include "workload/bsp_app.h"
@@ -57,7 +56,8 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   /// Conservative-PDES shard count; 1 = classic single-threaded run.
   int shards = 1;
-  /// Worker threads for the shard group; 0 = min(shards, hardware).
+  /// Worker threads for the shard group; 0 = min(shards, the CPUs in the
+  /// calling thread's affinity mask).
   std::size_t shard_threads = 0;
 };
 
@@ -72,8 +72,7 @@ class Scenario {
 
   /// Creates the VMs of one virtual cluster; `node_for_vm[i]` hosts VM i
   /// (global node indices — the shard map is applied internally).  VMs on
-  /// several shards are created, and every shard's directory replica is
-  /// filled, one task per shard.
+  /// several shards are created one task per shard.
   std::vector<virt::Vm*> create_cluster_vms(const std::string& name,
                                             const std::vector<int>& node_for_vm);
 
@@ -132,9 +131,10 @@ class Scenario {
 
   /// Schedules a scripted live migration of `vm` (created by this scenario)
   /// to global node `dest_node` at simulated time `at`.  The move is a
-  /// no-op if the VM is not migratable at that instant (in transit or I/O
-  /// pinned) or has already moved off the shard that owned it at
-  /// scheduling time.  Call any time before the simulation passes `at`.
+  /// no-op if at that instant the VM is not resident on the shard that
+  /// owned it at scheduling time (it is in transit or moved off), already
+  /// sits on `dest_node`, or is not migratable (I/O pinned).  Call any time
+  /// before the simulation passes `at`.
   void schedule_migration(virt::Vm& vm, sim::SimTime at, int dest_node);
 
   /// Runs `warmup` (controller convergence), resets all metrics and
@@ -167,10 +167,6 @@ class Scenario {
   /// Shard `shard`'s migration manager (always present).
   control::Migrator& migrator(int shard = 0) {
     return *stack(shard).migrator;
-  }
-  /// Shard `shard`'s VM location directory replica (its network's).
-  const virt::LocationDirectory& directory(int shard = 0) {
-    return stack(shard).network->directory();
   }
   /// Round synchronizer; nullptr until start(), and in unsharded runs.
   const sim::ShardGroup* shard_group() const { return group_.get(); }
@@ -231,9 +227,8 @@ class Scenario {
   int shard_of_node(int node) const;
   virt::Platform& platform_of_node(int node);
   virt::NodeId local_node_id(int node) const;
-  /// Assigns the next global id to `vm` (hosted on global node `node`) and
-  /// registers it in every shard's location directory replica.
-  void register_vm(virt::Vm& vm, int node);
+  /// Assigns the next global id to `vm`.
+  void register_vm(virt::Vm& vm);
 
   ScenarioConfig config_;
   /// config_.shard_threads resolved as the ShardGroup resolves it: the
@@ -300,7 +295,8 @@ class ScenarioBuilder {
     config_.shards = k;
     return *this;
   }
-  /// Worker threads for sharded runs; 0 = min(shards, hardware cores).
+  /// Worker threads for sharded runs; 0 = min(shards, the CPUs in the
+  /// calling thread's affinity mask).
   ScenarioBuilder& shard_threads(std::size_t t) {
     config_.shard_threads = t;
     return *this;

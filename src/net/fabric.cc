@@ -51,14 +51,13 @@ void ShardFabric::stage(int src_shard, int dst_shard, RemotePacket&& rec) {
 }
 
 void ShardFabric::post_packet(int src_shard, int dst_shard, virt::Vm& dst,
-                              std::int32_t dst_node_global, sim::SimTime due,
-                              std::uint64_t bytes, sim::InlineCallback done) {
+                              sim::SimTime due, std::uint64_t bytes,
+                              sim::InlineCallback done) {
   assert(dst_shard != src_shard && "local packets never enter the fabric");
   RemotePacket pkt;
   pkt.due = due;
   pkt.dst = &dst;
   pkt.bytes = bytes;
-  pkt.dst_node_global = dst_node_global;
   pkt.done = std::move(done);
   stage(src_shard, dst_shard, std::move(pkt));
 }

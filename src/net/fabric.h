@@ -7,7 +7,7 @@
 // {due time, destination VM, bytes, completion} — into the (src, dst)
 // staging box.  A call is a record with no destination VM: the destination
 // shard runs its callback as a local event at the due time (the migration
-// control plane moves VMs and settles directory replicas this way).
+// control plane adopts a migrating VM on its destination shard this way).
 // Between phases the round coordinator *seals* the staged records
 // (seal_round) into one ready queue per destination shard, kept sorted by
 // the canonical key (due, source shard, per-channel FIFO seq).  During its
@@ -60,9 +60,6 @@ class ShardFabric {
     virt::Vm* dst = nullptr;  ///< destination VM; nullptr = a call
     std::uint64_t bytes = 0;
     std::int32_t src = 0;     ///< source shard
-    /// Destination *global* node id, resolved from the sender's location
-    /// directory at post time (packets only).
-    std::int32_t dst_node_global = -1;
     std::uint64_t seq = 0;    ///< FIFO index within the (src, dst) channel
     sim::InlineCallback done;
   };
@@ -78,13 +75,12 @@ class ShardFabric {
   void bind(int shard, VirtualNetwork& net);
 
   /// Posts a packet from `src_shard` into the (src, dst) staging box.
-  /// Caller is the source shard's worker, inside its fused phase.  The
-  /// destination shard and global node were resolved by the caller from
-  /// its LocationDirectory, so this never touches dst's (possibly
-  /// mid-migration) platform pointers.
+  /// Caller is the source shard's worker, inside its fused phase.  `dst`
+  /// never migrates (Workload::migratable), so the destination shard reads
+  /// its node when the packet arrives.
   void post_packet(int src_shard, int dst_shard, virt::Vm& dst,
-                   std::int32_t dst_node_global, sim::SimTime due,
-                   std::uint64_t bytes, sim::InlineCallback done);
+                   sim::SimTime due, std::uint64_t bytes,
+                   sim::InlineCallback done);
 
   /// Posts a call: `fn` runs on `dst_shard` as a local event at `due`.
   /// Shares the channel seq with packets, so calls and packets keep one
@@ -125,7 +121,6 @@ class ShardFabric {
   /// by the others.
   sim::SimTime ready_due(int dst_shard) const;
 
-  int shards() const { return shards_; }
   /// Shard `shard`'s network (bound by bind()).
   VirtualNetwork& network(int shard) {
     return *nets_[static_cast<std::size_t>(shard)];

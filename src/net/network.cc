@@ -222,18 +222,7 @@ void VirtualNetwork::tx_effect(PacketRef r) {
     // exactly the lookahead the round synchronizer relies on.
     virt::Vm* dst = p.dst;
     const std::uint64_t bytes = p.bytes;
-    // Re-resolve at post time: the guest may have migrated while the tx
-    // job sat in the dom0 ring.  (send() marks only registered guests
-    // remote.)
-    const virt::VmLocation& loc = directory_.at(dst->global_id());
-    if (loc.shard == shard_) {
-      // It moved *onto* this shard — the wire hop stays local after all,
-      // at the same arrival time a fabric round trip would have produced.
-      p.dst_node = loc.node_global - node_id_offset();
-      simulation().call_at(arrive, [this, r] { rx_arrive(r); });
-      return;
-    }
-    fabric_->post_packet(shard_, loc.shard, *dst, loc.node_global, arrive,
+    fabric_->post_packet(shard_, network_of(*dst).shard(), *dst, arrive,
                          bytes, release(r));
     return;
   }
@@ -251,11 +240,8 @@ void VirtualNetwork::receive_remote(ShardFabric::RemotePacket& pkt) {
     simulation().call_at(pkt.due, std::move(pkt.done));
     return;
   }
-  // Packets carry the global node the sender's directory resolved.
-  assert(pkt.dst_node_global >= 0);
-  const PacketRef r =
-      acquire(pkt.bytes, pkt.dst, -1, pkt.dst_node_global - node_id_offset(),
-              std::move(pkt.done));
+  const PacketRef r = acquire(pkt.bytes, pkt.dst, -1,
+                              pkt.dst->node().index(), std::move(pkt.done));
   simulation().call_at(pkt.due, [this, r] { rx_arrive(r); });
 }
 
@@ -269,9 +255,6 @@ void VirtualNetwork::rx_arrive(PacketRef r) {
 }
 
 void VirtualNetwork::enqueue_rx(PacketRef r) {
-  // Keyed by the node the packet was *addressed* to (p.dst_node), not the
-  // destination VM's current node: the guest may have migrated while the
-  // packet was on the wire, in which case this node's dom0 forwards it.
   Packet& p = desc(r);
   ATCSIM_TRACE(
       simulation().trace(),
@@ -286,61 +269,14 @@ void VirtualNetwork::enqueue_rx(PacketRef r) {
 
 void VirtualNetwork::deliver(PacketRef r) {
   Packet& p = desc(r);
-  if (p.dst->global_id() >= 0) {
-    const virt::VmLocation& loc = directory_.at(p.dst->global_id());
-    const bool in_transit = simulation().now() < loc.moving_until;
-    const std::int32_t target_node =
-        in_transit ? loc.dest_node_global : loc.node_global;
-    const std::int32_t here = node_id_offset() + p.dst_node;
-    if (target_node != here) {
-      // The guest migrated away after this packet was addressed.  This
-      // node's dom0 pays one more netback job to re-route it.
-      nodes_[static_cast<std::size_t>(p.dst_node)].backend->enqueue(
-          Dom0Backend::Job{packet_cpu_cost(p.bytes),
-                           [this, r] { forward_effect(r); }});
-      return;
-    }
-  }
+  // No dom0 forwards a packet after its guest moved: a guest that packets
+  // address never migrates (Workload::migratable).
+  assert(&p.dst->node() ==
+             platform_->nodes()[static_cast<std::size_t>(p.dst_node)].get() &&
+         "packet addressed to a guest that migrated");
   virt::Vm* dst = p.dst;
   auto cb = release(r);
   platform_->engine().deposit(*dst, std::move(cb));
-}
-
-void VirtualNetwork::forward_effect(PacketRef r) {
-  Packet& p = desc(r);
-  assert(p.dst->global_id() >= 0);
-  const virt::VmLocation& loc = directory_.at(p.dst->global_id());
-  const sim::SimTime now = simulation().now();
-  const bool in_transit = now < loc.moving_until;
-  const std::int32_t target_shard = in_transit ? loc.dest_shard : loc.shard;
-  const std::int32_t target_node =
-      in_transit ? loc.dest_node_global : loc.node_global;
-  // A forward chasing a guest still in transit arrives strictly after the
-  // migration settles; a settled guest is one wire hop away.
-  const sim::SimTime arrive =
-      std::max(now, loc.moving_until) + params().wire_latency;
-  ATCSIM_TRACE(simulation().trace(), [&] {
-    obs::TraceEvent e;
-    e.time = now;
-    e.cat = obs::TraceCat::kMigration;
-    e.type = obs::ev::kMigForward;
-    e.node = platform_->nodes()[static_cast<std::size_t>(p.dst_node)]
-                 ->id()
-                 .value;
-    e.vm = p.dst->id().value;
-    e.a0 = static_cast<std::int64_t>(p.bytes);
-    e.a1 = target_node;
-    return e;
-  }());
-  if (target_shard == shard_) {
-    p.dst_node = target_node - node_id_offset();
-    simulation().call_at(arrive, [this, r] { rx_arrive(r); });
-    return;
-  }
-  virt::Vm* dst = p.dst;
-  const std::uint64_t bytes = p.bytes;
-  fabric_->post_packet(shard_, target_shard, *dst, target_node, arrive, bytes,
-                       release(r));
 }
 
 void VirtualNetwork::tx_out_effect(PacketRef r) {
@@ -391,19 +327,8 @@ void VirtualNetwork::send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
                net_event(simulation().now(), obs::ev::kGuestTx,
                          src.node().id().value, &src,
                          static_cast<std::int64_t>(bytes), dst.id().value));
-  std::int32_t dst_node;
-  if (dst.global_id() >= 0) {
-    // Route by the registered location, not dst's current platform
-    // pointers: during a migration's copy phase the directory still points
-    // at the source node, whose dom0 forwards anything that lands there.
-    const virt::VmLocation& loc = directory_.at(dst.global_id());
-    dst_node = loc.shard != shard_ ? kRemoteNode
-                                   : loc.node_global - node_id_offset();
-  } else {
-    assert(&dst.node().platform() == platform_ &&
-           "cross-shard destinations need a global id");
-    dst_node = dst.node().index();
-  }
+  const std::int32_t dst_node =
+      &network_of(dst) == this ? dst.node().index() : kRemoteNode;
   const PacketRef r = acquire(bytes, &dst, src.node().index(), dst_node,
                               std::move(on_delivered));
   backend_of(src).enqueue(

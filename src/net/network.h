@@ -28,7 +28,6 @@
 #include "net/fabric.h"
 #include "simcore/inline_callback.h"
 #include "virt/engine.h"
-#include "virt/migration.h"
 #include "virt/platform.h"
 #include "virt/sync_event.h"
 #include "virt/workload_api.h"
@@ -104,28 +103,18 @@ class VirtualNetwork {
   /// guarantee), which the assert inside enforces.
   void receive_remote(ShardFabric::RemotePacket& pkt);
 
-  /// This shard's replica of the cluster location directory.  send()
-  /// routes a guest with a global id by its *registered* location rather
-  /// than its current platform pointers — the only safe source of truth
-  /// once VMs migrate — so every such guest must be registered here.  A
-  /// guest without a global id (dom0, VMs built outside a Scenario) must
-  /// live on this network's platform.
-  virt::LocationDirectory& directory() { return directory_; }
-
   /// The cross-shard fabric this network is bound to; nullptr when
   /// unsharded.
   ShardFabric* fabric() { return fabric_; }
 
-  /// First global node id owned by this network's platform; translates the
-  /// directory's global node ids to local Node indices.
-  std::int32_t node_id_offset() const {
-    return platform_->config().node_id_offset;
-  }
+  /// This network's shard; 0 when unsharded.
   int shard() const { return shard_; }
 
   /// Guest-to-guest message.  `on_delivered` runs in the destination guest's
   /// context (event-channel mailbox), i.e. only once that VM can process
-  /// interrupts.
+  /// interrupts.  The packet routes by `dst`'s own node, which must not
+  /// change while it is in flight (Workload::migratable); a `dst` served by
+  /// another shard's network leaves through the fabric.
   void send(virt::Vm& src, virt::Vm& dst, std::uint64_t bytes,
             sim::InlineCallback on_delivered);
 
@@ -217,7 +206,6 @@ class VirtualNetwork {
   void rx_arrive(PacketRef r);        ///< wire arrival -> dst NIC rx leg
   void enqueue_rx(PacketRef r);       ///< dst dom0 netback -> event channel
   void deliver(PacketRef r);          ///< event-channel deposit to the guest
-  void forward_effect(PacketRef r);   ///< dom0 re-route after dst VM migrated
   void tx_out_effect(PacketRef r);    ///< send_out: NIC + wire, then done
   void disk_issue(PacketRef r);       ///< blkback submit on the node disk
   void disk_done(PacketRef r);        ///< device completion -> event channel
@@ -232,7 +220,6 @@ class VirtualNetwork {
   virt::Platform* platform_;
   ShardFabric* fabric_ = nullptr;  ///< non-null only in sharded runs
   int shard_ = 0;
-  virt::LocationDirectory directory_;
   std::vector<NodeState> nodes_;
   Counters counters_;
   std::vector<Packet> pool_;  ///< descriptor slab; grows to high-water only

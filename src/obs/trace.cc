@@ -124,12 +124,4 @@ void TraceSink::append_to(std::vector<TraceEvent>& out) const {
   out.insert(out.end(), ring_.begin(), oldest);
 }
 
-void TraceSink::clear() {
-  ring_.clear();
-  next_ = 0;
-  wrapped_ = false;
-  emitted_ = 0;
-  dropped_ = 0;
-}
-
 }  // namespace atcsim::obs

@@ -84,7 +84,9 @@ inline constexpr std::uint8_t kRoundElide = 2;
 inline constexpr std::uint8_t kMigStart = 0;   ///< a0=dest global node, a1=ws bytes
 inline constexpr std::uint8_t kMigDepart = 1;  ///< a0=dest global node, a1=credits (milli)
 inline constexpr std::uint8_t kMigArrive = 2;  ///< a0=src depart ns, a1=credits (milli)
-inline constexpr std::uint8_t kMigForward = 3; ///< a0=bytes, a1=target global node
+/// Retired like kRoundElide: no dom0 forwards a packet after its guest
+/// moved (DESIGN.md §12).
+inline constexpr std::uint8_t kMigForward = 3;
 }  // namespace ev
 
 /// VCPU leave-CPU reasons (kVcpu/kLeave a0); mirrors Engine::LeaveReason.
@@ -140,8 +142,6 @@ class TraceSink {
   std::uint64_t dropped() const { return dropped_; }
   std::size_t size() const { return ring_.size(); }
   const TraceConfig& config() const { return cfg_; }
-
-  void clear();
 
  private:
   TraceConfig cfg_;

@@ -1,5 +1,7 @@
 #include "simcore/parallel.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -8,11 +10,18 @@
 
 namespace atcsim::sim {
 
+std::size_t available_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<std::size_t>(std::max(CPU_COUNT(&mask), 1));
+  }
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = available_cpus();
   threads = std::min(threads, n);
 
   std::vector<std::exception_ptr> errors(n);

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "obs/trace.h"
+#include "simcore/parallel.h"
 
 namespace atcsim::sim {
 
@@ -173,9 +174,7 @@ ShardGroup::~ShardGroup() = default;
 
 std::size_t ShardGroup::resolve_threads(std::size_t threads,
                                         std::size_t shards) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  }
+  if (threads == 0) threads = available_cpus();
   return std::min(threads, shards);
 }
 

@@ -99,7 +99,7 @@ class ShardGroup {
   struct Options {
     /// Cross-shard lookahead L (minimum message delay); must be positive.
     SimTime lookahead = 0;
-    /// Worker threads; 0 picks min(shards, hardware_concurrency).  With 1
+    /// Worker threads; 0 picks min(shards, available_cpus()).  With 1
     /// the group runs the same protocol sequentially on the calling thread
     /// (no pool, no barriers) — the output is identical either way.
     std::size_t threads = 0;
@@ -141,8 +141,8 @@ class ShardGroup {
   ShardGroup& operator=(const ShardGroup&) = delete;
 
   /// The worker-thread count a group of `shards` shards runs on when
-  /// Options::threads is `threads`: 0 picks the hardware concurrency, and
-  /// the result is clamped to the shard count.
+  /// Options::threads is `threads`: 0 picks the calling thread's CPU count
+  /// (sim::available_cpus), and the result is clamped to the shard count.
   static std::size_t resolve_threads(std::size_t threads, std::size_t shards);
 
   /// Runs rounds until every shard's next local event (and every pending

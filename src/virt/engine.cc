@@ -347,13 +347,12 @@ void Engine::drain_mailbox(Vm& vm) {
   }
 }
 
-void Engine::signal_in(SyncEvent& ev, sim::SimTime delay, Vm* owner) {
+void Engine::signal_in(SyncEvent& ev, sim::SimTime delay) {
+  assert(ev.vm() != nullptr && "signal_in() on an unbound SyncEvent");
   SyncEvent* evp = &ev;
   const sim::EventId id = sim_->call_in(delay, [evp] { evp->signal(); });
-  if (owner != nullptr) {
-    if (owned_timers_.size() >= prune_at_) prune_owned_timers();
-    owned_timers_.push_back({owner, &ev, sim_->now() + delay, id});
-  }
+  if (owned_timers_.size() >= prune_at_) prune_owned_timers();
+  owned_timers_.push_back({ev.vm(), &ev, sim_->now() + delay, id});
 }
 
 void Engine::prune_owned_timers() {
@@ -446,7 +445,7 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
 
   // Travelled timers re-arm with their remaining delays.
   for (const auto& t : bundle.timers) {
-    signal_in(*t.ev, std::max<SimTime>(t.remaining, 0), &vm);
+    signal_in(*t.ev, std::max<SimTime>(t.remaining, 0));
   }
 
   ATCSIM_TRACE(sim_->trace(), [&] {

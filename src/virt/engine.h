@@ -55,13 +55,11 @@ class Engine {
   /// detached waiter list (nullptr when nobody waited).
   void on_signalled(Vcpu* first);
 
-  /// Schedules `ev.signal()` in `delay`: the engine's workload timer.
-  /// `owner` (optional) attributes the pending timer to a VM: a migratable
-  /// workload passes its own VM so pause_and_expel can cancel the firing and
-  /// carry the remaining delay to the destination engine.  Timers with no
-  /// owner are pinned to this engine (fine for everything that never
-  /// migrates).
-  void signal_in(SyncEvent& ev, sim::SimTime delay, Vm* owner = nullptr);
+  /// Schedules `ev.signal()` in `delay`: the engine's workload timer.  The
+  /// timer is filed under the VM `ev` is bound to (SyncEvent::vm), so when
+  /// that VM migrates pause_and_expel cancels the firing and carries the
+  /// remaining delay to the destination engine.
+  void signal_in(SyncEvent& ev, sim::SimTime delay);
 
   /// Total context switches executed platform-wide.
   std::uint64_t total_switches() const { return total_switches_; }
@@ -101,8 +99,8 @@ class Engine {
   bool started_ = false;
   std::uint64_t total_switches_ = 0;
 
-  /// VM-owned pending workload timers (signal_in with an owner): enough to
-  /// cancel and re-home them when the owner migrates.  Fired entries are
+  /// Pending workload timers, each filed under its event's VM: enough to
+  /// cancel and re-home them when that VM migrates.  Fired entries are
   /// pruned lazily (cancel() on a fired EventId is a safe no-op thanks to
   /// generation tags): signal_in sweeps only once the vector reaches
   /// `prune_at_`, twice its size after the last sweep and at least

@@ -1,6 +1,7 @@
 // Platform: the whole simulated cluster (nodes, VMs, VCPUs) plus the engine.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -100,6 +101,13 @@ class Platform {
   /// All guest (non-dom0) VMs currently resident, platform-wide, in id
   /// order (skips migration tombstones).
   std::vector<Vm*> guest_vms() const;
+
+  /// Whether `vm` is resident on this platform: a linear find over the VM
+  /// table.  It reads no field of `vm`, which another shard may be
+  /// adopting.
+  bool hosts(const Vm& vm) const {
+    return std::find(vms_.begin(), vms_.end(), &vm) != vms_.end();
+  }
 
   // --- live migration ----------------------------------------------------
 

@@ -34,6 +34,10 @@ class SyncEvent {
   /// migrations with no rebinding.
   void bind(Vm& vm) { vm_ = &vm; }
 
+  /// The VM the event is bound to; nullptr while unbound.  The engine files
+  /// a workload timer on the event under this VM (Engine::signal_in).
+  Vm* vm() const { return vm_; }
+
   /// Fires the condition.  Blocked waiters are woken; waiters spinning on a
   /// PCPU proceed immediately; descheduled spinners proceed when next
   /// dispatched (they cannot observe the flag without CPU time).

@@ -40,8 +40,8 @@ class Vm {
 
   /// Cluster-wide identity, assigned once at scenario build in creation
   /// order and never changed — unlike the platform-local id(), which is
-  /// reassigned when the VM migrates onto another platform.  Location
-  /// directories and migration policies key on this.  -1 until assigned.
+  /// reassigned when the VM migrates onto another platform.  Migration
+  /// policies break ties on it.  -1 until assigned.
   std::int64_t global_id() const { return global_id_; }
   void set_global_id(std::int64_t g) { global_id_ = g; }
 

@@ -61,8 +61,14 @@ class Workload {
   /// program's handles name its VM, never a platform, so nothing needs
   /// rebinding when the VM moves; a program opting in must still return
   /// false while an I/O chain it started is in flight on the source node
-  /// (the device state of that chain cannot follow the VM).  The default
-  /// keeps every workload pinned.
+  /// (the device state of that chain cannot follow the VM).
+  ///
+  /// Contract: a guest that packets address never migrates.  A packet
+  /// routes by its destination VM's own node, read when it is sent, and no
+  /// dom0 forwards it after a move; VirtualNetwork's delivery asserts that
+  /// the destination is still on the node the packet was addressed to.
+  /// So only a program whose VM no guest sends to and no client injects
+  /// into may return true.  The default keeps every workload pinned.
   virtual bool migratable() const { return false; }
 };
 

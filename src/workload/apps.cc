@@ -81,12 +81,11 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
         } else {
           think_->reset();
         }
-        // Owner-tagged: if the VM migrates mid-think the engine cancels
-        // this timer and re-arms the remaining wait on the destination.
+        // A move mid-think carries the rest of this wait to the destination
+        // engine (signal_in files the timer under the event's VM).
         vm_->node().platform().engine().signal_in(
             *think_,
-            std::max<sim::SimTime>(rng_.jittered(p.duration, p.jitter), 1),
-            vm_);
+            std::max<sim::SimTime>(rng_.jittered(p.duration, p.jitter), 1));
         return virt::Action::block_wait(*think_);
       }
       case PhaseKind::kIo: {

@@ -45,7 +45,9 @@ class LoopWorkload : public virt::Workload {
   }
   /// Movable except while a blkback request is in flight: the disk chain
   /// holds node-local device state that cannot follow the VM.  Think
-  /// timers travel as owned engine timers (signal_in's owner tag).
+  /// timers travel with the VM (Engine::signal_in files them under it).
+  /// No guest sends to a loop VM and no client injects into one, which is
+  /// what lets it migrate at all (Workload::migratable).
   bool migratable() const override { return !io_pending_; }
 
  private:

@@ -42,16 +42,13 @@ TEST(MigrationTest, ScriptedMoveRelocatesVmAndPreservesProgress) {
         "workload svc\nrate_units 4\nphase compute 400us jitter=0.1\n"
         "phase think 600us\n");
     virt::Vm& mover = s.add_loop_vm(0, desc, "svc");
-    const std::int64_t gid = mover.global_id();
-    ASSERT_GE(gid, 0);
+    ASSERT_GE(mover.global_id(), 0);
     s.start();
     s.schedule_migration(mover, 300_ms, /*dest_node=*/1);
     s.run_for(700_ms);
 
     EXPECT_EQ(s.migrator().migrations_started(), 1u);
-    const virt::VmLocation& loc = s.directory().at(gid);
-    EXPECT_EQ(loc.node_global, 1);
-    EXPECT_LE(loc.moving_until, s.simulation().now());
+    EXPECT_TRUE(s.platform().hosts(mover));
     EXPECT_EQ(&mover.node(), s.platform().nodes()[1].get());
 
     // The guest must keep completing loop iterations after the move:
@@ -74,7 +71,6 @@ TEST(MigrationTest, GuardsRefuseDom0AndInTransitVms) {
   auto sp = ScenarioBuilder{}.nodes(2).approach(Approach::kCR).seed(5).build();
   Scenario& s = *sp;
   virt::Vm& vm = s.add_loop_vm(0, workload::cpu_descriptor("gcc"), "gcc");
-  const std::int64_t gid = vm.global_id();
   s.start();
   s.run_for(50_ms);
 
@@ -83,12 +79,14 @@ TEST(MigrationTest, GuardsRefuseDom0AndInTransitVms) {
 
   const sim::SimTime t_r = s.migrator().migrate(vm, /*dest_node_global=*/1);
   EXPECT_GT(t_r, s.simulation().now());
-  // In transit now: a second move must be refused until t_r passes.
+  // In transit now, so resident on no platform: a second move must be
+  // refused until t_r passes.
+  EXPECT_FALSE(s.platform().hosts(vm));
   EXPECT_FALSE(s.migrator().can_migrate(vm));
 
   s.run_for(t_r - s.simulation().now() + 50_ms);
   EXPECT_TRUE(s.migrator().can_migrate(vm));
-  EXPECT_EQ(s.directory().at(gid).node_global, 1);
+  EXPECT_EQ(s.platform().global_node_id(vm.node()), 1);
 }
 
 TEST(MigrationTest, ScheduledMoveIsNoOpWhenAlreadyInTransitOrArrived) {
@@ -136,6 +134,40 @@ TEST(MigrationTest, DestroyingAScenarioMidCopyFreesTheBundle) {
   }
 }
 
+TEST(MigrationTest, MoveIsOneCallOnTheDestinationShard) {
+  // No other shard hears of a move: the destination shard adopts the VM in
+  // one call at t_r, a local event when the move stays inside the source
+  // shard and one fabric record otherwise.  The loop guest sends nothing,
+  // so every fabric post here is a migration call.
+  auto sp = ScenarioBuilder{}
+                .nodes(8)
+                .approach(Approach::kCR)
+                .seed(5)
+                .shards(4)
+                .build();
+  Scenario& s = *sp;
+  virt::Vm& vm = s.add_loop_vm(0, workload::cpu_descriptor("gcc"), "gcc");
+  s.start();
+  ASSERT_NE(s.fabric(), nullptr);
+
+  // Nodes 0 and 1 both belong to shard 0.
+  s.schedule_migration(vm, 50_ms, /*dest_node=*/1);
+  s.run_for(500_ms);
+  EXPECT_EQ(s.migrator(0).migrations_started(), 1u);
+  EXPECT_EQ(s.platform(0).global_node_id(vm.node()), 1);
+  EXPECT_EQ(s.fabric()->posted(), 0u);
+
+  // Node 7 belongs to shard 3.
+  s.schedule_migration(vm, 550_ms, /*dest_node=*/7);
+  s.run_for(500_ms);
+  EXPECT_EQ(s.migrator(0).migrations_started(), 2u);
+  EXPECT_EQ(s.fabric()->posted(), 1u);
+  for (int k = 0; k < s.shard_count(); ++k) {
+    EXPECT_EQ(s.platform(k).hosts(vm), k == 3) << "shard " << k;
+  }
+  EXPECT_EQ(s.platform(3).global_node_id(vm.node()), 7);
+}
+
 // ------------------------------------------------------------ rebalancer
 
 TEST(RebalancerTest, MovesBusiestGuestOffTheHotHost) {
@@ -151,11 +183,10 @@ TEST(RebalancerTest, MovesBusiestGuestOffTheHotHost) {
                 .seed(21)
                 .build();
   Scenario& s = *sp;
-  std::vector<std::int64_t> gids;
+  std::vector<virt::Vm*> guests;
   for (int i = 0; i < 4; ++i) {
-    virt::Vm& vm = s.add_loop_vm(0, workload::cpu_descriptor("stream"),
-                                 "stream" + std::to_string(i));
-    gids.push_back(vm.global_id());
+    guests.push_back(&s.add_loop_vm(0, workload::cpu_descriptor("stream"),
+                                    "stream" + std::to_string(i)));
   }
   s.start();
   s.run_for(2_s);
@@ -168,8 +199,8 @@ TEST(RebalancerTest, MovesBusiestGuestOffTheHotHost) {
             rt.rebalancer->migrations_ordered());
 
   int on_cold = 0;
-  for (std::int64_t gid : gids) {
-    on_cold += s.directory().at(gid).node_global == 1;
+  for (const virt::Vm* vm : guests) {
+    on_cold += s.platform().global_node_id(vm->node()) == 1;
   }
   // Load spread, but hysteresis kept some guests home: the controller
   // stopped once the gap fell under the margin instead of thrashing the

@@ -23,7 +23,6 @@
 #include "sched/credit.h"
 #include "simcore/shard.h"
 #include "simcore/simulation.h"
-#include "virt/migration.h"
 #include "virt/platform.h"
 
 namespace atcsim {
@@ -79,9 +78,8 @@ class Exec final : public sim::ShardExecutor {
 // Two single-node shards; each hosts one busy guest.  Streams ping-pong:
 // a delivery on shard d immediately sends the ball back from d's side, so
 // traffic flows through both (0 -> 1) and (1 -> 0) mailboxes every round.
-// As in cluster::Scenario, guests carry global ids and every shard routes
-// through its own location-directory replica, and the mailboxes start at
-// Scenario's cold-start size.
+// As in cluster::Scenario, a packet routes by its destination VM's own
+// network, and the mailboxes start at Scenario's cold-start size.
 struct ShardedPktRig {
   static constexpr std::size_t kMailboxSlots = 256;
   virt::ModelParams params;
@@ -117,7 +115,6 @@ struct ShardedPktRig {
       virt::Vm& vm = stack->platform->create_vm(
           virt::NodeId{0}, virt::VmType::kNonParallel,
           std::string("g").append(std::to_string(s)), 1);
-      vm.set_global_id(s);  // guest s lives on shard s, global node s
       workloads.push_back(std::make_unique<BusyWorkload>());
       vm.vcpus()[0].set_workload(workloads.back().get());
       guests.push_back(&vm);
@@ -126,11 +123,6 @@ struct ShardedPktRig {
       stack->platform->engine().start();
       execs.push_back(std::make_unique<Exec>(s, stack->simulation, fabric));
       stacks.push_back(std::move(stack));
-    }
-    for (auto& stack : stacks) {
-      for (int g = 0; g < 2; ++g) {
-        stack->network->directory().register_vm(g, g, g);
-      }
     }
     sim::ShardGroup::Options opts;
     opts.lookahead = params.wire_latency;

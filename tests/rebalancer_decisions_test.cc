@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
@@ -39,17 +40,20 @@ TEST(RebalancerTest, MixedCellDecisionsArePinned) {
     auto sp = ScenarioBuilder{}.nodes(32).approach(e.approach).seed(1).build();
     Scenario& s = *sp;
     cluster::build_mixed(s);
+    // A VM object travels with its guest, so its node is where it lives.
+    const auto node_of = [](virt::Vm& vm) {
+      return vm.node().platform().global_node_id(vm.node());
+    };
     std::map<std::int64_t, int> created;
-    for (const virt::Vm* vm : s.guest_vms()) {
-      created[vm->global_id()] = s.directory().at(vm->global_id()).node_global;
-    }
+    const std::vector<virt::Vm*> guests = s.guest_vms();
+    for (virt::Vm* vm : guests) created[vm->global_id()] = node_of(*vm);
     s.start();
     s.warmup_and_measure(1_s, 2_s);
 
     std::map<std::int64_t, int> moved;
-    for (const auto& [gid, node] : created) {
-      const int now_on = s.directory().at(gid).node_global;
-      if (now_on != node) moved[gid] = now_on;
+    for (virt::Vm* vm : guests) {
+      const int now_on = node_of(*vm);
+      if (now_on != created[vm->global_id()]) moved[vm->global_id()] = now_on;
     }
     const std::string name = cluster::approach_name(e.approach);
     EXPECT_EQ(s.migrator().migrations_started(), e.migrations) << name;

@@ -1,6 +1,8 @@
 // Unit tests for the simulation kernel: event queue ordering/cancellation,
 // simulation clock semantics, RNG determinism, and statistics.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cmath>
@@ -13,6 +15,7 @@
 #include "simcore/event_queue.h"
 #include "simcore/parallel.h"
 #include "simcore/rng.h"
+#include "simcore/shard.h"
 #include "simcore/simulation.h"
 #include "simcore/stats.h"
 #include "simcore/time.h"
@@ -444,6 +447,28 @@ TEST(ParallelTest, ParallelForRethrowsFirstException) {
       EXPECT_STREQ(e.what(), "iteration 7") << "threads=" << threads;
     }
   }
+}
+
+TEST(ParallelTest, AvailableCpusFollowTheAffinityMask) {
+  // hardware_concurrency() counts the host's CPUs whatever the mask says,
+  // so pools sized by it start several threads on one CPU under
+  // `taskset -c 0`.  Pin this thread to one CPU of its mask, read, restore.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+  const std::size_t pinned_cpus = available_cpus();
+  const std::size_t pinned_threads = ShardGroup::resolve_threads(0, 4);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+
+  EXPECT_EQ(pinned_cpus, 1u);
+  EXPECT_EQ(pinned_threads, 1u);
+  EXPECT_EQ(available_cpus(), static_cast<std::size_t>(CPU_COUNT(&saved)));
 }
 
 }  // namespace
