@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -432,9 +433,7 @@ void Scenario::reset_platform_stats() {
     for (std::size_t id = 0; id < platform.vm_count(); ++id) {
       // vm_ptr: migrated-away VMs leave tombstone ids behind.
       virt::Vm* vm = platform.vm_ptr(virt::VmId{static_cast<std::int32_t>(id)});
-      if (vm == nullptr) continue;
-      vm->totals() = virt::Vm::Totals{};
-      for (virt::Vcpu& v : vm->vcpus()) v.mutable_totals() = {};
+      if (vm != nullptr) vm->totals() = virt::Vm::Totals{};
     }
   }
   stats_reset_at_ = stacks_[0]->simulation.now();
@@ -518,6 +517,13 @@ ScenarioConfig ScenarioBuilder::validated() const {
   require_positive(config_.vms_per_node, "vms_per_node");
   require_positive(config_.vcpus_per_vm, "vcpus_per_vm");
   require_positive(config_.shards, "shards");
+  // A VCPU's run-queue link stores the PCPU index in 16 bits.
+  if (config_.pcpus_per_node > INT16_MAX) {
+    throw std::invalid_argument(
+        std::string("pcpus_per_node must be at most ") +
+        std::to_string(INT16_MAX) + ", got " +
+        std::to_string(config_.pcpus_per_node));
+  }
   if (!allow_wide_vms_ && config_.vcpus_per_vm > config_.pcpus_per_node) {
     throw std::invalid_argument(
         "vcpus_per_vm (" + std::to_string(config_.vcpus_per_vm) +

@@ -188,7 +188,7 @@ class Scenario {
   /// All BSP app keys registered, in creation order.
   const std::vector<std::string>& bsp_keys() const { return bsp_keys_; }
 
-  /// Zeroes VM/VCPU cumulative counters (warmup exclusion).
+  /// Zeroes every VM's cumulative counters (warmup exclusion).
   void reset_platform_stats();
 
  private:

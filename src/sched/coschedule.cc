@@ -32,7 +32,7 @@ Vcpu* CoScheduler::pick_next(Pcpu& p) {
       slot = nullptr;
       if (v->runnable()) {
         last_pick_forced_ = true;
-        v->sched().boosted = false;
+        v->sched().rq.boosted = false;
         v->sched().queue = p.id();
         return v;
       }

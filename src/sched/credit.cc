@@ -88,7 +88,7 @@ void CreditScheduler::attach(virt::Node& node, virt::Engine& engine) {
 void CreditScheduler::vm_departing(Vm& vm) {
   for (Vcpu& v : vm.vcpus()) {
     queues_.erase(v);  // no-op for VCPUs not queued (blocked/done)
-    v.sched().boosted = false;
+    v.sched().rq.boosted = false;
   }
 }
 
@@ -106,9 +106,10 @@ void CreditScheduler::vm_arrived(Vm& vm) {
 void CreditScheduler::tick() {
   for (std::size_t q = 0; q < queues_.queue_count(); ++q) {
     Pcpu& p = node_->pcpus()[q];
-    Vcpu* head = queues_.front(static_cast<int>(q));
-    if (p.idle() || head == nullptr) continue;
-    if (effective_prio(*head) < effective_prio(*p.current())) {
+    if (p.idle()) continue;
+    // An empty queue's class, kClasses, outranks no running VCPU.
+    const int head = queues_.front_class(static_cast<int>(q));
+    if (head < static_cast<int>(effective_prio(*p.current()))) {
       ATCSIM_TRACE(engine().simulation().trace(),
                    sched_event(engine().simulation().now(),
                                obs::ev::kTickPreempt, *p.current(),
@@ -119,7 +120,7 @@ void CreditScheduler::tick() {
 }
 
 virt::CreditPrio CreditScheduler::effective_prio(const Vcpu& v) const {
-  if (v.sched().boosted) return CreditPrio::kBoost;
+  if (v.sched().rq.boosted) return CreditPrio::kBoost;
   return v.sched().credits >= 0.0 ? CreditPrio::kUnder : CreditPrio::kOver;
 }
 
@@ -186,7 +187,7 @@ void CreditScheduler::on_wake(Vcpu& v) {
     v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)].id();
   }
   // Xen grants BOOST to wakes of VCPUs that have not over-consumed.
-  v.sched().boosted = v.sched().credits >= 0.0;
+  v.sched().rq.boosted = v.sched().credits >= 0.0;
   rebalance_if_stacked(v);
   enqueue(v);
 }
@@ -214,25 +215,22 @@ void CreditScheduler::on_exit(Vcpu& /*v*/) {}
 
 Vcpu* CreditScheduler::pick_next(Pcpu& p) {
   const int self = p.index_in_node();
-  Vcpu* own_front = queues_.front(self);
 
   // Xen's csched_load_balance: when the local candidate is not top
   // priority, steal a higher-priority VCPU from a sibling queue.  This is
   // what keeps weight-fairness across unevenly loaded run queues (starved
   // VCPUs accumulate credits, turn UNDER, and get pulled over).  An empty
-  // own queue ranks below every class, so any sibling front beats it.
-  const int own_rank = own_front == nullptr
-                           ? IndexedRunQueues::kClasses
-                           : static_cast<int>(effective_prio(*own_front));
+  // queue's class is kClasses, below every class, so any sibling front
+  // beats an empty own queue and an empty sibling never wins.  Each rank is
+  // read off the queue's buckets, not the front VCPU's record.
+  const int own_rank = queues_.front_class(self);
   if (own_rank != static_cast<int>(CreditPrio::kBoost)) {
     const int n = static_cast<int>(queues_.queue_count());
     int best_q = -1;
     int best_rank = own_rank;
     for (int off = 1; off < n; ++off) {
       const int q = (self + off) % n;
-      Vcpu* cand = queues_.front(q);
-      if (cand == nullptr) continue;
-      const int rank = static_cast<int>(effective_prio(*cand));
+      const int rank = queues_.front_class(q);
       if (rank < best_rank) {
         best_rank = rank;
         best_q = q;
@@ -241,7 +239,7 @@ Vcpu* CreditScheduler::pick_next(Pcpu& p) {
     }
     if (best_q >= 0) {
       Vcpu* v = queues_.pop_front(best_q);
-      v->sched().boosted = false;
+      v->sched().rq.boosted = false;
       v->sched().queue = p.id();  // migrate to the stealing queue
       ATCSIM_TRACE(engine().simulation().trace(),
                    sched_event(engine().simulation().now(), obs::ev::kSteal,
@@ -250,13 +248,13 @@ Vcpu* CreditScheduler::pick_next(Pcpu& p) {
       return v;
     }
   }
-  if (own_front == nullptr) return nullptr;
+  if (own_rank == IndexedRunQueues::kClasses) return nullptr;
   Vcpu* v = queues_.pop_front(self);
   ATCSIM_TRACE(engine().simulation().trace(),
                sched_event(engine().simulation().now(), obs::ev::kPick, *v,
-                           static_cast<std::int64_t>(effective_prio(*v)),
+                           static_cast<std::int64_t>(own_rank),
                            static_cast<std::int64_t>(self)));
-  v->sched().boosted = false;  // BOOST is consumed by the dispatch
+  v->sched().rq.boosted = false;  // BOOST is consumed by the dispatch
   return v;
 }
 
@@ -277,7 +275,7 @@ void CreditScheduler::charge(Vcpu& v, sim::SimTime run) {
 }
 
 Pcpu* CreditScheduler::wake_preemption_target(Vcpu& v) {
-  if (!v.sched().boosted) return nullptr;
+  if (!v.sched().rq.boosted) return nullptr;
   Pcpu& p = engine().platform().pcpu(v.sched().queue);
   if (p.idle()) return nullptr;
   if (effective_prio(*p.current()) == CreditPrio::kBoost) return nullptr;

@@ -31,6 +31,7 @@
 #include <array>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "virt/vcpu.h"
@@ -74,6 +75,7 @@ class IndexedRunQueues {
     auto& link = v.sched().rq;
     assert(link.queue < 0 && "VCPU already on a run queue");
     assert(link.vm >= 0 && static_cast<std::size_t>(link.vm) < vm_stride_);
+    assert(q >= 0 && q <= INT16_MAX && "run-queue index exceeds the link");
     Queue& rq = queues_[qi(q)];
     Bucket& b = rq.buckets[static_cast<std::size_t>(cls)];
     const double credits = v.sched().credits;
@@ -82,7 +84,7 @@ class IndexedRunQueues {
            !(pos->sched().credits < credits - dead_band)) {
       pos = pos->sched().rq.next;
     }
-    link.queue = q;
+    link.queue = static_cast<std::int16_t>(q);
     link.cls = static_cast<std::int8_t>(cls);
     link_before(b, v, pos);
     ++rq.size;
@@ -110,6 +112,18 @@ class IndexedRunQueues {
       if (b.head != nullptr) return b.head;
     }
     return nullptr;
+  }
+
+  /// Class (CreditPrio value) of front(q): the best non-empty bucket, or
+  /// kClasses when the queue is empty.  Reads no VCPU record, and equals
+  /// the front's current class because a queued VCPU's class changes only
+  /// at refill, which rebucket() follows (see the file comment).
+  int front_class(int q) const {
+    const auto& buckets = queues_[qi(q)].buckets;
+    for (int c = 0; c < kClasses; ++c) {
+      if (buckets[static_cast<std::size_t>(c)].head != nullptr) return c;
+    }
+    return kClasses;
   }
 
   /// Removes and returns front(q); queue must be non-empty.

@@ -113,20 +113,12 @@ std::uint32_t EventQueue::alloc_slot() {
     free_.pop_back();
     return s;
   }
-  assert(meta_.size() < (std::size_t{1} << kSlotBits) &&
+  assert(slot_count_ < (std::size_t{1} << kSlotBits) &&
          "event slab exceeded the packed-key slot capacity");
-  meta_.emplace_back();
-  if (payload_chunks_.size() * kChunkSize < meta_.size()) {
-    payload_chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
+  if (slot_count_ == chunks_.size() * kChunkSize) {
+    chunks_.push_back(std::make_unique<Chunk>());
   }
-  // The free list holds at most every slot, so growing it here (and only
-  // here) keeps the pop()/cancel() paths allocation-free: a slab high-water
-  // mark reached during warm-up covers any later free-at-once high water.
-  // Doubling keeps the slab-growth path amortized O(1) as well.
-  if (free_.capacity() < meta_.size()) {
-    free_.reserve(std::max(meta_.size(), free_.capacity() * 2));
-  }
-  return static_cast<std::uint32_t>(meta_.size() - 1);
+  return static_cast<std::uint32_t>(slot_count_++);
 }
 
 // ------------------------------------------------------------- one-shots --
@@ -134,7 +126,15 @@ std::uint32_t EventQueue::alloc_slot() {
 EventId EventQueue::schedule(SimTime when, Callback fn) {
   assert(fn && "scheduled callback must be callable");
   const std::uint32_t s = alloc_slot();
-  SlotMeta& slot = meta_[s];
+  // Only one-shot slots are ever freed, so the free list needs room for
+  // every slot that is not a timer, and this is the one place that count
+  // grows.  Reserving here keeps pop() and cancel() allocation-free, and
+  // doubling keeps it amortized O(1).
+  const std::size_t freeable = slot_count_ - timer_slots_;
+  if (free_.capacity() < freeable) {
+    free_.reserve(std::max(freeable, free_.capacity() * 2));
+  }
+  SlotMeta& slot = meta(s);
   payload(s) = std::move(fn);
   slot.is_timer = false;
   if (++slot.generation == 0) ++slot.generation;  // 0 is the invalid tag
@@ -153,8 +153,8 @@ EventId EventQueue::schedule(SimTime when, Callback fn) {
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (!id.valid() || id.slot >= meta_.size()) return false;
-  SlotMeta& slot = meta_[id.slot];
+  if (!id.valid() || id.slot >= slot_count_) return false;
+  SlotMeta& slot = meta(id.slot);
   if (slot.is_timer || slot.generation != id.generation ||
       slot.live_seq == 0) {
     return false;  // already fired, already cancelled, or slot reused
@@ -173,7 +173,8 @@ bool EventQueue::cancel(EventId id) {
 TimerId EventQueue::make_timer(Callback fn) {
   assert(fn && "timer callback must be callable");
   const std::uint32_t s = alloc_slot();
-  SlotMeta& slot = meta_[s];
+  ++timer_slots_;
+  SlotMeta& slot = meta(s);
   payload(s) = std::move(fn);
   slot.is_timer = true;
   slot.live_seq = 0;
@@ -181,8 +182,8 @@ TimerId EventQueue::make_timer(Callback fn) {
 }
 
 void EventQueue::arm(TimerId t, SimTime when) {
-  assert(t.valid() && t.slot < meta_.size() && meta_[t.slot].is_timer);
-  SlotMeta& slot = meta_[t.slot];
+  assert(t.valid() && t.slot < slot_count_ && meta(t.slot).is_timer);
+  SlotMeta& slot = meta(t.slot);
   if (slot.live_seq != 0) {
     // Supersede the pending firing; its key dies in place.
     --live_count_;
@@ -201,8 +202,8 @@ void EventQueue::arm(TimerId t, SimTime when) {
 }
 
 bool EventQueue::disarm(TimerId t) {
-  assert(t.valid() && t.slot < meta_.size() && meta_[t.slot].is_timer);
-  SlotMeta& slot = meta_[t.slot];
+  assert(t.valid() && t.slot < slot_count_ && meta(t.slot).is_timer);
+  SlotMeta& slot = meta(t.slot);
   if (slot.live_seq == 0) return false;  // not armed (or just fired)
   slot.live_seq = 0;
   --live_count_;
@@ -212,9 +213,9 @@ bool EventQueue::disarm(TimerId t) {
 }
 
 void EventQueue::invoke_timer(std::uint32_t slot) {
-  // Payload chunks are address-stable, so the callback runs in place: even
-  // if it allocates new slots (appending a chunk) or re-arms this timer
-  // (which touches only meta_), the Callback being executed never moves.
+  // Chunks are address-stable, so the callback runs in place: even if it
+  // allocates new slots (appending a chunk) or re-arms this timer (which
+  // touches only its meta), the Callback being executed never moves.
   payload(slot)();
 }
 
@@ -247,7 +248,7 @@ EventQueue::Popped EventQueue::pop() {
   }
   frontier_ = k.time;
   const std::uint32_t s = k.slot();
-  SlotMeta& slot = meta_[s];
+  SlotMeta& slot = meta(s);
   slot.live_seq = 0;
   --live_count_;
   if (slot.is_timer) {

@@ -8,7 +8,9 @@
 //    path can never fall back to the heap.
 //  * Liveness is tracked by generation-tagged slab slots instead of a hash
 //    set: EventId = {slot, generation}, and cancel() is two array compares —
-//    no hashing, no node allocation.
+//    no hashing, no node allocation.  The slab grows in address-stable
+//    chunks of 256 slots, each holding the slots' metadata and payloads, so
+//    growth appends one chunk and never doubles or copies the slab.
 //  * The heap is split: a 4-ary min-heap of hot 16-byte keys
 //    {time, seq<<24|slot} is sifted during schedule/pop, while callback
 //    payloads stay put in their slab slot.  Comparisons touch only the key
@@ -107,8 +109,8 @@ class EventQueue {
   bool disarm(TimerId t);
 
   bool armed(TimerId t) const {
-    assert(t.valid() && t.slot < meta_.size());
-    return meta_[t.slot].live_seq != 0;
+    assert(t.valid() && t.slot < slot_count_);
+    return meta(t.slot).live_seq != 0;
   }
 
   // --- draining ----------------------------------------------------------
@@ -140,7 +142,7 @@ class EventQueue {
   /// Slab slots, live or free, one-shot or timer.  The slab never shrinks
   /// and a timer's slot is never freed, so a steady state that makes no new
   /// timers keeps this constant.
-  std::size_t slot_count() const { return meta_.size(); }
+  std::size_t slot_count() const { return slot_count_; }
 
  private:
   /// Slot index bits packed into the low end of HeapKey::seq_slot; caps the
@@ -162,12 +164,12 @@ class EventQueue {
   };
 
   /// Per-slot bookkeeping, split from the 32-byte callback payload: the
-  /// liveness checks on pop/next_time/compact hit this dense 16-byte array
-  /// instead of sweeping the payload slab.
+  /// liveness checks on pop/next_time/compact hit a chunk's dense 16-byte
+  /// array instead of sweeping the payloads.
   struct SlotMeta {
     /// Packed seq_slot of the live heap key pointing at this slot; 0 when
     /// none (free, cancelled, fired, or disarmed).  A heap key is dead iff
-    /// meta_[key.slot()].live_seq != key.seq_slot.
+    /// meta(key.slot()).live_seq != key.seq_slot.
     std::uint64_t live_seq = 0;
     /// Bumped on every one-shot allocation; EventId carries a copy, so
     /// stale handles to reused slots fail the generation compare.
@@ -175,11 +177,19 @@ class EventQueue {
     bool is_timer = false;
   };
 
-  /// Payload chunk granularity.  Chunks are address-stable, so a timer's
+  /// Slab chunk granularity.  Chunks are address-stable, so a timer's
   /// callback can run in place even if the callback allocates new slots
-  /// (no move-out/move-back per firing).
+  /// (no move-out/move-back per firing), and growth appends one chunk
+  /// without copying any slot.
   static constexpr std::size_t kChunkShift = 8;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
+
+  /// kChunkSize consecutive slots: metadata and payloads in two dense
+  /// arrays, one allocation.
+  struct Chunk {
+    SlotMeta meta[kChunkSize];
+    Callback payload[kChunkSize];
+  };
 
   /// Compaction threshold: dead keys are tolerated up to the number of live
   /// keys (amortized O(1) per cancel) but at least this many, so small
@@ -192,11 +202,17 @@ class EventQueue {
   }
 
   bool key_dead(const HeapKey& k) const {
-    return meta_[k.slot()].live_seq != k.seq_slot;
+    return meta(k.slot()).live_seq != k.seq_slot;
   }
 
+  SlotMeta& meta(std::uint32_t s) {
+    return chunks_[s >> kChunkShift]->meta[s & (kChunkSize - 1)];
+  }
+  const SlotMeta& meta(std::uint32_t s) const {
+    return chunks_[s >> kChunkShift]->meta[s & (kChunkSize - 1)];
+  }
   Callback& payload(std::uint32_t s) {
-    return payload_chunks_[s >> kChunkShift][s & (kChunkSize - 1)];
+    return chunks_[s >> kChunkShift]->payload[s & (kChunkSize - 1)];
   }
 
   /// Next packed seq_slot value for `slot`.
@@ -232,8 +248,12 @@ class EventQueue {
   mutable std::size_t due_head_ = 0;
   SimTime frontier_ = -1;  ///< time of the last popped event
 
-  std::vector<SlotMeta> meta_;
-  std::vector<std::unique_ptr<Callback[]>> payload_chunks_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::size_t slot_count_ = 0;   ///< slots handed out, live or free
+  std::size_t timer_slots_ = 0;  ///< of which timers (never freed)
+  /// Freed one-shot slots.  Its capacity covers every slot that is not a
+  /// timer, reserved by schedule() as that count grows, so pop() and
+  /// cancel() never allocate.
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;

@@ -141,7 +141,6 @@ void Engine::dispatch(Pcpu& p) {
   }
   v->sched().last_pcpu = p.id();
   p.eng().last_resident = v;
-  v->mutable_totals().dispatches += 1;
 
   const SimTime now = sim_->now();
   const SimTime slice = platform_->dispatch_rng(p.node()).jittered(
@@ -149,8 +148,8 @@ void Engine::dispatch(Pcpu& p) {
       mp.slice_jitter);
   p.eng().slice_end = now + slice;
   sim_->arm_at(p.eng().slice_timer, p.eng().slice_end);
-  v->eng().stint_start = now;
-  v->eng().segment_start = now;
+  p.eng().stint_start = now;
+  p.eng().segment_start = now;
   ATCSIM_TRACE(sim_->trace(),
                vcpu_event(now, obs::TraceCat::kVcpu, obs::ev::kDispatch, *v,
                           slice, v->eng().cache_debt));
@@ -170,20 +169,20 @@ void Engine::run_current(Pcpu& p) {
   auto& e = v->eng();
   for (;;) {
     if (!e.action_valid) {
-      e.action = v->workload()->next(*v);
+      const Action a = v->workload()->next(*v);
+      e.kind = a.kind;
+      e.event = a.event;
       e.action_valid = true;
-      if (e.action.kind == Action::Kind::kCompute) {
-        e.compute_left = e.action.duration;
-      }
+      if (a.kind == Action::Kind::kCompute) e.compute_left = a.duration;
     }
-    switch (e.action.kind) {
+    switch (e.kind) {
       case Action::Kind::kCompute: {
         const SimTime need = e.cache_debt + e.compute_left;
         if (need <= 0) {
           e.action_valid = false;
           continue;
         }
-        e.segment_start = now;
+        p.eng().segment_start = now;
         const SimTime end = now + need;
         if (end < p.eng().slice_end) {
           sim_->arm_at(p.eng().compute_timer, end);
@@ -198,7 +197,7 @@ void Engine::run_current(Pcpu& p) {
                        vcpu_event(now, obs::TraceCat::kSync,
                                   obs::ev::kSpinStart, *v));
         }
-        SyncEvent* ev = e.action.event;
+        SyncEvent* ev = e.event;
         if (ev->signalled()) {
           end_spin_episode(*v);
           e.action_valid = false;
@@ -208,11 +207,11 @@ void Engine::run_current(Pcpu& p) {
           ev->add_waiter(*v);
           e.wait_registered = true;
         }
-        e.segment_start = now;
+        p.eng().segment_start = now;
         return;  // burn CPU until signal or slice expiry
       }
       case Action::Kind::kBlockWait: {
-        SyncEvent* ev = e.action.event;
+        SyncEvent* ev = e.event;
         if (ev->signalled()) {
           e.wait_registered = false;
           e.action_valid = false;
@@ -245,19 +244,19 @@ void Engine::slice_expired(Pcpu& p) {
   leave_cpu(p, LeaveReason::kSliceEnd);
 }
 
-void Engine::account_segment(Pcpu& /*p*/, Vcpu& v) {
+void Engine::account_segment(Pcpu& p, Vcpu& v) {
   const SimTime now = sim_->now();
   auto& e = v.eng();
-  const SimTime elapsed = now - e.segment_start;
-  e.segment_start = now;
+  const SimTime elapsed = now - p.eng().segment_start;
+  p.eng().segment_start = now;
   if (elapsed <= 0 || !e.action_valid) return;
   Vm& vm = v.vm();
-  if (e.action.kind == Action::Kind::kCompute) {
+  if (e.kind == Action::Kind::kCompute) {
     const SimTime pay = std::min(e.cache_debt, elapsed);
     e.cache_debt -= pay;
     e.compute_left -= elapsed - pay;
     if (e.compute_left < 0) e.compute_left = 0;
-  } else if (e.action.kind == Action::Kind::kSpinWait) {
+  } else if (e.kind == Action::Kind::kSpinWait) {
     vm.period().spin_cpu += elapsed;
     vm.totals().spin_cpu += elapsed;
   }
@@ -272,7 +271,7 @@ void Engine::leave_cpu(Pcpu& p, LeaveReason reason) {
   sim_->disarm(p.eng().compute_timer);
   sim_->disarm(p.eng().slice_timer);
   const SimTime now = sim_->now();
-  const SimTime stint = now - e.stint_start;
+  const SimTime stint = now - p.eng().stint_start;
   e.last_stint = stint;
   Vm& vm = v->vm();
   vm.period().run_time += stint;
@@ -517,9 +516,7 @@ void Engine::request_resched(Pcpu& p) {
   // Ratelimit: guarantee a minimum stint before preemption, or gang
   // dispatch at synchronized slice boundaries preempts victims with zero
   // progress forever (Xen's sched_ratelimit exists for the same reason).
-  Vcpu* v = p.current();
-  const SimTime min_run = params().preempt_min_run;
-  const SimTime earliest = v->eng().stint_start + min_run;
+  const SimTime earliest = p.eng().stint_start + params().preempt_min_run;
   if (sim_->now() < earliest) {
     if (p.eng().resched_pending) return;
     p.eng().resched_pending = true;
@@ -545,7 +542,7 @@ void Engine::on_signalled(Vcpu* first) {
         Pcpu* p = e.on_pcpu;
         assert(p != nullptr);
         if (p->eng().in_dispatch) break;  // dispatch's run_current handles it
-        if (e.action_valid && e.action.kind == Action::Kind::kSpinWait) {
+        if (e.action_valid && e.kind == Action::Kind::kSpinWait) {
           account_segment(*p, *v);
           end_spin_episode(*v);
           e.action_valid = false;

@@ -47,6 +47,13 @@ class Pcpu {
     /// every VCPU; armed by run_current, disarmed by leave_cpu.
     sim::TimerId compute_timer;
     sim::SimTime slice_end = 0;    ///< absolute end of current slice
+    /// When the current VCPU's on-CPU stint began (dispatch time).  Stint
+    /// and segment mean something only while a VCPU runs, so they live
+    /// here rather than in every Vcpu.
+    sim::SimTime stint_start = 0;
+    /// When the current VCPU's accounting segment began: a compute or spin
+    /// stretch, folded into its totals by Engine::account_segment.
+    sim::SimTime segment_start = 0;
     /// Last VCPU that occupied the core; used for the cache-warmth model
     /// (no refill when the same VCPU resumes with nothing in between).
     Vcpu* last_resident = nullptr;
@@ -72,5 +79,10 @@ class Pcpu {
   EngineState eng_;
   Totals totals_;
 };
+
+// Nodes hold their PCPUs in one contiguous array (131,072 of them at 16384
+// nodes): 24 bytes of identity and current VCPU, 56 of engine state and 8
+// of totals.
+static_assert(sizeof(Pcpu) <= 88, "Pcpu outgrew 88 bytes");
 
 }  // namespace atcsim::virt

@@ -10,6 +10,7 @@
 namespace atcsim::virt {
 
 void SyncEvent::add_waiter(Vcpu& v) {
+  assert(!signalled() && "add_waiter() on a signalled SyncEvent");
   v.eng().next_waiter = nullptr;
   if (tail_ != nullptr) {
     tail_->eng().next_waiter = &v;
@@ -20,15 +21,15 @@ void SyncEvent::add_waiter(Vcpu& v) {
 }
 
 void SyncEvent::signal() {
-  if (signalled_) return;
+  if (signalled()) return;
   assert(vm_ != nullptr && "signal() on an unbound SyncEvent");
-  signalled_ = true;
   Engine& engine = vm_->node().platform().engine();
   // Detach the whole list before waking anyone: a released spinner may
   // wait again at once, relinking its next_waiter into another event's list
   // (Engine::on_signalled reads each link before handling its VCPU).
   Vcpu* const first = head_;
-  head_ = tail_ = nullptr;
+  head_ = nullptr;
+  tail_ = signalled_mark();
 #if ATCSIM_TRACE_ENABLED
   if (obs::TraceSink* sink = engine.simulation().trace()) {
     obs::TraceEvent e;

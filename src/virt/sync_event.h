@@ -11,9 +11,15 @@
 // Vcpu::EngineState::next_waiter: a VCPU waits on at most one event at a
 // time (EngineState::wait_registered), so one link per VCPU suffices and
 // registering, signalling and resetting never touch the allocator.
+//
+// The signalled flag is a sentinel value of the list's tail.  signal()
+// detaches the list before it sets the sentinel, and no VCPU registers on a
+// signalled event (the engine tests signalled() before it waits), so a
+// signalled event never has a waiter.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 
 namespace atcsim::virt {
 
@@ -43,17 +49,18 @@ class SyncEvent {
   /// dispatched (they cannot observe the flag without CPU time).
   void signal();
 
-  bool signalled() const { return signalled_; }
+  bool signalled() const { return tail_ == signalled_mark(); }
 
   /// Re-arms a consumed event for the next wait/signal cycle.  Only legal
   /// with no waiters registered: signal() detaches the whole list, so this
   /// holds once the event has fired and nobody has waited on it since.
   void reset() {
     assert(head_ == nullptr && "reset() with waiters still registered");
-    signalled_ = false;
+    tail_ = nullptr;
   }
 
   /// Engine bookkeeping: appends a waiter (any wait style) to the list.
+  /// The event must not be signalled.
   void add_waiter(Vcpu& v);
 
   /// First registered waiter (registration order), or nullptr; the rest
@@ -61,13 +68,20 @@ class SyncEvent {
   const Vcpu* first_waiter() const { return head_; }
 
  private:
+  /// tail_'s value while signalled: the address of a private static, which
+  /// no VCPU can share.  Never dereferenced.
+  static Vcpu* signalled_mark() {
+    return reinterpret_cast<Vcpu*>(&signalled_tag_);
+  }
+  alignas(std::max_align_t) static inline char signalled_tag_ = 0;
+
   Vm* vm_ = nullptr;
   Vcpu* head_ = nullptr;  ///< oldest waiter
-  Vcpu* tail_ = nullptr;  ///< newest waiter (append point)
-  bool signalled_ = false;
+  Vcpu* tail_ = nullptr;  ///< newest waiter (append point), or the mark
 };
 
-// One per barrier slot of every BspApp, so it is kept to four words.
-static_assert(sizeof(SyncEvent) <= 32, "SyncEvent outgrew four words");
+// A BspApp holds one per barrier of every VM and generation slot
+// (1,048,576 at 16384 nodes), so it is kept to three words.
+static_assert(sizeof(SyncEvent) <= 24, "SyncEvent outgrew three words");
 
 }  // namespace atcsim::virt

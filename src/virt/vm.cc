@@ -9,7 +9,7 @@ Vm::Vm(VmId id, Node& node, VmType type, std::string name, VcpuId first_vcpu,
     : id_(id), node_(&node), type_(type), name_(std::move(name)) {
   vcpus_.reserve(static_cast<std::size_t>(vcpus));
   for (int i = 0; i < vcpus; ++i) {
-    vcpus_.emplace_back(VcpuId{first_vcpu.value + i}, *this, i);
+    vcpus_.emplace_back(VcpuId{first_vcpu.value + i}, *this);
   }
 }
 

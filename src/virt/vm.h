@@ -143,4 +143,8 @@ class Vm {
   std::vector<sim::InlineCallback> mailbox_scratch_;
 };
 
+inline int Vcpu::index_in_vm() const {
+  return static_cast<int>(this - vm_->vcpus().data());
+}
+
 }  // namespace atcsim::virt

@@ -9,6 +9,8 @@
 // runs at the simulated instant the VCPU reaches that point of its program.
 #pragma once
 
+#include <cstdint>
+
 #include "simcore/time.h"
 #include "virt/ids.h"
 
@@ -19,7 +21,7 @@ class SyncEvent;
 
 /// One step of a guest program.
 struct Action {
-  enum class Kind {
+  enum class Kind : std::uint8_t {
     kCompute,    ///< burn `duration` of on-CPU time
     kSpinWait,   ///< busy-wait (stays runnable, burns CPU) until `event`
     kBlockWait,  ///< halt the VCPU until `event` (woken with BOOST)

@@ -24,6 +24,7 @@ BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
                           desc.name + "' has no barrier phase");
   }
   assert(!vm_ptrs_.empty());
+  assert(desc.phases.size() <= kMaxPhases);  // validate() checked it
   int local_index = 0;
   program_.reserve(desc.phases.size());
   for (const Phase& p : desc.phases) {
@@ -124,7 +125,7 @@ void BspApp::release_generation(std::uint64_t gen) {
     superstep_rec_->record(now - superstep_start_);
   }
   superstep_start_ = now;
-  ++supersteps_done_;
+  ++supersteps_done_;  // releases run in generation order: g + 1 of them
 
   release_event(0, gen).signal();
   virt::Vm& coord = *vm_ptrs_[0];
@@ -136,8 +137,10 @@ void BspApp::release_generation(std::uint64_t gen) {
 
   // Recycle: by the time generation g is released, every rank has passed
   // the g-1 barrier, so no VCPU can still reference events of g-2.  Reset
-  // that slot's row in place for generation g+2.
-  if (gen >= 2) {
+  // that slot's row in place for generation g+2.  `gen` wraps at 2^16, so
+  // "g >= 2" is read off the release count; gen - 2 wraps at 2^64, and
+  // both are multiples of kGenWindow, so the slot index stays right.
+  if (supersteps_done_ >= 3) {
     for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
       const std::size_t row = barrier_index(static_cast<int>(i), gen - 2, 0);
       assert(arrivals_[row] == 0 && "recycling a generation mid-barrier");
@@ -146,36 +149,35 @@ void BspApp::release_generation(std::uint64_t gen) {
   }
 }
 
-virt::SyncEvent& BspRank::armed_event(
-    std::unique_ptr<virt::SyncEvent>& slot) {
-  if (slot == nullptr) {
-    slot = std::make_unique<virt::SyncEvent>(
+virt::SyncEvent& BspRank::armed_wait() {
+  if (wait_ == nullptr) {
+    wait_ = std::make_unique<virt::SyncEvent>(
         *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)]);
   } else {
-    slot->reset();
+    wait_->reset();
   }
-  return *slot;
+  return *wait_;
 }
 
 virt::Action BspRank::next(virt::Vcpu& /*self*/) {
   const std::vector<BspApp::Step>& program = app_->program_;
   for (;;) {
     const BspApp::Step& st = program[pc_];
-    pc_ = (pc_ + 1) % program.size();
+    pc_ = static_cast<std::uint8_t>((pc_ + 1u) % program.size());
     switch (st.kind) {
       case PhaseKind::kCompute:
         return virt::Action::compute(
             rng_.jittered(st.duration, st.jitter));
       case PhaseKind::kThink: {
         // Blocked sleep: halt until a timer on the VM's own shard fires.
-        virt::SyncEvent& ev = armed_event(think_);
+        virt::SyncEvent& ev = armed_wait();
         virt::Vm& vm = *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)];
         vm.node().platform().engine().signal_in(
             ev, std::max<SimTime>(rng_.jittered(st.duration, st.jitter), 1));
         return virt::Action::block_wait(ev);
       }
       case PhaseKind::kIo: {
-        virt::SyncEvent& ev = armed_event(io_);
+        virt::SyncEvent& ev = armed_wait();
         virt::SyncEvent* evp = &ev;
         virt::Vm& vm = *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)];
         net::network_of(vm).submit_disk(vm, st.bytes,

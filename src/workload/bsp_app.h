@@ -80,7 +80,9 @@ class BspApp {
   };
 
   /// Rank bookkeeping at barrier entry; returns the release event the rank
-  /// must spin on for generation `gen`.
+  /// must spin on for generation `gen`.  Here and below, `gen` is a rank's
+  /// 16-bit count (BspRank::gen_), read only modulo kGenWindow, which
+  /// divides 2^16.
   virt::SyncEvent& rank_arrived(int vm_index, std::uint64_t gen);
   /// Intra-VM shared-memory barrier `local_index` of generation `gen`; the
   /// last local arriver releases it directly (no network).
@@ -97,6 +99,8 @@ class BspApp {
   /// lets slot (g-2) % 4 be reset in place for generation g+2.  Steady-state
   /// supersteps therefore never touch the allocator.
   static constexpr std::uint64_t kGenWindow = 4;
+  static_assert((std::uint64_t{1} << 16) % kGenWindow == 0,
+                "a rank's 16-bit generation must wrap on a window boundary");
 
   /// Index into events_/arrivals_.  Each (VM, generation slot) owns one
   /// contiguous row of slot_size_ entries: entry 0 is the global barrier's
@@ -131,6 +135,10 @@ class BspApp {
 
 /// The per-VCPU rank program: an interpreter over BspApp::program(),
 /// wrapping around after the global barrier.
+///
+/// One per VCPU (524,288 at 16384 nodes), so it is kept to one cache line:
+/// the vtable pointer, app and VM index, two narrow counters, the RNG and
+/// one wait event.
 class BspRank : public virt::Workload {
  public:
   BspRank(BspApp& app, int vm_index, sim::Rng rng)
@@ -142,18 +150,22 @@ class BspRank : public virt::Workload {
   }
 
  private:
-  /// Lazily creates (then resets and reuses) a rank-private wait event
-  /// bound to the owning VM — think timers and disk completions stay
-  /// allocation-free in steady state.
-  virt::SyncEvent& armed_event(std::unique_ptr<virt::SyncEvent>& slot);
+  /// Lazily creates (then resets and reuses) the rank-private wait event
+  /// bound to the owning VM.  Think timers and disk completions share it:
+  /// a rank blocks on one of them at a time, and both stay allocation-free
+  /// in steady state.
+  virt::SyncEvent& armed_wait();
 
   BspApp* app_;
   int vm_index_;
+  /// Global barriers passed, modulo 2^16: only gen_ % kGenWindow is read.
+  std::uint16_t gen_ = 0;
+  std::uint8_t pc_ = 0;  ///< next step of app_->program()
   sim::Rng rng_;
-  std::uint64_t gen_ = 0;
-  std::size_t pc_ = 0;  ///< next step of app_->program()
-  std::unique_ptr<virt::SyncEvent> think_;
-  std::unique_ptr<virt::SyncEvent> io_;
+  std::unique_ptr<virt::SyncEvent> wait_;
 };
+
+static_assert(kMaxPhases <= UINT8_MAX + 1, "BspRank::pc_ cannot index");
+static_assert(sizeof(BspRank) <= 64, "BspRank outgrew one cache line");
 
 }  // namespace atcsim::workload

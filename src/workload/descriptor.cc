@@ -21,7 +21,6 @@ constexpr double kMaxJitter = 0.9;
 constexpr double kMaxCacheSens = 64.0;
 constexpr double kMaxRateUnits = 1e9;
 constexpr int kMaxLocalBarriers = 31;  // sync_rounds <= 32
-constexpr std::size_t kMaxPhases = 64;
 constexpr std::size_t kMaxNameLen = 64;
 
 [[noreturn]] void fail(const std::string& why) { throw DescriptorError(why); }

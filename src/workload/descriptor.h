@@ -89,6 +89,10 @@ struct Phase {
   bool operator==(const Phase&) const = default;
 };
 
+/// Most phases one descriptor may hold (Descriptor::validate enforces it);
+/// BspRank keeps its position in the program in one byte.
+inline constexpr std::size_t kMaxPhases = 64;
+
 struct Descriptor {
   std::string name;
   double cache_sensitivity = 1.0;

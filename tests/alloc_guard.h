@@ -11,4 +11,7 @@ namespace atcsim {
 /// Heap allocations made so far by the whole process.
 std::uint64_t allocs();
 
+/// Bytes those allocations requested, freed or not.
+std::uint64_t alloc_bytes();
+
 }  // namespace atcsim

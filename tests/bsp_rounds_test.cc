@@ -32,20 +32,28 @@ struct Rig {
   }
 
   workload::BspApp& app(int vcpus, const workload::BspConfig& cfg) {
+    return app(vcpus, workload::Descriptor::from_bsp(cfg), nullptr);
+  }
+
+  workload::BspApp& app(int vcpus, const workload::Descriptor& desc,
+                        metrics::DurationRecorder* supersteps) {
     virt::Vm& vm = platform->create_vm(
         virt::NodeId{0}, virt::VmType::kParallel,
         "bsp" + std::to_string(platform->vm_count()), vcpus);
     apps.push_back(std::make_unique<workload::BspApp>(
-        std::vector<virt::Vm*>{&vm}, workload::Descriptor::from_bsp(cfg),
-        sim::Rng(9), nullptr));
+        std::vector<virt::Vm*>{&vm}, desc, sim::Rng(9), supersteps));
     apps.back()->attach();
     return *apps.back();
   }
 
-  void run(sim::SimTime t) {
+  void start() {
     platform->set_scheduler(virt::NodeId{0},
                             std::make_unique<sched::CreditScheduler>());
     platform->engine().start();
+  }
+
+  void run(sim::SimTime t) {
+    start();
     simulation.run_until(t);
   }
 };
@@ -123,6 +131,27 @@ TEST(BspRoundsTest, DeterministicAcrossRuns) {
     return app.supersteps_completed();
   };
   EXPECT_EQ(fingerprint(), fingerprint());
+}
+
+TEST(BspRoundsTest, SuperstepCountRunsOnAcrossTheGenerationWrap) {
+  // A rank counts barrier generations in 16 bits and reads them only modulo
+  // the generation window.  With a 5 us compute phase one VM passes 2^16
+  // global barriers in about a third of a simulated second.
+  Rig rig(2);
+  metrics::DurationRecorder supersteps;
+  const auto desc = workload::Descriptor::parse(
+      "workload tiny; phase compute 5us; phase local_barrier; "
+      "phase barrier 64B");
+  auto& app = rig.app(2, desc, &supersteps);
+  rig.start();
+  std::uint64_t last = 0;
+  for (int i = 1; i <= 10; ++i) {
+    rig.simulation.run_until(i * 40_ms);
+    EXPECT_GT(app.supersteps_completed(), last) << "window " << i;
+    last = app.supersteps_completed();
+  }
+  EXPECT_GT(last, 70'000u);
+  EXPECT_EQ(supersteps.count(), last);
 }
 
 TEST(BspRoundsTest, RejectsOutOfRangeSyncRounds) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/trace.h"
@@ -43,9 +44,27 @@ class ScriptWorkload : public virt::Workload {
   std::vector<std::size_t> on_step_;
 };
 
+// Credit scheduling that counts each VCPU's dispatches in its dispatch hook,
+// which runs whether or not the trace layer is compiled in.
+class CountingScheduler : public sched::CreditScheduler {
+ public:
+  explicit CountingScheduler(
+      std::unordered_map<const Vcpu*, std::uint64_t>& counts)
+      : counts_(&counts) {}
+
+  void on_dispatched(Vcpu& v, virt::Pcpu& p) override {
+    CreditScheduler::on_dispatched(v, p);
+    ++(*counts_)[&v];
+  }
+
+ private:
+  std::unordered_map<const Vcpu*, std::uint64_t>* counts_;
+};
+
 struct Rig {
   sim::Simulation simulation;
   std::unique_ptr<virt::Platform> platform;
+  std::unordered_map<const Vcpu*, std::uint64_t> dispatch_counts;
 
   explicit Rig(int pcpus = 1, int nodes = 1, virt::ModelParams params = {}) {
     virt::PlatformConfig pc;
@@ -69,11 +88,17 @@ struct Rig {
   void start() {
     for (auto& node : platform->nodes()) {
       if (!node->has_scheduler()) {
-        platform->set_scheduler(node->id(),
-                                std::make_unique<sched::CreditScheduler>());
+        platform->set_scheduler(
+            node->id(), std::make_unique<CountingScheduler>(dispatch_counts));
       }
     }
     platform->engine().start();
+  }
+
+  /// Dispatches of `v` so far (nodes given their scheduler by start()).
+  std::uint64_t dispatches(const Vcpu& v) const {
+    const auto it = dispatch_counts.find(&v);
+    return it == dispatch_counts.end() ? 0 : it->second;
   }
 };
 
@@ -110,7 +135,7 @@ TEST(EngineTest, ComputeLongerThanSliceSplitsAcrossSlices) {
   // Both complete; with 30ms default slices each ran in 2 stints.
   EXPECT_EQ(a.totals().run_time, 50_ms);
   EXPECT_EQ(b.totals().run_time, 50_ms);
-  EXPECT_GE(a.vcpus()[0].totals().dispatches, 2u);
+  EXPECT_GE(rig.dispatches(a.vcpus()[0]), 2u);
 }
 
 TEST(EngineTest, VcpuWithoutWorkloadNeverRuns) {
@@ -121,7 +146,7 @@ TEST(EngineTest, VcpuWithoutWorkloadNeverRuns) {
   rig.start();
   rig.simulation.run_until(1_s);
   EXPECT_EQ(vm.vcpus()[1].state(), VcpuState::kDone);
-  EXPECT_EQ(vm.vcpus()[1].totals().dispatches, 0u);
+  EXPECT_EQ(rig.dispatches(vm.vcpus()[1]), 0u);
 }
 
 TEST(EngineTest, SpinWaitBurnsCpuUntilSignal) {
@@ -347,7 +372,7 @@ TEST(EngineTest, MinTimeSliceClampsTinySlices) {
   rig.simulation.run_until(1_s);
   // 2ms of work in 50us slices: at most ~40 dispatches each (plus noise),
   // far fewer than the millions 1ns slices would give.
-  EXPECT_LE(a.vcpus()[0].totals().dispatches, 50u);
+  EXPECT_LE(rig.dispatches(a.vcpus()[0]), 50u);
 }
 
 TEST(EngineTest, PcpuBusyMatchesVcpuRunTotals) {
@@ -580,6 +605,55 @@ TEST(SyncEventTest, ResetAfterEveryWaiterProceededRearmsTheEvent) {
   EXPECT_EQ(vm.totals().run_time, 2 * (2_ms + 1_ms));
   EXPECT_EQ(vm.period().wakeups, 4u);
 }
+
+// The signalled flag is a sentinel value of the waiter list's tail, so the
+// list and the flag must never mix: a signal detaches every waiter, and a
+// reset clears the flag so that a new wait registers again.
+TEST(SyncEventTest, SignalDetachesWaitersAndResetLetsANewWaitRegister) {
+  Rig rig(1, 1, exact_params());
+  virt::Vm& vm = rig.vm(0, 1);
+  const Vcpu& v = vm.vcpus()[0];
+  virt::SyncEvent ev(vm);
+  ScriptWorkload w({Action::spin_wait(ev), Action::compute(2_ms),
+                    Action::block_wait(ev), Action::compute(1_ms)});
+  vm.vcpus()[0].set_workload(&w);
+  rig.start();
+  rig.simulation.run_until(1_ms);
+  EXPECT_FALSE(ev.signalled());
+  EXPECT_EQ(ev.first_waiter(), &v);
+
+  ev.signal();
+  EXPECT_TRUE(ev.signalled());
+  EXPECT_EQ(ev.first_waiter(), nullptr);
+  rig.simulation.run_until(2_ms);  // released into its compute
+  EXPECT_TRUE(ev.signalled());
+  EXPECT_EQ(ev.first_waiter(), nullptr);
+
+  ev.reset();
+  EXPECT_FALSE(ev.signalled());
+  EXPECT_EQ(ev.first_waiter(), nullptr);
+  rig.simulation.run_until(4_ms);  // blocks again at 3 ms
+  EXPECT_EQ(v.state(), VcpuState::kBlocked);
+  EXPECT_FALSE(ev.signalled());
+  EXPECT_EQ(ev.first_waiter(), &v);
+
+  ev.signal();
+  rig.simulation.run_until(1_s);
+  EXPECT_EQ(v.state(), VcpuState::kDone);
+  EXPECT_EQ(w.steps_taken(), 4u);
+}
+
+#ifndef NDEBUG
+// No VCPU registers on a signalled event: the engine tests signalled()
+// before it waits, and add_waiter asserts it.
+TEST(SyncEventDeathTest, AddWaiterOnSignalledEventAsserts) {
+  Rig rig(1);
+  virt::Vm& vm = rig.vm(0, 1);
+  virt::SyncEvent ev(vm);
+  ev.signal();
+  EXPECT_DEATH(ev.add_waiter(vm.vcpus()[0]), "signalled SyncEvent");
+}
+#endif
 
 TEST(SyncEventTest, EventFollowsItsVmToAnotherPlatform) {
   // The event names its VM, not an engine: after the VM moves to another

@@ -67,6 +67,16 @@ TEST(ScenarioBuilderTest, RejectsNonPositiveCounts) {
                std::invalid_argument);
   EXPECT_THROW(cluster::ScenarioBuilder{}.pcpus_per_node(0).validated(),
                std::invalid_argument);
+  // Too many, too: a VCPU's run-queue link stores the PCPU index in 16 bits.
+  try {
+    cluster::ScenarioBuilder{}.pcpus_per_node(32768).validated();
+    ADD_FAILURE() << "pcpus_per_node(32768) was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pcpus_per_node"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW(cluster::ScenarioBuilder{}.pcpus_per_node(32767).validated());
 }
 
 TEST(ScenarioBuilderTest, RejectsWideVmsUnlessAllowed) {

@@ -11,9 +11,10 @@
 //
 // The operator-new hook in alloc_guard_test.cc counts heap allocations;
 // after a warm-up window both cycles must perform exactly zero.  The
-// recorders' own footprint guard lives here too: a recorder built in the
-// hook's source would inline its vector's new and delete next to the hook
-// and trip -Wmismatched-new-delete.
+// footprint guards of the recorders and of the type-A cell live here too:
+// a recorder or scenario built in the hook's source would inline its
+// vectors' new and delete next to the hook and trip
+// -Wmismatched-new-delete.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "alloc_guard.h"
+#include "cluster/scenario.h"
+#include "cluster/scenarios.h"
 #include "metrics/recorders.h"
 #include "net/network.h"
 #include "sched/credit.h"
@@ -189,6 +192,31 @@ TEST(AllocGuardTest, RecorderFootprintFollowsOctaves) {
     EXPECT_EQ(allocs() - before, 1u) << "octave " << octave + 1;
   }
   EXPECT_EQ(r.count(), 20u);
+}
+
+// The paper's type-A cell (8 PCPUs and 4 VMs x 8 VCPUs per node, lu.B under
+// ATC) pays its per-entity records once per node: VCPUs, PCPUs, ranks,
+// barrier events, event-queue slots.  Bytes requested while building and
+// starting it, per node, are an exact count (no timing noise), so they gate
+// the footprint that dominates peak RSS at 16384 nodes.
+TEST(AllocGuardTest, TypeACellHeapBytesPerNode) {
+  constexpr int kNodes = 64;
+  // Measured 15,247 B/node when the records reached their committed sizes
+  // (Vcpu 128 B, BspRank 64 B, SyncEvent 24 B); 20,513 before.
+  constexpr std::uint64_t kMaxBytesPerNode = 15'500;
+  const std::uint64_t before = alloc_bytes();
+  auto s = cluster::ScenarioBuilder{}
+               .nodes(kNodes)
+               .pcpus_per_node(8)
+               .vms_per_node(4)
+               .vcpus_per_vm(8)
+               .approach(cluster::Approach::kATC)
+               .seed(1)
+               .build();
+  cluster::build_type_a(*s, "lu", workload::NpbClass::kB);
+  s->start();
+  const std::uint64_t per_node = (alloc_bytes() - before) / kNodes;
+  EXPECT_LE(per_node, kMaxBytesPerNode);
 }
 
 }  // namespace

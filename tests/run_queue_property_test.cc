@@ -7,7 +7,9 @@
 // and a credit balance, targeted remove, front inspection, pop (dispatch /
 // work stealing), and credit-refill rebucketing — and must agree on every
 // observable at every step: membership, per-queue depth, per-VM sibling
-// counts, front element, and the complete pop order on final drain.
+// counts, front element, and the complete pop order on final drain.  After
+// every operation the indexed structure's front_class(q) must also name the
+// front's class, as the scheduler reads it in place of the front's record.
 //
 // The sequences respect the scheduler's real invariants, which are exactly
 // what makes bucketed insertion equivalence-preserving (run_queue.h):
@@ -78,6 +80,7 @@ class RunQueueDifferential {
       } else {
         step_refill();
       }
+      check_front_classes();
     }
     drain();
   }
@@ -179,6 +182,16 @@ class RunQueueDifferential {
     indexed_.rebucket(prio);
     linear_.rebucket(prio);
     step_check();
+  }
+
+  void check_front_classes() {
+    for (int q = 0; q < queues_; ++q) {
+      const Vcpu* front = indexed_.front(q);
+      const int expected = front == nullptr
+                               ? sched::IndexedRunQueues::kClasses
+                               : static_cast<int>(cls_of(*front));
+      ASSERT_EQ(indexed_.front_class(q), expected) << "queue " << q;
+    }
   }
 
   void drain() {
