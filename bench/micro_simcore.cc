@@ -21,7 +21,8 @@ using namespace atcsim;
 using namespace atcsim::sim::time_literals;
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  sim::EventQueue q;
+  sim::Arena arena;
+  sim::EventQueue q(arena);
   sim::SimTime t = 0;
   int dummy = 0;
   for (auto _ : state) {
@@ -37,7 +38,8 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleAndPop);
 
 void BM_EventQueueCancel(benchmark::State& state) {
-  sim::EventQueue q;
+  sim::Arena arena;
+  sim::EventQueue q(arena);
   std::vector<sim::EventId> ids;
   ids.reserve(64);
   sim::SimTime t = 0;
@@ -59,7 +61,8 @@ BENCHMARK(BM_EventQueueCancel);
 // Reusable timer slots: the engine's slice-timer pattern (arm, fire, re-arm
 // in place) with zero construction per firing.
 void BM_EventQueueTimerRearm(benchmark::State& state) {
-  sim::EventQueue q;
+  sim::Arena arena;
+  sim::EventQueue q(arena);
   std::uint64_t fired = 0;
   const sim::TimerId timer = q.make_timer([&fired] { ++fired; });
   sim::SimTime t = 0;
@@ -75,7 +78,8 @@ BENCHMARK(BM_EventQueueTimerRearm);
 // Arm/disarm churn without firing: the cancel-heavy half of the engine's
 // dispatch cycle (slices that end early by blocking or compute completion).
 void BM_EventQueueTimerArmDisarm(benchmark::State& state) {
-  sim::EventQueue q;
+  sim::Arena arena;
+  sim::EventQueue q(arena);
   const sim::TimerId timer = q.make_timer([] {});
   sim::SimTime t = 0;
   for (auto _ : state) {

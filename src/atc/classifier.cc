@@ -33,7 +33,7 @@ void VmClassifier::on_period() {
 
 bool VmClassifier::is_parallel(const virt::Vm& vm) const {
   for (std::size_t i = 0; i < node_->vms().size(); ++i) {
-    if (node_->vms()[i].get() == &vm) {
+    if (node_->vms()[i] == &vm) {
       return i < state_.size() ? state_[i].parallel : false;
     }
   }

@@ -61,25 +61,20 @@ ApproachRuntime install_approach(virt::Platform& platform,
       case Approach::kDSS:
       case Approach::kPM:
       case Approach::kATCPM:
-        platform.set_scheduler(node->id(),
-                               std::make_unique<sched::CreditScheduler>());
+        platform.make_scheduler<sched::CreditScheduler>(node->id());
         break;
       case Approach::kBS: {
         sched::CreditScheduler::Options opts;
         opts.placement = sched::Placement::kBalance;
-        platform.set_scheduler(
-            node->id(), std::make_unique<sched::CreditScheduler>(opts));
+        platform.make_scheduler<sched::CreditScheduler>(node->id(), opts);
         break;
       }
-      case Approach::kCS: {
-        auto cs = std::make_unique<sched::CoScheduler>(monitor);
-        runtime.coschedulers.push_back(cs.get());
-        platform.set_scheduler(node->id(), std::move(cs));
+      case Approach::kCS:
+        runtime.coschedulers.push_back(
+            &platform.make_scheduler<sched::CoScheduler>(node->id(), monitor));
         break;
-      }
       case Approach::kVS:
-        platform.set_scheduler(node->id(),
-                               std::make_unique<sched::VSlicerScheduler>());
+        platform.make_scheduler<sched::VSlicerScheduler>(node->id());
         break;
     }
     if (a == Approach::kDSS) {

@@ -74,8 +74,8 @@ SimTime Migrator::migrate(virt::Vm& vm, std::int32_t dest_node_global) {
   ++migrations_;
 
   // One call at t_r on the destination shard.  It owns the bundle, so a
-  // run that ends inside the copy window frees the VM with the event queue
-  // or the fabric.
+  // run that ends inside the copy window frees the bundle with the event
+  // queue or the fabric; the platform that created the VM frees the VM.
   virt::Platform* dest =
       dest_shard == shard ? &platform : &fabric->network(dest_shard).platform();
   sim::InlineCallback adopt = [dest, owned = std::move(bundle)] {

@@ -68,11 +68,11 @@ void ClusterRebalancer::on_period() {
     const double p = sum / domains;
     if (p > hot_p) {
       hot_p = p;
-      hot = node.get();
+      hot = node;
     }
     if (p < cold_p) {
       cold_p = p;
-      cold = node.get();
+      cold = node;
     }
   }
 
@@ -95,7 +95,7 @@ void ClusterRebalancer::on_period() {
         (r == victim_rate && victim != nullptr &&
          vm->global_id() < victim->global_id())) {
       victim_rate = r;
-      victim = vm.get();
+      victim = vm;
     }
   }
   if (victim == nullptr || victim_rate <= 0.0) return;

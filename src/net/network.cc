@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 #include "obs/trace.h"
 
@@ -45,16 +46,26 @@ static_assert((kDom0RingSlots & (kDom0RingSlots - 1)) == 0,
 
 }  // namespace
 
-Dom0Backend::Dom0Backend(virt::Node& node)
-    : node_(&node), jobs_(kDom0RingSlots), idle_wait_(*node.dom0()) {}
+Dom0Backend::Dom0Backend(virt::Node& node, sim::Arena& arena)
+    : node_(&node),
+      arena_(&arena),
+      jobs_(arena.allocate_array<Job>(kDom0RingSlots), kDom0RingSlots),
+      idle_wait_(*node.dom0()) {
+  std::uninitialized_value_construct(jobs_.begin(), jobs_.end());
+}
+
+Dom0Backend::~Dom0Backend() { std::destroy(jobs_.begin(), jobs_.end()); }
 
 void Dom0Backend::grow_ring() {
   const std::size_t old_cap = jobs_.size();
-  std::vector<Job> bigger(old_cap * 2);
+  std::span<Job> bigger(arena_->allocate_array<Job>(old_cap * 2),
+                        old_cap * 2);
+  std::uninitialized_value_construct(bigger.begin(), bigger.end());
   for (std::size_t i = 0; i < job_count_; ++i) {
     bigger[i] = std::move(jobs_[(head_ + i) & (old_cap - 1)]);
   }
-  jobs_ = std::move(bigger);
+  std::destroy(jobs_.begin(), jobs_.end());
+  jobs_ = bigger;
   head_ = 0;
   ATCSIM_TRACE(node_->platform().simulation().trace(),
                net_event(node_->platform().simulation().now(),
@@ -106,7 +117,11 @@ virt::Action Dom0Backend::next(virt::Vcpu& /*self*/) {
 VirtualNetwork::VirtualNetwork(virt::Platform& platform)
     : platform_(&platform), nodes_(platform.nodes().size()) {}
 
-VirtualNetwork::~VirtualNetwork() = default;
+VirtualNetwork::~VirtualNetwork() {
+  for (NodeState& n : nodes_) {
+    if (n.backend != nullptr) std::destroy_at(n.backend);
+  }
+}
 
 void VirtualNetwork::attach() {
   assert(!attached_);
@@ -115,8 +130,9 @@ void VirtualNetwork::attach() {
   for (std::size_t n = 0; n < platform_->nodes().size(); ++n) {
     virt::Node& node = *platform_->nodes()[n];
     assert(node.dom0() != nullptr && node.dom0()->vcpu_count() >= 1);
-    nodes_[n].backend = std::make_unique<Dom0Backend>(node);
-    node.dom0()->vcpus()[0].set_workload(nodes_[n].backend.get());
+    nodes_[n].backend = platform_->simulation().arena().create<Dom0Backend>(
+        node, platform_->simulation().arena());
+    node.dom0()->vcpus()[0].set_workload(nodes_[n].backend);
   }
 }
 
@@ -272,7 +288,7 @@ void VirtualNetwork::deliver(PacketRef r) {
   // No dom0 forwards a packet after its guest moved: a guest that packets
   // address never migrates (Workload::migratable).
   assert(&p.dst->node() ==
-             platform_->nodes()[static_cast<std::size_t>(p.dst_node)].get() &&
+             platform_->nodes()[static_cast<std::size_t>(p.dst_node)] &&
          "packet addressed to a guest that migrated");
   virt::Vm* dst = p.dst;
   auto cb = release(r);

@@ -22,7 +22,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "net/fabric.h"
@@ -37,10 +37,13 @@ namespace atcsim::net {
 /// dom0's netback/blkback service loop: one per node, bound to dom0 VCPU 0.
 /// Jobs (tx/rx packet processing, disk submissions) are FIFO; each costs
 /// dom0 CPU time, then applies its effect (NIC push, guest delivery, ...).
+/// VirtualNetwork builds it and its job ring in the simulation's arena.
 class Dom0Backend : public virt::Workload {
  public:
-  /// Binds the idle event to the node's dom0, which must exist.
-  explicit Dom0Backend(virt::Node& node);
+  /// Binds the idle event to the node's dom0, which must exist; the job
+  /// ring comes from `arena`.
+  Dom0Backend(virt::Node& node, sim::Arena& arena);
+  ~Dom0Backend() override;
 
   struct Job {
     sim::SimTime cpu_cost = 0;
@@ -63,10 +66,13 @@ class Dom0Backend : public virt::Workload {
   void grow_ring();
 
   virt::Node* node_;
+  sim::Arena* arena_;
   /// FIFO job ring (head_ + job_count_ entries, wrapping): a deque's chunk
   /// churn would allocate in steady state, a ring only grows.  Pre-sized at
   /// construction so cold-start growth does not pollute short benchmarks.
-  std::vector<Job> jobs_;
+  /// In the arena, which keeps a ring that grew: it doubles, so the
+  /// abandoned rings never add up to more than the live one.
+  std::span<Job> jobs_;
   std::size_t head_ = 0;
   std::size_t job_count_ = 0;
   sim::InlineCallback pending_effect_;
@@ -183,7 +189,8 @@ class VirtualNetwork {
   static constexpr std::int32_t kRemoteNode = -2;
 
   struct NodeState {
-    std::unique_ptr<Dom0Backend> backend;
+    Dom0Backend* backend = nullptr;  ///< in the arena; ~VirtualNetwork
+                                     ///< destroys it
     sim::SimTime nic_tx_busy = 0;
     sim::SimTime nic_rx_busy = 0;
     sim::SimTime disk_busy = 0;

@@ -103,7 +103,7 @@ void CoScheduler::on_period() {
     // nullptr: a migration tombstone (Platform::expel_vm).
     if (vm == nullptr || vm->is_dom0() || vm->vcpu_count() < 2) continue;
     if (monitor_->last(vm->id()).spin_wall > kSpinThreshold) {
-      gang_.insert(vm.get());
+      gang_.insert(vm);
     }
   }
 }

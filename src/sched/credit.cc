@@ -54,7 +54,7 @@ void CreditScheduler::attach(virt::Node& node, virt::Engine& engine) {
   node_ = &node;
   engine_ = &engine;
   sim_ = &engine.simulation();
-  queues_.init(node.pcpus().size(), node.vms().size());
+  queues_.init(node.pcpus().size(), node.vms().size(), sim_->arena());
   // Dense node-local VM indices back the per-queue sibling counters that
   // make Balance placement O(P); assigned per node-local slot at attach.
   // Slots stay stable for the node's lifetime (migration leaves tombstones

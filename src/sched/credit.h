@@ -96,8 +96,8 @@ class CreditScheduler : public virt::Scheduler {
   virt::Node* node_ = nullptr;
   virt::Engine* engine_ = nullptr;
   /// Cached at attach for the destructor: the Simulation outlives the
-  /// Platform, but the Engine (a later Platform member than the nodes that
-  /// own the schedulers) does not.
+  /// Platform, but the Engine (which ~Platform destroys before the nodes
+  /// and their schedulers) does not.
   sim::Simulation* sim_ = nullptr;
   sim::Rng rng_{0};
   sim::TimerId refill_timer_{};

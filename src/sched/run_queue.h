@@ -28,12 +28,16 @@
 // and asserts identical pick order.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
+#include <type_traits>
 
+#include "simcore/arena.h"
 #include "virt/vcpu.h"
 
 namespace atcsim::sched {
@@ -43,28 +47,36 @@ class IndexedRunQueues {
   /// Cardinality of virt::CreditPrio (bucket index = enum value).
   static constexpr int kClasses = 3;
 
-  /// (Re)initializes for `queues` run queues over `vms` node-local VMs.
-  /// Every VCPU inserted later must carry a dense `sched().rq.vm` index in
-  /// [0, vms).
-  void init(std::size_t queues, std::size_t vms) {
-    queues_.assign(queues, Queue{});
+  /// (Re)initializes for `queues` run queues over `vms` node-local VMs,
+  /// with the queue heads and sibling counters in `arena` (the node's
+  /// simulation arena, next to its PCPUs and VCPUs).  Every VCPU inserted
+  /// later must carry a dense `sched().rq.vm` index in [0, vms).
+  void init(std::size_t queues, std::size_t vms, sim::Arena& arena) {
+    arena_ = &arena;
+    queues_ = {arena.allocate_array<Queue>(queues), queues};
+    std::uninitialized_value_construct(queues_.begin(), queues_.end());
     vm_stride_ = vms;
-    vm_queued_.assign(queues * vms, 0);
+    vm_queued_ = arena.allocate_array<int>(queues * vms);
+    std::fill_n(vm_queued_, queues * vms, 0);
   }
 
-  /// Widens the dense VM index space to `vms` (migration arrival gave a new
-  /// VM the next index).  Re-lays the sibling counters out under the new
-  /// stride; queue contents are untouched (links live in the VCPUs).
+  /// Widens the dense VM index space to at least `vms` (migration arrival
+  /// gave a new VM the next index).  Re-lays the sibling counters out under
+  /// a new stride; queue contents are untouched (links live in the VCPUs).
+  /// The arena keeps the old counters, so the stride at least doubles: the
+  /// abandoned arrays never add up to more than the live one.
   void grow_vm_stride(std::size_t vms) {
     if (vms <= vm_stride_) return;
-    std::vector<int> wide(queues_.size() * vms, 0);
+    const std::size_t stride = std::max(vms, 2 * vm_stride_);
+    int* wide = arena_->allocate_array<int>(queues_.size() * stride);
+    std::fill_n(wide, queues_.size() * stride, 0);
     for (std::size_t q = 0; q < queues_.size(); ++q) {
       for (std::size_t vm = 0; vm < vm_stride_; ++vm) {
-        wide[q * vms + vm] = vm_queued_[q * vm_stride_ + vm];
+        wide[q * stride + vm] = vm_queued_[q * vm_stride_ + vm];
       }
     }
-    vm_queued_ = std::move(wide);
-    vm_stride_ = vms;
+    vm_queued_ = wide;
+    vm_stride_ = stride;
   }
 
   /// Inserts `v` into queue `q` under class `cls`, before the first element
@@ -180,6 +192,8 @@ class IndexedRunQueues {
     std::array<Bucket, kClasses> buckets{};
     std::size_t size = 0;
   };
+  static_assert(std::is_trivially_destructible_v<Queue>,
+                "queue heads live in the arena, which runs no destructors");
 
   static std::size_t qi(int q) { return static_cast<std::size_t>(q); }
 
@@ -218,8 +232,10 @@ class IndexedRunQueues {
     link.prev = link.next = nullptr;
   }
 
-  std::vector<Queue> queues_;
-  std::vector<int> vm_queued_;  ///< [queue * vm_stride_ + local_vm]
+  // In the arena; see init().
+  sim::Arena* arena_ = nullptr;
+  std::span<Queue> queues_;
+  int* vm_queued_ = nullptr;  ///< [queue * vm_stride_ + local_vm]
   std::size_t vm_stride_ = 0;
 };
 

@@ -1,8 +1,13 @@
 #include "simcore/event_queue.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace atcsim::sim {
+
+EventQueue::~EventQueue() {
+  for (Chunk* c : chunks_) std::destroy_at(c);
+}
 
 // ------------------------------------------------------------ 4-ary heap --
 //
@@ -116,7 +121,7 @@ std::uint32_t EventQueue::alloc_slot() {
   assert(slot_count_ < (std::size_t{1} << kSlotBits) &&
          "event slab exceeded the packed-key slot capacity");
   if (slot_count_ == chunks_.size() * kChunkSize) {
-    chunks_.push_back(std::make_unique<Chunk>());
+    chunks_.push_back(arena_->create<Chunk>());
   }
   return static_cast<std::uint32_t>(slot_count_++);
 }

@@ -10,7 +10,8 @@
 //    set: EventId = {slot, generation}, and cancel() is two array compares —
 //    no hashing, no node allocation.  The slab grows in address-stable
 //    chunks of 256 slots, each holding the slots' metadata and payloads, so
-//    growth appends one chunk and never doubles or copies the slab.
+//    growth appends one chunk and never doubles or copies the slab.  The
+//    chunks come from the owning Simulation's Arena (simcore/arena.h).
 //  * The heap is split: a 4-ary min-heap of hot 16-byte keys
 //    {time, seq<<24|slot} is sifted during schedule/pop, while callback
 //    payloads stay put in their slab slot.  Comparisons touch only the key
@@ -38,10 +39,10 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "simcore/arena.h"
 #include "simcore/inline_callback.h"
 #include "simcore/time.h"
 
@@ -80,7 +81,10 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  EventQueue() = default;
+  /// Slot chunks are taken from `arena`, which must outlive the queue.
+  explicit EventQueue(Arena& arena) : arena_(&arena) {}
+  /// Destroys every slot's payload; the arena keeps the chunks' storage.
+  ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -185,7 +189,7 @@ class EventQueue {
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
   /// kChunkSize consecutive slots: metadata and payloads in two dense
-  /// arrays, one allocation.
+  /// arrays, one arena block.
   struct Chunk {
     SlotMeta meta[kChunkSize];
     Callback payload[kChunkSize];
@@ -248,7 +252,8 @@ class EventQueue {
   mutable std::size_t due_head_ = 0;
   SimTime frontier_ = -1;  ///< time of the last popped event
 
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  Arena* arena_;
+  std::vector<Chunk*> chunks_;
   std::size_t slot_count_ = 0;   ///< slots handed out, live or free
   std::size_t timer_slots_ = 0;  ///< of which timers (never freed)
   /// Freed one-shot slots.  Its capacity covers every slot that is not a

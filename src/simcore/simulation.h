@@ -1,10 +1,12 @@
-// Simulation driver: owns the clock and the event queue.
+// Simulation driver: owns the clock, the event queue and the shard's record
+// arena.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 
 #include "obs/trace.h"
+#include "simcore/arena.h"
 #include "simcore/event_queue.h"
 #include "simcore/time.h"
 
@@ -78,6 +80,14 @@ class Simulation {
   /// tests and benchmark reports).
   const EventQueue& queue() const { return queue_; }
 
+  /// Record store for everything built on this simulation: the event
+  /// queue's slot chunks and the per-node records of the Platform and
+  /// network on it (nodes, PCPU and VCPU arrays, VMs, schedulers, dom0
+  /// backends).  It outlives those owners, which destroy their records
+  /// before it frees the storage.
+  Arena& arena() { return arena_; }
+  const Arena& arena() const { return arena_; }
+
   /// Attaches a structured trace sink (non-owning; nullptr disables).  Every
   /// model component reaches the sink through its Simulation, so one call
   /// instruments the whole run.
@@ -87,7 +97,8 @@ class Simulation {
  private:
   void trace_dispatch(std::uint64_t executed_in_run);
 
-  EventQueue queue_;
+  Arena arena_;  // declared first: freed after the queue's chunks
+  EventQueue queue_{arena_};
   SimTime now_ = 0;
   std::uint64_t events_executed_ = 0;
   obs::TraceSink* trace_ = nullptr;

@@ -430,15 +430,15 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
   }());
 
   // Queued event-channel mail travels inside the Vm's mailbox.
-  bundle->vm = platform_->expel_vm(vm);
-  assert(bundle->vm != nullptr);
+  platform_->expel_vm(vm);
+  bundle->vm = &vm;
   return bundle;
 }
 
 Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   assert(started_ && "migration before Engine::start");
   assert(bundle.vm != nullptr);
-  Vm& vm = platform_->adopt_vm(dest_node, std::move(bundle.vm));
+  Vm& vm = platform_->adopt_vm(dest_node, *bundle.vm);
   Node& node = vm.node();
   node.scheduler().vm_arrived(vm);
 

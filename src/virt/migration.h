@@ -6,15 +6,16 @@
 // destination VM's own node, which never changes for such a guest
 // (DESIGN.md §12).
 //
-// MigrationBundle is the stop-and-copy payload: the Vm object itself
-// (heap-stable, so credits, mailbox contents and per-VCPU engine state
-// travel for free) plus the state only the source engine knows — which
-// VCPUs were runnable and which workload timers were pending, with their
-// remaining delays.
+// MigrationBundle is the stop-and-copy payload: a plain pointer to the Vm
+// (its records never move, so credits, mailbox contents and per-VCPU
+// engine state travel for free) plus the state only the source engine
+// knows — which VCPUs were runnable and which workload timers were
+// pending, with their remaining delays.  A move changes where the VM is
+// hosted, not who owns it: the platform that created it keeps its records
+// in its arena and destroys it, also when a run ends with it in flight.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "simcore/time.h"
@@ -30,7 +31,7 @@ class SyncEvent;
 /// then (a pending event, or a ShardFabric call in flight to another
 /// shard).
 struct MigrationBundle {
-  std::unique_ptr<Vm> vm;  ///< its global id names the guest
+  Vm* vm = nullptr;  ///< its global id names the guest; not owned
   std::int32_t dest_node_global = -1;
   sim::SimTime depart_time = 0;
 

@@ -1,10 +1,13 @@
 // Physical node: PCPUs, hosted VMs (including dom0), and a scheduler.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
+#include "simcore/arena.h"
 #include "virt/ids.h"
 #include "virt/pcpu.h"
 #include "virt/scheduler.h"
@@ -14,16 +17,29 @@ namespace atcsim::virt {
 
 class Platform;
 
+/// Lives in its simulation's arena (Platform builds it there), with its
+/// PCPU array right behind it.
 class Node {
  public:
-  /// Creates the node with `pcpus` PCPUs, numbered from `first_pcpu`.
+  /// Creates the node with `pcpus` PCPUs, numbered from `first_pcpu`, in
+  /// one array taken from `arena`.
   Node(NodeId id, Platform& platform, int index, PcpuId first_pcpu,
-       int pcpus)
-      : id_(id), platform_(&platform), index_(index) {
-    pcpus_.reserve(static_cast<std::size_t>(pcpus));
+       int pcpus, sim::Arena& arena)
+      : id_(id),
+        platform_(&platform),
+        index_(index),
+        pcpus_(arena.allocate_array<Pcpu>(static_cast<std::size_t>(pcpus)),
+               static_cast<std::size_t>(pcpus)) {
     for (int c = 0; c < pcpus; ++c) {
-      pcpus_.emplace_back(PcpuId{first_pcpu.value + c}, *this, c);
+      ::new (&pcpus_[static_cast<std::size_t>(c)])
+          Pcpu(PcpuId{first_pcpu.value + c}, *this, c);
     }
+  }
+
+  /// Destroys the scheduler, which Platform::make_scheduler built in the
+  /// arena; the arena frees the storage.
+  ~Node() {
+    if (scheduler_ != nullptr) std::destroy_at(scheduler_);
   }
 
   // The PCPUs point back at their node.
@@ -38,8 +54,11 @@ class Node {
   std::span<Pcpu> pcpus() { return pcpus_; }
   std::span<const Pcpu> pcpus() const { return pcpus_; }
 
-  std::vector<std::unique_ptr<Vm>>& vms() { return vms_; }
-  const std::vector<std::unique_ptr<Vm>>& vms() const { return vms_; }
+  /// The VMs hosted here, dom0 first, then in creation and arrival order.
+  /// A VM that migrated away leaves nullptr, so the others keep their
+  /// node-local index.  Not owned: the platform that created a VM owns it.
+  std::vector<Vm*>& vms() { return vms_; }
+  const std::vector<Vm*>& vms() const { return vms_; }
 
   /// The driver domain; created automatically with every node.
   Vm* dom0() { return dom0_; }
@@ -47,17 +66,21 @@ class Node {
 
   Scheduler& scheduler() { return *scheduler_; }
   const Scheduler& scheduler() const { return *scheduler_; }
-  void set_scheduler(std::unique_ptr<Scheduler> s) { scheduler_ = std::move(s); }
+  /// Installs `s`, built in the arena, destroying any previous scheduler.
+  void set_scheduler(Scheduler* s) {
+    if (scheduler_ != nullptr) std::destroy_at(scheduler_);
+    scheduler_ = s;
+  }
   bool has_scheduler() const { return scheduler_ != nullptr; }
 
  private:
   NodeId id_;
   Platform* platform_;
   int index_;
-  std::vector<Pcpu> pcpus_;  // never grows after construction
-  std::vector<std::unique_ptr<Vm>> vms_;
+  std::span<Pcpu> pcpus_;  // in the arena; trivially destructible
+  std::vector<Vm*> vms_;
   Vm* dom0_ = nullptr;
-  std::unique_ptr<Scheduler> scheduler_;
+  Scheduler* scheduler_ = nullptr;  ///< in the arena
 };
 
 }  // namespace atcsim::virt

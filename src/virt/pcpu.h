@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "simcore/event_queue.h"
 #include "simcore/time.h"
@@ -18,12 +19,9 @@ class Pcpu {
       : id_(id), index_in_node_(index_in_node), node_(&node) {}
 
   // The engine's timers and the schedulers hold PCPU addresses, so a copy
-  // is always a bug.  The move exists only for std::vector's growth path,
-  // which never runs: Node reserves its PCPU array once.
+  // is always a bug.  Node builds its PCPUs in place in its arena array.
   Pcpu(const Pcpu&) = delete;
   Pcpu& operator=(const Pcpu&) = delete;
-  Pcpu(Pcpu&&) = default;
-  Pcpu& operator=(Pcpu&&) = delete;
 
   PcpuId id() const { return id_; }
   Node& node() { return *node_; }
@@ -84,5 +82,8 @@ class Pcpu {
 // nodes): 24 bytes of identity and current VCPU, 56 of engine state and 8
 // of totals.
 static_assert(sizeof(Pcpu) <= 88, "Pcpu outgrew 88 bytes");
+// The array lives in the arena, which runs no destructors.
+static_assert(std::is_trivially_destructible_v<Pcpu>,
+              "Node would have to destroy its PCPUs");
 
 }  // namespace atcsim::virt

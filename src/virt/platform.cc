@@ -1,6 +1,8 @@
 #include "virt/platform.h"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
 
 #include "virt/engine.h"
 #include "virt/scheduler.h"
@@ -32,18 +34,19 @@ Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
   nodes_.reserve(static_cast<std::size_t>(config_.nodes));
   pcpus_.reserve(static_cast<std::size_t>(config_.nodes) *
                  static_cast<std::size_t>(config_.pcpus_per_node));
-  for (int n = 0; n < config_.nodes; ++n) {
-    auto node = std::make_unique<Node>(
-        NodeId{n}, *this, n, PcpuId{static_cast<std::int32_t>(pcpus_.size())},
-        config_.pcpus_per_node);
-    for (Pcpu& p : node->pcpus()) pcpus_.push_back(&p);
-    nodes_.push_back(std::move(node));
-  }
   engine_ = std::make_unique<Engine>(simulation, *this);
-  // Every node gets a one-VCPU driver domain; net/disk backends attach
-  // workloads.  Named by global node id so names stay unique and stable
-  // across shard maps (offset is 0 on unsharded platforms).
-  for (auto& node : nodes_) {
+  sim::Arena& arena = simulation.arena();
+  for (int n = 0; n < config_.nodes; ++n) {
+    Node* node = arena.create<Node>(
+        NodeId{n}, *this, n, PcpuId{static_cast<std::int32_t>(pcpus_.size())},
+        config_.pcpus_per_node, arena);
+    nodes_.push_back(node);
+    for (Pcpu& p : node->pcpus()) pcpus_.push_back(&p);
+    // Every node gets a one-VCPU driver domain, placed next to it; net/disk
+    // backends attach workloads.  The dom0s take VM and VCPU ids
+    // 0..nodes-1 in node order.  Named by global node id so names stay
+    // unique and stable across shard maps (offset is 0 on unsharded
+    // platforms).
     Vm& dom0 = create_vm(node->id(), VmType::kDom0,
                          "dom0-n" + std::to_string(global_node_id(*node)), 1);
     node->set_dom0(&dom0);
@@ -55,25 +58,29 @@ sim::Rng Platform::scheduler_rng(Node& node) {
                         global_node_id(node));
 }
 
-Platform::~Platform() = default;
+Platform::~Platform() {
+  // The engine goes first, then the nodes with their schedulers, then the
+  // VMs this platform created; the arena frees the storage later, with the
+  // simulation.
+  engine_.reset();
+  for (Node* node : nodes_) std::destroy_at(node);
+  for (Vm* vm : created_) std::destroy_at(vm);
+}
 
 Vm& Platform::create_vm(NodeId node_id, VmType type, const std::string& name,
                         int vcpus) {
   assert(node_id.valid() && node_id.index() < nodes_.size());
   Node& node = *nodes_[node_id.index()];
-  auto vm = std::make_unique<Vm>(VmId{static_cast<std::int32_t>(vms_.size())},
-                                 node, type, name, VcpuId{next_vcpu_id_},
-                                 vcpus);
+  sim::Arena& arena = sim_->arena();
+  Vm* vm = arena.create<Vm>(VmId{static_cast<std::int32_t>(vms_.size())},
+                            node, type, name, VcpuId{next_vcpu_id_}, vcpus,
+                            arena);
   next_vcpu_id_ += vcpus;
   vm->set_time_slice(config_.params.default_time_slice);
-  vms_.push_back(vm.get());
-  node.vms().push_back(std::move(vm));
-  return *vms_.back();
-}
-
-void Platform::set_scheduler(NodeId node_id, std::unique_ptr<Scheduler> sched) {
-  assert(node_id.valid() && node_id.index() < nodes_.size());
-  nodes_[node_id.index()]->set_scheduler(std::move(sched));
+  created_.push_back(vm);
+  vms_.push_back(vm);
+  node.vms().push_back(vm);
+  return *vm;
 }
 
 std::vector<Vm*> Platform::guest_vms() const {
@@ -84,32 +91,29 @@ std::vector<Vm*> Platform::guest_vms() const {
   return out;
 }
 
-std::unique_ptr<Vm> Platform::expel_vm(Vm& vm) {
+void Platform::expel_vm(Vm& vm) {
   assert(!vm.is_dom0());
-  Node& node = vm.node();
   assert(vms_[vm.id().index()] == &vm);
   vms_[vm.id().index()] = nullptr;
-  // Extract ownership but keep the (now null) slot, so sibling VMs keep
-  // their node-local positions and the scheduler's dense per-VM indices.
-  for (auto& slot : node.vms()) {
-    if (slot.get() == &vm) return std::move(slot);
-  }
-  assert(false && "expel_vm: vm not owned by its node");
-  return nullptr;
+  // Keep the (now null) slot, so sibling VMs keep their node-local
+  // positions and the scheduler's dense per-VM indices.
+  std::vector<Vm*>& hosted = vm.node().vms();
+  const auto slot = std::find(hosted.begin(), hosted.end(), &vm);
+  assert(slot != hosted.end() && "expel_vm: vm not hosted by its node");
+  *slot = nullptr;
 }
 
-Vm& Platform::adopt_vm(NodeId node_id, std::unique_ptr<Vm> vm) {
+Vm& Platform::adopt_vm(NodeId node_id, Vm& vm) {
   assert(node_id.valid() && node_id.index() < nodes_.size());
-  assert(vm != nullptr);
   Node& node = *nodes_[node_id.index()];
   // Fresh local identities from the id-space tails; the old slots (on
   // whichever platform expelled it) stay tombstoned forever.
-  vm->set_id(VmId{static_cast<std::int32_t>(vms_.size())});
-  vm->set_node(node);
-  for (Vcpu& v : vm->vcpus()) v.set_id(VcpuId{next_vcpu_id_++});
-  vms_.push_back(vm.get());
-  node.vms().push_back(std::move(vm));
-  return *vms_.back();
+  vm.set_id(VmId{static_cast<std::int32_t>(vms_.size())});
+  vm.set_node(node);
+  for (Vcpu& v : vm.vcpus()) v.set_id(VcpuId{next_vcpu_id_++});
+  vms_.push_back(&vm);
+  node.vms().push_back(&vm);
+  return vm;
 }
 
 }  // namespace atcsim::virt

@@ -5,7 +5,9 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simcore/rng.h"
@@ -36,6 +38,9 @@ struct PlatformConfig {
   int node_id_offset = 0;
 };
 
+/// Builds its nodes, their PCPU arrays, every VM it creates and each VM's
+/// VCPU array in the simulation's arena (DESIGN.md §9 "Where records
+/// live"), and runs their destructors when it goes.
 class Platform {
  public:
   Platform(sim::Simulation& simulation, PlatformConfig config);
@@ -74,13 +79,21 @@ class Platform {
   /// attached to each VCPU before Engine::start().
   Vm& create_vm(NodeId node, VmType type, const std::string& name, int vcpus);
 
-  /// Installs the per-node scheduler (same factory result on every node in
-  /// every experiment here, but the API is per node as in Xen).
-  void set_scheduler(NodeId node, std::unique_ptr<Scheduler> sched);
+  /// Builds the per-node scheduler, an S made from `args`, in the
+  /// simulation's arena next to the node's records, and installs it in
+  /// place of any previous one (same type on every node in every
+  /// experiment here, but the API is per node as in Xen).
+  template <class S, class... Args>
+  S& make_scheduler(NodeId node_id, Args&&... args) {
+    assert(node_id.valid() && node_id.index() < nodes_.size());
+    S* sched = sim_->arena().create<S>(std::forward<Args>(args)...);
+    nodes_[node_id.index()]->set_scheduler(sched);
+    return *sched;
+  }
 
   Engine& engine() { return *engine_; }
 
-  std::vector<std::unique_ptr<Node>>& nodes() { return nodes_; }
+  std::span<Node* const> nodes() { return nodes_; }
   Node& node(NodeId id) { return *nodes_[id.index()]; }
   Vm& vm(VmId id) {
     assert(vms_[id.index()] != nullptr);  // expelled ids are tombstoned
@@ -113,24 +126,30 @@ class Platform {
 
   /// Detaches `vm` from this platform: its VmId slot becomes a tombstone
   /// and the node keeps a null placeholder so sibling VMs' scheduler
-  /// indices stay dense.  The caller receives ownership; the VCPUs must
-  /// already be off-CPU and out of every run queue
+  /// indices stay dense.  Ownership does not move: the platform that
+  /// created the VM keeps it and destroys it, also while it is in flight.
+  /// The VCPUs must already be off-CPU and out of every run queue
   /// (Engine::pause_and_expel does both).
-  std::unique_ptr<Vm> expel_vm(Vm& vm);
+  void expel_vm(Vm& vm);
 
-  /// Adopts a VM expelled from another (or this) platform onto `node`:
+  /// Hosts a VM expelled from another (or this) platform on `node`:
   /// assigns fresh local VmId/VcpuIds from the id-space tails and rewires
   /// the VM's node back-pointer.  The engine resumes the VCPUs separately.
-  Vm& adopt_vm(NodeId node, std::unique_ptr<Vm> vm);
+  Vm& adopt_vm(NodeId node, Vm& vm);
 
  private:
   sim::Simulation* sim_;
   PlatformConfig config_;
   /// Per-node dispatch-jitter streams, by local node index.
   std::vector<sim::Rng> node_streams_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  // Flat id-indexed views (non-owning; owners are the nodes).
+  /// By local index; the records are in the arena.
+  std::vector<Node*> nodes_;
+  /// By platform-local id: the VMs resident here, in creation and adoption
+  /// order, and nullptr for one that migrated off (a tombstone).
   std::vector<Vm*> vms_;
+  /// Every VM this platform created, wherever it is hosted now: their
+  /// records are in this platform's arena and it runs their destructors.
+  std::vector<Vm*> created_;
   std::vector<Pcpu*> pcpus_;
   /// VcpuIds are dense in creation and adoption order; nothing looks a
   /// VCPU up by id, so only the next one is kept.

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "simcore/time.h"
 #include "virt/ids.h"
@@ -30,12 +31,9 @@ class Vcpu {
   Vcpu(VcpuId id, Vm& vm) : id_(id), vm_(&vm) {}
 
   // Run queues, PCPUs and waiter lists hold VCPU addresses, so a copy is
-  // always a bug.  The move exists only for std::vector's growth path,
-  // which never runs: Vm reserves its VCPU array once.
+  // always a bug.  Vm builds its VCPUs in place in its arena array.
   Vcpu(const Vcpu&) = delete;
   Vcpu& operator=(const Vcpu&) = delete;
-  Vcpu(Vcpu&&) = default;
-  Vcpu& operator=(Vcpu&&) = delete;
 
   VcpuId id() const { return id_; }
   Vm& vm() { return *vm_; }
@@ -127,5 +125,8 @@ class Vcpu {
 // VMs hold their VCPUs in one contiguous array; every byte here is paid
 // once per simulated VCPU (540,672 of them at 16384 nodes).
 static_assert(sizeof(Vcpu) <= 128, "Vcpu outgrew two cache lines");
+// The array lives in the arena, which runs no destructors.
+static_assert(std::is_trivially_destructible_v<Vcpu>,
+              "Vm would have to destroy its VCPUs");
 
 }  // namespace atcsim::virt

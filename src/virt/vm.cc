@@ -1,15 +1,21 @@
 #include "virt/vm.h"
 
 #include <cassert>
+#include <new>
 
 namespace atcsim::virt {
 
 Vm::Vm(VmId id, Node& node, VmType type, std::string name, VcpuId first_vcpu,
-       int vcpus)
-    : id_(id), node_(&node), type_(type), name_(std::move(name)) {
-  vcpus_.reserve(static_cast<std::size_t>(vcpus));
+       int vcpus, sim::Arena& arena)
+    : id_(id),
+      node_(&node),
+      type_(type),
+      name_(std::move(name)),
+      vcpus_(arena.allocate_array<Vcpu>(static_cast<std::size_t>(vcpus)),
+             static_cast<std::size_t>(vcpus)) {
   for (int i = 0; i < vcpus; ++i) {
-    vcpus_.emplace_back(VcpuId{first_vcpu.value + i}, *this);
+    ::new (&vcpus_[static_cast<std::size_t>(i)])
+        Vcpu(VcpuId{first_vcpu.value + i}, *this);
   }
 }
 

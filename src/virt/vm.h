@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "simcore/arena.h"
 #include "simcore/inline_callback.h"
 #include "simcore/time.h"
 #include "virt/ids.h"
@@ -22,11 +23,15 @@ enum class VmType : std::uint8_t {
   kNonParallel,  ///< everything else (CPU, I/O, latency-sensitive apps)
 };
 
+/// Lives in the arena of the platform that created it, with its VCPU
+/// array right behind it.  That platform runs its destructor, wherever the
+/// VM is hosted by then (DESIGN.md §12).
 class Vm {
  public:
-  /// Creates the VM with `vcpus` VCPUs, numbered from `first_vcpu`.
+  /// Creates the VM with `vcpus` VCPUs, numbered from `first_vcpu`, in one
+  /// array taken from `arena`.
   Vm(VmId id, Node& node, VmType type, std::string name, VcpuId first_vcpu,
-     int vcpus);
+     int vcpus, sim::Arena& arena);
 
   // The VCPUs point back at their VM.
   Vm(const Vm&) = delete;
@@ -132,7 +137,7 @@ class Vm {
   VmType type_;
   std::string name_;
   std::int64_t global_id_ = -1;
-  std::vector<Vcpu> vcpus_;  // never grows after construction
+  std::span<Vcpu> vcpus_;  // in the arena; trivially destructible
   int weight_ = 256;
   sim::SimTime time_slice_ = 0;  // set from ModelParams default at creation
   sim::SimTime admin_slice_ = -1;

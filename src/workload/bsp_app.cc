@@ -43,7 +43,7 @@ BspApp::BspApp(std::vector<virt::Vm*> vms, const Descriptor& desc,
   // bound to the VM whose ranks wait on it: in a sharded run a spin-wait
   // and its release must both happen on the VM's own shard.
   const std::size_t per_vm = kGenWindow * slot_size_;
-  events_ = std::vector<virt::SyncEvent>(vm_ptrs_.size() * per_vm);
+  events_ = HugePageVector<virt::SyncEvent>(vm_ptrs_.size() * per_vm);
   arrivals_.assign(events_.size(), 0);
   for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
     assert(vm_ptrs_[i]->vcpu_count() == vm_ptrs_[0]->vcpu_count() &&

@@ -26,6 +26,7 @@
 
 #include "metrics/recorders.h"
 #include "net/network.h"
+#include "simcore/arena.h"
 #include "simcore/rng.h"
 #include "virt/engine.h"
 #include "virt/sync_event.h"
@@ -114,6 +115,12 @@ class BspApp {
            static_cast<std::size_t>(entry);
   }
 
+  /// The flat per-app arrays below are sized once; at 16384 nodes each
+  /// spans megabytes, so their whole 2 MiB pages are advised for huge pages
+  /// before the elements are built (DESIGN.md §9 "Where records live").
+  template <class T>
+  using HugePageVector = std::vector<T, sim::HugePageAllocator<T>>;
+
   std::string name_;
   double cache_sensitivity_;
   std::uint64_t barrier_bytes_;   ///< per-VM arrive/release message volume
@@ -124,9 +131,9 @@ class BspApp {
   std::vector<virt::Vm*> vm_ptrs_;
   /// Barrier events and their arrival counters, built once in init_slots
   /// and recycled in place (see barrier_index for the layout).
-  std::vector<virt::SyncEvent> events_;
-  std::vector<int> arrivals_;
-  std::vector<BspRank> ranks_;  ///< one per VCPU, built by attach()
+  HugePageVector<virt::SyncEvent> events_;
+  HugePageVector<int> arrivals_;
+  HugePageVector<BspRank> ranks_;  ///< one per VCPU, built by attach()
   std::array<int, kGenWindow> coord_arrivals_{};
   std::uint64_t supersteps_done_ = 0;
   sim::SimTime superstep_start_ = 0;

@@ -14,4 +14,7 @@ std::uint64_t allocs();
 /// Bytes those allocations requested, freed or not.
 std::uint64_t alloc_bytes();
 
+/// Allocations made so far and not yet freed.
+std::int64_t live_allocs();
+
 }  // namespace atcsim

@@ -30,6 +30,7 @@
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
+std::atomic<std::int64_t> g_live{0};
 }  // namespace
 
 // Kept out of line: a call site that inlined one half of the pair would
@@ -38,11 +39,17 @@ std::atomic<std::uint64_t> g_alloc_bytes{0};
 [[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = std::malloc(n ? n : 1)) {
+    g_live.fetch_add(1, std::memory_order_relaxed);
+    return p;
+  }
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p != nullptr) g_live.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
@@ -52,13 +59,15 @@ std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 std::uint64_t alloc_bytes() {
   return g_alloc_bytes.load(std::memory_order_relaxed);
 }
+std::int64_t live_allocs() { return g_live.load(std::memory_order_relaxed); }
 }  // namespace atcsim
 
 namespace atcsim::sim {
 namespace {
 
 TEST(AllocGuardTest, SchedulePopSteadyStateIsAllocationFree) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   std::uint64_t sink = 0;
   auto churn = [&] {
     SimTime t = 0;
@@ -79,7 +88,8 @@ TEST(AllocGuardTest, SchedulePopSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocGuardTest, CancelSteadyStateIsAllocationFree) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   std::vector<EventId> ids;
   ids.reserve(64);
   SimTime t = 0;
@@ -100,7 +110,8 @@ TEST(AllocGuardTest, CancelSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocGuardTest, TimerRearmIsAllocationFree) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   std::uint64_t fired = 0;
   const TimerId timer = q.make_timer([&fired] { ++fired; });
   SimTime t = 0;
@@ -165,8 +176,7 @@ TEST(AllocGuardTest, Dom0IdleWakeSteadyStateIsAllocationFree) {
   atcsim::virt::Platform platform(s, pc);
   atcsim::net::VirtualNetwork net(platform);
   net.attach();
-  platform.set_scheduler(atcsim::virt::NodeId{0},
-                         std::make_unique<atcsim::sched::CreditScheduler>());
+  platform.make_scheduler<atcsim::sched::CreditScheduler>(atcsim::virt::NodeId{0});
   platform.engine().start();
 
   std::uint64_t done = 0;
@@ -223,8 +233,7 @@ TEST(AllocGuardTest, FreshSyncEventCyclesAreAllocationFree) {
   atcsim::virt::SyncEvent warm(vm);
   WaitLoop loop(warm);
   vm.vcpus()[0].set_workload(&loop);
-  platform.set_scheduler(atcsim::virt::NodeId{0},
-                         std::make_unique<atcsim::sched::CreditScheduler>());
+  platform.make_scheduler<atcsim::sched::CreditScheduler>(atcsim::virt::NodeId{0});
   const TimerId kick = s.make_timer([&loop] { loop.waiting->signal(); });
   engine.start();
 
@@ -310,8 +319,7 @@ TEST(AllocGuardTest, VcpuAndPcpuStorageIsFlat) {
     pc.nodes = 1;
     pc.pcpus_per_node = 4;
     Platform platform(s, pc);
-    platform.set_scheduler(NodeId{0},
-                           std::make_unique<atcsim::sched::CreditScheduler>());
+    platform.make_scheduler<atcsim::sched::CreditScheduler>(NodeId{0});
     std::array<ComputeLoop, 32> programs;
     Counts c;
     for (int i = 0; i < 4; ++i) {
@@ -365,8 +373,7 @@ TEST(AllocGuardTest, MigrationRoundTripsMakeNoTimerSlots) {
   atcsim::virt::Platform platform(s, pc);
   std::array<std::uint64_t, 8> dispatches{};
   for (int n = 0; n < 2; ++n) {
-    platform.set_scheduler(NodeId{n},
-                           std::make_unique<GuestDispatchCounter>(dispatches));
+    platform.make_scheduler<GuestDispatchCounter>(NodeId{n}, dispatches);
   }
   atcsim::virt::Vm* vm = &platform.create_vm(
       NodeId{0}, atcsim::virt::VmType::kParallel, "guest", 8);

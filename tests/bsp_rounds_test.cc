@@ -47,8 +47,7 @@ struct Rig {
   }
 
   void start() {
-    platform->set_scheduler(virt::NodeId{0},
-                            std::make_unique<sched::CreditScheduler>());
+    platform->make_scheduler<sched::CreditScheduler>(virt::NodeId{0});
     platform->engine().start();
   }
 

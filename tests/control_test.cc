@@ -49,7 +49,7 @@ TEST(MigrationTest, ScriptedMoveRelocatesVmAndPreservesProgress) {
 
     EXPECT_EQ(s.migrator().migrations_started(), 1u);
     EXPECT_TRUE(s.platform().hosts(mover));
-    EXPECT_EQ(&mover.node(), s.platform().nodes()[1].get());
+    EXPECT_EQ(&mover.node(), s.platform().nodes()[1]);
 
     // The guest must keep completing loop iterations after the move:
     // credits, mailbox and workload timers all travelled in the bundle —
@@ -102,7 +102,7 @@ TEST(MigrationTest, ScheduledMoveIsNoOpWhenAlreadyInTransitOrArrived) {
   s.schedule_migration(vm, 800_ms, /*dest_node=*/1);
   s.run_for(1_s);
   EXPECT_EQ(s.migrator().migrations_started(), 1u);
-  EXPECT_EQ(&vm.node(), s.platform().nodes()[1].get());
+  EXPECT_EQ(&vm.node(), s.platform().nodes()[1]);
 }
 
 TEST(MigrationTest, DestroyingAScenarioMidCopyFreesTheBundle) {
@@ -132,6 +132,39 @@ TEST(MigrationTest, DestroyingAScenarioMidCopyFreesTheBundle) {
     EXPECT_EQ(std::count(guests.begin(), guests.end(), &vm), 0)
         << "shards=" << shards;
   }
+}
+
+TEST(MigrationTest, TeardownWithForeignAndInFlightVms) {
+  // The platform that creates a VM keeps its records in its shard's arena
+  // and destroys it, wherever the VM is hosted by then.  Shards are torn
+  // down in index order, so shard 0 frees `away` while shard 3 still hosts
+  // it, and shard 3 frees `flying` after shard 0 dropped the adopt call
+  // that carried it.  The sanitizer job reports any read of freed memory.
+  auto sp = ScenarioBuilder{}
+                .nodes(8)
+                .approach(Approach::kATC)
+                .seed(9)
+                .shards(4)
+                .build();
+  Scenario& s = *sp;
+  virt::Vm& away = s.add_loop_vm(0, workload::cpu_descriptor("gcc"), "away");
+  virt::Vm& flying =
+      s.add_loop_vm(7, workload::cpu_descriptor("gcc"), "flying");
+  s.start();
+  // Nodes 0 and 1 belong to shard 0, nodes 6 and 7 to shard 3; a copy
+  // window takes ~300 ms.
+  s.schedule_migration(away, 50_ms, /*dest_node=*/6);
+  s.schedule_migration(flying, 450_ms, /*dest_node=*/1);
+  s.run_for(500_ms);
+
+  for (int k = 0; k < s.shard_count(); ++k) {
+    EXPECT_EQ(s.platform(k).hosts(away), k == 3) << "shard " << k;
+    EXPECT_FALSE(s.platform(k).hosts(flying)) << "shard " << k;
+  }
+  EXPECT_EQ(s.platform(3).global_node_id(away.node()), 6);
+  EXPECT_EQ(s.migrator(0).migrations_started(), 1u);
+  EXPECT_EQ(s.migrator(3).migrations_started(), 1u);
+  sp.reset();
 }
 
 TEST(MigrationTest, MoveIsOneCallOnTheDestinationShard) {

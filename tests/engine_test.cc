@@ -88,8 +88,7 @@ struct Rig {
   void start() {
     for (auto& node : platform->nodes()) {
       if (!node->has_scheduler()) {
-        platform->set_scheduler(
-            node->id(), std::make_unique<CountingScheduler>(dispatch_counts));
+        platform->make_scheduler<CountingScheduler>(node->id(), dispatch_counts);
       }
     }
     platform->engine().start();

@@ -74,7 +74,8 @@ TEST(EventQueuePropertyTest, DifferentialAgainstNaiveModel) {
 
   for (int seed = 1; seed <= kSeeds; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed));
-    EventQueue q;
+    Arena arena;
+    EventQueue q(arena);
     RefModel model;
     std::vector<int> fired;  // tags in firing order, real queue
 

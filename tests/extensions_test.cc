@@ -69,8 +69,7 @@ struct ClsRig {
   }
 
   void start(std::function<void()> on_period) {
-    platform->set_scheduler(virt::NodeId{0},
-                            std::make_unique<sched::CreditScheduler>());
+    platform->make_scheduler<sched::CreditScheduler>(virt::NodeId{0});
     monitor->start(std::move(on_period));
     platform->engine().start();
   }
@@ -186,8 +185,7 @@ struct HogRig {
   }
 
   void start() {
-    platform->set_scheduler(virt::NodeId{0},
-                            std::make_unique<sched::CreditScheduler>());
+    platform->make_scheduler<sched::CreditScheduler>(virt::NodeId{0});
     platform->engine().start();
   }
 };

@@ -54,8 +54,7 @@ struct NetRig {
 
   void start() {
     for (auto& node : platform->nodes()) {
-      platform->set_scheduler(node->id(),
-                              std::make_unique<sched::CreditScheduler>());
+      platform->make_scheduler<sched::CreditScheduler>(node->id());
     }
     platform->engine().start();
   }

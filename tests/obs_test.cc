@@ -365,8 +365,7 @@ TEST(InvariantEndToEndTest, BrokenSchedulerMutationIsCaughtByChecker) {
   BusyWorkload w0, w1;
   vm.vcpus()[0].set_workload(&w0);
   vm.vcpus()[1].set_workload(&w1);
-  platform.set_scheduler(virt::NodeId{0},
-                         std::make_unique<BrokenCreditScheduler>());
+  platform.make_scheduler<BrokenCreditScheduler>(virt::NodeId{0});
   platform.engine().start();
   simulation.run_until(200_ms);
 
@@ -396,8 +395,7 @@ TEST(InvariantEndToEndTest, IntactSchedulerProducesNoViolations) {
   BusyWorkload w0, w1;
   vm.vcpus()[0].set_workload(&w0);
   vm.vcpus()[1].set_workload(&w1);
-  platform.set_scheduler(virt::NodeId{0},
-                         std::make_unique<sched::CreditScheduler>());
+  platform.make_scheduler<sched::CreditScheduler>(virt::NodeId{0});
   platform.engine().start();
   simulation.run_until(200_ms);
 

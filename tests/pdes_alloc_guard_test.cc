@@ -118,8 +118,7 @@ struct ShardedPktRig {
       workloads.push_back(std::make_unique<BusyWorkload>());
       vm.vcpus()[0].set_workload(workloads.back().get());
       guests.push_back(&vm);
-      stack->platform->set_scheduler(
-          virt::NodeId{0}, std::make_unique<sched::CreditScheduler>());
+      stack->platform->make_scheduler<sched::CreditScheduler>(virt::NodeId{0});
       stack->platform->engine().start();
       execs.push_back(std::make_unique<Exec>(s, stack->simulation, fabric));
       stacks.push_back(std::move(stack));

@@ -62,7 +62,7 @@ class RunQueueDifferential {
     }
     queues_ = pcpus;
     vms_ = node.vms().size();
-    indexed_.init(static_cast<std::size_t>(queues_), vms_);
+    indexed_.init(static_cast<std::size_t>(queues_), vms_, sim_.arena());
     linear_.init(static_cast<std::size_t>(queues_), vms_);
   }
 
@@ -265,7 +265,7 @@ TEST(RunQueueOrderingTest, DeadBandKeepsFifoWithinBand) {
   for (auto& v : vm.vcpus()) v.sched().rq.vm = 0;
 
   sched::IndexedRunQueues q;
-  q.init(1, 2);
+  q.init(1, 2, sim.arena());
 
   // a: 100 credits, b: 80 (inside a's 30-credit band), c: 150 (beyond b's).
   Vcpu* a = &vm.vcpus()[0];

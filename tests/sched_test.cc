@@ -82,8 +82,10 @@ struct SchedRig {
     return vm;
   }
 
-  void start(std::unique_ptr<virt::Scheduler> sched) {
-    platform->set_scheduler(virt::NodeId{0}, std::move(sched));
+  /// Installs an S made from `args` on node 0 and starts the engine.
+  template <class S = sched::CreditScheduler, class... Args>
+  void start(Args&&... args) {
+    platform->make_scheduler<S>(virt::NodeId{0}, std::forward<Args>(args)...);
     platform->engine().start();
   }
 };
@@ -92,7 +94,7 @@ TEST(CreditTest, TwoHogsShareOnePcpuFairly) {
   SchedRig rig(1);
   virt::Vm& a = rig.cpu_vm(5_ms);
   virt::Vm& b = rig.cpu_vm(5_ms);
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(10_s);
   const double ra = sim::to_seconds(a.totals().run_time);
   const double rb = sim::to_seconds(b.totals().run_time);
@@ -104,7 +106,7 @@ TEST(CreditTest, WeightsGiveProportionalShares) {
   SchedRig rig(1);
   virt::Vm& heavy = rig.cpu_vm(5_ms, VmType::kNonParallel, 512);
   virt::Vm& light = rig.cpu_vm(5_ms, VmType::kNonParallel, 256);
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(20_s);
   const double rh = sim::to_seconds(heavy.totals().run_time);
   const double rl = sim::to_seconds(light.totals().run_time);
@@ -117,7 +119,7 @@ TEST(CreditTest, FairAcrossQueuesViaStealing) {
   SchedRig rig(2);
   std::vector<virt::Vm*> vms;
   for (int i = 0; i < 6; ++i) vms.push_back(&rig.cpu_vm(3_ms));
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(30_s);
   for (virt::Vm* vm : vms) {
     EXPECT_NEAR(sim::to_seconds(vm->totals().run_time), 10.0, 1.5)
@@ -133,7 +135,7 @@ TEST(CreditTest, EntitledVmKeepsItsCoreAmongSpinners) {
   virt::Vm& hog = rig.cpu_vm(5_ms);
   rig.spin_vm(4);
   rig.spin_vm(4);
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(10_s);
   EXPECT_GT(sim::to_seconds(hog.totals().run_time), 8.5);
 }
@@ -141,7 +143,7 @@ TEST(CreditTest, EntitledVmKeepsItsCoreAmongSpinners) {
 TEST(CreditTest, IdleVcpusEarnNoDispatch) {
   SchedRig rig(2);
   virt::Vm& vm = rig.cpu_vm(5_ms);
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(1_s);
   // Sole runnable VM: nearly all of the second (the in-flight stint is
   // accounted when the VCPU next leaves the CPU).
@@ -161,7 +163,7 @@ TEST(BalanceTest, SiblingsPlacedInDistinctQueues) {
   virt::Vm& vm = rig.spin_vm(4);
   sched::CreditScheduler::Options opts;
   opts.placement = sched::Placement::kBalance;
-  rig.start(std::make_unique<sched::CreditScheduler>(opts));
+  rig.start(opts);
   rig.simulation.run_until(1_ms);
   // Each sibling in its own queue (running or queued, one per pcpu).
   std::vector<int> per_queue(4, 0);
@@ -177,7 +179,7 @@ TEST(BalanceTest, AffinityPlacementCanStack) {
   SchedRig rig(4);
   virt::Vm& a = rig.spin_vm(4);
   virt::Vm& b = rig.spin_vm(4);
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(1_ms);
   int max_same_vm = 0;
   std::vector<std::vector<int>> count(4, std::vector<int>(2, 0));
@@ -198,10 +200,11 @@ TEST(CoschedTest, GangFlagFollowsSpinThreshold) {
   virt::Vm& spin = rig.spin_vm(2);
   virt::Vm& quiet = rig.cpu_vm(5_ms);
   sync::PeriodMonitor monitor(*rig.platform);
-  auto cs = std::make_unique<sched::CoScheduler>(monitor);
-  sched::CoScheduler* raw = cs.get();
+  sched::CoScheduler* raw =
+      &rig.platform->make_scheduler<sched::CoScheduler>(virt::NodeId{0},
+                                                        monitor);
   monitor.start([raw] { raw->on_period(); });
-  rig.start(std::move(cs));
+  rig.platform->engine().start();
   rig.simulation.run_until(200_ms);
   EXPECT_TRUE(raw->is_gang(spin));
   EXPECT_FALSE(raw->is_gang(quiet));  // single-vcpu / no spin
@@ -211,10 +214,11 @@ TEST(CoschedTest, SingleVcpuVmsNeverGang) {
   SchedRig rig(2);
   virt::Vm& single = rig.cpu_vm(5_ms);
   sync::PeriodMonitor monitor(*rig.platform);
-  auto cs = std::make_unique<sched::CoScheduler>(monitor);
-  sched::CoScheduler* raw = cs.get();
+  sched::CoScheduler* raw =
+      &rig.platform->make_scheduler<sched::CoScheduler>(virt::NodeId{0},
+                                                        monitor);
   monitor.start([raw] { raw->on_period(); });
-  rig.start(std::move(cs));
+  rig.platform->engine().start();
   rig.simulation.run_until(200_ms);
   EXPECT_FALSE(raw->is_gang(single));
 }
@@ -236,7 +240,7 @@ TEST(DssTest, IoActiveVmGetsShortSliceIdleVmKeepsDefault) {
   };
   rig.simulation.call_in(10_ms, Pump{rig.platform.get(), &active});
   monitor.start([&] { ctrl.on_period(); });
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(3_s);
   EXPECT_LT(active.time_slice(), 30_ms);
   EXPECT_EQ(idle.time_slice(), 30_ms);
@@ -259,7 +263,7 @@ TEST(MonitorTest, SnapshotsAndResetsPeriodStats) {
   virt::Vm& vm = rig.cpu_vm(5_ms);
   sync::PeriodMonitor monitor(*rig.platform);
   monitor.start();
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(70_ms);
   EXPECT_EQ(monitor.periods_elapsed(), 2u);
   // Run time is accounted at stint boundaries, so by the second sampling
@@ -275,7 +279,7 @@ TEST(MonitorTest, SamplesEveryResidentVm) {
                                          VmType::kNonParallel, "idle", 1);
   sync::PeriodMonitor monitor(*rig.platform);
   monitor.start();
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   vm.period().io_events = 3;
   rig.simulation.run_until(31_ms);
   EXPECT_EQ(monitor.periods_elapsed(), 1u);
@@ -287,7 +291,7 @@ TEST(MonitorTest, InFlightSpinEpisodesAreVisible) {
   virt::Vm& vm = rig.spin_vm(1);
   sync::PeriodMonitor monitor(*rig.platform);
   monitor.start();
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(61_ms);
   // The spinner never finished an episode, yet the monitor must not read 0.
   EXPECT_GT(monitor.avg_spin_latency(vm.id()), 0);
@@ -329,7 +333,7 @@ TEST(MonitorTest, SpanningEpisodeConservesPeriodAndTotalSpin) {
   std::vector<sim::SimTime> period_spin;
   monitor.start(
       [&] { period_spin.push_back(monitor.last(vm.id()).spin_wall); });
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
 
   // Episode spans two 30 ms sampling boundaries and ends mid-period.
   rig.simulation.call_at(75_ms, [&] { ev.signal(); });
@@ -359,7 +363,7 @@ TEST(MonitorTest, HookRunsAfterEachSample) {
     periods.push_back(monitor.periods_elapsed());
     run_time += monitor.last(vm.id()).run_time;
   });
-  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.start();
   rig.simulation.run_until(100_ms);
   EXPECT_EQ(periods, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_GT(run_time, 0);

@@ -42,7 +42,8 @@ TEST(TimeTest, Format) {
 }
 
 TEST(EventQueueTest, OrdersByTime) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   std::vector<int> order;
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
@@ -52,7 +53,8 @@ TEST(EventQueueTest, OrdersByTime) {
 }
 
 TEST(EventQueueTest, TiesBreakByInsertionOrder) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     q.schedule(5, [&order, i] { order.push_back(i); });
@@ -62,7 +64,8 @@ TEST(EventQueueTest, TiesBreakByInsertionOrder) {
 }
 
 TEST(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   bool ran = false;
   EventId id = q.schedule(10, [&] { ran = true; });
   EXPECT_TRUE(q.cancel(id));
@@ -72,14 +75,16 @@ TEST(EventQueueTest, CancelPreventsExecution) {
 }
 
 TEST(EventQueueTest, CancelAfterFireReturnsFalse) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   EventId id = q.schedule(10, [] {});
   q.pop().fn();
   EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueueTest, NextTimeSkipsCancelled) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   EventId early = q.schedule(10, [] {});
   q.schedule(20, [] {});
   q.cancel(early);
@@ -88,12 +93,14 @@ TEST(EventQueueTest, NextTimeSkipsCancelled) {
 }
 
 TEST(EventQueueTest, InvalidIdCancelIsNoop) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   EXPECT_FALSE(q.cancel(EventId{}));
 }
 
 TEST(EventQueueTest, StaleIdOnReusedSlotDoesNotCancelNewEvent) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   // Fire A; its slab slot goes back on the free list and B reuses it.  The
   // stale handle to A must fail the generation compare, not kill B.
   EventId a = q.schedule(10, [] {});
@@ -109,7 +116,8 @@ TEST(EventQueueTest, StaleIdOnReusedSlotDoesNotCancelNewEvent) {
 }
 
 TEST(EventQueueTest, CancelDestroysCapturedStateImmediately) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
   EventId id = q.schedule(10, [token] { (void)*token; });
@@ -121,7 +129,8 @@ TEST(EventQueueTest, CancelDestroysCapturedStateImmediately) {
 }
 
 TEST(EventQueueTest, DeadEntriesAreCompactedBounded) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   // Cancel-heavy churn with one persistent live event: the heap may retain
   // dead keys only up to the compaction bound, never proportional to the
   // total number of cancels.
@@ -136,7 +145,8 @@ TEST(EventQueueTest, DeadEntriesAreCompactedBounded) {
 }
 
 TEST(EventQueueTest, TimerArmsFiresAndRearms) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   std::vector<SimTime> fired_at;
   TimerId t = q.make_timer([&] { fired_at.push_back(-1); });
   EXPECT_TRUE(t.valid());
@@ -159,7 +169,8 @@ TEST(EventQueueTest, TimerArmsFiresAndRearms) {
 }
 
 TEST(EventQueueTest, TimerRearmSupersedesPendingFiring) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   int fired = 0;
   TimerId t = q.make_timer([&] { ++fired; });
   q.arm(t, 10);
@@ -176,7 +187,8 @@ TEST(EventQueueTest, TimerRearmSupersedesPendingFiring) {
 }
 
 TEST(EventQueueTest, TimerDisarmCancelsPendingFiring) {
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   int fired = 0;
   TimerId t = q.make_timer([&] { ++fired; });
   EXPECT_FALSE(q.disarm(t)) << "disarming an unarmed timer is a no-op";
@@ -192,7 +204,8 @@ TEST(EventQueueTest, TimerCallbackMayCreateSlotsWhileFiring) {
   // Firing a timer whose callback schedules new events can grow the slab
   // under the invoked payload; the queue relocates the payload around the
   // call, so this must be safe even when the slab vector reallocates.
-  EventQueue q;
+  Arena arena;
+  EventQueue q(arena);
   std::vector<TimerId> timers;
   int fired = 0;
   TimerId t = q.make_timer([&] {

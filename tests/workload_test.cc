@@ -43,8 +43,7 @@ struct WlRig {
 
   void start() {
     for (auto& node : platform->nodes()) {
-      platform->set_scheduler(node->id(),
-                              std::make_unique<sched::CreditScheduler>());
+      platform->make_scheduler<sched::CreditScheduler>(node->id());
     }
     platform->engine().start();
   }
