@@ -46,32 +46,29 @@ int main() {
 
   // Three cells per variant, at 3v, 3v + 1 and 3v + 2: CR, ATC, and CR
   // with a fixed 0.03 ms global slice.
-  std::vector<exp::TypeACell> cells;
+  std::vector<exp::Cell> cells;
   for (const auto& variant : variants) {
-    exp::TypeACell c;
-    c.nodes = 4;
-    c.params = variant.second;
+    exp::Cell c =
+        exp::type_a(workload::npb_descriptor("lu", workload::NpbClass::kB));
+    c.builder.nodes(4).params(variant.second).seed(42);
     c.warmup = scaled(2_s);
     c.measure = scaled(4_s);
-    c.approach = cluster::Approach::kCR;
+    c.builder.approach(cluster::Approach::kCR);
     cells.push_back(c);
-    c.approach = cluster::Approach::kATC;
+    c.builder.approach(cluster::Approach::kATC);
     cells.push_back(c);
-    c.approach = cluster::Approach::kCR;
+    c.builder.approach(cluster::Approach::kCR);
     c.slice = 30_us;
-    cells.push_back(c);
+    cells.push_back(std::move(c));
   }
-  std::vector<exp::TypeAResult> results(cells.size());
-  sim::parallel_for(cells.size(), [&](std::size_t i) {
-    results[i] = exp::run_type_a(cells[i]);
-  });
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
 
   metrics::Table t("ablations (superstep ms; gain = CR/ATC)",
                    {"variant", "CR", "ATC", "gain", "fixed 0.03ms"});
   for (std::size_t v = 0; v < variants.size(); ++v) {
-    const double cr_ms = results[3 * v].superstep_s * 1e3;
-    const double atc_ms = results[3 * v + 1].superstep_s * 1e3;
-    const double fixed_ms = results[3 * v + 2].superstep_s * 1e3;
+    const double cr_ms = results[3 * v].mean_superstep("lu.B") * 1e3;
+    const double atc_ms = results[3 * v + 1].mean_superstep("lu.B") * 1e3;
+    const double fixed_ms = results[3 * v + 2].mean_superstep("lu.B") * 1e3;
     t.add_row({variants[v].first, metrics::fmt(cr_ms, 1),
                metrics::fmt(atc_ms, 1), metrics::fmt_ratio(cr_ms, atc_ms, 1),
                metrics::fmt(fixed_ms, 1)});

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "report_common.h"
@@ -19,22 +20,8 @@ using namespace atcsim::bench;
 
 namespace {
 
-struct Row {
-  double parallel_ms = 0;
-  double web_ms = 0;
-  double web_p95_ms = 0;
-  double cpu_rate = 0;
-};
-
-Row run(cluster::Approach a, const atc::AtcConfig& atc_cfg) {
-  auto sp = cluster::ScenarioBuilder{}
-                .nodes(4)
-                .approach(a)
-                .seed(21)
-                .atc(atc_cfg)
-                .build();
-  cluster::Scenario& s = *sp;
-  // Two 4-VM clusters + web + sphinx3 + two single-VM parallel apps.
+// Two 4-VM clusters + web + sphinx3 + two single-VM parallel apps.
+void add_guests(cluster::Scenario& s) {
   for (int j = 0; j < 2; ++j) {
     auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1, 2, 3});
     s.add_bsp_app("vc" + std::to_string(j),
@@ -50,14 +37,6 @@ Row run(cluster::Approach a, const atc::AtcConfig& atc_cfg) {
   auto ivm1 = s.create_cluster_vms("ivm1", {3});
   s.add_bsp_app("ivm1", workload::npb_descriptor("is", workload::NpbClass::kB),
                 std::move(ivm1));
-  s.start();
-  s.warmup_and_measure(scaled(3_s), scaled(5_s));
-  Row r;
-  r.parallel_ms = (s.mean_superstep("vc0") + s.mean_superstep("vc1")) / 2 * 1e3;
-  r.web_ms = s.metrics().latency("web").mean_seconds() * 1e3;
-  r.web_p95_ms = s.metrics().latency("web").p95_seconds() * 1e3;
-  r.cpu_rate = s.metrics().rate("sphinx3").per_second();
-  return r;
 }
 
 }  // namespace
@@ -85,19 +64,29 @@ int main() {
       {"ATC + auto-classify + adaptive non-parallel", cluster::Approach::kATC,
        adaptive},
   }};
-  std::vector<Row> rows(variants.size());
-  sim::parallel_for(variants.size(), [&](std::size_t i) {
-    rows[i] = run(variants[i].approach, variants[i].atc_cfg);
-  });
+  std::vector<exp::Cell> cells;
+  for (const Variant& v : variants) {
+    exp::Cell c;
+    c.builder.nodes(4).approach(v.approach).seed(21).atc(v.atc_cfg);
+    c.layout = add_guests;
+    c.warmup = scaled(3_s);
+    c.measure = scaled(5_s);
+    cells.push_back(std::move(c));
+  }
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
 
   metrics::Table t("future-work extensions vs published ATC",
                    {"variant", "parallel superstep (ms)", "web mean (ms)",
                     "web p95 (ms)", "sphinx3 rate"});
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    const Row& r = rows[i];
-    t.add_row({variants[i].name, metrics::fmt(r.parallel_ms, 1),
-               metrics::fmt(r.web_ms, 2), metrics::fmt(r.web_p95_ms, 2),
-               metrics::fmt(r.cpu_rate)});
+    const exp::CellResult& r = results[i];
+    const metrics::DurationRecorder& web = r.latencies.at("web");
+    t.add_row({variants[i].name,
+               metrics::fmt((r.superstep("vc0") + r.superstep("vc1")) / 2 * 1e3,
+                            1),
+               metrics::fmt(web.mean_seconds() * 1e3, 2),
+               metrics::fmt(web.p95_seconds() * 1e3, 2),
+               metrics::fmt(r.rates.at("sphinx3"))});
   }
   t.print(std::cout);
   std::printf("expected: auto-classify matches declared ATC (no admin input "

@@ -19,28 +19,25 @@ int main() {
          "N nodes x 4 VMs x 8 VCPUs, four identical virtual clusters");
   const std::vector<int> node_counts = {2, 4, 8, 16, 32};
   // Cells 2n and 2n + 1: CR and CS on node_counts[n].
-  std::vector<exp::TypeACell> cells;
+  std::vector<exp::Cell> cells;
   for (int nodes : node_counts) {
     for (cluster::Approach a : {cluster::Approach::kCR,
                                 cluster::Approach::kCS}) {
-      exp::TypeACell c;
-      c.approach = a;
-      c.nodes = nodes;
+      exp::Cell c =
+          exp::type_a(workload::npb_descriptor("lu", workload::NpbClass::kB));
+      c.builder.nodes(nodes).approach(a).seed(42);
       c.warmup = scaled(2_s);
       c.measure = scaled(6_s);
-      cells.push_back(c);
+      cells.push_back(std::move(c));
     }
   }
-  std::vector<exp::TypeAResult> results(cells.size());
-  sim::parallel_for(cells.size(), [&](std::size_t i) {
-    results[i] = exp::run_type_a(cells[i]);
-  });
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
 
   metrics::Table t("Fig. 1: normalized execution time of lu (vs CR)",
                    {"VMs per cluster", "CR", "CS"});
   for (std::size_t n = 0; n < node_counts.size(); ++n) {
-    const double cr = results[2 * n].superstep_s;
-    const double cs = results[2 * n + 1].superstep_s;
+    const double cr = results[2 * n].mean_superstep("lu.B");
+    const double cs = results[2 * n + 1].mean_superstep("lu.B");
     t.add_row({std::to_string(node_counts[n]), metrics::fmt_ratio(cr, cr),
                metrics::fmt_ratio(cs, cr)});
   }

@@ -6,8 +6,8 @@
 // four identical 2-VM virtual clusters; slices 30, 24, 18, 12, 6, 1, 0.6,
 // 0.3, 0.15 and 0.1 ms set globally.
 //
-// Every (app, slice) cell is one exp::TypeACell; the cells run in parallel
-// through sim::parallel_for.
+// Every (app, slice) cell is one exp::Cell; the cells run in parallel
+// through exp::run_cells.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -29,24 +29,20 @@ int main() {
   // Slices innermost: each app's cells are a contiguous run in slice order,
   // and the first of them is its 30 ms baseline.
   const std::vector<std::string>& apps = workload::npb_apps();
-  std::vector<exp::TypeACell> cells;
+  std::vector<exp::Cell> cells;
   for (const auto& app : apps) {
     for (sim::SimTime slice : slices) {
-      exp::TypeACell c;
-      c.app = app;
-      c.approach = cluster::Approach::kCR;
-      c.nodes = 2;
-      c.vcpus = 16;  // motivation experiments use 16-VCPU VMs
+      exp::Cell c =
+          exp::type_a(workload::npb_descriptor(app, workload::NpbClass::kB));
+      // Motivation experiments use 16-VCPU VMs.
+      c.builder.nodes(2).vcpus_per_vm(16).allow_wide_vms().seed(42);
       c.slice = slice;
       c.warmup = scaled(1_s);
       c.measure = scaled(8_s);
-      cells.push_back(c);
+      cells.push_back(std::move(c));
     }
   }
-  std::vector<exp::TypeAResult> results(cells.size());
-  sim::parallel_for(cells.size(), [&](std::size_t i) {
-    results[i] = exp::run_type_a(cells[i]);
-  });
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
 
   const std::size_t per_app = slices.size();
   for (std::size_t a = 0; a < apps.size(); ++a) {
@@ -54,12 +50,12 @@ int main() {
     metrics::Table t("Fig. 5 (" + apps[a] + ".B)",
                      {"time slice", "avg spin latency (ms)",
                       "normalized exec time"});
-    const double baseline = results[a * per_app].superstep_s;
+    const double baseline = results[a * per_app].mean_superstep(apps[a]);
     bool complete = true;  // every cell has a normalized exec time
     for (std::size_t i = 0; i < per_app; ++i) {
-      const exp::TypeAResult& r = results[a * per_app + i];
+      const exp::CellResult& r = results[a * per_app + i];
       const double spin_ms = r.spin_s * 1e3;
-      const double exec_s = r.superstep_s;
+      const double exec_s = r.mean_superstep(apps[a]);
       complete = complete && exec_s > 0 && baseline > 0;
       spins.push_back(spin_ms);
       execs.push_back(exec_s / baseline);

@@ -33,25 +33,19 @@ int main() {
   // Slices innermost: app a's cells start at a * slices.size(), with its
   // 30 ms baseline first.
   const std::vector<std::string>& apps = workload::npb_apps();
-  std::vector<exp::TypeACell> cells;
+  std::vector<exp::Cell> cells;
   for (const auto& app : apps) {
     for (sim::SimTime slice : slices) {
-      exp::TypeACell c;
-      c.app = app;
-      c.cls = workload::NpbClass::kC;
-      c.approach = cluster::Approach::kCR;
-      c.nodes = 2;
-      c.vcpus = 16;
+      exp::Cell c =
+          exp::type_a(workload::npb_descriptor(app, workload::NpbClass::kC));
+      c.builder.nodes(2).vcpus_per_vm(16).allow_wide_vms().seed(42);
       c.slice = slice;
       c.warmup = scaled(1_s);
       c.measure = scaled(8_s);
-      cells.push_back(c);
+      cells.push_back(std::move(c));
     }
   }
-  std::vector<exp::TypeAResult> results(cells.size());
-  sim::parallel_for(cells.size(), [&](std::size_t i) {
-    results[i] = exp::run_type_a(cells[i]);
-  });
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
 
   std::vector<std::vector<double>> grid(candidates.size());
   bool complete = true;  // every grid cell has a normalized exec time
@@ -59,15 +53,15 @@ int main() {
     metrics::Table t("Fig. 8 (" + apps[a] + ".C)",
                      {"time slice", "normalized exec time",
                       "avg spin latency (ms)", "LLC misses/s"});
-    const double baseline = results[a * slices.size()].superstep_s;
+    const double baseline =
+        results[a * slices.size()].mean_superstep(apps[a]);
     std::map<sim::SimTime, double> norm;
     for (std::size_t i = 0; i < slices.size(); ++i) {
-      const exp::TypeAResult& r = results[a * slices.size() + i];
-      if (r.superstep_s > 0 && baseline > 0) {
-        norm[slices[i]] = r.superstep_s / baseline;
-      }
+      const exp::CellResult& r = results[a * slices.size() + i];
+      const double exec_s = r.mean_superstep(apps[a]);
+      if (exec_s > 0 && baseline > 0) norm[slices[i]] = exec_s / baseline;
       t.add_row({metrics::fmt_ms(sim::to_millis(slices[i])),
-                 metrics::fmt_ratio(r.superstep_s, baseline),
+                 metrics::fmt_ratio(exec_s, baseline),
                  metrics::fmt(r.spin_s * 1e3, 2),
                  metrics::fmt(r.llc_miss_per_s / 1e6, 1) + "M"});
     }

@@ -15,20 +15,8 @@ using namespace atcsim::bench;
 
 namespace {
 
-struct FigResult {
-  double sphinx_rate;
-  double ping_rtt_ms;
-  double stream_mbps;
-};
-
-FigResult run(sim::SimTime slice) {
-  auto sp = cluster::ScenarioBuilder{}
-                .nodes(2)
-                .vms_per_node(5)
-                .approach(cluster::Approach::kCR)
-                .seed(7)
-                .build();
-  cluster::Scenario& s = *sp;
+// Three 2-VM lu virtual clusters and the non-parallel VMs.
+void add_guests(cluster::Scenario& s) {
   for (int j = 0; j < 3; ++j) {
     auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1});
     s.add_bsp_app("vc" + std::to_string(j),
@@ -38,12 +26,6 @@ FigResult run(sim::SimTime slice) {
   s.add_loop_vm(0, workload::cpu_descriptor("sphinx3"), "sphinx3");
   s.add_loop_vm(1, workload::cpu_descriptor("stream"), "stream");
   s.add_ping_pair(1, 0, "ping");
-  s.start();
-  set_global_guest_slice(s, slice);
-  s.warmup_and_measure(scaled(2_s), scaled(6_s));
-  return FigResult{s.metrics().rate("sphinx3").per_second(),
-                s.metrics().latency("ping").mean_seconds() * 1e3,
-                s.metrics().rate("stream").per_second()};
 }
 
 }  // namespace
@@ -54,20 +36,27 @@ int main() {
          "slice sweep");
   const std::vector<sim::SimTime> slices = {30_ms, 12_ms, 6_ms,
                                             3_ms,  1_ms,  300_us};
-  std::vector<FigResult> results(slices.size());
-  sim::parallel_for(slices.size(), [&](std::size_t i) {
-    results[i] = run(slices[i]);
-  });
+  std::vector<exp::Cell> cells;
+  for (sim::SimTime slice : slices) {
+    exp::Cell c;
+    c.builder.nodes(2).vms_per_node(5).seed(7);  // CR, the default approach
+    c.layout = add_guests;
+    c.slice = slice;
+    c.warmup = scaled(2_s);
+    c.measure = scaled(6_s);
+    cells.push_back(std::move(c));
+  }
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
   metrics::Table t("Fig. 9: non-parallel metrics vs time slice",
                    {"time slice", "sphinx3 norm. exec time",
                     "ping RTT (ms)", "stream bandwidth (MB/s)"});
-  const double sphinx_base = results[0].sphinx_rate;  // the 30 ms cell
+  const double sphinx_base = results[0].rates.at("sphinx3");  // 30 ms cell
   for (std::size_t i = 0; i < slices.size(); ++i) {
-    const FigResult& r = results[i];
+    const exp::CellResult& r = results[i];
     t.add_row({metrics::fmt_ms(sim::to_millis(slices[i])),
-               metrics::fmt_ratio(sphinx_base, r.sphinx_rate),
-               metrics::fmt(r.ping_rtt_ms, 2),
-               metrics::fmt(r.stream_mbps, 0)});
+               metrics::fmt_ratio(sphinx_base, r.rates.at("sphinx3")),
+               metrics::fmt(r.latencies.at("ping").mean_seconds() * 1e3, 2),
+               metrics::fmt(r.rates.at("stream"), 0)});
   }
   t.print(std::cout);
   std::printf("expected shape: sphinx3 exec time rises as the slice shrinks; "

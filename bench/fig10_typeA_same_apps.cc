@@ -7,7 +7,7 @@
 // than CR; DSS between CS and ATC.
 //
 // Every (app, approach, nodes) cell — CR baselines included — is one
-// exp::TypeACell; the cells run in parallel through sim::parallel_for.
+// exp::Cell; the cells run in parallel through exp::run_cells.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -30,28 +30,23 @@ int main() {
   const std::vector<int> node_counts = {2, 4, 8, 16, 32};
 
   // Nodes innermost, then approach, then app: the order exec() reads.
-  std::vector<exp::TypeACell> cells;
+  std::vector<exp::Cell> cells;
   for (const auto& app : apps) {
     for (cluster::Approach approach : approaches) {
       for (int nodes : node_counts) {
-        exp::TypeACell c;
-        c.app = app;
-        c.approach = approach;
-        c.nodes = nodes;
-        c.vcpus = 8;
+        exp::Cell c =
+            exp::type_a(workload::npb_descriptor(app, workload::NpbClass::kB));
+        c.builder.nodes(nodes).vcpus_per_vm(8).approach(approach).seed(42);
         c.warmup = scaled(2_s);
         c.measure = scaled(5_s);
-        cells.push_back(c);
+        cells.push_back(std::move(c));
       }
     }
   }
-  std::vector<exp::TypeAResult> results(cells.size());
-  sim::parallel_for(cells.size(), [&](std::size_t i) {
-    results[i] = exp::run_type_a(cells[i]);
-  });
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
   auto exec = [&](std::size_t a, std::size_t p, std::size_t n) {
     return results[(a * approaches.size() + p) * node_counts.size() + n]
-        .superstep_s;
+        .mean_superstep(apps[a]);
   };
 
   for (std::size_t a = 0; a < apps.size(); ++a) {

@@ -7,40 +7,14 @@
 // CS 0.49, BS 0.90, CR 1.
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "report_common.h"
 #include "cluster/trace.h"
 
 using namespace atcsim;
 using namespace atcsim::bench;
-
-namespace {
-
-struct Run {
-  std::vector<std::string> keys;
-  std::vector<double> means;  // per key
-};
-
-Run run(cluster::Approach a) {
-  auto sp = cluster::ScenarioBuilder{}
-                .nodes(32)
-                .approach(a)
-                .seed(42)
-                .build();
-  cluster::Scenario& s = *sp;
-  const cluster::TypeBLayout layout = cluster::build_type_b(s);
-  s.start();
-  s.warmup_and_measure(scaled(2_s), scaled(5_s));
-  Run r;
-  r.keys = layout.vc_keys;
-  // Report two independent VMs as well, as the paper does.
-  r.keys.push_back(layout.independent_keys[0]);
-  r.keys.push_back(layout.independent_keys[1]);
-  for (const auto& key : r.keys) r.means.push_back(s.mean_superstep(key));
-  return r;
-}
-
-}  // namespace
 
 int main() {
   banner("Figure 11 — type B: trace-synthesized virtual clusters",
@@ -58,18 +32,27 @@ int main() {
   const std::vector<cluster::Approach> approaches = {
       cluster::Approach::kCR, cluster::Approach::kBS, cluster::Approach::kCS,
       cluster::Approach::kDSS, cluster::Approach::kATC};
-  std::vector<Run> results(approaches.size());
-  sim::parallel_for(approaches.size(), [&](std::size_t i) {
-    results[i] = run(approaches[i]);
-  });
+  std::vector<exp::Cell> cells;
+  for (cluster::Approach a : approaches) {
+    exp::Cell c;
+    c.builder.nodes(32).approach(a).seed(42);
+    c.layout = [](cluster::Scenario& s) { cluster::build_type_b(s); };
+    c.warmup = scaled(2_s);
+    c.measure = scaled(5_s);
+    cells.push_back(std::move(c));
+  }
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
 
-  const Run& cr = results[0];
+  // Every virtual cluster, then two independent VMs as the paper reports:
+  // build_type_b creates its BSP apps in that order.
+  const std::size_t rows = cluster::paper_vc_sizes_vms().size() + 2;
   metrics::Table t("Fig. 11: normalized exec time per virtual cluster vs CR",
                    {"cluster", "BS", "CS", "DSS", "ATC"});
-  for (std::size_t k = 0; k < cr.keys.size(); ++k) {
-    std::vector<std::string> row = {cr.keys[k]};
+  for (std::size_t k = 0; k < rows; ++k) {
+    const auto& [key, cr] = results[0].supersteps[k];
+    std::vector<std::string> row = {key};
     for (std::size_t i = 1; i < results.size(); ++i) {
-      row.push_back(metrics::fmt_ratio(results[i].means[k], cr.means[k]));
+      row.push_back(metrics::fmt_ratio(results[i].superstep(key), cr));
     }
     t.add_row(std::move(row));
   }

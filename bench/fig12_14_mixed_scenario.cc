@@ -1,7 +1,7 @@
 // Figures 12, 13 and 14: the Sec. IV-C mixed experiment.  Type-B virtual
 // clusters share 32 nodes with web, bonnie++, stream, SPEC-CPU and ping
-// VMs.  Each of the seven approach variants is simulated once, all of them
-// in parallel, and the three figures are read off the same seven runs.
+// VMs.  Each of the seven approach variants is one exp::Cell, all of them
+// run in parallel, and the three figures are read off the same seven runs.
 //
 // ATC appears twice: ATC(30ms) leaves non-parallel VMs at the VMM default;
 // ATC(6ms) uses the Sec. III-C administrator interface to give them a 6 ms
@@ -22,12 +22,10 @@
 #include <array>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "report_common.h"
-#include "simcore/parallel.h"
 
 using namespace atcsim;
 using namespace atcsim::bench;
@@ -51,71 +49,27 @@ constexpr std::array<Variant, 7> kVariants = {{
     {"ATC(6ms)", cluster::Approach::kATC, 6 * sim::kMillisecond},
 }};
 
-/// One variant's run, reduced to the values the three figures print.
-struct MixedResult {
-  cluster::MixedLayout layout;
-  std::map<std::string, double> vc_superstep_s;  ///< VC key -> mean superstep
-  // Means over the layout's VMs of each kind.
-  double bonnie_mb_s = 0;
-  double stream_mb_s = 0;
-  double web_response_s = 0;
-  double ping_rtt_s = 0;
-  std::map<std::string, double> spec_rate;  ///< gcc/bzip2/sphinx3 -> units/s
-};
+using Results = std::vector<exp::CellResult>;
 
-using Results = std::array<MixedResult, kVariants.size()>;
+double value_of(double per_second) { return per_second; }
+double value_of(const metrics::DurationRecorder& r) { return r.mean_seconds(); }
 
-/// Mean of metric(key) over the keys starting with `prefix`, skipping
-/// values that are not positive; 0 when none is.
-template <typename Metric>
-double mean_of(const std::vector<std::string>& keys, Metric metric,
+/// Mean over the keys starting with `prefix` of their values in `map` (a
+/// rate per second, or a latency recorder's mean), skipping values that
+/// are not positive; 0 when none is.
+template <typename Map>
+double mean_of(const std::vector<std::string>& keys, const Map& map,
                const std::string& prefix = "") {
   double sum = 0;
   int n = 0;
   for (const auto& key : keys) {
     if (key.rfind(prefix, 0) != 0) continue;
-    const double v = metric(key);
+    const double v = value_of(map.at(key));
     if (v <= 0) continue;
     sum += v;
     ++n;
   }
   return n == 0 ? 0.0 : sum / n;
-}
-
-MixedResult run_variant(const Variant& v) {
-  auto s = cluster::ScenarioBuilder{}
-               .nodes(32)
-               .approach(v.approach)
-               .seed(42)
-               .build();
-  MixedResult r;
-  r.layout = cluster::build_mixed(*s);
-  if (v.admin_slice >= 0) {
-    for (virt::Vm* vm : s->guest_vms()) {
-      if (!vm->is_parallel()) vm->set_admin_slice(v.admin_slice);
-    }
-  }
-  s->start();
-  s->warmup_and_measure(scaled(2_s), scaled(5_s));
-
-  const cluster::MixedLayout& l = r.layout;
-  auto rate = [&](const std::string& key) {
-    return s->metrics().rate(key).per_second();
-  };
-  auto latency = [&](const std::string& key) {
-    return s->metrics().latency(key).mean_seconds();
-  };
-  for (const auto& key : l.vc_keys) {
-    r.vc_superstep_s[key] = s->mean_superstep(key);
-  }
-  r.bonnie_mb_s = mean_of(l.disk_keys, rate);
-  r.stream_mb_s = mean_of(l.stream_keys, rate);
-  r.web_response_s = mean_of(l.web_keys, latency);
-  r.ping_rtt_s = mean_of(l.ping_keys, latency);
-  for (const char* app : {"gcc", "bzip2", "sphinx3"}) {
-    r.spec_rate[app] = mean_of(l.cpu_keys, rate, app);
-  }
-  return r;
 }
 
 /// Header of a "normalized vs CR" table: `first`, then every non-CR label.
@@ -150,18 +104,17 @@ void print_ms_table(const std::string& title, const Results& results,
   t.print(std::cout);
 }
 
-void print_fig12(const Results& results) {
+void print_fig12(const cluster::MixedLayout& l, const Results& results) {
   banner("Figure 12 — parallel performance in the mixed scenario",
          "32 nodes, type-B virtual clusters + web/bonnie/SPEC/stream/ping "
          "independents");
-  const MixedResult& cr = results[0];
   metrics::Table t("Fig. 12: normalized exec time of the virtual clusters "
                    "vs CR",
                    vs_cr_header("cluster"));
-  for (const auto& key : cr.layout.vc_keys) {
-    const double base = cr.vc_superstep_s.at(key);
-    t.add_row(vs_cr_row(key, results, [&](const auto& r) {
-      return metrics::fmt_ratio(r.vc_superstep_s.at(key), base);
+  for (const auto& key : l.vc_keys) {
+    const double base = results[0].superstep(key);
+    t.add_row(vs_cr_row(key, results, [&](const exp::CellResult& r) {
+      return metrics::fmt_ratio(r.superstep(key), base);
     }));
   }
   t.print(std::cout);
@@ -170,46 +123,54 @@ void print_fig12(const Results& results) {
               "DSS < VS; BS ~ 1\n");
 }
 
-void print_fig13(const Results& results) {
+void print_fig13(const cluster::MixedLayout& l, const Results& results) {
   banner("Figure 13 — bonnie++/stream/web in the mixed scenario",
          "32 nodes, type-B virtual clusters + non-parallel independents");
-  const MixedResult& cr = results[0];
+  const exp::CellResult& cr = results[0];
   metrics::Table t("Fig. 13: normalized performance vs CR "
                    "(>1 is better for throughput rows; web row = CR response "
                    "time / response time, >1 is faster)",
                    vs_cr_header("metric"));
   t.add_row(vs_cr_row("bonnie++ throughput", results, [&](const auto& r) {
-    return metrics::fmt_ratio(r.bonnie_mb_s, cr.bonnie_mb_s);
+    return metrics::fmt_ratio(mean_of(l.disk_keys, r.rates),
+                              mean_of(l.disk_keys, cr.rates));
   }));
   t.add_row(vs_cr_row("stream bandwidth", results, [&](const auto& r) {
-    return metrics::fmt_ratio(r.stream_mb_s, cr.stream_mb_s);
+    return metrics::fmt_ratio(mean_of(l.stream_keys, r.rates),
+                              mean_of(l.stream_keys, cr.rates));
   }));
   t.add_row(vs_cr_row("web performance", results, [&](const auto& r) {
-    return metrics::fmt_ratio(cr.web_response_s, r.web_response_s);
+    return metrics::fmt_ratio(mean_of(l.web_keys, cr.latencies),
+                              mean_of(l.web_keys, r.latencies));
   }));
   t.print(std::cout);
   print_ms_table("web-server mean response time (ms)", results,
-                 [](const auto& r) { return r.web_response_s; });
+                 [&](const auto& r) {
+                   return mean_of(l.web_keys, r.latencies);
+                 });
   std::printf("expected shape: bonnie++ row ~1 everywhere; stream dips under "
               "CS/ATC(6ms); web under CS ~0.35, web under VS/DSS/ATC(6ms) "
               "> 1\n");
 }
 
-void print_fig14(const Results& results) {
+void print_fig14(const cluster::MixedLayout& l, const Results& results) {
   banner("Figure 14 — SPEC CPU applications in the mixed scenario",
          "32 nodes, type-B virtual clusters + non-parallel independents");
-  const MixedResult& cr = results[0];
+  const exp::CellResult& cr = results[0];
   metrics::Table t("Fig. 14: normalized execution time vs CR (1 = CR, "
                    "higher is worse)",
                    vs_cr_header("application"));
   for (const char* app : {"gcc", "bzip2", "sphinx3"}) {
     t.add_row(vs_cr_row(app, results, [&](const auto& r) {
-      return metrics::fmt_ratio(cr.spec_rate.at(app), r.spec_rate.at(app));
+      return metrics::fmt_ratio(mean_of(l.cpu_keys, cr.rates, app),
+                                mean_of(l.cpu_keys, r.rates, app));
     }));
   }
   t.print(std::cout);
   print_ms_table("ping RTT (ms) across approaches", results,
-                 [](const auto& r) { return r.ping_rtt_s; });
+                 [&](const auto& r) {
+                   return mean_of(l.ping_keys, r.latencies);
+                 });
   std::printf("expected shape: CS and ATC(6ms) columns > 1; BS/VS/DSS/"
               "ATC(30ms) ~ 1\n");
 }
@@ -217,12 +178,29 @@ void print_fig14(const Results& results) {
 }  // namespace
 
 int main() {
-  Results results;
-  sim::parallel_for(kVariants.size(), [&](std::size_t v) {
-    results[v] = run_variant(kVariants[v]);
-  });
-  print_fig12(results);
-  print_fig13(results);
-  print_fig14(results);
+  // Every variant shares the seed and shape build_mixed draws on, so the CR
+  // cell's keys name every variant's guests; only that cell writes them.
+  cluster::MixedLayout layout;
+  std::vector<exp::Cell> cells;
+  for (std::size_t v = 0; v < kVariants.size(); ++v) {
+    exp::Cell c;
+    c.builder.nodes(32).approach(kVariants[v].approach).seed(42);
+    c.layout = [&layout, v](cluster::Scenario& s) {
+      cluster::MixedLayout keys = cluster::build_mixed(s);
+      if (v == 0) layout = std::move(keys);
+      const sim::SimTime admin_slice = kVariants[v].admin_slice;
+      if (admin_slice < 0) return;
+      for (virt::Vm* vm : s.guest_vms()) {
+        if (!vm->is_parallel()) vm->set_admin_slice(admin_slice);
+      }
+    };
+    c.warmup = scaled(2_s);
+    c.measure = scaled(5_s);
+    cells.push_back(std::move(c));
+  }
+  const Results results = exp::run_cells(cells);
+  print_fig12(layout, results);
+  print_fig13(layout, results);
+  print_fig14(layout, results);
   return 0;
 }

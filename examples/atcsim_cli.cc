@@ -6,8 +6,8 @@
 //                  [--threads N] [--csv] [--jsonl out.jsonl]
 //
 // Builds evaluation type A (four identical virtual clusters of the chosen
-// app) as one exp::TypeACell per repetition; the repetitions run in
-// parallel across host threads through sim::parallel_for.
+// app) as one exp::Cell per repetition; the repetitions run in parallel
+// across host threads through exp::run_cells.
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "cluster/scenario.h"
-#include "exp/type_a.h"
+#include "exp/cell.h"
 #include "metrics/report.h"
-#include "simcore/parallel.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
 using namespace sim::time_literals;
@@ -219,15 +219,15 @@ std::string num(double v) {
 }
 
 // One repetition's metric columns, in name order; trace_events only when
-// the run was traced.
+// the run was traced.  Every BSP key of a type-A run is its app's.
 std::vector<std::pair<const char*, double>> metric_columns(
-    const exp::TypeAResult& r, bool traced) {
+    const exp::CellResult& r, const Args& a) {
   std::vector<std::pair<const char*, double>> m = {
       {"events", static_cast<double>(r.events)},
       {"llc_miss_per_s", r.llc_miss_per_s},
       {"spin_s", r.spin_s},
-      {"superstep_s", r.superstep_s}};
-  if (traced) {
+      {"superstep_s", r.mean_superstep("")}};
+  if (a.trace) {
     m.emplace_back("trace_events", static_cast<double>(r.trace_events));
   }
   return m;
@@ -237,26 +237,25 @@ char class_letter(workload::NpbClass cls) {
   return "ABC"[static_cast<int>(cls)];
 }
 
-// Rows describe `cell` (the repetitions' shared axes) with base seed
-// `seed`; row i is repetition i.
-void write_jsonl(std::ostream& os, const exp::TypeACell& cell,
-                 std::uint64_t seed,
-                 const std::vector<exp::TypeAResult>& results, bool traced) {
+// Rows describe the run `a` asked for and `cell`, the repetitions' shared
+// slice and windows; row i is repetition i.
+void write_jsonl(std::ostream& os, const Args& a, const exp::Cell& cell,
+                 const std::vector<exp::CellResult>& results) {
   const cluster::ScenarioConfig layout;  // the VM layout every cell uses
   for (std::size_t rep = 0; rep < results.size(); ++rep) {
-    os << "{\"trial\":" << rep << ",\"app\":\"" << cell.app
-       << "\",\"class\":\"" << class_letter(cell.cls)
-       << "\",\"approach\":\"" << cluster::approach_name(cell.approach)
-       << "\",\"nodes\":" << cell.nodes << ",\"vcpus\":" << cell.vcpus
+    os << "{\"trial\":" << rep << ",\"app\":\"" << a.app
+       << "\",\"class\":\"" << class_letter(a.cls)
+       << "\",\"approach\":\"" << a.approach << "\",\"nodes\":" << a.nodes
+       << ",\"vcpus\":" << a.vcpus
        << ",\"vms_per_node\":" << layout.vms_per_node
        << ",\"pcpus_per_node\":" << layout.pcpus_per_node << ",\"slice_ms\":"
        << (cell.slice ? num(sim::to_millis(*cell.slice)) : "null")
-       << ",\"seed\":" << seed << ",\"rep\":" << rep
+       << ",\"seed\":" << a.seed << ",\"rep\":" << rep
        << ",\"warmup_s\":" << num(sim::to_seconds(cell.warmup))
        << ",\"measure_s\":" << num(sim::to_seconds(cell.measure))
        << ",\"metrics\":{";
     const char* sep = "";
-    for (const auto& m : metric_columns(results[rep], traced)) {
+    for (const auto& m : metric_columns(results[rep], a)) {
       os << sep << '"' << m.first << "\":" << num(m.second);
       sep = ",";
     }
@@ -264,19 +263,17 @@ void write_jsonl(std::ostream& os, const exp::TypeACell& cell,
   }
 }
 
-void write_csv(std::ostream& os, const exp::TypeACell& cell,
-               std::uint64_t seed,
-               const std::vector<exp::TypeAResult>& results, bool traced) {
+void write_csv(std::ostream& os, const Args& a, const exp::Cell& cell,
+               const std::vector<exp::CellResult>& results) {
   os << "trial,app,class,approach,nodes,vcpus,slice_ms,seed,rep";
-  for (const auto& m : metric_columns({}, traced)) os << ',' << m.first;
+  for (const auto& m : metric_columns({}, a)) os << ',' << m.first;
   os << '\n';
   for (std::size_t rep = 0; rep < results.size(); ++rep) {
-    os << rep << ',' << cell.app << ',' << class_letter(cell.cls) << ','
-       << cluster::approach_name(cell.approach) << ',' << cell.nodes << ','
-       << cell.vcpus << ','
+    os << rep << ',' << a.app << ',' << class_letter(a.cls) << ','
+       << a.approach << ',' << a.nodes << ',' << a.vcpus << ','
        << (cell.slice ? num(sim::to_millis(*cell.slice)) : "adaptive") << ','
-       << seed << ',' << rep;
-    for (const auto& m : metric_columns(results[rep], traced)) {
+       << a.seed << ',' << rep;
+    for (const auto& m : metric_columns(results[rep], a)) {
       os << ',' << num(m.second);
     }
     os << '\n';
@@ -286,7 +283,7 @@ void write_csv(std::ostream& os, const exp::TypeACell& cell,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse(argc, argv);
+  auto args = parse(argc, argv);
   if (!args) {
     usage();
     return 2;
@@ -297,58 +294,57 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  exp::TypeACell cell;
-  cell.app = args->app;
-  cell.cls = args->cls;
-  if (!args->workload.empty()) {
-    // Parse up front so a typo fails with the parser's message before any
-    // repetition runs.
-    try {
-      cell.workload =
-          workload::Descriptor::parse(load_workload_text(args->workload));
-    } catch (const workload::DescriptorError& e) {
-      std::fprintf(stderr, "error: --workload %s: %s\n",
-                   args->workload.c_str(), e.what());
-      return 2;
-    }
-    // Rows and trace files name a descriptor run by its workload, class B.
-    cell.app = cell.workload->name;
-    cell.cls = workload::NpbClass::kB;
+  // Resolve the workload up front, so that a typo or an unknown app fails
+  // with its message before any repetition runs.
+  workload::Descriptor desc;
+  try {
+    desc = args->workload.empty()
+               ? workload::npb_descriptor(args->app, args->cls)
+               : workload::Descriptor::parse(
+                     load_workload_text(args->workload));
+  } catch (const workload::DescriptorError& e) {
+    std::fprintf(stderr, "error: --workload %s: %s\n",
+                 args->workload.c_str(), e.what());
+    return 2;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
-  cell.approach = *approach;
-  cell.nodes = args->nodes;
-  cell.vcpus = args->vcpus;
-  cell.shards = args->shards;
+  if (!args->workload.empty()) {
+    // Rows and trace files name a descriptor run by its workload, class B.
+    args->app = desc.name;
+    args->cls = workload::NpbClass::kB;
+  }
+  atc::AtcConfig atc_cfg;
+  atc_cfg.auto_classify = args->auto_classify;
+  exp::Cell cell = exp::type_a(desc);
+  cell.builder.nodes(args->nodes)
+      .vcpus_per_vm(args->vcpus)
+      .allow_wide_vms()  // motivation layouts run 16-VCPU VMs on 8 PCPUs
+      .approach(*approach)
+      .atc(atc_cfg)
+      .shards(args->shards);
   if (args->slice_ms) cell.slice = sim::from_millis(*args->slice_ms);
   cell.warmup = static_cast<sim::SimTime>(args->warmup_s * 1e9);
   cell.measure = static_cast<sim::SimTime>(args->measure_s * 1e9);
-  const std::string name =
-      cell.workload ? cell.app
-                    : cell.app + workload::npb_class_suffix(cell.cls);
+  const std::string& name = desc.name;
 
-  std::vector<exp::TypeACell> cells(static_cast<std::size_t>(args->reps),
-                                    cell);
+  std::vector<exp::Cell> cells(static_cast<std::size_t>(args->reps), cell);
   for (std::size_t rep = 0; rep < cells.size(); ++rep) {
-    exp::TypeACell& c = cells[rep];
-    c.seed = exp::rep_seed(args->seed, static_cast<int>(rep));
+    exp::Cell& c = cells[rep];
+    c.builder.seed(exp::rep_seed(args->seed, static_cast<int>(rep)));
     if (args->trace) {
       c.trace_stem =
-          name + "_" + cluster::approach_name(c.approach) + "_n" +
-          std::to_string(c.nodes) + "_v" + std::to_string(c.vcpus) + "_" +
-          (c.slice ? sim::format_time(*c.slice) : "adaptive") + "_s" +
+          name + "_" + cluster::approach_name(*approach) + "_n" +
+          std::to_string(args->nodes) + "_v" + std::to_string(args->vcpus) +
+          "_" + (c.slice ? sim::format_time(*c.slice) : "adaptive") + "_s" +
           std::to_string(args->seed) + "_r" + std::to_string(rep);
     }
   }
 
-  atc::AtcConfig atc_cfg;
-  atc_cfg.auto_classify = args->auto_classify;
-
-  std::vector<exp::TypeAResult> results(cells.size());
+  std::vector<exp::CellResult> results;
   try {
-    sim::parallel_for(
-        cells.size(),
-        [&](std::size_t i) { results[i] = exp::run_type_a(cells[i], atc_cfg); },
-        static_cast<std::size_t>(args->threads));
+    results = exp::run_cells(cells, static_cast<std::size_t>(args->threads));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -365,7 +361,7 @@ int main(int argc, char** argv) {
 
   if (!args->jsonl_path.empty()) {
     std::ofstream out(args->jsonl_path);
-    if (out) write_jsonl(out, cell, args->seed, results, args->trace);
+    if (out) write_jsonl(out, *args, cell, results);
     if (!out) {
       std::fprintf(stderr, "error: cannot write %s\n",
                    args->jsonl_path.c_str());
@@ -374,14 +370,14 @@ int main(int argc, char** argv) {
   }
 
   if (args->csv) {
-    write_csv(std::cout, cell, args->seed, results, args->trace);
+    write_csv(std::cout, *args, cell, results);
     return 0;
   }
 
   // Mean across repetitions for the human-readable summary.
   double superstep = 0, spin = 0, miss_rate = 0, events = 0;
   for (const auto& r : results) {
-    superstep += r.superstep_s;
+    superstep += r.mean_superstep("");
     spin += r.spin_s;
     miss_rate += r.llc_miss_per_s;
     events += static_cast<double>(r.events);

@@ -5,14 +5,16 @@
 //   $ ./virtual_cluster_scaling [app] --large [nodes]   (default: 512)
 //
 // Runs evaluation type A (four identical virtual clusters of `app`, one VM
-// per node each) at 2, 4 and 8 nodes under CR, CS, BS and ATC and prints
-// per-approach superstep times and spin latencies.
+// per node each) at 2, 4 and 8 nodes under CR, CS, BS and ATC, one
+// exp::Cell each, and prints per-approach superstep times and spin
+// latencies.
 //
 // With --large the sweep is replaced by a single cluster-scale cell (512
 // nodes unless overridden; the indexed run queues are what make this size
-// tractable) under CR and ATC, reporting wall-clock simulation throughput
-// alongside the model metrics.  A node count that is not wholly a positive
-// integer prints the usage text and exits 2.
+// tractable) under CR and ATC, run one after the other so that each reports
+// its own wall-clock simulation throughput alongside the model metrics.  A
+// node count that is not wholly a positive integer prints the usage text
+// and exits 2.
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -20,34 +22,17 @@
 #include <iostream>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
+#include "exp/cell.h"
 #include "metrics/report.h"
 
 using namespace atcsim;
 using namespace sim::time_literals;
 
 namespace {
-
-struct Cell {
-  double superstep_ms;
-  double spin_ms;
-};
-
-Cell run(const std::string& app, cluster::Approach a, int nodes) {
-  auto sp = cluster::ScenarioBuilder{}
-                .nodes(nodes)
-                .approach(a)
-                .seed(2026)
-                .build();
-  cluster::Scenario& s = *sp;
-  cluster::build_type_a(s, app, workload::NpbClass::kB);
-  s.start();
-  s.warmup_and_measure(2_s, 4_s);
-  return Cell{s.mean_superstep_with_prefix(app) * 1e3,
-              s.avg_parallel_spin_latency() * 1e3};
-}
 
 /// Cluster-scale macro cell: one approach at `nodes` nodes, short window.
 void run_large(const std::string& app, int nodes) {
@@ -116,19 +101,35 @@ int main(int argc, char** argv) {
   std::printf("virtual_cluster_scaling: NPB %s.B, four virtual clusters, "
               "4x8-VCPU VMs per 8-PCPU node\n\n", app.c_str());
 
+  // CR first: the normalized column divides by it.
+  const cluster::Approach approaches[] = {
+      cluster::Approach::kCR, cluster::Approach::kCS, cluster::Approach::kBS,
+      cluster::Approach::kATC};
+  std::vector<exp::Cell> cells;
+  for (int nodes : {2, 4, 8}) {
+    for (cluster::Approach a : approaches) {
+      exp::Cell c =
+          exp::type_a(workload::npb_descriptor(app, workload::NpbClass::kB));
+      c.builder.nodes(nodes).approach(a).seed(2026);
+      c.warmup = 2_s;
+      c.measure = 4_s;
+      cells.push_back(std::move(c));
+    }
+  }
+  const std::vector<exp::CellResult> results = exp::run_cells(cells);
+  std::size_t i = 0;  // the next cell's result
   for (int nodes : {2, 4, 8}) {
     metrics::Table t(app + ".B on " + std::to_string(nodes) + " nodes",
                      {"approach", "mean superstep (ms)",
                       "avg spin latency (ms)", "normalized"});
     double cr = 0.0;
-    for (cluster::Approach a :
-         {cluster::Approach::kCR, cluster::Approach::kCS,
-          cluster::Approach::kBS, cluster::Approach::kATC}) {
-      const Cell c = run(app, a, nodes);
-      if (a == cluster::Approach::kCR) cr = c.superstep_ms;
-      t.add_row({cluster::approach_name(a), metrics::fmt(c.superstep_ms, 1),
-                 metrics::fmt(c.spin_ms, 2),
-                 metrics::fmt(c.superstep_ms / cr)});
+    for (cluster::Approach a : approaches) {
+      const exp::CellResult& c = results[i++];
+      const double superstep_ms = c.mean_superstep(app) * 1e3;
+      if (a == cluster::Approach::kCR) cr = superstep_ms;
+      t.add_row({cluster::approach_name(a), metrics::fmt(superstep_ms, 1),
+                 metrics::fmt(c.spin_s * 1e3, 2),
+                 metrics::fmt(superstep_ms / cr)});
     }
     t.print(std::cout);
   }

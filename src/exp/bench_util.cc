@@ -31,8 +31,4 @@ void banner(const std::string& what, const std::string& setup) {
               what.c_str(), setup.c_str());
 }
 
-void set_global_guest_slice(cluster::Scenario& s, sim::SimTime slice) {
-  for (virt::Vm* vm : s.guest_vms()) vm->set_time_slice(slice);
-}
-
 }  // namespace atcsim::exp

@@ -7,7 +7,6 @@
 
 #include <string>
 
-#include "cluster/scenario.h"
 #include "simcore/time.h"
 
 namespace atcsim::exp {
@@ -21,9 +20,5 @@ sim::SimTime scaled(sim::SimTime base);
 
 /// Standard bench preamble on stdout.
 void banner(const std::string& what, const std::string& setup);
-
-/// Sets a fixed time slice on every guest VM (the Sec. II / Fig. 5 global
-/// "xl sched-credit -t"-style sweep control).
-void set_global_guest_slice(cluster::Scenario& s, sim::SimTime slice);
 
 }  // namespace atcsim::exp

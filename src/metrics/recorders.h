@@ -256,6 +256,9 @@ class MetricsRegistry {
   const std::map<std::string, RateCounter>& all_rates() const {
     return rates_;
   }
+  const std::map<std::string, DurationRecorder>& all_latencies() const {
+    return latency_;
+  }
 
  private:
   static const DurationRecorder* find(

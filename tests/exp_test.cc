@@ -1,25 +1,28 @@
-// Experiment library: the type-A cell (its rep-seed rule and its
-// thread-count independence under sim::parallel_for), the ScenarioBuilder
-// contract, and the ATCSIM_BENCH_SCALE knob the benches read.
+// Experiment library: the evaluation cell (its rep-seed rule, its result
+// snapshot and its thread-count independence under exp::run_cells), the
+// ScenarioBuilder contract, and the ATCSIM_BENCH_SCALE knob the benches
+// read.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/scenario.h"
+#include "cluster/scenarios.h"
 #include "exp/bench_util.h"
-#include "exp/type_a.h"
-#include "simcore/parallel.h"
+#include "exp/cell.h"
 
 namespace atcsim {
 namespace {
 
 using namespace sim::time_literals;
 
-TEST(TypeATest, RepZeroUsesTheBaseSeedAndRepsDiverge) {
+TEST(CellTest, RepZeroUsesTheBaseSeedAndRepsDiverge) {
   EXPECT_EQ(exp::rep_seed(7, 0), 7u);
   EXPECT_NE(exp::rep_seed(7, 1), exp::rep_seed(7, 0));
   EXPECT_NE(exp::rep_seed(7, 2), exp::rep_seed(7, 1));
@@ -27,33 +30,84 @@ TEST(TypeATest, RepZeroUsesTheBaseSeedAndRepsDiverge) {
   EXPECT_NE(exp::rep_seed(8, 1), exp::rep_seed(7, 1));
 }
 
-// Three small lu.A cells give the same results at parallel_for thread
-// counts 1 and 2: a cell shares no state with the cells running beside it.
-TEST(TypeATest, ParallelCellsMatchSerialCells) {
-  exp::TypeACell base;
-  base.cls = workload::NpbClass::kA;
-  base.nodes = 2;
-  base.vcpus = 4;
+/// The keys of a result's map (or of its supersteps), sorted.
+template <typename Entries>
+std::set<std::string> keys_of(const Entries& entries) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : entries) keys.insert(key);
+  return keys;
+}
+
+// Four small cells give the same results at run_cells thread counts 1 and
+// 2: a cell shares no state with the cells running beside it.  The fourth,
+// a mixed cell under PM, records rates and latencies and migrates guests,
+// so every field is compared.
+TEST(CellTest, ParallelCellsMatchSerialCells) {
+  exp::Cell base =
+      exp::type_a(workload::npb_descriptor("lu", workload::NpbClass::kA));
+  base.builder.nodes(2).vcpus_per_vm(4).seed(42);
   base.warmup = 200_ms;
   base.measure = 500_ms;
-  std::vector<exp::TypeACell> cells(3, base);
+  std::vector<exp::Cell> cells(4, base);
   cells[1].slice = 6_ms;
-  cells[2].approach = cluster::Approach::kATC;
+  cells[2].builder.approach(cluster::Approach::kATC);
+  cells[3].builder.nodes(32).approach(cluster::Approach::kPM);
+  cells[3].layout = [](cluster::Scenario& s) { cluster::build_mixed(s); };
 
-  auto run_all = [&](std::size_t threads) {
-    std::vector<exp::TypeAResult> results(cells.size());
-    sim::parallel_for(
-        cells.size(),
-        [&](std::size_t i) { results[i] = exp::run_type_a(cells[i]); },
-        threads);
-    return results;
-  };
-  const auto serial = run_all(1);
-  const auto parallel = run_all(2);
+  const auto serial = exp::run_cells(cells, 1);
+  const auto parallel = exp::run_cells(cells, 2);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_GT(serial[i].events, 0u) << i;
-    EXPECT_EQ(serial[i], parallel[i]) << i;
+    const exp::CellResult& a = serial[i];
+    const exp::CellResult& b = parallel[i];
+    EXPECT_GT(a.events, 0u) << i;
+    EXPECT_EQ(a.supersteps, b.supersteps) << i;
+    EXPECT_EQ(a.rates, b.rates) << i;
+    EXPECT_EQ(keys_of(a.latencies), keys_of(b.latencies)) << i;
+    for (const auto& [key, x] : a.latencies) {  // count, sum and tail
+      const metrics::DurationRecorder& y = b.latencies.at(key);
+      EXPECT_EQ(std::tuple(x.count(), x.stats().sum(), x.p99_seconds()),
+                std::tuple(y.count(), y.stats().sum(), y.p99_seconds()))
+          << i << key;
+    }
+    EXPECT_EQ(a.spin_s, b.spin_s) << i;
+    EXPECT_EQ(a.llc_miss_per_s, b.llc_miss_per_s) << i;
+    EXPECT_EQ(a.events, b.events) << i;
+    EXPECT_EQ(a.migrations, b.migrations) << i;
+    EXPECT_EQ(a.trace_events, b.trace_events) << i;
   }
+  EXPECT_FALSE(serial[3].rates.empty() || serial[3].latencies.empty());
+}
+
+// The snapshot keeps what the registry holds: supersteps in creation order
+// (so "VC10:..." follows "VC9:...", where a std::map would put it after
+// "VC1:..."), and every rate counter and latency recorder by key.  The
+// mixed layout's keys name every recorder its guests create.
+TEST(CellTest, SnapshotHoldsEveryKeyInCreationOrder) {
+  cluster::MixedLayout l;
+  exp::Cell cell;
+  cell.builder.nodes(32).seed(42);
+  cell.layout = [&l](cluster::Scenario& s) { l = cluster::build_mixed(s); };
+  cell.warmup = 10_ms;
+  cell.measure = 40_ms;
+  const exp::CellResult r = exp::run_cells({cell}).front();
+
+  std::vector<std::string> bsp_keys = l.vc_keys;
+  bsp_keys.insert(bsp_keys.end(), l.independent_parallel_keys.begin(),
+                  l.independent_parallel_keys.end());
+  std::vector<std::string> superstep_keys;
+  for (const auto& [key, mean] : r.supersteps) superstep_keys.push_back(key);
+  EXPECT_EQ(superstep_keys, bsp_keys);
+  EXPECT_EQ(superstep_keys.at(9).rfind("VC10:", 0), 0u) << superstep_keys[9];
+
+  // Loop and disk guests count rates; web and ping guests record latencies.
+  std::set<std::string> rate_keys(l.disk_keys.begin(), l.disk_keys.end());
+  rate_keys.insert(l.stream_keys.begin(), l.stream_keys.end());
+  rate_keys.insert(l.cpu_keys.begin(), l.cpu_keys.end());
+  std::set<std::string> latency_keys(l.web_keys.begin(), l.web_keys.end());
+  latency_keys.insert(l.ping_keys.begin(), l.ping_keys.end());
+  EXPECT_FALSE(rate_keys.empty() || latency_keys.empty());
+  EXPECT_EQ(keys_of(r.rates), rate_keys);
+  EXPECT_EQ(keys_of(r.latencies), latency_keys);
 }
 
 TEST(ScenarioBuilderTest, RejectsNonPositiveCounts) {
