@@ -242,7 +242,7 @@ void VirtualNetwork::tx_effect(PacketRef r) {
                          bytes, release(r));
     return;
   }
-  simulation().call_at(arrive, [this, r] { rx_arrive(r); });
+  simulation().call_at(arrive, Hop<&VirtualNetwork::rx_arrive>{this, r});
 }
 
 void VirtualNetwork::receive_remote(ShardFabric::RemotePacket& pkt) {
@@ -258,7 +258,7 @@ void VirtualNetwork::receive_remote(ShardFabric::RemotePacket& pkt) {
   }
   const PacketRef r = acquire(pkt.bytes, pkt.dst, -1,
                               pkt.dst->node().index(), std::move(pkt.done));
-  simulation().call_at(pkt.due, [this, r] { rx_arrive(r); });
+  simulation().call_at(pkt.due, Hop<&VirtualNetwork::rx_arrive>{this, r});
 }
 
 void VirtualNetwork::rx_arrive(PacketRef r) {
@@ -267,7 +267,7 @@ void VirtualNetwork::rx_arrive(PacketRef r) {
       simulation().now(),
       nodes_[static_cast<std::size_t>(p.dst_node)].nic_rx_busy, p.bytes,
       params().nic_bandwidth_bps);
-  simulation().call_at(rx_done, [this, r] { enqueue_rx(r); });
+  simulation().call_at(rx_done, Hop<&VirtualNetwork::enqueue_rx>{this, r});
 }
 
 void VirtualNetwork::enqueue_rx(PacketRef r) {
@@ -302,7 +302,7 @@ void VirtualNetwork::tx_out_effect(PacketRef r) {
       nodes_[static_cast<std::size_t>(p.src_node)].nic_tx_busy, p.bytes,
       params().nic_bandwidth_bps);
   simulation().call_at(tx_done + params().wire_latency,
-                       [this, r] { finish(r); });
+                       Hop<&VirtualNetwork::finish>{this, r});
 }
 
 void VirtualNetwork::disk_issue(PacketRef r) {
@@ -315,7 +315,7 @@ void VirtualNetwork::disk_issue(PacketRef r) {
                        static_cast<SimTime>(static_cast<double>(p.bytes) /
                                             mp.disk_bandwidth_bps * 1e9);
   state.disk_busy = done;
-  simulation().call_at(done, [this, r] { disk_done(r); });
+  simulation().call_at(done, Hop<&VirtualNetwork::disk_done>{this, r});
 }
 
 void VirtualNetwork::disk_done(PacketRef r) {
@@ -364,7 +364,8 @@ void VirtualNetwork::inject(virt::Vm& dst, std::uint64_t bytes,
                          static_cast<std::int64_t>(bytes)));
   const PacketRef r = acquire(bytes, &dst, -1, dst.node().index(),
                               std::move(on_delivered));
-  simulation().call_in(params().wire_latency, [this, r] { rx_arrive(r); });
+  simulation().call_in(params().wire_latency,
+                       Hop<&VirtualNetwork::rx_arrive>{this, r});
 }
 
 void VirtualNetwork::send_out(virt::Vm& src, std::uint64_t bytes,

@@ -207,6 +207,17 @@ class VirtualNetwork {
   /// release() + invoke, for hops that complete outside any guest context.
   void finish(PacketRef r);
 
+  /// Event callback of one hop: runs `Step` on the packet.  Its prefetch
+  /// hook names the packet's descriptor, which the event queue then starts
+  /// fetching while its heap pops.
+  template <void (VirtualNetwork::*Step)(PacketRef)>
+  struct Hop {
+    VirtualNetwork* net;
+    PacketRef r;
+    void operator()() const { (net->*Step)(r); }
+    void prefetch() const { sim::prefetch_lines(&net->pool_[r.slot]); }
+  };
+
   // Per-hop steps of the split-driver path; each is scheduled by the
   // previous one and carries only the descriptor handle.
   void tx_effect(PacketRef r);        ///< src dom0 netback -> NIC or loopback

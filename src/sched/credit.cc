@@ -69,16 +69,10 @@ void CreditScheduler::attach(virt::Node& node, virt::Engine& engine) {
   next_vm_index_ = static_cast<std::int32_t>(node.vms().size());
   rng_ = engine.platform().scheduler_rng(node);
   if (!timers_made_) {
-    refill_timer_ = engine.simulation().make_timer([this] {
-      refill_credits();
-      engine_->simulation().arm_in(refill_timer_,
-                                   engine_->params().accounting_period);
-    });
-    tick_timer_ = engine.simulation().make_timer([this] {
-      tick();
-      engine_->simulation().arm_in(tick_timer_,
-                                   engine_->params().tick_period);
-    });
+    refill_timer_ = engine.simulation().make_timer(
+        Timer<&CreditScheduler::refill_timer_fired>{this});
+    tick_timer_ = engine.simulation().make_timer(
+        Timer<&CreditScheduler::tick_timer_fired>{this});
     timers_made_ = true;
   }
   engine.simulation().arm_in(refill_timer_, engine.params().accounting_period);
@@ -101,6 +95,16 @@ void CreditScheduler::vm_arrived(Vm& vm) {
     v.sched().queue = virt::PcpuId{};
     v.sched().last_pcpu = virt::PcpuId{};
   }
+}
+
+void CreditScheduler::refill_timer_fired() {
+  refill_credits();
+  sim_->arm_in(refill_timer_, engine_->params().accounting_period);
+}
+
+void CreditScheduler::tick_timer_fired() {
+  tick();
+  sim_->arm_in(tick_timer_, engine_->params().tick_period);
 }
 
 void CreditScheduler::tick() {

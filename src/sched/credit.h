@@ -87,6 +87,20 @@ class CreditScheduler : public virt::Scheduler {
   virt::CreditPrio effective_prio(const Vcpu& v) const;
 
  private:
+  /// Callback of the refill or the tick timer: runs `Fired`.  Its prefetch
+  /// hook names the scheduler, which the event queue then starts fetching
+  /// while its heap pops.
+  template <void (CreditScheduler::*Fired)()>
+  struct Timer {
+    CreditScheduler* sched;
+    void operator()() const { (sched->*Fired)(); }
+    void prefetch() const { sim::prefetch_lines(sched); }
+  };
+  /// Refills, then re-arms for the next accounting period.
+  void refill_timer_fired();
+  /// Ticks, then re-arms for the next tick period.
+  void tick_timer_fired();
+
   void refill_credits();
   void resort_queues();
   /// Xen's csched_tick: preempt running VCPUs outranked by their queue head.

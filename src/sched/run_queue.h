@@ -15,6 +15,9 @@
 //  * per-queue per-VM sibling counters (dense node-local VM index), so
 //    Balance Scheduling's "fewest siblings" placement key is O(1) per queue
 //    instead of a queue scan;
+//  * one front-class byte per queue (its best non-empty class), so the
+//    steal scan and the tick read one small array instead of every queue's
+//    bucket heads;
 //  * priority-bucketed insertion that preserves the credit scheduler's exact
 //    ordering semantics: class first (BOOST > UNDER > OVER), then larger
 //    credit balance first within a class under a dead band, FIFO for
@@ -55,6 +58,8 @@ class IndexedRunQueues {
     arena_ = &arena;
     queues_ = {arena.allocate_array<Queue>(queues), queues};
     std::uninitialized_value_construct(queues_.begin(), queues_.end());
+    front_ = arena.allocate_array<std::uint8_t>(queues);
+    std::fill_n(front_, queues, static_cast<std::uint8_t>(kClasses));
     vm_stride_ = vms;
     vm_queued_ = arena.allocate_array<int>(queues * vms);
     std::fill_n(vm_queued_, queues * vms, 0);
@@ -100,6 +105,7 @@ class IndexedRunQueues {
     link.cls = static_cast<std::int8_t>(cls);
     link_before(b, v, pos);
     ++rq.size;
+    front_[qi(q)] = std::min(front_[qi(q)], static_cast<std::uint8_t>(cls));
     ++vm_queued_[qi(q) * vm_stride_ + static_cast<std::size_t>(link.vm)];
   }
 
@@ -108,8 +114,12 @@ class IndexedRunQueues {
     auto& link = v.sched().rq;
     if (link.queue < 0) return false;
     Queue& rq = queues_[qi(link.queue)];
-    unlink(rq.buckets[static_cast<std::size_t>(link.cls)], v);
+    Bucket& b = rq.buckets[static_cast<std::size_t>(link.cls)];
+    unlink(b, v);
     --rq.size;
+    if (b.head == nullptr && link.cls == front_[qi(link.queue)]) {
+      front_[qi(link.queue)] = best_class(rq);
+    }
     --vm_queued_[qi(link.queue) * vm_stride_ +
                  static_cast<std::size_t>(link.vm)];
     link.queue = -1;
@@ -120,23 +130,16 @@ class IndexedRunQueues {
   /// Head of the best non-empty class bucket of queue `q` (= the front the
   /// flat class-sorted deque used to expose); nullptr when empty.
   virt::Vcpu* front(int q) const {
-    for (const Bucket& b : queues_[qi(q)].buckets) {
-      if (b.head != nullptr) return b.head;
-    }
-    return nullptr;
+    const int c = front_class(q);
+    return c == kClasses ? nullptr : queues_[qi(q)].buckets[qi(c)].head;
   }
 
   /// Class (CreditPrio value) of front(q): the best non-empty bucket, or
-  /// kClasses when the queue is empty.  Reads no VCPU record, and equals
-  /// the front's current class because a queued VCPU's class changes only
-  /// at refill, which rebucket() follows (see the file comment).
-  int front_class(int q) const {
-    const auto& buckets = queues_[qi(q)].buckets;
-    for (int c = 0; c < kClasses; ++c) {
-      if (buckets[static_cast<std::size_t>(c)].head != nullptr) return c;
-    }
-    return kClasses;
-  }
+  /// kClasses when the queue is empty.  Reads one byte, no VCPU record and
+  /// no bucket head, and equals the front's current class because a queued
+  /// VCPU's class changes only at refill, which rebucket() follows (see the
+  /// file comment).
+  int front_class(int q) const { return front_[qi(q)]; }
 
   /// Removes and returns front(q); queue must be non-empty.
   virt::Vcpu* pop_front(int q) {
@@ -163,7 +166,8 @@ class IndexedRunQueues {
   /// std::stable_sort by priority class over the flat deque.
   template <typename PrioFn>
   void rebucket(PrioFn&& prio) {
-    for (Queue& rq : queues_) {
+    for (std::size_t q = 0; q < queues_.size(); ++q) {
+      Queue& rq = queues_[q];
       virt::Vcpu* chain = nullptr;
       virt::Vcpu** tail = &chain;
       for (Bucket& b : rq.buckets) {
@@ -180,6 +184,7 @@ class IndexedRunQueues {
         link_before(rq.buckets[cls], *v, nullptr);  // append, stable
         v = next;
       }
+      front_[q] = best_class(rq);
     }
   }
 
@@ -196,6 +201,13 @@ class IndexedRunQueues {
                 "queue heads live in the arena, which runs no destructors");
 
   static std::size_t qi(int q) { return static_cast<std::size_t>(q); }
+
+  /// The best non-empty class of `rq`, or kClasses when it is empty.
+  static std::uint8_t best_class(const Queue& rq) {
+    std::uint8_t c = 0;
+    while (c < kClasses && rq.buckets[c].head == nullptr) ++c;
+    return c;
+  }
 
   /// Links `v` immediately before `pos` in `b` (nullptr = append at tail).
   static void link_before(Bucket& b, virt::Vcpu& v, virt::Vcpu* pos) {
@@ -235,6 +247,8 @@ class IndexedRunQueues {
   // In the arena; see init().
   sim::Arena* arena_ = nullptr;
   std::span<Queue> queues_;
+  /// [queue]: front_class(queue), kept by insert, erase and rebucket.
+  std::uint8_t* front_ = nullptr;
   int* vm_queued_ = nullptr;  ///< [queue * vm_stride_ + local_vm]
   std::size_t vm_stride_ = 0;
 };

@@ -2,18 +2,39 @@
 
 #include <algorithm>
 #include <memory>
+#include <new>
 
 namespace atcsim::sim {
 
 EventQueue::~EventQueue() {
   for (Chunk* c : chunks_) std::destroy_at(c);
+  ::operator delete(heap_block_);
 }
 
 // ------------------------------------------------------------ 4-ary heap --
 //
-// Children of i live at 4i+1..4i+4, parent at (i-1)/4.  With 16-byte keys a
-// node's children span at most two cache lines, and the tree is half as deep
-// as a binary heap, which is what makes sift_down cheap on large queues.
+// Children of i live at 4i+1..4i+4, parent at (i-1)/4.  The root sits at
+// byte 48 of a line, so key 4i+1 starts on a line boundary and a node's four
+// 16-byte children fill exactly one line; the tree is half as deep as a
+// binary heap, which is what makes sift_down cheap on large queues.
+
+void EventQueue::grow_heap() {
+  // Plain ::operator new, aligned by hand as Arena chunks are, so an
+  // operator-new hook sees every growth (the std::align_val_t overloads
+  // would bypass it).
+  const std::size_t capacity = std::max(kMinHeapKeys, 2 * heap_capacity_);
+  void* block = ::operator new((kHeapPad + capacity) * sizeof(HeapKey) +
+                               kLineBytes - 1);
+  const std::uintptr_t line =
+      (reinterpret_cast<std::uintptr_t>(block) + kLineBytes - 1) &
+      ~static_cast<std::uintptr_t>(kLineBytes - 1);
+  HeapKey* keys = reinterpret_cast<HeapKey*>(line) + kHeapPad;
+  std::copy_n(heap_, heap_size_, keys);
+  ::operator delete(heap_block_);
+  heap_block_ = block;
+  heap_ = keys;
+  heap_capacity_ = capacity;
+}
 
 void EventQueue::sift_up(std::size_t i) const {
   const HeapKey k = heap_[i];
@@ -27,7 +48,7 @@ void EventQueue::sift_up(std::size_t i) const {
 }
 
 void EventQueue::sift_down(std::size_t i) const {
-  const std::size_t n = heap_.size();
+  const std::size_t n = heap_size_;
   const HeapKey k = heap_[i];
   for (;;) {
     const std::size_t first = 4 * i + 1;
@@ -44,9 +65,11 @@ void EventQueue::sift_down(std::size_t i) const {
   heap_[i] = k;
 }
 
-void EventQueue::push_key(HeapKey k) const {
-  heap_.push_back(k);
-  sift_up(heap_.size() - 1);
+void EventQueue::push_key(HeapKey k) {
+  if (heap_size_ == heap_capacity_) grow_heap();
+  const std::size_t i = heap_size_++;
+  heap_[i] = k;
+  sift_up(i);
 }
 
 void EventQueue::pop_key_top() const {
@@ -55,9 +78,8 @@ void EventQueue::pop_key_top() const {
   // path (3 compares per level, no compare against the moved key) and then
   // sifting the leaf up from there beats the textbook move-last-to-root
   // sift_down, which pays 4 compares per level for the full depth.
-  const HeapKey last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
+  const std::size_t n = --heap_size_;
+  const HeapKey last = heap_[n];
   if (n == 0) return;
   std::size_t i = 0;
   for (;;) {
@@ -76,7 +98,7 @@ void EventQueue::pop_key_top() const {
 }
 
 void EventQueue::drop_dead_head() const {
-  while (!heap_.empty() && key_dead(heap_[0])) {
+  while (heap_size_ != 0 && key_dead(heap_[0])) {
     pop_key_top();
     --dead_in_heap_;
   }
@@ -100,11 +122,11 @@ void EventQueue::maybe_compact() {
   // the heap is swept: dead keys can also sit in the due ring, so subtract
   // exactly what was removed rather than zeroing the counter.
   std::size_t w = 0;
-  for (const HeapKey& k : heap_) {
-    if (!key_dead(k)) heap_[w++] = k;
+  for (std::size_t r = 0; r < heap_size_; ++r) {
+    if (!key_dead(heap_[r])) heap_[w++] = heap_[r];
   }
-  dead_in_heap_ -= heap_.size() - w;
-  heap_.resize(w);
+  dead_in_heap_ -= heap_size_ - w;
+  heap_size_ = w;
   if (w > 1) {
     for (std::size_t i = (w - 2) / 4 + 1; i-- > 0;) sift_down(i);
   }
@@ -133,7 +155,7 @@ EventId EventQueue::schedule(SimTime when, Callback fn) {
   const std::uint32_t s = alloc_slot();
   // Only one-shot slots are ever freed, so the free list needs room for
   // every slot that is not a timer, and this is the one place that count
-  // grows.  Reserving here keeps pop() and cancel() allocation-free, and
+  // grows.  Reserving here keeps drain() and cancel() allocation-free, and
   // doubling keeps it amortized O(1).
   const std::size_t freeable = slot_count_ - timer_slots_;
   if (free_.capacity() < freeable) {
@@ -217,13 +239,6 @@ bool EventQueue::disarm(TimerId t) {
   return true;
 }
 
-void EventQueue::invoke_timer(std::uint32_t slot) {
-  // Chunks are address-stable, so the callback runs in place: even if it
-  // allocates new slots (appending a chunk) or re-arms this timer (which
-  // touches only its meta), the Callback being executed never moves.
-  payload(slot)();
-}
-
 // --------------------------------------------------------------- drain ----
 
 SimTime EventQueue::next_time() const {
@@ -232,37 +247,48 @@ SimTime EventQueue::next_time() const {
   // Due-ring keys are all at frontier_, which no heap key can precede (the
   // past is not schedulable), so a non-empty due ring decides the time.
   if (due_head_ < due_.size()) return due_[due_head_].time;
-  return heap_.empty() ? kTimeNever : heap_[0].time;
+  return heap_size_ == 0 ? kTimeNever : heap_[0].time;
 }
 
-EventQueue::Popped EventQueue::pop() {
+bool EventQueue::take_head(SimTime deadline, std::uint32_t& slot,
+                           SimTime& when) {
   prune_due_head();
   drop_dead_head();
-  HeapKey k;
-  if (due_head_ < due_.size() &&
-      (heap_.empty() || earlier(due_[due_head_], heap_[0]))) {
-    k = due_[due_head_++];
-    if (due_head_ == due_.size()) {
-      due_.clear();
+  const bool from_due =
+      due_head_ < due_.size() &&
+      (heap_size_ == 0 || earlier(due_[due_head_], heap_[0]));
+  if (!from_due && heap_size_ == 0) return false;
+  const HeapKey k = from_due ? due_[due_head_] : heap_[0];
+  if (k.time > deadline) return false;
+  const std::uint32_t s = k.slot();
+  // The head's slot was fetched one event ago, as the runner-up.  Start on
+  // the record its callback touches first, then pop, then start on the new
+  // root's slot: both fetches overlap the descent and the callback.
+  payload(s).prefetch();
+  if (from_due) {
+    if (++due_head_ == due_.size()) {
+      due_.clear();  // retains capacity; the ring stays allocation-free
       due_head_ = 0;
     }
   } else {
-    assert(!heap_.empty() && "pop() on empty EventQueue");
-    k = heap_[0];
     pop_key_top();
+    if (heap_size_ != 0) prefetch_slot(heap_[0].slot());
   }
   frontier_ = k.time;
-  const std::uint32_t s = k.slot();
-  SlotMeta& slot = meta(s);
-  slot.live_seq = 0;
+  meta(s).live_seq = 0;
   --live_count_;
-  if (slot.is_timer) {
-    // Thunk into the slot: the payload stays in place for the next arm().
-    return Popped{k.time, Callback([this, s] { invoke_timer(s); })};
-  }
-  Popped out{k.time, std::move(payload(s))};
-  free_.push_back(s);
-  return out;
+  slot = s;
+  when = k.time;
+  return true;
+}
+
+SimTime EventQueue::run_next() {
+  assert(!empty() && "run_next() on an empty EventQueue");
+  SimTime ran_at = kTimeNever;
+  drain(kTimeNever, 1, [&ran_at](SimTime when, std::uint64_t /*ran*/) {
+    ran_at = when;
+  });
+  return ran_at;
 }
 
 }  // namespace atcsim::sim

@@ -15,16 +15,21 @@
 //  * The heap is split: a 4-ary min-heap of hot 16-byte keys
 //    {time, seq<<24|slot} is sifted during schedule/pop, while callback
 //    payloads stay put in their slab slot.  Comparisons touch only the key
-//    array (4 keys per cache line, half the tree depth of a binary heap),
-//    and pops use Floyd's bottom-up deletion.
+//    array, laid out so that the four children of every node fill one
+//    64-byte line (half the tree depth of a binary heap, one line per
+//    level), and pops use Floyd's bottom-up deletion.
+//  * One drain loop (drain()) pops and runs events.  While an event runs,
+//    the next head's slot is already on its way, and so is the first record
+//    the head's callback touches when its callable names one
+//    (InlineCallback::prefetch).
 //  * Cancellation is lazy, but bounded: cancelling destroys the payload
 //    immediately (captured state is released right away) and leaves only a
 //    dead 16-byte key behind; when dead keys outnumber live ones the key
 //    array is compacted in place.
 //  * Recurring timers (`make_timer`/`arm`/`disarm`) keep their callback in a
-//    permanent slot and re-arm in place: per firing cost is one key push,
-//    with no construction, no slot churn and no allocation.  This is what
-//    the engine's per-PCPU slice/dispatch timers use.
+//    permanent slot, fire in place and re-arm in place: per firing cost is
+//    one key push, with no construction, no slot churn and no allocation.
+//    This is what the engine's per-PCPU slice/dispatch timers use.
 //
 // Determinism is unchanged from the original binary-heap queue: events pop
 // in (time, insertion-sequence) order, so ties in time are broken by
@@ -127,21 +132,34 @@ class EventQueue {
   /// Time of the earliest live event, or kTimeNever when empty.
   SimTime next_time() const;
 
-  /// Pops and returns the earliest live event.  Precondition: !empty().
-  /// Invoke `fn` before destroying the queue; for timer events it thunks
-  /// into the timer's slot payload.
-  struct Popped {
-    SimTime time;
-    Callback fn;
-  };
-  Popped pop();
+  /// Runs events in (time, seq) order while the earliest live one is due at
+  /// or before `deadline`, at most `limit` of them, and returns how many
+  /// ran.  `before(time, ran)` is called once per event, after the event has
+  /// left the queue (size() no longer counts it) and before its callback
+  /// runs; `ran` counts the events this call ran before it.  A timer's
+  /// callback runs in its slot.  A one-shot's slot is freed before its
+  /// callback runs, so a callback that schedules the next one-shot reuses
+  /// the slot it ran from.
+  template <typename Before>
+  std::uint64_t drain(SimTime deadline, std::uint64_t limit, Before&& before);
+
+  /// Runs the earliest live event through drain() and returns its time.
+  /// Precondition: !empty().
+  SimTime run_next();
 
   // --- observability (tests/benchmarks) ----------------------------------
 
   /// Total keys in the heap array, live + dead.  Bounded by compaction at
   /// O(live): after every dead-producing operation, dead keys never exceed
   /// max(kCompactMin - 1, live).
-  std::size_t heap_size() const { return heap_.size(); }
+  std::size_t heap_size() const { return heap_size_; }
+
+  /// Address of heap key `i` (< heap_size()), for tests of the heap's cache
+  /// layout.
+  const void* heap_key_address(std::size_t i) const {
+    assert(i < heap_size_);
+    return heap_ + i;
+  }
 
   /// Slab slots, live or free, one-shot or timer.  The slab never shrinks
   /// and a timer's slot is never freed, so a steady state that makes no new
@@ -154,10 +172,10 @@ class EventQueue {
   /// bits of insertion sequence (asserted in next_seq(); ~10^12 events).
   static constexpr unsigned kSlotBits = 24;
 
-  /// Hot comparison key, 16 bytes — four per cache line, so the 4-ary
-  /// sift's find-best-child scan touches half the lines a 24-byte key
-  /// would.  `seq_slot` is (seq << kSlotBits) | slot: seq is unique, so
-  /// comparing the packed word compares insertion sequence.
+  /// Hot comparison key, 16 bytes — four per cache line, so one 4-ary
+  /// find-best-child scan reads one line (see heap_).  `seq_slot` is
+  /// (seq << kSlotBits) | slot: seq is unique, so comparing the packed word
+  /// compares insertion sequence.
   struct HeapKey {
     SimTime time;
     std::uint64_t seq_slot;
@@ -188,9 +206,13 @@ class EventQueue {
   static constexpr std::size_t kChunkShift = 8;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
+  /// Cache-line bytes.
+  static constexpr std::size_t kLineBytes = 64;
+
   /// kChunkSize consecutive slots: metadata and payloads in two dense
-  /// arrays, one arena block.
-  struct Chunk {
+  /// arrays, one arena block.  Line-aligned, so no 32-byte payload straddles
+  /// two lines.
+  struct alignas(kLineBytes) Chunk {
     SlotMeta meta[kChunkSize];
     Callback payload[kChunkSize];
   };
@@ -199,6 +221,13 @@ class EventQueue {
   /// keys (amortized O(1) per cancel) but at least this many, so small
   /// queues never compact.
   static constexpr std::size_t kCompactMin = 64;
+
+  /// Keys that sit ahead of the root on its line: with the root at byte 48
+  /// of a line, the children 4i+1..4i+4 of every node i start on a line
+  /// boundary.
+  static constexpr std::size_t kHeapPad = 3;
+  /// Keys the heap array first makes room for; it doubles from there.
+  static constexpr std::size_t kMinHeapKeys = 64;
 
   static bool earlier(const HeapKey& a, const HeapKey& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -226,28 +255,45 @@ class EventQueue {
     return (next_seq_++ << kSlotBits) | slot;
   }
 
+  /// Starts fetching slot `s`'s meta and payload lines.
+  void prefetch_slot(std::uint32_t s) const {
+    const Chunk* c = chunks_[s >> kChunkShift];
+    __builtin_prefetch(&c->meta[s & (kChunkSize - 1)]);
+    __builtin_prefetch(&c->payload[s & (kChunkSize - 1)]);
+  }
+
   std::uint32_t alloc_slot();
-  void push_key(HeapKey k) const;  // const: shares mutable heap_ plumbing
+  void grow_heap();
+  void push_key(HeapKey k);
   void pop_key_top() const;
   void sift_up(std::size_t i) const;
   void sift_down(std::size_t i) const;
   void drop_dead_head() const;
   void prune_due_head() const;
   void maybe_compact();
-  void invoke_timer(std::uint32_t slot);
+  /// Takes the earliest live event off the queue when it is due at or
+  /// before `deadline`: sets `slot` and `when`, marks the slot not pending
+  /// and returns true.  drain()'s one head selection.
+  bool take_head(SimTime deadline, std::uint32_t& slot, SimTime& when);
 
-  // `heap_`, `due_` and `dead_in_heap_` are mutable so const accessors
-  // (next_time) can prune cancelled heads.
-  mutable std::vector<HeapKey> heap_;
+  /// The key heap, root at heap_[0].  Its storage comes from plain
+  /// ::operator new, aligned by hand, with kHeapPad keys ahead of the root
+  /// on the root's line (grow_heap).  `heap_size_`, `due_` and
+  /// `dead_in_heap_` are mutable so const accessors (next_time) can prune
+  /// cancelled heads.
+  HeapKey* heap_ = nullptr;
+  mutable std::size_t heap_size_ = 0;
+  std::size_t heap_capacity_ = 0;
+  void* heap_block_ = nullptr;  ///< what ::operator new returned
   mutable std::size_t dead_in_heap_ = 0;
 
   /// Due-now fast path: keys scheduled for exactly the last popped time
   /// (`frontier_`) — the engine's zero-delay dispatch kicks — skip the heap
   /// and drain FIFO.  Among equal-time events pop order is insertion-
   /// sequence order, which IS FIFO order, so determinism is unchanged; the
-  /// ring is drained before the frontier can advance, because pop() always
-  /// takes the (time, seq)-earlier of the two heads.  Capacity is retained
-  /// across drains (index reset, no deallocation).
+  /// ring is drained before the frontier can advance, because take_head()
+  /// always takes the (time, seq)-earlier of the two heads.  Capacity is
+  /// retained across drains (index reset, no deallocation).
   mutable std::vector<HeapKey> due_;
   mutable std::size_t due_head_ = 0;
   SimTime frontier_ = -1;  ///< time of the last popped event
@@ -257,11 +303,36 @@ class EventQueue {
   std::size_t slot_count_ = 0;   ///< slots handed out, live or free
   std::size_t timer_slots_ = 0;  ///< of which timers (never freed)
   /// Freed one-shot slots.  Its capacity covers every slot that is not a
-  /// timer, reserved by schedule() as that count grows, so pop() and
+  /// timer, reserved by schedule() as that count grows, so drain() and
   /// cancel() never allocate.
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
 };
+
+template <typename Before>
+std::uint64_t EventQueue::drain(SimTime deadline, std::uint64_t limit,
+                                Before&& before) {
+  std::uint64_t ran = 0;
+  std::uint32_t s = 0;
+  SimTime when = 0;
+  while (ran < limit && take_head(deadline, s, when)) {
+    Chunk& c = *chunks_[s >> kChunkShift];
+    const std::size_t at = s & (kChunkSize - 1);
+    before(when, ran);
+    if (c.meta[at].is_timer) {
+      // Chunks are address-stable, so the callback runs in its slot: it may
+      // make slots (a new chunk moves nothing) or re-arm its own timer
+      // (which touches only the meta).
+      c.payload[at]();
+    } else {
+      Callback fn = std::move(c.payload[at]);
+      free_.push_back(s);
+      fn();
+    }
+    ++ran;
+  }
+  return ran;
+}
 
 }  // namespace atcsim::sim

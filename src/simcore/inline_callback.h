@@ -7,6 +7,11 @@
 // fit the fixed inline buffer and be nothrow-move-constructible, both
 // enforced at compile time, so growing a capture past the budget is a build
 // error rather than a silent allocation.
+//
+// A callable may also name the first record it will touch, through a
+// `prefetch() const` member; the event queue's drain loop calls it on the
+// head event's callback while the heap pops (DESIGN.md §7 "The drain
+// loop").  `prefetch_lines` is the usual body of such a member.
 #pragma once
 
 #include <cassert>
@@ -16,6 +21,17 @@
 #include <utility>
 
 namespace atcsim::sim {
+
+/// Starts fetching every cache line of `*p`.  A hint only: it never faults
+/// and never waits, so it is safe on any address.
+template <typename T>
+inline void prefetch_lines(const T* p) {
+  const auto* bytes = reinterpret_cast<const char*>(p);
+  for (std::size_t at = 0; at < sizeof(T); at += 64) {
+    __builtin_prefetch(bytes + at);
+  }
+  __builtin_prefetch(bytes + sizeof(T) - 1);
+}
 
 /// Small-buffer-optimized `void()` callable.  Move-only; never allocates.
 /// Callables must fit kCapacity bytes and be nothrow-move-constructible —
@@ -81,12 +97,21 @@ class InlineCallback {
     ops_->invoke(buf_);
   }
 
+  /// Runs the callable's `prefetch() const` member, when its type has one;
+  /// otherwise does nothing.
+  void prefetch() const {
+    assert(ops_ != nullptr && "prefetching for an empty InlineCallback");
+    if (ops_->prefetch != nullptr) ops_->prefetch(buf_);
+  }
+
  private:
   struct Ops {
     void (*invoke)(void*);
     /// Move-constructs dst from src, then destroys src.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
+    /// Null unless the callable has a `prefetch() const` member.
+    void (*prefetch)(const void*);
   };
 
   template <typename D>
@@ -97,7 +122,14 @@ class InlineCallback {
       static_cast<D*>(src)->~D();
     }
     static void destroy(void* p) noexcept { static_cast<D*>(p)->~D(); }
-    static constexpr Ops kOps{&invoke, &relocate, &destroy};
+    static constexpr auto prefetch_op() -> void (*)(const void*) {
+      if constexpr (requires(const D& d) { d.prefetch(); }) {
+        return [](const void* p) { static_cast<const D*>(p)->prefetch(); };
+      } else {
+        return nullptr;
+      }
+    }
+    static constexpr Ops kOps{&invoke, &relocate, &destroy, prefetch_op()};
   };
 
   alignas(std::max_align_t) unsigned char buf_[kCapacity];

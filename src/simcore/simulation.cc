@@ -15,17 +15,16 @@ void Simulation::trace_dispatch(std::uint64_t executed_in_run) {
 }
 
 std::uint64_t Simulation::run_until(SimTime deadline) {
-  std::uint64_t executed = 0;
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    EventQueue::Popped ev = queue_.pop();
-    assert(ev.time >= now_ && "event scheduled in the past");
-    now_ = ev.time;
+  const std::uint64_t executed = queue_.drain(
+      deadline, UINT64_MAX, [this](SimTime when, std::uint64_t ran) {
+        assert(when >= now_ && "event scheduled in the past");
+        now_ = when;
 #if ATCSIM_TRACE_ENABLED
-    if (trace_ != nullptr) trace_dispatch(executed);
+        if (trace_ != nullptr) trace_dispatch(ran);
+#else
+        (void)ran;
 #endif
-    ev.fn();
-    ++executed;
-  }
+      });
   events_executed_ += executed;
   if (now_ < deadline) now_ = deadline;
   return executed;

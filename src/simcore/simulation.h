@@ -20,7 +20,7 @@ namespace atcsim::sim {
 ///   one-shot:  call_in / call_at / cancel
 ///   recurring: make_timer / arm_at / arm_in / disarm
 ///
-/// EventQueue underneath is an implementation detail; its raw schedule/pop
+/// EventQueue underneath is an implementation detail; its raw schedule/drain
 /// API is internal (only this class and its tests touch it), so a shard
 /// executor built over a Simulation exposes exactly one scheduling API.
 /// Runs are deterministic: same model + same seed => identical event order.

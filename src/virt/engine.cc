@@ -13,6 +13,14 @@ using sim::SimTime;
 
 namespace {
 
+/// A workload timer's callback: signals its event.  Its prefetch hook names
+/// the event, which is what signal() reads first.
+struct SignalEvent {
+  SyncEvent* ev;
+  void operator()() const { ev->signal(); }
+  void prefetch() const { sim::prefetch_lines(ev); }
+};
+
 #if ATCSIM_TRACE_ENABLED
 /// Builds a kVcpu/kSync trace event with the VCPU's full identity.
 obs::TraceEvent vcpu_event(SimTime now, obs::TraceCat cat, std::uint8_t type,
@@ -49,21 +57,14 @@ void Engine::start() {
   // numbers.
   for (auto& node : platform_->nodes()) {
     for (Pcpu& p : node->pcpus()) {
-      Pcpu* pp = &p;
-      pp->eng().dispatch_timer = sim_->make_timer([this, pp] {
-        pp->eng().dispatch_pending = false;
-        dispatch(*pp);
-      });
-      pp->eng().slice_timer =
-          sim_->make_timer([this, pp] { slice_expired(*pp); });
-      pp->eng().resched_timer = sim_->make_timer([this, pp] {
-        pp->eng().resched_pending = false;
-        if (!pp->idle() && !pp->eng().in_dispatch) request_resched(*pp);
-      });
-      pp->eng().compute_timer = sim_->make_timer([this, pp] {
-        assert(!pp->idle() && "compute timer fired on an idle PCPU");
-        compute_finished(*pp, *pp->current());
-      });
+      p.eng().dispatch_timer = sim_->make_timer(
+          PcpuTimer<&Engine::dispatch_timer_fired>{this, &p});
+      p.eng().slice_timer =
+          sim_->make_timer(PcpuTimer<&Engine::slice_expired>{this, &p});
+      p.eng().resched_timer = sim_->make_timer(
+          PcpuTimer<&Engine::resched_timer_fired>{this, &p});
+      p.eng().compute_timer = sim_->make_timer(
+          PcpuTimer<&Engine::compute_timer_fired>{this, &p});
     }
   }
   for (auto& node : platform_->nodes()) {
@@ -84,6 +85,21 @@ void Engine::start() {
     }
   }
   for (auto& node : platform_->nodes()) kick_idle_pcpus(*node);
+}
+
+void Engine::dispatch_timer_fired(Pcpu& p) {
+  p.eng().dispatch_pending = false;
+  dispatch(p);
+}
+
+void Engine::resched_timer_fired(Pcpu& p) {
+  p.eng().resched_pending = false;
+  if (!p.idle() && !p.eng().in_dispatch) request_resched(p);
+}
+
+void Engine::compute_timer_fired(Pcpu& p) {
+  assert(!p.idle() && "compute timer fired on an idle PCPU");
+  compute_finished(p, *p.current());
 }
 
 void Engine::schedule_dispatch(Pcpu& p) {
@@ -348,8 +364,7 @@ void Engine::drain_mailbox(Vm& vm) {
 
 void Engine::signal_in(SyncEvent& ev, sim::SimTime delay) {
   assert(ev.vm() != nullptr && "signal_in() on an unbound SyncEvent");
-  SyncEvent* evp = &ev;
-  const sim::EventId id = sim_->call_in(delay, [evp] { evp->signal(); });
+  const sim::EventId id = sim_->call_in(delay, SignalEvent{&ev});
   if (owned_timers_.size() >= prune_at_) prune_owned_timers();
   owned_timers_.push_back({ev.vm(), &ev, sim_->now() + delay, id});
 }

@@ -82,6 +82,20 @@ class Engine {
   Vm& adopt_and_resume(MigrationBundle& bundle, NodeId dest_node);
 
  private:
+  /// Callback of one of a PCPU's four timers: runs `Fired` on its PCPU.  Its
+  /// prefetch hook names the PCPU record, which the event queue then starts
+  /// fetching while its heap pops.
+  template <void (Engine::*Fired)(Pcpu&)>
+  struct PcpuTimer {
+    Engine* engine;
+    Pcpu* pcpu;
+    void operator()() const { (engine->*Fired)(*pcpu); }
+    void prefetch() const { sim::prefetch_lines(pcpu); }
+  };
+  void dispatch_timer_fired(Pcpu& p);
+  void resched_timer_fired(Pcpu& p);
+  void compute_timer_fired(Pcpu& p);
+
   void dispatch(Pcpu& p);
   void run_current(Pcpu& p);
   void compute_finished(Pcpu& p, Vcpu& v);

@@ -75,7 +75,7 @@ TEST(AllocGuardTest, SchedulePopSteadyStateIsAllocationFree) {
       for (int i = 0; i < 64; ++i) {
         q.schedule(t + (i * 7919) % 1000, [&sink] { ++sink; });
       }
-      while (!q.empty()) q.pop().fn();
+      while (!q.empty()) q.run_next();
       t += 1000;
     }
   };
@@ -122,7 +122,7 @@ TEST(AllocGuardTest, TimerRearmIsAllocationFree) {
         q.disarm(timer);  // cancel-heavy flavour: dead key, no firing
         (void)q.next_time();
       } else {
-        q.pop().fn();
+        q.run_next();
       }
     }
   };

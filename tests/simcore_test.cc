@@ -4,8 +4,10 @@
 #include <pthread.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -48,7 +50,7 @@ TEST(EventQueueTest, OrdersByTime) {
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
   q.schedule(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -59,7 +61,7 @@ TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(5, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.run_next();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
@@ -78,7 +80,7 @@ TEST(EventQueueTest, CancelAfterFireReturnsFalse) {
   Arena arena;
   EventQueue q(arena);
   EventId id = q.schedule(10, [] {});
-  q.pop().fn();
+  EXPECT_EQ(q.run_next(), 10);
   EXPECT_FALSE(q.cancel(id));
 }
 
@@ -104,14 +106,14 @@ TEST(EventQueueTest, StaleIdOnReusedSlotDoesNotCancelNewEvent) {
   // Fire A; its slab slot goes back on the free list and B reuses it.  The
   // stale handle to A must fail the generation compare, not kill B.
   EventId a = q.schedule(10, [] {});
-  q.pop().fn();
+  q.run_next();
   bool b_ran = false;
   EventId b = q.schedule(20, [&] { b_ran = true; });
   EXPECT_EQ(a.slot, b.slot) << "test premise: slot is reused LIFO";
   EXPECT_NE(a.generation, b.generation);
   EXPECT_FALSE(q.cancel(a));
   EXPECT_EQ(q.size(), 1u);
-  q.pop().fn();
+  q.run_next();
   EXPECT_TRUE(b_ran);
 }
 
@@ -144,11 +146,49 @@ TEST(EventQueueTest, DeadEntriesAreCompactedBounded) {
   EXPECT_EQ(q.size(), 1u);
 }
 
+// The heap keeps the four children of every node on one 64-byte line
+// (DESIGN.md §7 "Data layout"): after growth, pops, a compaction and a
+// regrowth into a new block.
+TEST(EventQueueTest, ChildrenOfEveryNodeShareOneCacheLine) {
+  Arena arena;
+  EventQueue q(arena);
+  auto line = [&q](std::size_t i) {
+    return reinterpret_cast<std::uintptr_t>(q.heap_key_address(i)) / 64;
+  };
+  auto expect_children_share_lines = [&](const char* step) {
+    const std::size_t n = q.heap_size();
+    for (std::size_t first = 1; first < n; first += 4) {
+      EXPECT_EQ(
+          reinterpret_cast<std::uintptr_t>(q.heap_key_address(first)) % 64,
+          0u)
+          << step << ": children from key " << first;
+      EXPECT_EQ(line(first), line(std::min(first + 3, n - 1)))
+          << step << ": children from key " << first;
+    }
+  };
+  std::vector<EventId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(q.schedule(1 + (i * 7919) % 5000, [] {}));
+  }
+  expect_children_share_lines("grown");
+  for (int i = 0; i < 300; ++i) q.run_next();
+  expect_children_share_lines("popped");
+  const std::size_t before_compaction = q.heap_size();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 8 != 0) q.cancel(ids[i]);
+  }
+  EXPECT_LT(q.heap_size(), before_compaction) << "test premise: compacted";
+  expect_children_share_lines("compacted");
+  for (int i = 0; i < 5000; ++i) q.schedule(6000 + i, [] {});
+  expect_children_share_lines("regrown");
+}
+
 TEST(EventQueueTest, TimerArmsFiresAndRearms) {
   Arena arena;
   EventQueue q(arena);
-  std::vector<SimTime> fired_at;
-  TimerId t = q.make_timer([&] { fired_at.push_back(-1); });
+  TimerId t;
+  std::vector<bool> armed_while_firing;
+  t = q.make_timer([&] { armed_while_firing.push_back(q.armed(t)); });
   EXPECT_TRUE(t.valid());
   EXPECT_FALSE(q.armed(t));
   EXPECT_TRUE(q.empty()) << "unarmed timer is not a live event";
@@ -156,16 +196,15 @@ TEST(EventQueueTest, TimerArmsFiresAndRearms) {
   q.arm(t, 10);
   EXPECT_TRUE(q.armed(t));
   EXPECT_EQ(q.size(), 1u);
-  auto p = q.pop();
-  EXPECT_EQ(p.time, 10);
-  EXPECT_FALSE(q.armed(t)) << "firing disarms";
-  p.fn();
-  EXPECT_EQ(fired_at.size(), 1u);
+  EXPECT_EQ(q.run_next(), 10);
+  EXPECT_EQ(armed_while_firing, std::vector<bool>{false})
+      << "firing disarms before the callback runs";
+  EXPECT_TRUE(q.empty());
 
   q.arm(t, 20);  // re-arm in place after firing
   EXPECT_EQ(q.next_time(), 20);
-  q.pop().fn();
-  EXPECT_EQ(fired_at.size(), 2u);
+  EXPECT_EQ(q.run_next(), 20);
+  EXPECT_EQ(armed_while_firing.size(), 2u);
 }
 
 TEST(EventQueueTest, TimerRearmSupersedesPendingFiring) {
@@ -178,11 +217,9 @@ TEST(EventQueueTest, TimerRearmSupersedesPendingFiring) {
   q.schedule(20, [] {});
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.next_time(), 20) << "superseded firing must be dead";
-  q.pop().fn();  // the one-shot at 20
+  EXPECT_EQ(q.run_next(), 20);  // the one-shot
   EXPECT_EQ(fired, 0);
-  auto p = q.pop();
-  EXPECT_EQ(p.time, 30);
-  p.fn();
+  EXPECT_EQ(q.run_next(), 30);
   EXPECT_EQ(fired, 1);
 }
 
@@ -201,9 +238,9 @@ TEST(EventQueueTest, TimerDisarmCancelsPendingFiring) {
 }
 
 TEST(EventQueueTest, TimerCallbackMayCreateSlotsWhileFiring) {
-  // Firing a timer whose callback schedules new events can grow the slab
-  // under the invoked payload; the queue relocates the payload around the
-  // call, so this must be safe even when the slab vector reallocates.
+  // Firing a timer whose callback schedules new events grows the slab while
+  // the callback runs in its slot; chunks are address-stable, so the
+  // running payload never moves.
   Arena arena;
   EventQueue q(arena);
   std::vector<TimerId> timers;
@@ -215,13 +252,11 @@ TEST(EventQueueTest, TimerCallbackMayCreateSlotsWhileFiring) {
     ++fired;
   });
   q.arm(t, 1);
-  q.pop().fn();
+  q.run_next();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.size(), 64u);
-  q.arm(t, 2);  // payload must have been restored into its slot
-  auto p = q.pop();
-  EXPECT_EQ(p.time, 2);
-  p.fn();
+  q.arm(t, 2);  // the payload is still in its slot
+  EXPECT_EQ(q.run_next(), 2);
   EXPECT_EQ(fired, 2);
 }
 
