@@ -37,7 +37,7 @@ using namespace sim::time_literals;
 // credit refills appear in the trace.
 template <typename BuildFn>
 std::string run_traced_with(cluster::Approach approach, std::uint64_t seed,
-                            BuildFn build) {
+                            BuildFn build, sim::SimTime span = 40_ms) {
   obs::TraceConfig cfg;
   cfg.capacity = 0;  // golden traces must not wrap
   auto s = cluster::ScenarioBuilder{}
@@ -52,17 +52,21 @@ std::string run_traced_with(cluster::Approach approach, std::uint64_t seed,
                .build();
   build(*s);
   s->start();
-  s->run_for(40_ms);
+  s->run_for(span);
   EXPECT_TRUE(s->invariants()->violations().empty());
   std::ostringstream os;
   obs::write_compact(os, s->trace_sinks());
   return os.str();
 }
 
-std::string run_traced(cluster::Approach approach, std::uint64_t seed) {
-  return run_traced_with(approach, seed, [](cluster::Scenario& s) {
-    cluster::build_type_a(s, "lu", workload::NpbClass::kA);
-  });
+std::string run_traced(cluster::Approach approach, std::uint64_t seed,
+                       sim::SimTime span = 40_ms) {
+  return run_traced_with(
+      approach, seed,
+      [](cluster::Scenario& s) {
+        cluster::build_type_a(s, "lu", workload::NpbClass::kA);
+      },
+      span);
 }
 
 bool update_requested() {
@@ -107,6 +111,25 @@ TEST(GoldenTraceTest, CreditBaselineMatchesGolden) {
 TEST(GoldenTraceTest, AtcMatchesGolden) {
   check_against_golden("lu_a_atc_seed7.trace",
                        run_traced(cluster::Approach::kATC, 7));
+}
+
+// The other credit-family approaches: Balance placement, vSlicer's micro
+// slice for latency-sensitive guests, and co-scheduling's gang dispatch.
+// A gang is marked from one whole period's spin, so the CS run spans three
+// periods: its trace leaves CR's at the first gang launch, near 40 ms.
+TEST(GoldenTraceTest, BalanceSchedulingMatchesGolden) {
+  check_against_golden("lu_a_bs_seed42.trace",
+                       run_traced(cluster::Approach::kBS, 42));
+}
+
+TEST(GoldenTraceTest, VSlicerMatchesGolden) {
+  check_against_golden("lu_a_vs_seed42.trace",
+                       run_traced(cluster::Approach::kVS, 42));
+}
+
+TEST(GoldenTraceTest, CoSchedulingMatchesGolden) {
+  check_against_golden("lu_a_cs_seed42.trace",
+                       run_traced(cluster::Approach::kCS, 42, 100_ms));
 }
 
 TEST(GoldenTraceTest, PhaseMixDescriptorMatchesGolden) {
