@@ -23,7 +23,7 @@ namespace {
 // Two 4-VM clusters + web + sphinx3 + two single-VM parallel apps.
 void add_guests(cluster::Scenario& s) {
   for (int j = 0; j < 2; ++j) {
-    auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1, 2, 3});
+    auto vms = s.create_cluster_vms({0, 1, 2, 3});
     s.add_bsp_app("vc" + std::to_string(j),
                   workload::npb_descriptor(j == 0 ? "lu" : "cg",
                                            workload::NpbClass::kB),
@@ -31,10 +31,10 @@ void add_guests(cluster::Scenario& s) {
   }
   s.add_web_vm(0, 80.0, "web");
   s.add_loop_vm(1, workload::cpu_descriptor("sphinx3"), "sphinx3");
-  auto ivm0 = s.create_cluster_vms("ivm0", {2});
+  auto ivm0 = s.create_cluster_vms({2});
   s.add_bsp_app("ivm0", workload::npb_descriptor("lu", workload::NpbClass::kB),
                 std::move(ivm0));
-  auto ivm1 = s.create_cluster_vms("ivm1", {3});
+  auto ivm1 = s.create_cluster_vms({3});
   s.add_bsp_app("ivm1", workload::npb_descriptor("is", workload::NpbClass::kB),
                 std::move(ivm1));
 }

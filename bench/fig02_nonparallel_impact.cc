@@ -20,7 +20,7 @@ namespace {
 // Three 2-VM virtual clusters (lu, is, sp) and the non-parallel VMs.
 void add_guests(cluster::Scenario& s) {
   for (int j = 0; j < 3; ++j) {
-    auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1});
+    auto vms = s.create_cluster_vms({0, 1});
     const auto& apps = workload::npb_apps();
     s.add_bsp_app("vc" + std::to_string(j),
                   workload::npb_descriptor(apps[static_cast<std::size_t>(j)],

@@ -18,7 +18,7 @@ namespace {
 // Three 2-VM lu virtual clusters and the non-parallel VMs.
 void add_guests(cluster::Scenario& s) {
   for (int j = 0; j < 3; ++j) {
-    auto vms = s.create_cluster_vms("vc" + std::to_string(j), {0, 1});
+    auto vms = s.create_cluster_vms({0, 1});
     s.add_bsp_app("vc" + std::to_string(j),
                   workload::npb_descriptor("lu", workload::NpbClass::kB),
                   std::move(vms));

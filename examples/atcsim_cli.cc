@@ -185,9 +185,9 @@ std::optional<cluster::Approach> approach_from(const std::string& name) {
 }
 
 // True when the approach sets guest slices itself, so a fixed --slice-ms
-// would be silently overridden: the ATC and DSS controllers rewrite every
-// guest slice each period, and VS gives latency-sensitive VMs its micro
-// slice.
+// would fight it: the ATC and DSS controllers rewrite every guest slice
+// each period, and under VS a fixed slice would replace the micro slice of
+// the latency-sensitive VMs, leaving plain credit.
 bool sets_slices(cluster::Approach a) {
   switch (a) {
     case cluster::Approach::kATC:

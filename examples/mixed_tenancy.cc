@@ -27,7 +27,7 @@ exp::Cell cell(cluster::Approach a, sim::SimTime admin_slice) {
   c.builder.nodes(2).vms_per_node(4).approach(a).seed(11);
   c.layout = [admin_slice](cluster::Scenario& s) {
     // One 2-VM virtual cluster (cg.B) spanning the nodes...
-    auto vms = s.create_cluster_vms("cluster", {0, 1});
+    auto vms = s.create_cluster_vms({0, 1});
     s.add_bsp_app("cluster",
                   workload::npb_descriptor("cg", workload::NpbClass::kB),
                   std::move(vms));

@@ -7,8 +7,9 @@ namespace atcsim::atc {
 
 using sim::SimTime;
 
-SimTime compute_time_slice(const AtcConfig& cfg, const PeriodSample& p3,
-                           const PeriodSample& p2, const PeriodSample& p1) {
+SimTime compute_time_slice(const AtcConfig& cfg, SimTime default_slice,
+                           const PeriodSample& p3, const PeriodSample& p2,
+                           const PeriodSample& p1) {
   SimTime ts = p1.time_slice;
 
   // Lines 1-11: shorten on a rising latency trend, or when a three-period
@@ -37,23 +38,23 @@ SimTime compute_time_slice(const AtcConfig& cfg, const PeriodSample& p3,
   // `> default - alpha` first makes the beta branch unreachable, since its
   // negation is exactly `+ alpha <= default`.)
   if (p3.spin_latency == 0 && p2.spin_latency == 0 && p1.spin_latency == 0) {
-    if (p1.time_slice + cfg.alpha <= cfg.default_slice) {
+    if (p1.time_slice + cfg.alpha <= default_slice) {
       ts = p1.time_slice + cfg.alpha;
-    } else if (p1.time_slice + cfg.beta <= cfg.default_slice) {
+    } else if (p1.time_slice + cfg.beta <= default_slice) {
       ts = p1.time_slice + cfg.beta;
     } else {
-      ts = cfg.default_slice;
+      ts = default_slice;
     }
   }
 
-  return std::clamp(ts, cfg.min_threshold, cfg.default_slice);
+  return std::clamp(ts, cfg.min_threshold, default_slice);
 }
 
-SimTime compute_time_slice(const AtcConfig& cfg,
+SimTime compute_time_slice(const AtcConfig& cfg, SimTime default_slice,
                            const PeriodHistory& history) {
   assert(history.full());
-  return compute_time_slice(cfg, history.back(3), history.back(2),
-                            history.back(1));
+  return compute_time_slice(cfg, default_slice, history.back(3),
+                            history.back(2), history.back(1));
 }
 
 }  // namespace atcsim::atc

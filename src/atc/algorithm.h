@@ -35,7 +35,8 @@ class PeriodHistory {
   int filled_ = 0;
 };
 
-/// Computes the slice for the coming period (Algorithm 1).
+/// Computes the slice for the coming period (Algorithm 1); DEFAULT is
+/// `default_slice`, the platform's default time slice.
 ///
 /// Shorten (by alpha, falling back to beta near the threshold) when the
 /// latency is rising, or when it has been falling for three periods *because*
@@ -45,12 +46,14 @@ class PeriodHistory {
 /// The published pseudo-code has two evident typos which we fix (the beta
 /// branch must test `- beta >= minThreshold`, and the growth branch caps at
 /// DEFAULT); see DESIGN.md "Algorithm 1 reconstruction".
-sim::SimTime compute_time_slice(const AtcConfig& cfg, const PeriodSample& p3,
-                                const PeriodSample& p2,
+sim::SimTime compute_time_slice(const AtcConfig& cfg,
+                                sim::SimTime default_slice,
+                                const PeriodSample& p3, const PeriodSample& p2,
                                 const PeriodSample& p1);
 
 /// Convenience overload over a full history (p3 = back(3) ... p1 = back(1)).
 sim::SimTime compute_time_slice(const AtcConfig& cfg,
+                                sim::SimTime default_slice,
                                 const PeriodHistory& history);
 
 }  // namespace atcsim::atc

@@ -5,10 +5,9 @@
 
 namespace atcsim::atc {
 
+// Algorithm 1's DEFAULT is the platform's own default slice,
+// virt::ModelParams::default_time_slice (Xen: 30 ms).
 struct AtcConfig {
-  /// DEFAULT in Algorithm 1: the VMM's default slice (Xen: 30 ms).
-  sim::SimTime default_slice = 30 * sim::kMillisecond;
-
   /// minThreshold: the uniform minimum slice found by the Euclidean-metric
   /// study of Sec. III-B (0.3 ms on the paper's testbed).
   sim::SimTime min_threshold = 300 * sim::kMicrosecond;

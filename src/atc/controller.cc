@@ -58,9 +58,11 @@ void AtcController::on_period() {
     history_.resize(node_->vms().size());
     wakeup_rate_.resize(node_->vms().size(), 0.0);
   }
+  // Algorithm 1's DEFAULT: the platform's default slice.
+  const SimTime default_slice = node_->platform().params().default_time_slice;
   // Step 1: Algorithm 1 per parallel VM.
   bool any_parallel = false;
-  SimTime min_slice = cfg_.default_slice;
+  SimTime min_slice = default_slice;
   for (std::size_t i = 0; i < node_->vms().size(); ++i) {
     if (node_->vms()[i] == nullptr) continue;  // migration tombstone
     virt::Vm& vm = *node_->vms()[i];
@@ -69,7 +71,7 @@ void AtcController::on_period() {
     const SimTime spin = monitor_->avg_spin_latency(vm.id());
     h.push(PeriodSample{spin, vm.time_slice()});
     SimTime slice = vm.time_slice();
-    if (h.full()) slice = compute_time_slice(cfg_, h);
+    if (h.full()) slice = compute_time_slice(cfg_, default_slice, h);
     any_parallel = true;
     min_slice = std::min(min_slice, slice);
 #if ATCSIM_TRACE_ENABLED
@@ -81,11 +83,10 @@ void AtcController::on_period() {
                                    static_cast<std::int64_t>(slice),
                                    static_cast<std::int64_t>(
                                        cfg_.min_threshold)));
-    } else if (h.full() && slice >= cfg_.default_slice) {
+    } else if (h.full() && slice >= default_slice) {
       ATCSIM_TRACE(sink, atc_event(now, obs::ev::kClamp, *node_, vm,
                                    static_cast<std::int64_t>(slice),
-                                   static_cast<std::int64_t>(
-                                       cfg_.default_slice)));
+                                   static_cast<std::int64_t>(default_slice)));
     }
 #endif
   }
@@ -98,7 +99,7 @@ void AtcController::on_period() {
     const SimTime before = vm->time_slice();
 #endif
     if (treats_as_parallel(*vm)) {
-      vm->set_time_slice(any_parallel ? min_slice : cfg_.default_slice);
+      vm->set_time_slice(any_parallel ? min_slice : default_slice);
     } else if (vm->has_admin_slice()) {
       vm->set_time_slice(vm->admin_slice());
     } else if (cfg_.adaptive_nonparallel) {
@@ -113,9 +114,9 @@ void AtcController::on_period() {
       wakeup_rate_[i] = 0.8 * wakeup_rate_[i] + 0.2 * rate;
       vm->set_time_slice(wakeup_rate_[i] >= kLatencySensitiveWakeupsHz
                              ? kLatencySensitiveSlice
-                             : cfg_.default_slice);
+                             : default_slice);
     } else {
-      vm->set_time_slice(cfg_.default_slice);
+      vm->set_time_slice(default_slice);
     }
 #if ATCSIM_TRACE_ENABLED
     if (vm->time_slice() != before) {

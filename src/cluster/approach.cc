@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "sched/credit.h"
-#include "sched/vslicer.h"
 
 namespace atcsim::cluster {
 
@@ -57,6 +56,7 @@ ApproachRuntime install_approach(virt::Platform& platform,
   for (auto& node : platform.nodes()) {
     switch (a) {
       case Approach::kCR:
+      case Approach::kVS:
       case Approach::kATC:
       case Approach::kDSS:
       case Approach::kPM:
@@ -73,9 +73,11 @@ ApproachRuntime install_approach(virt::Platform& platform,
         runtime.coschedulers.push_back(
             &platform.make_scheduler<sched::CoScheduler>(node->id(), monitor));
         break;
-      case Approach::kVS:
-        platform.make_scheduler<sched::VSlicerScheduler>(node->id());
-        break;
+    }
+    if (a == Approach::kVS) {
+      for (virt::Vm* vm : node->vms()) {
+        if (vm->latency_sensitive()) vm->set_time_slice(kVsMicroSlice);
+      }
     }
     if (a == Approach::kDSS) {
       runtime.dss_controllers.push_back(

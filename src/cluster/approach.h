@@ -25,6 +25,15 @@ namespace atcsim::cluster {
 
 enum class Approach { kCR, kCS, kBS, kDSS, kVS, kATC, kPM, kATCPM };
 
+/// vSlicer (VS) [15], differentiated-frequency CPU micro-slicing: guests
+/// the administrator designates latency-sensitive (Vm::latency_sensitive;
+/// here the web, ping and parallel VMs, whose phases are message-driven)
+/// get this micro slice, the same CPU share in smaller, more frequent
+/// quanta, and the rest keep the default.  30 ms / 6 as in vSlicer.  It
+/// places the parallel VMs' slice between DSS's (shorter) and CR's, the
+/// ordering the paper reports in Fig. 12.
+inline constexpr sim::SimTime kVsMicroSlice = 5 * sim::kMillisecond;
+
 /// Display name of an approach.  Aborts on an out-of-range value (a fuzzed
 /// or corrupted config must fail loudly, not silently report "?").
 std::string approach_name(Approach a);
@@ -47,7 +56,8 @@ struct ApproachRuntime {
 };
 
 /// Installs the approach's scheduler on every node and builds its
-/// controllers: the one place that maps an approach to them.  VMs must
+/// controllers (under VS it gives the latency-sensitive guests
+/// kVsMicroSlice): the one place that maps an approach to them.  VMs must
 /// already exist; call before Engine::start(), and pass the runtime's
 /// on_period to PeriodMonitor::start.
 ApproachRuntime install_approach(virt::Platform& platform,

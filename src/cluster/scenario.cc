@@ -151,7 +151,7 @@ virt::NodeId Scenario::local_node_id(int node) const {
 void Scenario::register_vm(virt::Vm& vm) { vm.set_global_id(next_gid_++); }
 
 std::vector<virt::Vm*> Scenario::create_cluster_vms(
-    const std::string& name, const std::vector<int>& node_for_vm) {
+    const std::vector<int>& node_for_vm) {
   const std::size_t n = node_for_vm.size();
   std::vector<std::int32_t> vm_shard(n);
   bool spans_shards = false;
@@ -174,8 +174,7 @@ std::vector<virt::Vm*> Scenario::create_cluster_vms(
           if (static_cast<std::size_t>(vm_shard[i]) != s) continue;
           virt::Vm& vm = stack.platform->create_vm(
               virt::NodeId{node_for_vm[i] - stack.first_node},
-              virt::VmType::kParallel, name + "-vm" + std::to_string(i),
-              config_.vcpus_per_vm);
+              virt::VmType::kParallel, config_.vcpus_per_vm);
           // Parallel VMs are network-driven: vSlicer's admin marks them LS.
           vm.set_latency_sensitive(true);
           vm.set_global_id(first_gid + static_cast<std::int64_t>(i));
@@ -232,8 +231,7 @@ void Scenario::add_identical_clusters(const workload::Descriptor& desc) {
     std::vector<std::string> keys;
     std::vector<std::vector<virt::Vm*>> clusters;
     for (int j = 0; j < config_.vms_per_node; ++j) {
-      clusters.push_back(create_cluster_vms(
-          desc.name + "-vc" + std::to_string(j), placement));
+      clusters.push_back(create_cluster_vms(placement));
       keys.push_back(desc.name + "/vc" + std::to_string(j));
     }
     add_bsp_apps(keys, desc, clusters);
@@ -254,8 +252,7 @@ virt::Vm& Scenario::add_loop_vm(int node, const workload::Descriptor& desc,
                                 const std::string& key) {
   assert(!started_);
   virt::Vm& vm = platform_of_node(node).create_vm(
-      local_node_id(node), virt::VmType::kNonParallel, key,
-      config_.vcpus_per_vm);
+      local_node_id(node), virt::VmType::kNonParallel, config_.vcpus_per_vm);
   register_vm(vm);
   workloads_.push_back(std::make_unique<workload::LoopWorkload>(
       vm, desc, app_rng_.split(std::hash<std::string>{}(key)),
@@ -267,8 +264,7 @@ virt::Vm& Scenario::add_loop_vm(int node, const workload::Descriptor& desc,
 virt::Vm& Scenario::add_disk_vm(int node, const std::string& key) {
   assert(!started_);
   virt::Vm& vm = platform_of_node(node).create_vm(
-      local_node_id(node), virt::VmType::kNonParallel, key,
-      config_.vcpus_per_vm);
+      local_node_id(node), virt::VmType::kNonParallel, config_.vcpus_per_vm);
   register_vm(vm);
   workloads_.push_back(
       std::make_unique<workload::DiskWorkload>(vm, &metrics_->rate(key)));
@@ -280,11 +276,9 @@ virt::Vm& Scenario::add_ping_pair(int node_a, int node_b,
                                   const std::string& key) {
   assert(!started_);
   virt::Vm& pinger = platform_of_node(node_a).create_vm(
-      local_node_id(node_a), virt::VmType::kNonParallel, key,
-      config_.vcpus_per_vm);
+      local_node_id(node_a), virt::VmType::kNonParallel, config_.vcpus_per_vm);
   virt::Vm& peer = platform_of_node(node_b).create_vm(
-      local_node_id(node_b), virt::VmType::kNonParallel, key + "-peer",
-      config_.vcpus_per_vm);
+      local_node_id(node_b), virt::VmType::kNonParallel, config_.vcpus_per_vm);
   pinger.set_latency_sensitive(true);
   peer.set_latency_sensitive(true);
   register_vm(pinger);
@@ -301,8 +295,7 @@ virt::Vm& Scenario::add_web_vm(int node, double requests_per_second,
                                const std::string& key) {
   assert(!started_);
   virt::Vm& vm = platform_of_node(node).create_vm(
-      local_node_id(node), virt::VmType::kNonParallel, key,
-      config_.vcpus_per_vm);
+      local_node_id(node), virt::VmType::kNonParallel, config_.vcpus_per_vm);
   vm.set_latency_sensitive(true);
   register_vm(vm);
   auto server = std::make_unique<workload::WebServerWorkload>(

@@ -73,8 +73,8 @@ class Scenario {
   /// Creates the VMs of one virtual cluster; `node_for_vm[i]` hosts VM i
   /// (global node indices — the shard map is applied internally).  VMs on
   /// several shards are created one task per shard.
-  std::vector<virt::Vm*> create_cluster_vms(const std::string& name,
-                                            const std::vector<int>& node_for_vm);
+  std::vector<virt::Vm*> create_cluster_vms(
+      const std::vector<int>& node_for_vm);
 
   /// Binds a BSP application, built from a parallel (barrier-terminated)
   /// descriptor, to cluster VMs; its superstep recorder is registered as

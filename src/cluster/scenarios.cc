@@ -62,7 +62,7 @@ std::vector<std::string> build_trace_vcs(Scenario& s,
     const std::string key =
         "VC" + std::to_string(i + 1) + ":" + desc.name;
     auto placement = place_cluster(capacity, sizes[i]);
-    auto vms = s.create_cluster_vms(key, placement);
+    auto vms = s.create_cluster_vms(placement);
     s.add_bsp_app(key, desc, std::move(vms));
     keys.push_back(key);
   }
@@ -84,7 +84,7 @@ void add_independent_parallel(Scenario& s, std::vector<int>& capacity,
   --capacity[node];
   const workload::Descriptor desc = workload::npb_descriptor(app, NpbClass::kB);
   const std::string key = "IVM" + std::to_string(index) + ":" + desc.name;
-  auto vms = s.create_cluster_vms(key, {node});
+  auto vms = s.create_cluster_vms({node});
   s.add_bsp_app(key, desc, std::move(vms));
   keys.push_back(key);
 }

@@ -101,9 +101,10 @@ void InvariantChecker::on_event(const TraceEvent& e) {
             }
             where = e.pcpu;
           }
-          // slice-floor: the engine grants max(slice_for, min_time_slice)
-          // and then jitters by +/- slice_jitter, so the hard floor is the
-          // minimum slice shrunk by one full jitter fraction.
+          // slice-floor: the engine grants max(the VM's time slice,
+          // min_time_slice) and then jitters by +/- slice_jitter, so the
+          // hard floor is the minimum slice shrunk by one full jitter
+          // fraction.
           const auto floor = static_cast<sim::SimTime>(
               static_cast<double>(limits_.min_slice) *
               (1.0 - limits_.slice_jitter)) - 1;

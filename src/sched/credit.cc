@@ -54,19 +54,7 @@ void CreditScheduler::attach(virt::Node& node, virt::Engine& engine) {
   node_ = &node;
   engine_ = &engine;
   sim_ = &engine.simulation();
-  queues_.init(node.pcpus().size(), node.vms().size(), sim_->arena());
-  // Dense node-local VM indices back the per-queue sibling counters that
-  // make Balance placement O(P); assigned per node-local slot at attach.
-  // Slots stay stable for the node's lifetime (migration leaves tombstones
-  // rather than compacting), and arrivals extend the index space through
-  // vm_arrived.
-  for (std::size_t i = 0; i < node.vms().size(); ++i) {
-    if (node.vms()[i] == nullptr) continue;  // migration tombstone
-    for (Vcpu& v : node.vms()[i]->vcpus()) {
-      v.sched().rq.vm = static_cast<std::int32_t>(i);
-    }
-  }
-  next_vm_index_ = static_cast<std::int32_t>(node.vms().size());
+  queues_.init(node.pcpus().size(), sim_->arena());
   rng_ = engine.platform().scheduler_rng(node);
   if (!timers_made_) {
     refill_timer_ = engine.simulation().make_timer(
@@ -83,17 +71,6 @@ void CreditScheduler::vm_departing(Vm& vm) {
   for (Vcpu& v : vm.vcpus()) {
     queues_.erase(v);  // no-op for VCPUs not queued (blocked/done)
     v.sched().rq.boosted = false;
-  }
-}
-
-void CreditScheduler::vm_arrived(Vm& vm) {
-  const std::int32_t idx = next_vm_index_++;
-  queues_.grow_vm_stride(static_cast<std::size_t>(next_vm_index_));
-  for (Vcpu& v : vm.vcpus()) {
-    v.sched().rq.vm = idx;
-    // Placement state from the previous host is meaningless here.
-    v.sched().queue = virt::PcpuId{};
-    v.sched().last_pcpu = virt::PcpuId{};
   }
 }
 
@@ -148,7 +125,10 @@ bool CreditScheduler::remove_from_queue(Vcpu& v) {
 }
 
 int CreditScheduler::siblings_in_queue(const Vcpu& v, int q) const {
-  int count = queues_.queued_of_vm(q, v.sched().rq.vm);
+  int count = 0;
+  for (const Vcpu& w : v.vm().vcpus()) {
+    if (w.sched().rq.queue == q) ++count;
+  }
   const Pcpu& p = node_->pcpus()[static_cast<std::size_t>(q)];
   if (p.current() != nullptr && &p.current()->vm() == &v.vm()) ++count;
   return count;
@@ -162,14 +142,19 @@ int CreditScheduler::place(Vcpu& v) {
     return static_cast<int>(rng_.uniform_int(0, n - 1));
   }
   // Balance Scheduling: fewest same-VM siblings, then shortest queue.  Each
-  // key is O(1) off the sibling counters, so placement is O(P).
-  int best = 0;
+  // key reads the VM's own VCPUs, so placement is O(P * VCPUs per VM).
   auto key = [&](int q) {
     return std::pair<int, std::size_t>(siblings_in_queue(v, q),
                                        queues_.depth(q));
   };
+  int best = 0;
+  auto best_key = key(0);
   for (int q = 1; q < n; ++q) {
-    if (key(q) < key(best)) best = q;
+    const auto k = key(q);
+    if (k < best_key) {
+      best = q;
+      best_key = k;
+    }
   }
   return best;
 }
@@ -184,8 +169,8 @@ void CreditScheduler::vcpu_started(Vcpu& v) {
 void CreditScheduler::on_wake(Vcpu& v) {
   assert(v.runnable());
   if (!v.sched().queue.valid()) {
-    // First wake on this node: the VCPU migrated in while blocked, so
-    // vm_arrived wiped its placement and vcpu_started never ran here.
+    // First wake on this node: the VCPU migrated in while blocked, so the
+    // engine wiped its placement and vcpu_started never ran here.
     // Credits travelled in the bundle; only the queue needs choosing.
     const int q = place(v);
     v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)].id();
@@ -195,8 +180,6 @@ void CreditScheduler::on_wake(Vcpu& v) {
   rebalance_if_stacked(v);
   enqueue(v);
 }
-
-void CreditScheduler::on_block(Vcpu& /*v*/) {}
 
 void CreditScheduler::on_deschedule(Vcpu& v) {
   assert(v.runnable());
@@ -215,14 +198,12 @@ void CreditScheduler::rebalance_if_stacked(Vcpu& v) {
   v.sched().queue = node_->pcpus()[static_cast<std::size_t>(q)].id();
 }
 
-void CreditScheduler::on_exit(Vcpu& /*v*/) {}
-
 Vcpu* CreditScheduler::pick_next(Pcpu& p) {
   const int self = p.index_in_node();
 
   // Xen's csched_load_balance: when the local candidate is not top
   // priority, steal a higher-priority VCPU from a sibling queue.  This is
-  // what keeps weight-fairness across unevenly loaded run queues (starved
+  // what keeps shares fair across unevenly loaded run queues (starved
   // VCPUs accumulate credits, turn UNDER, and get pulled over).  An empty
   // queue's class is kClasses, below every class, so any sibling front
   // beats an empty own queue and an empty sibling never wins.  Each rank is
@@ -262,10 +243,6 @@ Vcpu* CreditScheduler::pick_next(Pcpu& p) {
   return v;
 }
 
-sim::SimTime CreditScheduler::slice_for(const Vcpu& v) const {
-  return v.vm().time_slice();
-}
-
 void CreditScheduler::charge(Vcpu& v, sim::SimTime run) {
   const auto& mp = engine().params();
   const double debit =
@@ -290,18 +267,18 @@ void CreditScheduler::refill_credits() {
   const auto& mp = engine().params();
   const double pool = mp.credits_per_pcpu_per_period *
                       static_cast<double>(node_->pcpus().size());
-  // Weight-proportional distribution over VMs with live VCPUs.
-  double weight_sum = 0.0;
+  // An equal share for every VM with live VCPUs, split among those VCPUs.
+  int sharing = 0;
   for (const auto& vm : node_->vms()) {
     if (vm == nullptr) continue;  // migration tombstone
     for (const Vcpu& v : vm->vcpus()) {
       if (v.state() != VcpuState::kDone) {
-        weight_sum += static_cast<double>(vm->weight());
+        ++sharing;
         break;
       }
     }
   }
-  if (weight_sum <= 0.0) return;
+  if (sharing == 0) return;
   double distributed = 0.0;  // actually credited (post-clamp), for tracing
   for (const auto& vm : node_->vms()) {
     if (vm == nullptr) continue;  // migration tombstone
@@ -310,8 +287,8 @@ void CreditScheduler::refill_credits() {
       if (v.state() != VcpuState::kDone) ++live;
     }
     if (live == 0) continue;
-    const double per_vcpu = pool * static_cast<double>(vm->weight()) /
-                            weight_sum / static_cast<double>(live);
+    const double per_vcpu = pool / static_cast<double>(sharing) /
+                            static_cast<double>(live);
     for (Vcpu& v : vm->vcpus()) {
       if (v.state() == VcpuState::kDone) continue;
       const double before = v.sched().credits;

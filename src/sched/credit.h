@@ -3,13 +3,15 @@
 //
 // Faithful at the level the experiments need:
 //  * per-PCPU run queues ordered BOOST > UNDER > OVER, FIFO within a class;
-//  * per-VCPU credits refilled every accounting period in proportion to the
-//    VM weight and debited by exact consumed CPU time (instead of Xen's
-//    10 ms sampling ticks — same steady state, less noise);
+//  * per-VCPU credits refilled every accounting period, an equal share per
+//    VM with live VCPUs (every VM has Xen's default weight), and debited by
+//    exact consumed CPU time (instead of Xen's 10 ms sampling ticks — same
+//    steady state, less noise);
 //  * BOOST on wake for VCPUs in UNDER, consumed at first dispatch;
-//  * idle PCPUs steal runnable VCPUs from sibling queues;
-//  * per-VM time slice (the paper's hypercall extension); the plain CR
-//    baseline simply leaves every VM at the 30 ms default.
+//  * idle PCPUs steal runnable VCPUs from sibling queues.
+// The slice a dispatch grants is the VM's own (Vm::time_slice, the paper's
+// hypercall extension), which the engine reads; the plain CR baseline
+// leaves every VM at the 30 ms default.
 //
 // Placement policy is a constructor option so Balance Scheduling (BS) [4]
 // reuses this class: kAffinity places new VCPUs uniformly at random (Xen
@@ -54,15 +56,11 @@ class CreditScheduler : public virt::Scheduler {
   void attach(virt::Node& node, virt::Engine& engine) override;
   void vcpu_started(Vcpu& v) override;
   void on_wake(Vcpu& v) override;
-  void on_block(Vcpu& v) override;
   void on_deschedule(Vcpu& v) override;
-  void on_exit(Vcpu& v) override;
   Vcpu* pick_next(Pcpu& p) override;
-  sim::SimTime slice_for(const Vcpu& v) const override;
   void charge(Vcpu& v, sim::SimTime run) override;
   Pcpu* wake_preemption_target(Vcpu& v) override;
   void vm_departing(Vm& vm) override;
-  void vm_arrived(Vm& vm) override;
 
   /// Queue length (runnable VCPUs) of PCPU index `q`, for tests/policies.
   std::size_t queue_depth(int q) const { return queues_.depth(q); }
@@ -79,7 +77,8 @@ class CreditScheduler : public virt::Scheduler {
   bool remove_from_queue(Vcpu& v);
   /// Chooses the run queue for a newly started/migrated VCPU.
   int place(Vcpu& v);
-  /// Number of VCPUs of v's VM already in queue q (including running).
+  /// Number of VCPUs of v's VM already in queue q (including running),
+  /// counted off the VM's own VCPUs.
   int siblings_in_queue(const Vcpu& v, int q) const;
   /// Balance placement: move `v` to a sibling-free queue when stacked.
   void rebalance_if_stacked(Vcpu& v);
@@ -117,10 +116,8 @@ class CreditScheduler : public virt::Scheduler {
   sim::TimerId refill_timer_{};
   sim::TimerId tick_timer_{};
   bool timers_made_ = false;
-  /// Next dense node-local VM index (vm_arrived assigns from here).
-  std::int32_t next_vm_index_ = 0;
   /// Indexed run queues (index = pcpu index_in_node): intrusive per-class
-  /// lists + per-queue per-VM sibling counters; see run_queue.h.
+  /// lists and a front-class byte per queue; see run_queue.h.
   IndexedRunQueues queues_;
 };
 

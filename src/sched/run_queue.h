@@ -11,10 +11,9 @@
 // This container replaces the flat deques with:
 //  * one intrusive doubly-linked list per (queue, priority class) bucket —
 //    the per-VCPU Vcpu::RunQueueLink handle makes membership tests and
-//    unlinks O(1) and allocation-free;
-//  * per-queue per-VM sibling counters (dense node-local VM index), so
-//    Balance Scheduling's "fewest siblings" placement key is O(1) per queue
-//    instead of a queue scan;
+//    unlinks O(1) and allocation-free, and its `queue` field lets Balance
+//    Scheduling count a queue's siblings off the VM's own VCPUs instead of
+//    scanning the queue;
 //  * one front-class byte per queue (its best non-empty class), so the
 //    steal scan and the tick read one small array instead of every queue's
 //    bucket heads;
@@ -50,38 +49,13 @@ class IndexedRunQueues {
   /// Cardinality of virt::CreditPrio (bucket index = enum value).
   static constexpr int kClasses = 3;
 
-  /// (Re)initializes for `queues` run queues over `vms` node-local VMs,
-  /// with the queue heads and sibling counters in `arena` (the node's
-  /// simulation arena, next to its PCPUs and VCPUs).  Every VCPU inserted
-  /// later must carry a dense `sched().rq.vm` index in [0, vms).
-  void init(std::size_t queues, std::size_t vms, sim::Arena& arena) {
-    arena_ = &arena;
+  /// (Re)initializes for `queues` run queues, with the queue heads in
+  /// `arena` (the node's simulation arena, next to its PCPUs and VCPUs).
+  void init(std::size_t queues, sim::Arena& arena) {
     queues_ = {arena.allocate_array<Queue>(queues), queues};
     std::uninitialized_value_construct(queues_.begin(), queues_.end());
     front_ = arena.allocate_array<std::uint8_t>(queues);
     std::fill_n(front_, queues, static_cast<std::uint8_t>(kClasses));
-    vm_stride_ = vms;
-    vm_queued_ = arena.allocate_array<int>(queues * vms);
-    std::fill_n(vm_queued_, queues * vms, 0);
-  }
-
-  /// Widens the dense VM index space to at least `vms` (migration arrival
-  /// gave a new VM the next index).  Re-lays the sibling counters out under
-  /// a new stride; queue contents are untouched (links live in the VCPUs).
-  /// The arena keeps the old counters, so the stride at least doubles: the
-  /// abandoned arrays never add up to more than the live one.
-  void grow_vm_stride(std::size_t vms) {
-    if (vms <= vm_stride_) return;
-    const std::size_t stride = std::max(vms, 2 * vm_stride_);
-    int* wide = arena_->allocate_array<int>(queues_.size() * stride);
-    std::fill_n(wide, queues_.size() * stride, 0);
-    for (std::size_t q = 0; q < queues_.size(); ++q) {
-      for (std::size_t vm = 0; vm < vm_stride_; ++vm) {
-        wide[q * stride + vm] = vm_queued_[q * vm_stride_ + vm];
-      }
-    }
-    vm_queued_ = wide;
-    vm_stride_ = stride;
   }
 
   /// Inserts `v` into queue `q` under class `cls`, before the first element
@@ -91,7 +65,6 @@ class IndexedRunQueues {
   void insert(virt::Vcpu& v, int q, virt::CreditPrio cls, double dead_band) {
     auto& link = v.sched().rq;
     assert(link.queue < 0 && "VCPU already on a run queue");
-    assert(link.vm >= 0 && static_cast<std::size_t>(link.vm) < vm_stride_);
     assert(q >= 0 && q <= INT16_MAX && "run-queue index exceeds the link");
     Queue& rq = queues_[qi(q)];
     Bucket& b = rq.buckets[static_cast<std::size_t>(cls)];
@@ -106,7 +79,6 @@ class IndexedRunQueues {
     link_before(b, v, pos);
     ++rq.size;
     front_[qi(q)] = std::min(front_[qi(q)], static_cast<std::uint8_t>(cls));
-    ++vm_queued_[qi(q) * vm_stride_ + static_cast<std::size_t>(link.vm)];
   }
 
   /// Unlinks `v` from whatever queue holds it; false when not queued.  O(1).
@@ -120,8 +92,6 @@ class IndexedRunQueues {
     if (b.head == nullptr && link.cls == front_[qi(link.queue)]) {
       front_[qi(link.queue)] = best_class(rq);
     }
-    --vm_queued_[qi(link.queue) * vm_stride_ +
-                 static_cast<std::size_t>(link.vm)];
     link.queue = -1;
     link.cls = -1;
     return true;
@@ -153,11 +123,6 @@ class IndexedRunQueues {
 
   std::size_t depth(int q) const { return queues_[qi(q)].size; }
   std::size_t queue_count() const { return queues_.size(); }
-
-  /// Queued (not running) VCPUs of dense node-local VM `vm` in queue `q`.
-  int queued_of_vm(int q, int vm) const {
-    return vm_queued_[qi(q) * vm_stride_ + static_cast<std::size_t>(vm)];
-  }
 
   /// Stable re-classification after a credit refill: walks each queue in
   /// its current flat order (bucket-major) and re-files every element under
@@ -245,12 +210,9 @@ class IndexedRunQueues {
   }
 
   // In the arena; see init().
-  sim::Arena* arena_ = nullptr;
   std::span<Queue> queues_;
   /// [queue]: front_class(queue), kept by insert, erase and rebucket.
   std::uint8_t* front_ = nullptr;
-  int* vm_queued_ = nullptr;  ///< [queue * vm_stride_ + local_vm]
-  std::size_t vm_stride_ = 0;
 };
 
 }  // namespace atcsim::sched

@@ -160,7 +160,7 @@ void Engine::dispatch(Pcpu& p) {
 
   const SimTime now = sim_->now();
   const SimTime slice = platform_->dispatch_rng(p.node()).jittered(
-      std::max(p.node().scheduler().slice_for(*v), mp.min_time_slice),
+      std::max(vm.time_slice(), mp.min_time_slice),
       mp.slice_jitter);
   p.eng().slice_end = now + slice;
   sim_->arm_at(p.eng().slice_timer, p.eng().slice_end);
@@ -307,11 +307,9 @@ void Engine::leave_cpu(Pcpu& p, LeaveReason reason) {
       break;
     case LeaveReason::kBlock:
       v->set_state(VcpuState::kBlocked);
-      p.node().scheduler().on_block(*v);
       break;
     case LeaveReason::kExit:
       v->set_state(VcpuState::kDone);
-      p.node().scheduler().on_exit(*v);
       break;
   }
   schedule_dispatch(p);
@@ -455,7 +453,11 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   assert(bundle.vm != nullptr);
   Vm& vm = platform_->adopt_vm(dest_node, *bundle.vm);
   Node& node = vm.node();
-  node.scheduler().vm_arrived(vm);
+  // Placement on the previous host means nothing here.
+  for (Vcpu& v : vm.vcpus()) {
+    v.sched().queue = PcpuId{};
+    v.sched().last_pcpu = PcpuId{};
+  }
 
   // Travelled timers re-arm with their remaining delays.
   for (const auto& t : bundle.timers) {

@@ -74,11 +74,11 @@ class Engine {
   std::unique_ptr<MigrationBundle> pause_and_expel(
       Vm& vm, std::int32_t dest_node_global);
 
-  /// Destination half, at t_r: attaches the VM to `dest_node`, re-arms the
-  /// travelled timers, restores runnability and kicks the node's idle
-  /// PCPUs.  The workloads need no fix-up: their events and sends reach
-  /// this platform through the VM.  It creates no timer slots: a VCPU
-  /// computes on its PCPU's compute timer.
+  /// Destination half, at t_r: attaches the VM to `dest_node`, clears its
+  /// VCPUs' placement, re-arms the travelled timers, restores runnability
+  /// and kicks the node's idle PCPUs.  The workloads need no fix-up: their
+  /// events and sends reach this platform through the VM.  It creates no
+  /// timer slots: a VCPU computes on its PCPU's compute timer.
   Vm& adopt_and_resume(MigrationBundle& bundle, NodeId dest_node);
 
  private:

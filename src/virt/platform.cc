@@ -44,11 +44,8 @@ Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
     for (Pcpu& p : node->pcpus()) pcpus_.push_back(&p);
     // Every node gets a one-VCPU driver domain, placed next to it; net/disk
     // backends attach workloads.  The dom0s take VM and VCPU ids
-    // 0..nodes-1 in node order.  Named by global node id so names stay
-    // unique and stable across shard maps (offset is 0 on unsharded
-    // platforms).
-    Vm& dom0 = create_vm(node->id(), VmType::kDom0,
-                         "dom0-n" + std::to_string(global_node_id(*node)), 1);
+    // 0..nodes-1 in node order.
+    Vm& dom0 = create_vm(node->id(), VmType::kDom0, 1);
     node->set_dom0(&dom0);
   }
 }
@@ -67,14 +64,12 @@ Platform::~Platform() {
   for (Vm* vm : created_) std::destroy_at(vm);
 }
 
-Vm& Platform::create_vm(NodeId node_id, VmType type, const std::string& name,
-                        int vcpus) {
+Vm& Platform::create_vm(NodeId node_id, VmType type, int vcpus) {
   assert(node_id.valid() && node_id.index() < nodes_.size());
   Node& node = *nodes_[node_id.index()];
   sim::Arena& arena = sim_->arena();
   Vm* vm = arena.create<Vm>(VmId{static_cast<std::int32_t>(vms_.size())},
-                            node, type, name, VcpuId{next_vcpu_id_}, vcpus,
-                            arena);
+                            node, type, VcpuId{next_vcpu_id_}, vcpus, arena);
   next_vcpu_id_ += vcpus;
   vm->set_time_slice(config_.params.default_time_slice);
   created_.push_back(vm);
@@ -96,7 +91,7 @@ void Platform::expel_vm(Vm& vm) {
   assert(vms_[vm.id().index()] == &vm);
   vms_[vm.id().index()] = nullptr;
   // Keep the (now null) slot, so sibling VMs keep their node-local
-  // positions and the scheduler's dense per-VM indices.
+  // positions.
   std::vector<Vm*>& hosted = vm.node().vms();
   const auto slot = std::find(hosted.begin(), hosted.end(), &vm);
   assert(slot != hosted.end() && "expel_vm: vm not hosted by its node");

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,9 +31,9 @@ struct PlatformConfig {
   std::uint64_t seed = 1;
   /// Global id of this platform's first node.  A sharded scenario carves
   /// the cluster into contiguous node blocks, one Platform per shard; the
-  /// offset keeps node-derived identities (dom0 names, per-node RNG
-  /// streams) functions of the *global* node id, so results do not depend
-  /// on where the shard boundaries fall.  0 for unsharded platforms.
+  /// offset keeps node-derived identities (per-node RNG streams) functions
+  /// of the *global* node id, so results do not depend on where the shard
+  /// boundaries fall.  0 for unsharded platforms.
   int node_id_offset = 0;
 };
 
@@ -77,7 +76,7 @@ class Platform {
 
   /// Creates a guest VM on `node` with `vcpus` VCPUs.  Workloads must be
   /// attached to each VCPU before Engine::start().
-  Vm& create_vm(NodeId node, VmType type, const std::string& name, int vcpus);
+  Vm& create_vm(NodeId node, VmType type, int vcpus);
 
   /// Builds the per-node scheduler, an S made from `args`, in the
   /// simulation's arena next to the node's records, and installs it in
@@ -125,11 +124,12 @@ class Platform {
   // --- live migration ----------------------------------------------------
 
   /// Detaches `vm` from this platform: its VmId slot becomes a tombstone
-  /// and the node keeps a null placeholder so sibling VMs' scheduler
-  /// indices stay dense.  Ownership does not move: the platform that
-  /// created the VM keeps it and destroys it, also while it is in flight.
-  /// The VCPUs must already be off-CPU and out of every run queue
-  /// (Engine::pause_and_expel does both).
+  /// and the node keeps a null placeholder so sibling VMs keep their
+  /// node-local slots (the DSS and ATC controllers index by slot).
+  /// Ownership does not move: the platform that created the VM keeps it
+  /// and destroys it, also while it is in flight.  The VCPUs must already
+  /// be off-CPU and out of every run queue (Engine::pause_and_expel does
+  /// both).
   void expel_vm(Vm& vm);
 
   /// Hosts a VM expelled from another (or this) platform on `node`:

@@ -54,14 +54,12 @@ class Vcpu {
 
   /// Intrusive run-queue handle, owned by the node's scheduler
   /// (sched::IndexedRunQueues).  Gives O(1) membership tests and unlinks:
-  /// `queue`/`cls` are -1 while the VCPU is not on any run queue.  `vm` is
-  /// the dense node-local VM index assigned at scheduler attach; it backs
-  /// the per-queue sibling counters that make Balance placement O(P).
-  /// `queue` is 16 bits: ScenarioBuilder caps pcpus_per_node at INT16_MAX.
+  /// `queue`/`cls` are -1 while the VCPU is not on any run queue, so Balance
+  /// placement counts a queue's siblings off the VM's own VCPUs.  `queue`
+  /// is 16 bits: ScenarioBuilder caps pcpus_per_node at INT16_MAX.
   struct RunQueueLink {
     Vcpu* prev = nullptr;
     Vcpu* next = nullptr;
-    std::int32_t vm = -1;     ///< dense node-local VM index (set at attach)
     std::int16_t queue = -1;  ///< run-queue index (pcpu index_in_node)
     std::int8_t cls = -1;     ///< CreditPrio bucket it was filed under
     /// Credit BOOST, granted at wake and consumed by the next dispatch.
@@ -110,9 +108,9 @@ class Vcpu {
   void set_id(VcpuId id) { id_ = id; }
 
  private:
-  // 8 + 16 + 40 + 64 = 128 bytes, 7 of them padding: the id and the
-  // one-byte state share the first word, the run-queue link packs its VM
-  // index, queue, class and BOOST flag into one word, and EngineState's
+  // 8 + 16 + 40 + 64 = 128 bytes, 11 of them padding: the id and the
+  // one-byte state share the first word, the run-queue link packs its
+  // queue, class and BOOST flag into its last word, and EngineState's
   // action kind and three flags share its last.
   VcpuId id_;
   VcpuState state_ = VcpuState::kDone;

@@ -5,12 +5,11 @@
 
 namespace atcsim::virt {
 
-Vm::Vm(VmId id, Node& node, VmType type, std::string name, VcpuId first_vcpu,
-       int vcpus, sim::Arena& arena)
+Vm::Vm(VmId id, Node& node, VmType type, VcpuId first_vcpu, int vcpus,
+       sim::Arena& arena)
     : id_(id),
-      node_(&node),
       type_(type),
-      name_(std::move(name)),
+      node_(&node),
       vcpus_(arena.allocate_array<Vcpu>(static_cast<std::size_t>(vcpus)),
              static_cast<std::size_t>(vcpus)) {
   for (int i = 0; i < vcpus; ++i) {

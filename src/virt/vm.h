@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "simcore/arena.h"
@@ -30,8 +29,8 @@ class Vm {
  public:
   /// Creates the VM with `vcpus` VCPUs, numbered from `first_vcpu`, in one
   /// array taken from `arena`.
-  Vm(VmId id, Node& node, VmType type, std::string name, VcpuId first_vcpu,
-     int vcpus, sim::Arena& arena);
+  Vm(VmId id, Node& node, VmType type, VcpuId first_vcpu, int vcpus,
+     sim::Arena& arena);
 
   // The VCPUs point back at their VM.
   Vm(const Vm&) = delete;
@@ -41,7 +40,6 @@ class Vm {
   Node& node() { return *node_; }
   const Node& node() const { return *node_; }
   VmType type() const { return type_; }
-  const std::string& name() const { return name_; }
 
   /// Cluster-wide identity, assigned once at scenario build in creation
   /// order and never changed — unlike the platform-local id(), which is
@@ -65,22 +63,20 @@ class Vm {
   std::size_t vcpu_count() const { return vcpus_.size(); }
 
   // --- scheduling parameters -------------------------------------------
-  int weight() const { return weight_; }
-  void set_weight(int w) { weight_ = w; }
-
   /// Per-VM scheduling time slice.  The paper's hypercall extension; all
   /// slice controllers (ATC, DSS, vSlicer, admin interface) write this and
-  /// the credit scheduler reads it at dispatch.
+  /// the engine grants it at every dispatch.
   sim::SimTime time_slice() const { return time_slice_; }
   void set_time_slice(sim::SimTime s) { time_slice_ = s; }
 
-  /// Administrator-specified slice for non-parallel VMs (Sec. III-C
-  /// interface).  ATC uses it instead of the VMM default when present.
   /// vSlicer classification hint (admin-designated, as in the vSlicer
   /// paper): VMs hosting latency-sensitive / network-driven applications.
+  /// install_approach gives them vSlicer's micro slice under VS.
   bool latency_sensitive() const { return latency_sensitive_; }
   void set_latency_sensitive(bool v) { latency_sensitive_ = v; }
 
+  /// Administrator-specified slice for non-parallel VMs (Sec. III-C
+  /// interface).  ATC uses it instead of the VMM default when present.
   bool has_admin_slice() const { return admin_slice_ >= 0; }
   sim::SimTime admin_slice() const { return admin_slice_; }
   void set_admin_slice(sim::SimTime s) { admin_slice_ = s; }
@@ -132,16 +128,15 @@ class Vm {
   Vcpu* first_blocked();
 
  private:
+  // The id and the two one-byte fields share the first word.
   VmId id_;
-  Node* node_;
   VmType type_;
-  std::string name_;
+  bool latency_sensitive_ = false;
+  Node* node_;
   std::int64_t global_id_ = -1;
   std::span<Vcpu> vcpus_;  // in the arena; trivially destructible
-  int weight_ = 256;
   sim::SimTime time_slice_ = 0;  // set from ModelParams default at creation
   sim::SimTime admin_slice_ = -1;
-  bool latency_sensitive_ = false;
   PeriodStats period_;
   Totals totals_;
   std::vector<sim::InlineCallback> mailbox_;

@@ -228,7 +228,7 @@ TEST(AllocGuardTest, FreshSyncEventCyclesAreAllocationFree) {
   pc.pcpus_per_node = 1;
   atcsim::virt::Platform platform(s, pc);
   atcsim::virt::Vm& vm = platform.create_vm(
-      atcsim::virt::NodeId{0}, atcsim::virt::VmType::kParallel, "guest", 1);
+      atcsim::virt::NodeId{0}, atcsim::virt::VmType::kParallel, 1);
   atcsim::virt::Engine& engine = platform.engine();
   atcsim::virt::SyncEvent warm(vm);
   WaitLoop loop(warm);
@@ -266,8 +266,7 @@ TEST(AllocGuardTest, BspAppBarrierStorageIsFlat) {
   std::vector<atcsim::virt::Vm*> all;
   for (int i = 0; i < 64; ++i) {
     all.push_back(&platform.create_vm(atcsim::virt::NodeId{0},
-                                      atcsim::virt::VmType::kParallel,
-                                      "vm" + std::to_string(i), 2));
+                                      atcsim::virt::VmType::kParallel, 2));
   }
   atcsim::workload::BspConfig cfg;
   cfg.sync_rounds = 4;
@@ -325,7 +324,7 @@ TEST(AllocGuardTest, VcpuAndPcpuStorageIsFlat) {
     for (int i = 0; i < 4; ++i) {
       const std::uint64_t before = allocs();
       atcsim::virt::Vm& vm =
-          platform.create_vm(NodeId{0}, VmType::kParallel, "vm", vcpus);
+          platform.create_vm(NodeId{0}, VmType::kParallel, vcpus);
       c.create_vm = allocs() - before;
       for (auto& v : vm.vcpus()) {
         v.set_workload(&programs[static_cast<std::size_t>(
@@ -376,7 +375,7 @@ TEST(AllocGuardTest, MigrationRoundTripsMakeNoTimerSlots) {
     platform.make_scheduler<GuestDispatchCounter>(NodeId{n}, dispatches);
   }
   atcsim::virt::Vm* vm = &platform.create_vm(
-      NodeId{0}, atcsim::virt::VmType::kParallel, "guest", 8);
+      NodeId{0}, atcsim::virt::VmType::kParallel, 8);
   std::array<ComputeLoop, 8> programs;
   for (auto& v : vm->vcpus()) {
     v.set_workload(&programs[static_cast<std::size_t>(v.index_in_vm())]);

@@ -118,8 +118,7 @@ TEST(ArenaTest, DestructionReturnsEveryChunk) {
     virt::Platform platform(s, pc);
     for (int n = 0; n < pc.nodes; ++n) {
       platform.make_scheduler<sched::CreditScheduler>(virt::NodeId{n});
-      platform.create_vm(virt::NodeId{n}, virt::VmType::kParallel,
-                         "a-vm-name-longer-than-the-inline-buffer", 4);
+      platform.create_vm(virt::NodeId{n}, virt::VmType::kParallel, 4);
     }
     platform.engine().start();
     s.run_until(1'000'000);
@@ -142,8 +141,8 @@ TEST(ArenaDeathTest, OverrunPastAVmsVcpusIsReported) {
   pc.pcpus_per_node = 2;
   virt::Platform platform(s, pc);
   virt::Vm& a =
-      platform.create_vm(virt::NodeId{0}, virt::VmType::kParallel, "a", 2);
-  platform.create_vm(virt::NodeId{0}, virt::VmType::kParallel, "b", 2);
+      platform.create_vm(virt::NodeId{0}, virt::VmType::kParallel, 2);
+  platform.create_vm(virt::NodeId{0}, virt::VmType::kParallel, 2);
   const virt::Vcpu* past_end = a.vcpus().data() + a.vcpu_count();
   EXPECT_EQ(read_id(a.vcpus().data() + 1), a.vcpus()[1].id().value);
   EXPECT_DEATH(read_id(past_end), "use-after-poison");

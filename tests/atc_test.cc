@@ -18,9 +18,11 @@ namespace {
 using namespace sim::time_literals;
 using sim::SimTime;
 
+/// Algorithm 1's DEFAULT: the platform's default slice.
+constexpr SimTime kDefault = virt::ModelParams{}.default_time_slice;
+
 AtcConfig cfg() {
   AtcConfig c;
-  c.default_slice = 30_ms;
   c.min_threshold = 300_us;
   c.alpha = 1_ms;
   c.beta = 100_us;
@@ -30,58 +32,58 @@ AtcConfig cfg() {
 PeriodSample S(SimTime lat, SimTime ts) { return PeriodSample{lat, ts}; }
 
 TEST(Algorithm1Test, RisingLatencyShortensByAlpha) {
-  const SimTime ts = compute_time_slice(cfg(), S(1_ms, 30_ms), S(2_ms, 30_ms),
-                                        S(3_ms, 30_ms));
+  const SimTime ts = compute_time_slice(cfg(), kDefault, S(1_ms, 30_ms),
+                                        S(2_ms, 30_ms), S(3_ms, 30_ms));
   EXPECT_EQ(ts, 29_ms);
 }
 
 TEST(Algorithm1Test, FlatLatencyHoldsSlice) {
-  const SimTime ts = compute_time_slice(cfg(), S(2_ms, 30_ms), S(2_ms, 30_ms),
-                                        S(2_ms, 30_ms));
+  const SimTime ts = compute_time_slice(cfg(), kDefault, S(2_ms, 30_ms),
+                                        S(2_ms, 30_ms), S(2_ms, 30_ms));
   EXPECT_EQ(ts, 30_ms);
 }
 
 TEST(Algorithm1Test, FallingLatencyWithoutSliceChangeHolds) {
   // Latency improving on its own (e.g. app entering a lighter phase): no
   // reason to shrink further.
-  const SimTime ts = compute_time_slice(cfg(), S(3_ms, 30_ms), S(2_ms, 30_ms),
-                                        S(1_ms, 30_ms));
+  const SimTime ts = compute_time_slice(cfg(), kDefault, S(3_ms, 30_ms),
+                                        S(2_ms, 30_ms), S(1_ms, 30_ms));
   EXPECT_EQ(ts, 30_ms);
 }
 
 TEST(Algorithm1Test, FallingLatencyCausedBySliceDecreaseReinforces) {
   // Three falling periods while the slice also fell: the improvement is
   // attributed to the shorter slice, so keep shrinking.
-  const SimTime ts = compute_time_slice(cfg(), S(3_ms, 10_ms), S(2_ms, 9_ms),
-                                        S(1_ms, 8_ms));
+  const SimTime ts = compute_time_slice(cfg(), kDefault, S(3_ms, 10_ms),
+                                        S(2_ms, 9_ms), S(1_ms, 8_ms));
   EXPECT_EQ(ts, 7_ms);
 }
 
 TEST(Algorithm1Test, BetaStepNearThreshold) {
   // 1.2ms - alpha would undershoot minThreshold (0.3ms); beta applies.
   AtcConfig c = cfg();
-  const SimTime ts = compute_time_slice(c, S(1_ms, 1'400_us),
+  const SimTime ts = compute_time_slice(c, kDefault, S(1_ms, 1'400_us),
                                         S(2_ms, 1'300_us), S(3_ms, 1'200_us));
   EXPECT_EQ(ts, 1'100_us);
 }
 
 TEST(Algorithm1Test, NeverBelowMinThreshold) {
   AtcConfig c = cfg();
-  const SimTime ts = compute_time_slice(c, S(1_ms, 350_us), S(2_ms, 320_us),
-                                        S(3_ms, 310_us));
+  const SimTime ts = compute_time_slice(c, kDefault, S(1_ms, 350_us),
+                                        S(2_ms, 320_us), S(3_ms, 310_us));
   EXPECT_GE(ts, c.min_threshold);
 }
 
 TEST(Algorithm1Test, HoldsAtMinThreshold) {
   AtcConfig c = cfg();
-  const SimTime ts = compute_time_slice(c, S(1_ms, 300_us), S(2_ms, 300_us),
-                                        S(3_ms, 300_us));
+  const SimTime ts = compute_time_slice(c, kDefault, S(1_ms, 300_us),
+                                        S(2_ms, 300_us), S(3_ms, 300_us));
   EXPECT_EQ(ts, c.min_threshold);
 }
 
 TEST(Algorithm1Test, ZeroLatencyThreePeriodsGrowsTowardDefault) {
-  const SimTime ts =
-      compute_time_slice(cfg(), S(0, 10_ms), S(0, 10_ms), S(0, 10_ms));
+  const SimTime ts = compute_time_slice(cfg(), kDefault, S(0, 10_ms),
+                                        S(0, 10_ms), S(0, 10_ms));
   EXPECT_EQ(ts, 11_ms);
 }
 
@@ -90,7 +92,7 @@ TEST(Algorithm1Test, ZeroLatencyBetaStepNearDefault) {
   // (100us) still fits.  Regression: a mis-ordered guard used to snap any
   // slice above DEFAULT - alpha straight to DEFAULT, making the beta step
   // unreachable.
-  const SimTime ts = compute_time_slice(cfg(), S(0, 29'500_us),
+  const SimTime ts = compute_time_slice(cfg(), kDefault, S(0, 29'500_us),
                                         S(0, 29'500_us), S(0, 29'500_us));
   EXPECT_EQ(ts, 29'600_us);
 }
@@ -114,35 +116,35 @@ TEST(Algorithm1Test, RelaxStepTable) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const SimTime ts =
-        compute_time_slice(cfg(), S(0, c.slice), S(0, c.slice), S(0, c.slice));
+    const SimTime ts = compute_time_slice(cfg(), kDefault, S(0, c.slice),
+                                          S(0, c.slice), S(0, c.slice));
     EXPECT_EQ(ts, c.expected);
   }
 }
 
 TEST(Algorithm1Test, ZeroLatencyNeverExceedsDefault) {
-  const SimTime ts =
-      compute_time_slice(cfg(), S(0, 30_ms), S(0, 30_ms), S(0, 30_ms));
+  const SimTime ts = compute_time_slice(cfg(), kDefault, S(0, 30_ms),
+                                        S(0, 30_ms), S(0, 30_ms));
   EXPECT_EQ(ts, 30_ms);
 }
 
 TEST(Algorithm1Test, ZeroLatencyBranchWinsOverTrendBranch) {
   // All-zero history also satisfies "not rising"; the growth branch governs.
   const SimTime ts =
-      compute_time_slice(cfg(), S(0, 5_ms), S(0, 5_ms), S(0, 5_ms));
+      compute_time_slice(cfg(), kDefault, S(0, 5_ms), S(0, 5_ms), S(0, 5_ms));
   EXPECT_EQ(ts, 6_ms);
 }
 
 TEST(Algorithm1Test, ConvergesFromDefaultUnderSustainedRisingLatency) {
   AtcConfig c = cfg();
   PeriodHistory h;
-  SimTime slice = c.default_slice;
+  SimTime slice = kDefault;
   SimTime lat = 10_ms;
   int periods = 0;
   while (slice > c.min_threshold && periods < 500) {
     lat += 10_us;  // monotonically rising latency
     h.push(S(lat, slice));
-    if (h.full()) slice = compute_time_slice(c, h);
+    if (h.full()) slice = compute_time_slice(c, kDefault, h);
     ++periods;
   }
   EXPECT_EQ(slice, c.min_threshold);
@@ -162,7 +164,7 @@ TEST_P(Algorithm1Property, BoundedAndLipschitz) {
   AtcConfig c = cfg();
   sim::Rng rng(GetParam().seed);
   PeriodHistory h;
-  SimTime slice = c.default_slice;
+  SimTime slice = kDefault;
   for (int i = 0; i < 200; ++i) {
     const SimTime lat =
         rng.next_double() < 0.2
@@ -170,9 +172,9 @@ TEST_P(Algorithm1Property, BoundedAndLipschitz) {
             : static_cast<SimTime>(rng.uniform(0.0, 20e6));  // 0..20ms
     h.push(S(lat, slice));
     if (!h.full()) continue;
-    const SimTime next = compute_time_slice(c, h);
+    const SimTime next = compute_time_slice(c, kDefault, h);
     EXPECT_GE(next, c.min_threshold);
-    EXPECT_LE(next, c.default_slice);
+    EXPECT_LE(next, kDefault);
     EXPECT_LE(std::abs(next - slice), c.alpha);
     slice = next;
   }
@@ -245,9 +247,7 @@ struct CtrlRig {
   }
 
   virt::Vm& vm(virt::VmType type) {
-    return platform->create_vm(
-        virt::NodeId{0}, type,
-        std::string("v").append(std::to_string(platform->vm_count())), 1);
+    return platform->create_vm(virt::NodeId{0}, type, 1);
   }
 };
 

@@ -38,8 +38,7 @@ struct Rig {
   workload::BspApp& app(int vcpus, const workload::Descriptor& desc,
                         metrics::DurationRecorder* supersteps) {
     virt::Vm& vm = platform->create_vm(
-        virt::NodeId{0}, virt::VmType::kParallel,
-        "bsp" + std::to_string(platform->vm_count()), vcpus);
+        virt::NodeId{0}, virt::VmType::kParallel, vcpus);
     apps.push_back(std::make_unique<workload::BspApp>(
         std::vector<virt::Vm*>{&vm}, desc, sim::Rng(9), supersteps));
     apps.back()->attach();
@@ -156,7 +155,7 @@ TEST(BspRoundsTest, SuperstepCountRunsOnAcrossTheGenerationWrap) {
 TEST(BspRoundsTest, RejectsOutOfRangeSyncRounds) {
   Rig rig(2);
   virt::Vm& vm = rig.platform->create_vm(virt::NodeId{0},
-                                         virt::VmType::kParallel, "bsp-v", 2);
+                                         virt::VmType::kParallel, 2);
   const std::vector<virt::Vm*> vms{&vm};
   const auto build = [&vms](int rounds) {
     workload::BspApp(vms,

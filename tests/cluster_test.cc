@@ -14,7 +14,6 @@
 #include "obs/export.h"
 #include "sched/coschedule.h"
 #include "sched/credit.h"
-#include "sched/vslicer.h"
 
 namespace atcsim::cluster {
 namespace {
@@ -144,7 +143,7 @@ TEST(ScenarioTest, RunsEndToEndWithEveryApproach) {
     Scenario& s = *sp;
     workload::BspConfig cfg;
     cfg.compute_per_superstep = 2_ms;
-    auto vms = s.create_cluster_vms("vc", {0, 0});
+    auto vms = s.create_cluster_vms({0, 0});
     s.add_bsp_app("vc", workload::Descriptor::from_bsp(cfg), std::move(vms));
     s.start();
 
@@ -157,10 +156,9 @@ TEST(ScenarioTest, RunsEndToEndWithEveryApproach) {
     EXPECT_EQ(rt.dss_controllers.size(), a == Approach::kDSS ? nodes : 0u);
     EXPECT_EQ(rt.atc_controllers.size(), atc ? nodes : 0u);
     EXPECT_EQ(rt.rebalancer != nullptr, pm);
-    const std::type_info& want =
-        a == Approach::kCS   ? typeid(sched::CoScheduler)
-        : a == Approach::kVS ? typeid(sched::VSlicerScheduler)
-                             : typeid(sched::CreditScheduler);
+    const std::type_info& want = a == Approach::kCS
+                                     ? typeid(sched::CoScheduler)
+                                     : typeid(sched::CreditScheduler);
     for (const auto& node : s.platform().nodes()) {
       const virt::Scheduler& installed = node->scheduler();
       EXPECT_TRUE(typeid(installed) == want) << typeid(installed).name();
@@ -181,7 +179,7 @@ TEST(ScenarioTest, WarmupResetExcludesEarlySamples) {
   Scenario& s = *sp;
   workload::BspConfig cfg;
   cfg.compute_per_superstep = 2_ms;
-  auto vms = s.create_cluster_vms("vc", {0, 0});
+  auto vms = s.create_cluster_vms({0, 0});
   s.add_bsp_app("vc", workload::Descriptor::from_bsp(cfg), std::move(vms));
   s.start();
   s.run_for(500_ms);

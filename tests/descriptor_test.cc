@@ -286,8 +286,7 @@ struct ProgRig {
   }
 
   virt::Vm& vm() {
-    return platform->create_vm(virt::NodeId{0}, virt::VmType::kParallel,
-                               "w" + std::to_string(platform->vm_count()), 4);
+    return platform->create_vm(virt::NodeId{0}, virt::VmType::kParallel, 4);
   }
 };
 

@@ -76,9 +76,7 @@ struct Rig {
   }
 
   virt::Vm& vm(int node, int vcpus, VmType type = VmType::kParallel) {
-    return platform->create_vm(virt::NodeId{node}, type,
-                               "vm" + std::to_string(platform->vm_count()),
-                               vcpus);
+    return platform->create_vm(virt::NodeId{node}, type, vcpus);
   }
 
   /// Node 0's driver domain: binds events that VCPUs of several VMs (or
@@ -675,6 +673,9 @@ TEST(SyncEventTest, EventFollowsItsVmToAnotherPlatform) {
   virt::Vm& moved =
       dst.platform->engine().adopt_and_resume(*bundle, virt::NodeId{0});
   ASSERT_EQ(&moved, &vm);
+  // The source host's run queue and last PCPU do not travel.
+  EXPECT_FALSE(vm.vcpus()[0].sched().queue.valid());
+  EXPECT_FALSE(vm.vcpus()[0].sched().last_pcpu.valid());
   dst.simulation.run_until(3_ms);  // past the adoption's own dispatch
   ASSERT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
 

@@ -10,6 +10,7 @@
 #include "atc/controller.h"
 #include "cluster/scenario.h"
 #include "cluster/scenarios.h"
+#include "exp/cell.h"
 #include "metrics/recorders.h"
 #include "sched/credit.h"
 #include "sync/period_monitor.h"
@@ -49,7 +50,7 @@ struct ClsRig {
   // recover the truth from behaviour alone.
   virt::Vm& bsp_vm() {
     virt::Vm& vm = platform->create_vm(virt::NodeId{0},
-                                       virt::VmType::kNonParallel, "bsp", 2);
+                                       virt::VmType::kNonParallel, 2);
     workload::BspConfig cfg;
     cfg.compute_per_superstep = 2_ms;
     apps.push_back(std::make_unique<workload::BspApp>(
@@ -61,7 +62,7 @@ struct ClsRig {
 
   virt::Vm& cpu_vm() {
     virt::Vm& vm = platform->create_vm(virt::NodeId{0},
-                                       virt::VmType::kNonParallel, "cpu", 1);
+                                       virt::VmType::kNonParallel, 1);
     workloads.push_back(std::make_unique<workload::LoopWorkload>(
         vm, workload::cpu_descriptor("gcc"), sim::Rng(2), nullptr));
     vm.vcpus()[0].set_workload(workloads.back().get());
@@ -96,33 +97,23 @@ TEST(ClassifierTest, Dom0NeverLabelled) {
 }
 
 TEST(AtcAutoClassifyTest, MatchesDeclaredTypesEndToEnd) {
-  // Two scenarios, identical workloads: one with declared VM types, one
-  // with every guest mislabelled kNonParallel + auto_classify.  ATC must
-  // accelerate the parallel app in both.
-  auto run = [](bool auto_classify) {
+  // Two cells, identical workloads: in one ATC reads the declared VM types,
+  // in the other auto_classify makes it ignore them and rediscover which
+  // VMs run parallel code.  ATC must accelerate the parallel app in both.
+  std::vector<exp::Cell> cells;
+  for (bool auto_classify : {false, true}) {
     atc::AtcConfig atc_cfg;
     atc_cfg.auto_classify = auto_classify;
-    auto sp = cluster::ScenarioBuilder{}
-                  .nodes(2)
-                  .approach(Approach::kATC)
-                  .seed(42)
-                  .atc(atc_cfg)
-                  .build();
-    Scenario& s = *sp;
-    cluster::build_type_a(s, "lu", workload::NpbClass::kB);
-    if (auto_classify) {
-      // Erase the declared types: the controller must rediscover them.
-      for (std::size_t i = 0; i < s.platform().vm_count(); ++i) {
-        virt::Vm& vm = s.platform().vm(virt::VmId{(int)i});
-        (void)vm;  // types stay, but the controller ignores them
-      }
-    }
-    s.start();
-    s.warmup_and_measure(2_s, 3_s);
-    return s.mean_superstep_with_prefix("lu.B");
-  };
-  const double declared = run(false);
-  const double classified = run(true);
+    exp::Cell c =
+        exp::type_a(workload::npb_descriptor("lu", workload::NpbClass::kB));
+    c.builder.nodes(2).approach(Approach::kATC).seed(42).atc(atc_cfg);
+    c.warmup = 2_s;
+    c.measure = 3_s;
+    cells.push_back(c);
+  }
+  const auto r = exp::run_cells(cells);
+  const double declared = r[0].mean_superstep("lu.B");
+  const double classified = r[1].mean_superstep("lu.B");
   ASSERT_GT(declared, 0.0);
   ASSERT_GT(classified, 0.0);
   EXPECT_NEAR(classified / declared, 1.0, 0.25);
@@ -138,7 +129,7 @@ TEST(AtcAdaptiveNonParallelTest, LatencySensitiveVmGetsShortSlice) {
                 .atc(atc_cfg)
                 .build();
   Scenario& s = *sp;
-  auto vms = s.create_cluster_vms("vc", {0, 1});
+  auto vms = s.create_cluster_vms({0, 1});
   s.add_bsp_app("vc", workload::npb_descriptor("cg", workload::NpbClass::kB),
                 std::move(vms));
   virt::Vm& web = s.add_web_vm(0, 100.0, "web");       // wakes per request
@@ -147,7 +138,7 @@ TEST(AtcAdaptiveNonParallelTest, LatencySensitiveVmGetsShortSlice) {
   s.start();
   s.run_for(2_s);
   EXPECT_EQ(web.time_slice(), atc::AtcController::kLatencySensitiveSlice);
-  EXPECT_EQ(cpu.time_slice(), s.config().atc.default_slice);
+  EXPECT_EQ(cpu.time_slice(), s.config().params.default_time_slice);
 }
 
 // -------------------------------------------------------------- lone hog
@@ -175,8 +166,7 @@ struct HogRig {
 
   virt::Vm& hog_vm(int vcpus) {
     virt::Vm& vm = platform->create_vm(
-        virt::NodeId{0}, virt::VmType::kNonParallel,
-        "hog" + std::to_string(platform->vm_count()), vcpus);
+        virt::NodeId{0}, virt::VmType::kNonParallel, vcpus);
     for (auto& v : vm.vcpus()) {
       hogs.push_back(std::make_unique<HogWorkload>());
       v.set_workload(hogs.back().get());

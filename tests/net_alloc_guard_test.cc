@@ -74,8 +74,7 @@ struct PktRig {
     network->attach();
     for (int n = 0; n < nodes; ++n) {
       virt::Vm& vm = platform->create_vm(
-          virt::NodeId{n}, virt::VmType::kNonParallel,
-          std::string("g").append(std::to_string(n)), 1);
+          virt::NodeId{n}, virt::VmType::kNonParallel, 1);
       workloads.push_back(std::make_unique<BusyWorkload>());
       vm.vcpus()[0].set_workload(workloads.back().get());
       guests.push_back(&vm);
@@ -132,8 +131,7 @@ TEST(NetAllocGuardTest, BspSuperstepCycleSteadyStateIsAllocationFree) {
   std::vector<virt::Vm*> vms;
   for (int n = 0; n < 2; ++n) {
     vms.push_back(&platform.create_vm(virt::NodeId{n},
-                                      virt::VmType::kParallel,
-                                      "bsp" + std::to_string(n), 2));
+                                      virt::VmType::kParallel, 2));
   }
   metrics::DurationRecorder supersteps;
   workload::BspConfig cfg;

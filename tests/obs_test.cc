@@ -361,7 +361,7 @@ TEST(InvariantEndToEndTest, BrokenSchedulerMutationIsCaughtByChecker) {
   checker.set_abort_on_violation(false);
 
   virt::Vm& vm =
-      platform.create_vm(virt::NodeId{0}, virt::VmType::kNonParallel, "vm", 2);
+      platform.create_vm(virt::NodeId{0}, virt::VmType::kNonParallel, 2);
   BusyWorkload w0, w1;
   vm.vcpus()[0].set_workload(&w0);
   vm.vcpus()[1].set_workload(&w1);
@@ -391,7 +391,7 @@ TEST(InvariantEndToEndTest, IntactSchedulerProducesNoViolations) {
   obs::InvariantChecker checker(sink);
 
   virt::Vm& vm =
-      platform.create_vm(virt::NodeId{0}, virt::VmType::kNonParallel, "vm", 2);
+      platform.create_vm(virt::NodeId{0}, virt::VmType::kNonParallel, 2);
   BusyWorkload w0, w1;
   vm.vcpus()[0].set_workload(&w0);
   vm.vcpus()[1].set_workload(&w1);

@@ -113,8 +113,7 @@ struct ShardedPktRig {
       stack->network->attach();
       fabric.bind(s, *stack->network);
       virt::Vm& vm = stack->platform->create_vm(
-          virt::NodeId{0}, virt::VmType::kNonParallel,
-          std::string("g").append(std::to_string(s)), 1);
+          virt::NodeId{0}, virt::VmType::kNonParallel, 1);
       workloads.push_back(std::make_unique<BusyWorkload>());
       vm.vcpus()[0].set_workload(workloads.back().get());
       guests.push_back(&vm);

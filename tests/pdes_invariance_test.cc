@@ -404,7 +404,7 @@ std::unique_ptr<Scenario> build_four_shards(bool mixed, int nodes,
 
 TEST(PdesInvarianceTest, ShardThreadsLeaveConstructionUnchanged) {
   // Construction, VM creation, BSP apps and start() run one task per shard
-  // (or per virtual cluster) on the shard threads.  Every id, name, global
+  // (or per virtual cluster) on the shard threads.  Every id, type, global
   // id, node and armed event must be what one thread builds.
   const struct {
     const char* label;
@@ -424,12 +424,12 @@ TEST(PdesInvarianceTest, ShardThreadsLeaveConstructionUnchanged) {
         const virt::VmId vm_id{static_cast<std::int32_t>(id)};
         const virt::Vm& va = a.vm(vm_id);
         const virt::Vm& vb = b.vm(vm_id);
-        EXPECT_EQ(va.name(), vb.name()) << "vm " << id;
+        EXPECT_EQ(va.type(), vb.type()) << "vm " << id;
+        EXPECT_EQ(va.global_id(), vb.global_id()) << "vm " << id;
         EXPECT_EQ(va.vcpus()[0].id().value, vb.vcpus()[0].id().value)
-            << va.name();
-        EXPECT_EQ(va.global_id(), vb.global_id()) << va.name();
+            << "vm " << va.global_id();
         EXPECT_EQ(a.global_node_id(va.node()), b.global_node_id(vb.node()))
-            << va.name();
+            << "vm " << va.global_id();
       }
     }
 

@@ -7,9 +7,11 @@
 // and a credit balance, targeted remove, front inspection, pop (dispatch /
 // work stealing), and credit-refill rebucketing — and must agree on every
 // observable at every step: membership, per-queue depth, per-VM sibling
-// counts, front element, and the complete pop order on final drain.  After
-// every operation the indexed structure's front_class(q) must also name the
-// front's class, as the scheduler reads it in place of the front's record.
+// counts (the indexed side counts a VM's VCPUs linked in the queue, as
+// Balance placement does), front element, and the complete pop order on
+// final drain.  After every operation the indexed structure's
+// front_class(q) must also name the front's class, as the scheduler reads
+// it in place of the front's record.
 //
 // The sequences respect the scheduler's real invariants, which are exactly
 // what makes bucketed insertion equivalence-preserving (run_queue.h):
@@ -34,9 +36,8 @@ namespace {
 using virt::CreditPrio;
 using virt::Vcpu;
 
-// One randomized scenario: builds a single-node platform, assigns the dense
-// node-local VM indices exactly as CreditScheduler::attach does, then runs
-// `steps` random operations over both structures.
+// One randomized scenario: builds a single-node platform, then runs `steps`
+// random operations over both structures.
 class RunQueueDifferential {
  public:
   RunQueueDifferential(int pcpus, int guest_vms, int vcpus_per_vm,
@@ -49,21 +50,19 @@ class RunQueueDifferential {
     platform_ = std::make_unique<virt::Platform>(sim_, cfg);
     for (int i = 0; i < guest_vms; ++i) {
       platform_->create_vm(virt::NodeId{0}, virt::VmType::kParallel,
-                           "vm" + std::to_string(i), vcpus_per_vm);
+                           vcpus_per_vm);
     }
-    virt::Node& node = platform_->node(virt::NodeId{0});
-    for (std::size_t i = 0; i < node.vms().size(); ++i) {
-      for (auto& v : node.vms()[i]->vcpus()) {
-        v.sched().rq.vm = static_cast<std::int32_t>(i);
+    for (virt::Vm* vm : platform_->node(virt::NodeId{0}).vms()) {
+      vms_.push_back(vm);
+      for (auto& v : vm->vcpus()) {
         v.sched().credits = rng_.uniform(-200.0, 200.0);
         vcpus_.push_back(&v);
         cls_.push_back(random_class());
       }
     }
     queues_ = pcpus;
-    vms_ = node.vms().size();
-    indexed_.init(static_cast<std::size_t>(queues_), vms_, sim_.arena());
-    linear_.init(static_cast<std::size_t>(queues_), vms_);
+    indexed_.init(static_cast<std::size_t>(queues_), sim_.arena());
+    linear_.init(static_cast<std::size_t>(queues_));
   }
 
   void run(int steps) {
@@ -162,10 +161,14 @@ class RunQueueDifferential {
     for (int q = 0; q < queues_; ++q) {
       ASSERT_EQ(indexed_.depth(q), linear_.depth(q));
       ASSERT_EQ(indexed_.front(q), linear_.front(q));
-      for (std::size_t vm = 0; vm < vms_; ++vm) {
-        ASSERT_EQ(indexed_.queued_of_vm(q, static_cast<int>(vm)),
-                  linear_.queued_of_vm(q, static_cast<int>(vm)))
-            << "sibling count mismatch: queue " << q << " vm " << vm;
+      for (const virt::Vm* vm : vms_) {
+        int linked = 0;
+        for (const Vcpu& w : vm->vcpus()) {
+          if (w.sched().rq.queue == q) ++linked;
+        }
+        ASSERT_EQ(linked, linear_.queued_of_vm(q, *vm))
+            << "sibling count mismatch: queue " << q << " vm "
+            << vm->id().value;
       }
     }
   }
@@ -213,7 +216,7 @@ class RunQueueDifferential {
   std::vector<Vcpu*> vcpus_;
   std::vector<CreditPrio> cls_;  ///< insertion class per vcpus_[i]
   int queues_ = 0;
-  std::size_t vms_ = 0;
+  std::vector<const virt::Vm*> vms_;
   sched::IndexedRunQueues indexed_;
   sched::LinearRunQueues linear_;
 };
@@ -261,11 +264,9 @@ TEST(RunQueueOrderingTest, DeadBandKeepsFifoWithinBand) {
   cfg.pcpus_per_node = 1;
   virt::Platform platform(sim, cfg);
   virt::Vm& vm = platform.create_vm(virt::NodeId{0}, virt::VmType::kParallel,
-                                    "vm", 4);
-  for (auto& v : vm.vcpus()) v.sched().rq.vm = 0;
-
+                                    4);
   sched::IndexedRunQueues q;
-  q.init(1, 2, sim.arena());
+  q.init(1, sim.arena());
 
   // a: 100 credits, b: 80 (inside a's 30-credit band), c: 150 (beyond b's).
   Vcpu* a = &vm.vcpus()[0];
@@ -282,7 +283,6 @@ TEST(RunQueueOrderingTest, DeadBandKeepsFifoWithinBand) {
   EXPECT_EQ(q.pop_front(0), b);
 
   // A wider band files c FIFO at the back instead.
-  a->sched().rq.vm = b->sched().rq.vm = c->sched().rq.vm = 0;
   q.insert(*a, 0, CreditPrio::kUnder, 100.0);
   q.insert(*b, 0, CreditPrio::kUnder, 100.0);
   q.insert(*c, 0, CreditPrio::kUnder, 100.0);

@@ -22,9 +22,7 @@ namespace atcsim::sched {
 
 class LinearRunQueues {
  public:
-  void init(std::size_t queues, std::size_t /*vms*/) {
-    queues_.assign(queues, {});
-  }
+  void init(std::size_t queues) { queues_.assign(queues, {}); }
 
   /// Original flat-deque insertion: priority class first; within a class,
   /// larger credit balance first with a `dead_band` so near-equal balances
@@ -76,12 +74,11 @@ class LinearRunQueues {
   }
   std::size_t queue_count() const { return queues_.size(); }
 
-  /// Original sibling count: scans queue `q` comparing owning VMs (the
-  /// dense rq.vm index stands in for the &vcpu->vm() identity compare).
-  int queued_of_vm(int q, int vm) const {
+  /// Original sibling count: scans queue `q` comparing owning VMs.
+  int queued_of_vm(int q, const virt::Vm& vm) const {
     int count = 0;
     for (const virt::Vcpu* w : queues_[static_cast<std::size_t>(q)]) {
-      if (w->sched().rq.vm == vm) ++count;
+      if (&w->vm() == &vm) ++count;
     }
     return count;
   }

@@ -1,18 +1,21 @@
 // Scheduler tests: credit (CR), balance (BS), co-scheduling (CS), DSS
-// slice controller, vSlicer.
+// slice controller, vSlicer's micro slice.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "cluster/scenario.h"
 #include "sched/coschedule.h"
 #include "sched/credit.h"
 #include "sched/dss.h"
-#include "sched/vslicer.h"
 #include "sync/period_monitor.h"
 #include "virt/engine.h"
 #include "virt/platform.h"
 #include "virt/sync_event.h"
+#include "workload/apps.h"
+#include "workload/descriptor.h"
 
 namespace atcsim {
 namespace {
@@ -60,12 +63,8 @@ struct SchedRig {
     platform = std::make_unique<virt::Platform>(simulation, pc);
   }
 
-  virt::Vm& cpu_vm(sim::SimTime chunk, VmType type = VmType::kNonParallel,
-                   int weight = 256) {
-    virt::Vm& vm = platform->create_vm(
-        virt::NodeId{0}, type, "vm" + std::to_string(platform->vm_count()),
-        1);
-    vm.set_weight(weight);
+  virt::Vm& cpu_vm(sim::SimTime chunk, VmType type = VmType::kNonParallel) {
+    virt::Vm& vm = platform->create_vm(virt::NodeId{0}, type, 1);
     workloads.push_back(std::make_unique<LoopWorkload>(chunk));
     vm.vcpus()[0].set_workload(workloads.back().get());
     return vm;
@@ -73,8 +72,7 @@ struct SchedRig {
 
   virt::Vm& spin_vm(int vcpus) {
     virt::Vm& vm = platform->create_vm(
-        virt::NodeId{0}, VmType::kParallel,
-        "spin" + std::to_string(platform->vm_count()), vcpus);
+        virt::NodeId{0}, VmType::kParallel, vcpus);
     for (auto& v : vm.vcpus()) {
       workloads.push_back(std::make_unique<SpinForeverWorkload>());
       v.set_workload(workloads.back().get());
@@ -102,17 +100,6 @@ TEST(CreditTest, TwoHogsShareOnePcpuFairly) {
   EXPECT_NEAR(ra + rb, 10.0, 0.1);  // PCPU never idles
 }
 
-TEST(CreditTest, WeightsGiveProportionalShares) {
-  SchedRig rig(1);
-  virt::Vm& heavy = rig.cpu_vm(5_ms, VmType::kNonParallel, 512);
-  virt::Vm& light = rig.cpu_vm(5_ms, VmType::kNonParallel, 256);
-  rig.start();
-  rig.simulation.run_until(20_s);
-  const double rh = sim::to_seconds(heavy.totals().run_time);
-  const double rl = sim::to_seconds(light.totals().run_time);
-  EXPECT_NEAR(rh / rl, 2.0, 0.35);
-}
-
 TEST(CreditTest, FairAcrossQueuesViaStealing) {
   // 6 single-vcpu hog VMs on 2 PCPUs: random placement is uneven, yet
   // priority stealing equalizes long-run shares.
@@ -123,14 +110,14 @@ TEST(CreditTest, FairAcrossQueuesViaStealing) {
   rig.simulation.run_until(30_s);
   for (virt::Vm* vm : vms) {
     EXPECT_NEAR(sim::to_seconds(vm->totals().run_time), 10.0, 1.5)
-        << vm->name();
+        << "vm " << vm->id().value;
   }
 }
 
 TEST(CreditTest, EntitledVmKeepsItsCoreAmongSpinners) {
   // One CPU-bound VM + two 4-vcpu spinning VMs on 4 PCPUs.  The hog's
-  // demand (1 PCPU) is below its weight entitlement (4/3 PCPUs), so it
-  // should get nearly 100% of one core.
+  // demand (1 PCPU) is below its equal-share entitlement (4/3 PCPUs), so
+  // it should get nearly 100% of one core.
   SchedRig rig(4);
   virt::Vm& hog = rig.cpu_vm(5_ms);
   rig.spin_vm(4);
@@ -150,12 +137,17 @@ TEST(CreditTest, IdleVcpusEarnNoDispatch) {
   EXPECT_GE(vm.totals().run_time, 960_ms);
 }
 
-TEST(CreditTest, SliceForReadsPerVmSlice) {
-  SchedRig rig(1);
-  virt::Vm& vm = rig.cpu_vm(5_ms);
+TEST(CreditTest, DispatchGrantsVmTimeSlice) {
+  virt::ModelParams params;
+  params.slice_jitter = 0.0;
+  SchedRig rig(1, params);
+  virt::Vm& vm = rig.cpu_vm(100_ms);
   vm.set_time_slice(7_ms);
-  sched::CreditScheduler sched;
-  EXPECT_EQ(sched.slice_for(vm.vcpus()[0]), 7_ms);
+  rig.start();
+  rig.simulation.run_until(1_ms);
+  virt::Pcpu& p = rig.platform->node(virt::NodeId{0}).pcpus()[0];
+  ASSERT_EQ(p.current(), &vm.vcpus()[0]);
+  EXPECT_EQ(p.eng().slice_end - p.eng().stint_start, 7_ms);
 }
 
 TEST(BalanceTest, SiblingsPlacedInDistinctQueues) {
@@ -172,6 +164,40 @@ TEST(BalanceTest, SiblingsPlacedInDistinctQueues) {
         rig.platform->pcpu(v.sched().queue).index_in_node())]++;
   }
   for (int c : per_queue) EXPECT_EQ(c, 1);
+}
+
+// Balance placement's key, read directly: fewest same-VM siblings in a
+// queue, counting its queued VCPUs and the one running on its PCPU, then
+// the shortest queue.  No VCPU has a program, so the engine dispatches
+// nothing and the test files them itself.
+TEST(BalanceTest, PlacementCountsQueuedAndRunningSiblings) {
+  struct Probe : sched::CreditScheduler {
+    Probe() : CreditScheduler(Options{sched::Placement::kBalance}) {}
+    using CreditScheduler::enqueue;
+    using CreditScheduler::place;
+    using CreditScheduler::remove_from_queue;
+  };
+  SchedRig rig(2);
+  virt::Vm& a = rig.platform->create_vm(virt::NodeId{0}, VmType::kParallel, 3);
+  virt::Vm& b = rig.platform->create_vm(virt::NodeId{0}, VmType::kParallel, 2);
+  Probe& s = rig.platform->make_scheduler<Probe>(virt::NodeId{0});
+  rig.platform->engine().start();
+  std::span<virt::Pcpu> pcpus = rig.platform->node(virt::NodeId{0}).pcpus();
+  auto file = [&](Vcpu& v, int q) {
+    v.sched().queue = pcpus[static_cast<std::size_t>(q)].id();
+    s.enqueue(v);
+  };
+  // Queue 1 is the deeper one, but queue 0 holds a sibling of a's VCPUs.
+  file(a.vcpus()[0], 0);
+  file(b.vcpus()[0], 1);
+  file(b.vcpus()[1], 1);
+  EXPECT_EQ(s.place(a.vcpus()[2]), 1);
+  // A sibling running on PCPU 0 counts as well.
+  ASSERT_TRUE(s.remove_from_queue(a.vcpus()[0]));
+  pcpus[0].set_current(&a.vcpus()[1]);
+  EXPECT_EQ(s.place(a.vcpus()[2]), 1);
+  pcpus[0].set_current(nullptr);
+  EXPECT_EQ(s.place(a.vcpus()[2]), 0);  // siblings equal: shorter queue
 }
 
 TEST(BalanceTest, AffinityPlacementCanStack) {
@@ -249,13 +275,24 @@ TEST(DssTest, IoActiveVmGetsShortSliceIdleVmKeepsDefault) {
 }
 
 TEST(VslicerTest, LatencySensitiveVmsGetMicroSlice) {
-  SchedRig rig(1);
-  virt::Vm& ls = rig.cpu_vm(5_ms);
-  virt::Vm& lis = rig.cpu_vm(5_ms);
-  ls.set_latency_sensitive(true);
-  sched::VSlicerScheduler vs;
-  EXPECT_EQ(vs.slice_for(ls.vcpus()[0]), 5_ms);
-  EXPECT_EQ(vs.slice_for(lis.vcpus()[0]), 30_ms);
+  // install_approach(kVS) gives the latency-sensitive guests (the parallel
+  // VMs) the micro slice; the CPU-bound guest and dom0 keep the default.
+  auto s = cluster::ScenarioBuilder{}
+               .nodes(2)
+               .pcpus_per_node(2)
+               .vms_per_node(2)
+               .vcpus_per_vm(2)
+               .approach(cluster::Approach::kVS)
+               .build();
+  std::vector<virt::Vm*> vms = s->create_cluster_vms({0, 1});
+  workload::BspConfig cfg;
+  cfg.compute_per_superstep = 2_ms;
+  s->add_bsp_app("vc", workload::Descriptor::from_bsp(cfg), vms);
+  virt::Vm& cpu = s->add_loop_vm(1, workload::cpu_descriptor("gcc"), "gcc");
+  s->start();
+  for (const virt::Vm* vm : vms) EXPECT_EQ(vm->time_slice(), 5_ms);
+  EXPECT_EQ(cpu.time_slice(), 30_ms);
+  EXPECT_EQ(s->platform().vm(virt::VmId{0}).time_slice(), 30_ms);  // dom0
 }
 
 TEST(MonitorTest, SnapshotsAndResetsPeriodStats) {
@@ -276,7 +313,7 @@ TEST(MonitorTest, SnapshotsAndResetsPeriodStats) {
 TEST(MonitorTest, SamplesEveryResidentVm) {
   SchedRig rig(1);
   virt::Vm& vm = rig.platform->create_vm(virt::NodeId{0},
-                                         VmType::kNonParallel, "idle", 1);
+                                         VmType::kNonParallel, 1);
   sync::PeriodMonitor monitor(*rig.platform);
   monitor.start();
   rig.start();
@@ -309,8 +346,7 @@ TEST(MonitorTest, SpanningEpisodeConservesPeriodAndTotalSpin) {
   params.context_switch_cost = 0;
   params.cache_refill_penalty = 0;
   SchedRig rig(1, params);
-  virt::Vm& vm = rig.platform->create_vm(virt::NodeId{0}, VmType::kParallel,
-                                         "spanner", 1);
+  virt::Vm& vm = rig.platform->create_vm(virt::NodeId{0}, VmType::kParallel, 1);
   virt::SyncEvent ev(vm);
   class OneSpinWorkload : public virt::Workload {
    public:

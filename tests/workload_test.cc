@@ -36,9 +36,7 @@ struct WlRig {
   }
 
   virt::Vm& vm(int node, int vcpus, virt::VmType type) {
-    return platform->create_vm(virt::NodeId{node}, type,
-                               "w" + std::to_string(platform->vm_count()),
-                               vcpus);
+    return platform->create_vm(virt::NodeId{node}, type, vcpus);
   }
 
   void start() {
