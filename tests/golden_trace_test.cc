@@ -31,20 +31,28 @@ using namespace sim::time_literals;
 
 #if ATCSIM_TRACE_ENABLED
 
+/// PCPUs and guest VMs per node, and VCPUs per VM, of a traced run.
+struct NodeShape {
+  int pcpus = 2;
+  int vms = 2;
+  int vcpus_per_vm = 2;
+};
+
 // One small but fully featured scenario: two nodes, BSP clusters spanning
 // them (network + spin synchronization), plus the scheduler and — under
 // kATC — controller activity.  40 ms covers one 30 ms accounting period, so
 // credit refills appear in the trace.
 template <typename BuildFn>
 std::string run_traced_with(cluster::Approach approach, std::uint64_t seed,
-                            BuildFn build, sim::SimTime span = 40_ms) {
+                            BuildFn build, sim::SimTime span = 40_ms,
+                            NodeShape shape = {}) {
   obs::TraceConfig cfg;
   cfg.capacity = 0;  // golden traces must not wrap
   auto s = cluster::ScenarioBuilder{}
                .nodes(2)
-               .pcpus_per_node(2)
-               .vms_per_node(2)
-               .vcpus_per_vm(2)
+               .pcpus_per_node(shape.pcpus)
+               .vms_per_node(shape.vms)
+               .vcpus_per_vm(shape.vcpus_per_vm)
                .approach(approach)
                .seed(seed)
                .tracing(cfg)
@@ -130,6 +138,20 @@ TEST(GoldenTraceTest, VSlicerMatchesGolden) {
 TEST(GoldenTraceTest, CoSchedulingMatchesGolden) {
   check_against_golden("lu_a_cs_seed42.trace",
                        run_traced(cluster::Approach::kCS, 42, 100_ms));
+}
+
+// The benchmark's node shape on two nodes: 8 PCPUs and 4 VMs x 8 VCPUs per
+// node, lu.B under ATC.  The other goldens run two PCPUs per node; this one
+// pins eight run queues per steal scan and eight PCPUs' engine timers, over
+// three accounting periods.
+TEST(GoldenTraceTest, BenchmarkNodeShapeMatchesGolden) {
+  const std::string trace = run_traced_with(
+      cluster::Approach::kATC, 42,
+      [](cluster::Scenario& s) {
+        cluster::build_type_a(s, "lu", workload::NpbClass::kB);
+      },
+      100_ms, NodeShape{8, 4, 8});
+  check_against_golden("lu_b_atc_8x4x8_seed42.trace", trace);
 }
 
 TEST(GoldenTraceTest, PhaseMixDescriptorMatchesGolden) {
