@@ -1,5 +1,6 @@
 #include "sched/coschedule.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "virt/platform.h"
@@ -18,6 +19,21 @@ constexpr SimTime kSpinThreshold = virt::ModelParams{}.accounting_period / 30;
 void CoScheduler::attach(virt::Node& node, virt::Engine& engine) {
   CreditScheduler::attach(node, engine);
   forced_.assign(node.pcpus().size(), nullptr);
+  slots_.assign(node.vms().size(), VmSlot{});
+  claimable_.reserve(node.pcpus().size());
+}
+
+std::size_t CoScheduler::slot_index(const Vm& vm) const {
+  const std::vector<Vm*>& vms = node().vms();
+  return static_cast<std::size_t>(std::find(vms.begin(), vms.end(), &vm) -
+                                  vms.begin());
+}
+
+CoScheduler::VmSlot& CoScheduler::slot_of(const Vm& vm) {
+  const std::size_t i = slot_index(vm);
+  assert(i < node().vms().size() && "gang state of a VM hosted elsewhere");
+  if (i >= slots_.size()) slots_.resize(node().vms().size());
+  return slots_[i];
 }
 
 Vcpu* CoScheduler::pick_next(Pcpu& p) {
@@ -47,17 +63,20 @@ void CoScheduler::on_dispatched(Vcpu& v, Pcpu& p) {
   CreditScheduler::on_dispatched(v, p);
   if (last_pick_forced_) return;  // this dispatch IS part of a gang launch
   const Vm& vm = v.vm();
-  if (!gang_.contains(&vm)) return;
+  VmSlot& slot = slot_of(vm);
+  if (!slot.gang) return;
   const SimTime now = engine().simulation().now();
-  auto [it, inserted] = last_gang_dispatch_.try_emplace(&vm, -vm.time_slice());
-  if (!inserted && now - it->second < vm.time_slice()) return;  // rate limit
-  it->second = now;
+  if (slot.last_launch != kNeverLaunched &&
+      now - slot.last_launch < vm.time_slice()) {
+    return;  // rate limit
+  }
+  slot.last_launch = now;
 
   // Claim a PCPU for every runnable sibling.  Real co-scheduling migrates
   // VCPUs so the whole VM runs simultaneously, so siblings are assigned to
   // any claimable PCPU (not just their own run queue's), each rescheduled
   // immediately (deferred one event so the current dispatch completes).
-  std::vector<Pcpu*> free_pcpus;
+  claimable_.clear();
   for (Pcpu& pc : node().pcpus()) {
     if (&pc == &p) continue;
     if (forced_[static_cast<std::size_t>(pc.index_in_node())] != nullptr) {
@@ -71,14 +90,14 @@ void CoScheduler::on_dispatched(Vcpu& v, Pcpu& p) {
       // from under-served non-concurrent VMs or boosted wakes.
       if (gang_protected(*pc.current())) continue;
     }
-    free_pcpus.push_back(&pc);
+    claimable_.push_back(&pc);
   }
   std::size_t next_target = 0;
   for (Vcpu& s : v.vm().vcpus()) {
     if (&s == &v || !s.runnable()) continue;
-    if (next_target >= free_pcpus.size()) break;
+    if (next_target >= claimable_.size()) break;
     if (!remove_from_queue(s)) continue;  // raced with another pick
-    Pcpu& target = *free_pcpus[next_target++];
+    Pcpu& target = *claimable_[next_target++];
     s.sched().queue = target.id();
     forced_[static_cast<std::size_t>(target.index_in_node())] = &s;
     Pcpu* tp = &target;
@@ -93,18 +112,19 @@ bool CoScheduler::gang_protected(const Vcpu& w) const {
   if (prio == virt::CreditPrio::kBoost) return true;
   // Under-served non-concurrent VMs (web/CPU) keep their turns; spinning
   // parallel VMs preempt each other freely.
-  return prio == virt::CreditPrio::kUnder && !gang_.contains(&w.vm()) &&
+  return prio == virt::CreditPrio::kUnder && !is_gang(w.vm()) &&
          !w.vm().is_parallel();
 }
 
 void CoScheduler::on_period() {
-  gang_.clear();
-  for (const auto& vm : node().vms()) {
+  const std::vector<Vm*>& vms = node().vms();
+  if (slots_.size() < vms.size()) slots_.resize(vms.size());  // arrivals
+  for (std::size_t i = 0; i < vms.size(); ++i) {
+    const Vm* vm = vms[i];
     // nullptr: a migration tombstone (Platform::expel_vm).
-    if (vm == nullptr || vm->is_dom0() || vm->vcpu_count() < 2) continue;
-    if (monitor_->last(vm->id()).spin_wall > kSpinThreshold) {
-      gang_.insert(vm);
-    }
+    slots_[i].gang = vm != nullptr && !vm->is_dom0() &&
+                     vm->vcpu_count() >= 2 &&
+                     monitor_->last(vm->id()).spin_wall > kSpinThreshold;
   }
 }
 

@@ -69,6 +69,7 @@ class CreditScheduler : public virt::Scheduler {
 
  protected:
   virt::Node& node() { return *node_; }
+  const virt::Node& node() const { return *node_; }
   virt::Engine& engine() { return *engine_; }
 
   /// Inserts at the back of the VCPU's priority class.

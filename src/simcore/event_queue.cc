@@ -140,7 +140,7 @@ std::uint32_t EventQueue::alloc_slot() {
     free_.pop_back();
     return s;
   }
-  assert(slot_count_ < (std::size_t{1} << kSlotBits) &&
+  assert(slot_count_ < kBankTag &&
          "event slab exceeded the packed-key slot capacity");
   if (slot_count_ == chunks_.size() * kChunkSize) {
     chunks_.push_back(arena_->create<Chunk>());
@@ -208,16 +208,29 @@ TimerId EventQueue::make_timer(Callback fn) {
   return TimerId{s};
 }
 
+TimerBank EventQueue::add_bank(Bank b) {
+  assert(b.size <= kBankTag - bank_timers_ &&
+         "timer banks exceeded the packed-key index capacity");
+  b.first = bank_timers_;
+  auto* live = arena_->allocate_array<std::uint64_t>(bank_timers_ + b.size);
+  std::copy_n(bank_live_, bank_timers_, live);
+  std::fill_n(live + bank_timers_, b.size, std::uint64_t{0});
+  bank_live_ = live;
+  bank_timers_ += b.size;
+  banks_.push_back(b);
+  return TimerBank{b.first, b.size};
+}
+
 void EventQueue::arm(TimerId t, SimTime when) {
-  assert(t.valid() && t.slot < slot_count_ && meta(t.slot).is_timer);
-  SlotMeta& slot = meta(t.slot);
-  if (slot.live_seq != 0) {
+  assert(names_timer(t));
+  std::uint64_t& live = live_word(t.slot);
+  if (live != 0) {
     // Supersede the pending firing; its key dies in place.
     --live_count_;
     ++dead_in_heap_;
   }
   const std::uint64_t seq = next_seq(t.slot);
-  slot.live_seq = seq;
+  live = seq;
   if (when == frontier_) {
     // Zero-delay re-arm (the engine's dispatch kicks): due ring, not heap.
     due_.push_back(HeapKey{when, seq});
@@ -229,10 +242,10 @@ void EventQueue::arm(TimerId t, SimTime when) {
 }
 
 bool EventQueue::disarm(TimerId t) {
-  assert(t.valid() && t.slot < slot_count_ && meta(t.slot).is_timer);
-  SlotMeta& slot = meta(t.slot);
-  if (slot.live_seq == 0) return false;  // not armed (or just fired)
-  slot.live_seq = 0;
+  assert(names_timer(t));
+  std::uint64_t& live = live_word(t.slot);
+  if (live == 0) return false;  // not armed (or just fired)
+  live = 0;
   --live_count_;
   ++dead_in_heap_;
   maybe_compact();
@@ -261,21 +274,30 @@ bool EventQueue::take_head(SimTime deadline, std::uint32_t& slot,
   const HeapKey k = from_due ? due_[due_head_] : heap_[0];
   if (k.time > deadline) return false;
   const std::uint32_t s = k.slot();
-  // The head's slot was fetched one event ago, as the runner-up.  Start on
-  // the record its callback touches first, then pop, then start on the new
-  // root's slot: both fetches overlap the descent and the callback.
-  payload(s).prefetch();
+  // The head was fetched one event ago, when it became the next head (its
+  // slot, or a bank timer's first record).  Start on the record its
+  // callback touches next, then pop, then start on the new next head: both
+  // fetches overlap the descent and the callback.
+  if ((s & kBankTag) != 0) {
+    const std::uint32_t index = s & kIndexMask;
+    const Bank& b = bank_of(index);
+    if (b.prefetch_taken != nullptr) b.prefetch_taken(b.fn, index - b.first);
+  } else {
+    payload(s).prefetch();
+  }
   if (from_due) {
     if (++due_head_ == due_.size()) {
       due_.clear();  // retains capacity; the ring stays allocation-free
       due_head_ = 0;
+    } else {
+      prefetch_next(due_[due_head_].slot());
     }
   } else {
     pop_key_top();
-    if (heap_size_ != 0) prefetch_slot(heap_[0].slot());
+    if (heap_size_ != 0) prefetch_next(heap_[0].slot());
   }
   frontier_ = k.time;
-  meta(s).live_seq = 0;
+  live_word(s) = 0;
   --live_count_;
   slot = s;
   when = k.time;

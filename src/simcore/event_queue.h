@@ -19,9 +19,10 @@
 //    64-byte line (half the tree depth of a binary heap, one line per
 //    level), and pops use Floyd's bottom-up deletion.
 //  * One drain loop (drain()) pops and runs events.  While an event runs,
-//    the next head's slot is already on its way, and so is the first record
-//    the head's callback touches when its callable names one
-//    (InlineCallback::prefetch).
+//    the next head's slot (or a bank timer's record) is already on its way,
+//    and so is the next record the head's callback touches when its
+//    callable names one (InlineCallback::prefetch, a bank's
+//    prefetch_taken).
 //  * Cancellation is lazy, but bounded: cancelling destroys the payload
 //    immediately (captured state is released right away) and leaves only a
 //    dead 16-byte key behind; when dead keys outnumber live ones the key
@@ -29,7 +30,12 @@
 //  * Recurring timers (`make_timer`/`arm`/`disarm`) keep their callback in a
 //    permanent slot, fire in place and re-arm in place: per firing cost is
 //    one key push, with no construction, no slot churn and no allocation.
-//    This is what the engine's per-PCPU slice/dispatch timers use.
+//  * A timer bank (`make_timers`) is n recurring timers that share one
+//    callable, which is called with the timer's index.  A bank timer is one
+//    8-byte live word in a dense array, with no slot; its keys carry a tag
+//    bit in the slot field.  This is what the engine's four timers per PCPU
+//    use, and the bank's typed prefetch hooks let the drain loop fetch a
+//    timer's records one event before it fires.
 //
 // Determinism is unchanged from the original binary-heap queue: events pop
 // in (time, insertion-sequence) order, so ties in time are broken by
@@ -37,13 +43,14 @@
 //
 // This queue is INTERNAL to simcore: model components never schedule on it
 // directly.  The one documented scheduling surface is sim::Simulation
-// (call_in/call_at/cancel + make_timer/arm_at/arm_in/disarm); see
-// simulation.h.
+// (call_in/call_at/cancel + make_timer/make_timers/arm_at/arm_in/disarm);
+// see simulation.h.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,14 +78,29 @@ struct EventId {
   }
 };
 
-/// Handle to a recurring timer created by EventQueue::make_timer.  Timers
-/// keep their callback in a permanent slab slot for the queue's lifetime and
-/// are re-armed in place.
+/// Handle to a recurring timer: one made by EventQueue::make_timer, which
+/// keeps its callback in a permanent slab slot, or one timer of a bank made
+/// by EventQueue::make_timers.  Either is re-armed in place.
 struct TimerId {
+  /// The slot field of the timer's heap keys: its slab slot, or kBankTag
+  /// plus its index among all bank timers.
   std::uint32_t slot = kInvalid;
 
   static constexpr std::uint32_t kInvalid = UINT32_MAX;
+  /// Marks a bank timer in a slot field; the slab has fewer slots than this.
+  static constexpr std::uint32_t kBankTag = std::uint32_t{1} << 23;
   bool valid() const { return slot != kInvalid; }
+};
+
+/// Handle to the n timers of one bank made by EventQueue::make_timers.
+struct TimerBank {
+  std::uint32_t first = 0;  ///< timer 0's index among all bank timers
+  std::uint32_t size = 0;
+
+  TimerId operator[](std::uint32_t i) const {
+    assert(i < size);
+    return TimerId{TimerId::kBankTag | (first + i)};
+  }
 };
 
 /// Min-heap of timed callbacks (see file comment for the data layout).
@@ -111,6 +133,17 @@ class EventQueue {
 
   TimerId make_timer(Callback fn);
 
+  /// Makes `n` timers that share `fn`, which runs as `fn(i)` when timer i
+  /// of the bank fires.  `fn` may have either of two typed hooks, both
+  /// const: `prefetch(i)`, called when timer i's key becomes the next head
+  /// (the heap root after a pop, or the next due-ring key), about one event
+  /// before it fires; and `prefetch_taken(i)`, called when the key is taken
+  /// to fire, before the heap pop.  `fn` is kept in the arena, which runs
+  /// no destructors, so it must be trivially destructible.  Each timer is
+  /// one 8-byte live word, with no slot; the bank takes no sequence number.
+  template <typename F>
+  TimerBank make_timers(std::uint32_t n, F fn);
+
   /// Arms (or re-arms) the timer to fire at absolute time `when`.
   void arm(TimerId t, SimTime when);
 
@@ -118,8 +151,8 @@ class EventQueue {
   bool disarm(TimerId t);
 
   bool armed(TimerId t) const {
-    assert(t.valid() && t.slot < slot_count_);
-    return meta(t.slot).live_seq != 0;
+    assert(names_timer(t));
+    return live_word(t.slot) != 0;
   }
 
   // --- draining ----------------------------------------------------------
@@ -136,8 +169,9 @@ class EventQueue {
   /// or before `deadline`, at most `limit` of them, and returns how many
   /// ran.  `before(time, ran)` is called once per event, after the event has
   /// left the queue (size() no longer counts it) and before its callback
-  /// runs; `ran` counts the events this call ran before it.  A timer's
-  /// callback runs in its slot.  A one-shot's slot is freed before its
+  /// runs; `ran` counts the events this call ran before it.  A slab
+  /// timer's callback runs in its slot, and a bank's callable where the
+  /// arena keeps it.  A one-shot's slot is freed before its
   /// callback runs, so a callback that schedules the next one-shot reuses
   /// the slot it ran from.
   template <typename Before>
@@ -163,14 +197,23 @@ class EventQueue {
 
   /// Slab slots, live or free, one-shot or timer.  The slab never shrinks
   /// and a timer's slot is never freed, so a steady state that makes no new
-  /// timers keeps this constant.
+  /// timers keeps this constant.  Bank timers take no slot.
   std::size_t slot_count() const { return slot_count_; }
 
+  /// Timers of every bank made so far.
+  std::size_t bank_timer_count() const { return bank_timers_; }
+
  private:
-  /// Slot index bits packed into the low end of HeapKey::seq_slot; caps the
-  /// slab at 16M concurrent events (asserted in alloc_slot) and leaves 40
-  /// bits of insertion sequence (asserted in next_seq(); ~10^12 events).
+  /// Slot-field bits packed into the low end of HeapKey::seq_slot: the bank
+  /// tag and 23 bits of slab slot or bank timer index.  That caps the slab
+  /// and the banks at 8M entries each (asserted in alloc_slot and
+  /// add_bank) and leaves 40 bits of insertion sequence (asserted in
+  /// next_seq(); ~10^12 events).
   static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint32_t kBankTag = TimerId::kBankTag;
+  static_assert(kBankTag == std::uint32_t{1} << (kSlotBits - 1),
+                "the bank tag is the slot field's top bit");
+  static constexpr std::uint32_t kIndexMask = kBankTag - 1;
 
   /// Hot comparison key, 16 bytes — four per cache line, so one 4-ary
   /// find-best-child scan reads one line (see heap_).  `seq_slot` is
@@ -235,7 +278,24 @@ class EventQueue {
   }
 
   bool key_dead(const HeapKey& k) const {
-    return meta(k.slot()).live_seq != k.seq_slot;
+    return live_word(k.slot()) != k.seq_slot;
+  }
+
+  /// The packed seq_slot of the live key of a slot field (a slab slot's
+  /// meta, or a bank timer's word); 0 when it has none.
+  std::uint64_t& live_word(std::uint32_t field) {
+    return (field & kBankTag) != 0 ? bank_live_[field & kIndexMask]
+                                   : meta(field).live_seq;
+  }
+  const std::uint64_t& live_word(std::uint32_t field) const {
+    return (field & kBankTag) != 0 ? bank_live_[field & kIndexMask]
+                                   : meta(field).live_seq;
+  }
+  /// Whether `t` is a slab timer or a bank timer of this queue.
+  bool names_timer(TimerId t) const {
+    if (!t.valid()) return false;
+    if ((t.slot & kBankTag) != 0) return (t.slot & kIndexMask) < bank_timers_;
+    return t.slot < slot_count_ && meta(t.slot).is_timer;
   }
 
   SlotMeta& meta(std::uint32_t s) {
@@ -261,6 +321,43 @@ class EventQueue {
     __builtin_prefetch(&c->meta[s & (kChunkSize - 1)]);
     __builtin_prefetch(&c->payload[s & (kChunkSize - 1)]);
   }
+
+  /// One bank: its callable, which lives in the arena, and the typed
+  /// functions that run it.  A null hook does nothing.
+  struct Bank {
+    std::uint32_t first;  ///< timer 0's index among all bank timers
+    std::uint32_t size;
+    void* fn;
+    void (*fire)(void* fn, std::uint32_t i);
+    void (*prefetch)(const void* fn, std::uint32_t i);
+    void (*prefetch_taken)(const void* fn, std::uint32_t i);
+  };
+
+  /// The bank that holds bank timer `index` (one compare per bank before
+  /// it; the engine makes one bank per queue).
+  const Bank& bank_of(std::uint32_t index) const {
+    const Bank* b = banks_.data();
+    while (index - b->first >= b->size) ++b;
+    return *b;
+  }
+
+  /// Stage one of the drain loop's fetches, on the key that just became
+  /// the next head: a bank timer's live word and `prefetch(i)`, or a
+  /// slot's lines.
+  void prefetch_next(std::uint32_t field) const {
+    if ((field & kBankTag) != 0) {
+      const std::uint32_t index = field & kIndexMask;
+      __builtin_prefetch(&bank_live_[index]);
+      const Bank& b = bank_of(index);
+      if (b.prefetch != nullptr) b.prefetch(b.fn, index - b.first);
+    } else {
+      prefetch_slot(field);
+    }
+  }
+
+  /// Registers a bank whose callable is already in the arena: gives it the
+  /// next `size` indices and their live words, and returns its handle.
+  TimerBank add_bank(Bank b);
 
   std::uint32_t alloc_slot();
   void grow_heap();
@@ -302,6 +399,11 @@ class EventQueue {
   std::vector<Chunk*> chunks_;
   std::size_t slot_count_ = 0;   ///< slots handed out, live or free
   std::size_t timer_slots_ = 0;  ///< of which timers (never freed)
+  std::vector<Bank> banks_;      ///< in index order
+  /// Live words of every bank timer, by index, in one arena block; a new
+  /// bank copies them into a larger block.
+  std::uint64_t* bank_live_ = nullptr;
+  std::uint32_t bank_timers_ = 0;
   /// Freed one-shot slots.  Its capacity covers every slot that is not a
   /// timer, reserved by schedule() as that count grows, so drain() and
   /// cancel() never allocate.
@@ -310,6 +412,32 @@ class EventQueue {
   std::size_t live_count_ = 0;
 };
 
+template <typename F>
+TimerBank EventQueue::make_timers(std::uint32_t n, F fn) {
+  static_assert(std::is_invocable_v<F&, std::uint32_t>,
+                "a bank's callable runs as fn(index)");
+  static_assert(std::is_trivially_destructible_v<F>,
+                "a bank's callable lives in the arena, which runs no "
+                "destructors");
+  Bank b{};
+  b.size = n;
+  b.fn = arena_->create<F>(std::move(fn));
+  b.fire = [](void* f, std::uint32_t i) { (*static_cast<F*>(f))(i); };
+  if constexpr (requires(const F& f, std::uint32_t i) { f.prefetch(i); }) {
+    b.prefetch = [](const void* f, std::uint32_t i) {
+      static_cast<const F*>(f)->prefetch(i);
+    };
+  }
+  if constexpr (requires(const F& f, std::uint32_t i) {
+                  f.prefetch_taken(i);
+                }) {
+    b.prefetch_taken = [](const void* f, std::uint32_t i) {
+      static_cast<const F*>(f)->prefetch_taken(i);
+    };
+  }
+  return add_bank(b);
+}
+
 template <typename Before>
 std::uint64_t EventQueue::drain(SimTime deadline, std::uint64_t limit,
                                 Before&& before) {
@@ -317,18 +445,27 @@ std::uint64_t EventQueue::drain(SimTime deadline, std::uint64_t limit,
   std::uint32_t s = 0;
   SimTime when = 0;
   while (ran < limit && take_head(deadline, s, when)) {
-    Chunk& c = *chunks_[s >> kChunkShift];
-    const std::size_t at = s & (kChunkSize - 1);
     before(when, ran);
-    if (c.meta[at].is_timer) {
-      // Chunks are address-stable, so the callback runs in its slot: it may
-      // make slots (a new chunk moves nothing) or re-arm its own timer
-      // (which touches only the meta).
-      c.payload[at]();
+    if ((s & kBankTag) != 0) {
+      // A bank's callable lives in the arena and never moves, and the call
+      // reads b.fire and b.fn before it runs, so the callback may make a
+      // bank (which can move banks_).
+      const std::uint32_t index = s & kIndexMask;
+      const Bank& b = bank_of(index);
+      b.fire(b.fn, index - b.first);
     } else {
-      Callback fn = std::move(c.payload[at]);
-      free_.push_back(s);
-      fn();
+      Chunk& c = *chunks_[s >> kChunkShift];
+      const std::size_t at = s & (kChunkSize - 1);
+      if (c.meta[at].is_timer) {
+        // Chunks are address-stable, so the callback runs in its slot: it
+        // may make slots (a new chunk moves nothing) or re-arm its own
+        // timer (which touches only the meta).
+        c.payload[at]();
+      } else {
+        Callback fn = std::move(c.payload[at]);
+        free_.push_back(s);
+        fn();
+      }
     }
     ++ran;
   }

@@ -18,7 +18,7 @@ namespace atcsim::sim {
 /// work exclusively through this surface:
 ///
 ///   one-shot:  call_in / call_at / cancel
-///   recurring: make_timer / arm_at / arm_in / disarm
+///   recurring: make_timer / make_timers / arm_at / arm_in / disarm
 ///
 /// EventQueue underneath is an implementation detail; its raw schedule/drain
 /// API is internal (only this class and its tests touch it), so a shard
@@ -48,12 +48,19 @@ class Simulation {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  // --- recurring timers: reusable slots, re-armed in place ---------------
-  // The engine's per-PCPU slice/dispatch timers go through these; a firing
-  // costs one heap-key push with no callback construction or allocation.
+  // --- recurring timers: re-armed in place -------------------------------
+  // A firing costs one heap-key push with no callback construction or
+  // allocation.  make_timer keeps its callback in a slab slot; make_timers
+  // makes a bank of n timers that share one callable, called with the
+  // timer's index (EventQueue::make_timers), which is what the engine's
+  // per-PCPU timers are.
 
   TimerId make_timer(EventQueue::Callback fn) {
     return queue_.make_timer(std::move(fn));
+  }
+  template <typename F>
+  TimerBank make_timers(std::uint32_t n, F fn) {
+    return queue_.make_timers(n, std::move(fn));
   }
   void arm_at(TimerId t, SimTime when) { queue_.arm(t, when); }
   void arm_in(TimerId t, SimTime delay) { queue_.arm(t, now_ + delay); }

@@ -48,24 +48,18 @@ Engine::Engine(sim::Simulation& simulation, Platform& platform)
 void Engine::start() {
   assert(!started_ && "Engine::start called twice");
   started_ = true;
-  // Create the reusable timer slots: dispatch, slice, resched and compute
-  // per PCPU, none per VCPU (only the VCPU on a core can compute, so its
-  // PCPU's compute timer serves it, and a migrating VM leaves no slots
-  // behind).  Every dispatch cycle re-arms these in place, so the steady
-  // state never constructs a callback or touches the allocator.  Creation
-  // order is irrelevant to determinism: only arm() consumes sequence
-  // numbers.
-  for (auto& node : platform_->nodes()) {
-    for (Pcpu& p : node->pcpus()) {
-      p.eng().dispatch_timer = sim_->make_timer(
-          PcpuTimer<&Engine::dispatch_timer_fired>{this, &p});
-      p.eng().slice_timer =
-          sim_->make_timer(PcpuTimer<&Engine::slice_expired>{this, &p});
-      p.eng().resched_timer = sim_->make_timer(
-          PcpuTimer<&Engine::resched_timer_fired>{this, &p});
-      p.eng().compute_timer = sim_->make_timer(
-          PcpuTimer<&Engine::compute_timer_fired>{this, &p});
-    }
+  // One bank of reusable timers: dispatch, slice, resched and compute per
+  // PCPU, none per VCPU (only the VCPU on a core can compute, so its PCPU's
+  // compute timer serves it, and a migrating VM leaves none behind).  Every
+  // dispatch cycle re-arms these in place, so the steady state never
+  // constructs a callback or touches the allocator.  Making the bank takes
+  // no sequence number: only arm() does.
+  const std::span<Pcpu> pcpus = platform_->pcpus();
+  timers_ = sim_->make_timers(
+      static_cast<std::uint32_t>(kTimerKinds * pcpus.size()),
+      PcpuTimers{this, pcpus.data()});
+  for (std::size_t k = 0; k < pcpus.size(); ++k) {
+    pcpus[k].eng().timers = static_cast<std::uint32_t>(kTimerKinds * k);
   }
   for (auto& node : platform_->nodes()) {
     assert(node->has_scheduler() && "every node needs a scheduler");
@@ -87,25 +81,33 @@ void Engine::start() {
   for (auto& node : platform_->nodes()) kick_idle_pcpus(*node);
 }
 
-void Engine::dispatch_timer_fired(Pcpu& p) {
-  p.eng().dispatch_pending = false;
-  dispatch(p);
-}
-
-void Engine::resched_timer_fired(Pcpu& p) {
-  p.eng().resched_pending = false;
-  if (!p.idle() && !p.eng().in_dispatch) request_resched(p);
-}
-
-void Engine::compute_timer_fired(Pcpu& p) {
-  assert(!p.idle() && "compute timer fired on an idle PCPU");
-  compute_finished(p, *p.current());
+void Engine::timer_fired(Pcpu& p, TimerKind kind) {
+  switch (kind) {
+    case kDispatchTimer:
+      p.eng().dispatch_pending = false;
+      dispatch(p);
+      return;
+    case kSliceTimer:
+      slice_expired(p);
+      return;
+    case kReschedTimer:
+      p.eng().resched_pending = false;
+      if (!p.idle() && !p.eng().in_dispatch) request_resched(p);
+      return;
+    case kComputeTimer:
+      assert(!p.idle() && "compute timer fired on an idle PCPU");
+      compute_finished(p, *p.current());
+      return;
+    case kTimerKinds:
+      break;
+  }
+  assert(false && "not an engine timer");
 }
 
 void Engine::schedule_dispatch(Pcpu& p) {
   if (p.eng().dispatch_pending) return;
   p.eng().dispatch_pending = true;
-  sim_->arm_in(p.eng().dispatch_timer, 0);
+  sim_->arm_in(timer(p, kDispatchTimer), 0);
 }
 
 void Engine::kick_idle_pcpus(Node& node) {
@@ -163,7 +165,7 @@ void Engine::dispatch(Pcpu& p) {
       std::max(vm.time_slice(), mp.min_time_slice),
       mp.slice_jitter);
   p.eng().slice_end = now + slice;
-  sim_->arm_at(p.eng().slice_timer, p.eng().slice_end);
+  sim_->arm_at(timer(p, kSliceTimer), p.eng().slice_end);
   p.eng().stint_start = now;
   p.eng().segment_start = now;
   ATCSIM_TRACE(sim_->trace(),
@@ -201,7 +203,7 @@ void Engine::run_current(Pcpu& p) {
         p.eng().segment_start = now;
         const SimTime end = now + need;
         if (end < p.eng().slice_end) {
-          sim_->arm_at(p.eng().compute_timer, end);
+          sim_->arm_at(timer(p, kComputeTimer), end);
         }
         return;  // compute until segment end or slice expiry
       }
@@ -284,8 +286,8 @@ void Engine::leave_cpu(Pcpu& p, LeaveReason reason) {
   account_segment(p, *v);
   auto& e = v->eng();
   // Each is a no-op when its own expiry brought us here.
-  sim_->disarm(p.eng().compute_timer);
-  sim_->disarm(p.eng().slice_timer);
+  sim_->disarm(timer(p, kComputeTimer));
+  sim_->disarm(timer(p, kSliceTimer));
   const SimTime now = sim_->now();
   const SimTime stint = now - p.eng().stint_start;
   e.last_stint = stint;
@@ -537,7 +539,7 @@ void Engine::request_resched(Pcpu& p) {
   if (sim_->now() < earliest) {
     if (p.eng().resched_pending) return;
     p.eng().resched_pending = true;
-    sim_->arm_at(p.eng().resched_timer, earliest);
+    sim_->arm_at(timer(p, kReschedTimer), earliest);
     return;
   }
   leave_cpu(p, LeaveReason::kPreempt);

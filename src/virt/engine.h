@@ -23,9 +23,10 @@ class Engine {
  public:
   Engine(sim::Simulation& simulation, Platform& platform);
 
-  /// Creates each PCPU's four reusable timers (dispatch, slice, resched,
-  /// compute), enqueues every VCPU that has a workload and begins
-  /// scheduling.  Call exactly once, before running the simulation.
+  /// Makes the engine's timer bank, four reusable timers per PCPU
+  /// (dispatch, slice, resched, compute), enqueues every VCPU that has a
+  /// workload and begins scheduling.  Call exactly once, before running the
+  /// simulation.
   void start();
 
   sim::Simulation& simulation() { return *sim_; }
@@ -78,23 +79,47 @@ class Engine {
   /// VCPUs' placement, re-arms the travelled timers, restores runnability
   /// and kicks the node's idle PCPUs.  The workloads need no fix-up: their
   /// events and sends reach this platform through the VM.  It creates no
-  /// timer slots: a VCPU computes on its PCPU's compute timer.
+  /// timers: a VCPU computes on its PCPU's compute timer.
   Vm& adopt_and_resume(MigrationBundle& bundle, NodeId dest_node);
 
  private:
-  /// Callback of one of a PCPU's four timers: runs `Fired` on its PCPU.  Its
-  /// prefetch hook names the PCPU record, which the event queue then starts
-  /// fetching while its heap pops.
-  template <void (Engine::*Fired)(Pcpu&)>
-  struct PcpuTimer {
-    Engine* engine;
-    Pcpu* pcpu;
-    void operator()() const { (engine->*Fired)(*pcpu); }
-    void prefetch() const { sim::prefetch_lines(pcpu); }
+  /// A PCPU's timers in the engine's bank, from Pcpu::EngineState::timers
+  /// on: zero-delay dispatch trampoline, slice expiry, deferred
+  /// (ratelimited) preemption, and the running VCPU's compute segment
+  /// ending before its slice does (only the VCPU on the core computes, so
+  /// one compute timer per PCPU serves every VCPU).
+  enum TimerKind : std::uint32_t {
+    kDispatchTimer,
+    kSliceTimer,
+    kReschedTimer,
+    kComputeTimer,
+    kTimerKinds
   };
-  void dispatch_timer_fired(Pcpu& p);
-  void resched_timer_fired(Pcpu& p);
-  void compute_timer_fired(Pcpu& p);
+
+  /// Callable of the engine's timer bank: timer i belongs to entry
+  /// i / kTimerKinds of the platform's PCPU array.  Its hooks name the
+  /// PCPU record, when the timer's key becomes the queue's next head, and
+  /// the VCPU running there, when the key is taken to fire.
+  struct PcpuTimers {
+    Engine* engine;
+    Pcpu* pcpus;
+    void operator()(std::uint32_t i) const {
+      engine->timer_fired(pcpus[i / kTimerKinds],
+                          static_cast<TimerKind>(i % kTimerKinds));
+    }
+    void prefetch(std::uint32_t i) const {
+      sim::prefetch_lines(&pcpus[i / kTimerKinds]);
+    }
+    void prefetch_taken(std::uint32_t i) const {
+      if (const Vcpu* v = pcpus[i / kTimerKinds].current()) {
+        sim::prefetch_lines(v);
+      }
+    }
+  };
+  sim::TimerId timer(Pcpu& p, TimerKind kind) {
+    return timers_[p.eng().timers + kind];
+  }
+  void timer_fired(Pcpu& p, TimerKind kind);
 
   void dispatch(Pcpu& p);
   void run_current(Pcpu& p);
@@ -110,6 +135,7 @@ class Engine {
 
   sim::Simulation* sim_;
   Platform* platform_;
+  sim::TimerBank timers_;  ///< kTimerKinds per PCPU, made by start()
   bool started_ = false;
   std::uint64_t total_switches_ = 0;
 

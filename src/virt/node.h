@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "simcore/arena.h"
 #include "virt/ids.h"
 #include "virt/pcpu.h"
 #include "virt/scheduler.h"
@@ -17,22 +16,18 @@ namespace atcsim::virt {
 
 class Platform;
 
-/// Lives in its simulation's arena (Platform builds it there), with its
-/// PCPU array right behind it.
+/// Lives in its simulation's arena (Platform builds it there).  Its PCPUs
+/// are its slice of the platform's one PCPU array.
 class Node {
  public:
-  /// Creates the node with `pcpus` PCPUs, numbered from `first_pcpu`, in
-  /// one array taken from `arena`.
+  /// Creates the node and builds its PCPUs, numbered from `first_pcpu`, in
+  /// `storage`, which is not yet constructed.
   Node(NodeId id, Platform& platform, int index, PcpuId first_pcpu,
-       int pcpus, sim::Arena& arena)
-      : id_(id),
-        platform_(&platform),
-        index_(index),
-        pcpus_(arena.allocate_array<Pcpu>(static_cast<std::size_t>(pcpus)),
-               static_cast<std::size_t>(pcpus)) {
-    for (int c = 0; c < pcpus; ++c) {
-      ::new (&pcpus_[static_cast<std::size_t>(c)])
-          Pcpu(PcpuId{first_pcpu.value + c}, *this, c);
+       std::span<Pcpu> storage)
+      : id_(id), platform_(&platform), index_(index), pcpus_(storage) {
+    for (std::size_t c = 0; c < pcpus_.size(); ++c) {
+      const int i = static_cast<int>(c);
+      ::new (&pcpus_[c]) Pcpu(PcpuId{first_pcpu.value + i}, *this, i);
     }
   }
 
@@ -77,7 +72,7 @@ class Node {
   NodeId id_;
   Platform* platform_;
   int index_;
-  std::span<Pcpu> pcpus_;  // in the arena; trivially destructible
+  std::span<Pcpu> pcpus_;  // the platform's; trivially destructible
   std::vector<Vm*> vms_;
   Vm* dom0_ = nullptr;
   Scheduler* scheduler_ = nullptr;  ///< in the arena

@@ -32,16 +32,17 @@ Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
                                            config_.node_id_offset + n));
   }
   nodes_.reserve(static_cast<std::size_t>(config_.nodes));
-  pcpus_.reserve(static_cast<std::size_t>(config_.nodes) *
-                 static_cast<std::size_t>(config_.pcpus_per_node));
   engine_ = std::make_unique<Engine>(simulation, *this);
   sim::Arena& arena = simulation.arena();
+  const auto per_node = static_cast<std::size_t>(config_.pcpus_per_node);
+  const std::size_t pcpus = static_cast<std::size_t>(config_.nodes) * per_node;
+  pcpus_ = {arena.allocate_array<Pcpu>(pcpus), pcpus};
   for (int n = 0; n < config_.nodes; ++n) {
+    const std::size_t first = static_cast<std::size_t>(n) * per_node;
     Node* node = arena.create<Node>(
-        NodeId{n}, *this, n, PcpuId{static_cast<std::int32_t>(pcpus_.size())},
-        config_.pcpus_per_node, arena);
+        NodeId{n}, *this, n, PcpuId{static_cast<std::int32_t>(first)},
+        pcpus_.subspan(first, per_node));
     nodes_.push_back(node);
-    for (Pcpu& p : node->pcpus()) pcpus_.push_back(&p);
     // Every node gets a one-VCPU driver domain, placed next to it; net/disk
     // backends attach workloads.  The dom0s take VM and VCPU ids
     // 0..nodes-1 in node order.

@@ -37,9 +37,9 @@ struct PlatformConfig {
   int node_id_offset = 0;
 };
 
-/// Builds its nodes, their PCPU arrays, every VM it creates and each VM's
-/// VCPU array in the simulation's arena (DESIGN.md §9 "Where records
-/// live"), and runs their destructors when it goes.
+/// Builds its nodes, one PCPU array for all of them, every VM it creates
+/// and each VM's VCPU array in the simulation's arena (DESIGN.md §9 "Where
+/// records live"), and runs their destructors when it goes.
 class Platform {
  public:
   Platform(sim::Simulation& simulation, PlatformConfig config);
@@ -98,7 +98,10 @@ class Platform {
     assert(vms_[id.index()] != nullptr);  // expelled ids are tombstoned
     return *vms_[id.index()];
   }
-  Pcpu& pcpu(PcpuId id) { return *pcpus_[id.index()]; }
+  Pcpu& pcpu(PcpuId id) { return pcpus_[id.index()]; }
+  /// Every PCPU, by id: one array in the arena, node after node.  Entry k
+  /// also owns the engine's timers 4k..4k+3.
+  std::span<Pcpu> pcpus() { return pcpus_; }
   std::size_t vm_count() const { return vms_.size(); }
 
   /// Null-safe VM lookup: nullptr for out-of-range ids and for slots left
@@ -150,7 +153,7 @@ class Platform {
   /// Every VM this platform created, wherever it is hosted now: their
   /// records are in this platform's arena and it runs their destructors.
   std::vector<Vm*> created_;
-  std::vector<Pcpu*> pcpus_;
+  std::span<Pcpu> pcpus_;  ///< by id, in the arena
   /// VcpuIds are dense in creation and adoption order; nothing looks a
   /// VCPU up by id, so only the next one is kept.
   std::int32_t next_vcpu_id_ = 0;

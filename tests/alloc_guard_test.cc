@@ -134,6 +134,33 @@ TEST(AllocGuardTest, TimerRearmIsAllocationFree) {
   EXPECT_GT(fired, 0u);
 }
 
+TEST(AllocGuardTest, BankTimerArmFireDisarmIsAllocationFree) {
+  Arena arena;
+  EventQueue q(arena);
+  std::uint64_t fired = 0;
+  const TimerBank bank =
+      q.make_timers(4, [&fired](std::uint32_t i) { fired += i + 1; });
+  SimTime t = 0;
+  auto churn = [&] {
+    for (std::uint32_t i = 0; i < 10'000; ++i) {
+      const TimerId timer = bank[i % bank.size];
+      q.arm(timer, ++t);
+      if (i % 3 == 0) {
+        q.disarm(timer);  // cancel-heavy flavour: dead key, no firing
+        (void)q.next_time();
+      } else {
+        q.run_next();
+      }
+    }
+  };
+  churn();
+  const std::uint64_t before = allocs();
+  churn();
+  EXPECT_EQ(allocs() - before, 0u)
+      << "bank timer arm/fire/disarm loop allocated after warm-up";
+  EXPECT_GT(fired, 0u);
+}
+
 TEST(AllocGuardTest, SimulationLoopSteadyStateIsAllocationFree) {
   // Full Simulation::run_until loop with self-rescheduling timers — the
   // engine-shaped hot path end to end.
@@ -340,6 +367,35 @@ TEST(AllocGuardTest, VcpuAndPcpuStorageIsFlat) {
   const Counts eight = vm_allocs(8);
   EXPECT_EQ(one.create_vm, eight.create_vm);
   EXPECT_EQ(one.start, eight.start);
+}
+
+// The engine's per-PCPU timers are one bank with no slab slots, so a
+// started platform holds the same slots for 1 or 8 PCPUs per node (the
+// credit scheduler's two timers per node and the one-shots of the first
+// dispatches) and four bank timers per PCPU.
+TEST(AllocGuardTest, EngineStartMakesNoSlotPerPcpu) {
+  using atcsim::virt::NodeId;
+  struct Counts {
+    std::size_t slots = 0;
+    std::size_t bank_timers = 0;
+  };
+  auto started = [](int pcpus) {
+    Simulation s;
+    atcsim::virt::PlatformConfig pc;
+    pc.nodes = 2;
+    pc.pcpus_per_node = pcpus;
+    atcsim::virt::Platform platform(s, pc);
+    for (int n = 0; n < pc.nodes; ++n) {
+      platform.make_scheduler<atcsim::sched::CreditScheduler>(NodeId{n});
+    }
+    platform.engine().start();
+    return Counts{s.queue().slot_count(), s.queue().bank_timer_count()};
+  };
+  const Counts one = started(1);
+  const Counts eight = started(8);
+  EXPECT_EQ(one.slots, eight.slots);
+  EXPECT_EQ(one.bank_timers, 4u * 2u * 1u);
+  EXPECT_EQ(eight.bank_timers, 4u * 2u * 8u);
 }
 
 // Credit scheduling that counts the guest VCPUs' dispatches by their index

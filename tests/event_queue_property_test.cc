@@ -5,6 +5,8 @@
 // (time, seq) records popped by linear scan — and checks that the real
 // EventQueue agrees on every observable: pop order, fired callbacks, cancel
 // return values, size/empty, next_time, and the dispatch trace records.
+// The timers are slab timers (make_timer) and the timers of a bank
+// (make_timers), mixed, so the two kinds interleave in one heap.
 // The golden-trace suite (golden_trace_test.cc) separately pins
 // byte-identity of full engine runs.
 #include <gtest/gtest.h>
@@ -71,10 +73,23 @@ struct RefModel {
 
 constexpr int kTimerTagBase = 1'000'000;  // timer tags live above one-shots
 
+/// A bank's callable for the tests: timer i of the bank reports
+/// `first_tag + i` through `report`.
+template <typename Report>
+struct BankReporter {
+  Report* report;
+  int first_tag;
+  void operator()(std::uint32_t i) const {
+    (*report)(first_tag + static_cast<int>(i));
+  }
+};
+
 TEST(EventQueuePropertyTest, DifferentialAgainstNaiveModel) {
   constexpr int kSeeds = 12;
   constexpr int kOpsPerSeed = 10'000;
-  constexpr int kTimers = 4;
+  constexpr int kSlabTimers = 4;
+  constexpr int kBankTimers = 4;
+  constexpr int kTimers = kSlabTimers + kBankTimers;
 
   for (int seed = 1; seed <= kSeeds; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed));
@@ -83,14 +98,20 @@ TEST(EventQueuePropertyTest, DifferentialAgainstNaiveModel) {
     RefModel model;
     std::vector<int> fired;  // tags in firing order, real queue
 
-    // A few long-lived timers; model their pending firing as a plain record.
+    // A few long-lived timers, slab ones and then a bank's; model their
+    // pending firing as a plain record.
     std::vector<TimerId> timers;
     std::vector<std::uint64_t> timer_pending(kTimers, 0);  // model seq or 0
-    for (int i = 0; i < kTimers; ++i) {
+    for (int i = 0; i < kSlabTimers; ++i) {
       timers.push_back(q.make_timer([&fired, i] {
         fired.push_back(kTimerTagBase + i);
       }));
     }
+    auto report = [&fired](int tag) { fired.push_back(tag); };
+    const TimerBank bank = q.make_timers(
+        kBankTimers,
+        BankReporter<decltype(report)>{&report, kTimerTagBase + kSlabTimers});
+    for (std::uint32_t i = 0; i < bank.size; ++i) timers.push_back(bank[i]);
 
     // One-shot ids handed out so far, incl. already dead ones (staleness).
     struct Handed {
@@ -165,14 +186,17 @@ TEST(EventQueuePropertyTest, DifferentialAgainstNaiveModel) {
 
 /// Same idea one level up, through Simulation::run_until, with callbacks
 /// that do what the engine does inside its events: schedule one-shots
-/// (zero-delay ones go through the due ring), arm, re-arm and disarm timers,
-/// and cancel pending one-shots.  Each firing is checked in lockstep: it
+/// (zero-delay ones go through the due ring), arm, re-arm and disarm timers
+/// (slab timers and the timers of a bank, as the engine's are), and cancel
+/// pending one-shots.  Each firing is checked in lockstep: it
 /// must be the model's earliest record, at the clock's time, and its
 /// `sim.dispatch` trace record must carry its event index (a0) and the live
 /// count after its pop (a1).  The clock must land on every deadline.
 TEST(EventQueuePropertyTest, SimulationRunUntilMatchesModel) {
   constexpr int kSeeds = 8;
-  constexpr int kTimers = 3;
+  constexpr int kSlabTimers = 3;
+  constexpr int kBankTimers = 3;
+  constexpr int kTimers = kSlabTimers + kBankTimers;
   for (int seed = 1; seed <= kSeeds; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 77);
     Simulation s;
@@ -255,10 +279,15 @@ TEST(EventQueuePropertyTest, SimulationRunUntilMatchesModel) {
       ++events;
       act_inside();
     };
-    for (int i = 0; i < kTimers; ++i) {
+    for (int i = 0; i < kSlabTimers; ++i) {
       timers.push_back(
           s.make_timer([&fire, i] { fire(kTimerTagBase + i); }));
     }
+    const TimerBank bank = s.make_timers(
+        kBankTimers,
+        BankReporter<std::function<void(int)>>{&fire,
+                                               kTimerTagBase + kSlabTimers});
+    for (std::uint32_t i = 0; i < bank.size; ++i) timers.push_back(bank[i]);
 
     for (int round = 0; round < 50; ++round) {
       for (int i = 0; i < 40; ++i) {

@@ -221,5 +221,32 @@ TEST(AllocGuardTest, TypeACellHeapBytesPerNode) {
   EXPECT_LE(per_node, kMaxBytesPerNode);
 }
 
+// Co-scheduling keeps its gang flags, last-launch times and claimable-PCPU
+// list in node-local storage sized at attach, so over a 1 s window of an
+// 8-node lu.B type-A cell, after a 1 s warm-up, it allocates no more than
+// the credit scheduler it builds on.  Gang launches run all through the
+// window: the first comes near 40 ms (the CS golden trace).
+TEST(AllocGuardTest, CoSchedulingWindowAllocatesNoMoreThanCredit) {
+  auto window_allocs = [](cluster::Approach approach) {
+    auto s = cluster::ScenarioBuilder{}
+                 .nodes(8)
+                 .pcpus_per_node(8)
+                 .vms_per_node(4)
+                 .vcpus_per_vm(8)
+                 .approach(approach)
+                 .seed(42)
+                 .build();
+    cluster::build_type_a(*s, "lu", workload::NpbClass::kB);
+    s->start();
+    s->run_for(1_s);  // warm-up: queues, rings and recorders grow
+    const std::uint64_t before = allocs();
+    s->run_for(1_s);
+    return allocs() - before;
+  };
+  const std::uint64_t credit = window_allocs(cluster::Approach::kCR);
+  const std::uint64_t cosched = window_allocs(cluster::Approach::kCS);
+  EXPECT_LE(cosched, credit);
+}
+
 }  // namespace
 }  // namespace atcsim

@@ -260,6 +260,136 @@ TEST(EventQueueTest, TimerCallbackMayCreateSlotsWhileFiring) {
   EXPECT_EQ(fired, 2);
 }
 
+// --- timer banks: the slab-timer semantics above, on bank timers ---------
+
+/// A bank's callable that logs which timer fired and which the queue
+/// fetched ahead: `prefetch(i)` when timer i's key became the next head,
+/// `prefetch_taken(i)` when it was taken to fire.
+struct BankLog {
+  std::vector<std::uint32_t> fired;
+  std::vector<std::uint32_t> next;
+  std::vector<std::uint32_t> taken;
+};
+struct LoggingBank {
+  BankLog* log;
+  void operator()(std::uint32_t i) const { log->fired.push_back(i); }
+  void prefetch(std::uint32_t i) const { log->next.push_back(i); }
+  void prefetch_taken(std::uint32_t i) const { log->taken.push_back(i); }
+};
+
+TEST(EventQueueTest, BankTimerArmsFiresAndRearms) {
+  Arena arena;
+  EventQueue q(arena);
+  std::vector<bool> armed_while_firing;
+  TimerBank bank;
+  bank = q.make_timers(3, [&](std::uint32_t i) {
+    armed_while_firing.push_back(q.armed(bank[i]));
+  });
+  EXPECT_EQ(bank.size, 3u);
+  EXPECT_FALSE(q.armed(bank[1]));
+  EXPECT_TRUE(q.empty()) << "unarmed timers are not live events";
+  EXPECT_EQ(q.slot_count(), 0u) << "bank timers take no slab slot";
+  EXPECT_EQ(q.bank_timer_count(), 3u);
+
+  q.arm(bank[1], 10);
+  EXPECT_TRUE(q.armed(bank[1]));
+  EXPECT_FALSE(q.armed(bank[0]));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.run_next(), 10);
+  EXPECT_EQ(armed_while_firing, std::vector<bool>{false})
+      << "firing disarms before the callback runs";
+  EXPECT_TRUE(q.empty());
+
+  q.arm(bank[1], 20);  // re-arm in place after firing
+  EXPECT_EQ(q.next_time(), 20);
+  EXPECT_EQ(q.run_next(), 20);
+  EXPECT_EQ(armed_while_firing.size(), 2u);
+}
+
+TEST(EventQueueTest, BankTimerRearmSupersedesPendingFiring) {
+  Arena arena;
+  EventQueue q(arena);
+  BankLog log;
+  const TimerBank bank = q.make_timers(2, LoggingBank{&log});
+  q.arm(bank[0], 10);
+  q.arm(bank[0], 30);  // supersedes the t=10 firing
+  q.schedule(20, [] {});
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), 20) << "superseded firing must be dead";
+  EXPECT_EQ(q.run_next(), 20);  // the one-shot
+  EXPECT_TRUE(log.fired.empty());
+  EXPECT_EQ(q.run_next(), 30);
+  EXPECT_EQ(log.fired, std::vector<std::uint32_t>{0});
+}
+
+TEST(EventQueueTest, BankTimerDisarmCancelsPendingFiring) {
+  Arena arena;
+  EventQueue q(arena);
+  BankLog log;
+  const TimerBank bank = q.make_timers(2, LoggingBank{&log});
+  EXPECT_FALSE(q.disarm(bank[1])) << "disarming an unarmed timer is a no-op";
+  q.arm(bank[1], 10);
+  EXPECT_TRUE(q.disarm(bank[1]));
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.disarm(bank[1])) << "double disarm";
+  EXPECT_EQ(q.next_time(), kTimeNever);
+  EXPECT_TRUE(log.fired.empty());
+}
+
+// Several banks share one index space: each callable sees its own indices,
+// and making a bank takes no sequence number, so ties still pop in arm
+// order across banks, slab timers and one-shots.
+TEST(EventQueueTest, BanksNumberTheirOwnTimersAndTieByArmOrder) {
+  Arena arena;
+  EventQueue q(arena);
+  std::vector<int> order;
+  const TimerId slab = q.make_timer([&] { order.push_back(-1); });
+  const TimerBank a = q.make_timers(2, [&](std::uint32_t i) {
+    order.push_back(10 + static_cast<int>(i));
+  });
+  const TimerBank b = q.make_timers(3, [&](std::uint32_t i) {
+    order.push_back(20 + static_cast<int>(i));
+  });
+  EXPECT_EQ(b.first, 2u);
+  EXPECT_EQ(q.bank_timer_count(), 5u);
+  EXPECT_EQ(q.slot_count(), 1u);
+  q.arm(b[2], 5);
+  q.arm(slab, 5);
+  q.schedule(5, [&] { order.push_back(0); });
+  q.arm(a[1], 5);
+  q.arm(a[0], 4);
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{10, 22, -1, 0, 11}));
+}
+
+// Stage one: a bank key that becomes the next head (the heap root after a
+// pop, or the next due-ring key) is named to prefetch(i).  Stage two: the
+// key taken to fire is named to prefetch_taken(i) before its callback.
+TEST(EventQueueTest, BankHooksNameTheNextAndTheTakenTimer) {
+  Arena arena;
+  EventQueue q(arena);
+  BankLog log;
+  const TimerBank bank = q.make_timers(4, LoggingBank{&log});
+  q.arm(bank[2], 10);
+  q.arm(bank[3], 20);
+  EXPECT_EQ(q.run_next(), 10);
+  EXPECT_EQ(log.taken, std::vector<std::uint32_t>{2});
+  EXPECT_EQ(log.next, std::vector<std::uint32_t>{3}) << "the new heap root";
+
+  // Two zero-delay arms at the frontier go to the due ring.
+  q.arm(bank[0], 10);
+  q.arm(bank[1], 10);
+  EXPECT_EQ(q.run_next(), 10);
+  EXPECT_EQ(log.fired, (std::vector<std::uint32_t>{2, 0}));
+  EXPECT_EQ(log.taken, (std::vector<std::uint32_t>{2, 0}));
+  EXPECT_EQ(log.next, (std::vector<std::uint32_t>{3, 1}))
+      << "the next due-ring key";
+  EXPECT_EQ(q.run_next(), 10);
+  EXPECT_EQ(q.run_next(), 20);
+  EXPECT_EQ(log.fired, (std::vector<std::uint32_t>{2, 0, 1, 3}));
+  EXPECT_EQ(log.taken, (std::vector<std::uint32_t>{2, 0, 1, 3}));
+}
+
 TEST(InlineCallbackTest, MoveTransfersAndEmptiesSource) {
   int hits = 0;
   InlineCallback a = [&hits] { ++hits; };
